@@ -74,6 +74,26 @@ def _take(d: dict, section: str, allowed: dict) -> dict:
     return out
 
 
+def _integer(value, key: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"'{key}' must be an integer")
+    if value < minimum:
+        raise ConfigError(f"'{key}' must be at least {minimum}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"'{key}' must be a number")
+    return float(value)
+
+
+def _numbers(value, key: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"'{key}' must be a list of numbers")
+    return tuple(_number(v, key) for v in value)
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     """Validated audit configuration (strict JSON schema, see README)."""
@@ -120,15 +140,19 @@ class AuditConfig:
                 raise ConfigError(f"missing required key '{key}'")
         if top["family"] not in ("radial", "torus-collar"):
             raise ConfigError("'family' must be 'radial' or 'torus-collar'")
-        seed = int(top["seed"])
+        seed = _integer(top["seed"], "seed", 0)
         profile = _take(top["profile"], "profile", {"theta": (0.0, 0.0, 0.0)})
-        theta = tuple(float(t) for t in profile["theta"])
+        theta = _numbers(profile["theta"], "theta")
         jet = _take(top["jet"], "jet", {"n_grid": 8, "amplitude": 0.05})
         grid = _take(
             top["grid"],
             "grid",
             {"eps_n": 12, "eps_lo": 0.02, "eps_hi": 0.3, "rho_max": None},
         )
+        # the ranges renorm.finite_part needs: >= 6 eps nodes over a factor >= 8
+        eps_lo, eps_hi = _number(grid["eps_lo"], "eps_lo"), _number(grid["eps_hi"], "eps_hi")
+        if eps_lo <= 0.0 or eps_hi / eps_lo < 8.0:
+            raise ConfigError("'eps_lo' must be positive and 'eps_hi' / 'eps_lo' at least 8")
         flow = _take(
             top["flow"],
             "flow",
@@ -139,6 +163,9 @@ class AuditConfig:
                 "target_fraction": 0.01,
             },
         )
+        eta = _number(flow["eta"], "eta")
+        if eta < 0.0:
+            raise ConfigError("'eta' must be non-negative")
         tolerances = dict(top["tolerances"])
         for name, value in tolerances.items():
             if not (isinstance(value, (int, float)) and value > 0):
@@ -150,17 +177,17 @@ class AuditConfig:
             family=top["family"],
             seed=seed,
             theta=theta,
-            jet_n_grid=int(jet["n_grid"]),
-            jet_amplitude=float(jet["amplitude"]),
-            eps_n=int(grid["eps_n"]),
-            eps_lo=float(grid["eps_lo"]),
-            eps_hi=float(grid["eps_hi"]),
-            rho_max=None if grid["rho_max"] is None else float(grid["rho_max"]),
-            trials=int(top["trials"]),
-            flow_theta0=tuple(float(t) for t in flow["theta0"]),
-            flow_steps=int(flow["steps"]),
-            flow_eta=float(flow["eta"]),
-            flow_target_fraction=float(flow["target_fraction"]),
+            jet_n_grid=_integer(jet["n_grid"], "n_grid", 1),
+            jet_amplitude=_number(jet["amplitude"], "amplitude"),
+            eps_n=_integer(grid["eps_n"], "eps_n", 6),
+            eps_lo=eps_lo,
+            eps_hi=eps_hi,
+            rho_max=None if grid["rho_max"] is None else _number(grid["rho_max"], "rho_max"),
+            trials=_integer(top["trials"], "trials", 1),
+            flow_theta0=_numbers(flow["theta0"], "theta0"),
+            flow_steps=_integer(flow["steps"], "steps", 0),
+            flow_eta=eta,
+            flow_target_fraction=_number(flow["target_fraction"], "target_fraction"),
             tolerances=tolerances,
             out_dir=str(outputs["directory"]),
             out_format=str(outputs["format"]),
@@ -683,7 +710,7 @@ def _load_config(args) -> AuditConfig:
     config = AuditConfig.from_dict(raw)
     overrides = {}
     if args.seed is not None:
-        overrides["seed"] = int(args.seed)
+        overrides["seed"] = _integer(args.seed, "seed", 0)
     if args.out_dir is not None:
         overrides["out_dir"] = args.out_dir
     if args.format is not None:

@@ -225,18 +225,27 @@ class TorusJetGeometry:
         self._g2 = flat(jet.g2)
         self._g3 = flat(jet.g3)
 
-    def spatial(self, rho: float):
-        """g_rho and its first three analytic rho-derivatives, (npts, 3, 3)."""
-        g = self._gamma + rho**2 * self._g2 + rho**3 * self._g3
-        d1 = 2.0 * rho * self._g2 + 3.0 * rho**2 * self._g3
-        d2 = 2.0 * self._g2 + 6.0 * rho * self._g3
-        d3 = 6.0 * self._g3
-        return g, d1, d2, d3
+    def spatial(self, rho):
+        """g_rho and its first three analytic rho-derivatives, (points, 3, 3).
+
+        ``rho`` is a scalar or a 1-D array; see :func:`curvature_in_frame` for
+        the point layout of an array.
+        """
+        r = np.reshape(rho, (-1, 1, 1, 1))
+        g = self._gamma + r**2 * self._g2 + r**3 * self._g3
+        d1 = 2.0 * r * self._g2 + 3.0 * r**2 * self._g3
+        d2 = 2.0 * self._g2 + 6.0 * r * self._g3
+        d3 = np.tile(6.0 * self._g3, (r.size, 1, 1))
+        return g.reshape(-1, 3, 3), d1.reshape(-1, 3, 3), d2.reshape(-1, 3, 3), d3
 
     def xderiv(self, field: np.ndarray, axis: int) -> np.ndarray:
-        """Derivative along boundary coordinate `axis` of a pointwise field."""
+        """Derivative along boundary coordinate `axis` of a pointwise field.
+
+        The point axis may stack several rho-slices (rho-major).
+        """
         n = self.n_grid
-        grid = field.reshape((n, n, n) + field.shape[1:])
+        grid = field.reshape((-1, n, n, n) + field.shape[1:])
+        axis += 1
         if self.deriv == "spectral":
             k = 1j * np.fft.fftfreq(n, d=1.0 / n)
             shape = [1] * grid.ndim
@@ -268,9 +277,9 @@ class RadialGeometry:
         self.weight = 2.0 * math.pi**2
         self.cbar = 2.0 * _EPS3  # cbar[k, i, j] = Cbar^k_ij
 
-    def spatial(self, rho: float):
-        a = [self.profile.a(rho, k) for k in range(4)]
-        eye = np.eye(3)[None, :, :]
+    def spatial(self, rho):
+        a = [np.reshape(self.profile.a(rho, k), (-1, 1, 1)) for k in range(4)]
+        eye = np.eye(3)
         g = a[0] ** 2 * eye
         d1 = 2.0 * a[0] * a[1] * eye
         d2 = 2.0 * (a[1] ** 2 + a[0] * a[2]) * eye
@@ -284,22 +293,24 @@ class RadialGeometry:
 class PolynomialPerturbation:
     """Tangential metric perturbation m(x, rho) = sum_p rho^p m_p(x).
 
-    ``fields`` maps integer powers p to (npts, 3, 3) symmetric arrays.
+    ``fields`` maps integer powers p to (npts, 3, 3) symmetric arrays.  A
+    1-D ``rho`` stacks the slices rho-major along the point axis.
     """
 
     def __init__(self, fields: dict):
         self.fields = {int(p): np.asarray(f, dtype=float) for p, f in fields.items()}
 
-    def value(self, rho: float, order: int = 0) -> np.ndarray:
+    def value(self, rho, order: int = 0) -> np.ndarray:
+        r = np.reshape(rho, (-1, 1, 1, 1))
         out = None
         for p, f in self.fields.items():
             if order > p:
-                coef = 0.0
+                coef = np.zeros_like(r)
             else:
-                coef = math.perm(p, order) * rho ** (p - order)
+                coef = math.perm(p, order) * r ** (p - order)
             term = coef * f
             out = term if out is None else out + term
-        return out
+        return out.reshape((-1,) + out.shape[2:])
 
 
 class PerturbedGeometry:
@@ -313,7 +324,7 @@ class PerturbedGeometry:
         self.weight = base.weight
         self.cbar = base.cbar
 
-    def spatial(self, rho: float):
+    def spatial(self, rho):
         g, d1, d2, d3 = self.base.spatial(rho)
         m = self.perturbation
         return (
@@ -330,10 +341,10 @@ class PerturbedGeometry:
 # -- frame Christoffels and curvature ---------------------------------------
 
 
-def _gbar_blocks(geom, rho: float):
-    """Full frame metric gbar_st (npts, 4, 4) and analytic rho-derivatives."""
+def _gbar_blocks(geom, rho):
+    """Full frame metric gbar_st (points, 4, 4) and analytic rho-derivatives."""
     g, d1, d2, _ = geom.spatial(rho)
-    npts = geom.npts
+    npts = g.shape[0]
 
     def embed(block, corner):
         out = np.zeros((npts, 4, 4))
@@ -351,7 +362,7 @@ def _cbar4(geom) -> np.ndarray:
     return c
 
 
-def christoffels_bar(geom, rho: float):
+def christoffels_bar(geom, rho):
     """Levi-Civita symbols of gbar in the frame Xbar, plus d/d rho.
 
     Returns (Gbar, dGbar) with Gbar[n, u, a, b] = Gammabar^u_ab, from the
@@ -376,7 +387,7 @@ def christoffels_bar(geom, rho: float):
         return lower
 
     def xgrad(gb, dgb_rho):
-        xg = np.zeros((geom.npts, 4, 4, 4))
+        xg = np.zeros((gb.shape[0], 4, 4, 4))
         for i in range(3):
             xg[:, i] = geom.xderiv(gb, i)
         xg[:, 3] = dgb_rho
@@ -394,13 +405,20 @@ def christoffels_bar(geom, rho: float):
     return gamma, dgamma
 
 
-def christoffels(geom, rho: float):
+def _rho_per_point(rho, npts: int) -> np.ndarray:
+    """rho repeated over the points of each slice, shaped (npts, 1, 1, 1)."""
+    r = np.atleast_1d(np.asarray(rho, dtype=float))
+    return np.repeat(r, npts // r.size).reshape(-1, 1, 1, 1)
+
+
+def christoffels(geom, rho):
     """Frame Christoffels of g in X_s = rho Xbar_s, and rho d/d rho of them.
 
     Gamma^u_st = rho Gammabar^u_st - delta_su delta_t4 + delta_u4 gbar_st.
     """
     gbar, dgbar, _ = _gbar_blocks(geom, rho)
     gamma_bar, dgamma_bar = christoffels_bar(geom, rho)
+    rho = _rho_per_point(rho, gbar.shape[0])
     eye = np.eye(4)
     delta_term = np.einsum("su,t->ust", eye, eye[3])
     gamma = (
@@ -439,13 +457,19 @@ def _frame_curvature(geom, gamma, radial_deriv, spatial_scale, cfun, gbar):
     return np.einsum("nswtu,nwv->nstuv", rup, gbar)
 
 
-def curvature_in_frame(geom, rho: float) -> dict:
-    """Curvature of g at one rho-slice: frame, orthonormal, and invariants.
+def curvature_in_frame(geom, rho) -> dict:
+    """Curvature of g on rho-slices: frame, orthonormal, and invariants.
+
+    ``rho`` is a scalar (one slice) or a 1-D array of slices.  Every field
+    carries a leading point axis; for an array it is the rho-major flattening
+    of (rho, boundary point), so point ``k * geom.npts + p`` is boundary
+    point p on slice rho[k].
 
     Returns {'gbar', 'riem' (X-frame), 'riem_on', 'invariants', 'gamma4'}.
     """
     gbar, _, _ = _gbar_blocks(geom, rho)
     gamma, dgamma = christoffels(geom, rho)
+    rho = _rho_per_point(rho, gbar.shape[0])
     # structure functions of X: [X_4, X_i] = X_i, [X_i, X_j] = rho Cbar^k_ij X_k
     eye = np.eye(4)
     cfun = np.einsum("s,xt->xst", eye[3], eye) - np.einsum("t,xs->xst", eye[3], eye)

@@ -469,15 +469,15 @@ def decompose_curvature(R: DoubleForm) -> CurvatureDecomposition:
 
 # -- vectorized fast path ---------------------------------------------------
 
-def _perm_signs4() -> list[tuple[tuple[int, ...], int]]:
-    out = []
-    for p in itertools.permutations(range(4)):
-        inv = sum(1 for a, b in itertools.combinations(p, 2) if a > b)
-        out.append((p, (-1) ** inv))
-    return out
+_EPS4 = np.zeros((4, 4, 4, 4))
+for _perm in itertools.permutations(range(4)):
+    _inv = sum(1 for _a, _b in itertools.combinations(_perm, 2) if _a > _b)
+    _EPS4[_perm] = (-1.0) ** _inv
 
-
-_S4 = _perm_signs4()
+# eps_abcd eps_efgh R_abef R_cdgh: eps against R, eps against that, then the
+# pointwise pairing with R.  Each step is a 16x16-block tensordot; a fixed
+# path skips the per-call path search.
+_PFAFFIAN_PATH = ["einsum_path", (0, 2), (0, 2), (0, 1)]
 
 
 def batch_invariants(R: np.ndarray) -> dict[str, np.ndarray]:
@@ -508,13 +508,9 @@ def batch_invariants(R: np.ndarray) -> dict[str, np.ndarray]:
     W = R - s[..., None, None, None, None] / 24.0 * gg - 0.5 * zg
     w2 = np.einsum("...abcd,...abcd->...", W, W)
     R2 = np.einsum("...abcd,...abcd->...", R, R)
-    # Pfaffian density: (1/16) sum_{sig,tau} eps eps R R / (8 pi^2)
-    pff = np.zeros(R.shape[:-4])
-    for sig, es in _S4:
-        for tau, et in _S4:
-            pff = pff + es * et * (
-                R[..., sig[0], sig[1], tau[0], tau[1]]
-                * R[..., sig[2], sig[3], tau[2], tau[3]]
-            )
+    # Pfaffian density: (1/16) eps eps R R / (8 pi^2)
+    pff = np.einsum(
+        "abcd,efgh,...abef,...cdgh->...", _EPS4, _EPS4, R, R, optimize=_PFAFFIAN_PATH
+    )
     pff = pff / (16.0 * 8.0 * math.pi**2)
     return {"s": s, "r2": r2, "z2": z2, "w2": w2, "R2": R2, "pff": pff, "ric": ric, "z": z}

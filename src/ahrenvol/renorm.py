@@ -425,9 +425,6 @@ def renormalized_action(source, eps_grid=None, rho_max: float | None = None) -> 
     if rho_max is None:
         rho_max = _default_rho_max(geom)
 
-    names = ["s", "z2", "w2", "r2"]
-    base = _invariant_density(geom, names)
-
     def density(rho):
         data = _collar.curvature_in_frame(geom, float(rho))
         inv = data["invariants"]

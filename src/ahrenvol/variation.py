@@ -32,7 +32,6 @@ always inserted immediately before the index block.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +47,7 @@ from .collar import (
     perturbed_profile,
     rho_series_fit,
 )
+from .dfalg import _EPS4
 
 __all__ = [
     "FlatTorus4",
@@ -77,12 +77,6 @@ __all__ = [
     "run_flow",
     "DEFAULT_SUPPORT",
 ]
-
-_EPS4 = np.zeros((4, 4, 4, 4))
-for _perm in itertools.permutations(range(4)):
-    _inv = sum(1 for _a, _b in itertools.combinations(_perm, 2) if _a > _b)
-    _EPS4[_perm] = (-1.0) ** _inv
-
 
 # -- flat-torus double-form calculus -----------------------------------------
 
@@ -238,13 +232,16 @@ class CutoffPerturbation:
         for _ in range(3):
             self.polys.append(self.polys[-1].deriv())
 
-    def window(self, rho: float, order: int = 0) -> float:
-        if rho <= self.a or rho >= self.b:
-            return 0.0
-        return float(self.polys[order](rho))
+    def window(self, rho, order: int = 0):
+        """Window derivative at a scalar rho (a float) or a 1-D rho array."""
+        r = np.asarray(rho, dtype=float)
+        out = np.where((r > self.a) & (r < self.b), self.polys[order](r), 0.0)
+        return float(out) if out.ndim == 0 else out
 
-    def value(self, rho: float, order: int = 0) -> np.ndarray:
-        return self.window(rho, order) * self.field
+    def value(self, rho, order: int = 0) -> np.ndarray:
+        """m(x) times the window; a 1-D rho stacks the slices rho-major."""
+        w = np.reshape(self.window(rho, order), (-1, 1, 1, 1))
+        return (w * self.field).reshape(-1, 3, 3)
 
 
 @dataclass(frozen=True)
@@ -685,10 +682,24 @@ def _gauss_nodes(segments, n_per: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _z2_density(geom, rho: float) -> float:
-    cur = curvature_in_frame(geom, rho)
-    dens = np.sqrt(np.linalg.det(cur["gbar"])) / rho**4
-    return geom.weight * float(np.sum(cur["invariants"]["z2"] * dens))
+def _z2_density(geom, nodes) -> np.ndarray:
+    """int |z|^2 dvol over each rho-slice in ``nodes``, from one engine call."""
+    nodes = np.asarray(nodes, dtype=float)
+    cur = curvature_in_frame(geom, nodes)
+    z2 = cur["invariants"]["z2"].reshape(nodes.size, -1)
+    vol = np.sqrt(np.linalg.det(cur["gbar"])).reshape(nodes.size, -1)
+    return geom.weight * np.sum(z2 * (vol / nodes[:, None] ** 4), axis=1)
+
+
+def _z2_quadrature(geom, segments, n_per: int) -> float:
+    """Gauss quadrature of the |z|^2 slice integrals, one batch per segment.
+
+    Batching a segment rather than every node bounds the engine's working
+    set at n_per slices.
+    """
+    nodes, wts = _gauss_nodes(segments, n_per)
+    dens = np.concatenate([_z2_density(geom, seg) for seg in np.split(nodes, len(segments))])
+    return float(sum(wts * dens))
 
 
 def zprime_display(geom, pert, support=DEFAULT_SUPPORT, n_nodes: int = 64,
@@ -737,11 +748,10 @@ def fd_zprime(geom, pert, t: float = 1e-3, segments=((0.05, 0.1), (0.1, 0.3), (0
     functionals differ by a plain integral over any window containing the
     support; fixed Gauss segments make the difference quadrature-exact.
     """
-    nodes, wts = _gauss_nodes(segments, n_per)
 
     def z2_of(tt: float) -> float:
         g = PerturbedGeometry(geom, pert, tt) if tt else geom
-        return float(sum(w * _z2_density(g, r) for r, w in zip(nodes, wts)))
+        return _z2_quadrature(g, segments, n_per)
 
     fd_t = (z2_of(t) - z2_of(-t)) / (2.0 * t)
     if not richardson:
@@ -764,8 +774,7 @@ def z2_functional(theta, segments=_FLOW_SEGMENTS, n_per: int = 32) -> float:
     part.
     """
     geom = RadialGeometry(perturbed_profile(np.asarray(theta, float)))
-    nodes, wts = _gauss_nodes(segments, n_per)
-    return float(sum(w * _z2_density(geom, r) for r, w in zip(nodes, wts)))
+    return _z2_quadrature(geom, segments, n_per)
 
 
 @dataclass(frozen=True)

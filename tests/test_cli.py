@@ -59,6 +59,24 @@ class TestConfigValidation:
     def test_unknown_subcommand(self, tmp_path):
         assert run(["frobnicate"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ({"seed": "abc"}, "seed"),
+            ({"profile": {"theta": 5}}, "theta"),
+            ({"trials": 0}, "trials"),
+            ({"grid": {"eps_n": 4}}, "eps_n"),
+            ({"jet": {"n_grid": 0}}, "n_grid"),
+            ({"flow": {"eta": -1.0}}, "eta"),
+        ],
+        ids=["seed", "theta", "trials", "eps_n", "n_grid", "eta"],
+    )
+    def test_malformed_value_exits_usage_and_names_key(self, tmp_path, capsys, extra, key):
+        cfg = write_config(tmp_path, "c.json", {"family": "radial", "seed": 1, **extra})
+        for sub in ("linearize-check", "renvol"):
+            assert run([sub, "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+            assert f"'{key}'" in capsys.readouterr().err
+
     def test_negative_tolerance_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path, "c.json", {"family": "radial", "seed": 1, "tolerances": {"x": -1.0}}

@@ -24,6 +24,7 @@ from ahrenvol.collar import (
     rho_series_fit,
     sample_collar_metric,
 )
+from ahrenvol.variation import CutoffPerturbation, z2_functional
 
 HYP = np.einsum("su,tv->stuv", np.eye(4), np.eye(4)) - np.einsum(
     "sv,tu->stuv", np.eye(4), np.eye(4)
@@ -342,3 +343,66 @@ class TestPerturbedGeometry:
         assert np.allclose(d1, 0.1 * 0.3 * 1.0 * np.eye(3), atol=1e-15)
         assert np.allclose(d2, 0.1 * 0.3 * 2.0 * np.eye(3), atol=1e-15)
         assert np.allclose(d3, 0.0, atol=1e-15)
+
+
+def _sym_field(seed, npts):
+    m = np.random.default_rng(seed).uniform(-1.0, 1.0, (npts, 3, 3))
+    return 0.5 * (m + m.transpose(0, 2, 1))
+
+
+def _radial_theta():
+    return RadialGeometry(perturbed_profile([0.03, -0.02, 0.015]))
+
+
+def _torus4():
+    return TorusJetGeometry(random_jet(13, n_grid=4))
+
+
+BATCH_GEOMETRIES = {
+    "radial": _radial_theta,
+    "torus": _torus4,
+    "torus-polynomial": lambda: PerturbedGeometry(
+        _torus4(), PolynomialPerturbation({2: _sym_field(1, 64), 3: _sym_field(2, 64)}), 0.1
+    ),
+    # the support (0.15, 0.25) holds only the middle slice of RHOS
+    "radial-cutoff": lambda: PerturbedGeometry(
+        _radial_theta(), CutoffPerturbation(_sym_field(3, 1), 0.15, 0.25), 0.2
+    ),
+}
+
+
+class TestBatchedEngine:
+    """A 1-D rho array gives the rho-major stack of the per-slice results."""
+
+    RHOS = np.array([0.12, 0.2, 0.27])
+
+    @pytest.mark.parametrize("name", list(BATCH_GEOMETRIES))
+    def test_matches_stacked_slices(self, name):
+        geom = BATCH_GEOMETRIES[name]()
+        batched = curvature_in_frame(geom, self.RHOS)
+        slices = [curvature_in_frame(geom, float(r)) for r in self.RHOS]
+
+        def close(got, want):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+        for key in ("gbar", "riem", "riem_on"):
+            close(batched[key], np.concatenate([cur[key] for cur in slices]))
+        for key, field in batched["invariants"].items():
+            close(field, np.concatenate([cur["invariants"][key] for cur in slices]))
+
+    def test_z2_functional_matches_per_node_sum(self):
+        theta = [0.03, -0.02, 0.015]
+        segments = ((0.02, 0.4), (0.4, 1.999))
+        geom = RadialGeometry(perturbed_profile(theta))
+        xs, ws = np.polynomial.legendre.leggauss(8)
+        want = 0.0
+        for lo, hi in segments:
+            for x, w in zip(xs, ws):
+                rho = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+                cur = curvature_in_frame(geom, rho)
+                vol = np.sqrt(np.linalg.det(cur["gbar"]))
+                z2 = float(np.sum(cur["invariants"]["z2"] * vol)) / rho**4
+                want += 0.5 * (hi - lo) * w * geom.weight * z2
+        got = z2_functional(theta, segments=segments, n_per=8)
+        assert got == pytest.approx(want, rel=1e-13)

@@ -529,6 +529,19 @@ class TestBatchInvariants:
             assert out["R2"][k] == pytest.approx(inner_full(R, R), rel=1e-11)
             assert out["pff"][k] == pytest.approx(pfaffian_density(R), rel=1e-10)
 
+    def test_two_leading_axes(self):
+        """The Pfaffian einsum broadcasts over every leading axis."""
+        rng = np.random.default_rng(71)
+        batch = np.stack(
+            [oracles.random_curvature_dense(rng, 4) for _ in range(6)]
+        ).reshape(2, 3, 4, 4, 4, 4)
+        pff = batch_invariants(batch)["pff"]
+        assert pff.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                want = pfaffian_density(DoubleForm.from_dense(4, 2, 2, batch[i, j]))
+                assert pff[i, j] == pytest.approx(want, rel=1e-10)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="trailing shape"):
             batch_invariants(np.zeros((3, 3, 3, 3)))
