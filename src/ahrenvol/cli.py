@@ -61,6 +61,10 @@ class ConfigError(ValueError):
     """Invalid or incomplete configuration (maps to exit code 2)."""
 
 
+# outer integration cutoff when the config leaves 'rho_max' null (renorm's default)
+_RHO_MAX_DEFAULT = {"radial": 2.0, "torus-collar": 1.0}
+
+
 # -- configuration ---------------------------------------------------------------
 
 
@@ -153,6 +157,14 @@ class AuditConfig:
         eps_lo, eps_hi = _number(grid["eps_lo"], "eps_lo"), _number(grid["eps_hi"], "eps_hi")
         if eps_lo <= 0.0 or eps_hi / eps_lo < 8.0:
             raise ConfigError("'eps_lo' must be positive and 'eps_hi' / 'eps_lo' at least 8")
+        rho_max = None if grid["rho_max"] is None else _number(grid["rho_max"], "rho_max")
+        radial = top["family"] == "radial"
+        reach = _RHO_MAX_DEFAULT[top["family"]] if rho_max is None else rho_max
+        if reach <= eps_hi or (radial and reach > 2.0):
+            raise ConfigError(
+                f"'rho_max' (here {reach:g}) must exceed 'eps_hi'"
+                + (" and be at most 2, the cap of the radial family" if radial else "")
+            )
         flow = _take(
             top["flow"],
             "flow",
@@ -182,7 +194,7 @@ class AuditConfig:
             eps_n=_integer(grid["eps_n"], "eps_n", 6),
             eps_lo=eps_lo,
             eps_hi=eps_hi,
-            rho_max=None if grid["rho_max"] is None else _number(grid["rho_max"], "rho_max"),
+            rho_max=rho_max,
             trials=_integer(top["trials"], "trials", 1),
             flow_theta0=_numbers(flow["theta0"], "theta0"),
             flow_steps=_integer(flow["steps"], "steps", 0),
@@ -194,10 +206,16 @@ class AuditConfig:
         )
 
     def geometry(self):
+        """The collar geometry; a torus jet must be Riemannian out to rho_max."""
         if self.family == "radial":
             return _collar.RadialGeometry(_collar.perturbed_profile(self.theta))
-        jet = _collar.random_jet(self.seed, self.jet_n_grid, self.jet_amplitude)
-        return _collar.TorusJetGeometry(jet)
+        reach = self.rho_max or _RHO_MAX_DEFAULT[self.family]
+        try:
+            jet = _collar.random_jet(self.seed, self.jet_n_grid, self.jet_amplitude)
+            rho_grid = np.linspace(reach / 16, reach, 16)
+            return _collar.sample_collar_metric(jet, rho_grid).geometry
+        except ValueError as exc:
+            raise ConfigError(f"'amplitude' {self.jet_amplitude:g} is too large: {exc}")
 
     @property
     def is_hyperbolic(self) -> bool:
@@ -741,16 +759,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        if "stalled" in str(exc):
-            print(f"numerical non-convergence: {exc}", file=sys.stderr)
-            return EXIT_NONCONVERGENCE
-        raise
-    except ValueError as exc:
-        if "non-convergence" in str(exc) or "insufficient stencil" in str(exc):
-            print(f"numerical non-convergence: {exc}", file=sys.stderr)
-            return EXIT_NONCONVERGENCE
-        raise
+    except _collar.NonConvergence as exc:
+        print(f"numerical non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     report.elapsed_seconds = time.perf_counter() - start
     report.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 

@@ -43,21 +43,31 @@ __all__ = [
     "RadialProfile",
     "RhoSeries",
     "CollarSample",
+    "NonConvergence",
     "TorusJetGeometry",
     "RadialGeometry",
     "PerturbedGeometry",
     "PolynomialPerturbation",
+    "as_geometry",
     "sample_collar_metric",
     "default_rho_grid",
     "rho_series_fit",
     "christoffel_expansion",
     "curvature_in_frame",
+    "on_transform",
+    "to_on2",
+    "to_on4",
+    "spectral_deriv",
     "det_series",
     "jet_identity_report",
     "random_jet",
     "hyperbolic_profile",
     "perturbed_profile",
 ]
+
+
+class NonConvergence(RuntimeError):
+    """A quadrature or an iteration did not converge (CLI exit code 3)."""
 
 
 # -- boundary data -----------------------------------------------------------
@@ -247,14 +257,20 @@ class TorusJetGeometry:
         grid = field.reshape((-1, n, n, n) + field.shape[1:])
         axis += 1
         if self.deriv == "spectral":
-            k = 1j * np.fft.fftfreq(n, d=1.0 / n)
-            shape = [1] * grid.ndim
-            shape[axis] = n
-            out = np.fft.ifft(np.fft.fft(grid, axis=axis) * k.reshape(shape), axis=axis).real
+            out = spectral_deriv(grid, axis)
         else:
             h = 2.0 * math.pi / n
             out = (np.roll(grid, -1, axis=axis) - np.roll(grid, 1, axis=axis)) / (2.0 * h)
         return out.reshape(field.shape)
+
+
+def spectral_deriv(field: np.ndarray, axis: int) -> np.ndarray:
+    """Spectral derivative along ``axis`` of a field on a side-2pi periodic grid."""
+    n = field.shape[axis]
+    k = 1j * np.fft.fftfreq(n, d=1.0 / n)
+    shape = [1] * field.ndim
+    shape[axis] = n
+    return np.fft.ifft(np.fft.fft(field, axis=axis) * k.reshape(shape), axis=axis).real
 
 
 _EPS3 = np.zeros((3, 3, 3))
@@ -457,6 +473,23 @@ def _frame_curvature(geom, gamma, radial_deriv, spatial_scale, cfun, gbar):
     return np.einsum("nswtu,nwv->nstuv", rup, gbar)
 
 
+def on_transform(gbar: np.ndarray) -> np.ndarray:
+    """Pointwise frame-to-orthonormal transform q with q^T gbar q = identity."""
+    w, v = np.linalg.eigh(gbar[:, :3, :3])
+    q = np.zeros_like(gbar)
+    q[:, :3, :3] = np.einsum("nab,nb,ncb->nac", v, 1.0 / np.sqrt(w), v)
+    q[:, 3, 3] = 1.0
+    return q
+
+
+def to_on2(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.einsum("nst,nsa,ntb->nab", fld, q, q)
+
+
+def to_on4(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.einsum("nstuv,nsa,ntb,nuc,nvd->nabcd", fld, q, q, q, q, optimize=True)
+
+
 def curvature_in_frame(geom, rho) -> dict:
     """Curvature of g on rho-slices: frame, orthonormal, and invariants.
 
@@ -465,7 +498,8 @@ def curvature_in_frame(geom, rho) -> dict:
     of (rho, boundary point), so point ``k * geom.npts + p`` is boundary
     point p on slice rho[k].
 
-    Returns {'gbar', 'riem' (X-frame), 'riem_on', 'invariants', 'gamma4'}.
+    Returns {'gbar', 'gamma', 'gamma4', 'riem' (X-frame), 'q' (see
+    :func:`on_transform`), 'riem_on', 'invariants'}.
     """
     gbar, _, _ = _gbar_blocks(geom, rho)
     gamma, dgamma = christoffels(geom, rho)
@@ -475,18 +509,14 @@ def curvature_in_frame(geom, rho) -> dict:
     cfun = np.einsum("s,xt->xst", eye[3], eye) - np.einsum("t,xs->xst", eye[3], eye)
     cfun = cfun + rho * _cbar4(geom)
     riem = _frame_curvature(geom, gamma, dgamma, rho, cfun, gbar)
-    # orthonormalize: Q^T gbar Q = I, block inverse square root
-    w, v = np.linalg.eigh(gbar[:, :3, :3])
-    q3 = np.einsum("nab,nb,ncb->nac", v, 1.0 / np.sqrt(w), v)
-    q = np.zeros_like(gbar)
-    q[:, :3, :3] = q3
-    q[:, 3, 3] = 1.0
-    riem_on = np.einsum("nstuv,nsa,ntb,nuc,nvd->nabcd", riem, q, q, q, q, optimize=True)
+    q = on_transform(gbar)
+    riem_on = to_on4(riem, q)
     return {
         "gbar": gbar,
         "gamma": gamma,
         "gamma4": gamma[:, 3, :3, :3],
         "riem": riem,
+        "q": q,
         "riem_on": riem_on,
         "invariants": dfalg.batch_invariants(riem_on),
     }
@@ -527,14 +557,19 @@ class CollarSample:
     def spatial_metric(self, rho: float) -> np.ndarray:
         return self.geometry.spatial(rho)[0]
 
-    def christoffels(self, rho: float) -> np.ndarray:
-        return christoffels(self.geometry, rho)[0]
-
     def curvature(self, rho: float) -> dict:
         return curvature_in_frame(self.geometry, rho)
 
-    def invariants(self, rho: float) -> dict:
-        return self.curvature(rho)["invariants"]
+
+def as_geometry(source, deriv: str = "spectral"):
+    """Geometry of a CollarSample, BoundaryJet or RadialProfile; else ``source``."""
+    if isinstance(source, CollarSample):
+        return source.geometry
+    if isinstance(source, BoundaryJet):
+        return TorusJetGeometry(source, deriv=deriv)
+    if isinstance(source, RadialProfile):
+        return RadialGeometry(source)
+    return source
 
 
 def sample_collar_metric(source, rho_grid=None, deriv: str = "spectral") -> CollarSample:
@@ -545,21 +580,14 @@ def sample_collar_metric(source, rho_grid=None, deriv: str = "spectral") -> Coll
     if rho_grid is None:
         rho_grid = default_rho_grid()
     rho_grid = np.asarray(rho_grid, dtype=float)
-    if isinstance(source, BoundaryJet):
-        geom = TorusJetGeometry(source, deriv=deriv)
-    elif isinstance(source, RadialProfile):
-        geom = RadialGeometry(source)
-    else:
-        geom = source
-    for rho in rho_grid:
-        g = geom.spatial(float(rho))[0]
-        eigs = np.linalg.eigvalsh(g)
-        bad = np.nonzero(eigs[:, 0] <= 0.0)[0]
-        if bad.size:
-            raise ValueError(
-                f"metric not positive-definite at rho={float(rho):.6g}, "
-                f"point index {int(bad[0])}"
-            )
+    geom = as_geometry(source, deriv)
+    g = geom.spatial(rho_grid)[0]
+    bad = np.nonzero(np.linalg.eigvalsh(g)[:, 0] <= 0.0)[0]
+    if bad.size:
+        k, p = divmod(int(bad[0]), g.shape[0] // rho_grid.size)
+        raise ValueError(
+            f"metric not positive-definite at rho={float(rho_grid[k]):.6g}, point index {p}"
+        )
     return CollarSample(geometry=geom, rho_grid=rho_grid)
 
 
@@ -610,7 +638,7 @@ def christoffel_expansion(sample: CollarSample, k_max: int = 4, tol: float = 1e-
     """rho-series of every frame Christoffel symbol Gamma^u_st of g."""
     if sample.rho_grid.size < 5:
         raise ValueError("need at least 5 rho samples")
-    vals = np.stack([sample.christoffels(float(r)) for r in sample.rho_grid])
+    vals = np.stack([christoffels(sample.geometry, float(r))[0] for r in sample.rho_grid])
     series = rho_series_fit(sample.rho_grid, vals, k_max=k_max)
     scale = max(1.0, float(np.max(np.abs(vals))))
     if series.residual > tol * scale:

@@ -23,7 +23,6 @@ The module provides
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -227,23 +226,13 @@ def paycha_finite_part(func, taylor, a: float, cutoff: float = 0.05) -> float:
         reduced, cutoff, a, epsabs=1e-12, epsrel=1e-12, limit=200
     )
     if err > 1e-8 * max(1.0, abs(tail)):
-        raise ValueError(f"quadrature non-convergence (err={err:.3e})")
+        raise _collar.NonConvergence(f"quadrature non-convergence (err={err:.3e})")
     return (
         head + tail - f0 / (3.0 * a**3) - f1 / (2.0 * a**2) - f2 / a + f3 * math.log(a)
     )
 
 
 # -- collar integral families -------------------------------------------------
-
-
-def _resolve_geometry(source):
-    if isinstance(source, _collar.CollarSample):
-        return source.geometry
-    if isinstance(source, _collar.BoundaryJet):
-        return _collar.TorusJetGeometry(source)
-    if isinstance(source, _collar.RadialProfile):
-        return _collar.RadialGeometry(source)
-    return source
 
 
 def _default_rho_max(geom) -> float:
@@ -260,7 +249,7 @@ def _cumulative_family(density, eps_grid: np.ndarray, rho_max: float) -> np.ndar
             density, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200
         )
         if err > 1e-9 * max(1.0, float(np.max(np.abs(val)))):
-            raise ValueError(f"quadrature non-convergence on [{lo:.3g},{hi:.3g}]")
+            raise _collar.NonConvergence(f"quadrature non-convergence on [{lo:.3g},{hi:.3g}]")
         pieces.append(val)
     tails = np.cumsum(np.asarray(pieces)[::-1], axis=0)[::-1]
     return tails
@@ -268,7 +257,7 @@ def _cumulative_family(density, eps_grid: np.ndarray, rho_max: float) -> np.ndar
 
 def volume_family(source, eps_grid=None, rho_max: float | None = None) -> dict:
     """Vol_g({rho > eps}) for each eps: quadrature of rho^-4 (det g_rho)^1/2."""
-    geom = _resolve_geometry(source)
+    geom = _collar.as_geometry(source)
     if eps_grid is None:
         eps_grid = default_eps_grid()
     eps_grid = np.asarray(eps_grid, dtype=float)
@@ -281,15 +270,6 @@ def volume_family(source, eps_grid=None, rho_max: float | None = None) -> dict:
 
     vols = _cumulative_family(density, eps_grid, rho_max)
     return {float(e): float(v) for e, v in zip(eps_grid, vols)}
-
-
-def _on_transform(gbar: np.ndarray) -> np.ndarray:
-    """Inverse square root of the spatial metric block, (npts, 3, 3)."""
-    w, v = np.linalg.eigh(gbar[:, :3, :3])
-    return np.einsum("nab,nb,ncb->nac", v, 1.0 / np.sqrt(w), v)
-
-
-_S3 = [(sig, _collar._EPS3[sig]) for sig in itertools.permutations(range(3))]
 
 
 def boundary_II(sample: _collar.CollarSample, eps: float) -> BoundaryTermSample:
@@ -314,31 +294,26 @@ def boundary_II(sample: _collar.CollarSample, eps: float) -> BoundaryTermSample:
         )
     geom = sample.geometry
     data = _collar.curvature_in_frame(geom, float(eps))
-    q = _on_transform(data["gbar"])
+    q = data["q"][:, :3, :3]
     h_on = np.einsum("nab,nbc,ncd->nad", q, data["gamma4"], q)
-    riem_on = data["riem_on"]
     # slice measure of g: eps^-3 sqrt(det g_rho) per boundary point
     measure = geom.weight * np.sqrt(np.linalg.det(data["gbar"][:, :3, :3])) / eps**3
 
     phi0 = 6.0 * float(np.sum(np.linalg.det(h_on) * measure))
-    phi1_pt = np.zeros(h_on.shape[0])
-    for sig, es in _S3:
-        for eta, et in _S3:
-            phi1_pt = phi1_pt + es * et * (
-                riem_on[:, sig[0], sig[1], eta[0], eta[1]] * h_on[:, sig[2], eta[2]]
-            )
+    riem3 = data["riem_on"][:, :3, :3, :3, :3]
+    phi1_pt = np.einsum("abc,def,nabde,ncf->n", _collar._EPS3, _collar._EPS3, riem3, h_on)
     phi1 = 0.5 * float(np.sum(phi1_pt * measure))
     return BoundaryTermSample(eps=float(eps), phi0_integral=phi0, phi1_integral=phi1)
 
 
-def _invariant_density(geom, names):
-    """Callable rho -> integrated curvature invariants times the g-measure."""
+def _invariant_density(geom, integrands):
+    """Callable rho -> slice integrals of integrand(invariants) times the g-measure."""
 
     def density(rho):
         data = _collar.curvature_in_frame(geom, float(rho))
         inv = data["invariants"]
         meas = geom.weight * np.sqrt(np.linalg.det(data["gbar"][:, :3, :3])) / rho**4
-        return np.array([float(np.sum(inv[n] * meas)) for n in names])
+        return np.array([float(np.sum(f(inv) * meas)) for f in integrands])
 
     return density
 
@@ -365,9 +340,8 @@ def gauss_bonnet_audit(
     sample = _collar.CollarSample(geometry=geom, rho_grid=eps_grid)
     chi = 1.0
 
-    interior = _cumulative_family(
-        lambda r: _invariant_density(geom, ["pff"])(r), eps_grid, 2.0
-    )[:, 0]
+    pff = _invariant_density(geom, [lambda inv: inv["pff"]])
+    interior = _cumulative_family(pff, eps_grid, 2.0)[:, 0]
     boundary = np.array([boundary_II(sample, float(e)).ii_integral for e in eps_grid])
     total = interior + boundary
 
@@ -418,23 +392,22 @@ def renormalized_action(source, eps_grid=None, rho_max: float | None = None) -> 
     int (s^2 - 3|r|^2) and int |W|^2, and asserts the pointwise rewrite
     s^2 - 3|r|^2 = s^2/4 - 3|z|^2 at the level of finite parts.
     """
-    geom = _resolve_geometry(source)
+    geom = _collar.as_geometry(source)
     if eps_grid is None:
         eps_grid = default_eps_grid()
     eps_grid = np.asarray(eps_grid, dtype=float)
     if rho_max is None:
         rho_max = _default_rho_max(geom)
 
-    def density(rho):
-        data = _collar.curvature_in_frame(geom, float(rho))
-        inv = data["invariants"]
-        meas = geom.weight * np.sqrt(np.linalg.det(data["gbar"][:, :3, :3])) / rho**4
-        s2 = float(np.sum(inv["s"] ** 2 * meas))
-        z2 = float(np.sum(inv["z2"] * meas))
-        w2 = float(np.sum(inv["w2"] * meas))
-        act = float(np.sum((inv["s"] ** 2 - 3.0 * inv["r2"]) * meas))
-        return np.array([s2, z2, w2, act])
-
+    density = _invariant_density(
+        geom,
+        [
+            lambda inv: inv["s"] ** 2,
+            lambda inv: inv["z2"],
+            lambda inv: inv["w2"],
+            lambda inv: inv["s"] ** 2 - 3.0 * inv["r2"],
+        ],
+    )
     fams = _cumulative_family(density, eps_grid, rho_max)
     fits = {
         "s2": finite_part((eps_grid, fams[:, 0])),

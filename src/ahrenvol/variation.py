@@ -39,13 +39,18 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .collar import (
+    NonConvergence,
     PerturbedGeometry,
     RadialGeometry,
     _gbar_blocks,
     christoffels,
     curvature_in_frame,
+    on_transform,
     perturbed_profile,
     rho_series_fit,
+    spectral_deriv,
+    to_on2,
+    to_on4,
 )
 from .dfalg import _EPS4
 
@@ -54,7 +59,6 @@ __all__ = [
     "hessian_ops",
     "CutoffPerturbation",
     "MetricPerturbation",
-    "FieldJet",
     "fd_jet",
     "frame_covariant_derivative",
     "hessian11",
@@ -98,11 +102,7 @@ class FlatTorus4:
     # scalar/grid derivatives ------------------------------------------------
 
     def deriv(self, fld: np.ndarray, axis: int) -> np.ndarray:
-        n = self.n_grid
-        k = 1j * np.fft.fftfreq(n, d=1.0 / n)
-        shape = [1] * fld.ndim
-        shape[axis] = n
-        return np.fft.ifft(np.fft.fft(fld, axis=axis) * k.reshape(shape), axis=axis).real
+        return spectral_deriv(fld, axis)
 
     def d_all(self, fld: np.ndarray) -> np.ndarray:
         """All four derivatives, new axis inserted before the index block."""
@@ -280,21 +280,6 @@ class MetricPerturbation:
 # -- collar covariant derivatives ---------------------------------------------
 
 
-class FieldJet:
-    """Analytic rho-jet of a frame-component field on a collar geometry.
-
-    ``provider(rho, order)`` must return the order-th rho-derivative of the
-    field components (npts, idx...).  Perturbation classes with a
-    ``value(rho, order)`` method satisfy the protocol directly.
-    """
-
-    def __init__(self, provider):
-        self.provider = provider
-
-    def __call__(self, rho: float, order: int = 0) -> np.ndarray:
-        return self.provider(rho, order)
-
-
 def fd_jet(provider, step: float = 0.005):
     """Jet adapter for a plain provider f(rho) via a 5-point radial stencil.
 
@@ -402,24 +387,6 @@ def _embed_jet(pert, npts: int):
     return jet
 
 
-def on_transform(geom, rho: float) -> np.ndarray:
-    """Pointwise frame-to-orthonormal transform q with q^T gbar q = identity."""
-    gbar, _, _ = _gbar_blocks(geom, rho)
-    w, v = np.linalg.eigh(gbar[:, :3, :3])
-    q = np.zeros_like(gbar)
-    q[:, :3, :3] = np.einsum("nab,nb,ncb->nac", v, 1.0 / np.sqrt(w), v)
-    q[:, 3, 3] = 1.0
-    return q
-
-
-def to_on2(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.einsum("nst,nsa,ntb->nab", fld, q, q)
-
-
-def to_on4(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.einsum("nstuv,nsa,ntb,nuc,nvd->nabcd", fld, q, q, q, q, optimize=True)
-
-
 def fh_dense(h: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Slotwise derivation F_h on a dense (2, 2) form, ON components."""
     return (
@@ -440,10 +407,10 @@ def linearized_curvature(geom, pert, rho: float) -> dict:
     with the ingredients (background curvature, h in ON components).
     """
     cur = curvature_in_frame(geom, rho)
-    q = on_transform(geom, rho)
+    q = cur["q"]
     inv = cur["invariants"]
     R_on, ric_on = cur["riem_on"], inv["ric"]
-    hjet = FieldJet(_embed_jet(pert, geom.npts))
+    hjet = _embed_jet(pert, geom.npts)
     h_on = to_on2(hjet(rho, 0), q)
     H_on = to_on4(hessian11(geom, hjet, rho), q)
     fhr = fh_dense(h_on, R_on)
@@ -462,13 +429,12 @@ def linearized_curvature(geom, pert, rho: float) -> dict:
         "fh_riem": fhr,
         "h_on": h_on,
         "background": cur,
-        "on_q": q,
     }
 
 
 def fd_curvature_derivative(geom, pert, rho: float, t: float) -> dict:
     """Central differences of frame curvature along g_rho + t m, ON at t=0."""
-    q = on_transform(geom, rho)
+    q = on_transform(_gbar_blocks(geom, rho)[0])
     sides = {}
     for sgn in (+1, -1):
         cur = curvature_in_frame(PerturbedGeometry(geom, pert, sgn * t), rho)
@@ -564,18 +530,16 @@ def functional_gradient(geom, rhos=None, step: float = 0.005, k_max: int = 4,
     f_all, t2_all, e_all, c2_all, norms = [], [], [], [], []
     for rho in rhos:
         cur = curvature_in_frame(geom, rho)
-        q = on_transform(geom, rho)
         inv = cur["invariants"]
         f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"], rcirc_coefficient)
-        omega_on = to_on4(hessian11(geom, zjet, rho), q)
+        omega_on = to_on4(hessian11(geom, zjet, rho), cur["q"])
         t2_on = _einstein_t2_on(omega_on)
         e_on = f_on - 0.5 * t2_on
         f_all.append(f_on)
         t2_all.append(t2_on)
         e_all.append(e_on)
         c2_all.append(np.einsum("niaia->n", omega_on))
-        gbar, _, _ = _gbar_blocks(geom, rho)
-        dens = np.sqrt(np.linalg.det(gbar[:, :3, :3]))
+        dens = np.sqrt(np.linalg.det(cur["gbar"][:, :3, :3]))
         norms.append(
             geom.weight
             * float(np.sum(np.sqrt(np.einsum("nab,nab->n", e_on, e_on)) * dens))
@@ -631,7 +595,7 @@ def el_slice_analysis(geom, pert, rhos=None, step: float = 0.004, k_max: int = 6
     dens0 = np.atleast_1d(np.sqrt(np.linalg.det(gamma0)))
     h_stack = []
     for rho in rhos:
-        q = on_transform(geom, rho)
+        q = on_transform(_gbar_blocks(geom, rho)[0])
         h4 = np.zeros((geom.npts, 4, 4))
         h4[:, :3, :3] = np.asarray(pert.value(rho, 0), float).reshape(geom.npts, 3, 3)
         h_stack.append(to_on2(h4, q))
@@ -715,12 +679,12 @@ def zprime_display(geom, pert, support=DEFAULT_SUPPORT, n_nodes: int = 64,
     ``pert`` so the Hessian is stencil-free.
     """
     nodes, wts = _gauss_nodes([support], n_nodes)
-    hjet = FieldJet(_embed_jet(pert, geom.npts))
+    hjet = _embed_jet(pert, geom.npts)
     eye = np.eye(4)
     total = 0.0
     for rho, w in zip(nodes, wts):
         cur = curvature_in_frame(geom, rho)
-        q = on_transform(geom, rho)
+        q = cur["q"]
         inv = cur["invariants"]
         z_on = inv["z"]
         h_on = to_on2(hjet(rho, 0), q)
@@ -791,7 +755,7 @@ def gradient_flow_step(theta, eta: float, fd_step: float = 1e-5,
 
     Returns (theta_new, value_new, eta_used).  eta = 0 is a no-op; if the
     functional fails to be non-increasing after ``max_halvings`` halvings of
-    eta the step raises "stalled".
+    eta the step raises NonConvergence("stalled").
     """
     theta = np.asarray(theta, float)
     value0 = functional(theta)
@@ -811,7 +775,7 @@ def gradient_flow_step(theta, eta: float, fd_step: float = 1e-5,
         if value <= value0:
             return cand, value, cur_eta
         cur_eta *= 0.5
-    raise RuntimeError("stalled")
+    raise NonConvergence("stalled")
 
 
 def run_flow(theta0, steps: int = 200, eta: float = 1e-3, target_fraction: float = None,

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from ahrenvol import cli
+from ahrenvol.collar import NonConvergence
 
 
 def write_config(tmp_path, name, payload):
@@ -68,8 +69,13 @@ class TestConfigValidation:
             ({"grid": {"eps_n": 4}}, "eps_n"),
             ({"jet": {"n_grid": 0}}, "n_grid"),
             ({"flow": {"eta": -1.0}}, "eta"),
+            ({"grid": {"rho_max": 0.1}}, "rho_max"),
+            ({"grid": {"rho_max": 2.5}}, "rho_max"),
+            ({"family": "torus-collar", "jet": {"amplitude": 0.6}}, "amplitude"),
+            ({"family": "torus-collar", "jet": {"amplitude": 2.0}}, "amplitude"),
         ],
-        ids=["seed", "theta", "trials", "eps_n", "n_grid", "eta"],
+        ids=["seed", "theta", "trials", "eps_n", "n_grid", "eta", "rho_max_below_eps_hi",
+             "rho_max_past_cap", "amplitude_g_rho", "amplitude_gamma"],
     )
     def test_malformed_value_exits_usage_and_names_key(self, tmp_path, capsys, extra, key):
         cfg = write_config(tmp_path, "c.json", {"family": "radial", "seed": 1, **extra})
@@ -223,7 +229,7 @@ class TestFlow:
 
     def test_stalled_flow_exits_nonconvergence(self, tmp_path, monkeypatch, capsys):
         def stall(*args, **kwargs):
-            raise RuntimeError("stalled")
+            raise NonConvergence("stalled")
 
         monkeypatch.setattr(cli.variation, "run_flow", stall)
         cfg = write_config(tmp_path, "c.json", HYP)

@@ -386,10 +386,16 @@ class TestBatchedEngine:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-        for key in ("gbar", "riem", "riem_on"):
+        for key in ("gbar", "riem", "q", "riem_on"):
             close(batched[key], np.concatenate([cur[key] for cur in slices]))
         for key, field in batched["invariants"].items():
             close(field, np.concatenate([cur["invariants"][key] for cur in slices]))
+
+    @pytest.mark.parametrize("name", list(BATCH_GEOMETRIES))
+    def test_q_is_orthonormal_frame(self, name):
+        cur = curvature_in_frame(BATCH_GEOMETRIES[name](), self.RHOS)
+        qtgq = np.einsum("nsa,nst,ntb->nab", cur["q"], cur["gbar"], cur["q"])
+        assert np.max(np.abs(qtgq - np.eye(4))) <= 1e-13
 
     def test_z2_functional_matches_per_node_sum(self):
         theta = [0.03, -0.02, 0.015]

@@ -12,6 +12,7 @@ than chi.  The as-stated claims are kept as strict expected failures and the
 corrected identity is asserted to tight tolerance (see the decisions ledger).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -206,6 +207,26 @@ class TestBoundaryII:
             ii = boundary_II(sample, float(e)).ii_integral
             want = 1.0 - 3.0 / (4.0 * PI2) * fam[float(e)]
             assert abs(ii - want) < 1e-9 * max(1.0, abs(want))
+
+    def test_phi1_matches_permutation_sum(self):
+        """Phi1 against the explicit 36-term sum over sig, eta in S3."""
+        geom = TorusJetGeometry(random_jet(17, n_grid=4))
+        sample = CollarSample(geometry=geom, rho_grid=np.array([0.1, 0.4]))
+        perms = list(itertools.permutations(range(3)))
+        sign = {p: round(np.linalg.det(np.eye(3)[list(p)])) for p in perms}
+        for eps in (0.1, 0.25, 0.4):
+            cur = collar.curvature_in_frame(geom, eps)
+            q = cur["q"][:, :3, :3]
+            h = np.einsum("nab,nbc,ncd->nad", q, cur["gamma4"], q)
+            R = cur["riem_on"]
+            phi1_pt = sum(
+                sign[sig] * sign[eta] * R[:, sig[0], sig[1], eta[0], eta[1]] * h[:, sig[2], eta[2]]
+                for sig in perms
+                for eta in perms
+            )
+            measure = geom.weight * np.sqrt(np.linalg.det(cur["gbar"][:, :3, :3])) / eps**3
+            want = 0.5 * float(np.sum(phi1_pt * measure))
+            assert boundary_II(sample, eps).phi1_integral == pytest.approx(want, rel=1e-13)
 
     def test_eps_outside_hull(self):
         sample = collar.sample_collar_metric(BoundaryJet.flat(4))

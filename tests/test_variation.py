@@ -17,7 +17,6 @@ from ahrenvol.collar import (
 )
 from ahrenvol.variation import (
     CutoffPerturbation,
-    FieldJet,
     FlatTorus4,
     MetricPerturbation,
     convergence_order,
@@ -203,7 +202,7 @@ class TestCollarCovariantDerivative:
         geom = RadialGeometry(perturbed_profile([0.03, -0.02, 0.015]))
         m = rng.uniform(-1.0, 1.0, (1, 3, 3))
         pert = CutoffPerturbation(0.5 * (m + m.transpose(0, 2, 1)))
-        jet = FieldJet(_embed_jet(pert, geom.npts))
+        jet = _embed_jet(pert, geom.npts)
         step = 0.00125
         fd = fd_jet(lambda r: jet(r, 0), step)
         H_jet = hessian11(geom, jet, 0.2)
