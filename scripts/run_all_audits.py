@@ -10,6 +10,7 @@ a one-line verdict per subcommand.  Exit status is the worst exit code seen.
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 
@@ -37,10 +38,13 @@ def main() -> int:
         cfg_path = handle.name
 
     worst = 0
-    for sub in cli.SUBCOMMANDS:
-        code = cli.main([sub, "--config", cfg_path])
-        print(f"== {sub}: exit {code}")
-        worst = max(worst, code)
+    try:
+        for sub in cli.SUBCOMMANDS:
+            code = cli.main([sub, "--config", cfg_path])
+            print(f"== {sub}: exit {code}")
+            worst = max(worst, code)
+    finally:
+        os.unlink(cfg_path)
     print(f"reports written to {args.out_dir}/")
     return worst
 

@@ -178,6 +178,9 @@ class AuditConfig:
         eta = _number(flow["eta"], "eta")
         if eta < 0.0:
             raise ConfigError("'eta' must be non-negative")
+        target_fraction = _number(flow["target_fraction"], "target_fraction")
+        if not 0.0 < target_fraction <= 1.0:
+            raise ConfigError("'target_fraction' must lie in (0, 1]")
         tolerances = dict(top["tolerances"])
         for name, value in tolerances.items():
             if not (isinstance(value, (int, float)) and value > 0):
@@ -199,7 +202,7 @@ class AuditConfig:
             flow_theta0=_numbers(flow["theta0"], "theta0"),
             flow_steps=_integer(flow["steps"], "steps", 0),
             flow_eta=eta,
-            flow_target_fraction=_number(flow["target_fraction"], "target_fraction"),
+            flow_target_fraction=target_fraction,
             tolerances=tolerances,
             out_dir=str(outputs["directory"]),
             out_format=str(outputs["format"]),
@@ -208,7 +211,10 @@ class AuditConfig:
     def geometry(self):
         """The collar geometry; a torus jet must be Riemannian out to rho_max."""
         if self.family == "radial":
-            return _collar.RadialGeometry(_collar.perturbed_profile(self.theta))
+            try:
+                return _collar.RadialGeometry(_collar.perturbed_profile(self.theta))
+            except ValueError as exc:
+                raise ConfigError(f"'theta' {list(self.theta)} gives an invalid profile: {exc}")
         reach = self.rho_max or _RHO_MAX_DEFAULT[self.family]
         try:
             jet = _collar.random_jet(self.seed, self.jet_n_grid, self.jet_amplitude)
@@ -473,7 +479,7 @@ def run_renvol(config: AuditConfig, tol_scale: float, threads: int) -> AuditRepo
 def run_gauss_bonnet(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
     if config.family != "radial":
         raise ConfigError("gauss-bonnet requires family 'radial'")
-    profile = _collar.perturbed_profile(config.theta)
+    profile = config.geometry().profile
     audit = renorm.gauss_bonnet_audit(profile, eps_grid=config.eps_grid(), tol_scale=tol_scale)
     checks = [dict(row) for row in audit["checks"]]
     for name, tol in config.tolerances.items():

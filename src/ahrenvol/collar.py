@@ -22,8 +22,7 @@ bracket correction.  Orthonormal-frame components (consumed by
 of the spatial metric block.
 
 rho-derivatives are always analytic (the metric families are polynomial or
-closed-form in rho); boundary derivatives on the torus are spectral by
-default with a second-order finite-difference option.
+closed-form in rho); boundary derivatives on the torus are spectral.
 """
 
 from __future__ import annotations
@@ -217,15 +216,11 @@ class TorusJetGeometry:
     """Flat 3-torus boundary with jet metric gamma + rho^2 g2 + rho^3 g3.
 
     Boundary frame: coordinate fields d/dx_i on the side-2pi torus
-    (structure constants zero).  x-derivatives are spectral by default;
-    ``deriv="fd2"`` selects second-order central differences.
+    (structure constants zero).  x-derivatives are spectral.
     """
 
-    def __init__(self, jet: BoundaryJet, deriv: str = "spectral"):
-        if deriv not in ("spectral", "fd2"):
-            raise ValueError("deriv must be 'spectral' or 'fd2'")
+    def __init__(self, jet: BoundaryJet):
         self.jet = jet
-        self.deriv = deriv
         self.n_grid = jet.n_grid
         self.npts = jet.n_grid**3
         self.weight = (2.0 * math.pi / jet.n_grid) ** 3
@@ -255,13 +250,7 @@ class TorusJetGeometry:
         """
         n = self.n_grid
         grid = field.reshape((-1, n, n, n) + field.shape[1:])
-        axis += 1
-        if self.deriv == "spectral":
-            out = spectral_deriv(grid, axis)
-        else:
-            h = 2.0 * math.pi / n
-            out = (np.roll(grid, -1, axis=axis) - np.roll(grid, 1, axis=axis)) / (2.0 * h)
-        return out.reshape(field.shape)
+        return spectral_deriv(grid, axis + 1).reshape(field.shape)
 
 
 def spectral_deriv(field: np.ndarray, axis: int) -> np.ndarray:
@@ -561,18 +550,18 @@ class CollarSample:
         return curvature_in_frame(self.geometry, rho)
 
 
-def as_geometry(source, deriv: str = "spectral"):
+def as_geometry(source):
     """Geometry of a CollarSample, BoundaryJet or RadialProfile; else ``source``."""
     if isinstance(source, CollarSample):
         return source.geometry
     if isinstance(source, BoundaryJet):
-        return TorusJetGeometry(source, deriv=deriv)
+        return TorusJetGeometry(source)
     if isinstance(source, RadialProfile):
         return RadialGeometry(source)
     return source
 
 
-def sample_collar_metric(source, rho_grid=None, deriv: str = "spectral") -> CollarSample:
+def sample_collar_metric(source, rho_grid=None) -> CollarSample:
     """Build a CollarSample from a BoundaryJet or RadialProfile.
 
     Validates positive-definiteness of g_rho at every grid sample.
@@ -580,7 +569,7 @@ def sample_collar_metric(source, rho_grid=None, deriv: str = "spectral") -> Coll
     if rho_grid is None:
         rho_grid = default_rho_grid()
     rho_grid = np.asarray(rho_grid, dtype=float)
-    geom = as_geometry(source, deriv)
+    geom = as_geometry(source)
     g = geom.spatial(rho_grid)[0]
     bad = np.nonzero(np.linalg.eigvalsh(g)[:, 0] <= 0.0)[0]
     if bad.size:

@@ -121,23 +121,22 @@ def _ls_fit(eps: np.ndarray, vals: np.ndarray, powers_list, cond_limit):
     return dict(zip(keys, coeffs)), resid, cond
 
 
-def finite_part(
-    values,
-    powers=(-3, -1, "log", 0),
-    extra_powers=(1, 2, 3, 4, 5, 6),
-    tol: float = 1e-6,
-    cond_limit: float = 1e9,
-    select: bool = True,
-) -> RegularizedIntegral:
+# reported model terms, decaying nuisance terms, the accepted relative fit
+# residual and the largest accepted condition number of the scaled design
+_MODEL_POWERS = (-3, -1, "log", 0)
+_NUISANCE_POWERS = (1, 2, 3, 4, 5, 6)
+_FIT_TOL = 1e-6
+_FIT_COND_LIMIT = 1e9
+
+
+def finite_part(values) -> RegularizedIntegral:
     """Fit the asymptotic model to an eps-family and return its coefficients.
 
     ``values`` is a mapping eps -> real or a pair (eps array, value array).
-    ``powers`` are the reported model terms; ``extra_powers`` are decaying
-    nuisance terms fitted alongside (returned in ``extras``) so that smooth
-    o(1) tails do not contaminate the finite part.  With ``select=False`` the
-    full nuisance basis is used unconditionally, which makes the extraction
-    exactly linear across families sharing an eps grid (at a small cost in
-    conditioning); by default the basis is chosen by forward selection.
+    The model terms eps^-3, eps^-1, log(1/eps) and 1 are always fitted; the
+    decaying nuisance powers eps^1..eps^6 are added by forward selection
+    (returned in ``extras``) so that smooth o(1) tails do not contaminate
+    the finite part.
     """
     if isinstance(values, dict):
         eps = np.array(sorted(values), dtype=float)
@@ -151,42 +150,37 @@ def finite_part(
     if eps.max() / eps.min() < 8.0:
         raise ValueError("eps grid must span at least a factor of 8")
 
-    all_powers = list(powers) + [p for p in extra_powers if p not in powers]
-
-    _, resid_full, _ = _ls_fit(eps, vals, all_powers, cond_limit)
+    all_powers = list(_MODEL_POWERS + _NUISANCE_POWERS)
+    _, resid_full, _ = _ls_fit(eps, vals, all_powers, _FIT_COND_LIMIT)
     # forward selection of nuisance powers: start from the bare model and
     # greedily add the extra power that most reduces the residual, stopping
     # at the full-basis residual floor.  Exactly-representable families then
     # keep none of the nuisance terms, which would otherwise degrade the
     # conditioning of the finite part by orders of magnitude.
     floor = 10.0 * resid_full + 1e-13
-    kept = list(powers) if select else list(all_powers)
-    remaining = [p for p in all_powers if p not in kept]
-    by_key, resid, cond_kept = _ls_fit(eps, vals, kept, cond_limit)
+    kept = list(_MODEL_POWERS)
+    remaining = list(_NUISANCE_POWERS)
+    by_key, resid, cond_kept = _ls_fit(eps, vals, kept, _FIT_COND_LIMIT)
     while resid > floor and remaining:
-        trials = [_ls_fit(eps, vals, kept + [p], cond_limit) + (p,) for p in remaining]
+        trials = [_ls_fit(eps, vals, kept + [p], _FIT_COND_LIMIT) + (p,) for p in remaining]
         by_key, resid, cond_kept, best = min(trials, key=lambda t: t[1])
         kept.append(best)
         remaining.remove(best)
 
     scale = max(1.0, float(np.max(np.abs(vals))))
-    if resid > tol * scale:
+    if resid > _FIT_TOL * scale:
         raise ValueError(
-            f"asymptotic model rejected (residual {resid:.3e} > {tol:.1e} * scale)"
+            f"asymptotic model rejected (residual {resid:.3e} > {_FIT_TOL:.1e} * scale)"
         )
 
     # stability: refit on the lower half of the grid, record the V drift.
     # Nuisance powers are truncated so the half fit stays overdetermined.
     half = eps.size // 2
-    half_powers = kept[: max(len(powers), half - 2)]
+    half_powers = kept[: max(len(_MODEL_POWERS), half - 2)]
     half_fit, _, _ = _ls_fit(eps[:half], vals[:half], half_powers, np.inf)
     drift = float(abs(half_fit[0] - by_key[0]))
 
-    extras = {
-        p: float(by_key.get(p, 0.0))
-        for p in all_powers
-        if p not in (-3, -1, "log", 0)
-    }
+    extras = {p: float(by_key.get(p, 0.0)) for p in _NUISANCE_POWERS}
     return RegularizedIntegral(
         c0=float(by_key.get(-3, 0.0)),
         c2=float(by_key.get(-1, 0.0)),

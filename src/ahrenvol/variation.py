@@ -264,9 +264,7 @@ class MetricPerturbation:
         if np.max(np.abs(samples - samples.transpose(0, 1, 3, 2))) > 1e-12:
             raise ValueError("asymmetric perturbation")
         scale = max(1.0, float(np.max(np.abs(samples))))
-        vand = np.vander(rhos, 5, increasing=True)
-        coef, *_ = np.linalg.lstsq(vand, samples.reshape(len(rhos), -1), rcond=None)
-        low = float(np.max(np.abs(coef[:2])))
+        low = float(np.max(np.abs(rho_series_fit(rhos, samples, k_max=4).coeffs[:2])))
         if low > self.tol * scale:
             raise ValueError(
                 f"perturbation is not boundary-fixing: low-order rho "
@@ -280,80 +278,66 @@ class MetricPerturbation:
 # -- collar covariant derivatives ---------------------------------------------
 
 
-def fd_jet(provider, step: float = 0.005):
-    """Jet adapter for a plain provider f(rho) via a 5-point radial stencil.
+def fd_jet(samples, step: float):
+    """Jet (f, f', f'') at the centre of a 5-point radial stencil.
 
-    Orders 1 and 2 are fourth-order accurate.  Raises when the stencil would
-    cross rho = 0.
+    ``samples`` are f at rho + step * (-2, -1, 0, 1, 2); both derivatives are
+    fourth-order accurate.  The caller keeps the stencil clear of rho = 0.
     """
-
-    def jet(rho: float, order: int = 0) -> np.ndarray:
-        if order == 0:
-            return provider(rho)
-        if rho - 2.0 * step <= 0.0:
-            raise ValueError("insufficient stencil width")
-        f_m2, f_m1 = provider(rho - 2 * step), provider(rho - step)
-        f_p1, f_p2 = provider(rho + step), provider(rho + 2 * step)
-        if order == 1:
-            return (-f_p2 + 8 * f_p1 - 8 * f_m1 + f_m2) / (12.0 * step)
-        if order == 2:
-            f_0 = provider(rho)
-            return (-f_p2 + 16 * f_p1 - 30 * f_0 + 16 * f_m1 - f_m2) / (12.0 * step**2)
-        raise ValueError("jet depth exceeds stencil accuracy")
-
-    return jet
+    f_m2, f_m1, f_0, f_p1, f_p2 = samples
+    d1 = (-f_p2 + 8 * f_p1 - 8 * f_m1 + f_m2) / (12.0 * step)
+    d2 = (-f_p2 + 16 * f_p1 - 30 * f_0 + 16 * f_m1 - f_m2) / (12.0 * step**2)
+    return f_0, d1, d2
 
 
-def frame_covariant_derivative(geom, jet):
-    """Covariant derivative of a (0, k) frame-component field, as a jet.
+def frame_covariant_derivative(geom, rho: float, jet, christ):
+    """Covariant derivative of a (0, k) frame-component field at one rho.
 
-    ``jet(rho, order)`` supplies analytic rho-derivatives of the field; the
-    returned jet supports orders 0 and 1 and prepends the derivative axis:
+    ``jet`` is (T, dT/drho) or (T, dT/drho, d2T/drho2); the result is the jet
+    one order shorter, (nabla T,) or (nabla T, d/drho nabla T), with the
+    derivative axis prepended:
     (nabla T)_{a s...} = X_a(T_{s...}) - sum_slots Gamma^u_{a s_k} T_{..u..},
-    with X_i = rho Xbar_i and X_4 = rho d/drho.
+    with X_i = rho Xbar_i and X_4 = rho d/drho.  ``christ`` is
+    :func:`christoffels` at rho.
     """
+    gamma, dgamma = christ
+    val, d1 = (np.asarray(j, float) for j in jet[:2])
+    k = val.ndim - 1
 
-    def out(rho: float, order: int = 0) -> np.ndarray:
-        gamma, dgamma = christoffels(geom, rho)
-        val = np.asarray(jet(rho, 0), float)
-        d1 = np.asarray(jet(rho, 1), float)
-        k = val.ndim - 1
-        res = np.zeros((val.shape[0], 4) + val.shape[1:])
-        if order == 0:
-            for i in range(3):
-                res[:, i] = rho * geom.xderiv(val, i)
-            res[:, 3] = rho * d1
-            for slot in range(k):
-                moved = np.moveaxis(val, 1 + slot, 1)
-                corr = np.einsum("nuas,nu...->nas...", gamma, moved)
-                res -= np.moveaxis(corr, 2, 2 + slot)
-            return res
-        if order == 1:
-            d2 = np.asarray(jet(rho, 2), float)
-            for i in range(3):
-                res[:, i] = geom.xderiv(val, i) + rho * geom.xderiv(d1, i)
-            res[:, 3] = d1 + rho * d2
-            for slot in range(k):
-                moved = np.moveaxis(val, 1 + slot, 1)
-                movedp = np.moveaxis(d1, 1 + slot, 1)
-                corr = np.einsum("nuas,nu...->nas...", dgamma / rho, moved)
-                corr += np.einsum("nuas,nu...->nas...", gamma, movedp)
-                res -= np.moveaxis(corr, 2, 2 + slot)
-            return res
-        raise ValueError("jet depth exceeds covariant-derivative accuracy")
+    def subtract_connection(out, terms):
+        for slot in range(k):
+            corr = sum(
+                np.einsum("nuas,nu...->nas...", g, np.moveaxis(fld, 1 + slot, 1))
+                for g, fld in terms
+            )
+            out -= np.moveaxis(corr, 2, 2 + slot)
 
-    return out
+    nabla = np.zeros((val.shape[0], 4) + val.shape[1:])
+    for i in range(3):
+        nabla[:, i] = rho * geom.xderiv(val, i)
+    nabla[:, 3] = rho * d1
+    subtract_connection(nabla, [(gamma, val)])
+    if len(jet) < 3:
+        return (nabla,)
+    d2 = np.asarray(jet[2], float)
+    dnabla = np.zeros_like(nabla)
+    for i in range(3):
+        dnabla[:, i] = geom.xderiv(val, i) + rho * geom.xderiv(d1, i)
+    dnabla[:, 3] = d1 + rho * d2
+    subtract_connection(dnabla, [(dgamma / rho, val), (gamma, d1)])
+    return nabla, dnabla
 
 
 def hessian11(geom, jet, rho: float) -> np.ndarray:
     """(DDt + DtD) of a (1, 1) frame-component field on a collar geometry.
 
-    ``jet(rho, order)`` must supply the embedded 4x4 field and its first two
-    rho-derivatives (use :func:`fd_jet` for fields with no analytic jet).
-    Assembled from the full second covariant derivative
-    n2[a, b, i, j] = (nabla_a nabla_b h)_{ij}.
+    ``jet`` is the embedded 4x4 field and its first two rho-derivatives at
+    rho (use :func:`fd_jet` for fields with no analytic jet).  Assembled from
+    the full second covariant derivative n2[a, b, i, j] = (nabla_a nabla_b h)_{ij}.
     """
-    n2 = frame_covariant_derivative(geom, frame_covariant_derivative(geom, jet))(rho, 0)
+    christ = christoffels(geom, rho)
+    nabla = frame_covariant_derivative(geom, rho, jet, christ)
+    (n2,) = frame_covariant_derivative(geom, rho, nabla, christ)
     ddt = -(
         np.einsum("nacbd->nabcd", n2)
         - np.einsum("nadbc->nabcd", n2)
@@ -369,22 +353,22 @@ def hessian11(geom, jet, rho: float) -> np.ndarray:
     return ddt + dtd
 
 
-def _embed_jet(pert, npts: int):
-    """Jet of the 4x4 frame embedding of a perturbation.
+def _embed_jet(pert, npts: int, rho: float):
+    """Jet (h, dh/drho, d2h/drho2) of the 4x4 frame embedding of a perturbation.
 
     Tangential (npts, 3, 3) values go into the spatial block; full
     (npts, 4, 4) values pass through unchanged.
     """
 
-    def jet(rho: float, order: int = 0) -> np.ndarray:
-        val = np.asarray(pert.value(rho, order), float)
+    def embed(val):
+        val = np.asarray(val, float)
         if val.shape[-2:] == (4, 4):
             return val.reshape(npts, 4, 4)
         out = np.zeros((npts, 4, 4))
         out[:, :3, :3] = val.reshape(npts, 3, 3)
         return out
 
-    return jet
+    return tuple(embed(pert.value(rho, order)) for order in range(3))
 
 
 def fh_dense(h: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -410,8 +394,8 @@ def linearized_curvature(geom, pert, rho: float) -> dict:
     q = cur["q"]
     inv = cur["invariants"]
     R_on, ric_on = cur["riem_on"], inv["ric"]
-    hjet = _embed_jet(pert, geom.npts)
-    h_on = to_on2(hjet(rho, 0), q)
+    hjet = _embed_jet(pert, geom.npts, rho)
+    h_on = to_on2(hjet[0], q)
     H_on = to_on4(hessian11(geom, hjet, rho), q)
     fhr = fh_dense(h_on, R_on)
     riem_p = -0.25 * H_on + 0.25 * fhr
@@ -460,12 +444,10 @@ def convergence_order(steps, deviations) -> float:
 
 
 def _frame_z(cur: dict) -> np.ndarray:
-    """Trace-free Ricci in scaled-frame components from a curvature record."""
-    gbar = cur["gbar"]
-    ginv = np.linalg.inv(gbar)
-    ric = np.einsum("nsu,nsaub->nab", ginv, cur["riem"])
-    s = np.einsum("nab,nab->n", ginv, ric)
-    return ric - 0.25 * s[:, None, None] * gbar
+    """Trace-free Ricci in scaled-frame components: the record's ON z pulled
+    back through q, z_frame = (gbar q) z_on (gbar q)^T."""
+    gq = cur["gbar"] @ cur["q"]
+    return gq @ cur["invariants"]["z"] @ gq.transpose(0, 2, 1)
 
 
 def gradient_field(z_on: np.ndarray, R_on: np.ndarray, ric_on: np.ndarray,
@@ -509,13 +491,13 @@ class ELResidual:
         return float(np.max(self.slice_norms)) if len(self.slice_norms) else 0.0
 
 
-def functional_gradient(geom, rhos=None, step: float = 0.005, k_max: int = 4,
-                        rcirc_coefficient: float = 1.0) -> dict:
+def functional_gradient(geom, rhos=None, step: float = 0.005, k_max: int = 4) -> dict:
     """Gradient field f, T2 of the z-Hessian, and the EL residual E.
 
     z has no closed-form rho-jet in general, so its Hessian uses the
-    finite-difference jet adapter with the given radial ``step``; all rhos
-    must satisfy rho > 2 step.
+    5-point :func:`fd_jet` stencil with the given radial ``step``: one engine
+    call per stencil rho, the centre record also serving f and the measure.
+    All rhos must satisfy rho > 2 step.
     """
     if rhos is None:
         rhos = np.linspace(0.1, 0.5, 9)
@@ -523,16 +505,14 @@ def functional_gradient(geom, rhos=None, step: float = 0.005, k_max: int = 4,
     if np.min(rhos) - 2.0 * step <= 0.0:
         raise ValueError("insufficient stencil width")
 
-    def zprov(rho: float) -> np.ndarray:
-        return _frame_z(curvature_in_frame(geom, rho))
-
-    zjet = fd_jet(zprov, step)
+    offsets = step * np.arange(-2, 3)
     f_all, t2_all, e_all, c2_all, norms = [], [], [], [], []
     for rho in rhos:
         cur = curvature_in_frame(geom, rho)
         inv = cur["invariants"]
-        f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"], rcirc_coefficient)
-        omega_on = to_on4(hessian11(geom, zjet, rho), cur["q"])
+        f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"])
+        zs = [_frame_z(curvature_in_frame(geom, rho + d) if d else cur) for d in offsets]
+        omega_on = to_on4(hessian11(geom, fd_jet(zs, step), rho), cur["q"])
         t2_on = _einstein_t2_on(omega_on)
         e_on = f_on - 0.5 * t2_on
         f_all.append(f_on)
@@ -545,25 +525,16 @@ def functional_gradient(geom, rhos=None, step: float = 0.005, k_max: int = 4,
             * float(np.sum(np.sqrt(np.einsum("nab,nab->n", e_on, e_on)) * dens))
         )
     e_arr = np.stack(e_all)
-    fit = _fit_field_series(rhos, e_arr, k_max)
+    fit = rho_series_fit(rhos, e_arr, k_max=k_max)
     residual = ELResidual(
         rhos=rhos,
         e_fields=e_arr,
         omega_c2=np.stack(c2_all),
         slice_norms=np.asarray(norms),
-        series=fit[0],
-        fit_residual=fit[1],
+        series=fit.coeffs,
+        fit_residual=fit.residual,
     )
     return {"f": np.stack(f_all), "T2omega": np.stack(t2_all), "E": residual}
-
-
-def _fit_field_series(rhos: np.ndarray, fields: np.ndarray, k_max: int):
-    """Least-squares rho-power series of a per-slice field stack."""
-    vand = np.vander(rhos, k_max + 1, increasing=True)
-    flat = fields.reshape(len(rhos), -1)
-    coef, *_ = np.linalg.lstsq(vand, flat, rcond=None)
-    resid = float(np.max(np.abs(vand @ coef - flat)))
-    return coef.reshape((k_max + 1,) + fields.shape[1:]), resid
 
 
 def el_slice_analysis(geom, pert, rhos=None, step: float = 0.004, k_max: int = 6,
@@ -607,8 +578,8 @@ def el_slice_analysis(geom, pert, rhos=None, step: float = 0.004, k_max: int = 6
     contributions = np.abs(coeffs) * rho_max ** np.arange(len(coeffs))
     threshold = max(tol, tol * float(np.max(np.abs(phi))))
     vanishing = [k for k, c in enumerate(contributions) if c < threshold]
-    e_series = _fit_field_series(rhos, residual.e_fields, 5)[0]
-    h_series = _fit_field_series(rhos, h_arr, 5)[0]
+    e_series = rho_series_fit(rhos, residual.e_fields, k_max=5).coeffs
+    h_series = rho_series_fit(rhos, h_arr, k_max=5).coeffs
 
     def pairing(e_term, h_term):
         return geom.weight * float(np.einsum("nab,nab,n->", e_term, h_term, dens0))
@@ -679,7 +650,6 @@ def zprime_display(geom, pert, support=DEFAULT_SUPPORT, n_nodes: int = 64,
     ``pert`` so the Hessian is stencil-free.
     """
     nodes, wts = _gauss_nodes([support], n_nodes)
-    hjet = _embed_jet(pert, geom.npts)
     eye = np.eye(4)
     total = 0.0
     for rho, w in zip(nodes, wts):
@@ -687,7 +657,8 @@ def zprime_display(geom, pert, support=DEFAULT_SUPPORT, n_nodes: int = 64,
         q = cur["q"]
         inv = cur["invariants"]
         z_on = inv["z"]
-        h_on = to_on2(hjet(rho, 0), q)
+        hjet = _embed_jet(pert, geom.npts, rho)
+        h_on = to_on2(hjet[0], q)
         f_on = gradient_field(z_on, cur["riem_on"], inv["ric"], rcirc_coefficient)
         # fold the pure-trace part of f into the display's 1/2 |z|^2 tr h term
         val = np.einsum("nab,nab->n", f_on, h_on)

@@ -73,13 +73,20 @@ class TestConfigValidation:
             ({"grid": {"rho_max": 2.5}}, "rho_max"),
             ({"family": "torus-collar", "jet": {"amplitude": 0.6}}, "amplitude"),
             ({"family": "torus-collar", "jet": {"amplitude": 2.0}}, "amplitude"),
+            ({"profile": {"theta": [-5, 0, 0]}}, "theta"),
+            ({"flow": {"target_fraction": -1}}, "target_fraction"),
+            ({"flow": {"target_fraction": 0}}, "target_fraction"),
         ],
         ids=["seed", "theta", "trials", "eps_n", "n_grid", "eta", "rho_max_below_eps_hi",
-             "rho_max_past_cap", "amplitude_g_rho", "amplitude_gamma"],
+             "rho_max_past_cap", "amplitude_g_rho", "amplitude_gamma", "theta_nonpositive_profile",
+             "target_fraction_negative", "target_fraction_zero"],
     )
     def test_malformed_value_exits_usage_and_names_key(self, tmp_path, capsys, extra, key):
         cfg = write_config(tmp_path, "c.json", {"family": "radial", "seed": 1, **extra})
-        for sub in ("linearize-check", "renvol"):
+        subs = ["linearize-check", "renvol"]
+        if extra.get("family", "radial") == "radial":
+            subs.append("gauss-bonnet")
+        for sub in subs:
             assert run([sub, "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
             assert f"'{key}'" in capsys.readouterr().err
 

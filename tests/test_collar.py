@@ -241,17 +241,6 @@ class TestCurvature:
                 series = rho_series_fit(grid, arr, k_max=6)
                 assert np.max(np.abs(series.coefficient(1))) < 1e-6 * np.max(np.abs(arr))
 
-    def test_fd2_converges_to_spectral(self):
-        """Halving the FD spacing shrinks the curvature error by >= 3.5."""
-        rho = 0.2
-        devs = []
-        for n_grid in (16, 32):
-            jet = random_jet(41, n_grid=n_grid, amplitude=0.05)
-            exact = curvature_in_frame(TorusJetGeometry(jet, "spectral"), rho)["riem_on"]
-            fd = curvature_in_frame(TorusJetGeometry(jet, "fd2"), rho)["riem_on"]
-            devs.append(np.max(np.abs(fd - exact)))
-        assert devs[0] / devs[1] >= 3.0
-
     def test_ambient_curvature_round_sphere(self):
         """At the cap rho -> 2 the ambient metric is smooth; spot-check the
         ambient unit-sphere slice curvature against the closed form at A = 1."""

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from ahrenvol import dfalg
+from ahrenvol import dfalg, variation
 from ahrenvol.collar import (
     PolynomialPerturbation,
     RadialGeometry,
     TorusJetGeometry,
+    christoffels,
+    curvature_in_frame,
     hyperbolic_profile,
     perturbed_profile,
     random_jet,
@@ -39,7 +41,7 @@ from ahrenvol.variation import (
     z2_functional,
     zprime_display,
 )
-from ahrenvol.variation import _einstein_t2_on, _embed_jet
+from ahrenvol.variation import _einstein_t2_on, _embed_jet, _frame_z
 
 
 # -- flat-torus fixtures -------------------------------------------------------
@@ -171,28 +173,30 @@ class TestFlatTorusHessian:
 # -- collar covariant derivatives ----------------------------------------------
 
 
-def metric_jet(geom):
-    def jet(rho, order=0):
-        blocks = geom.spatial(rho)
-        out = np.zeros((geom.npts, 4, 4))
-        out[:, :3, :3] = blocks[order]
-        if order == 0:
-            out[:, 3, 3] = 1.0
-        return out
+def metric_block(geom, rho, order=0):
+    blocks = geom.spatial(rho)
+    out = np.zeros((geom.npts, 4, 4))
+    out[:, :3, :3] = blocks[order]
+    if order == 0:
+        out[:, 3, 3] = 1.0
+    return out
 
-    return jet
+
+def metric_jet(geom, rho):
+    return tuple(metric_block(geom, rho, order) for order in range(3))
 
 
 class TestCollarCovariantDerivative:
     def test_metric_parallel(self):
         geom = TorusJetGeometry(random_jet(5, 4, 0.05))
-        nabla = frame_covariant_derivative(geom, metric_jet(geom))
-        assert np.max(np.abs(nabla(0.2, 0))) < 1e-13
-        assert np.max(np.abs(nabla(0.2, 1))) < 1e-13
+        christ = christoffels(geom, 0.2)
+        nabla, dnabla = frame_covariant_derivative(geom, 0.2, metric_jet(geom, 0.2), christ)
+        assert np.max(np.abs(nabla)) < 1e-13
+        assert np.max(np.abs(dnabla)) < 1e-13
 
     def test_metric_hessian_vanishes(self):
         geom = RadialGeometry(perturbed_profile([0.05, -0.03, 0.02]))
-        H = hessian11(geom, metric_jet(geom), 0.25)
+        H = hessian11(geom, metric_jet(geom, 0.25), 0.25)
         assert np.max(np.abs(H)) < 1e-12
 
     def test_jet_matches_fd_stencil(self):
@@ -202,18 +206,14 @@ class TestCollarCovariantDerivative:
         geom = RadialGeometry(perturbed_profile([0.03, -0.02, 0.015]))
         m = rng.uniform(-1.0, 1.0, (1, 3, 3))
         pert = CutoffPerturbation(0.5 * (m + m.transpose(0, 2, 1)))
-        jet = _embed_jet(pert, geom.npts)
+        jet = _embed_jet(pert, geom.npts, 0.2)
         step = 0.00125
-        fd = fd_jet(lambda r: jet(r, 0), step)
+        stencil = 0.2 + step * np.arange(-2, 3)
+        fd = fd_jet([_embed_jet(pert, geom.npts, r)[0] for r in stencil], step)
         H_jet = hessian11(geom, jet, 0.2)
         H_fd = hessian11(geom, fd, 0.2)
         scale = max(1.0, np.max(np.abs(H_jet)))
         assert np.max(np.abs(H_jet - H_fd)) < 1e-5 * scale
-
-    def test_fd_jet_requires_stencil_width(self):
-        fd = fd_jet(lambda r: np.zeros((1, 4, 4)), step=0.05)
-        with pytest.raises(ValueError, match="insufficient stencil width"):
-            fd(0.08, 1)
 
 
 # -- linearized curvature --------------------------------------------------------
@@ -233,7 +233,7 @@ class TestLinearizedCurvature:
                     self.g = g
 
                 def value(self, rho, order=0):
-                    return metric_jet(self.g)(rho, order)
+                    return metric_block(self.g, rho, order)
 
             lin = linearized_curvature(geom, GJet(geom), 0.3)
             cur = lin["background"]
@@ -389,6 +389,39 @@ class TestFunctionalGradient:
         assert res["E"].max_norm < 1e-8
         assert np.max(np.abs(res["f"])) < 1e-10
         assert np.max(np.abs(res["T2omega"])) < 1e-8
+
+    def test_one_engine_call_per_stencil_rho(self, monkeypatch):
+        """The 5-point stencil of each slice costs 5 curvature evaluations,
+        the centre record serving f, q and the measure as well."""
+        calls = []
+
+        def counting(geom, rho):
+            calls.append(rho)
+            return curvature_in_frame(geom, rho)
+
+        monkeypatch.setattr(variation, "curvature_in_frame", counting)
+        functional_gradient(RadialGeometry(perturbed_profile([0.05, 0.05, 0.05])))
+        assert len(calls) == 5 * 9
+
+    @pytest.mark.parametrize(
+        "geom",
+        [
+            RadialGeometry(perturbed_profile([0.05, -0.03, 0.02])),
+            TorusJetGeometry(random_jet(17, n_grid=4)),
+        ],
+        ids=["radial", "torus"],
+    )
+    def test_frame_z_matches_inverse_metric_route(self, geom):
+        """z pulled back from the record's ON frame equals the frame-index
+        route ric_ab = gbar^su R_saub, z = ric - s/4 gbar."""
+        for rho in (0.3, 0.45):
+            cur = curvature_in_frame(geom, rho)
+            ginv = np.linalg.inv(cur["gbar"])
+            ric = np.einsum("nsu,nsaub->nab", ginv, cur["riem"])
+            s = np.einsum("nab,nab->n", ginv, ric)
+            want = ric - 0.25 * s[:, None, None] * cur["gbar"]
+            got = _frame_z(cur)
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_functional_gradient_stencil_guard(self):
         geom = RadialGeometry(hyperbolic_profile())
