@@ -27,7 +27,7 @@ def main() -> None:
     print(f"{'n_eps':>6} {'|dC0|':>10} {'|dC2|':>10} {'|dL|':>10} {'|dV|':>10} {'residual':>10}")
     for n_eps in (6, 8, 12, 16, 24):
         eps = renorm.default_eps_grid(n_eps)
-        family = renorm.volume_family(geom, eps_grid=eps)
+        family, _ = renorm.volume_family(geom, eps_grid=eps)
         fit = renorm.finite_part((eps, np.array(list(family.values()))))
         got = dict(zip(("C0", "C2", "L", "V"), fit.as_tuple()))
         errs = [abs(got[k] - ORACLE[k]) for k in ("C0", "C2", "L", "V")]

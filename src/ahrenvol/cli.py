@@ -63,6 +63,9 @@ class ConfigError(ValueError):
 
 # outer integration cutoff when the config leaves 'rho_max' null (renorm's default)
 _RHO_MAX_DEFAULT = {"radial": 2.0, "torus-collar": 1.0}
+# a curvature record costs about 5 KiB per boundary point, so n_grid = 32
+# (32768 points) is about 170 MiB per slice
+_N_GRID_MAX = 32
 
 
 # -- configuration ---------------------------------------------------------------
@@ -70,6 +73,8 @@ _RHO_MAX_DEFAULT = {"radial": 2.0, "torus-collar": 1.0}
 
 def _take(d: dict, section: str, allowed: dict) -> dict:
     """Strict key filter: unknown keys are rejected, defaults applied."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"'{section}' must be a JSON object")
     out = dict(allowed)
     for key, value in d.items():
         if key not in allowed:
@@ -78,17 +83,22 @@ def _take(d: dict, section: str, allowed: dict) -> dict:
     return out
 
 
-def _integer(value, key: str, minimum: int) -> int:
+def _integer(value, key: str, minimum: int, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"'{key}' must be an integer")
     if value < minimum:
         raise ConfigError(f"'{key}' must be at least {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"'{key}' must be at most {maximum}")
     return value
 
 
 def _number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{key}' must be a number")
+    # json.load reads NaN and Infinity, which would pass every range check below
+    if not math.isfinite(value):
+        raise ConfigError(f"'{key}' must be finite")
     return float(value)
 
 
@@ -181,9 +191,11 @@ class AuditConfig:
         target_fraction = _number(flow["target_fraction"], "target_fraction")
         if not 0.0 < target_fraction <= 1.0:
             raise ConfigError("'target_fraction' must lie in (0, 1]")
+        if not isinstance(top["tolerances"], dict):
+            raise ConfigError("'tolerances' must be a JSON object")
         tolerances = dict(top["tolerances"])
         for name, value in tolerances.items():
-            if not (isinstance(value, (int, float)) and value > 0):
+            if _number(value, name) <= 0:
                 raise ConfigError(f"tolerance '{name}' must be a positive number")
         outputs = _take(top["outputs"], "outputs", {"directory": ".", "format": "json"})
         if outputs["format"] not in ("json", "csv"):
@@ -192,7 +204,7 @@ class AuditConfig:
             family=top["family"],
             seed=seed,
             theta=theta,
-            jet_n_grid=_integer(jet["n_grid"], "n_grid", 1),
+            jet_n_grid=_integer(jet["n_grid"], "n_grid", 1, _N_GRID_MAX),
             jet_amplitude=_number(jet["amplitude"], "amplitude"),
             eps_n=_integer(grid["eps_n"], "eps_n", 6),
             eps_lo=eps_lo,
@@ -445,7 +457,7 @@ def run_collar_audit(config: AuditConfig, tol_scale: float, threads: int) -> Aud
 def run_renvol(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
     geom = config.geometry()
     eps = config.eps_grid()
-    family = renorm.volume_family(geom, eps_grid=eps, rho_max=config.rho_max)
+    family, quad_error = renorm.volume_family(geom, eps_grid=eps, rho_max=config.rho_max)
     fit = renorm.finite_part((eps, np.array(list(family.values()))))
     tols = config.tolerances
     checks = [
@@ -469,6 +481,9 @@ def run_renvol(config: AuditConfig, tol_scale: float, threads: int) -> AuditRepo
         "eps_grid": eps,
         "volumes": list(family.values()),
         "coefficients": {"C0": fit.c0, "C2": fit.c2, "L": fit.log_coeff, "V": fit.finite},
+        "quadrature_error": quad_error,
+        "fit_cond": fit.cond,
+        "half_grid_drift": fit.half_grid_drift,
     }
     return AuditReport("renvol", asdict(config), config.seed, checks, artifacts)
 
@@ -476,9 +491,13 @@ def run_renvol(config: AuditConfig, tol_scale: float, threads: int) -> AuditRepo
 # -- subcommand: gauss-bonnet ----------------------------------------------------------
 
 
-def run_gauss_bonnet(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
+def _require_radial(config: AuditConfig, subcommand: str) -> None:
     if config.family != "radial":
-        raise ConfigError("gauss-bonnet requires family 'radial'")
+        raise ConfigError(f"{subcommand} requires 'family' to be 'radial'")
+
+
+def run_gauss_bonnet(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
+    _require_radial(config, "gauss-bonnet")
     profile = config.geometry().profile
     audit = renorm.gauss_bonnet_audit(profile, eps_grid=config.eps_grid(), tol_scale=tol_scale)
     checks = [dict(row) for row in audit["checks"]]
@@ -494,6 +513,12 @@ def run_gauss_bonnet(config: AuditConfig, tol_scale: float, threads: int) -> Aud
         "total": audit["total"],
         "fp_interior": audit["fp_interior"].finite,
         "fp_boundary": audit["fp_boundary"].finite,
+        "quadrature_error": audit["quadrature_error"],
+        "fit_cond": {"interior": audit["fp_interior"].cond, "boundary": audit["fp_boundary"].cond},
+        "half_grid_drift": {
+            "interior": audit["fp_interior"].half_grid_drift,
+            "boundary": audit["fp_boundary"].half_grid_drift,
+        },
     }
     return AuditReport("gauss-bonnet", asdict(config), config.seed, checks, artifacts)
 
@@ -644,6 +669,8 @@ def run_el_residual(config: AuditConfig, tol_scale: float, threads: int) -> Audi
 
 
 def run_flow_command(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
+    # the flow runs on the radial profile family from theta0
+    _require_radial(config, "flow")
     history = variation.run_flow(
         config.flow_theta0,
         steps=config.flow_steps,

@@ -50,6 +50,7 @@ __all__ = [
     "as_geometry",
     "sample_collar_metric",
     "default_rho_grid",
+    "gauss_nodes",
     "rho_series_fit",
     "christoffel_expansion",
     "curvature_in_frame",
@@ -666,6 +667,17 @@ def det_series(sample: CollarSample, tol: float = 1e-8) -> dict:
     dens = np.sqrt(np.linalg.det(gs) / np.linalg.det(g0)[None, :])
     series = rho_series_fit(grid, dens)
     return {"v2": v2, "v3": v3, "gamma": g0, "series": series}
+
+
+def gauss_nodes(segments, n_per: int):
+    """Gauss-Legendre nodes and weights, ``n_per`` per segment, segment-major."""
+    xs, ws = np.polynomial.legendre.leggauss(n_per)
+    nodes, weights = [], []
+    for lo, hi in segments:
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        nodes.append(mid + half * xs)
+        weights.append(half * ws)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def chebyshev_rho_nodes(rho_max: float = 0.2, nodes: int = 16) -> np.ndarray:

@@ -45,6 +45,7 @@ from .collar import (
     _gbar_blocks,
     christoffels,
     curvature_in_frame,
+    gauss_nodes,
     on_transform,
     perturbed_profile,
     rho_series_fit,
@@ -607,16 +608,6 @@ def el_slice_analysis(geom, pert, rhos=None, step: float = 0.004, k_max: int = 6
 # -- directional derivative of the regularized functional ----------------------
 
 
-def _gauss_nodes(segments, n_per: int):
-    xs, ws = np.polynomial.legendre.leggauss(n_per)
-    nodes, weights = [], []
-    for lo, hi in segments:
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        nodes.append(mid + half * xs)
-        weights.append(half * ws)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _z2_density(geom, nodes) -> np.ndarray:
     """int |z|^2 dvol over each rho-slice in ``nodes``, from one engine call."""
     nodes = np.asarray(nodes, dtype=float)
@@ -632,7 +623,7 @@ def _z2_quadrature(geom, segments, n_per: int) -> float:
     Batching a segment rather than every node bounds the engine's working
     set at n_per slices.
     """
-    nodes, wts = _gauss_nodes(segments, n_per)
+    nodes, wts = gauss_nodes(segments, n_per)
     dens = np.concatenate([_z2_density(geom, seg) for seg in np.split(nodes, len(segments))])
     return float(sum(wts * dens))
 
@@ -649,7 +640,7 @@ def zprime_display(geom, pert, support=DEFAULT_SUPPORT, n_nodes: int = 64,
     z . g is the Kulkarni-Nomizu product).  Requires an analytic rho-jet on
     ``pert`` so the Hessian is stencil-free.
     """
-    nodes, wts = _gauss_nodes([support], n_nodes)
+    nodes, wts = gauss_nodes([support], n_nodes)
     eye = np.eye(4)
     total = 0.0
     for rho, w in zip(nodes, wts):

@@ -1,9 +1,11 @@
-"""Independent brute-force oracles for the double-form algebra.
+"""Independent brute-force oracles for the double-form algebra and the collar families.
 
-Everything here works on *dense* component arrays of shape (n,)*p + (n,)*q and
-uses naive full-index loops (no compressed storage, no shared sign helpers),
-so agreement with ahrenvol.dfalg is a genuine two-implementation check.
-Permutation signs are computed from determinants of permutation matrices.
+Everything for the algebra works on *dense* component arrays of shape
+(n,)*p + (n,)*q and uses naive full-index loops (no compressed storage, no
+shared sign helpers), so agreement with ahrenvol.dfalg is a genuine
+two-implementation check.  Permutation signs are computed from determinants
+of permutation matrices.  The eps-families of ahrenvol.renorm are checked
+against adaptive quadrature, one scalar rho at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import integrate
 
 
 def perm_sign(perm) -> int:
@@ -168,3 +171,24 @@ def random_curvature_dense(rng: np.random.Generator, n: int) -> np.ndarray:
     raw = raw - raw.transpose(1, 0, 2, 3)
     raw = raw - raw.transpose(0, 1, 3, 2)
     return raw + raw.transpose(2, 3, 0, 1)
+
+
+# -- collar integral families ------------------------------------------------
+
+
+def adaptive_family(density, eps_grid, rho_max: float) -> np.ndarray:
+    """Integrals of a batched density over [eps_i, rho_max] by adaptive quad_vec.
+
+    ``density`` maps a 1-D rho array to one row per slice; it is called one
+    rho at a time.  Returns shape (eps, components).
+    """
+    bounds = list(np.asarray(eps_grid, dtype=float)) + [rho_max]
+    pieces = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        val, err = integrate.quad_vec(
+            lambda rho: np.reshape(density(np.array([rho])), -1), lo, hi,
+            epsabs=1e-13, epsrel=1e-12, limit=200,
+        )
+        assert err <= 1e-9 * max(1.0, float(np.max(np.abs(val)))), (lo, hi, err)
+        pieces.append(val)
+    return np.cumsum(np.asarray(pieces)[::-1], axis=0)[::-1]

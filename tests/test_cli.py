@@ -1,13 +1,17 @@
 """Tests for the audit CLI: config validation, exit codes, reports."""
 
+import copy
 import json
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahrenvol import cli
-from ahrenvol.collar import NonConvergence
+from ahrenvol.collar import NonConvergence, RadialGeometry, hyperbolic_profile
 
 
 def write_config(tmp_path, name, payload):
@@ -22,6 +26,29 @@ def run(argv):
 
 HYP = {"family": "radial", "seed": 3}
 PERT = {"family": "radial", "seed": 3, "profile": {"theta": [0.02, -0.01, 0.015]}}
+
+
+FUZZ_BASE = {
+    "family": "radial",
+    "seed": 1,
+    "profile": {"theta": [0.05, 0.05, 0.05]},
+    "jet": {"n_grid": 4, "amplitude": 0.05},
+    "grid": {"eps_n": 12, "eps_lo": 0.02, "eps_hi": 0.3, "rho_max": None},
+    "trials": 3,
+    "flow": {"theta0": [0.05, 0.05, 0.05], "steps": 4, "eta": 1e-3, "target_fraction": 0.2},
+    "tolerances": {"hyperbolic_V": 1e-6},
+    "outputs": {"directory": ".", "format": "json"},
+}
+FUZZ_PATHS = [(key,) for key in FUZZ_BASE] + [
+    (section, key) for section, body in FUZZ_BASE.items() if isinstance(body, dict) for key in body
+]
+# what json.load can return, NaN and the infinities included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2, 40) | st.floats()
+    | st.floats(-3.0, 3.0) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 class TestConfigValidation:
@@ -76,19 +103,50 @@ class TestConfigValidation:
             ({"profile": {"theta": [-5, 0, 0]}}, "theta"),
             ({"flow": {"target_fraction": -1}}, "target_fraction"),
             ({"flow": {"target_fraction": 0}}, "target_fraction"),
+            ({"grid": {"eps_lo": float("nan")}}, "eps_lo"),
+            ({"jet": {"n_grid": 10**6}}, "n_grid"),
+            ({"family": "torus-collar"}, "family"),
         ],
         ids=["seed", "theta", "trials", "eps_n", "n_grid", "eta", "rho_max_below_eps_hi",
              "rho_max_past_cap", "amplitude_g_rho", "amplitude_gamma", "theta_nonpositive_profile",
-             "target_fraction_negative", "target_fraction_zero"],
+             "target_fraction_negative", "target_fraction_zero", "eps_lo_nan", "n_grid_huge",
+             "family_not_radial"],
     )
     def test_malformed_value_exits_usage_and_names_key(self, tmp_path, capsys, extra, key):
         cfg = write_config(tmp_path, "c.json", {"family": "radial", "seed": 1, **extra})
-        subs = ["linearize-check", "renvol"]
-        if extra.get("family", "radial") == "radial":
-            subs.append("gauss-bonnet")
+        if key == "family":  # a valid torus config, wrong only for the radial-only subcommands
+            subs = ["flow", "gauss-bonnet"]
+        else:
+            subs = ["linearize-check", "renvol"]
+            if extra.get("family", "radial") == "radial":
+                subs.append("gauss-bonnet")
         for sub in subs:
             assert run([sub, "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
             assert f"'{key}'" in capsys.readouterr().err
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["radial", "torus-collar"]),
+        overrides=st.dictionaries(st.sampled_from(FUZZ_PATHS), JSON_VALUES, max_size=3),
+    )
+    def test_fuzzed_config_is_valid_or_config_error(self, family, overrides):
+        """Random JSON values for any key: a geometry or a ConfigError, nothing else."""
+        raw = copy.deepcopy({**FUZZ_BASE, "family": family})
+        # keys inside a section first, so that replacing the section wins
+        for path, value in sorted(overrides.items(), key=lambda kv: -len(kv[0])):
+            target = raw
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        try:
+            config = cli.AuditConfig.from_dict(raw)
+            config.geometry()
+        except cli.ConfigError:
+            return
+        numbers = [config.jet_amplitude, config.eps_lo, config.eps_hi, config.flow_eta,
+                   config.flow_target_fraction, *config.theta, *config.flow_theta0,
+                   *config.tolerances.values()]
+        assert all(math.isfinite(x) for x in numbers)
 
     def test_negative_tolerance_rejected(self, tmp_path):
         cfg = write_config(
@@ -153,6 +211,26 @@ class TestRenvol:
         coeffs = report["artifacts"]["coefficients"]
         assert coeffs["C0"] == pytest.approx(2.0 * math.pi**2 / 3.0, rel=1e-6)
         assert coeffs["V"] == pytest.approx(4.0 * math.pi**2 / 3.0, rel=1e-6)
+        artifacts = report["artifacts"]
+        assert 0.0 < artifacts["quadrature_error"] < 1e-9 * max(artifacts["volumes"])
+        assert 1.0 <= artifacts["fit_cond"] < 1e9
+        assert math.isfinite(artifacts["half_grid_drift"])
+
+    def test_quadrature_failure_exits_nonconvergence(self, tmp_path, monkeypatch, capsys):
+        class KinkedBall(RadialGeometry):
+            """The ball with g_rho scaled by 1 + |rho - 0.1|: a kink inside one panel."""
+
+            def spatial(self, rho):
+                g, *rest = super().spatial(rho)
+                return (g * (1.0 + np.abs(np.reshape(rho, (-1, 1, 1)) - 0.1)), *rest)
+
+        monkeypatch.setattr(
+            cli.AuditConfig, "geometry", lambda self: KinkedBall(hyperbolic_profile())
+        )
+        cfg = write_config(tmp_path, "c.json", HYP)
+        code = run(["renvol", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_NONCONVERGENCE
+        assert "quadrature non-convergence on [0.0876,0.112]" in capsys.readouterr().err
 
     def test_torus_family_runs(self, tmp_path):
         cfg = write_config(
@@ -175,6 +253,11 @@ class TestGaussBonnet:
         report = json.loads((tmp_path / "gauss-bonnet-report.json").read_text())
         row = {c["name"]: c for c in report["checks"]}["interior_finite_part_chi"]
         assert row["value"] == pytest.approx(1.0, abs=1e-4)
+        artifacts = report["artifacts"]
+        assert 0.0 < artifacts["quadrature_error"] < 1e-9 * max(map(abs, artifacts["interior"]))
+        for part in ("interior", "boundary"):
+            assert 1.0 <= artifacts["fit_cond"][part] < 1e9
+            assert math.isfinite(artifacts["half_grid_drift"][part])
 
 
 class TestLinearizeCheck:

@@ -16,6 +16,7 @@ import itertools
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from ahrenvol import collar, renorm
@@ -127,7 +128,7 @@ class TestPaycha:
         assert v == pytest.approx(4.0 * PI2 / 3.0, abs=1e-10)
 
     def test_agrees_with_ls_fit(self):
-        fam = volume_family(hyperbolic_profile())
+        fam, _ = volume_family(hyperbolic_profile())
         eps = np.array(sorted(fam))
         fp = finite_part((eps, np.array([fam[e] for e in eps])))
         f = lambda r: 2.0 * PI2 * (1.0 - r * r / 4.0) ** 3
@@ -141,13 +142,21 @@ class TestPaycha:
 
 class TestVolumeFamily:
     def test_hyperbolic_closed_form(self):
-        fam = volume_family(hyperbolic_profile(), eps_grid=[0.5, 0.7])
+        fam, _ = volume_family(hyperbolic_profile(), eps_grid=[0.5, 0.7])
         for e, v in fam.items():
             assert abs(v - hyperbolic_volume(e)) < 1e-10 * abs(v)
 
+    def test_coarse_eps_grid_is_split_into_panels(self):
+        """6 eps over 0.02..0.3 (ratio 1.72 per interval) still meets the panel bound."""
+        eps = default_eps_grid(6)
+        fam, err = volume_family(hyperbolic_profile(), eps_grid=eps)
+        for e, v in fam.items():
+            assert abs(v - hyperbolic_volume(e)) < 1e-13 * abs(v)
+        assert err < 1e-10 * max(fam.values())
+
     def test_hyperbolic_fitted_asymptotics(self):
         """Acceptance: (C0, C2, L, V) = (2pi^2/3, -3pi^2/2, 0, 4pi^2/3)."""
-        fam = volume_family(hyperbolic_profile())
+        fam, _ = volume_family(hyperbolic_profile())
         eps = np.array(sorted(fam))
         fp = finite_part((eps, np.array([fam[e] for e in eps])))
         want = (2 * PI2 / 3, -1.5 * PI2, 0.0, 4 * PI2 / 3)
@@ -155,7 +164,7 @@ class TestVolumeFamily:
             assert abs(got - ref) < 1e-6 * max(1.0, abs(ref))
 
     def test_flat_torus(self):
-        fam = volume_family(BoundaryJet.flat(4), rho_max=1.0)
+        fam, _ = volume_family(BoundaryJet.flat(4), rho_max=1.0)
         for e, v in fam.items():
             want = (2.0 * math.pi) ** 3 * (e**-3 - 1.0) / 3.0
             assert abs(v - want) < 1e-10 * abs(want)
@@ -168,13 +177,81 @@ class TestVolumeFamily:
         for i in range(3):
             g3[..., i, i] = 0.1 + 0.05 * rng.standard_normal((n, n, n))
         jet = BoundaryJet(n, BoundaryJet.flat(n).gamma, np.zeros_like(g3), g3)
-        fam = volume_family(jet, rho_max=0.8)
+        fam, _ = volume_family(jet, rho_max=0.8)
         eps = np.array(sorted(fam))
         fp = finite_part((eps, np.array([fam[e] for e in eps])))
         v3 = 0.5 * np.einsum("...ii->...", g3)  # gamma = identity
         want = (2.0 * math.pi / n) ** 3 * float(np.sum(v3))
         assert abs(fp.log_coeff - want) < 1e-6 * max(1.0, abs(want))
         assert fp.log_ambiguous
+
+
+ACTION_INTEGRANDS = [
+    lambda inv: inv["s"] ** 2,
+    lambda inv: inv["z2"],
+    lambda inv: inv["w2"],
+    lambda inv: inv["s"] ** 2 - 3.0 * inv["r2"],
+]
+
+
+def _ball_family(eps):
+    fam, _ = volume_family(hyperbolic_profile(), eps_grid=eps)
+    ball = lambda rho: 2.0 * PI2 * (1.0 - rho**2 / 4.0) ** 3 / rho**4
+    return np.array(list(fam.values()))[:, None], oracles.adaptive_family(ball, eps, 2.0)
+
+
+def _action_family(geom, rho_max):
+    def families(eps):
+        density = renorm._invariant_density(geom, ACTION_INTEGRANDS)
+        fams, _ = renorm._cumulative_family(density, eps, rho_max, geom.npts)
+        return fams, oracles.adaptive_family(density, eps, rho_max)
+
+    return families
+
+
+class TestGaussLegendreFamilies:
+    """Fixed Gauss-Legendre panels against adaptive quad_vec, one rho at a time."""
+
+    @pytest.mark.parametrize(
+        "families",
+        [
+            _ball_family,
+            _action_family(RadialGeometry(perturbed_profile([0.05] * 3)), 2.0),
+            _action_family(TorusJetGeometry(random_jet(17, n_grid=4)), 1.0),
+        ],
+        ids=["ball_volume", "theta_action", "torus_action"],
+    )
+    def test_matches_adaptive_oracle(self, families):
+        eps = default_eps_grid()
+        got, want = families(eps)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        for k in range(want.shape[1]):
+            fp_got = finite_part((eps, got[:, k])).finite
+            fp_want = finite_part((eps, want[:, k])).finite
+            assert abs(fp_got - fp_want) <= 1e-6 * max(1.0, abs(fp_want))
+
+    def test_error_estimates_accumulate_from_rho_max(self):
+        eps = default_eps_grid()
+        density = lambda rho: np.stack([rho**-4, np.cos(rho)], axis=1)
+        fams, errors = renorm._cumulative_family(density, eps, 1.0, 1)
+        assert fams.shape == errors.shape == (eps.size, 2)
+        assert np.all(np.diff(errors, axis=0) <= 0.0)
+        want = (eps**-3 - 1.0) / 3.0
+        assert np.all(np.abs(fams[:, 0] - want) <= errors[:, 0] + 1e-13 * want)
+
+    @pytest.mark.parametrize(
+        "density",
+        [
+            lambda rho: np.abs(rho - 0.1),
+            lambda rho: 1.0 / ((rho - 0.1) ** 2 + 1e-8),
+            lambda rho: np.where(rho > 0.1, np.nan, 1.0),
+        ],
+        ids=["kink", "near_pole", "nan"],
+    )
+    def test_panel_over_its_bound_raises(self, density):
+        # 0.1 lies inside the panel [0.0876, 0.112] of the default grid
+        with pytest.raises(collar.NonConvergence, match="quadrature non-convergence on"):
+            renorm._cumulative_family(density, default_eps_grid(), 1.0, 1)
 
 
 class TestBoundaryII:
@@ -202,7 +279,7 @@ class TestBoundaryII:
         sample = CollarSample(
             geometry=RadialGeometry(hyperbolic_profile()), rho_grid=eps_grid
         )
-        fam = volume_family(hyperbolic_profile(), eps_grid=eps_grid)
+        fam, _ = volume_family(hyperbolic_profile(), eps_grid=eps_grid)
         for e in (eps_grid[0], eps_grid[5], eps_grid[-1]):
             ii = boundary_II(sample, float(e)).ii_integral
             want = 1.0 - 3.0 / (4.0 * PI2) * fam[float(e)]
