@@ -423,15 +423,13 @@ def run_collar_audit(config: AuditConfig, tol_scale: float, threads: int) -> Aud
     sample = _collar.CollarSample(geometry=geom, rho_grid=nodes)
     jet_rep = _collar.jet_identity_report(sample)
 
-    fields = {"s": [], "r2": [], "R2": []}
-    for rho in nodes:
-        inv = _collar.curvature_in_frame(geom, float(rho))["invariants"]
-        fields["s"].append(inv["s"])
-        fields["r2"].append(inv["r2"])
-        fields["R2"].append(inv["R2"])
+    def parity_fields(rho):
+        inv = _collar.curvature_in_frame(geom, rho)["invariants"]
+        return inv["s"], inv["r2"], inv["R2"]
+
     parity_dev = 0.0
-    for name, stack in fields.items():
-        arr = np.stack(stack)
+    for values in _collar.map_slices(parity_fields, nodes, geom.npts):
+        arr = values.reshape(nodes.size, -1)
         fit = _collar.rho_series_fit(nodes, arr, k_max=6)
         scale = max(1.0, float(np.max(np.abs(arr))))
         parity_dev = max(parity_dev, float(np.max(np.abs(fit.coefficient(1)))) / scale)
@@ -499,13 +497,9 @@ def _require_radial(config: AuditConfig, subcommand: str) -> None:
 def run_gauss_bonnet(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
     _require_radial(config, "gauss-bonnet")
     profile = config.geometry().profile
-    audit = renorm.gauss_bonnet_audit(profile, eps_grid=config.eps_grid(), tol_scale=tol_scale)
-    checks = [dict(row) for row in audit["checks"]]
-    for name, tol in config.tolerances.items():
-        for row in checks:
-            if row["name"] == name:
-                row["tolerance"] = float(tol) * tol_scale
-                row["passed"] = bool(abs(row["value"]) < row["tolerance"])
+    audit = renorm.gauss_bonnet_audit(
+        profile, eps_grid=config.eps_grid(), tol_scale=tol_scale, tolerances=config.tolerances
+    )
     artifacts = {
         "eps_grid": audit["eps_grid"],
         "interior": audit["interior"],
@@ -520,7 +514,7 @@ def run_gauss_bonnet(config: AuditConfig, tol_scale: float, threads: int) -> Aud
             "boundary": audit["fp_boundary"].half_grid_drift,
         },
     }
-    return AuditReport("gauss-bonnet", asdict(config), config.seed, checks, artifacts)
+    return AuditReport("gauss-bonnet", asdict(config), config.seed, audit["checks"], artifacts)
 
 
 # -- subcommand: linearize-check --------------------------------------------------------

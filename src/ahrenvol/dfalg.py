@@ -410,14 +410,14 @@ def _require_curvature_type(R: DoubleForm) -> None:
         raise ValueError("not curvature-type")
 
 
-def bilinear_algebra(z: SymBilinear, R: DoubleForm, h: SymBilinear | None = None):
+def bilinear_algebra(z: SymBilinear, R: DoubleForm):
     """Return {'rcirc': R(z) ring-composition, 'compose': r o z (symmetrized)}.
 
     rcirc(x, y) = sum_i z(R(x, x_i) y, x_i); compose is the symmetrized
     endomorphism product of the Ricci tensor with z.
     """
     _require_curvature_type(R)
-    if z.n != R.n or (h is not None and h.n != R.n):
+    if z.n != R.n:
         raise ValueError("dimension mismatch")
     dense = R.to_dense()  # R[s,t,u,v] = R(X_s^X_t, X_u^X_v)
     # rcirc_{xy} = sum_{i,w} z_{wi} R_{x i y w}

@@ -14,11 +14,13 @@ and V alone is ambiguous.
 The module provides
 
 * ``finite_part``          -- least-squares extraction of (C0, C2, L, V),
-* ``paycha_finite_part``   -- independent Taylor-subtraction route (oracle),
 * ``volume_family``        -- Vol_g({rho > eps}) by Gauss-Legendre panels,
 * ``boundary_II``          -- the Chern boundary transgression on {rho = eps},
 * ``gauss_bonnet_audit``   -- interior + boundary = Euler characteristic,
 * ``renormalized_action``  -- finite parts of the curvature actions.
+
+Their independent oracles (adaptive quadrature, Taylor subtraction) live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import collar as _collar
 
@@ -36,7 +37,6 @@ __all__ = [
     "BoundaryTermSample",
     "default_eps_grid",
     "finite_part",
-    "paycha_finite_part",
     "volume_family",
     "boundary_II",
     "gauss_bonnet_audit",
@@ -194,38 +194,6 @@ def finite_part(values) -> RegularizedIntegral:
     )
 
 
-def paycha_finite_part(func, taylor, a: float, cutoff: float = 0.05) -> float:
-    """Finite part of int_eps^a rho^-4 f(rho) drho by Taylor subtraction.
-
-    ``taylor`` holds Taylor coefficients (f0, f1, f2, ..., at least 8) of f
-    at rho = 0.  The first four span the divergent model, integrated in
-    closed form and dropped; the regular remainder (f - T3) rho^-4 is
-    integrated by the series tail below ``cutoff`` (direct evaluation there
-    loses all precision to cancellation) and by quadrature above it.
-    Independent of ``finite_part`` (no asymptotic fitting) -- the
-    cross-check oracle on backends whose Taylor coefficients are available.
-    """
-    coeffs = [float(c) for c in taylor]
-    if len(coeffs) < 8:
-        raise ValueError("need at least 8 Taylor coefficients")
-    f0, f1, f2, f3 = coeffs[:4]
-
-    head = sum(c * cutoff ** (k - 3) / (k - 3) for k, c in enumerate(coeffs) if k >= 4)
-
-    def reduced(rho):
-        t = f0 + f1 * rho + f2 * rho**2 + f3 * rho**3
-        return (func(rho) - t) / rho**4
-
-    tail, err = integrate.quad(
-        reduced, cutoff, a, epsabs=1e-12, epsrel=1e-12, limit=200
-    )
-    if err > 1e-8 * max(1.0, abs(tail)):
-        raise _collar.NonConvergence(f"quadrature non-convergence (err={err:.3e})")
-    return (
-        head + tail - f0 / (3.0 * a**3) - f1 / (2.0 * a**2) - f2 / a + f3 * math.log(a)
-    )
-
-
 # -- collar integral families -------------------------------------------------
 
 
@@ -243,19 +211,16 @@ _PANEL_NODES = 6
 # 0.02..0.3, unsplit) the ball volume missed it.  The default eps grid
 # (ratio 1.279) needs no split.
 _PANEL_RATIO = 1.3
-# boundary points per curvature engine call: bounds the working set (one
-# 512-point torus slice record is about 2.6 MiB) while radial slices batch
-_CHUNK_POINTS = 64
 
 
 def _cumulative_family(density, eps_grid: np.ndarray, rho_max: float, npts: int):
     """Integrals of a density over [eps_i, rho_max] by fixed Gauss-Legendre panels.
 
     ``density`` maps a 1-D rho array to one row (or value) per slice; ``npts``
-    is the number of boundary points per slice, which sizes the batches it
-    is called with.  The panels are the eps intervals and [eps_max,
-    rho_max], each split geometrically into panels no wider in ratio than
-    ``_PANEL_RATIO``.  Each panel is integrated with n and 2n nodes: the 2n
+    is the number of boundary points per slice, which sizes the
+    :func:`~ahrenvol.collar.map_slices` batches it is called with.  The
+    panels are the eps intervals and [eps_max, rho_max], each split
+    geometrically into panels no wider in ratio than ``_PANEL_RATIO``.  Each panel is integrated with n and 2n nodes: the 2n
     value is kept and |Q_2n - Q_n| is its error estimate.  Returns the
     family, shape (eps, components), and the summed error estimates of its
     panels.
@@ -274,8 +239,7 @@ def _cumulative_family(density, eps_grid: np.ndarray, rho_max: float, npts: int)
     coarse_nodes, coarse_w = _collar.gauss_nodes(panels, _PANEL_NODES)
     fine_nodes, fine_w = _collar.gauss_nodes(panels, 2 * _PANEL_NODES)
     nodes = np.concatenate([coarse_nodes, fine_nodes])
-    calls = min(nodes.size, -(-nodes.size * npts // _CHUNK_POINTS))
-    vals = np.concatenate([density(chunk) for chunk in np.array_split(nodes, calls)])
+    vals = _collar.map_slices(density, nodes, npts)
     weighted = np.concatenate([coarse_w, fine_w])[:, None] * vals.reshape(nodes.size, -1)
     coarse = weighted[: coarse_nodes.size].reshape(len(panels), _PANEL_NODES, -1).sum(axis=1)
     fine = weighted[coarse_nodes.size :].reshape(len(panels), 2 * _PANEL_NODES, -1).sum(axis=1)
@@ -315,6 +279,25 @@ def volume_family(source, eps_grid=None, rho_max: float | None = None):
     return {float(e): float(v) for e, v in zip(eps_grid, vols[:, 0])}, float(errors.max())
 
 
+def _boundary_family(geom, eps) -> list:
+    """:func:`boundary_II` on each slice of the 1-D array ``eps``, in engine batches."""
+
+    def phi_integrals(rho):
+        data = _collar.curvature_in_frame(geom, rho)
+        q = data["q"][:, :3, :3]
+        h_on = np.einsum("nab,nbc,ncd->nad", q, data["gamma4"], q)
+        # slice measure of g: eps^-3 sqrt(det g_rho) per boundary point
+        measure = geom.weight * data["dvol"] / np.repeat(rho, geom.npts) ** 3
+        riem3 = data["riem_on"][:, :3, :3, :3, :3]
+        phi1_pt = np.einsum("abc,def,nabde,ncf->n", _collar._EPS3, _collar._EPS3, riem3, h_on)
+        integral = lambda f: np.sum((f * measure).reshape(rho.size, -1), axis=1)
+        return np.stack([6.0 * integral(np.linalg.det(h_on)), 0.5 * integral(phi1_pt)], axis=1)
+
+    rows = _collar.map_slices(phi_integrals, eps, geom.npts)
+    eps = np.atleast_1d(eps)
+    return [BoundaryTermSample(float(e), float(p0), float(p1)) for e, (p0, p1) in zip(eps, rows)]
+
+
 def boundary_II(sample: _collar.CollarSample, eps: float) -> BoundaryTermSample:
     """Chern boundary transgression integrals over the slice {rho = eps}.
 
@@ -335,42 +318,14 @@ def boundary_II(sample: _collar.CollarSample, eps: float) -> BoundaryTermSample:
             f"eps={eps:.6g} outside the rho-grid hull "
             f"[{grid.min():.6g}, {grid.max():.6g}]"
         )
-    geom = sample.geometry
-    data = _collar.curvature_in_frame(geom, float(eps))
-    q = data["q"][:, :3, :3]
-    h_on = np.einsum("nab,nbc,ncd->nad", q, data["gamma4"], q)
-    # slice measure of g: eps^-3 sqrt(det g_rho) per boundary point
-    measure = geom.weight * np.sqrt(np.linalg.det(data["gbar"][:, :3, :3])) / eps**3
-
-    phi0 = 6.0 * float(np.sum(np.linalg.det(h_on) * measure))
-    riem3 = data["riem_on"][:, :3, :3, :3, :3]
-    phi1_pt = np.einsum("abc,def,nabde,ncf->n", _collar._EPS3, _collar._EPS3, riem3, h_on)
-    phi1 = 0.5 * float(np.sum(phi1_pt * measure))
-    return BoundaryTermSample(eps=float(eps), phi0_integral=phi0, phi1_integral=phi1)
-
-
-def _invariant_density(geom, integrands):
-    """Callable: rho array -> slice integrals of integrand(invariants) times the g-measure.
-
-    Returns one row per slice and one column per integrand.
-    """
-
-    def density(rho):
-        data = _collar.curvature_in_frame(geom, rho)
-        inv = data["invariants"]
-        meas = geom.weight * np.sqrt(np.linalg.det(data["gbar"][:, :3, :3]))
-        meas = meas.reshape(rho.size, -1) / rho[:, None] ** 4
-        return np.stack(
-            [np.sum(f(inv).reshape(rho.size, -1) * meas, axis=1) for f in integrands], axis=1
-        )
-
-    return density
+    return _boundary_family(sample.geometry, [eps])[0]
 
 
 def gauss_bonnet_audit(
     profile: _collar.RadialProfile,
     eps_grid=None,
     tol_scale: float = 1.0,
+    tolerances=None,
 ) -> dict:
     """Audit interior Pfaffian + boundary II = chi on the radial ball.
 
@@ -380,48 +335,37 @@ def gauss_bonnet_audit(
     of the boundary family vanishes, (iii) the finite part of the interior
     family equals chi = 1 (supplied by the ball backend, never computed
     topologically).  Assertion failures are returned as failing check rows,
-    not raised.
+    not raised.  ``tolerances`` maps check names to tolerances that replace
+    the defaults; every tolerance is then multiplied by ``tol_scale``.
     """
     if eps_grid is None:
         eps_grid = default_eps_grid()
     eps_grid = np.asarray(eps_grid, dtype=float)
     geom = _collar.RadialGeometry(profile)
-    sample = _collar.CollarSample(geometry=geom, rho_grid=eps_grid)
     chi = 1.0
 
-    pff = _invariant_density(geom, [lambda inv: inv["pff"]])
+    pff = _collar._invariant_density(geom, [lambda inv: inv["pff"]])
     interior, quad_errors = _cumulative_family(pff, eps_grid, 2.0, geom.npts)
     interior = interior[:, 0]
-    boundary = np.array([boundary_II(sample, float(e)).ii_integral for e in eps_grid])
+    boundary = np.array([bt.ii_integral for bt in _boundary_family(geom, eps_grid)])
     total = interior + boundary
 
     fp_int = finite_part((eps_grid, interior))
     fp_bdy = finite_part((eps_grid, boundary))
     sum_dev = float(np.max(np.abs(total - chi))) / max(1.0, abs(chi))
 
-    checks = [
-        {
-            "name": "gauss_bonnet_sum_constant",
-            "anchor": "int_{rho>eps} Pff + int_{rho=eps} II == chi, all eps",
-            "value": sum_dev,
-            "tolerance": 1e-6 * tol_scale,
-            "passed": bool(sum_dev < 1e-6 * tol_scale),
-        },
-        {
-            "name": "boundary_finite_part_zero",
-            "anchor": "FP int II == 0",
-            "value": fp_bdy.finite,
-            "tolerance": 1e-5 * tol_scale,
-            "passed": bool(abs(fp_bdy.finite) < 1e-5 * tol_scale),
-        },
-        {
-            "name": "interior_finite_part_chi",
-            "anchor": "FP int Pff == chi",
-            "value": fp_int.finite,
-            "tolerance": 1e-4 * tol_scale,
-            "passed": bool(abs(fp_int.finite - chi) < 1e-4 * tol_scale),
-        },
-    ]
+    tolerances = tolerances or {}
+    checks = []
+    # (name, anchor, reported value, its deviation from the claim, default tolerance)
+    for name, anchor, value, deviation, tol in (
+        ("gauss_bonnet_sum_constant", "int_{rho>eps} Pff + int_{rho=eps} II == chi, all eps",
+         sum_dev, sum_dev, 1e-6),
+        ("boundary_finite_part_zero", "FP int II == 0", fp_bdy.finite, fp_bdy.finite, 1e-5),
+        ("interior_finite_part_chi", "FP int Pff == chi", fp_int.finite, fp_int.finite - chi, 1e-4),
+    ):
+        tol = float(tolerances.get(name, tol)) * tol_scale
+        checks.append({"name": name, "anchor": anchor, "value": value, "tolerance": tol,
+                       "passed": bool(abs(deviation) < tol)})
     return {
         "chi": chi,
         "eps_grid": eps_grid,
@@ -450,7 +394,7 @@ def renormalized_action(source, eps_grid=None, rho_max: float | None = None) -> 
     if rho_max is None:
         rho_max = _default_rho_max(geom)
 
-    density = _invariant_density(
+    density = _collar._invariant_density(
         geom,
         [
             lambda inv: inv["s"] ** 2,

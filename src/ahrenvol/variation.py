@@ -43,9 +43,11 @@ from .collar import (
     PerturbedGeometry,
     RadialGeometry,
     _gbar_blocks,
+    _invariant_density,
     christoffels,
     curvature_in_frame,
     gauss_nodes,
+    map_slices,
     on_transform,
     perturbed_profile,
     rho_series_fit,
@@ -261,7 +263,8 @@ class MetricPerturbation:
 
     def __post_init__(self):
         rhos = np.linspace(self.fit_rho_max / 8.0, self.fit_rho_max, 8)
-        samples = np.stack([np.asarray(self.source.value(r, 0), float) for r in rhos])
+        # one batched call: the values are 9 floats per point, not engine records
+        samples = np.asarray(self.source.value(rhos, 0), float).reshape(rhos.size, -1, 3, 3)
         if np.max(np.abs(samples - samples.transpose(0, 1, 3, 2))) > 1e-12:
             raise ValueError("asymmetric perturbation")
         scale = max(1.0, float(np.max(np.abs(samples))))
@@ -520,10 +523,9 @@ def functional_gradient(geom, rhos=None, step: float = 0.005, k_max: int = 4) ->
         t2_all.append(t2_on)
         e_all.append(e_on)
         c2_all.append(np.einsum("niaia->n", omega_on))
-        dens = np.sqrt(np.linalg.det(cur["gbar"][:, :3, :3]))
         norms.append(
             geom.weight
-            * float(np.sum(np.sqrt(np.einsum("nab,nab->n", e_on, e_on)) * dens))
+            * float(np.sum(np.sqrt(np.einsum("nab,nab->n", e_on, e_on)) * cur["dvol"]))
         )
     e_arr = np.stack(e_all)
     fit = rho_series_fit(rhos, e_arr, k_max=k_max)
@@ -565,13 +567,14 @@ def el_slice_analysis(geom, pert, rhos=None, step: float = 0.004, k_max: int = 6
         raise ValueError("residual was computed on a different rho grid")
     gamma0 = geom.spatial(0.0)[0]
     dens0 = np.atleast_1d(np.sqrt(np.linalg.det(gamma0)))
-    h_stack = []
-    for rho in rhos:
+
+    def h_on(rho):
         q = on_transform(_gbar_blocks(geom, rho)[0])
-        h4 = np.zeros((geom.npts, 4, 4))
-        h4[:, :3, :3] = np.asarray(pert.value(rho, 0), float).reshape(geom.npts, 3, 3)
-        h_stack.append(to_on2(h4, q))
-    h_arr = np.stack(h_stack)
+        h4 = np.zeros_like(q)
+        h4[:, :3, :3] = np.asarray(pert.value(rho, 0), float).reshape(q.shape[0], 3, 3)
+        return to_on2(h4, q)
+
+    h_arr = map_slices(h_on, rhos, geom.npts).reshape(rhos.size, geom.npts, 4, 4)
     phi = geom.weight * np.einsum("rnab,rnab,n->r", residual.e_fields, h_arr, dens0)
     fit = rho_series_fit(rhos, phi[:, None], k_max=min(k_max, len(rhos) - 2))
     coeffs = fit.coeffs[:, 0]
@@ -608,24 +611,11 @@ def el_slice_analysis(geom, pert, rhos=None, step: float = 0.004, k_max: int = 6
 # -- directional derivative of the regularized functional ----------------------
 
 
-def _z2_density(geom, nodes) -> np.ndarray:
-    """int |z|^2 dvol over each rho-slice in ``nodes``, from one engine call."""
-    nodes = np.asarray(nodes, dtype=float)
-    cur = curvature_in_frame(geom, nodes)
-    z2 = cur["invariants"]["z2"].reshape(nodes.size, -1)
-    vol = np.sqrt(np.linalg.det(cur["gbar"])).reshape(nodes.size, -1)
-    return geom.weight * np.sum(z2 * (vol / nodes[:, None] ** 4), axis=1)
-
-
 def _z2_quadrature(geom, segments, n_per: int) -> float:
-    """Gauss quadrature of the |z|^2 slice integrals, one batch per segment.
-
-    Batching a segment rather than every node bounds the engine's working
-    set at n_per slices.
-    """
+    """Gauss quadrature of the int |z|^2 dvol slice integrals over ``segments``."""
     nodes, wts = gauss_nodes(segments, n_per)
-    dens = np.concatenate([_z2_density(geom, seg) for seg in np.split(nodes, len(segments))])
-    return float(sum(wts * dens))
+    dens = map_slices(_invariant_density(geom, [lambda inv: inv["z2"]]), nodes, geom.npts)
+    return float(sum(wts * dens[:, 0]))
 
 
 def zprime_display(geom, pert, support=DEFAULT_SUPPORT, n_nodes: int = 64,
@@ -661,18 +651,18 @@ def zprime_display(geom, pert, support=DEFAULT_SUPPORT, n_nodes: int = 64,
             - np.einsum("nbc,ad->nabcd", z_on, eye)
         )
         val = val - 0.125 * np.einsum("nabcd,nabcd->n", zg, H_on)
-        dens = np.sqrt(np.linalg.det(cur["gbar"])) / rho**4
-        total += w * geom.weight * float(np.sum(val * dens))
+        total += w * geom.weight * float(np.sum(val * (cur["dvol"] / rho**4)))
     return total
 
 
 def fd_zprime(geom, pert, t: float = 1e-3, segments=((0.05, 0.1), (0.1, 0.3), (0.3, 0.6)),
-              n_per: int = 48, richardson: bool = True) -> float:
+              n_per: int = 48) -> float:
     """Central-difference oracle for the same directional derivative.
 
     The perturbation has compact support, so the finite parts of the two
     functionals differ by a plain integral over any window containing the
-    support; fixed Gauss segments make the difference quadrature-exact.
+    support; fixed Gauss segments make the difference quadrature-exact.  The
+    differences at steps t and t/2 are combined by Richardson extrapolation.
     """
 
     def z2_of(tt: float) -> float:
@@ -680,8 +670,6 @@ def fd_zprime(geom, pert, t: float = 1e-3, segments=((0.05, 0.1), (0.1, 0.3), (0
         return _z2_quadrature(g, segments, n_per)
 
     fd_t = (z2_of(t) - z2_of(-t)) / (2.0 * t)
-    if not richardson:
-        return fd_t
     fd_half = (z2_of(t / 2.0) - z2_of(-t / 2.0)) / t
     return (4.0 * fd_half - fd_t) / 3.0
 
@@ -711,13 +699,17 @@ class FlowStep:
     eta: float
 
 
-def gradient_flow_step(theta, eta: float, fd_step: float = 1e-5,
-                       max_halvings: int = 20, functional=z2_functional):
+# central-difference step of the flow gradient, and the line search's budget
+_FLOW_FD_STEP = 1e-5
+_FLOW_MAX_HALVINGS = 20
+
+
+def gradient_flow_step(theta, eta: float, functional=z2_functional):
     """One backtracking descent step on the profile parameters theta.
 
     Returns (theta_new, value_new, eta_used).  eta = 0 is a no-op; if the
-    functional fails to be non-increasing after ``max_halvings`` halvings of
-    eta the step raises NonConvergence("stalled").
+    functional fails to be non-increasing after ``_FLOW_MAX_HALVINGS``
+    halvings of eta the step raises NonConvergence("stalled").
     """
     theta = np.asarray(theta, float)
     value0 = functional(theta)
@@ -728,10 +720,10 @@ def gradient_flow_step(theta, eta: float, fd_step: float = 1e-5,
     grad = np.zeros_like(theta)
     for k in range(len(theta)):
         probe = np.zeros_like(theta)
-        probe[k] = fd_step
-        grad[k] = (functional(theta + probe) - functional(theta - probe)) / (2 * fd_step)
+        probe[k] = _FLOW_FD_STEP
+        grad[k] = (functional(theta + probe) - functional(theta - probe)) / (2 * _FLOW_FD_STEP)
     cur_eta = float(eta)
-    for _ in range(max_halvings + 1):
+    for _ in range(_FLOW_MAX_HALVINGS + 1):
         cand = theta - cur_eta * grad
         value = functional(cand)
         if value <= value0:

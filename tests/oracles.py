@@ -5,7 +5,8 @@ Everything for the algebra works on *dense* component arrays of shape
 shared sign helpers), so agreement with ahrenvol.dfalg is a genuine
 two-implementation check.  Permutation signs are computed from determinants
 of permutation matrices.  The eps-families of ahrenvol.renorm are checked
-against adaptive quadrature, one scalar rho at a time.
+against adaptive quadrature, one scalar rho at a time, and their finite
+parts against Taylor subtraction.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 
 import numpy as np
 from scipy import integrate
+
+from ahrenvol.collar import NonConvergence
 
 
 def perm_sign(perm) -> int:
@@ -192,3 +195,35 @@ def adaptive_family(density, eps_grid, rho_max: float) -> np.ndarray:
         assert err <= 1e-9 * max(1.0, float(np.max(np.abs(val)))), (lo, hi, err)
         pieces.append(val)
     return np.cumsum(np.asarray(pieces)[::-1], axis=0)[::-1]
+
+
+def paycha_finite_part(func, taylor, a: float, cutoff: float = 0.05) -> float:
+    """Finite part of int_eps^a rho^-4 f(rho) drho by Taylor subtraction.
+
+    ``taylor`` holds Taylor coefficients (f0, f1, f2, ..., at least 8) of f
+    at rho = 0.  The first four span the divergent model, integrated in
+    closed form and dropped; the regular remainder (f - T3) rho^-4 is
+    integrated by the series tail below ``cutoff`` (direct evaluation there
+    loses all precision to cancellation) and by quadrature above it.
+    Independent of ``finite_part`` (no asymptotic fitting) -- the
+    cross-check oracle on backends whose Taylor coefficients are available.
+    """
+    coeffs = [float(c) for c in taylor]
+    if len(coeffs) < 8:
+        raise ValueError("need at least 8 Taylor coefficients")
+    f0, f1, f2, f3 = coeffs[:4]
+
+    head = sum(c * cutoff ** (k - 3) / (k - 3) for k, c in enumerate(coeffs) if k >= 4)
+
+    def reduced(rho):
+        t = f0 + f1 * rho + f2 * rho**2 + f3 * rho**3
+        return (func(rho) - t) / rho**4
+
+    tail, err = integrate.quad(
+        reduced, cutoff, a, epsabs=1e-12, epsrel=1e-12, limit=200
+    )
+    if err > 1e-8 * max(1.0, abs(tail)):
+        raise NonConvergence(f"quadrature non-convergence (err={err:.3e})")
+    return (
+        head + tail - f0 / (3.0 * a**3) - f1 / (2.0 * a**2) - f2 / a + f3 * math.log(a)
+    )

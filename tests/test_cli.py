@@ -4,6 +4,8 @@ import copy
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +51,16 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
+
+
+def test_runtime_does_not_import_scipy():
+    """scipy is a test dependency only: the CLI and the library run on numpy."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, ahrenvol.cli, ahrenvol.variation; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestConfigValidation:
@@ -241,6 +253,18 @@ class TestRenvol:
 
 
 class TestGaussBonnet:
+    @pytest.mark.parametrize("tol, code", [(1e-3, cli.EXIT_OK), (1e-12, cli.EXIT_CHECK_FAILED)])
+    def test_tolerance_override_bounds_the_deviation_from_chi(self, tmp_path, tol, code):
+        cfg = write_config(
+            tmp_path, "c.json", {**HYP, "tolerances": {"interior_finite_part_chi": tol}}
+        )
+        assert run(["gauss-bonnet", "--config", cfg, "--out-dir", str(tmp_path)]) == code
+        report = json.loads((tmp_path / "gauss-bonnet-report.json").read_text())
+        row = {c["name"]: c for c in report["checks"]}["interior_finite_part_chi"]
+        # the row reports FP itself; the tolerance bounds |FP - chi|
+        assert row["value"] == pytest.approx(1.0, abs=1e-4)
+        assert row["tolerance"] == tol
+
     def test_requires_radial_family(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"family": "torus-collar", "seed": 5})
         code = run(["gauss-bonnet", "--config", cfg, "--out-dir", str(tmp_path)])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ahrenvol import collar
+from ahrenvol import cli, collar, variation
 from ahrenvol.collar import (
     BoundaryJet,
     PerturbedGeometry,
@@ -66,14 +66,14 @@ class TestSampling:
         jet = BoundaryJet.flat(4)
         samp = sample_collar_metric(jet, [0.1, 0.5])
         for rho in samp.rho_grid:
-            assert np.allclose(samp.spatial_metric(float(rho)), np.eye(3), atol=1e-15)
+            assert np.allclose(samp.geometry.spatial(float(rho))[0], np.eye(3), atol=1e-15)
 
     def test_jet_substitution(self):
         """gamma = I, g2 = 0, g3 = diag(a, b, c) at rho = 0.1."""
         d = np.diag([1.0, 2.0, 3.0])
         jet = BoundaryJet.constant(4, np.eye(3), np.zeros((3, 3)), d)
         samp = sample_collar_metric(jet, [0.1])
-        assert np.allclose(samp.spatial_metric(0.1), np.eye(3) + 1e-3 * d, atol=1e-15)
+        assert np.allclose(samp.geometry.spatial(0.1)[0], np.eye(3) + 1e-3 * d, atol=1e-15)
 
     def test_positivity_error(self):
         jet = BoundaryJet.constant(4, np.eye(3), -10.0 * np.eye(3), np.zeros((3, 3)))
@@ -160,7 +160,7 @@ class TestCurvature:
         """The Poincare ball has R_stuv = g_su g_tv - g_sv g_tu everywhere."""
         samp = sample_collar_metric(hyperbolic_profile(), [0.05, 0.4, 1.2, 1.9])
         for rho in samp.rho_grid:
-            cur = samp.curvature(float(rho))
+            cur = curvature_in_frame(samp.geometry, float(rho))
             assert np.max(np.abs(cur["riem_on"] - HYP)) < 1e-8
             assert cur["invariants"]["s"][0] == pytest.approx(12.0, abs=1e-10)
             assert cur["invariants"]["pff"][0] == pytest.approx(
@@ -170,7 +170,7 @@ class TestCurvature:
     def test_cusp_exact(self):
         samp = sample_collar_metric(BoundaryJet.flat(4), [0.1, 0.8])
         for rho in samp.rho_grid:
-            cur = samp.curvature(float(rho))
+            cur = curvature_in_frame(samp.geometry, float(rho))
             assert np.max(np.abs(cur["riem_on"] - HYP)) < 1e-12
 
     def test_leading_coefficient_is_constant_curvature(self):
@@ -401,3 +401,70 @@ class TestBatchedEngine:
                 want += 0.5 * (hi - lo) * w * geom.weight * z2
         got = z2_functional(theta, segments=segments, n_per=8)
         assert got == pytest.approx(want, rel=1e-13)
+
+
+class TestSliceBatches:
+    """The rho-walkers reach the curvature engine through collar.map_slices:
+    each call holds at most max(npts, _CHUNK_POINTS) points, so a torus slice
+    goes alone and radial slices go 64 to a call."""
+
+    TORUS = {"family": "torus-collar", "seed": 3, "jet": {"n_grid": 8}}
+    RADIAL = {"family": "radial", "seed": 3, "profile": {"theta": [0.05] * 3}}
+
+    @staticmethod
+    def _engine_points(monkeypatch, run):
+        """Points handed to each engine call while ``run()`` executes."""
+        calls = {"curvature_in_frame": [], "curvature_bar": []}
+        for name, seen in calls.items():
+
+            def counting(geom, rho, engine=getattr(collar, name), seen=seen):
+                seen.append(np.size(rho) * geom.npts)
+                return engine(geom, rho)
+
+            monkeypatch.setattr(collar, name, counting)
+        run()
+        monkeypatch.undo()
+        return calls
+
+    def _callers(self, raw):
+        config = cli.AuditConfig.from_dict(raw)
+        geom = config.geometry()
+        nodes = chebyshev_rho_nodes().size
+        # three segments whose 72 nodes make two radial batches, not three
+        segments, n_per = ((0.1, 0.2), (0.2, 0.4), (0.4, 0.6)), 24
+        return geom, {
+            # caller: (call, engine, slices)
+            "run_collar_audit": (
+                lambda: cli.run_collar_audit(config, 1.0, 1), "curvature_in_frame", nodes
+            ),
+            "jet_identity_report": (
+                lambda: jet_identity_report(sample_collar_metric(geom)),
+                "curvature_bar",
+                nodes,
+            ),
+            "_z2_quadrature": (
+                lambda: variation._z2_quadrature(geom, segments, n_per),
+                "curvature_in_frame",
+                len(segments) * n_per,
+            ),
+        }
+
+    @pytest.mark.parametrize("caller", ["run_collar_audit", "jet_identity_report", "_z2_quadrature"])
+    def test_torus_calls_stay_within_the_chunk(self, monkeypatch, caller):
+        geom, callers = self._callers(self.TORUS)
+        run, engine, slices = callers[caller]
+        calls = self._engine_points(monkeypatch, run)
+        assert geom.npts == 512
+        assert max(calls["curvature_in_frame"] + calls["curvature_bar"]) <= max(
+            geom.npts, collar._CHUNK_POINTS
+        )
+        assert sum(calls[engine]) == slices * geom.npts
+
+    @pytest.mark.parametrize("caller", ["run_collar_audit", "jet_identity_report", "_z2_quadrature"])
+    def test_radial_calls_batch_64_slices(self, monkeypatch, caller):
+        geom, callers = self._callers(self.RADIAL)
+        run, engine, slices = callers[caller]
+        calls = self._engine_points(monkeypatch, run)
+        assert len(calls[engine]) == math.ceil(slices / 64)
+        assert max(calls[engine]) <= collar._CHUNK_POINTS
+        assert sum(calls[engine]) == slices

@@ -34,10 +34,10 @@ from ahrenvol.renorm import (
     default_eps_grid,
     finite_part,
     gauss_bonnet_audit,
-    paycha_finite_part,
     renormalized_action,
     volume_family,
 )
+from oracles import paycha_finite_part
 
 PI2 = math.pi**2
 
@@ -202,7 +202,7 @@ def _ball_family(eps):
 
 def _action_family(geom, rho_max):
     def families(eps):
-        density = renorm._invariant_density(geom, ACTION_INTEGRANDS)
+        density = collar._invariant_density(geom, ACTION_INTEGRANDS)
         fams, _ = renorm._cumulative_family(density, eps, rho_max, geom.npts)
         return fams, oracles.adaptive_family(density, eps, rho_max)
 
@@ -284,6 +284,11 @@ class TestBoundaryII:
             ii = boundary_II(sample, float(e)).ii_integral
             want = 1.0 - 3.0 / (4.0 * PI2) * fam[float(e)]
             assert abs(ii - want) < 1e-9 * max(1.0, abs(want))
+        # the whole radial family goes to the engine in one batch
+        for bt in renorm._boundary_family(sample.geometry, eps_grid):
+            single = boundary_II(sample, bt.eps)
+            assert bt.phi0_integral == pytest.approx(single.phi0_integral, rel=1e-13)
+            assert bt.phi1_integral == pytest.approx(single.phi1_integral, rel=1e-13)
 
     def test_phi1_matches_permutation_sum(self):
         """Phi1 against the explicit 36-term sum over sig, eta in S3."""
