@@ -66,6 +66,10 @@ _RHO_MAX_DEFAULT = {"radial": 2.0, "torus-collar": 1.0}
 # a curvature record costs about 5 KiB per boundary point, so n_grid = 32
 # (32768 points) is about 170 MiB per slice
 _N_GRID_MAX = 32
+# with 6 or 7 eps samples, finite_part's forward selection can pick its
+# second nuisance power by roundoff: the ball's renvol at eps_n 6 missed
+# hyperbolic_V by 2.9e-4
+_EPS_N_MIN = 8
 
 
 # -- configuration ---------------------------------------------------------------
@@ -163,7 +167,7 @@ class AuditConfig:
             "grid",
             {"eps_n": 12, "eps_lo": 0.02, "eps_hi": 0.3, "rho_max": None},
         )
-        # the ranges renorm.finite_part needs: >= 6 eps nodes over a factor >= 8
+        # the eps grid renorm.finite_part needs: _EPS_N_MIN nodes over a factor >= 8
         eps_lo, eps_hi = _number(grid["eps_lo"], "eps_lo"), _number(grid["eps_hi"], "eps_hi")
         if eps_lo <= 0.0 or eps_hi / eps_lo < 8.0:
             raise ConfigError("'eps_lo' must be positive and 'eps_hi' / 'eps_lo' at least 8")
@@ -206,7 +210,7 @@ class AuditConfig:
             theta=theta,
             jet_n_grid=_integer(jet["n_grid"], "n_grid", 1, _N_GRID_MAX),
             jet_amplitude=_number(jet["amplitude"], "amplitude"),
-            eps_n=_integer(grid["eps_n"], "eps_n", 6),
+            eps_n=_integer(grid["eps_n"], "eps_n", _EPS_N_MIN),
             eps_lo=eps_lo,
             eps_hi=eps_hi,
             rho_max=rho_max,

@@ -22,7 +22,10 @@ bracket correction.  Orthonormal-frame components (consumed by
 of the spatial metric block.
 
 rho-derivatives are always analytic (the metric families are polynomial or
-closed-form in rho); boundary derivatives on the torus are spectral.
+closed-form in rho).  Boundary derivatives on the torus are spectral: each
+geometry's ``xderiv`` returns the three x-derivatives of a pointwise field
+stacked as (points, 3, ...), and the torus computes them by applying the
+grid's dense n x n Fourier differentiation matrix along each grid axis.
 """
 
 from __future__ import annotations
@@ -217,7 +220,8 @@ class TorusJetGeometry:
     """Flat 3-torus boundary with jet metric gamma + rho^2 g2 + rho^3 g3.
 
     Boundary frame: coordinate fields d/dx_i on the side-2pi torus
-    (structure constants zero).  x-derivatives are spectral.
+    (structure constants zero).  x-derivatives are spectral: the dense n x n
+    Fourier differentiation matrix, built once, applied along each grid axis.
     """
 
     def __init__(self, jet: BoundaryJet):
@@ -230,6 +234,7 @@ class TorusJetGeometry:
         self._gamma = flat(jet.gamma)
         self._g2 = flat(jet.g2)
         self._g3 = flat(jet.g3)
+        self._dmat = spectral_deriv(np.eye(jet.n_grid), 0)
 
     def spatial(self, rho):
         """g_rho and its first three analytic rho-derivatives, (points, 3, 3).
@@ -244,14 +249,21 @@ class TorusJetGeometry:
         d3 = np.tile(6.0 * self._g3, (r.size, 1, 1))
         return g.reshape(-1, 3, 3), d1.reshape(-1, 3, 3), d2.reshape(-1, 3, 3), d3
 
-    def xderiv(self, field: np.ndarray, axis: int) -> np.ndarray:
-        """Derivative along boundary coordinate `axis` of a pointwise field.
+    def xderiv(self, field: np.ndarray) -> np.ndarray:
+        """The three boundary x-derivatives of a pointwise field, (points, 3, ...).
 
-        The point axis may stack several rho-slices (rho-major).
+        The point axis may stack several rho-slices (rho-major).  Each
+        derivative applies the Fourier differentiation matrix along one grid
+        axis.
         """
         n = self.n_grid
-        grid = field.reshape((-1, n, n, n) + field.shape[1:])
-        return spectral_deriv(grid, axis + 1).reshape(field.shape)
+        grid = field.reshape(-1, n, n, n, math.prod(field.shape[1:]))
+        out = np.empty(grid.shape[:4] + (3, grid.shape[4]))
+        for axis in range(3):
+            # the grid axes before ``axis`` batch the product, those after it ride along
+            lead = grid.shape[0] * n**axis
+            out[..., axis, :] = (self._dmat @ grid.reshape(lead, n, -1)).reshape(grid.shape)
+        return out.reshape((field.shape[0], 3) + field.shape[1:])
 
 
 def spectral_deriv(field: np.ndarray, axis: int) -> np.ndarray:
@@ -292,8 +304,8 @@ class RadialGeometry:
         d3 = 2.0 * (3.0 * a[1] * a[2] + a[0] * a[3]) * eye
         return g, d1, d2, d3
 
-    def xderiv(self, field: np.ndarray, axis: int) -> np.ndarray:
-        return np.zeros_like(field)
+    def xderiv(self, field: np.ndarray) -> np.ndarray:
+        return np.zeros((field.shape[0], 3) + field.shape[1:])
 
 
 class PolynomialPerturbation:
@@ -340,8 +352,8 @@ class PerturbedGeometry:
             d3 + self.t * m.value(rho, 3),
         )
 
-    def xderiv(self, field: np.ndarray, axis: int) -> np.ndarray:
-        return self.base.xderiv(field, axis)
+    def xderiv(self, field: np.ndarray) -> np.ndarray:
+        return self.base.xderiv(field)
 
 
 # -- frame Christoffels and curvature ---------------------------------------
@@ -375,40 +387,24 @@ def christoffels_bar(geom, rho):
     Koszul formula with structure-function terms.
     """
     gbar, dgbar, d2gbar = _gbar_blocks(geom, rho)
-    c4 = _cbar4(geom)
-
-    def koszul(gb, xg):
-        # xg[n, a, b, c] = Xbar_a (gbar_bc); target index order (c, a, b)
-        lower = 0.5 * (
-            np.einsum("nabc->ncab", xg)  # X_a g_bc
-            + np.einsum("nbac->ncab", xg)  # X_b g_ac
-            - np.einsum("ncab->ncab", xg)  # X_c g_ab
-        )
-        # structure-constant terms: + C^d_ab g_dc - C^d_ac g_db - C^d_bc g_da
-        lower = lower + 0.5 * (
-            np.einsum("dab,ndc->ncab", c4, gb)
-            - np.einsum("dac,ndb->ncab", c4, gb)
-            - np.einsum("dbc,nda->ncab", c4, gb)
-        )
-        return lower
-
-    def xgrad(gb, dgb_rho):
-        xg = np.zeros((gb.shape[0], 4, 4, 4))
-        for i in range(3):
-            xg[:, i] = geom.xderiv(gb, i)
-        xg[:, 3] = dgb_rho
-        return xg
-
+    npts = gbar.shape[0]
+    pair = np.stack([gbar, dgbar], axis=1)  # (n, f, 4, 4): gbar and d/d rho gbar
+    # xg[n, f, a, b, c] = Xbar_a (pair_f)_bc, one x-derivative call for both fields
+    xg = np.empty((npts, 2, 4, 4, 4))
+    xg[:, :, :3] = geom.xderiv(pair).transpose(0, 2, 1, 3, 4)
+    xg[:, 0, 3] = dgbar
+    xg[:, 1, 3] = d2gbar
+    # minus the structure-constant terms, C^d_ab (pair_f)_dc at [n, f, c, a, b]
+    xg -= np.tensordot(pair, _cbar4(geom), axes=([2], [0]))
+    # lower[n, f, c, a, b] = 1/2 (X_a g_bc + X_b g_ac - X_c g_ab
+    #                             + C^d_ab g_dc - C^d_ac g_db - C^d_bc g_da)
+    lower = xg.transpose(0, 1, 4, 2, 3) + xg.transpose(0, 1, 4, 3, 2) - xg
+    lower = 0.5 * lower.reshape(npts, 2, 4, 16)
     ginv = np.linalg.inv(gbar)
-    dginv = -np.einsum("nab,nbc,ncd->nad", ginv, dgbar, ginv)
-
-    lower = koszul(gbar, xgrad(gbar, dgbar))
-    dlower = koszul(dgbar, xgrad(dgbar, d2gbar))
-    gamma = np.einsum("nuc,ncab->nuab", ginv, lower)
-    dgamma = np.einsum("nuc,ncab->nuab", dginv, lower) + np.einsum(
-        "nuc,ncab->nuab", ginv, dlower
-    )
-    return gamma, dgamma
+    gamma = ginv @ lower[:, 0]
+    # d/d rho (g^-1 lower) = g^-1 (dlower - dgbar g^-1 lower)
+    dgamma = ginv @ (lower[:, 1] - dgbar @ gamma)
+    return gamma.reshape(npts, 4, 4, 4), dgamma.reshape(npts, 4, 4, 4)
 
 
 def _rho_per_point(rho, npts: int) -> np.ndarray:
@@ -425,18 +421,13 @@ def christoffels(geom, rho):
     gbar, dgbar, _ = _gbar_blocks(geom, rho)
     gamma_bar, dgamma_bar = christoffels_bar(geom, rho)
     rho = _rho_per_point(rho, gbar.shape[0])
-    eye = np.eye(4)
-    delta_term = np.einsum("su,t->ust", eye, eye[3])
-    gamma = (
-        rho * gamma_bar
-        - delta_term[None, :, :, :]
-        + np.einsum("u,nst->nust", eye[3], gbar)
-    )
+    gamma = rho * gamma_bar
+    gamma[:, range(4), range(4), 3] -= 1.0
+    gamma[:, 3] += gbar
     # rho d/d rho Gamma = rho (Gammabar + rho dGammabar + delta_u4 dgbar)
-    dgamma = rho * (
-        gamma_bar + rho * dgamma_bar + np.einsum("u,nst->nust", eye[3], dgbar)
-    )
-    return gamma, dgamma
+    dgamma = gamma_bar + rho * dgamma_bar
+    dgamma[:, 3] += dgbar
+    return gamma, rho * dgamma
 
 
 def _frame_curvature(geom, gamma, radial_deriv, spatial_scale, cfun, gbar):
@@ -447,20 +438,18 @@ def _frame_curvature(geom, gamma, radial_deriv, spatial_scale, cfun, gbar):
     structure functions of the frame F.
     """
     npts = gamma.shape[0]
-    dg = np.zeros((npts, 4) + gamma.shape[1:])
-    for i in range(3):
-        dg[:, i] = spatial_scale * geom.xderiv(gamma, i)
-    dg[:, 3] = radial_deriv
-    # dg[n, s, w, t, u] = F_s Gamma^w_tu
-    t1 = dg - np.transpose(dg, (0, 3, 2, 1, 4))
-    quad = np.einsum("nxtu,nwsx->nswtu", gamma, gamma)
-    t2 = quad - np.transpose(quad, (0, 3, 2, 1, 4))
-    if cfun.ndim == 3:
-        t3 = np.einsum("xst,nwxu->nswtu", cfun, gamma)
-    else:
-        t3 = np.einsum("nxst,nwxu->nswtu", cfun, gamma)
-    rup = t1 + t2 - t3
-    return np.einsum("nswtu,nwv->nstuv", rup, gbar)
+    # gt[n, a, b, w] = Gamma^w_ab; every term below is laid out (n, s, t, u, w)
+    gt = np.ascontiguousarray(gamma.transpose(0, 2, 3, 1))
+    # rup[n, s, t, u, w] = F_s Gamma^w_tu + Gamma^w_sx Gamma^x_tu, then (s <-> t)
+    rup = np.empty((npts, 4, 4, 4, 4))
+    rup[:, :3] = np.reshape(spatial_scale, (-1, 1, 1, 1, 1)) * geom.xderiv(gt)
+    rup[:, 3] = radial_deriv.transpose(0, 2, 3, 1)
+    rup += (gamma.reshape(npts, 1, 4, 16).swapaxes(-1, -2) @ gt).reshape(rup.shape)
+    rup = rup - rup.swapaxes(1, 2)
+    # structure-function term C^x_st Gamma^w_xu
+    ct = cfun.reshape(cfun.shape[:-3] + (4, 16)).swapaxes(-1, -2)
+    rup -= (ct @ gt.reshape(npts, 4, 16)).reshape(rup.shape)
+    return (rup.reshape(npts, 64, 4) @ gbar).reshape(npts, 4, 4, 4, 4)
 
 
 def on_transform(gbar: np.ndarray) -> np.ndarray:
@@ -477,7 +466,10 @@ def to_on2(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def to_on4(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.einsum("nstuv,nsa,ntb,nuc,nvd->nabcd", fld, q, q, q, q, optimize=True)
+    n = q.shape[0]
+    # qq[n, (s, t), (a, b)] = q[n, s, a] q[n, t, b] moves an index pair at once
+    qq = (q[:, :, None, :, None] * q[:, None, :, None, :]).reshape(n, 16, 16)
+    return (qq.swapaxes(1, 2) @ fld.reshape(n, 16, 16) @ qq).reshape(fld.shape)
 
 
 def curvature_in_frame(geom, rho) -> dict:

@@ -499,12 +499,12 @@ def batch_invariants(R: np.ndarray) -> dict[str, np.ndarray]:
     # Weyl part: W = R - (s/24) g.g - (1/2) z.g, with KN products expanded
     eye = np.eye(4)
     gg = 2.0 * (np.einsum("ac,bd->abcd", eye, eye) - np.einsum("ad,bc->abcd", eye, eye))
-    zg = (
-        np.einsum("...ac,bd->...abcd", z, eye)
-        + np.einsum("...bd,ac->...abcd", z, eye)
-        - np.einsum("...ad,bc->...abcd", z, eye)
-        - np.einsum("...bc,ad->...abcd", z, eye)
-    )
+    # z.g = z_ac g_bd + z_bd g_ac - z_ad g_bc - z_bc g_ad, from its first term
+    zg = np.zeros(R.shape)
+    for b in range(4):
+        zg[..., :, b, :, b] = z
+    zg = zg - np.swapaxes(zg, -4, -3)
+    zg = zg - np.swapaxes(zg, -2, -1)
     W = R - s[..., None, None, None, None] / 24.0 * gg - 0.5 * zg
     w2 = np.einsum("...abcd,...abcd->...", W, W)
     R2 = np.einsum("...abcd,...abcd->...", R, R)

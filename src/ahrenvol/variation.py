@@ -1,16 +1,15 @@
 """Variational calculus for the renormalized |z|^2 functional.
 
-Two backends share one set of conventions for the generalized Hessian
-``DDt + DtD`` on double forms:
-
-* :class:`FlatTorus4` — a periodic flat 4-torus with spectral derivatives,
-  used to pin the D / Dt normalization and to exercise the adjoint identity
-  ``deltat delta + delta deltat = *(DDt + DtD)*`` exactly (integration by
-  parts has no boundary terms on a torus).
-* collar geometries from :mod:`ahrenvol.collar` — covariant derivatives in
-  the scaled frame X_s = rho Xbar_s, assembled either from analytic
-  rho-jets of the field (exact, preferred) or from a fourth-order radial
-  finite-difference stencil (fallback for fields with no closed-form jet).
+The generalized Hessian ``DDt + DtD`` on double forms is computed on the
+collar geometries of :mod:`ahrenvol.collar`, from covariant derivatives in
+the scaled frame X_s = rho Xbar_s, assembled either from analytic rho-jets
+of the field (exact, preferred) or from a fourth-order radial
+finite-difference stencil (fallback for fields with no closed-form jet).
+It shares its conventions with the flat 4-torus calculus of the test
+oracles (``FlatTorus4`` in ``tests/oracles.py``), which pins the D / Dt
+normalization and exercises the adjoint identity
+``deltat delta + delta deltat = *(DDt + DtD)*`` exactly (integration by
+parts has no boundary terms on a torus).
 
 The normalization of D and Dt is pinned operationally: on a flat background
 the linearized curvature ``R'h = -1/4 (DDt + DtD) h`` must reproduce the
@@ -32,7 +31,6 @@ always inserted immediately before the index block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,15 +49,11 @@ from .collar import (
     on_transform,
     perturbed_profile,
     rho_series_fit,
-    spectral_deriv,
     to_on2,
     to_on4,
 )
-from .dfalg import _EPS4
 
 __all__ = [
-    "FlatTorus4",
-    "hessian_ops",
     "CutoffPerturbation",
     "MetricPerturbation",
     "fd_jet",
@@ -84,127 +78,6 @@ __all__ = [
     "run_flow",
     "DEFAULT_SUPPORT",
 ]
-
-# -- flat-torus double-form calculus -----------------------------------------
-
-
-class FlatTorus4:
-    """Dense double-form calculus on the side-2pi flat 4-torus.
-
-    Fields have shape (n, n, n, n) + (4,)*p + (4,)*q.  Derivatives are
-    spectral, so products of low-mode fields stay exact as long as the grid
-    resolves them (keep total mode content below the Nyquist frequency).
-    """
-
-    def __init__(self, n_grid: int):
-        if n_grid < 4:
-            raise ValueError("insufficient stencil width")
-        self.n_grid = int(n_grid)
-        self.weight = (2.0 * math.pi / n_grid) ** 4
-
-    # scalar/grid derivatives ------------------------------------------------
-
-    def deriv(self, fld: np.ndarray, axis: int) -> np.ndarray:
-        return spectral_deriv(fld, axis)
-
-    def d_all(self, fld: np.ndarray) -> np.ndarray:
-        """All four derivatives, new axis inserted before the index block."""
-        return np.stack([self.deriv(fld, a) for a in range(4)], axis=4)
-
-    # first-order operators ----------------------------------------------------
-
-    def D(self, fld: np.ndarray, p: int, q: int) -> np.ndarray:
-        """Exterior derivative on the first factor: (p, q) -> (p+1, q)."""
-        der = self.d_all(fld)
-        g0 = der.ndim - p - q - 1
-        out = der.copy()
-        for s in range(1, p + 1):
-            out += (-1.0) ** s * np.moveaxis(der, g0, g0 + s)
-        return out
-
-    def Dt(self, fld: np.ndarray, p: int, q: int) -> np.ndarray:
-        """Exterior derivative on the second factor: (p, q) -> (p, q+1).
-
-        The overall sign is pinned by the flat-background linearized
-        curvature identity (see module docstring).
-        """
-        der = self.d_all(fld)
-        g0 = der.ndim - p - q - 1
-        der2 = np.moveaxis(der, g0, g0 + p)
-        out = der2.copy()
-        for s in range(1, q + 1):
-            out += (-1.0) ** s * np.moveaxis(der2, g0 + p, g0 + p + s)
-        return -out
-
-    # pointwise algebra ----------------------------------------------------
-
-    @staticmethod
-    def contract(fld: np.ndarray, p: int, q: int) -> np.ndarray:
-        """c: trace the first slot of each factor group; (p, q) -> (p-1, q-1)."""
-        nd = fld.ndim
-        return np.trace(fld, axis1=nd - p - q, axis2=nd - q)
-
-    @staticmethod
-    def star_group(fld: np.ndarray, p: int, q: int, group: int) -> np.ndarray:
-        letters_p = "abcd"[:p]
-        letters_q = "ijkl"[:q]
-        if group == 0:
-            comp = "efgh"[: 4 - p]
-            spec = f"{letters_p}{comp},...{letters_p}{letters_q}->...{comp}{letters_q}"
-            return np.einsum(spec, _EPS4, fld) / math.factorial(p)
-        comp = "mnop"[: 4 - q]
-        spec = f"{letters_q}{comp},...{letters_p}{letters_q}->...{letters_p}{comp}"
-        return np.einsum(spec, _EPS4, fld) / math.factorial(q)
-
-    def star(self, fld: np.ndarray, p: int, q: int) -> np.ndarray:
-        """Hodge star on both factor groups (flat ON frame)."""
-        return self.star_group(self.star_group(fld, p, q, 0), 4 - p, q, 1)
-
-    # second-order operators -------------------------------------------------
-
-    def hessian(self, fld: np.ndarray, p: int, q: int) -> np.ndarray:
-        """(DDt + DtD) fld, bidegree (p+1, q+1)."""
-        return self.D(self.Dt(fld, p, q), p, q + 1) + self.Dt(self.D(fld, p, q), p + 1, q)
-
-    def delta(self, fld: np.ndarray, p: int, q: int) -> np.ndarray:
-        """delta = c Dt + Dt c : (p, q) -> (p-1, q)."""
-        t1 = self.contract(self.Dt(fld, p, q), p, q + 1)
-        t2 = self.Dt(self.contract(fld, p, q), p - 1, q - 1)
-        return t1 + t2
-
-    def deltat(self, fld: np.ndarray, p: int, q: int) -> np.ndarray:
-        """deltat = c D + D c : (p, q) -> (p, q-1)."""
-        t1 = self.contract(self.D(fld, p, q), p + 1, q)
-        t2 = self.D(self.contract(fld, p, q), p - 1, q - 1)
-        return t1 + t2
-
-    def adjoint_hessian(self, fld: np.ndarray, p: int, q: int) -> np.ndarray:
-        """(deltat delta + delta deltat) fld, bidegree (p-1, q-1)."""
-        return self.deltat(self.delta(fld, p, q), p - 1, q) + self.delta(
-            self.deltat(fld, p, q), p, q - 1
-        )
-
-    def inner(self, a: np.ndarray, b: np.ndarray, p: int, q: int) -> float:
-        """Integrated compressed inner product (full sum / p! q!)."""
-        return self.weight * float(np.sum(a * b)) / (
-            math.factorial(p) * math.factorial(q)
-        )
-
-
-def hessian_ops(torus: FlatTorus4, fld: np.ndarray, p: int, q: int) -> dict:
-    """Generalized Hessian and its formal adjoint on the flat torus.
-
-    Returns ``{"DDt": (DDt+DtD) fld, "adjoint": (deltat delta + delta deltat)
-    fld}``; the two are intertwined by the double Hodge star, which the test
-    suite checks pointwise.
-    """
-    if min(p, q) < 1:
-        raise ValueError("adjoint requires bidegree at least (1, 1)")
-    return {
-        "DDt": torus.hessian(fld, p, q),
-        "adjoint": torus.adjoint_hessian(fld, p, q),
-    }
-
 
 # -- perturbations ------------------------------------------------------------
 
@@ -316,17 +189,16 @@ def frame_covariant_derivative(geom, rho: float, jet, christ):
             )
             out -= np.moveaxis(corr, 2, 2 + slot)
 
+    xval = geom.xderiv(val)
     nabla = np.zeros((val.shape[0], 4) + val.shape[1:])
-    for i in range(3):
-        nabla[:, i] = rho * geom.xderiv(val, i)
+    nabla[:, :3] = rho * xval
     nabla[:, 3] = rho * d1
     subtract_connection(nabla, [(gamma, val)])
     if len(jet) < 3:
         return (nabla,)
     d2 = np.asarray(jet[2], float)
     dnabla = np.zeros_like(nabla)
-    for i in range(3):
-        dnabla[:, i] = geom.xderiv(val, i) + rho * geom.xderiv(d1, i)
+    dnabla[:, :3] = xval + rho * geom.xderiv(d1)
     dnabla[:, 3] = d1 + rho * d2
     subtract_connection(dnabla, [(dgamma / rho, val), (gamma, d1)])
     return nabla, dnabla

@@ -6,7 +6,9 @@ shared sign helpers), so agreement with ahrenvol.dfalg is a genuine
 two-implementation check.  Permutation signs are computed from determinants
 of permutation matrices.  The eps-families of ahrenvol.renorm are checked
 against adaptive quadrature, one scalar rho at a time, and their finite
-parts against Taylor subtraction.
+parts against Taylor subtraction.  The collar curvature engine is checked
+against its einsum form with per-axis FFT boundary derivatives, and the
+collar Hessian's D / Dt conventions against the flat 4-torus calculus.
 """
 
 from __future__ import annotations
@@ -17,7 +19,18 @@ import math
 import numpy as np
 from scipy import integrate
 
-from ahrenvol.collar import NonConvergence
+from ahrenvol import dfalg
+from ahrenvol.collar import (
+    NonConvergence,
+    PerturbedGeometry,
+    RadialGeometry,
+    _cbar4,
+    _gbar_blocks,
+    _rho_per_point,
+    on_transform,
+    spectral_deriv,
+)
+from ahrenvol.dfalg import _EPS4
 
 
 def perm_sign(perm) -> int:
@@ -227,3 +240,279 @@ def paycha_finite_part(func, taylor, a: float, cutoff: float = 0.05) -> float:
     return (
         head + tail - f0 / (3.0 * a**3) - f1 / (2.0 * a**2) - f2 / a + f3 * math.log(a)
     )
+
+
+# -- flat-torus double-form calculus -----------------------------------------
+
+
+class FlatTorus4:
+    """Dense double-form calculus on the side-2pi flat 4-torus.
+
+    Fields have shape (n, n, n, n) + (4,)*p + (4,)*q.  Derivatives are
+    spectral, so products of low-mode fields stay exact as long as the grid
+    resolves them (keep total mode content below the Nyquist frequency).
+    """
+
+    def __init__(self, n_grid: int):
+        if n_grid < 4:
+            raise ValueError("insufficient stencil width")
+        self.n_grid = int(n_grid)
+        self.weight = (2.0 * math.pi / n_grid) ** 4
+
+    # scalar/grid derivatives ------------------------------------------------
+
+    def deriv(self, fld: np.ndarray, axis: int) -> np.ndarray:
+        return spectral_deriv(fld, axis)
+
+    def d_all(self, fld: np.ndarray) -> np.ndarray:
+        """All four derivatives, new axis inserted before the index block."""
+        return np.stack([self.deriv(fld, a) for a in range(4)], axis=4)
+
+    # first-order operators ----------------------------------------------------
+
+    def D(self, fld: np.ndarray, p: int, q: int) -> np.ndarray:
+        """Exterior derivative on the first factor: (p, q) -> (p+1, q)."""
+        der = self.d_all(fld)
+        g0 = der.ndim - p - q - 1
+        out = der.copy()
+        for s in range(1, p + 1):
+            out += (-1.0) ** s * np.moveaxis(der, g0, g0 + s)
+        return out
+
+    def Dt(self, fld: np.ndarray, p: int, q: int) -> np.ndarray:
+        """Exterior derivative on the second factor: (p, q) -> (p, q+1).
+
+        The overall sign is pinned by the flat-background linearized
+        curvature identity (see the ahrenvol.variation module docstring).
+        """
+        der = self.d_all(fld)
+        g0 = der.ndim - p - q - 1
+        der2 = np.moveaxis(der, g0, g0 + p)
+        out = der2.copy()
+        for s in range(1, q + 1):
+            out += (-1.0) ** s * np.moveaxis(der2, g0 + p, g0 + p + s)
+        return -out
+
+    # pointwise algebra ----------------------------------------------------
+
+    @staticmethod
+    def contract(fld: np.ndarray, p: int, q: int) -> np.ndarray:
+        """c: trace the first slot of each factor group; (p, q) -> (p-1, q-1)."""
+        nd = fld.ndim
+        return np.trace(fld, axis1=nd - p - q, axis2=nd - q)
+
+    @staticmethod
+    def star_group(fld: np.ndarray, p: int, q: int, group: int) -> np.ndarray:
+        letters_p = "abcd"[:p]
+        letters_q = "ijkl"[:q]
+        if group == 0:
+            comp = "efgh"[: 4 - p]
+            spec = f"{letters_p}{comp},...{letters_p}{letters_q}->...{comp}{letters_q}"
+            return np.einsum(spec, _EPS4, fld) / math.factorial(p)
+        comp = "mnop"[: 4 - q]
+        spec = f"{letters_q}{comp},...{letters_p}{letters_q}->...{letters_p}{comp}"
+        return np.einsum(spec, _EPS4, fld) / math.factorial(q)
+
+    def star(self, fld: np.ndarray, p: int, q: int) -> np.ndarray:
+        """Hodge star on both factor groups (flat ON frame)."""
+        return self.star_group(self.star_group(fld, p, q, 0), 4 - p, q, 1)
+
+    # second-order operators -------------------------------------------------
+
+    def hessian(self, fld: np.ndarray, p: int, q: int) -> np.ndarray:
+        """(DDt + DtD) fld, bidegree (p+1, q+1)."""
+        return self.D(self.Dt(fld, p, q), p, q + 1) + self.Dt(self.D(fld, p, q), p + 1, q)
+
+    def delta(self, fld: np.ndarray, p: int, q: int) -> np.ndarray:
+        """delta = c Dt + Dt c : (p, q) -> (p-1, q)."""
+        t1 = self.contract(self.Dt(fld, p, q), p, q + 1)
+        t2 = self.Dt(self.contract(fld, p, q), p - 1, q - 1)
+        return t1 + t2
+
+    def deltat(self, fld: np.ndarray, p: int, q: int) -> np.ndarray:
+        """deltat = c D + D c : (p, q) -> (p, q-1)."""
+        t1 = self.contract(self.D(fld, p, q), p + 1, q)
+        t2 = self.D(self.contract(fld, p, q), p - 1, q - 1)
+        return t1 + t2
+
+    def adjoint_hessian(self, fld: np.ndarray, p: int, q: int) -> np.ndarray:
+        """(deltat delta + delta deltat) fld, bidegree (p-1, q-1)."""
+        return self.deltat(self.delta(fld, p, q), p - 1, q) + self.delta(
+            self.deltat(fld, p, q), p, q - 1
+        )
+
+    def inner(self, a: np.ndarray, b: np.ndarray, p: int, q: int) -> float:
+        """Integrated compressed inner product (full sum / p! q!)."""
+        return self.weight * float(np.sum(a * b)) / (
+            math.factorial(p) * math.factorial(q)
+        )
+
+
+def hessian_ops(torus: FlatTorus4, fld: np.ndarray, p: int, q: int) -> dict:
+    """Generalized Hessian and its formal adjoint on the flat torus.
+
+    Returns ``{"DDt": (DDt+DtD) fld, "adjoint": (deltat delta + delta deltat)
+    fld}``; the two are intertwined by the double Hodge star, which the test
+    suite checks pointwise.
+    """
+    if min(p, q) < 1:
+        raise ValueError("adjoint requires bidegree at least (1, 1)")
+    return {
+        "DDt": torus.hessian(fld, p, q),
+        "adjoint": torus.adjoint_hessian(fld, p, q),
+    }
+
+
+# -- reference curvature engine ------------------------------------------------
+# The einsum form of the collar engine's kernels, the reference for the
+# batched-matmul kernels of ahrenvol.collar and ahrenvol.dfalg.  Each body is
+# the engine's former code; only the boundary derivative is spelled
+# fft_xderiv(geom, field, i), the per-axis FFT, where it read
+# geom.xderiv(field, i).
+
+
+def fft_xderiv(geom, field: np.ndarray, axis: int) -> np.ndarray:
+    """Derivative along boundary coordinate ``axis`` by one FFT pair; zero on S^3."""
+    while isinstance(geom, PerturbedGeometry):
+        geom = geom.base
+    if isinstance(geom, RadialGeometry):
+        return np.zeros_like(field)
+    n = geom.n_grid
+    grid = field.reshape((-1, n, n, n) + field.shape[1:])
+    return spectral_deriv(grid, axis + 1).reshape(field.shape)
+
+
+def christoffels_bar_einsum(geom, rho):
+    """Levi-Civita symbols of gbar in the frame Xbar, plus d/d rho.
+
+    Returns (Gbar, dGbar) with Gbar[n, u, a, b] = Gammabar^u_ab, from the
+    Koszul formula with structure-function terms.
+    """
+    gbar, dgbar, d2gbar = _gbar_blocks(geom, rho)
+    c4 = _cbar4(geom)
+
+    def koszul(gb, xg):
+        # xg[n, a, b, c] = Xbar_a (gbar_bc); target index order (c, a, b)
+        lower = 0.5 * (
+            np.einsum("nabc->ncab", xg)  # X_a g_bc
+            + np.einsum("nbac->ncab", xg)  # X_b g_ac
+            - np.einsum("ncab->ncab", xg)  # X_c g_ab
+        )
+        # structure-constant terms: + C^d_ab g_dc - C^d_ac g_db - C^d_bc g_da
+        lower = lower + 0.5 * (
+            np.einsum("dab,ndc->ncab", c4, gb)
+            - np.einsum("dac,ndb->ncab", c4, gb)
+            - np.einsum("dbc,nda->ncab", c4, gb)
+        )
+        return lower
+
+    def xgrad(gb, dgb_rho):
+        xg = np.zeros((gb.shape[0], 4, 4, 4))
+        for i in range(3):
+            xg[:, i] = fft_xderiv(geom, gb, i)
+        xg[:, 3] = dgb_rho
+        return xg
+
+    ginv = np.linalg.inv(gbar)
+    dginv = -np.einsum("nab,nbc,ncd->nad", ginv, dgbar, ginv)
+
+    lower = koszul(gbar, xgrad(gbar, dgbar))
+    dlower = koszul(dgbar, xgrad(dgbar, d2gbar))
+    gamma = np.einsum("nuc,ncab->nuab", ginv, lower)
+    dgamma = np.einsum("nuc,ncab->nuab", dginv, lower) + np.einsum(
+        "nuc,ncab->nuab", ginv, dlower
+    )
+    return gamma, dgamma
+
+
+def christoffels_einsum(geom, rho):
+    """Frame Christoffels of g in X_s = rho Xbar_s, and rho d/d rho of them.
+
+    Gamma^u_st = rho Gammabar^u_st - delta_su delta_t4 + delta_u4 gbar_st.
+    """
+    gbar, dgbar, _ = _gbar_blocks(geom, rho)
+    gamma_bar, dgamma_bar = christoffels_bar_einsum(geom, rho)
+    rho = _rho_per_point(rho, gbar.shape[0])
+    eye = np.eye(4)
+    delta_term = np.einsum("su,t->ust", eye, eye[3])
+    gamma = (
+        rho * gamma_bar
+        - delta_term[None, :, :, :]
+        + np.einsum("u,nst->nust", eye[3], gbar)
+    )
+    # rho d/d rho Gamma = rho (Gammabar + rho dGammabar + delta_u4 dgbar)
+    dgamma = rho * (
+        gamma_bar + rho * dgamma_bar + np.einsum("u,nst->nust", eye[3], dgbar)
+    )
+    return gamma, dgamma
+
+
+def frame_curvature_einsum(geom, gamma, radial_deriv, spatial_scale, cfun, gbar):
+    """Riem_stuv = gbar(R(F_s, F_t) F_u, F_v) for a frame with given data.
+
+    gamma[n,u,a,b]: connection symbols; radial_deriv: F_4 applied to gamma;
+    spatial_scale: factor multiplying Xbar_i to give F_i; cfun[(n),x,s,t]:
+    structure functions of the frame F.
+    """
+    npts = gamma.shape[0]
+    dg = np.zeros((npts, 4) + gamma.shape[1:])
+    for i in range(3):
+        dg[:, i] = spatial_scale * fft_xderiv(geom, gamma, i)
+    dg[:, 3] = radial_deriv
+    # dg[n, s, w, t, u] = F_s Gamma^w_tu
+    t1 = dg - np.transpose(dg, (0, 3, 2, 1, 4))
+    quad = np.einsum("nxtu,nwsx->nswtu", gamma, gamma)
+    t2 = quad - np.transpose(quad, (0, 3, 2, 1, 4))
+    if cfun.ndim == 3:
+        t3 = np.einsum("xst,nwxu->nswtu", cfun, gamma)
+    else:
+        t3 = np.einsum("nxst,nwxu->nswtu", cfun, gamma)
+    rup = t1 + t2 - t3
+    return np.einsum("nswtu,nwv->nstuv", rup, gbar)
+
+
+def to_on4_einsum(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.einsum("nstuv,nsa,ntb,nuc,nvd->nabcd", fld, q, q, q, q, optimize=True)
+
+
+def zg_einsum(z: np.ndarray) -> np.ndarray:
+    """Kulkarni-Nomizu product z.g of a batch of (4, 4) fields with the identity."""
+    eye = np.eye(4)
+    return (
+        np.einsum("...ac,bd->...abcd", z, eye)
+        + np.einsum("...bd,ac->...abcd", z, eye)
+        - np.einsum("...ad,bc->...abcd", z, eye)
+        - np.einsum("...bc,ad->...abcd", z, eye)
+    )
+
+
+def curvature_in_frame_einsum(geom, rho) -> dict:
+    """The fields of collar.curvature_in_frame, from the kernels above.
+
+    The invariants are dfalg.batch_invariants of the reference riem_on, with
+    |W|^2 recomputed through zg_einsum.
+    """
+    gbar, _, _ = _gbar_blocks(geom, rho)
+    gamma, dgamma = christoffels_einsum(geom, rho)
+    rho = _rho_per_point(rho, gbar.shape[0])
+    eye = np.eye(4)
+    cfun = np.einsum("s,xt->xst", eye[3], eye) - np.einsum("t,xs->xst", eye[3], eye)
+    cfun = cfun + rho * _cbar4(geom)
+    riem = frame_curvature_einsum(geom, gamma, dgamma, rho, cfun, gbar)
+    q = on_transform(gbar)
+    riem_on = to_on4_einsum(riem, q)
+    inv = dict(dfalg.batch_invariants(riem_on))
+    gg = 2.0 * (np.einsum("ac,bd->abcd", eye, eye) - np.einsum("ad,bc->abcd", eye, eye))
+    W = riem_on - inv["s"][..., None, None, None, None] / 24.0 * gg - 0.5 * zg_einsum(inv["z"])
+    inv["w2"] = np.einsum("...abcd,...abcd->...", W, W)
+    return {"gamma": gamma, "riem": riem, "q": q, "riem_on": riem_on, "invariants": inv}
+
+
+def curvature_bar_einsum(geom, rho) -> dict:
+    """The fields of collar.curvature_bar, from the kernels above."""
+    gbar, _, _ = _gbar_blocks(geom, rho)
+    gamma_bar, dgamma_bar = christoffels_bar_einsum(geom, rho)
+    riem = frame_curvature_einsum(geom, gamma_bar, dgamma_bar, 1.0, _cbar4(geom), gbar)
+    ginv = np.linalg.inv(gbar)
+    ric = np.einsum("nsv,nsavb->nab", ginv, riem)
+    return {"riem": riem, "ric": ric}

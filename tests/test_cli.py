@@ -106,6 +106,8 @@ class TestConfigValidation:
             ({"profile": {"theta": 5}}, "theta"),
             ({"trials": 0}, "trials"),
             ({"grid": {"eps_n": 4}}, "eps_n"),
+            ({"grid": {"eps_n": 6}}, "eps_n"),
+            ({"grid": {"eps_n": 7}}, "eps_n"),
             ({"jet": {"n_grid": 0}}, "n_grid"),
             ({"flow": {"eta": -1.0}}, "eta"),
             ({"grid": {"rho_max": 0.1}}, "rho_max"),
@@ -119,7 +121,7 @@ class TestConfigValidation:
             ({"jet": {"n_grid": 10**6}}, "n_grid"),
             ({"family": "torus-collar"}, "family"),
         ],
-        ids=["seed", "theta", "trials", "eps_n", "n_grid", "eta", "rho_max_below_eps_hi",
+        ids=["seed", "theta", "trials", "eps_n", "eps_n_6", "eps_n_7", "n_grid", "eta", "rho_max_below_eps_hi",
              "rho_max_past_cap", "amplitude_g_rho", "amplitude_gamma", "theta_nonpositive_profile",
              "target_fraction_negative", "target_fraction_zero", "eps_lo_nan", "n_grid_huge",
              "family_not_radial"],

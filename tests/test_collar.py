@@ -26,6 +26,8 @@ from ahrenvol.collar import (
 )
 from ahrenvol.variation import CutoffPerturbation, z2_functional
 
+import oracles
+
 HYP = np.einsum("su,tv->stuv", np.eye(4), np.eye(4)) - np.einsum(
     "sv,tu->stuv", np.eye(4), np.eye(4)
 )
@@ -401,6 +403,62 @@ class TestBatchedEngine:
                 want += 0.5 * (hi - lo) * w * geom.weight * z2
         got = z2_functional(theta, segments=segments, n_per=8)
         assert got == pytest.approx(want, rel=1e-13)
+
+
+REFERENCE_GEOMETRIES = {
+    "radial": _radial_theta,
+    "torus-n4": lambda: TorusJetGeometry(random_jet(17, n_grid=4)),
+    "torus-n8": lambda: TorusJetGeometry(random_jet(3, n_grid=8)),
+    "torus-polynomial": BATCH_GEOMETRIES["torus-polynomial"],
+    "radial-cutoff": BATCH_GEOMETRIES["radial-cutoff"],
+    # the structure constants of S^3 meet a non-conformal g_rho on every slice
+    "radial-polynomial": lambda: PerturbedGeometry(
+        _radial_theta(), PolynomialPerturbation({2: _sym_field(4, 1), 3: _sym_field(5, 1)}), 0.3
+    ),
+}
+
+
+def _close_relative(got, want, rel=1e-13):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * max(1.0, np.max(np.abs(want)))
+
+
+class TestReferenceEngine:
+    """The batched-matmul kernels reproduce their einsum form (tests/oracles.py)."""
+
+    RHOS = TestBatchedEngine.RHOS
+
+    @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
+    def test_curvature_in_frame_matches_einsum_form(self, name):
+        geom = REFERENCE_GEOMETRIES[name]()
+        got = curvature_in_frame(geom, self.RHOS)
+        want = oracles.curvature_in_frame_einsum(geom, self.RHOS)
+        for key in ("gamma", "riem", "q", "riem_on"):
+            _close_relative(got[key], want[key])
+        assert set(got["invariants"]) == set(want["invariants"])
+        for key, field in want["invariants"].items():
+            _close_relative(got["invariants"][key], field)
+
+    @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
+    def test_curvature_bar_matches_einsum_form(self, name):
+        geom = REFERENCE_GEOMETRIES[name]()
+        got = curvature_bar(geom, self.RHOS)
+        want = oracles.curvature_bar_einsum(geom, self.RHOS)
+        for key in ("riem", "ric"):
+            _close_relative(got[key], want[key])
+
+    @pytest.mark.parametrize("n_grid", [3, 4, 8, 16])
+    def test_xderiv_matches_per_axis_fft(self, n_grid):
+        geom = TorusJetGeometry(BoundaryJet.flat(n_grid))
+        # two stacked slices of a field that is not band-limited: every mode,
+        # the Nyquist mode of an even grid included
+        field = np.random.default_rng(n_grid).standard_normal((2 * geom.npts, 4, 4))
+        got = geom.xderiv(field)
+        assert got.shape == (2 * geom.npts, 3, 4, 4)
+        grid = field.reshape((2,) + (n_grid,) * 3 + (4, 4))
+        for axis in range(3):
+            want = collar.spectral_deriv(grid, axis + 1).reshape(field.shape)
+            _close_relative(got[:, axis], want)
 
 
 class TestSliceBatches:

@@ -19,7 +19,6 @@ from ahrenvol.collar import (
 )
 from ahrenvol.variation import (
     CutoffPerturbation,
-    FlatTorus4,
     MetricPerturbation,
     convergence_order,
     el_slice_analysis,
@@ -32,7 +31,6 @@ from ahrenvol.variation import (
     gradient_field,
     gradient_flow_step,
     hessian11,
-    hessian_ops,
     linearized_curvature,
     on_transform,
     run_flow,
@@ -42,6 +40,7 @@ from ahrenvol.variation import (
     zprime_display,
 )
 from ahrenvol.variation import _einstein_t2_on, _embed_jet, _frame_z
+from oracles import FlatTorus4, hessian_ops
 
 
 # -- flat-torus fixtures -------------------------------------------------------
