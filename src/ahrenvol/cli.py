@@ -195,6 +195,11 @@ class AuditConfig:
         target_fraction = _number(flow["target_fraction"], "target_fraction")
         if not 0.0 < target_fraction <= 1.0:
             raise ConfigError("'target_fraction' must lie in (0, 1]")
+        theta0 = _numbers(flow["theta0"], "theta0")
+        try:
+            _collar.perturbed_profile(theta0)
+        except ValueError as exc:
+            raise ConfigError(f"'theta0' {list(theta0)} gives an invalid profile: {exc}")
         if not isinstance(top["tolerances"], dict):
             raise ConfigError("'tolerances' must be a JSON object")
         tolerances = dict(top["tolerances"])
@@ -215,7 +220,7 @@ class AuditConfig:
             eps_hi=eps_hi,
             rho_max=rho_max,
             trials=_integer(top["trials"], "trials", 1),
-            flow_theta0=_numbers(flow["theta0"], "theta0"),
+            flow_theta0=theta0,
             flow_steps=_integer(flow["steps"], "steps", 0),
             flow_eta=eta,
             flow_target_fraction=target_fraction,
@@ -486,6 +491,8 @@ def run_renvol(config: AuditConfig, tol_scale: float, threads: int) -> AuditRepo
         "quadrature_error": quad_error,
         "fit_cond": fit.cond,
         "half_grid_drift": fit.half_grid_drift,
+        "kept_powers": fit.kept_powers,
+        "log_ambiguous": fit.log_ambiguous,
     }
     return AuditReport("renvol", asdict(config), config.seed, checks, artifacts)
 
@@ -504,6 +511,7 @@ def run_gauss_bonnet(config: AuditConfig, tol_scale: float, threads: int) -> Aud
     audit = renorm.gauss_bonnet_audit(
         profile, eps_grid=config.eps_grid(), tol_scale=tol_scale, tolerances=config.tolerances
     )
+    fits = {"interior": audit["fp_interior"], "boundary": audit["fp_boundary"]}
     artifacts = {
         "eps_grid": audit["eps_grid"],
         "interior": audit["interior"],
@@ -512,11 +520,10 @@ def run_gauss_bonnet(config: AuditConfig, tol_scale: float, threads: int) -> Aud
         "fp_interior": audit["fp_interior"].finite,
         "fp_boundary": audit["fp_boundary"].finite,
         "quadrature_error": audit["quadrature_error"],
-        "fit_cond": {"interior": audit["fp_interior"].cond, "boundary": audit["fp_boundary"].cond},
-        "half_grid_drift": {
-            "interior": audit["fp_interior"].half_grid_drift,
-            "boundary": audit["fp_boundary"].half_grid_drift,
-        },
+        "fit_cond": {key: fit.cond for key, fit in fits.items()},
+        "half_grid_drift": {key: fit.half_grid_drift for key, fit in fits.items()},
+        "kept_powers": {key: fit.kept_powers for key, fit in fits.items()},
+        "log_ambiguous": {key: fit.log_ambiguous for key, fit in fits.items()},
     }
     return AuditReport("gauss-bonnet", asdict(config), config.seed, audit["checks"], artifacts)
 
@@ -775,8 +782,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.tol_scale <= 0 or args.threads < 1:
-        print("error: --tol-scale must be positive and --threads >= 1", file=sys.stderr)
+    if not (math.isfinite(args.tol_scale) and args.tol_scale > 0) or args.threads < 1:
+        print("error: --tol-scale must be finite and positive and --threads >= 1",
+              file=sys.stderr)
         return EXIT_USAGE
     try:
         config = _load_config(args)

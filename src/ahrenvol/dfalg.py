@@ -474,10 +474,11 @@ for _perm in itertools.permutations(range(4)):
     _inv = sum(1 for _a, _b in itertools.combinations(_perm, 2) if _a > _b)
     _EPS4[_perm] = (-1.0) ** _inv
 
-# eps_abcd eps_efgh R_abef R_cdgh: eps against R, eps against that, then the
-# pointwise pairing with R.  Each step is a 16x16-block tensordot; a fixed
-# path skips the per-call path search.
-_PFAFFIAN_PATH = ["einsum_path", (0, 2), (0, 2), (0, 1)]
+# eps_abcd eps_efgh R_abef R_cdgh as a full-index matrix pairing: with E the
+# (ab, cd) reshape of eps (symmetric) and R viewed as the (ab, ef) matrix, the
+# sum over all 256^2 index pairs is <E R E, R>.  No antisymmetry of R is
+# assumed, which a 6x6 bivector form would need.
+_EPS4_MATRIX = _EPS4.reshape(16, 16)
 
 
 def batch_invariants(R: np.ndarray) -> dict[str, np.ndarray]:
@@ -496,21 +497,19 @@ def batch_invariants(R: np.ndarray) -> dict[str, np.ndarray]:
     r2 = np.einsum("...ab,...ab->...", ric, ric)
     z = ric - s[..., None, None] / 4.0 * np.eye(4)
     z2 = np.einsum("...ab,...ab->...", z, z)
-    # Weyl part: W = R - (s/24) g.g - (1/2) z.g, with KN products expanded
-    eye = np.eye(4)
-    gg = 2.0 * (np.einsum("ac,bd->abcd", eye, eye) - np.einsum("ad,bc->abcd", eye, eye))
-    # z.g = z_ac g_bd + z_bd g_ac - z_ad g_bc - z_bc g_ad, from its first term
-    zg = np.zeros(R.shape)
+    # Weyl part: W = R - (s/24) g.g - (1/2) z.g = R - u.g with u = z/2 + (s/24) g,
+    # u.g = u_ac g_bd + u_bd g_ac - u_ad g_bc - u_bc g_ad, one slot pair at a time
+    u = 0.5 * z + s[..., None, None] / 24.0 * np.eye(4)
+    W = R.copy()
     for b in range(4):
-        zg[..., :, b, :, b] = z
-    zg = zg - np.swapaxes(zg, -4, -3)
-    zg = zg - np.swapaxes(zg, -2, -1)
-    W = R - s[..., None, None, None, None] / 24.0 * gg - 0.5 * zg
+        W[..., :, b, :, b] -= u
+        W[..., b, :, b, :] -= u
+        W[..., :, b, b, :] += u
+        W[..., b, :, :, b] += u
     w2 = np.einsum("...abcd,...abcd->...", W, W)
     R2 = np.einsum("...abcd,...abcd->...", R, R)
     # Pfaffian density: (1/16) eps eps R R / (8 pi^2)
-    pff = np.einsum(
-        "abcd,efgh,...abef,...cdgh->...", _EPS4, _EPS4, R, R, optimize=_PFAFFIAN_PATH
-    )
+    mat = R.reshape(R.shape[:-4] + (16, 16))
+    pff = np.einsum("...ij,...ij->...", _EPS4_MATRIX @ mat @ _EPS4_MATRIX, mat)
     pff = pff / (16.0 * 8.0 * math.pi**2)
     return {"s": s, "r2": r2, "z2": z2, "w2": w2, "R2": R2, "pff": pff, "ric": ric, "z": z}

@@ -14,10 +14,16 @@ and V alone is ambiguous.
 The module provides
 
 * ``finite_part``          -- least-squares extraction of (C0, C2, L, V),
-* ``volume_family``        -- Vol_g({rho > eps}) by Gauss-Legendre panels,
+* ``volume_family``        -- Vol_g({rho > eps}) by Gauss-Kronrod panels,
 * ``boundary_II``          -- the Chern boundary transgression on {rho = eps},
 * ``gauss_bonnet_audit``   -- interior + boundary = Euler characteristic,
 * ``renormalized_action``  -- finite parts of the curvature actions.
+
+The collar families are integrated on fixed geometric panels, each with the
+nested Gauss-Kronrod 7/15 pair: 15 density evaluations per panel, the K15
+value kept and |K15 - G7| its error estimate, which must stay under
+1e-9 max(1, |panel value|) (at most 3.4e-13 on the ball and
+theta = (0.05)^3 volume, action and Pfaffian families).
 
 Their independent oracles (adaptive quadrature, Taylor subtraction) live in
 ``tests/oracles.py``.
@@ -62,6 +68,8 @@ class RegularizedIntegral:
     extras: dict = field(default_factory=dict)
     cond: float = 0.0
     half_grid_drift: float = 0.0
+    # nuisance powers kept by forward selection, in selection order
+    kept_powers: tuple = ()
 
     @property
     def log_ambiguous(self) -> bool:
@@ -135,7 +143,8 @@ def finite_part(values) -> RegularizedIntegral:
     ``values`` is a mapping eps -> real or a pair (eps array, value array).
     The model terms eps^-3, eps^-1, log(1/eps) and 1 are always fitted; the
     decaying nuisance powers eps^1..eps^6 are added by forward selection
-    (returned in ``extras``) so that smooth o(1) tails do not contaminate
+    (their coefficients in ``extras``, 0.0 for a power left out; the kept
+    ones in ``kept_powers``) so that smooth o(1) tails do not contaminate
     the finite part.
     """
     if isinstance(values, dict):
@@ -191,6 +200,7 @@ def finite_part(values) -> RegularizedIntegral:
         extras=extras,
         cond=cond_kept,
         half_grid_drift=drift,
+        kept_powers=tuple(kept[len(_MODEL_POWERS) :]),
     )
 
 
@@ -201,29 +211,52 @@ def _default_rho_max(geom) -> float:
     return 2.0 if isinstance(geom, _collar.RadialGeometry) else 1.0
 
 
-# Gauss-Legendre nodes per panel of the coarse rule; the fine rule has twice
-# as many, and their difference is the panel's error estimate
-_PANEL_NODES = 6
+# Gauss-Kronrod 7/15 pair on [-1, 1] (Piessens et al., QUADPACK, 1983, dqk15):
+# the nodes from 1 down to 0 with their K15 and G7 weights, G7 using every
+# other node.  K15 (exact through degree 22) is the kept value; G7 (exact
+# through degree 13) costs no extra evaluation, and |K15 - G7| is the panel's
+# error estimate
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
+])
+# the 15 nodes ascending, and the two rules as rows of weights on them
+_GK15_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_K15_WEIGHTS, _G7_WEIGHTS = (np.concatenate([w, w[-2::-1]]) for w in (_WGK, _WG))
+_GK15_WEIGHTS = np.stack([_K15_WEIGHTS, _G7_WEIGHTS])
 # widest panel, as the ratio of its ends: the rho^-4 growth of the densities
 # makes the rule's error a function of that ratio.  At 1.3 the largest
-# estimate on the ball and theta = (0.05)^3 action and Pfaffian families is
-# 6e-11 of max(1, |panel value|), under the 1e-9 bound; at 1.72 (6 eps over
-# 0.02..0.3, unsplit) the ball volume missed it.  The default eps grid
+# |K15 - G7| on the ball and theta = (0.05)^3 volume, action and Pfaffian
+# families is 3.4e-13 of max(1, |panel value|), under the 1e-9 bound; at
+# 1.72 (6 eps over 0.02..0.3, unsplit) it is 8.9e-10.  The default eps grid
 # (ratio 1.279) needs no split.
 _PANEL_RATIO = 1.3
 
 
 def _cumulative_family(density, eps_grid: np.ndarray, rho_max: float, npts: int):
-    """Integrals of a density over [eps_i, rho_max] by fixed Gauss-Legendre panels.
+    """Integrals of a density over [eps_i, rho_max] by fixed Gauss-Kronrod panels.
 
     ``density`` maps a 1-D rho array to one row (or value) per slice; ``npts``
     is the number of boundary points per slice, which sizes the
     :func:`~ahrenvol.collar.map_slices` batches it is called with.  The
     panels are the eps intervals and [eps_max, rho_max], each split
-    geometrically into panels no wider in ratio than ``_PANEL_RATIO``.  Each panel is integrated with n and 2n nodes: the 2n
-    value is kept and |Q_2n - Q_n| is its error estimate.  Returns the
-    family, shape (eps, components), and the summed error estimates of its
-    panels.
+    geometrically into panels no wider in ratio than ``_PANEL_RATIO``.  The
+    density is evaluated once at each panel's 15 Kronrod nodes: the K15 value
+    is kept and |K15 - G7|, with G7 read from 7 of those values, is its error
+    estimate.  Returns the family, shape (eps, components), and the summed
+    error estimates of its panels.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     bounds = np.append(eps_grid, rho_max)
@@ -234,26 +267,21 @@ def _cumulative_family(density, eps_grid: np.ndarray, rho_max: float, npts: int)
     ]
     starts = np.cumsum([0] + [left.size for left in lefts[:-1]])
     edges = np.append(np.concatenate(lefts), rho_max)
-    panels = list(zip(edges[:-1], edges[1:]))
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
 
-    coarse_nodes, coarse_w = _collar.gauss_nodes(panels, _PANEL_NODES)
-    fine_nodes, fine_w = _collar.gauss_nodes(panels, 2 * _PANEL_NODES)
-    nodes = np.concatenate([coarse_nodes, fine_nodes])
-    vals = _collar.map_slices(density, nodes, npts)
-    weighted = np.concatenate([coarse_w, fine_w])[:, None] * vals.reshape(nodes.size, -1)
-    coarse = weighted[: coarse_nodes.size].reshape(len(panels), _PANEL_NODES, -1).sum(axis=1)
-    fine = weighted[coarse_nodes.size :].reshape(len(panels), 2 * _PANEL_NODES, -1).sum(axis=1)
-
-    err = np.abs(fine - coarse)
+    nodes = (mid[:, None] + half[:, None] * _GK15_NODES).ravel()
+    vals = _collar.map_slices(density, nodes, npts).reshape(mid.size, _GK15_NODES.size, -1)
+    kronrod, gauss = np.moveaxis(_GK15_WEIGHTS @ vals, 1, 0) * half[:, None]
+    err = np.abs(kronrod - gauss)
     # written so that a NaN estimate counts as a miss
-    bad = ~(np.max(err, axis=1) <= 1e-9 * np.maximum(1.0, np.max(np.abs(fine), axis=1)))
+    bad = ~(np.max(err, axis=1) <= 1e-9 * np.maximum(1.0, np.max(np.abs(kronrod), axis=1)))
     if bad.any():
         k = int(np.argmax(bad))
         raise _collar.NonConvergence(
             f"quadrature non-convergence on [{edges[k]:.3g},{edges[k + 1]:.3g}] "
             f"(estimate {np.max(err[k]):.3e})"
         )
-    tails = np.cumsum(fine[::-1], axis=0)[::-1][starts]
+    tails = np.cumsum(kronrod[::-1], axis=0)[::-1][starts]
     errors = np.cumsum(err[::-1], axis=0)[::-1][starts]
     return tails, errors
 

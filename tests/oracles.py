@@ -486,11 +486,33 @@ def zg_einsum(z: np.ndarray) -> np.ndarray:
     )
 
 
+def w2_einsum(R: np.ndarray, s: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|W|^2 with W = R - (s/24) g.g - (1/2) z.g, the KN products through zg_einsum."""
+    eye = np.eye(4)
+    gg = 2.0 * (np.einsum("ac,bd->abcd", eye, eye) - np.einsum("ad,bc->abcd", eye, eye))
+    W = R - s[..., None, None, None, None] / 24.0 * gg - 0.5 * zg_einsum(z)
+    return np.einsum("...abcd,...abcd->...", W, W)
+
+
+# eps_abcd eps_efgh R_abef R_cdgh: eps against R, eps against that, then the
+# pointwise pairing with R.  Each step is a 16x16-block tensordot; a fixed
+# path skips the per-call path search.
+_PFAFFIAN_PATH = ["einsum_path", (0, 2), (0, 2), (0, 1)]
+
+
+def pfaffian_einsum(R: np.ndarray) -> np.ndarray:
+    """Pfaffian density (1/16) eps eps R R / (8 pi^2) of a batch, as one einsum."""
+    pff = np.einsum(
+        "abcd,efgh,...abef,...cdgh->...", _EPS4, _EPS4, R, R, optimize=_PFAFFIAN_PATH
+    )
+    return pff / (16.0 * 8.0 * math.pi**2)
+
+
 def curvature_in_frame_einsum(geom, rho) -> dict:
     """The fields of collar.curvature_in_frame, from the kernels above.
 
     The invariants are dfalg.batch_invariants of the reference riem_on, with
-    |W|^2 recomputed through zg_einsum.
+    |W|^2 recomputed through zg_einsum and the Pfaffian through pfaffian_einsum.
     """
     gbar, _, _ = _gbar_blocks(geom, rho)
     gamma, dgamma = christoffels_einsum(geom, rho)
@@ -502,9 +524,8 @@ def curvature_in_frame_einsum(geom, rho) -> dict:
     q = on_transform(gbar)
     riem_on = to_on4_einsum(riem, q)
     inv = dict(dfalg.batch_invariants(riem_on))
-    gg = 2.0 * (np.einsum("ac,bd->abcd", eye, eye) - np.einsum("ad,bc->abcd", eye, eye))
-    W = riem_on - inv["s"][..., None, None, None, None] / 24.0 * gg - 0.5 * zg_einsum(inv["z"])
-    inv["w2"] = np.einsum("...abcd,...abcd->...", W, W)
+    inv["w2"] = w2_einsum(riem_on, inv["s"], inv["z"])
+    inv["pff"] = pfaffian_einsum(riem_on)
     return {"gamma": gamma, "riem": riem, "q": q, "riem_on": riem_on, "invariants": inv}
 
 

@@ -117,13 +117,15 @@ class TestConfigValidation:
             ({"profile": {"theta": [-5, 0, 0]}}, "theta"),
             ({"flow": {"target_fraction": -1}}, "target_fraction"),
             ({"flow": {"target_fraction": 0}}, "target_fraction"),
+            ({"flow": {"theta0": [-5, 0, 0], "steps": 1}}, "theta0"),
             ({"grid": {"eps_lo": float("nan")}}, "eps_lo"),
             ({"jet": {"n_grid": 10**6}}, "n_grid"),
             ({"family": "torus-collar"}, "family"),
         ],
         ids=["seed", "theta", "trials", "eps_n", "eps_n_6", "eps_n_7", "n_grid", "eta", "rho_max_below_eps_hi",
              "rho_max_past_cap", "amplitude_g_rho", "amplitude_gamma", "theta_nonpositive_profile",
-             "target_fraction_negative", "target_fraction_zero", "eps_lo_nan", "n_grid_huge",
+             "target_fraction_negative", "target_fraction_zero", "theta0_nonpositive_profile",
+             "eps_lo_nan", "n_grid_huge",
              "family_not_radial"],
     )
     def test_malformed_value_exits_usage_and_names_key(self, tmp_path, capsys, extra, key):
@@ -134,6 +136,8 @@ class TestConfigValidation:
             subs = ["linearize-check", "renvol"]
             if extra.get("family", "radial") == "radial":
                 subs.append("gauss-bonnet")
+            if "flow" in extra:
+                subs.append("flow")
         for sub in subs:
             assert run([sub, "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
             assert f"'{key}'" in capsys.readouterr().err
@@ -161,6 +165,14 @@ class TestConfigValidation:
                    config.flow_target_fraction, *config.theta, *config.flow_theta0,
                    *config.tolerances.values()]
         assert all(math.isfinite(x) for x in numbers)
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_tol_scale_must_be_finite_and_positive(self, tmp_path, capsys, scale):
+        """inf would pass every check and nan fail every one: both are usage errors."""
+        code = run(["renvol", "--out-dir", str(tmp_path), "--tol-scale", scale])
+        assert code == cli.EXIT_USAGE
+        assert "--tol-scale" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     def test_negative_tolerance_rejected(self, tmp_path):
         cfg = write_config(
@@ -229,6 +241,9 @@ class TestRenvol:
         assert 0.0 < artifacts["quadrature_error"] < 1e-9 * max(artifacts["volumes"])
         assert 1.0 <= artifacts["fit_cond"] < 1e9
         assert math.isfinite(artifacts["half_grid_drift"])
+        # the family is exactly C0 eps^-3 + C2 eps^-1 + V + 2 pi^2 (-(3/16) eps + eps^3/192)
+        assert artifacts["kept_powers"] == [1, 3]
+        assert artifacts["log_ambiguous"] is False
 
     def test_quadrature_failure_exits_nonconvergence(self, tmp_path, monkeypatch, capsys):
         class KinkedBall(RadialGeometry):
@@ -284,6 +299,9 @@ class TestGaussBonnet:
         for part in ("interior", "boundary"):
             assert 1.0 <= artifacts["fit_cond"][part] < 1e9
             assert math.isfinite(artifacts["half_grid_drift"][part])
+            # both families are affine in the ball's volume family
+            assert artifacts["kept_powers"][part] == [1, 3]
+            assert artifacts["log_ambiguous"][part] is False
 
 
 class TestLinearizeCheck:

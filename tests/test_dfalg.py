@@ -529,8 +529,21 @@ class TestBatchInvariants:
             assert out["R2"][k] == pytest.approx(inner_full(R, R), rel=1e-11)
             assert out["pff"][k] == pytest.approx(pfaffian_density(R), rel=1e-10)
 
+    def test_matches_einsum_kernels_without_pair_symmetry(self):
+        """pff and |W|^2 equal their einsum forms (tests/oracles.py) on a batch
+        with no symmetry at all, so a kernel that assumes the antisymmetry or
+        the pair symmetry of a curvature tensor (a 6x6 bivector Pfaffian) fails."""
+        R = np.random.default_rng(72).standard_normal((5, 4, 4, 4, 4))
+        out = batch_invariants(R)
+        for got, want in (
+            (out["pff"], oracles.pfaffian_einsum(R)),
+            (out["w2"], oracles.w2_einsum(R, out["s"], out["z"])),
+        ):
+            assert got.shape == (5,)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_two_leading_axes(self):
-        """The Pfaffian einsum broadcasts over every leading axis."""
+        """The Pfaffian broadcasts over every leading axis."""
         rng = np.random.default_rng(71)
         batch = np.stack(
             [oracles.random_curvature_dense(rng, 4) for _ in range(6)]

@@ -111,6 +111,15 @@ class TestFinitePart:
         with pytest.raises(ValueError, match="ill-conditioned"):
             finite_part((eps, eps**-3))
 
+    def test_kept_powers_in_selection_order(self):
+        eps = default_eps_grid()
+        vals = 2.0 * eps**-3 - 5.0 * eps**-1 + 7.0 + 0.3 * eps**4 - 4.0 * eps
+        fp = finite_part((eps, vals))
+        assert fp.kept_powers == (1, 4)
+        assert fp.extras == pytest.approx({1: -4.0, 2: 0.0, 3: 0.0, 4: 0.3, 5: 0.0, 6: 0.0},
+                                          abs=1e-8)
+        assert finite_part((eps, 2.0 * eps**-3 + 7.0)).kept_powers == ()
+
     def test_log_flagging(self):
         eps = default_eps_grid()
         with_log = finite_part((eps, np.log(1.0 / eps) + 1.0))
@@ -209,8 +218,30 @@ def _action_family(geom, rho_max):
     return families
 
 
+class TestGaussKronrodRule:
+    """The 7/15 pair of renorm._cumulative_family on [-1, 1]."""
+
+    @pytest.mark.parametrize(
+        "weights, degree",
+        [(renorm._K15_WEIGHTS, 22), (renorm._G7_WEIGHTS, 13)],
+        ids=["K15", "G7"],
+    )
+    def test_integrates_monomials_exactly(self, weights, degree):
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(weights @ renorm._GK15_NODES**k - exact) <= 1e-15
+
+    def test_gauss_nodes_are_kronrod_nodes(self):
+        xs, ws = np.polynomial.legendre.leggauss(7)
+        used = renorm._G7_WEIGHTS != 0.0
+        assert used.sum() == 7
+        assert np.allclose(renorm._GK15_NODES[used], xs, rtol=0.0, atol=1e-15)
+        assert np.allclose(renorm._G7_WEIGHTS[used], ws, rtol=0.0, atol=1e-15)
+        assert np.all(np.diff(renorm._GK15_NODES) > 0.0)
+
+
 class TestGaussLegendreFamilies:
-    """Fixed Gauss-Legendre panels against adaptive quad_vec, one rho at a time."""
+    """Fixed Gauss-Kronrod panels against adaptive quad_vec, one rho at a time."""
 
     @pytest.mark.parametrize(
         "families",
@@ -387,6 +418,27 @@ class TestRenormalizedAction:
         assert act["s2"].finite == pytest.approx(144.0 * scale, rel=1e-8)
         assert act["action"].finite == pytest.approx(36.0 * scale, rel=1e-8)
         assert abs(act["z2"].finite) < 1e-6
+
+    @pytest.mark.parametrize(
+        "geom, calls, slices",
+        [
+            (RadialGeometry(perturbed_profile([0.05] * 3)), 5, 285),
+            (TorusJetGeometry(random_jet(3)), 240, 240),
+        ],
+        ids=["radial", "torus"],
+    )
+    def test_curvature_slices_per_family(self, monkeypatch, geom, calls, slices):
+        """15 Kronrod nodes per panel: 19 radial panels go 64 slices to an
+        engine call, 16 torus panels one 512-point slice to a call."""
+        seen = []
+
+        def counting(geom, rho, engine=collar.curvature_in_frame):
+            seen.append(np.size(rho))
+            return engine(geom, rho)
+
+        monkeypatch.setattr(collar, "curvature_in_frame", counting)
+        renormalized_action(geom)
+        assert (len(seen), sum(seen)) == (calls, slices)
 
     def test_rewrite_identity_random_profiles(self):
         """s^2 - 3|r|^2 = s^2/4 - 3|z|^2 on random profiles.
