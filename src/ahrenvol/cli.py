@@ -70,6 +70,12 @@ _N_GRID_MAX = 32
 # second nuisance power by roundoff: the ball's renvol at eps_n 6 missed
 # hyperbolic_V by 2.9e-4
 _EPS_N_MIN = 8
+# upper bounds, so that no config asks for unbounded work: eps_n 64 is about
+# 68 eps-family panels (some 1000 torus slices at ~15 ms each), 1000
+# linearize-check trials about 10 s, and 10000 flow steps about 10 minutes
+_EPS_N_MAX = 64
+_TRIALS_MAX = 1000
+_FLOW_STEPS_MAX = 10000
 
 
 # -- configuration ---------------------------------------------------------------
@@ -215,13 +221,13 @@ class AuditConfig:
             theta=theta,
             jet_n_grid=_integer(jet["n_grid"], "n_grid", 1, _N_GRID_MAX),
             jet_amplitude=_number(jet["amplitude"], "amplitude"),
-            eps_n=_integer(grid["eps_n"], "eps_n", _EPS_N_MIN),
+            eps_n=_integer(grid["eps_n"], "eps_n", _EPS_N_MIN, _EPS_N_MAX),
             eps_lo=eps_lo,
             eps_hi=eps_hi,
             rho_max=rho_max,
-            trials=_integer(top["trials"], "trials", 1),
+            trials=_integer(top["trials"], "trials", 1, _TRIALS_MAX),
             flow_theta0=theta0,
-            flow_steps=_integer(flow["steps"], "steps", 0),
+            flow_steps=_integer(flow["steps"], "steps", 0, _FLOW_STEPS_MAX),
             flow_eta=eta,
             flow_target_fraction=target_fraction,
             tolerances=tolerances,

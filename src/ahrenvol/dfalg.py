@@ -6,6 +6,15 @@ orthonormal frame.  Storage is compressed: only strictly increasing
 multi-indices are kept, and general components are recovered by expanding with
 permutation signs.
 
+The operators do not recompute permutation signs on each call.  Each one
+looks up a sign and index table, built once per (n, degree) on first use
+(``functools.lru_cache``; the arrays are read-only), and applies it with array
+operations.  The Kulkarni-Nomizu product, the contraction and F_h gather the
+signed terms of every output entry and sum them in the order of the per-call
+loops the tables replace; the Hodge star and ``to_dense`` are signed gathers.
+``tests/oracles.py`` keeps those loops as the reference, and the two agree
+exactly.
+
 Conventions (pinned once, used everywhere):
 
 * wedge evaluation carries no 1/k! factor, so ``(a^b)(x^y) = a(x)b(y) - a(y)b(x)``;
@@ -37,6 +46,7 @@ __all__ = [
     "zero_form",
     "kn_product",
     "contract",
+    "contract_k",
     "hodge_star",
     "inner",
     "inner_full",
@@ -76,6 +86,121 @@ def _merge_sign(I: tuple[int, ...], J: tuple[int, ...]) -> tuple[int, tuple[int,
     # count inversions of the concatenation
     inv = sum(1 for a, b in itertools.combinations(merged, 2) if a > b)
     return (-1) ** inv, tuple(sorted(merged))
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark cached tables read-only: every caller shares the same arrays."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis strictly left to right, as the loop forms do.
+
+    ``np.sum`` pairs terms up when the reduction is contiguous, which changes
+    the rounding; a running sum does not.  No terms sum to zero.
+    """
+    if len(terms) == 0:
+        return np.zeros(terms.shape[1:])
+    return np.cumsum(terms, axis=0)[-1]
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(n: int, p: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, sign), shape (C(p + r, p), C(n, p + r)).
+
+    Column m lists the ways to write e^M, the m-th multi-index of degree
+    p + r, as sign * e^I ^ e^K, with I and K at positions left and right among
+    the increasing multi-indices of degrees p and r, in increasing I.
+    """
+    shape = (math.comb(p + r, p), math.comb(n, p + r))
+    left, right = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.intp)
+    sign = np.zeros(shape)
+    pos_p, pos_r = _combo_pos(n, p), _combo_pos(n, r)
+    for m, M in enumerate(_combos(n, p + r)):
+        for u, I in enumerate(itertools.combinations(M, p)):
+            K = tuple(i for i in M if i not in I)
+            merged = _merge_sign(I, K)[0]  # type: ignore[index]
+            left[u, m], right[u, m], sign[u, m] = pos_p[I], pos_r[K], merged
+    return _frozen(left, right, sign)
+
+
+@lru_cache(maxsize=None)
+def _insert_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign), shape (n, C(n, p)): e^j ^ e^I = sign * e^(combo index).
+
+    The sign is 0, and the index 0, where j already occurs in I.
+    """
+    pos = _combo_pos(n, p + 1)
+    index = np.zeros((n, math.comb(n, p)), dtype=np.intp)
+    sign = np.zeros((n, math.comb(n, p)))
+    for a, I in enumerate(_combos(n, p)):
+        for j in range(n):
+            inserted = _insert_sign(j, I)
+            if inserted is not None:
+                sign[j, a], index[j, a] = inserted[0], pos[inserted[1]]
+    return _frozen(index, sign)
+
+
+@lru_cache(maxsize=None)
+def _complement_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source, sign), shape (C(n, n - p),): the star of e^I is sign * e^(I^c).
+
+    Entry c belongs to the c-th complement multi-index and holds the position
+    of its complement I among the degree-p combinations.
+    """
+    pos = _combo_pos(n, p)
+    full = tuple(range(n))
+    source = np.zeros(math.comb(n, p), dtype=np.intp)
+    sign = np.zeros(math.comb(n, p))
+    for c, Ic in enumerate(_combos(n, n - p)):
+        I = tuple(i for i in full if i not in Ic)
+        sign[c], source[c] = _merge_sign(I, Ic)[0], pos[I]  # type: ignore[index]
+    return _frozen(source, sign)
+
+
+@lru_cache(maxsize=None)
+def _expand_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(position, sign), shape (n**p,), over all index tuples in C order.
+
+    A tuple with distinct entries is sign * its sorted combination; a tuple
+    with a repeated index has sign 0.
+    """
+    pos = _combo_pos(n, p)
+    position = np.zeros(n**p, dtype=np.intp)
+    sign = np.zeros(n**p)
+    for t, I in enumerate(itertools.product(range(n), repeat=p)):
+        merged = _merge_sign((), I) if len(set(I)) == p else None
+        if merged is not None:
+            sign[t], position[t] = merged[0], pos[merged[1]]
+    return _frozen(position, sign)
+
+
+@lru_cache(maxsize=None)
+def _derivation_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h_index, source, sign), shape (p * n, C(n, p)).
+
+    Row slot * n + j, column a: replacing the slot-th index i of the a-th
+    multi-index I by j gives sign * e^(source), weighted by h[i, j], which is
+    entry h_index = i * n + j of the flattened h.  The sign is 0 where j
+    already occurs in the rest of I.
+    """
+    shape = (p * n, math.comb(n, p))
+    h_index, source = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.intp)
+    sign = np.zeros(shape)
+    pos = _combo_pos(n, p)
+    for a, I in enumerate(_combos(n, p)):
+        for slot, i in enumerate(I):
+            rest = I[:slot] + I[slot + 1 :]
+            for j in range(n):
+                k = slot * n + j
+                h_index[k, a] = i * n + j
+                inserted = _insert_sign(j, rest)
+                if inserted is not None:
+                    # (-1)^slot is the sign of removing slot `slot` from I
+                    sign[k, a], source[k, a] = inserted[0] * (-1) ** slot, pos[inserted[1]]
+    return _frozen(h_index, source, sign)
 
 
 @dataclass(frozen=True)
@@ -151,12 +276,10 @@ class DoubleForm:
 
     def to_dense(self) -> np.ndarray:
         """Expand to a dense array of shape (n,)*p + (n,)*q."""
-        n, p, q = self.n, self.p, self.q
-        out = np.zeros((n,) * (p + q))
-        for I in itertools.permutations(range(n), p):
-            for J in itertools.permutations(range(n), q):
-                out[I + J] = self.component(I, J)
-        return out
+        pos_p, sign_p = _expand_table(self.n, self.p)
+        pos_q, sign_q = _expand_table(self.n, self.q)
+        dense = np.outer(sign_p, sign_q) * self.coeffs[np.ix_(pos_p, pos_q)]
+        return dense.reshape((self.n,) * (self.p + self.q))
 
     @classmethod
     def from_dense(cls, n: int, p: int, q: int, dense: np.ndarray) -> "DoubleForm":
@@ -265,23 +388,10 @@ def kn_product(a: DoubleForm, b: DoubleForm) -> DoubleForm:
     p, q = a.p + b.p, a.q + b.q
     if p > n or q > n:
         raise ValueError("degree exceeds dimension")
-    pos_p = _combo_pos(n, p)
-    pos_q = _combo_pos(n, q)
-    out = np.zeros((math.comb(n, p), math.comb(n, q)))
-    for ia, I in enumerate(_combos(n, a.p)):
-        for ib, K in enumerate(_combos(n, b.p)):
-            mi = _merge_sign(I, K)
-            if mi is None:
-                continue
-            si, rowI = mi
-            row = pos_p[rowI]
-            for ja, J in enumerate(_combos(n, a.q)):
-                for jb, L in enumerate(_combos(n, b.q)):
-                    mj = _merge_sign(J, L)
-                    if mj is None:
-                        continue
-                    sj, colJ = mj
-                    out[row, pos_q[colJ]] += si * sj * a.coeffs[ia, ja] * b.coeffs[ib, jb]
+    left_p, right_p, sign_p = (t[:, None, :, None] for t in _wedge_table(n, a.p, b.p))
+    left_q, right_q, sign_q = (t[None, :, None, :] for t in _wedge_table(n, a.q, b.q))
+    terms = sign_p * sign_q * a.coeffs[left_p, left_q] * b.coeffs[right_p, right_q]
+    out = _sum_in_order(terms.reshape((-1,) + terms.shape[2:]))
     return DoubleForm(n, p, q, out)
 
 
@@ -293,19 +403,10 @@ def contract(w: DoubleForm) -> DoubleForm | float:
     if w.p < 1 or w.q < 1:
         raise ValueError("cannot contract degree zero")
     n, p, q = w.n, w.p - 1, w.q - 1
-    pos_p = _combo_pos(n, w.p)
-    pos_q = _combo_pos(n, w.q)
-    out = np.zeros((math.comb(n, p), math.comb(n, q)))
-    for a, I in enumerate(_combos(n, p)):
-        for b, J in enumerate(_combos(n, q)):
-            acc = 0.0
-            for j in range(n):
-                si = _insert_sign(j, I)
-                sj = _insert_sign(j, J)
-                if si is None or sj is None:
-                    continue
-                acc += si[0] * sj[0] * w.coeffs[pos_p[si[1]], pos_q[sj[1]]]
-            out[a, b] = acc
+    index_p, sign_p = _insert_table(n, p)
+    index_q, sign_q = _insert_table(n, q)
+    signs = sign_p[:, :, None] * sign_q[:, None, :]
+    out = _sum_in_order(signs * w.coeffs[index_p[:, :, None], index_q[:, None, :]])
     if p == 0 and q == 0:
         return float(out[0, 0])
     return DoubleForm(n, p, q, out)
@@ -325,17 +426,9 @@ def hodge_star(w: DoubleForm) -> DoubleForm:
     """
     n = w.n
     p, q = n - w.p, n - w.q
-    pos_p = _combo_pos(n, p)
-    pos_q = _combo_pos(n, q)
-    out = np.zeros((math.comb(n, p), math.comb(n, q)))
-    full = tuple(range(n))
-    for a, I in enumerate(_combos(n, w.p)):
-        Ic = tuple(i for i in full if i not in I)
-        si, _ = _merge_sign(I, Ic)  # type: ignore[misc]
-        for b, J in enumerate(_combos(n, w.q)):
-            Jc = tuple(j for j in full if j not in J)
-            sj, _ = _merge_sign(J, Jc)  # type: ignore[misc]
-            out[pos_p[Ic], pos_q[Jc]] = si * sj * w.coeffs[a, b]
+    source_p, sign_p = _complement_table(n, w.p)
+    source_q, sign_q = _complement_table(n, w.q)
+    out = np.outer(sign_p, sign_q) * w.coeffs[np.ix_(source_p, source_q)]
     return DoubleForm(n, p, q, out)
 
 
@@ -369,34 +462,13 @@ def f_h(h: SymBilinear, w: DoubleForm) -> DoubleForm:
     if h.n != w.n:
         raise ValueError("dimension mismatch")
     n = w.n
-    out = np.zeros_like(w.coeffs)
-    pos_p = _combo_pos(n, w.p)
-    pos_q = _combo_pos(n, w.q)
-
-    def act(group: int) -> None:
-        # derivation on one factor group: replace slot index i by j, weight h_ij
-        combos = _combos(n, w.p if group == 0 else w.q)
-        pos = pos_p if group == 0 else pos_q
-        for a, I in enumerate(combos):
-            for slot, i in enumerate(I):
-                rest = I[:slot] + I[slot + 1 :]
-                for j in range(n):
-                    hij = h.entries[i, j]
-                    if hij == 0.0:
-                        continue
-                    s = _insert_sign(j, rest)
-                    if s is None:
-                        continue
-                    sgn, newI = s
-                    # sign of removing slot `slot` from I
-                    sgn *= (-1) ** slot
-                    if group == 0:
-                        out[a, :] += sgn * hij * w.coeffs[pos[newI], :]
-                    else:
-                        out[:, a] += sgn * hij * w.coeffs[:, pos[newI]]
-
-    act(0)
-    act(1)
+    h_flat = h.entries.reshape(-1)
+    index_p, source_p, sign_p = _derivation_table(n, w.p)
+    index_q, source_q, sign_q = _derivation_table(n, w.q)
+    # the first factor group's terms, then the second's, as the loop adds them
+    rows = (sign_p * h_flat[index_p])[:, :, None] * w.coeffs[source_p]
+    cols = (sign_q * h_flat[index_q])[:, None, :] * w.coeffs[:, source_q].transpose(1, 0, 2)
+    out = _sum_in_order(np.concatenate([rows, cols]))
     return DoubleForm(n, w.p, w.q, out)
 
 

@@ -1,10 +1,13 @@
 """Independent brute-force oracles for the double-form algebra and the collar families.
 
-Everything for the algebra works on *dense* component arrays of shape
-(n,)*p + (n,)*q and uses naive full-index loops (no compressed storage, no
+The dense algebra oracles work on *dense* component arrays of shape
+(n,)*p + (n,)*q and use naive full-index loops (no compressed storage, no
 shared sign helpers), so agreement with ahrenvol.dfalg is a genuine
 two-implementation check.  Permutation signs are computed from determinants
-of permutation matrices.  The eps-families of ahrenvol.renorm are checked
+of permutation matrices.  The ``*_loop`` oracles are the compressed-storage
+operators in their per-call loop form, which recomputes every permutation
+sign; ahrenvol.dfalg applies the same signs from cached tables, so the two
+must agree entry for entry.  The eps-families of ahrenvol.renorm are checked
 against adaptive quadrature, one scalar rho at a time, and their finite
 parts against Taylor subtraction.  The collar curvature engine is checked
 against its einsum form with per-axis FFT boundary derivatives, and the
@@ -30,7 +33,7 @@ from ahrenvol.collar import (
     on_transform,
     spectral_deriv,
 )
-from ahrenvol.dfalg import _EPS4
+from ahrenvol.dfalg import _EPS4, _combo_pos, _combos, _insert_sign, _merge_sign
 
 
 def perm_sign(perm) -> int:
@@ -165,6 +168,130 @@ def dense_compose(z: np.ndarray, R: np.ndarray) -> np.ndarray:
             ric[a, b] = sum(R[i, a, i, b] for i in range(n))
     comp = ric @ z
     return 0.5 * (comp + comp.T)
+
+
+# -- compressed-storage operators, loop form ------------------------------------
+
+
+def kn_product_loop(a: dfalg.DoubleForm, b: dfalg.DoubleForm) -> dfalg.DoubleForm:
+    """Kulkarni-Nomizu product: wedge on both factor groups."""
+    if a.n != b.n:
+        raise ValueError("dimension mismatch")
+    n = a.n
+    p, q = a.p + b.p, a.q + b.q
+    if p > n or q > n:
+        raise ValueError("degree exceeds dimension")
+    pos_p = _combo_pos(n, p)
+    pos_q = _combo_pos(n, q)
+    out = np.zeros((math.comb(n, p), math.comb(n, q)))
+    for ia, I in enumerate(_combos(n, a.p)):
+        for ib, K in enumerate(_combos(n, b.p)):
+            mi = _merge_sign(I, K)
+            if mi is None:
+                continue
+            si, rowI = mi
+            row = pos_p[rowI]
+            for ja, J in enumerate(_combos(n, a.q)):
+                for jb, L in enumerate(_combos(n, b.q)):
+                    mj = _merge_sign(J, L)
+                    if mj is None:
+                        continue
+                    sj, colJ = mj
+                    out[row, pos_q[colJ]] += si * sj * a.coeffs[ia, ja] * b.coeffs[ib, jb]
+    return dfalg.DoubleForm(n, p, q, out)
+
+
+def contract_loop(w: dfalg.DoubleForm) -> dfalg.DoubleForm | float:
+    """Trace one slot from each factor against the orthonormal frame.
+
+    Maps D^{p+1,q+1} -> D^{p,q}; a (0, 0) result is returned as a float.
+    """
+    if w.p < 1 or w.q < 1:
+        raise ValueError("cannot contract degree zero")
+    n, p, q = w.n, w.p - 1, w.q - 1
+    pos_p = _combo_pos(n, w.p)
+    pos_q = _combo_pos(n, w.q)
+    out = np.zeros((math.comb(n, p), math.comb(n, q)))
+    for a, I in enumerate(_combos(n, p)):
+        for b, J in enumerate(_combos(n, q)):
+            acc = 0.0
+            for j in range(n):
+                si = _insert_sign(j, I)
+                sj = _insert_sign(j, J)
+                if si is None or sj is None:
+                    continue
+                acc += si[0] * sj[0] * w.coeffs[pos_p[si[1]], pos_q[sj[1]]]
+            out[a, b] = acc
+    if p == 0 and q == 0:
+        return float(out[0, 0])
+    return dfalg.DoubleForm(n, p, q, out)
+
+
+def hodge_star_loop(w: dfalg.DoubleForm) -> dfalg.DoubleForm:
+    """Factor-wise Hodge star D^{p,q} -> D^{n-p,n-q}.
+
+    Satisfies g.w = (-1)^(n(p+q)) *c*w and ** = (-1)^(p(n-p)+q(n-q)).
+    """
+    n = w.n
+    p, q = n - w.p, n - w.q
+    pos_p = _combo_pos(n, p)
+    pos_q = _combo_pos(n, q)
+    out = np.zeros((math.comb(n, p), math.comb(n, q)))
+    full = tuple(range(n))
+    for a, I in enumerate(_combos(n, w.p)):
+        Ic = tuple(i for i in full if i not in I)
+        si, _ = _merge_sign(I, Ic)  # type: ignore[misc]
+        for b, J in enumerate(_combos(n, w.q)):
+            Jc = tuple(j for j in full if j not in J)
+            sj, _ = _merge_sign(J, Jc)  # type: ignore[misc]
+            out[pos_p[Ic], pos_q[Jc]] = si * sj * w.coeffs[a, b]
+    return dfalg.DoubleForm(n, p, q, out)
+
+
+def f_h_loop(h: dfalg.SymBilinear, w: dfalg.DoubleForm) -> dfalg.DoubleForm:
+    """Derivation attached to h, acting slot-wise on both factor groups."""
+    if h.n != w.n:
+        raise ValueError("dimension mismatch")
+    n = w.n
+    out = np.zeros_like(w.coeffs)
+    pos_p = _combo_pos(n, w.p)
+    pos_q = _combo_pos(n, w.q)
+
+    def act(group: int) -> None:
+        # derivation on one factor group: replace slot index i by j, weight h_ij
+        combos = _combos(n, w.p if group == 0 else w.q)
+        pos = pos_p if group == 0 else pos_q
+        for a, I in enumerate(combos):
+            for slot, i in enumerate(I):
+                rest = I[:slot] + I[slot + 1 :]
+                for j in range(n):
+                    hij = h.entries[i, j]
+                    if hij == 0.0:
+                        continue
+                    s = _insert_sign(j, rest)
+                    if s is None:
+                        continue
+                    sgn, newI = s
+                    # sign of removing slot `slot` from I
+                    sgn *= (-1) ** slot
+                    if group == 0:
+                        out[a, :] += sgn * hij * w.coeffs[pos[newI], :]
+                    else:
+                        out[:, a] += sgn * hij * w.coeffs[:, pos[newI]]
+
+    act(0)
+    act(1)
+    return dfalg.DoubleForm(n, w.p, w.q, out)
+
+
+def to_dense_loop(w: dfalg.DoubleForm) -> np.ndarray:
+    """Expand to a dense array of shape (n,)*p + (n,)*q."""
+    n, p, q = w.n, w.p, w.q
+    out = np.zeros((n,) * (p + q))
+    for I in itertools.permutations(range(n), p):
+        for J in itertools.permutations(range(n), q):
+            out[I + J] = w.component(I, J)
+    return out
 
 
 # -- random inputs -----------------------------------------------------------

@@ -120,12 +120,15 @@ class TestConfigValidation:
             ({"flow": {"theta0": [-5, 0, 0], "steps": 1}}, "theta0"),
             ({"grid": {"eps_lo": float("nan")}}, "eps_lo"),
             ({"jet": {"n_grid": 10**6}}, "n_grid"),
+            ({"grid": {"eps_n": 65}}, "eps_n"),
+            ({"trials": 1001}, "trials"),
+            ({"flow": {"steps": 10001}}, "steps"),
             ({"family": "torus-collar"}, "family"),
         ],
         ids=["seed", "theta", "trials", "eps_n", "eps_n_6", "eps_n_7", "n_grid", "eta", "rho_max_below_eps_hi",
              "rho_max_past_cap", "amplitude_g_rho", "amplitude_gamma", "theta_nonpositive_profile",
              "target_fraction_negative", "target_fraction_zero", "theta0_nonpositive_profile",
-             "eps_lo_nan", "n_grid_huge",
+             "eps_lo_nan", "n_grid_huge", "eps_n_past_max", "trials_past_max", "steps_past_max",
              "family_not_radial"],
     )
     def test_malformed_value_exits_usage_and_names_key(self, tmp_path, capsys, extra, key):

@@ -49,6 +49,16 @@ class TestProfiles:
             collar.RadialProfile(Polynomial([1.0, 0.1, -0.25 - 0.1 * 0.0]))
         with pytest.raises(ValueError, match="A\\(0\\) = 1"):
             collar.RadialProfile(Polynomial([1.1, 0.0, -0.25]))
+        # the ball's A with rho mapped from [0, 2]: the right function, but its
+        # coefficients are not those of a power series in rho
+        with pytest.raises(ValueError, match="power series"):
+            collar.RadialProfile(hyperbolic_profile().poly.convert(domain=[0.0, 2.0]))
+
+    def test_kept_derivatives_match_polynomial(self):
+        prof = perturbed_profile([0.03, -0.02, 0.01])
+        rr = np.random.default_rng(4).uniform(0.0, 2.0, 500)
+        for k in range(4):
+            assert np.array_equal(prof.a(rr, k), prof.poly.deriv(k)(rr))
 
     def test_perturbed_profile_keeps_conditions(self):
         prof = perturbed_profile([0.03, -0.02, 0.01])

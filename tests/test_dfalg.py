@@ -1,6 +1,9 @@
 """Unit tests for the double-form algebra, checked against dense-loop oracles."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +175,79 @@ class TestDenseOracles:
 def _random_sym(rng, n):
     m = rng.standard_normal((n, n))
     return 0.5 * (m + m.T)
+
+
+# every bidegree for n = 1..4, and at n = 5 the bidegrees of the random forms
+# algebra-suite draws (w, its partner b of one degree more, and the (1, 1) pairs)
+_TABLE_CASES = [(n, p, q) for n in range(1, 5) for p in range(n + 1) for q in range(n + 1)] + [
+    (5, p, q) for p, q in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
+]
+_TABLES = ("_wedge_table", "_insert_table", "_complement_table", "_expand_table", "_derivation_table")
+
+
+def _compressed(rng, n, p, q):
+    return DoubleForm(n, p, q, rng.standard_normal((math.comb(n, p), math.comb(n, q))))
+
+
+class TestSignTables:
+    """The table-driven operators against their per-call loop forms.
+
+    The tables keep each output entry's terms in the loop's order and sum them
+    left to right, so the two agree exactly, not just to roundoff.
+    """
+
+    def test_kn_product_matches_loop(self):
+        rng = np.random.default_rng(30)
+        for n, pa, qa in _TABLE_CASES:
+            a = _compressed(rng, n, pa, qa)
+            for m, pb, qb in _TABLE_CASES:
+                if m == n and pa + pb <= n and qa + qb <= n:
+                    b = _compressed(rng, n, pb, qb)
+                    got, want = kn_product(a, b), oracles.kn_product_loop(a, b)
+                    assert (got.p, got.q) == (want.p, want.q)
+                    assert np.array_equal(got.coeffs, want.coeffs), (n, pa, qa, pb, qb)
+
+    def test_contract_matches_loop(self):
+        rng = np.random.default_rng(31)
+        for n, p, q in _TABLE_CASES:
+            if p and q:
+                w = _compressed(rng, n, p, q)
+                got, want = contract(w), oracles.contract_loop(w)
+                if p == q == 1:
+                    assert isinstance(got, float) and got == want
+                else:
+                    assert np.array_equal(got.coeffs, want.coeffs), (n, p, q)
+
+    def test_hodge_star_and_to_dense_match_loop(self):
+        rng = np.random.default_rng(32)
+        for n, p, q in _TABLE_CASES:
+            w = _compressed(rng, n, p, q)
+            assert np.array_equal(hodge_star(w).coeffs, oracles.hodge_star_loop(w).coeffs)
+            assert np.array_equal(w.to_dense(), oracles.to_dense_loop(w)), (n, p, q)
+
+    def test_f_h_matches_loop(self):
+        rng = np.random.default_rng(33)
+        for n, p, q in _TABLE_CASES:
+            w = _compressed(rng, n, p, q)
+            h = SymBilinear(n, _random_sym(rng, n))
+            assert np.array_equal(f_h(h, w).coeffs, oracles.f_h_loop(h, w).coeffs), (n, p, q)
+
+    def test_cached_tables_are_read_only(self):
+        for name, args in zip(_TABLES, [(4, 2, 2), (4, 1), (4, 2), (4, 2), (4, 2)]):
+            for table in getattr(dfalg, name)(*args):
+                with pytest.raises(ValueError):
+                    table.flat[0] = 1
+
+    def test_import_builds_no_table(self):
+        """Tables are built on first use, so importing dfalg costs no set-up."""
+        src = os.path.dirname(os.path.dirname(dfalg.__file__))
+        code = (
+            "from ahrenvol import dfalg; "
+            f"print(sum(getattr(dfalg, t).cache_info().currsize for t in {_TABLES!r}))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
 
 
 class TestAlgebraIdentities:
