@@ -63,8 +63,9 @@ class ConfigError(ValueError):
 
 # outer integration cutoff when the config leaves 'rho_max' null (renorm's default)
 _RHO_MAX_DEFAULT = {"radial": 2.0, "torus-collar": 1.0}
-# a curvature record costs about 5 KiB per boundary point, so n_grid = 32
-# (32768 points) is about 170 MiB per slice
+# a curvature slice peaks at about 12 KiB of temporaries per boundary point
+# (6.2 MiB at n_grid 8, 49 MiB at n_grid 16), so n_grid = 32 (32768 points)
+# peaks near 390 MiB per slice
 _N_GRID_MAX = 32
 # with 6 or 7 eps samples, finite_part's forward selection can pick its
 # second nuisance power by roundoff: the ball's renvol at eps_n 6 missed

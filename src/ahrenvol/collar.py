@@ -30,6 +30,7 @@ grid's dense n x n Fourier differentiation matrix along each grid axis.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -529,9 +530,44 @@ def curvature_bar(geom, rho) -> dict:
 
 # -- batches of rho-slices ----------------------------------------------------
 
-# boundary points per engine call: bounds the working set (one 512-point torus
-# slice record is about 2.6 MiB) while one-point radial slices batch
+# boundary points per engine call: bounds the working set while one-point
+# radial slices batch.  An engine call peaks at about 12 KiB of temporaries
+# per boundary point (tracemalloc: 6.2 MiB for a 512-point torus slice, whose
+# returned record is 2.4 MiB, and 49 MiB at n_grid 16)
 _CHUNK_POINTS = 64
+
+# glibc's allocator policy for the engine's temporaries.  Its dynamic
+# thresholds settle near 2 MiB here, below a torus slice's peak, so the freed
+# heap top went back to the kernel after every slice and the next slice
+# faulted it in again as zeroed pages: about 1650 minor faults per n_grid 8
+# slice and 6400 per n_grid 16 slice.  These are the ceilings that glibc's own
+# rule can reach: requests below 32 MiB come from the heap, and up to twice
+# that of freed heap top stays in the process.  Faults per slice drop to about
+# 0 at n_grid 8 and 16 (a 32 MiB trim threshold still leaves the n_grid 16
+# count as it was).  n_grid 32 slices peak near 390 MiB and still fault,
+# about 9200 times per slice instead of 16700.
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
+
+
+def _keep_freed_heap() -> None:
+    """Set the process's glibc heap thresholds to the values above.
+
+    Both are set: setting either alone switches off glibc's dynamic
+    thresholds and faults more than leaving both alone.  Where the C library
+    has no ``mallopt``, or the process's symbols cannot be loaded (Windows),
+    this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, _MMAP_THRESHOLD_BYTES)
+    mallopt(m_trim_threshold, _TRIM_THRESHOLD_BYTES)
+
+
+_keep_freed_heap()
 
 
 def map_slices(fn, rho, npts: int):

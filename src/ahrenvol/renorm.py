@@ -39,6 +39,7 @@ import numpy as np
 from . import collar as _collar
 
 __all__ = [
+    "FitRejected",
     "RegularizedIntegral",
     "BoundaryTermSample",
     "default_eps_grid",
@@ -48,6 +49,14 @@ __all__ = [
     "gauss_bonnet_audit",
     "renormalized_action",
 ]
+
+
+class FitRejected(_collar.NonConvergence, ValueError):
+    """An eps-family the asymptotic model does not fit, or fits only through an
+    ill-conditioned design (CLI exit code 3).
+
+    Also a ValueError, which ``finite_part`` raised for both before.
+    """
 
 
 def default_eps_grid(n: int = 12, lo: float = 0.02, hi: float = 0.3) -> np.ndarray:
@@ -117,7 +126,7 @@ def _ls_fit(eps: np.ndarray, vals: np.ndarray, powers_list, cond_limit):
     scaled = design / norms
     cond = float(np.linalg.cond(scaled))
     if cond > cond_limit:
-        raise ValueError(f"ill-conditioned asymptotic fit (cond={cond:.3e})")
+        raise FitRejected(f"ill-conditioned asymptotic fit (cond={cond:.3e})")
     sol, _, _, _ = np.linalg.lstsq(scaled, vals, rcond=None)
     scaled_ld = scaled.astype(np.longdouble)
     vals_ld = vals.astype(np.longdouble)
@@ -178,7 +187,7 @@ def finite_part(values) -> RegularizedIntegral:
 
     scale = max(1.0, float(np.max(np.abs(vals))))
     if resid > _FIT_TOL * scale:
-        raise ValueError(
+        raise FitRejected(
             f"asymptotic model rejected (residual {resid:.3e} > {_FIT_TOL:.1e} * scale)"
         )
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -373,3 +374,55 @@ class TestFlow:
         code = run(["flow", "--config", cfg, "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_NONCONVERGENCE
         assert "stalled" in capsys.readouterr().err
+
+
+class TestSubcommandFuzz:
+    """Fuzzed grids and profiles through whole radial subcommands: every run
+    exits with a documented code and never raises."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        subcommand=st.sampled_from(["renvol", "gauss-bonnet"]),
+        eps_n=st.integers(4, 70),
+        # eps_lo = 10^(-lo/4) over [1e-12, 1] and eps_hi / eps_lo = 10^(span/4)
+        # over [1, 1e4], in quarter decades: about half the grids span the
+        # factor 8 (hypothesis draws small floats near 0 far more often)
+        lo=st.integers(0, 48),
+        span=st.integers(0, 16),
+        rho_max=st.none() | st.floats(0.0, 2.5),
+        theta=st.lists(st.floats(-2.0, 2.0), max_size=4),
+    )
+    def test_exit_code_is_documented_and_reports_exist(
+        self, subcommand, eps_n, lo, span, rho_max, theta
+    ):
+        grid = {"eps_n": eps_n, "eps_lo": 10.0 ** (-lo / 4), "eps_hi": 10.0 ** ((span - lo) / 4),
+                "rho_max": rho_max}
+        raw = {"family": "radial", "seed": 1, "profile": {"theta": theta}, "grid": grid}
+        with tempfile.TemporaryDirectory() as out:
+            cfg = os.path.join(out, "c.json")
+            with open(cfg, "w", encoding="utf-8") as handle:
+                json.dump(raw, handle)
+            code = run([subcommand, "--config", cfg, "--out-dir", out])
+            assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_USAGE,
+                            cli.EXIT_NONCONVERGENCE)
+            if code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED):
+                assert os.path.exists(os.path.join(out, f"{subcommand}-report.json"))
+
+    @pytest.mark.parametrize(
+        "subcommand, grid, theta",
+        [
+            # the design's condition number (1.4e11) is past the fit's limit
+            ("renvol", {"eps_n": 8, "eps_lo": 1e-12, "eps_hi": 1.0}, [0.0, 0.0, 0.0]),
+            # eps up to 1.5 lies outside the asymptotic regime: residual 4.5e-4
+            ("gauss-bonnet", {"eps_n": 11, "eps_lo": 0.125, "eps_hi": 1.5}, [0.0, 2.0]),
+        ],
+    )
+    def test_rejected_fit_exits_nonconvergence(self, tmp_path, capsys, subcommand, grid, theta):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"family": "radial", "seed": 1, "profile": {"theta": theta}, "grid": grid},
+        )
+        assert run([subcommand, "--config", cfg, "--out-dir", str(tmp_path)]) == (
+            cli.EXIT_NONCONVERGENCE
+        )
+        assert "asymptotic" in capsys.readouterr().err

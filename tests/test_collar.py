@@ -1,5 +1,6 @@
 """Tests for collar metrics, frame Christoffels, curvature, and rho-series."""
 
+import ctypes
 import math
 
 import numpy as np
@@ -536,3 +537,25 @@ class TestSliceBatches:
         assert len(calls[engine]) == math.ceil(slices / 64)
         assert max(calls[engine]) <= collar._CHUNK_POINTS
         assert sum(calls[engine]) == slices
+
+
+class TestHeapPolicy:
+    """Importing collar sets glibc's heap thresholds so that the engine's
+    freed temporaries stay in the process: a torus slice then reuses them
+    instead of faulting fresh zeroed pages in (about 1650 minor faults per
+    n_grid 8 slice and 6400 per n_grid 16 slice under glibc's defaults, or
+    when only one of the two thresholds is set)."""
+
+    @pytest.mark.parametrize("n_grid, calls", [(8, 20), (16, 5)])
+    def test_torus_slices_do_not_page_fault(self, n_grid, calls):
+        resource = pytest.importorskip("resource")
+        if getattr(ctypes.CDLL(None), "mallopt", None) is None:
+            pytest.skip("the C library has no mallopt")
+        geom = collar.as_geometry(random_jet(3, n_grid))
+        for rho in (0.3, 0.5, 0.7):
+            curvature_in_frame(geom, rho)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for rho in np.linspace(0.05, 0.95, calls):
+            curvature_in_frame(geom, rho)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / calls < 100
