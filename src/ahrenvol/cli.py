@@ -65,7 +65,10 @@ class ConfigError(ValueError):
 _RHO_MAX_DEFAULT = {"radial": 2.0, "torus-collar": 1.0}
 # a curvature slice peaks at about 12 KiB of temporaries per boundary point
 # (6.2 MiB at n_grid 8, 49 MiB at n_grid 16), so n_grid = 32 (32768 points)
-# peaks near 390 MiB per slice
+# peaks near 390 MiB per slice.  n_grid 4 is the coarsest grid the tests
+# use; below it the spectral derivative resolves at most wave number 1 of jet
+# fields that carry wave numbers up to 3
+_N_GRID_MIN = 4
 _N_GRID_MAX = 32
 # with 6 or 7 eps samples, finite_part's forward selection can pick its
 # second nuisance power by roundoff: the ball's renvol at eps_n 6 missed
@@ -220,7 +223,7 @@ class AuditConfig:
             family=top["family"],
             seed=seed,
             theta=theta,
-            jet_n_grid=_integer(jet["n_grid"], "n_grid", 1, _N_GRID_MAX),
+            jet_n_grid=_integer(jet["n_grid"], "n_grid", _N_GRID_MIN, _N_GRID_MAX),
             jet_amplitude=_number(jet["amplitude"], "amplitude"),
             eps_n=_integer(grid["eps_n"], "eps_n", _EPS_N_MIN, _EPS_N_MAX),
             eps_lo=eps_lo,
@@ -514,6 +517,9 @@ def _require_radial(config: AuditConfig, subcommand: str) -> None:
 
 def run_gauss_bonnet(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
     _require_radial(config, "gauss-bonnet")
+    # the interior Pfaffian family always runs out to the cap
+    if config.rho_max not in (None, _RHO_MAX_DEFAULT["radial"]):
+        raise ConfigError("gauss-bonnet integrates to the cap: 'rho_max' must be null or 2")
     profile = config.geometry().profile
     audit = renorm.gauss_bonnet_audit(
         profile, eps_grid=config.eps_grid(), tol_scale=tol_scale, tolerances=config.tolerances

@@ -17,9 +17,11 @@ Christoffel symbols of g come from the closed-form relation
     Gamma^u_st = rho Gammabar^u_st - delta_su delta_t4 + delta_u4 gbar_st,
 
 and curvature uses the non-coordinate-frame formula with the explicit
-bracket correction.  Orthonormal-frame components (consumed by
-:mod:`ahrenvol.dfalg`) are obtained with the pointwise inverse square root
-of the spatial metric block.
+bracket correction.  One eigendecomposition g_rho = V diag(w) V^T of the
+spatial metric block per point gives the frame data of an engine call: the
+inverse square root q = V diag(w^-1/2) V^T, which moves components into the
+orthonormal frame consumed by :mod:`ahrenvol.dfalg`, the inverse metric
+(Christoffels, Ricci) and the slice measure sqrt(prod w).
 
 rho-derivatives are always analytic (the metric families are polynomial or
 closed-form in rho).  Boundary derivatives on the torus are spectral: each
@@ -58,6 +60,7 @@ __all__ = [
     "gauss_nodes",
     "rho_series_fit",
     "christoffel_expansion",
+    "frame_curvature",
     "curvature_in_frame",
     "map_slices",
     "on_transform",
@@ -387,27 +390,57 @@ def _cbar4(geom) -> np.ndarray:
     return c
 
 
-def christoffels_bar(geom, rho):
+def _on_frame(gbar: np.ndarray):
+    """q, gbar^-1 and sqrt det g_rho of a batch of frame metrics, from one eigh.
+
+    With g_rho = V diag(w) V^T the block eigendecomposition gives
+    q = V diag(w^-1/2) V^T (+) 1, gbar^-1 = V diag(1/w) V^T (+) 1 and
+    dvol = sqrt(prod w).
+    """
+    w, v = np.linalg.eigh(gbar[:, :3, :3])
+    vt = v.swapaxes(1, 2)
+    q = np.zeros_like(gbar)
+    ginv = np.zeros_like(gbar)
+    q[:, :3, :3] = (v / np.sqrt(w)[:, None, :]) @ vt
+    ginv[:, :3, :3] = (v / w[:, None, :]) @ vt
+    q[:, 3, 3] = ginv[:, 3, 3] = 1.0
+    return q, ginv, np.sqrt(np.prod(w, axis=1))
+
+
+def _slice_frame(geom, rho) -> dict:
+    """Metric blocks of rho-slices and their frame data, built once per engine call.
+
+    Keys 'gbar', 'dgbar', 'd2gbar' (see :func:`_gbar_blocks`) and 'q',
+    'ginv', 'dvol' (see :func:`_on_frame`).
+    """
+    gbar, dgbar, d2gbar = _gbar_blocks(geom, rho)
+    q, ginv, dvol = _on_frame(gbar)
+    return {"gbar": gbar, "dgbar": dgbar, "d2gbar": d2gbar, "q": q, "ginv": ginv, "dvol": dvol}
+
+
+def christoffels_bar(geom, rho, frame=None):
     """Levi-Civita symbols of gbar in the frame Xbar, plus d/d rho.
 
     Returns (Gbar, dGbar) with Gbar[n, u, a, b] = Gammabar^u_ab, from the
-    Koszul formula with structure-function terms.
+    Koszul formula with structure-function terms.  ``frame`` is the slices'
+    :func:`_slice_frame` when the caller has built it.
     """
-    gbar, dgbar, d2gbar = _gbar_blocks(geom, rho)
+    if frame is None:
+        frame = _slice_frame(geom, rho)
+    gbar, dgbar, ginv = frame["gbar"], frame["dgbar"], frame["ginv"]
     npts = gbar.shape[0]
     pair = np.stack([gbar, dgbar], axis=1)  # (n, f, 4, 4): gbar and d/d rho gbar
     # xg[n, f, a, b, c] = Xbar_a (pair_f)_bc, one x-derivative call for both fields
     xg = np.empty((npts, 2, 4, 4, 4))
     xg[:, :, :3] = geom.xderiv(pair).transpose(0, 2, 1, 3, 4)
     xg[:, 0, 3] = dgbar
-    xg[:, 1, 3] = d2gbar
+    xg[:, 1, 3] = frame["d2gbar"]
     # minus the structure-constant terms, C^d_ab (pair_f)_dc at [n, f, c, a, b]
     xg -= np.tensordot(pair, _cbar4(geom), axes=([2], [0]))
     # lower[n, f, c, a, b] = 1/2 (X_a g_bc + X_b g_ac - X_c g_ab
     #                             + C^d_ab g_dc - C^d_ac g_db - C^d_bc g_da)
     lower = xg.transpose(0, 1, 4, 2, 3) + xg.transpose(0, 1, 4, 3, 2) - xg
     lower = 0.5 * lower.reshape(npts, 2, 4, 16)
-    ginv = np.linalg.inv(gbar)
     gamma = ginv @ lower[:, 0]
     # d/d rho (g^-1 lower) = g^-1 (dlower - dgbar g^-1 lower)
     dgamma = ginv @ (lower[:, 1] - dgbar @ gamma)
@@ -420,24 +453,26 @@ def _rho_per_point(rho, npts: int) -> np.ndarray:
     return np.repeat(r, npts // r.size).reshape(-1, 1, 1, 1)
 
 
-def christoffels(geom, rho):
+def christoffels(geom, rho, frame=None):
     """Frame Christoffels of g in X_s = rho Xbar_s, and rho d/d rho of them.
 
     Gamma^u_st = rho Gammabar^u_st - delta_su delta_t4 + delta_u4 gbar_st.
+    ``frame`` is as in :func:`christoffels_bar`.
     """
-    gbar, dgbar, _ = _gbar_blocks(geom, rho)
-    gamma_bar, dgamma_bar = christoffels_bar(geom, rho)
-    rho = _rho_per_point(rho, gbar.shape[0])
+    if frame is None:
+        frame = _slice_frame(geom, rho)
+    gamma_bar, dgamma_bar = christoffels_bar(geom, rho, frame)
+    rho = _rho_per_point(rho, gamma_bar.shape[0])
     gamma = rho * gamma_bar
     gamma[:, range(4), range(4), 3] -= 1.0
-    gamma[:, 3] += gbar
+    gamma[:, 3] += frame["gbar"]
     # rho d/d rho Gamma = rho (Gammabar + rho dGammabar + delta_u4 dgbar)
     dgamma = gamma_bar + rho * dgamma_bar
-    dgamma[:, 3] += dgbar
+    dgamma[:, 3] += frame["dgbar"]
     return gamma, rho * dgamma
 
 
-def _frame_curvature(geom, gamma, radial_deriv, spatial_scale, cfun, gbar):
+def _frame_riemann(geom, gamma, radial_deriv, spatial_scale, cfun, gbar):
     """Riem_stuv = gbar(R(F_s, F_t) F_u, F_v) for a frame with given data.
 
     gamma[n,u,a,b]: connection symbols; radial_deriv: F_4 applied to gamma;
@@ -461,11 +496,7 @@ def _frame_curvature(geom, gamma, radial_deriv, spatial_scale, cfun, gbar):
 
 def on_transform(gbar: np.ndarray) -> np.ndarray:
     """Pointwise frame-to-orthonormal transform q with q^T gbar q = identity."""
-    w, v = np.linalg.eigh(gbar[:, :3, :3])
-    q = np.zeros_like(gbar)
-    q[:, :3, :3] = np.einsum("nab,nb,ncb->nac", v, 1.0 / np.sqrt(w), v)
-    q[:, 3, 3] = 1.0
-    return q
+    return _on_frame(gbar)[0]
 
 
 def to_on2(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -479,38 +510,51 @@ def to_on4(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (qq.swapaxes(1, 2) @ fld.reshape(n, 16, 16) @ qq).reshape(fld.shape)
 
 
-def curvature_in_frame(geom, rho) -> dict:
-    """Curvature of g on rho-slices: frame, orthonormal, and invariants.
+# structure functions of X without the boundary part: [X_4, X_i] = X_i
+_X_BRACKETS = np.einsum("s,xt->xst", np.eye(4)[3], np.eye(4)) - np.einsum(
+    "t,xs->xst", np.eye(4)[3], np.eye(4)
+)
+
+
+def frame_curvature(geom, rho) -> dict:
+    """Curvature of g on rho-slices in the scaled frame X only.
 
     ``rho`` is a scalar (one slice) or a 1-D array of slices.  Every field
     carries a leading point axis; for an array it is the rho-major flattening
     of (rho, boundary point), so point ``k * geom.npts + p`` is boundary
     point p on slice rho[k].
 
-    Returns {'gbar', 'gamma', 'gamma4', 'riem' (X-frame), 'q' (see
-    :func:`on_transform`), 'dvol' (sqrt det g_rho, the slice measure of
-    gbar), 'riem_on', 'invariants'}.
+    Returns {'gbar', 'ginv' (gbar^-1), 'q' (see :func:`on_transform`),
+    'dvol' (sqrt det g_rho, the slice measure of gbar), 'gamma', 'gamma4',
+    'riem' (X-frame)}.  Ricci is ric_tv = ginv^su riem_stuv.
     """
-    gbar, _, _ = _gbar_blocks(geom, rho)
-    gamma, dgamma = christoffels(geom, rho)
-    rho = _rho_per_point(rho, gbar.shape[0])
+    frame = _slice_frame(geom, rho)
+    gamma, dgamma = christoffels(geom, rho, frame)
+    rho = _rho_per_point(rho, gamma.shape[0])
     # structure functions of X: [X_4, X_i] = X_i, [X_i, X_j] = rho Cbar^k_ij X_k
-    eye = np.eye(4)
-    cfun = np.einsum("s,xt->xst", eye[3], eye) - np.einsum("t,xs->xst", eye[3], eye)
-    cfun = cfun + rho * _cbar4(geom)
-    riem = _frame_curvature(geom, gamma, dgamma, rho, cfun, gbar)
-    q = on_transform(gbar)
-    riem_on = to_on4(riem, q)
+    cfun = _X_BRACKETS + rho * _cbar4(geom)
     return {
-        "gbar": gbar,
+        "gbar": frame["gbar"],
+        "ginv": frame["ginv"],
+        "q": frame["q"],
+        "dvol": frame["dvol"],
         "gamma": gamma,
         "gamma4": gamma[:, 3, :3, :3],
-        "riem": riem,
-        "q": q,
-        "dvol": np.sqrt(np.linalg.det(gbar[:, :3, :3])),
-        "riem_on": riem_on,
-        "invariants": dfalg.batch_invariants(riem_on),
+        "riem": _frame_riemann(geom, gamma, dgamma, rho, cfun, frame["gbar"]),
     }
+
+
+def curvature_in_frame(geom, rho) -> dict:
+    """Curvature of g on rho-slices: frame, orthonormal, and invariants.
+
+    The record of :func:`frame_curvature` (same point layout), plus
+    'riem_on' (orthonormal components) and 'invariants'
+    (:func:`ahrenvol.dfalg.batch_invariants` of riem_on).
+    """
+    cur = frame_curvature(geom, rho)
+    cur["riem_on"] = to_on4(cur["riem"], cur["q"])
+    cur["invariants"] = dfalg.batch_invariants(cur["riem_on"])
+    return cur
 
 
 def curvature_bar(geom, rho) -> dict:
@@ -519,13 +563,12 @@ def curvature_bar(geom, rho) -> dict:
     ``rho`` is a scalar or a 1-D array, with the point layout of
     :func:`curvature_in_frame`.
     """
-    gbar, _, _ = _gbar_blocks(geom, rho)
-    gamma_bar, dgamma_bar = christoffels_bar(geom, rho)
-    riem = _frame_curvature(geom, gamma_bar, dgamma_bar, 1.0, _cbar4(geom), gbar)
-    ginv = np.linalg.inv(gbar)
+    frame = _slice_frame(geom, rho)
+    gamma_bar, dgamma_bar = christoffels_bar(geom, rho, frame)
+    riem = _frame_riemann(geom, gamma_bar, dgamma_bar, 1.0, _cbar4(geom), frame["gbar"])
     # Ricci as the frame trace of the endomorphism w -> R(w, u) v
-    ric = np.einsum("nsv,nsavb->nab", ginv, riem)
-    return {"gbar": gbar, "riem": riem, "ric": ric}
+    ric = np.einsum("nsv,nsavb->nab", frame["ginv"], riem)
+    return {"gbar": frame["gbar"], "riem": riem, "ric": ric}
 
 
 # -- batches of rho-slices ----------------------------------------------------
@@ -589,17 +632,17 @@ def map_slices(fn, rho, npts: int):
 
 
 def _invariant_density(geom, integrands):
-    """Callable: rho array -> slice integrals of integrand(invariants) times the g-measure.
+    """Callable: rho array -> slice integrals of integrand(record) times the g-measure.
 
-    Returns one row per slice and one column per integrand.
+    Each integrand maps a :func:`curvature_in_frame` record to a pointwise
+    field.  Returns one row per slice and one column per integrand.
     """
 
     def density(rho):
         data = curvature_in_frame(geom, rho)
-        inv = data["invariants"]
         meas = (geom.weight * data["dvol"]).reshape(rho.size, -1) / rho[:, None] ** 4
         return np.stack(
-            [np.sum(f(inv).reshape(rho.size, -1) * meas, axis=1) for f in integrands], axis=1
+            [np.sum(f(data).reshape(rho.size, -1) * meas, axis=1) for f in integrands], axis=1
         )
 
     return density

@@ -57,6 +57,7 @@ __all__ = [
     "decompose_curvature",
     "hyperbolic_curvature",
     "batch_invariants",
+    "batch_pfaffian",
 ]
 
 
@@ -552,36 +553,55 @@ for _perm in itertools.permutations(range(4)):
 # assumed, which a 6x6 bivector form would need.
 _EPS4_MATRIX = _EPS4.reshape(16, 16)
 
+# Kulkarni-Nomizu product with the metric as a (16, 256) table: row (i, j) is
+# d(u.g)/du_ij, so u.g = u16 @ _KN_METRIC for u16 the (ij) reshape of u, with
+# u.g_abcd = u_ac g_bd + u_bd g_ac - u_ad g_bc - u_bc g_ad.
+_KN_METRIC = np.zeros((4, 4, 4, 4, 4, 4))
+for _i, _j, _b in itertools.product(range(4), repeat=3):
+    _KN_METRIC[_i, _j, _i, _b, _j, _b] += 1.0
+    _KN_METRIC[_i, _j, _b, _i, _b, _j] += 1.0
+    _KN_METRIC[_i, _j, _i, _b, _b, _j] -= 1.0
+    _KN_METRIC[_i, _j, _b, _i, _j, _b] -= 1.0
+_KN_METRIC = _KN_METRIC.reshape(16, 256)
+_KN_METRIC.setflags(write=False)
+
+
+def _check_curvature_batch(R: np.ndarray) -> None:
+    if R.shape[-4:] != (4, 4, 4, 4):
+        raise ValueError("expected trailing shape (4, 4, 4, 4)")
+
 
 def batch_invariants(R: np.ndarray) -> dict[str, np.ndarray]:
     """Scalar invariants of a batch of orthonormal-frame curvature tensors.
 
     ``R`` has shape (..., 4, 4, 4, 4) with R[..., s, t, u, v] the components
-    of a curvature-type double form.  Returns s, |r|^2, |z|^2, |W|^2, |R|^2
-    and the Pfaffian density, each of shape (...,).  This mirrors the
-    DoubleForm operations above entry for entry (tested against them) but
-    vectorizes over grid points.
+    of a curvature-type double form.  Returns s, |r|^2, |z|^2, |W|^2 and
+    |R|^2, each of shape (...,), with the Ricci and trace-free Ricci fields
+    'ric' and 'z'.  This mirrors the DoubleForm operations above entry for
+    entry (tested against them) but vectorizes over grid points.  The
+    Pfaffian density is :func:`batch_pfaffian`.
     """
-    if R.shape[-4:] != (4, 4, 4, 4):
-        raise ValueError("expected trailing shape (4, 4, 4, 4)")
+    _check_curvature_batch(R)
     ric = np.einsum("...iaib->...ab", R)
     s = np.einsum("...aa->...", ric)
     r2 = np.einsum("...ab,...ab->...", ric, ric)
     z = ric - s[..., None, None] / 4.0 * np.eye(4)
     z2 = np.einsum("...ab,...ab->...", z, z)
-    # Weyl part: W = R - (s/24) g.g - (1/2) z.g = R - u.g with u = z/2 + (s/24) g,
-    # u.g = u_ac g_bd + u_bd g_ac - u_ad g_bc - u_bc g_ad, one slot pair at a time
+    # Weyl part: W = R - (s/24) g.g - (1/2) z.g = R - u.g with u = z/2 + (s/24) g
     u = 0.5 * z + s[..., None, None] / 24.0 * np.eye(4)
-    W = R.copy()
-    for b in range(4):
-        W[..., :, b, :, b] -= u
-        W[..., b, :, b, :] -= u
-        W[..., :, b, b, :] += u
-        W[..., b, :, :, b] += u
+    W = R - (u.reshape(u.shape[:-2] + (16,)) @ _KN_METRIC).reshape(R.shape)
     w2 = np.einsum("...abcd,...abcd->...", W, W)
     R2 = np.einsum("...abcd,...abcd->...", R, R)
-    # Pfaffian density: (1/16) eps eps R R / (8 pi^2)
+    return {"s": s, "r2": r2, "z2": z2, "w2": w2, "R2": R2, "ric": ric, "z": z}
+
+
+def batch_pfaffian(R: np.ndarray) -> np.ndarray:
+    """Pfaffian density (1/16) eps eps R R / (8 pi^2) of a batch, shape (...,).
+
+    ``R`` is as in :func:`batch_invariants`; this is the vectorized
+    :func:`pfaffian_density`.
+    """
+    _check_curvature_batch(R)
     mat = R.reshape(R.shape[:-4] + (16, 16))
     pff = np.einsum("...ij,...ij->...", _EPS4_MATRIX @ mat @ _EPS4_MATRIX, mat)
-    pff = pff / (16.0 * 8.0 * math.pi**2)
-    return {"s": s, "r2": r2, "z2": z2, "w2": w2, "R2": R2, "pff": pff, "ric": ric, "z": z}
+    return pff / (16.0 * 8.0 * math.pi**2)

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import collar as _collar
+from . import dfalg
 
 __all__ = [
     "FitRejected",
@@ -381,7 +382,7 @@ def gauss_bonnet_audit(
     geom = _collar.RadialGeometry(profile)
     chi = 1.0
 
-    pff = _collar._invariant_density(geom, [lambda inv: inv["pff"]])
+    pff = _collar._invariant_density(geom, [lambda cur: dfalg.batch_pfaffian(cur["riem_on"])])
     interior, quad_errors = _cumulative_family(pff, eps_grid, 2.0, geom.npts)
     interior = interior[:, 0]
     boundary = np.array([bt.ii_integral for bt in _boundary_family(geom, eps_grid)])
@@ -434,10 +435,10 @@ def renormalized_action(source, eps_grid=None, rho_max: float | None = None) -> 
     density = _collar._invariant_density(
         geom,
         [
-            lambda inv: inv["s"] ** 2,
-            lambda inv: inv["z2"],
-            lambda inv: inv["w2"],
-            lambda inv: inv["s"] ** 2 - 3.0 * inv["r2"],
+            lambda cur: cur["invariants"]["s"] ** 2,
+            lambda cur: cur["invariants"]["z2"],
+            lambda cur: cur["invariants"]["w2"],
+            lambda cur: cur["invariants"]["s"] ** 2 - 3.0 * cur["invariants"]["r2"],
         ],
     )
     fams, _ = _cumulative_family(density, eps_grid, rho_max, geom.npts)

@@ -44,6 +44,7 @@ from .collar import (
     _invariant_density,
     christoffels,
     curvature_in_frame,
+    frame_curvature,
     gauss_nodes,
     map_slices,
     on_transform,
@@ -292,17 +293,21 @@ def linearized_curvature(geom, pert, rho: float) -> dict:
     }
 
 
+def _frame_ricci(cur: dict):
+    """Ricci ric_tv = gbar^su R_stuv and s = gbar^tv ric_tv in scaled-frame
+    components, from a :func:`frame_curvature` record."""
+    ginv = cur["ginv"]
+    ric = np.einsum("nsu,nstuv->ntv", ginv, cur["riem"])
+    return ric, np.einsum("nab,nab->n", ginv, ric)
+
+
 def fd_curvature_derivative(geom, pert, rho: float, t: float) -> dict:
     """Central differences of frame curvature along g_rho + t m, ON at t=0."""
     q = on_transform(_gbar_blocks(geom, rho)[0])
     sides = {}
     for sgn in (+1, -1):
-        cur = curvature_in_frame(PerturbedGeometry(geom, pert, sgn * t), rho)
-        ginv = np.linalg.inv(cur["gbar"])
-        riem = cur["riem"]
-        ric = np.einsum("nsu,nsaub->nab", ginv, riem)
-        s = np.einsum("nab,nab->n", ginv, ric)
-        sides[sgn] = (riem, ric, s)
+        cur = frame_curvature(PerturbedGeometry(geom, pert, sgn * t), rho)
+        sides[sgn] = (cur["riem"],) + _frame_ricci(cur)
     riem_p = (sides[1][0] - sides[-1][0]) / (2.0 * t)
     ric_p = (sides[1][1] - sides[-1][1]) / (2.0 * t)
     s_p = (sides[1][2] - sides[-1][2]) / (2.0 * t)
@@ -320,10 +325,10 @@ def convergence_order(steps, deviations) -> float:
 
 
 def _frame_z(cur: dict) -> np.ndarray:
-    """Trace-free Ricci in scaled-frame components: the record's ON z pulled
-    back through q, z_frame = (gbar q) z_on (gbar q)^T."""
-    gq = cur["gbar"] @ cur["q"]
-    return gq @ cur["invariants"]["z"] @ gq.transpose(0, 2, 1)
+    """Trace-free Ricci z = ric - (s/4) gbar in scaled-frame components, from
+    a :func:`frame_curvature` record."""
+    ric, s = _frame_ricci(cur)
+    return ric - 0.25 * s[:, None, None] * cur["gbar"]
 
 
 def gradient_field(z_on: np.ndarray, R_on: np.ndarray, ric_on: np.ndarray,
@@ -371,8 +376,10 @@ def functional_gradient(geom, rhos=None, step: float = 0.005, k_max: int = 4) ->
     """Gradient field f, T2 of the z-Hessian, and the EL residual E.
 
     z has no closed-form rho-jet in general, so its Hessian uses the
-    5-point :func:`fd_jet` stencil with the given radial ``step``: one engine
-    call per stencil rho, the centre record also serving f and the measure.
+    5-point :func:`fd_jet` stencil with the given radial ``step``: one full
+    engine record at each centre rho, which also serves f and the measure, and
+    a frame-only :func:`frame_curvature` at the four other stencil rhos, which
+    only z is read from.
     All rhos must satisfy rho > 2 step.
     """
     if rhos is None:
@@ -387,7 +394,7 @@ def functional_gradient(geom, rhos=None, step: float = 0.005, k_max: int = 4) ->
         cur = curvature_in_frame(geom, rho)
         inv = cur["invariants"]
         f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"])
-        zs = [_frame_z(curvature_in_frame(geom, rho + d) if d else cur) for d in offsets]
+        zs = [_frame_z(frame_curvature(geom, rho + d) if d else cur) for d in offsets]
         omega_on = to_on4(hessian11(geom, fd_jet(zs, step), rho), cur["q"])
         t2_on = _einstein_t2_on(omega_on)
         e_on = f_on - 0.5 * t2_on
@@ -486,7 +493,7 @@ def el_slice_analysis(geom, pert, rhos=None, step: float = 0.004, k_max: int = 6
 def _z2_quadrature(geom, segments, n_per: int) -> float:
     """Gauss quadrature of the int |z|^2 dvol slice integrals over ``segments``."""
     nodes, wts = gauss_nodes(segments, n_per)
-    dens = map_slices(_invariant_density(geom, [lambda inv: inv["z2"]]), nodes, geom.npts)
+    dens = map_slices(_invariant_density(geom, [lambda cur: cur["invariants"]["z2"]]), nodes, geom.npts)
     return float(sum(wts * dens[:, 0]))
 
 

@@ -10,8 +10,9 @@ sign; ahrenvol.dfalg applies the same signs from cached tables, so the two
 must agree entry for entry.  The eps-families of ahrenvol.renorm are checked
 against adaptive quadrature, one scalar rho at a time, and their finite
 parts against Taylor subtraction.  The collar curvature engine is checked
-against its einsum form with per-axis FFT boundary derivatives, and the
-collar Hessian's D / Dt conventions against the flat 4-torus calculus.
+against its einsum form with per-axis FFT boundary derivatives, its
+orthonormal frame against one LAPACK routine per quantity (``frame_oracle``),
+and the collar Hessian's D / Dt conventions against the flat 4-torus calculus.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from ahrenvol.collar import (
     _cbar4,
     _gbar_blocks,
     _rho_per_point,
-    on_transform,
     spectral_deriv,
 )
 from ahrenvol.dfalg import _EPS4, _combo_pos, _combos, _insert_sign, _merge_sign
@@ -635,11 +635,26 @@ def pfaffian_einsum(R: np.ndarray) -> np.ndarray:
     return pff / (16.0 * 8.0 * math.pi**2)
 
 
+def frame_oracle(gbar: np.ndarray):
+    """q, gbar^-1 and sqrt det g_rho of frame metrics, one LAPACK route each.
+
+    q = V diag(w^-1/2) V^T from eigh contracted by einsum, gbar^-1 from
+    np.linalg.inv and the measure from np.linalg.det: the three routes that
+    collar._on_frame replaces with one eigendecomposition.
+    """
+    w, v = np.linalg.eigh(gbar[:, :3, :3])
+    q = np.zeros_like(gbar)
+    q[:, :3, :3] = np.einsum("nab,nb,ncb->nac", v, 1.0 / np.sqrt(w), v)
+    q[:, 3, 3] = 1.0
+    return q, np.linalg.inv(gbar), np.sqrt(np.linalg.det(gbar[:, :3, :3]))
+
+
 def curvature_in_frame_einsum(geom, rho) -> dict:
     """The fields of collar.curvature_in_frame, from the kernels above.
 
-    The invariants are dfalg.batch_invariants of the reference riem_on, with
-    |W|^2 recomputed through zg_einsum and the Pfaffian through pfaffian_einsum.
+    The frame is frame_oracle's.  The invariants are dfalg.batch_invariants of
+    the reference riem_on, with |W|^2 recomputed through zg_einsum; 'pff' is
+    pfaffian_einsum of riem_on.
     """
     gbar, _, _ = _gbar_blocks(geom, rho)
     gamma, dgamma = christoffels_einsum(geom, rho)
@@ -648,12 +663,12 @@ def curvature_in_frame_einsum(geom, rho) -> dict:
     cfun = np.einsum("s,xt->xst", eye[3], eye) - np.einsum("t,xs->xst", eye[3], eye)
     cfun = cfun + rho * _cbar4(geom)
     riem = frame_curvature_einsum(geom, gamma, dgamma, rho, cfun, gbar)
-    q = on_transform(gbar)
+    q, ginv, dvol = frame_oracle(gbar)
     riem_on = to_on4_einsum(riem, q)
     inv = dict(dfalg.batch_invariants(riem_on))
     inv["w2"] = w2_einsum(riem_on, inv["s"], inv["z"])
-    inv["pff"] = pfaffian_einsum(riem_on)
-    return {"gamma": gamma, "riem": riem, "q": q, "riem_on": riem_on, "invariants": inv}
+    return {"gamma": gamma, "riem": riem, "q": q, "ginv": ginv, "dvol": dvol,
+            "riem_on": riem_on, "invariants": inv, "pff": pfaffian_einsum(riem_on)}
 
 
 def curvature_bar_einsum(geom, rho) -> dict:
@@ -661,6 +676,5 @@ def curvature_bar_einsum(geom, rho) -> dict:
     gbar, _, _ = _gbar_blocks(geom, rho)
     gamma_bar, dgamma_bar = christoffels_bar_einsum(geom, rho)
     riem = frame_curvature_einsum(geom, gamma_bar, dgamma_bar, 1.0, _cbar4(geom), gbar)
-    ginv = np.linalg.inv(gbar)
-    ric = np.einsum("nsv,nsavb->nab", ginv, riem)
+    ric = np.einsum("nsv,nsavb->nab", frame_oracle(gbar)[1], riem)
     return {"riem": riem, "ric": ric}

@@ -110,6 +110,7 @@ class TestConfigValidation:
             ({"grid": {"eps_n": 6}}, "eps_n"),
             ({"grid": {"eps_n": 7}}, "eps_n"),
             ({"jet": {"n_grid": 0}}, "n_grid"),
+            ({"jet": {"n_grid": 3}}, "n_grid"),
             ({"flow": {"eta": -1.0}}, "eta"),
             ({"grid": {"rho_max": 0.1}}, "rho_max"),
             ({"grid": {"rho_max": 2.5}}, "rho_max"),
@@ -126,7 +127,8 @@ class TestConfigValidation:
             ({"flow": {"steps": 10001}}, "steps"),
             ({"family": "torus-collar"}, "family"),
         ],
-        ids=["seed", "theta", "trials", "eps_n", "eps_n_6", "eps_n_7", "n_grid", "eta", "rho_max_below_eps_hi",
+        ids=["seed", "theta", "trials", "eps_n", "eps_n_6", "eps_n_7", "n_grid", "n_grid_3", "eta",
+             "rho_max_below_eps_hi",
              "rho_max_past_cap", "amplitude_g_rho", "amplitude_gamma", "theta_nonpositive_profile",
              "target_fraction_negative", "target_fraction_zero", "theta0_nonpositive_profile",
              "eps_lo_nan", "n_grid_huge", "eps_n_past_max", "trials_past_max", "steps_past_max",
@@ -286,6 +288,20 @@ class TestGaussBonnet:
         assert row["value"] == pytest.approx(1.0, abs=1e-4)
         assert row["tolerance"] == tol
 
+    @pytest.mark.parametrize("rho_max", [1.0, 1.5])
+    def test_rho_max_short_of_the_cap_exits_usage(self, tmp_path, capsys, rho_max):
+        """The interior family always runs to the cap rho = 2, so a config
+        asking for another cutoff is refused rather than echoed unused."""
+        cfg = write_config(tmp_path, "c.json", {**HYP, "grid": {"rho_max": rho_max}})
+        code = run(["gauss-bonnet", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_USAGE
+        assert "'rho_max'" in capsys.readouterr().err
+        assert not (tmp_path / "gauss-bonnet-report.json").exists()
+
+    def test_rho_max_at_the_cap_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {**HYP, "grid": {"rho_max": 2.0}})
+        assert run(["gauss-bonnet", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+
     def test_requires_radial_family(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"family": "torus-collar", "seed": 5})
         code = run(["gauss-bonnet", "--config", cfg, "--out-dir", str(tmp_path)])
@@ -377,8 +393,20 @@ class TestFlow:
 
 
 class TestSubcommandFuzz:
-    """Fuzzed grids and profiles through whole radial subcommands: every run
-    exits with a documented code and never raises."""
+    """Fuzzed grids, profiles and torus jets through whole subcommands: every
+    run exits with a documented code and never raises."""
+
+    @staticmethod
+    def _exits_documented(subcommand, raw):
+        with tempfile.TemporaryDirectory() as out:
+            cfg = os.path.join(out, "c.json")
+            with open(cfg, "w", encoding="utf-8") as handle:
+                json.dump(raw, handle)
+            code = run([subcommand, "--config", cfg, "--out-dir", out])
+            assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_USAGE,
+                            cli.EXIT_NONCONVERGENCE)
+            if code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED):
+                assert os.path.exists(os.path.join(out, f"{subcommand}-report.json"))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -398,15 +426,21 @@ class TestSubcommandFuzz:
         grid = {"eps_n": eps_n, "eps_lo": 10.0 ** (-lo / 4), "eps_hi": 10.0 ** ((span - lo) / 4),
                 "rho_max": rho_max}
         raw = {"family": "radial", "seed": 1, "profile": {"theta": theta}, "grid": grid}
-        with tempfile.TemporaryDirectory() as out:
-            cfg = os.path.join(out, "c.json")
-            with open(cfg, "w", encoding="utf-8") as handle:
-                json.dump(raw, handle)
-            code = run([subcommand, "--config", cfg, "--out-dir", out])
-            assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_USAGE,
-                            cli.EXIT_NONCONVERGENCE)
-            if code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED):
-                assert os.path.exists(os.path.join(out, f"{subcommand}-report.json"))
+        self._exits_documented(subcommand, raw)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        subcommand=st.sampled_from(["collar-audit", "renvol"]),
+        n_grid=st.sampled_from([4, 6, 8]),
+        amplitude=st.floats(0.0, 0.6),
+        seed=st.integers(0, 50),
+    )
+    def test_torus_exit_code_is_documented_and_reports_exist(
+        self, subcommand, n_grid, amplitude, seed
+    ):
+        raw = {"family": "torus-collar", "seed": seed,
+               "jet": {"n_grid": n_grid, "amplitude": amplitude}}
+        self._exits_documented(subcommand, raw)
 
     @pytest.mark.parametrize(
         "subcommand, grid, theta",

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ahrenvol import cli, collar, variation
+from ahrenvol import cli, collar, dfalg, variation
 from ahrenvol.collar import (
     BoundaryJet,
     PerturbedGeometry,
@@ -176,7 +176,7 @@ class TestCurvature:
             cur = curvature_in_frame(samp.geometry, float(rho))
             assert np.max(np.abs(cur["riem_on"] - HYP)) < 1e-8
             assert cur["invariants"]["s"][0] == pytest.approx(12.0, abs=1e-10)
-            assert cur["invariants"]["pff"][0] == pytest.approx(
+            assert dfalg.batch_pfaffian(cur["riem_on"])[0] == pytest.approx(
                 3.0 / (4.0 * math.pi**2), rel=1e-10
             )
 
@@ -444,11 +444,12 @@ class TestReferenceEngine:
         geom = REFERENCE_GEOMETRIES[name]()
         got = curvature_in_frame(geom, self.RHOS)
         want = oracles.curvature_in_frame_einsum(geom, self.RHOS)
-        for key in ("gamma", "riem", "q", "riem_on"):
+        for key in ("gamma", "riem", "q", "ginv", "dvol", "riem_on"):
             _close_relative(got[key], want[key])
         assert set(got["invariants"]) == set(want["invariants"])
         for key, field in want["invariants"].items():
             _close_relative(got["invariants"][key], field)
+        _close_relative(dfalg.batch_pfaffian(got["riem_on"]), want["pff"])
 
     @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
     def test_curvature_bar_matches_einsum_form(self, name):
@@ -470,6 +471,58 @@ class TestReferenceEngine:
         for axis in range(3):
             want = collar.spectral_deriv(grid, axis + 1).reshape(field.shape)
             _close_relative(got[:, axis], want)
+
+
+def _spd_frames(rng, spectrum, n):
+    """n frame metrics gbar whose spatial blocks have eigenvalues ``spectrum``
+    in random orthonormal bases."""
+    v, _ = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+    gbar = np.zeros((n, 4, 4))
+    gbar[:, :3, :3] = (v * spectrum) @ v.swapaxes(1, 2)
+    gbar[:, 3, 3] = 1.0
+    return 0.5 * (gbar + gbar.swapaxes(1, 2))
+
+
+class TestOrthonormalFrame:
+    """collar._on_frame (one eigh: q, gbar^-1 and dvol) against the three
+    LAPACK routes of oracles.frame_oracle."""
+
+    @staticmethod
+    def _matches_oracle(gbar):
+        for got, want in zip(collar._on_frame(gbar), oracles.frame_oracle(gbar)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_grid", [4, 8])
+    @pytest.mark.parametrize("rho", [0.02, 0.3, 1.0])
+    def test_torus_jets(self, n_grid, rho):
+        geom = TorusJetGeometry(random_jet(3, n_grid=n_grid))
+        self._matches_oracle(collar._gbar_blocks(geom, rho)[0])
+
+    @pytest.mark.parametrize("theta", [[0.0, 0.0, 0.0], [0.01, 0.0, 0.0]], ids=["ball", "theta"])
+    def test_scalar_radial_metric_out_to_the_cap(self, theta):
+        geom = RadialGeometry(perturbed_profile(theta))
+        self._matches_oracle(collar._gbar_blocks(geom, np.linspace(0.01, 1.99, 199))[0])
+
+    def test_near_double_spectrum(self):
+        rng = np.random.default_rng(5)
+        self._matches_oracle(_spd_frames(rng, np.array([1.0, 1.0 + 1e-9, 2.0]), 50))
+
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
+    def test_residuals_track_the_oracle(self, cond):
+        """On ill-conditioned blocks |q^T gbar q - I| and |gbar^-1 gbar - I|
+        stay within 10 times the oracle's."""
+        gbar = _spd_frames(np.random.default_rng(6), np.array([1.0, math.sqrt(cond), cond]), 200)
+        eye = np.eye(4)
+
+        def residuals(q, ginv, _):
+            return (np.max(np.abs(q.swapaxes(1, 2) @ gbar @ q - eye)),
+                    np.max(np.abs(ginv @ gbar - eye)))
+
+        got = residuals(*collar._on_frame(gbar))
+        want = residuals(*oracles.frame_oracle(gbar))
+        for g, w in zip(got, want):
+            assert g <= 10.0 * w
 
 
 class TestSliceBatches:

@@ -17,6 +17,7 @@ from ahrenvol.dfalg import (
     SymBilinear,
     bilinear_algebra,
     batch_invariants,
+    batch_pfaffian,
     contract,
     contract_k,
     decompose_curvature,
@@ -596,6 +597,7 @@ class TestBatchInvariants:
         rng = np.random.default_rng(70)
         batch = np.stack([oracles.random_curvature_dense(rng, 4) for _ in range(5)])
         out = batch_invariants(batch)
+        pff = batch_pfaffian(batch)
         for k in range(5):
             R = DoubleForm.from_dense(4, 2, 2, batch[k])
             parts = decompose_curvature(R)
@@ -603,7 +605,7 @@ class TestBatchInvariants:
             assert out["z2"][k] == pytest.approx(float(np.sum(parts.z.entries**2)), rel=1e-10)
             assert out["w2"][k] == pytest.approx(inner_full(parts.w, parts.w), rel=1e-9)
             assert out["R2"][k] == pytest.approx(inner_full(R, R), rel=1e-11)
-            assert out["pff"][k] == pytest.approx(pfaffian_density(R), rel=1e-10)
+            assert pff[k] == pytest.approx(pfaffian_density(R), rel=1e-10)
 
     def test_matches_einsum_kernels_without_pair_symmetry(self):
         """pff and |W|^2 equal their einsum forms (tests/oracles.py) on a batch
@@ -612,7 +614,7 @@ class TestBatchInvariants:
         R = np.random.default_rng(72).standard_normal((5, 4, 4, 4, 4))
         out = batch_invariants(R)
         for got, want in (
-            (out["pff"], oracles.pfaffian_einsum(R)),
+            (batch_pfaffian(R), oracles.pfaffian_einsum(R)),
             (out["w2"], oracles.w2_einsum(R, out["s"], out["z"])),
         ):
             assert got.shape == (5,)
@@ -624,7 +626,7 @@ class TestBatchInvariants:
         batch = np.stack(
             [oracles.random_curvature_dense(rng, 4) for _ in range(6)]
         ).reshape(2, 3, 4, 4, 4, 4)
-        pff = batch_invariants(batch)["pff"]
+        pff = batch_pfaffian(batch)
         assert pff.shape == (2, 3)
         for i in range(2):
             for j in range(3):
@@ -632,11 +634,12 @@ class TestBatchInvariants:
                 assert pff[i, j] == pytest.approx(want, rel=1e-10)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError, match="trailing shape"):
-            batch_invariants(np.zeros((3, 3, 3, 3)))
+        for fn in (batch_invariants, batch_pfaffian):
+            with pytest.raises(ValueError, match="trailing shape"):
+                fn(np.zeros((3, 3, 3, 3)))
 
     def test_hyperbolic_batch(self):
         R = hyperbolic_curvature(4).to_dense()[None, ...]
         out = batch_invariants(R)
         assert out["s"][0] == pytest.approx(12.0)
-        assert out["pff"][0] == pytest.approx(3.0 / (4.0 * math.pi**2), rel=1e-12)
+        assert batch_pfaffian(R)[0] == pytest.approx(3.0 / (4.0 * math.pi**2), rel=1e-12)

@@ -196,10 +196,10 @@ class TestVolumeFamily:
 
 
 ACTION_INTEGRANDS = [
-    lambda inv: inv["s"] ** 2,
-    lambda inv: inv["z2"],
-    lambda inv: inv["w2"],
-    lambda inv: inv["s"] ** 2 - 3.0 * inv["r2"],
+    lambda cur: cur["invariants"]["s"] ** 2,
+    lambda cur: cur["invariants"]["z2"],
+    lambda cur: cur["invariants"]["w2"],
+    lambda cur: cur["invariants"]["s"] ** 2 - 3.0 * cur["invariants"]["r2"],
 ]
 
 

@@ -13,6 +13,7 @@ from ahrenvol.collar import (
     TorusJetGeometry,
     christoffels,
     curvature_in_frame,
+    frame_curvature,
     hyperbolic_profile,
     perturbed_profile,
     random_jet,
@@ -390,17 +391,20 @@ class TestFunctionalGradient:
         assert np.max(np.abs(res["T2omega"])) < 1e-8
 
     def test_one_engine_call_per_stencil_rho(self, monkeypatch):
-        """The 5-point stencil of each slice costs 5 curvature evaluations,
-        the centre record serving f, q and the measure as well."""
-        calls = []
+        """The 5-point stencil of each slice costs 5 curvature evaluations: a
+        full record at the centre, serving f, q and the measure as well, and a
+        frame-only (Ricci) evaluation at each of the 4 other stencil rhos."""
+        calls = {"curvature_in_frame": [], "frame_curvature": []}
+        for name, seen in calls.items():
 
-        def counting(geom, rho):
-            calls.append(rho)
-            return curvature_in_frame(geom, rho)
+            def counting(geom, rho, engine=getattr(variation, name), seen=seen):
+                seen.append(rho)
+                return engine(geom, rho)
 
-        monkeypatch.setattr(variation, "curvature_in_frame", counting)
+            monkeypatch.setattr(variation, name, counting)
         functional_gradient(RadialGeometry(perturbed_profile([0.05, 0.05, 0.05])))
-        assert len(calls) == 5 * 9
+        assert len(calls["curvature_in_frame"]) == 9
+        assert len(calls["frame_curvature"]) == 4 * 9
 
     @pytest.mark.parametrize(
         "geom",
@@ -411,16 +415,21 @@ class TestFunctionalGradient:
         ids=["radial", "torus"],
     )
     def test_frame_z_matches_inverse_metric_route(self, geom):
-        """z pulled back from the record's ON frame equals the frame-index
-        route ric_ab = gbar^su R_saub, z = ric - s/4 gbar."""
+        """The frame-index route of the stencil, ric_ab = gbar^su R_saub and
+        z = ric - s/4 gbar with the record's ginv, equals the record's ON z
+        pulled back through q, z_frame = (gbar q) z_on (gbar q)^T, and the same
+        route with np.linalg.inv."""
         for rho in (0.3, 0.45):
             cur = curvature_in_frame(geom, rho)
+            got = _frame_z(cur)
+            gq = cur["gbar"] @ cur["q"]
+            pulled_back = gq @ cur["invariants"]["z"] @ gq.transpose(0, 2, 1)
             ginv = np.linalg.inv(cur["gbar"])
             ric = np.einsum("nsu,nsaub->nab", ginv, cur["riem"])
             s = np.einsum("nab,nab->n", ginv, ric)
-            want = ric - 0.25 * s[:, None, None] * cur["gbar"]
-            got = _frame_z(cur)
-            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+            for want in (pulled_back, ric - 0.25 * s[:, None, None] * cur["gbar"]):
+                assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+            assert np.array_equal(got, _frame_z(frame_curvature(geom, rho)))
 
     def test_functional_gradient_stencil_guard(self):
         geom = RadialGeometry(hyperbolic_profile())
