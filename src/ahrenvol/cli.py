@@ -81,6 +81,46 @@ _EPS_N_MAX = 64
 _TRIALS_MAX = 1000
 _FLOW_STEPS_MAX = 10000
 
+# every check row a subcommand emits, by subcommand in SUBCOMMANDS order:
+# name -> (anchor, default tolerance).  flow_target's tolerance is the config's
+# target fraction, and gauss-bonnet's rows are made by renorm.gauss_bonnet_audit.
+_CHECKS = {
+    "contraction_commutator": ("c(g.w) == g c(w) + (n-p-q) w", 1e-10),
+    "metric_contraction_adjointness": ("inner(g.w1, w2) == inner(w1, c w2)", 1e-10),
+    "hodge_metric_multiplication": ("g.w == (-1)^(n(p+q)) * c * w", 1e-10),
+    "f_h_derivation": ("F_h(a.b) == F_h(a).b + a.F_h(b)", 1e-10),
+    "f_h_self_adjoint": ("inner(F_h a, b) == inner(a, F_h b)", 1e-10),
+    "contract_fh_pairing": ("<z, c F_h R> == 2<rcirc(z), h> + 2<r o z, h>", 1e-10),
+    "rcirc_self_adjoint": ("<z, rcirc(h)> == <rcirc(z), h>", 1e-10),
+    "trace_identity": ("tr_gamma g3 == 2 v3", 1e-8),
+    "g3_curvature_identity": ("g3 == -1/3 d/drho Rbar_i4j4 at rho=0", 1e-6),
+    "v3_curvature_identity": ("v3 == -1/6 d/drho ricbar_44 at rho=0", 1e-6),
+    "invariant_parity": ("rho^1 coefficient of s, |r|^2, |R|^2 == 0", 1e-6),
+    "volume_asymptotics_fit": (
+        "vol(eps) == C0 eps^-3 + C2 eps^-1 + L log(1/eps) + V + o(1)", 1e-6),
+    "hyperbolic_C0": ("C0 == 2 pi^2 / 3", 1e-6),
+    "hyperbolic_C2": ("C2 == -3 pi^2 / 2", 1e-6),
+    "hyperbolic_L": ("L == 0", 1e-6),
+    "hyperbolic_V": ("V == 4 pi^2 / 3", 1e-6),
+    "fd_convergence_order": (
+        "order(||formula - [curv(g+th)-curv(g-th)]/2t||) == 2 +/- 0.2", 0.2),
+    "scaling_riem": ("R'g == R", 1e-10),
+    "scaling_ric": ("r'g == 0", 1e-10),
+    "scaling_scal": ("s'g == -s", 1e-10),
+    "slice_norms_finite": ("int_{rho = const} |E| dvol finite on all slices", 1.0),
+    "einstein_residual": ("E == 0 on Einstein backgrounds (z == 0)", 1e-8),
+    "phi4_pairing": ("phi^(4) == <E0, h4> + <E1, h3> + <E2, h2>", 0.25),
+    "low_order_residual_parity": (
+        "E^(0) == 0 and E^(1) == 0 on radial profile families", 1e-4),
+    "flow_monotone": ("Z(theta_k+1) <= Z(theta_k) for all k", 1.0),
+    "flow_target": ("Z(theta_end) <= target_fraction * Z(theta_0) within the step budget", None),
+}
+# A 'tolerances' key must name a check row.  One config serves every subcommand
+# (scripts/run_all_audits.py), so a row of any subcommand is accepted.
+CHECK_NAMES = frozenset(_CHECKS) | {
+    "gauss_bonnet_sum_constant", "boundary_finite_part_zero", "interior_finite_part_chi",
+}
+
 
 # -- configuration ---------------------------------------------------------------
 
@@ -216,6 +256,8 @@ class AuditConfig:
         for name, value in tolerances.items():
             if _number(value, name) <= 0:
                 raise ConfigError(f"tolerance '{name}' must be a positive number")
+            if name not in CHECK_NAMES:
+                raise ConfigError(f"unknown tolerance '{name}': no check row has that name")
         outputs = _take(top["outputs"], "outputs", {"directory": ".", "format": "json"})
         if outputs["format"] not in ("json", "csv"):
             raise ConfigError("'outputs.format' must be 'json' or 'csv'")
@@ -320,8 +362,11 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _check(name, anchor, value, tolerance, tolerances, tol_scale, passed=None):
-    tol = float(tolerances.get(name, tolerance)) * tol_scale
+def _check(name, value, config, tol_scale, passed=None, tolerance=None):
+    """Row ``name`` of :data:`_CHECKS`; ``tolerance`` replaces a default of None."""
+    anchor, default = _CHECKS[name]
+    tol = float(config.tolerances.get(name, default if tolerance is None else tolerance))
+    tol *= tol_scale
     value = float(value)
     if passed is None:
         passed = abs(value) < tol
@@ -413,22 +458,14 @@ def run_algebra_suite(config: AuditConfig, tol_scale: float, threads: int) -> Au
         p2 = float(np.sum(parts["rcirc"].entries * h.entries))
         dev_rcirc = max(dev_rcirc, abs(p1 - p2) / max(1.0, abs(p1)))
 
-    tols = config.tolerances
     checks = [
-        _check("contraction_commutator", "c(g.w) == g c(w) + (n-p-q) w",
-               dev_comm, 1e-10, tols, tol_scale),
-        _check("metric_contraction_adjointness", "inner(g.w1, w2) == inner(w1, c w2)",
-               dev_adj, 1e-10, tols, tol_scale),
-        _check("hodge_metric_multiplication", "g.w == (-1)^(n(p+q)) * c * w",
-               dev_hodge, 1e-10, tols, tol_scale),
-        _check("f_h_derivation", "F_h(a.b) == F_h(a).b + a.F_h(b)",
-               dev_deriv, 1e-10, tols, tol_scale),
-        _check("f_h_self_adjoint", "inner(F_h a, b) == inner(a, F_h b)",
-               dev_selfadj, 1e-10, tols, tol_scale),
-        _check("contract_fh_pairing", "<z, c F_h R> == 2<rcirc(z), h> + 2<r o z, h>",
-               dev_pair, 1e-10, tols, tol_scale),
-        _check("rcirc_self_adjoint", "<z, rcirc(h)> == <rcirc(z), h>",
-               dev_rcirc, 1e-10, tols, tol_scale),
+        _check("contraction_commutator", dev_comm, config, tol_scale),
+        _check("metric_contraction_adjointness", dev_adj, config, tol_scale),
+        _check("hodge_metric_multiplication", dev_hodge, config, tol_scale),
+        _check("f_h_derivation", dev_deriv, config, tol_scale),
+        _check("f_h_self_adjoint", dev_selfadj, config, tol_scale),
+        _check("contract_fh_pairing", dev_pair, config, tol_scale),
+        _check("rcirc_self_adjoint", dev_rcirc, config, tol_scale),
     ]
     return AuditReport("algebra-suite", asdict(config), config.seed, checks)
 
@@ -453,16 +490,11 @@ def run_collar_audit(config: AuditConfig, tol_scale: float, threads: int) -> Aud
         scale = max(1.0, float(np.max(np.abs(arr))))
         parity_dev = max(parity_dev, float(np.max(np.abs(fit.coefficient(1)))) / scale)
 
-    tols = config.tolerances
     checks = [
-        _check("trace_identity", "tr_gamma g3 == 2 v3",
-               jet_rep["dev_trace_identity"], 1e-8, tols, tol_scale),
-        _check("g3_curvature_identity", "g3 == -1/3 d/drho Rbar_i4j4 at rho=0",
-               jet_rep["dev_g3_identity"], 1e-6, tols, tol_scale),
-        _check("v3_curvature_identity", "v3 == -1/6 d/drho ricbar_44 at rho=0",
-               jet_rep["dev_v3_identity"], 1e-6, tols, tol_scale),
-        _check("invariant_parity", "rho^1 coefficient of s, |r|^2, |R|^2 == 0",
-               parity_dev, 1e-6, tols, tol_scale),
+        _check("trace_identity", jet_rep["dev_trace_identity"], config, tol_scale),
+        _check("g3_curvature_identity", jet_rep["dev_g3_identity"], config, tol_scale),
+        _check("v3_curvature_identity", jet_rep["dev_v3_identity"], config, tol_scale),
+        _check("invariant_parity", parity_dev, config, tol_scale),
     ]
     artifacts = {"v3": jet_rep["v3"], "rho_nodes": nodes}
     return AuditReport("collar-audit", asdict(config), config.seed, checks, artifacts)
@@ -476,24 +508,13 @@ def run_renvol(config: AuditConfig, tol_scale: float, threads: int) -> AuditRepo
     eps = config.eps_grid()
     family, quad_error = renorm.volume_family(geom, eps_grid=eps, rho_max=config.rho_max)
     fit = renorm.finite_part((eps, np.array(list(family.values()))))
-    tols = config.tolerances
-    checks = [
-        _check(
-            "volume_asymptotics_fit",
-            "vol(eps) == C0 eps^-3 + C2 eps^-1 + L log(1/eps) + V + o(1)",
-            fit.fit_residual / max(1.0, abs(fit.finite)),
-            1e-6,
-            tols,
-            tol_scale,
-        )
-    ]
+    fit_dev = fit.fit_residual / max(1.0, abs(fit.finite))
+    checks = [_check("volume_asymptotics_fit", fit_dev, config, tol_scale)]
     if config.is_hyperbolic:
         oracle = (2.0 * math.pi**2 / 3.0, -1.5 * math.pi**2, 0.0, 4.0 * math.pi**2 / 3.0)
-        names = ("C0", "C2", "L", "V")
-        anchors = ("C0 == 2 pi^2 / 3", "C2 == -3 pi^2 / 2", "L == 0", "V == 4 pi^2 / 3")
-        for got, want, name, anchor in zip(fit.as_tuple(), oracle, names, anchors):
+        for got, want, name in zip(fit.as_tuple(), oracle, ("C0", "C2", "L", "V")):
             dev = abs(got - want) / max(1.0, abs(want))
-            checks.append(_check(f"hyperbolic_{name}", anchor, dev, 1e-6, tols, tol_scale))
+            checks.append(_check(f"hyperbolic_{name}", dev, config, tol_scale))
     artifacts = {
         "eps_grid": eps,
         "volumes": list(family.values()),
@@ -584,14 +605,9 @@ def run_linearize_check(config: AuditConfig, tol_scale: float, threads: int) -> 
 
     geom = config.geometry()
 
-    class _MetricJet:
+    class _MetricJet:  # h = g: the frame metric blocks and their rho-derivatives
         def value(self, rho, order=0):
-            blocks = geom.spatial(rho)
-            out = np.zeros((geom.npts, 4, 4))
-            out[:, :3, :3] = blocks[order]
-            if order == 0:
-                out[:, 3, 3] = 1.0
-            return out
+            return _collar._gbar_blocks(geom, rho)[order]
 
     lin = variation.linearized_curvature(geom, _MetricJet(), 0.3)
     cur = lin["background"]
@@ -601,19 +617,11 @@ def run_linearize_check(config: AuditConfig, tol_scale: float, threads: int) -> 
     dev_ric = float(np.max(np.abs(lin["ric_p"]))) / scale
     dev_s = float(np.max(np.abs(lin["s_p"] + inv["s"]))) / scale
 
-    tols = config.tolerances
     checks = [
-        _check(
-            "fd_convergence_order",
-            "order(||formula - [curv(g+th)-curv(g-th)]/2t||) == 2 +/- 0.2",
-            max(abs(o - 2.0) for o in orders),
-            0.2,
-            tols,
-            tol_scale,
-        ),
-        _check("scaling_riem", "R'g == R", dev_r, 1e-10, tols, tol_scale),
-        _check("scaling_ric", "r'g == 0", dev_ric, 1e-10, tols, tol_scale),
-        _check("scaling_scal", "s'g == -s", dev_s, 1e-10, tols, tol_scale),
+        _check("fd_convergence_order", max(abs(o - 2.0) for o in orders), config, tol_scale),
+        _check("scaling_riem", dev_r, config, tol_scale),
+        _check("scaling_ric", dev_ric, config, tol_scale),
+        _check("scaling_scal", dev_s, config, tol_scale),
     ]
     artifacts = {"orders": orders}
     return AuditReport("linearize-check", asdict(config), config.seed, checks, artifacts)
@@ -626,18 +634,8 @@ def run_el_residual(config: AuditConfig, tol_scale: float, threads: int) -> Audi
     geom = config.geometry()
     result = variation.functional_gradient(geom)
     residual = result["E"]
-    tols = config.tolerances
-    checks = [
-        _check(
-            "slice_norms_finite",
-            "int_{rho = const} |E| dvol finite on all slices",
-            0.0,
-            1.0,
-            tols,
-            tol_scale,
-            passed=bool(np.all(np.isfinite(residual.slice_norms))),
-        )
-    ]
+    finite = bool(np.all(np.isfinite(residual.slice_norms)))
+    checks = [_check("slice_norms_finite", 0.0, config, tol_scale, passed=finite)]
     artifacts = {
         "rhos": residual.rhos,
         "slice_norms": residual.slice_norms,
@@ -645,10 +643,7 @@ def run_el_residual(config: AuditConfig, tol_scale: float, threads: int) -> Audi
         "fit_residual": residual.fit_residual,
     }
     if config.is_hyperbolic:
-        checks.append(
-            _check("einstein_residual", "E == 0 on Einstein backgrounds (z == 0)",
-                   residual.max_norm, 1e-8, tols, tol_scale)
-        )
+        checks.append(_check("einstein_residual", residual.max_norm, config, tol_scale))
     if config.family == "radial":
         m = np.eye(3)[None]
         pert = _collar.PolynomialPerturbation({2: 0.4 * m, 3: -0.6 * m})
@@ -660,26 +655,9 @@ def run_el_residual(config: AuditConfig, tol_scale: float, threads: int) -> Audi
         if not config.is_hyperbolic:
             c4 = rep["coefficients"][4]
             pairing_dev = abs(rep["phi4_from_pairing"] - c4) / max(1e-12, abs(c4))
-            checks.append(
-                _check(
-                    "phi4_pairing",
-                    "phi^(4) == <E0, h4> + <E1, h3> + <E2, h2>",
-                    pairing_dev,
-                    0.25,
-                    tols,
-                    tol_scale,
-                )
-            )
-            checks.append(
-                _check(
-                    "low_order_residual_parity",
-                    "E^(0) == 0 and E^(1) == 0 on radial profile families",
-                    float(np.max(np.abs(rep["e_series"][:2]))),
-                    1e-4,
-                    tols,
-                    tol_scale,
-                )
-            )
+            parity_dev = float(np.max(np.abs(rep["e_series"][:2])))
+            checks.append(_check("phi4_pairing", pairing_dev, config, tol_scale))
+            checks.append(_check("low_order_residual_parity", parity_dev, config, tol_scale))
     return AuditReport("el-residual", asdict(config), config.seed, checks, artifacts)
 
 
@@ -698,19 +676,10 @@ def run_flow_command(config: AuditConfig, tol_scale: float, threads: int) -> Aud
     values = [step.value for step in history]
     monotone = all(b <= a for a, b in zip(values, values[1:]))
     reached = values[-1] <= config.flow_target_fraction * max(values[0], 1e-300)
-    tols = config.tolerances
     checks = [
-        _check("flow_monotone", "Z(theta_k+1) <= Z(theta_k) for all k",
-               0.0, 1.0, tols, tol_scale, passed=monotone),
-        _check(
-            "flow_target",
-            "Z(theta_end) <= target_fraction * Z(theta_0) within the step budget",
-            values[-1] / max(values[0], 1e-300),
-            config.flow_target_fraction,
-            tols,
-            tol_scale,
-            passed=reached,
-        ),
+        _check("flow_monotone", 0.0, config, tol_scale, passed=monotone),
+        _check("flow_target", values[-1] / max(values[0], 1e-300), config, tol_scale,
+               passed=reached, tolerance=config.flow_target_fraction),
     ]
     artifacts = {
         "history": [

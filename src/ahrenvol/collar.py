@@ -50,6 +50,7 @@ __all__ = [
     "RhoSeries",
     "CollarSample",
     "NonConvergence",
+    "InvalidProfile",
     "TorusJetGeometry",
     "RadialGeometry",
     "PerturbedGeometry",
@@ -77,6 +78,10 @@ __all__ = [
 
 class NonConvergence(RuntimeError):
     """A quadrature or an iteration did not converge (CLI exit code 3)."""
+
+
+class InvalidProfile(ValueError):
+    """A radial profile breaks a condition of :class:`RadialProfile`."""
 
 
 # -- boundary data -----------------------------------------------------------
@@ -185,7 +190,7 @@ class RadialProfile:
 
     def __post_init__(self):
         if not np.array_equal(self.poly.domain, self.poly.window):
-            raise ValueError("profile must be a power series in rho (domain == window)")
+            raise InvalidProfile("profile must be a power series in rho (domain == window)")
         object.__setattr__(self, "_derivs", tuple(self.poly.deriv(k).coef for k in range(4)))
         checks = [
             (self.a(0.0), 1.0, "A(0) = 1"),
@@ -195,10 +200,10 @@ class RadialProfile:
         ]
         for got, want, label in checks:
             if abs(got - want) > 1e-10:
-                raise ValueError(f"profile violates {label} (got {got:.3e})")
+                raise InvalidProfile(f"profile violates {label} (got {got:.3e})")
         rr = np.linspace(1e-4, 2.0 - 1e-4, 2001)
         if np.min(self.a(rr)) <= 0.0:
-            raise ValueError("profile must be positive on (0, 2)")
+            raise InvalidProfile("profile must be positive on (0, 2)")
 
     def a(self, rho: float | np.ndarray, order: int = 0):
         """The order-th rho-derivative of A, for order 0 to 3."""
@@ -418,15 +423,13 @@ def _slice_frame(geom, rho) -> dict:
     return {"gbar": gbar, "dgbar": dgbar, "d2gbar": d2gbar, "q": q, "ginv": ginv, "dvol": dvol}
 
 
-def christoffels_bar(geom, rho, frame=None):
+def christoffels_bar(geom, rho, frame):
     """Levi-Civita symbols of gbar in the frame Xbar, plus d/d rho.
 
     Returns (Gbar, dGbar) with Gbar[n, u, a, b] = Gammabar^u_ab, from the
     Koszul formula with structure-function terms.  ``frame`` is the slices'
-    :func:`_slice_frame` when the caller has built it.
+    :func:`_slice_frame`.
     """
-    if frame is None:
-        frame = _slice_frame(geom, rho)
     gbar, dgbar, ginv = frame["gbar"], frame["dgbar"], frame["ginv"]
     npts = gbar.shape[0]
     pair = np.stack([gbar, dgbar], axis=1)  # (n, f, 4, 4): gbar and d/d rho gbar
@@ -453,14 +456,12 @@ def _rho_per_point(rho, npts: int) -> np.ndarray:
     return np.repeat(r, npts // r.size).reshape(-1, 1, 1, 1)
 
 
-def christoffels(geom, rho, frame=None):
+def christoffels(geom, rho, frame):
     """Frame Christoffels of g in X_s = rho Xbar_s, and rho d/d rho of them.
 
     Gamma^u_st = rho Gammabar^u_st - delta_su delta_t4 + delta_u4 gbar_st.
     ``frame`` is as in :func:`christoffels_bar`.
     """
-    if frame is None:
-        frame = _slice_frame(geom, rho)
     gamma_bar, dgamma_bar = christoffels_bar(geom, rho, frame)
     rho = _rho_per_point(rho, gamma_bar.shape[0])
     gamma = rho * gamma_bar
@@ -525,8 +526,9 @@ def frame_curvature(geom, rho) -> dict:
     point p on slice rho[k].
 
     Returns {'gbar', 'ginv' (gbar^-1), 'q' (see :func:`on_transform`),
-    'dvol' (sqrt det g_rho, the slice measure of gbar), 'gamma', 'gamma4',
-    'riem' (X-frame)}.  Ricci is ric_tv = ginv^su riem_stuv.
+    'dvol' (sqrt det g_rho, the slice measure of gbar), 'gamma', 'dgamma'
+    (rho d/d rho gamma, see :func:`christoffels`), 'gamma4', 'riem'
+    (X-frame)}.  Ricci is ric_tv = ginv^su riem_stuv.
     """
     frame = _slice_frame(geom, rho)
     gamma, dgamma = christoffels(geom, rho, frame)
@@ -539,6 +541,7 @@ def frame_curvature(geom, rho) -> dict:
         "q": frame["q"],
         "dvol": frame["dvol"],
         "gamma": gamma,
+        "dgamma": dgamma,
         "gamma4": gamma[:, 3, :3, :3],
         "riem": _frame_riemann(geom, gamma, dgamma, rho, cfun, frame["gbar"]),
     }
@@ -748,7 +751,7 @@ def christoffel_expansion(sample: CollarSample) -> RhoSeries:
     geom, grid = sample.geometry, sample.rho_grid
     if grid.size < 5:
         raise ValueError("need at least 5 rho samples")
-    vals = map_slices(lambda r: christoffels(geom, r)[0], grid, geom.npts)
+    vals = map_slices(lambda r: christoffels(geom, r, _slice_frame(geom, r))[0], grid, geom.npts)
     vals = vals.reshape((grid.size, -1) + vals.shape[1:])
     series = rho_series_fit(grid, vals)
     scale = max(1.0, float(np.max(np.abs(vals))))

@@ -58,6 +58,7 @@ __all__ = [
     "hyperbolic_curvature",
     "batch_invariants",
     "batch_pfaffian",
+    "kn_metric",
 ]
 
 
@@ -571,6 +572,11 @@ def _check_curvature_batch(R: np.ndarray) -> None:
         raise ValueError("expected trailing shape (4, 4, 4, 4)")
 
 
+def kn_metric(u: np.ndarray) -> np.ndarray:
+    """Kulkarni-Nomizu product u.g of (..., 4, 4) fields with the ON metric."""
+    return (u.reshape(u.shape[:-2] + (16,)) @ _KN_METRIC).reshape(u.shape[:-2] + (4, 4, 4, 4))
+
+
 def batch_invariants(R: np.ndarray) -> dict[str, np.ndarray]:
     """Scalar invariants of a batch of orthonormal-frame curvature tensors.
 
@@ -589,7 +595,7 @@ def batch_invariants(R: np.ndarray) -> dict[str, np.ndarray]:
     z2 = np.einsum("...ab,...ab->...", z, z)
     # Weyl part: W = R - (s/24) g.g - (1/2) z.g = R - u.g with u = z/2 + (s/24) g
     u = 0.5 * z + s[..., None, None] / 24.0 * np.eye(4)
-    W = R - (u.reshape(u.shape[:-2] + (16,)) @ _KN_METRIC).reshape(R.shape)
+    W = R - kn_metric(u)
     w2 = np.einsum("...abcd,...abcd->...", W, W)
     R2 = np.einsum("...abcd,...abcd->...", R, R)
     return {"s": s, "r2": r2, "z2": z2, "w2": w2, "R2": R2, "ric": ric, "z": z}

@@ -31,18 +31,19 @@ always inserted immediately before the index block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from .collar import (
+    InvalidProfile,
     NonConvergence,
     PerturbedGeometry,
     RadialGeometry,
     _gbar_blocks,
     _invariant_density,
-    christoffels,
+    _rho_per_point,
     curvature_in_frame,
     frame_curvature,
     gauss_nodes,
@@ -53,6 +54,7 @@ from .collar import (
     to_on2,
     to_on4,
 )
+from .dfalg import kn_metric
 
 __all__ = [
     "CutoffPerturbation",
@@ -168,19 +170,22 @@ def fd_jet(samples, step: float):
     return f_0, d1, d2
 
 
-def frame_covariant_derivative(geom, rho: float, jet, christ):
-    """Covariant derivative of a (0, k) frame-component field at one rho.
+def frame_covariant_derivative(geom, rho, jet, christ):
+    """Covariant derivative of a (0, k) frame-component field on rho-slices.
 
-    ``jet`` is (T, dT/drho) or (T, dT/drho, d2T/drho2); the result is the jet
-    one order shorter, (nabla T,) or (nabla T, d/drho nabla T), with the
-    derivative axis prepended:
+    ``rho`` is a scalar or a 1-D array, with the point layout of
+    :func:`curvature_in_frame`.  ``jet`` is (T, dT/drho) or (T, dT/drho,
+    d2T/drho2); the result is the jet one order shorter, (nabla T,) or
+    (nabla T, d/drho nabla T), with the derivative axis prepended:
     (nabla T)_{a s...} = X_a(T_{s...}) - sum_slots Gamma^u_{a s_k} T_{..u..},
-    with X_i = rho Xbar_i and X_4 = rho d/drho.  ``christ`` is
-    :func:`christoffels` at rho.
+    with X_i = rho Xbar_i and X_4 = rho d/drho.  ``christ`` is the pair
+    (gamma, dgamma) of the :func:`frame_curvature` record at rho.
     """
     gamma, dgamma = christ
     val, d1 = (np.asarray(j, float) for j in jet[:2])
     k = val.ndim - 1
+    rho_pt = _rho_per_point(rho, val.shape[0])
+    r = rho_pt.reshape((-1,) + (1,) * k)
 
     def subtract_connection(out, terms):
         for slot in range(k):
@@ -192,60 +197,51 @@ def frame_covariant_derivative(geom, rho: float, jet, christ):
 
     xval = geom.xderiv(val)
     nabla = np.zeros((val.shape[0], 4) + val.shape[1:])
-    nabla[:, :3] = rho * xval
-    nabla[:, 3] = rho * d1
+    nabla[:, :3] = r[:, None] * xval
+    nabla[:, 3] = r * d1
     subtract_connection(nabla, [(gamma, val)])
     if len(jet) < 3:
         return (nabla,)
     d2 = np.asarray(jet[2], float)
     dnabla = np.zeros_like(nabla)
-    dnabla[:, :3] = xval + rho * geom.xderiv(d1)
-    dnabla[:, 3] = d1 + rho * d2
-    subtract_connection(dnabla, [(dgamma / rho, val), (gamma, d1)])
+    dnabla[:, :3] = xval + r[:, None] * geom.xderiv(d1)
+    dnabla[:, 3] = d1 + r * d2
+    subtract_connection(dnabla, [(dgamma / rho_pt, val), (gamma, d1)])
     return nabla, dnabla
 
 
-def hessian11(geom, jet, rho: float) -> np.ndarray:
-    """(DDt + DtD) of a (1, 1) frame-component field on a collar geometry.
+def hessian11(geom, jet, rho, christ) -> np.ndarray:
+    """(DDt + DtD) of a (1, 1) frame-component field on collar rho-slices.
 
     ``jet`` is the embedded 4x4 field and its first two rho-derivatives at
-    rho (use :func:`fd_jet` for fields with no analytic jet).  Assembled from
-    the full second covariant derivative n2[a, b, i, j] = (nabla_a nabla_b h)_{ij}.
+    rho (use :func:`fd_jet` for fields with no analytic jet); ``rho`` and
+    ``christ`` are as in :func:`frame_covariant_derivative`.  With the full
+    second covariant derivative n2[a, b, i, j] = (nabla_a nabla_b h)_{ij} and
+    s_abcd = n2_acbd + n2_cadb, (DDt + DtD)_abcd is the double
+    antisymmetrization -(s_abcd - s_bacd - s_abdc + s_badc).
     """
-    christ = christoffels(geom, rho)
     nabla = frame_covariant_derivative(geom, rho, jet, christ)
     (n2,) = frame_covariant_derivative(geom, rho, nabla, christ)
-    ddt = -(
-        np.einsum("nacbd->nabcd", n2)
-        - np.einsum("nadbc->nabcd", n2)
-        - np.einsum("nbcad->nabcd", n2)
-        + np.einsum("nbdac->nabcd", n2)
-    )
-    dtd = -(
-        np.einsum("ncadb->nabcd", n2)
-        - np.einsum("ncbda->nabcd", n2)
-        - np.einsum("ndacb->nabcd", n2)
-        + np.einsum("ndbca->nabcd", n2)
-    )
-    return ddt + dtd
+    s = n2.transpose(0, 1, 3, 2, 4) + n2.transpose(0, 2, 4, 1, 3)
+    s -= s.swapaxes(1, 2)
+    return s.swapaxes(3, 4) - s
 
 
-def _embed_jet(pert, npts: int, rho: float):
-    """Jet (h, dh/drho, d2h/drho2) of the 4x4 frame embedding of a perturbation.
+def _embed(val) -> np.ndarray:
+    """4x4 frame embedding of a perturbation's values: tangential (points, 3, 3)
+    values go into the spatial block, full (points, 4, 4) values pass through."""
+    val = np.asarray(val, float)
+    if val.shape[-2:] == (4, 4):
+        return val.reshape(-1, 4, 4)
+    val = val.reshape(-1, 3, 3)
+    out = np.zeros((val.shape[0], 4, 4))
+    out[:, :3, :3] = val
+    return out
 
-    Tangential (npts, 3, 3) values go into the spatial block; full
-    (npts, 4, 4) values pass through unchanged.
-    """
 
-    def embed(val):
-        val = np.asarray(val, float)
-        if val.shape[-2:] == (4, 4):
-            return val.reshape(npts, 4, 4)
-        out = np.zeros((npts, 4, 4))
-        out[:, :3, :3] = val.reshape(npts, 3, 3)
-        return out
-
-    return tuple(embed(pert.value(rho, order)) for order in range(3))
+def _embed_jet(pert, rho):
+    """Jet (h, dh/drho, d2h/drho2) of a perturbation on rho-slices, 4x4 embedded."""
+    return tuple(_embed(pert.value(rho, order)) for order in range(3))
 
 
 def fh_dense(h: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -261,19 +257,21 @@ def fh_dense(h: np.ndarray, R: np.ndarray) -> np.ndarray:
 # -- linearized curvature ------------------------------------------------------
 
 
-def linearized_curvature(geom, pert, rho: float) -> dict:
-    """Linearized curvature fields in the ON frame at one collar slice.
+def linearized_curvature(geom, pert, rho) -> dict:
+    """Linearized curvature fields in the ON frame on collar rho-slices.
 
-    Returns R'h, r'h, s'h from the Hessian/contraction displays together
-    with the ingredients (background curvature, h in ON components).
+    ``rho`` is a scalar or a 1-D array, with the point layout of
+    :func:`curvature_in_frame`.  Returns R'h, r'h, s'h from the
+    Hessian/contraction displays together with the ingredients (background
+    curvature record, h and its Hessian in ON components).
     """
     cur = curvature_in_frame(geom, rho)
     q = cur["q"]
     inv = cur["invariants"]
     R_on, ric_on = cur["riem_on"], inv["ric"]
-    hjet = _embed_jet(pert, geom.npts, rho)
+    hjet = _embed_jet(pert, rho)
     h_on = to_on2(hjet[0], q)
-    H_on = to_on4(hessian11(geom, hjet, rho), q)
+    H_on = to_on4(hessian11(geom, hjet, rho, (cur["gamma"], cur["dgamma"])), q)
     fhr = fh_dense(h_on, R_on)
     riem_p = -0.25 * H_on + 0.25 * fhr
     c_h = np.einsum("niaib->nab", H_on)
@@ -377,9 +375,10 @@ def functional_gradient(geom, rhos=None, step: float = 0.005, k_max: int = 4) ->
 
     z has no closed-form rho-jet in general, so its Hessian uses the
     5-point :func:`fd_jet` stencil with the given radial ``step``: one full
-    engine record at each centre rho, which also serves f and the measure, and
-    a frame-only :func:`frame_curvature` at the four other stencil rhos, which
-    only z is read from.
+    engine record at each centre rho, which also serves f, the connection and
+    the measure, and a frame-only :func:`frame_curvature` at the four other
+    stencil rhos, which only z is read from.  Both go through
+    :func:`map_slices`.
     All rhos must satisfy rho > 2 step.
     """
     if rhos is None:
@@ -387,36 +386,36 @@ def functional_gradient(geom, rhos=None, step: float = 0.005, k_max: int = 4) ->
     rhos = np.asarray(rhos, float)
     if np.min(rhos) - 2.0 * step <= 0.0:
         raise ValueError("insufficient stencil width")
+    off_centre = step * np.array([-2.0, -1.0, 1.0, 2.0])[:, None]
 
-    offsets = step * np.arange(-2, 3)
-    f_all, t2_all, e_all, c2_all, norms = [], [], [], [], []
-    for rho in rhos:
+    def slices(rho):
         cur = curvature_in_frame(geom, rho)
         inv = cur["invariants"]
         f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"])
-        zs = [_frame_z(frame_curvature(geom, rho + d) if d else cur) for d in offsets]
-        omega_on = to_on4(hessian11(geom, fd_jet(zs, step), rho), cur["q"])
+        z_off = map_slices(lambda r: _frame_z(frame_curvature(geom, r)),
+                           (rho + off_centre).ravel(), geom.npts).reshape((4,) + f_on.shape)
+        zs = [z_off[0], z_off[1], _frame_z(cur), z_off[2], z_off[3]]
+        omega_on = to_on4(hessian11(geom, fd_jet(zs, step), rho, (cur["gamma"], cur["dgamma"])),
+                          cur["q"])
         t2_on = _einstein_t2_on(omega_on)
         e_on = f_on - 0.5 * t2_on
-        f_all.append(f_on)
-        t2_all.append(t2_on)
-        e_all.append(e_on)
-        c2_all.append(np.einsum("niaia->n", omega_on))
-        norms.append(
-            geom.weight
-            * float(np.sum(np.sqrt(np.einsum("nab,nab->n", e_on, e_on)) * cur["dvol"]))
-        )
-    e_arr = np.stack(e_all)
+        e_dens = np.sqrt(np.einsum("nab,nab->n", e_on, e_on)) * cur["dvol"]
+        norms = geom.weight * np.sum(e_dens.reshape(rho.size, -1), axis=1)
+        return f_on, t2_on, e_on, np.einsum("niaia->n", omega_on), norms
+
+    f_on, t2_on, e_on, c2, norms = map_slices(slices, rhos, geom.npts)
+    fields = (rhos.size, -1, 4, 4)
+    e_arr = e_on.reshape(fields)
     fit = rho_series_fit(rhos, e_arr, k_max=k_max)
     residual = ELResidual(
         rhos=rhos,
         e_fields=e_arr,
-        omega_c2=np.stack(c2_all),
-        slice_norms=np.asarray(norms),
+        omega_c2=c2.reshape(rhos.size, -1),
+        slice_norms=norms,
         series=fit.coeffs,
         fit_residual=fit.residual,
     )
-    return {"f": np.stack(f_all), "T2omega": np.stack(t2_all), "E": residual}
+    return {"f": f_on.reshape(fields), "T2omega": t2_on.reshape(fields), "E": residual}
 
 
 def el_slice_analysis(geom, pert, rhos=None, step: float = 0.004, k_max: int = 6,
@@ -448,10 +447,7 @@ def el_slice_analysis(geom, pert, rhos=None, step: float = 0.004, k_max: int = 6
     dens0 = np.atleast_1d(np.sqrt(np.linalg.det(gamma0)))
 
     def h_on(rho):
-        q = on_transform(_gbar_blocks(geom, rho)[0])
-        h4 = np.zeros_like(q)
-        h4[:, :3, :3] = np.asarray(pert.value(rho, 0), float).reshape(q.shape[0], 3, 3)
-        return to_on2(h4, q)
+        return to_on2(_embed(pert.value(rho, 0)), on_transform(_gbar_blocks(geom, rho)[0]))
 
     h_arr = map_slices(h_on, rhos, geom.npts).reshape(rhos.size, geom.npts, 4, 4)
     phi = geom.weight * np.einsum("rnab,rnab,n->r", residual.e_fields, h_arr, dens0)
@@ -507,31 +503,23 @@ def zprime_display(geom, pert, support=DEFAULT_SUPPORT, n_nodes: int = 64,
 
     over the perturbation support (the last pairing is the full tensor sum;
     z . g is the Kulkarni-Nomizu product).  Requires an analytic rho-jet on
-    ``pert`` so the Hessian is stencil-free.
+    ``pert`` so the Hessian is stencil-free.  h, its Hessian and the background
+    record come from :func:`linearized_curvature` in :func:`map_slices` batches.
     """
     nodes, wts = gauss_nodes([support], n_nodes)
-    eye = np.eye(4)
-    total = 0.0
-    for rho, w in zip(nodes, wts):
-        cur = curvature_in_frame(geom, rho)
-        q = cur["q"]
+
+    def density(rho):
+        lin = linearized_curvature(geom, pert, rho)
+        cur = lin["background"]
         inv = cur["invariants"]
-        z_on = inv["z"]
-        hjet = _embed_jet(pert, geom.npts, rho)
-        h_on = to_on2(hjet[0], q)
-        f_on = gradient_field(z_on, cur["riem_on"], inv["ric"], rcirc_coefficient)
+        f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"], rcirc_coefficient)
         # fold the pure-trace part of f into the display's 1/2 |z|^2 tr h term
-        val = np.einsum("nab,nab->n", f_on, h_on)
-        H_on = to_on4(hessian11(geom, hjet, rho), q)
-        zg = (
-            np.einsum("nac,bd->nabcd", z_on, eye)
-            + np.einsum("nbd,ac->nabcd", z_on, eye)
-            - np.einsum("nad,bc->nabcd", z_on, eye)
-            - np.einsum("nbc,ad->nabcd", z_on, eye)
-        )
-        val = val - 0.125 * np.einsum("nabcd,nabcd->n", zg, H_on)
-        total += w * geom.weight * float(np.sum(val * (cur["dvol"] / rho**4)))
-    return total
+        val = np.einsum("nab,nab->n", f_on, lin["h_on"])
+        val -= 0.125 * np.einsum("nabcd,nabcd->n", kn_metric(inv["z"]), lin["hessian"])
+        meas = (geom.weight * cur["dvol"]).reshape(rho.size, -1) / rho[:, None] ** 4
+        return np.sum(val.reshape(rho.size, -1) * meas, axis=1)
+
+    return float(wts @ map_slices(density, nodes, geom.npts))
 
 
 def fd_zprime(geom, pert, t: float = 1e-3, segments=((0.05, 0.1), (0.1, 0.3), (0.3, 0.6)),
@@ -586,9 +574,11 @@ _FLOW_MAX_HALVINGS = 20
 def gradient_flow_step(theta, eta: float, functional=z2_functional):
     """One backtracking descent step on the profile parameters theta.
 
-    Returns (theta_new, value_new, eta_used).  eta = 0 is a no-op; if the
+    Returns (theta_new, value_new, eta_used).  eta = 0 is a no-op.  A
+    candidate outside the profile family counts as an increase.  If the
     functional fails to be non-increasing after ``_FLOW_MAX_HALVINGS``
-    halvings of eta the step raises NonConvergence("stalled").
+    halvings of eta, or a gradient probe leaves the family, the step raises
+    NonConvergence.
     """
     theta = np.asarray(theta, float)
     value0 = functional(theta)
@@ -600,11 +590,17 @@ def gradient_flow_step(theta, eta: float, functional=z2_functional):
     for k in range(len(theta)):
         probe = np.zeros_like(theta)
         probe[k] = _FLOW_FD_STEP
-        grad[k] = (functional(theta + probe) - functional(theta - probe)) / (2 * _FLOW_FD_STEP)
+        try:
+            grad[k] = (functional(theta + probe) - functional(theta - probe)) / (2 * _FLOW_FD_STEP)
+        except InvalidProfile as exc:
+            raise NonConvergence(f"gradient probe left the profile family: {exc}") from exc
     cur_eta = float(eta)
     for _ in range(_FLOW_MAX_HALVINGS + 1):
         cand = theta - cur_eta * grad
-        value = functional(cand)
+        try:
+            value = functional(cand)
+        except InvalidProfile:
+            value = np.inf
         if value <= value0:
             return cand, value, cur_eta
         cur_eta *= 0.5

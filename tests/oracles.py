@@ -12,7 +12,8 @@ against adaptive quadrature, one scalar rho at a time, and their finite
 parts against Taylor subtraction.  The collar curvature engine is checked
 against its einsum form with per-axis FFT boundary derivatives, its
 orthonormal frame against one LAPACK routine per quantity (``frame_oracle``),
-and the collar Hessian's D / Dt conventions against the flat 4-torus calculus.
+the collar Hessian's D / Dt conventions against the flat 4-torus calculus,
+and its double antisymmetrization against the eight-permutation sum.
 """
 
 from __future__ import annotations
@@ -611,6 +612,25 @@ def zg_einsum(z: np.ndarray) -> np.ndarray:
         - np.einsum("...ad,bc->...abcd", z, eye)
         - np.einsum("...bc,ad->...abcd", z, eye)
     )
+
+
+def hessian11_einsum(n2: np.ndarray) -> np.ndarray:
+    """(DDt + DtD) from the second covariant derivative n2[n, a, b, i, j] as
+    the sum of its eight index permutations, the reference for the double
+    antisymmetrization in ahrenvol.variation.hessian11."""
+    ddt = -(
+        np.einsum("nacbd->nabcd", n2)
+        - np.einsum("nadbc->nabcd", n2)
+        - np.einsum("nbcad->nabcd", n2)
+        + np.einsum("nbdac->nabcd", n2)
+    )
+    dtd = -(
+        np.einsum("ncadb->nabcd", n2)
+        - np.einsum("ncbda->nabcd", n2)
+        - np.einsum("ndacb->nabcd", n2)
+        + np.einsum("ndbca->nabcd", n2)
+    )
+    return ddt + dtd
 
 
 def w2_einsum(R: np.ndarray, s: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -180,6 +180,27 @@ class TestConfigValidation:
         assert "--tol-scale" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    def test_misspelled_tolerance_exits_usage_and_names_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {**HYP, "tolerances": {"hyperbolic_v": 1e-30}})
+        assert run(["renvol", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+        assert "'hyperbolic_v'" in capsys.readouterr().err
+        assert not (tmp_path / "renvol-report.json").exists()
+
+    def test_check_names_are_the_emitted_row_names(self, tmp_path):
+        """Every subcommand on the ball and on a perturbed profile emits, between
+        them, every row name a tolerance may override, and no other."""
+        seen = set()
+        for label, raw in (("ball", HYP), ("pert", PERT)):
+            cfg = write_config(tmp_path, f"{label}.json", {**raw, "flow": {"steps": 1}})
+            out = tmp_path / label
+            for sub in cli.SUBCOMMANDS:
+                assert run([sub, "--config", cfg, "--out-dir", str(out)]) in (
+                    cli.EXIT_OK, cli.EXIT_CHECK_FAILED
+                )
+                report = json.loads((out / f"{sub}-report.json").read_text())
+                seen.update(row["name"] for row in report["checks"])
+        assert seen == cli.CHECK_NAMES
+
     def test_negative_tolerance_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path, "c.json", {"family": "radial", "seed": 1, "tolerances": {"x": -1.0}}
@@ -441,6 +462,55 @@ class TestSubcommandFuzz:
         raw = {"family": "torus-collar", "seed": seed,
                "jet": {"n_grid": n_grid, "amplitude": amplitude}}
         self._exits_documented(subcommand, raw)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        subcommand=st.sampled_from(["el-residual", "linearize-check", "flow"]),
+        theta=st.lists(st.floats(-2.0, 2.0), max_size=4),
+        seed=st.integers(0, 50),
+        trials=st.integers(1, 3),
+        theta0=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+        steps=st.integers(0, 3),
+        # eta = 10^(k/4) over [1e-6, 1e4]: large steps leave the profile family
+        eta_exponent=st.integers(-24, 16),
+        target_fraction=st.floats(1e-3, 1.0),
+    )
+    def test_radial_variation_exit_code_is_documented_and_reports_exist(
+        self, subcommand, theta, seed, trials, theta0, steps, eta_exponent, target_fraction
+    ):
+        raw = {"family": "radial", "seed": seed, "profile": {"theta": theta}, "trials": trials,
+               "flow": {"theta0": theta0, "steps": steps, "eta": 10.0 ** (eta_exponent / 4),
+                        "target_fraction": target_fraction}}
+        self._exits_documented(subcommand, raw)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        subcommand=st.sampled_from(["el-residual", "linearize-check"]),
+        n_grid=st.sampled_from([4, 6]),
+        amplitude=st.floats(0.0, 0.6),
+        seed=st.integers(0, 50),
+    )
+    def test_torus_variation_exit_code_is_documented_and_reports_exist(
+        self, subcommand, n_grid, amplitude, seed
+    ):
+        raw = {"family": "torus-collar", "seed": seed,
+               "jet": {"n_grid": n_grid, "amplitude": amplitude}}
+        self._exits_documented(subcommand, raw)
+
+    def test_flow_step_out_of_the_profile_family_is_halved(self, tmp_path):
+        """A step of eta = 100 leaves the profile family (A is no longer
+        positive on (0, 2)); the line search rejects it and halves eta."""
+        cfg = write_config(tmp_path, "c.json", {
+            "family": "radial", "seed": 1,
+            "flow": {"theta0": [0.05, 0.05, 0.05], "steps": 1, "eta": 100.0},
+        })
+        assert run(["flow", "--config", cfg, "--out-dir", str(tmp_path)]) in (
+            cli.EXIT_OK, cli.EXIT_CHECK_FAILED
+        )
+        report = json.loads((tmp_path / "flow-report.json").read_text())
+        history = report["artifacts"]["history"]
+        assert history[1]["value"] <= history[0]["value"]
+        assert history[1]["eta"] < 1.0
 
     @pytest.mark.parametrize(
         "subcommand, grid, theta",

@@ -151,7 +151,7 @@ class TestChristoffels:
         jet = random_jet(8, n_grid=4, amplitude=0.05)
         geom = TorusJetGeometry(jet)
         for rho in (0.05, 0.3):
-            gamma = collar.christoffels(geom, rho)[0]
+            gamma = collar.christoffels(geom, rho, collar._slice_frame(geom, rho))[0]
             assert np.max(np.abs(gamma[:, 3, 3, 3])) < 1e-14  # s=t=u=4
             assert np.max(np.abs(gamma[:, 3, :3, 3])) < 1e-14  # Gamma^4_i4
             assert np.max(np.abs(gamma[:, 3, 3, :3])) < 1e-14  # Gamma^4_4i
@@ -163,7 +163,7 @@ class TestChristoffels:
         geom = RadialGeometry(prof)
         rho = 0.7
         a, a1 = prof.a(rho), prof.a(rho, 1)
-        gbar = collar.christoffels_bar(geom, rho)[0][0]
+        gbar = collar.christoffels_bar(geom, rho, collar._slice_frame(geom, rho))[0][0]
         assert np.allclose(gbar[3, :3, :3], -a * a1 * np.eye(3), atol=1e-13)
         assert np.allclose(gbar[:3, 3, :3][np.arange(3), np.arange(3)], a1 / a, atol=1e-13)
 

@@ -620,6 +620,14 @@ class TestBatchInvariants:
             assert got.shape == (5,)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_kn_metric_matches_einsum(self):
+        """u.g through the (16, 256) table equals its four-einsum form, over
+        two leading axes and with no symmetry of u."""
+        u = np.random.default_rng(73).standard_normal((2, 3, 4, 4))
+        got = dfalg.kn_metric(u)
+        assert got.shape == (2, 3, 4, 4, 4, 4)
+        assert np.max(np.abs(got - oracles.zg_einsum(u))) <= 1e-15 * np.max(np.abs(u))
+
     def test_two_leading_axes(self):
         """The Pfaffian broadcasts over every leading axis."""
         rng = np.random.default_rng(71)

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from ahrenvol import dfalg, variation
+from ahrenvol import collar, dfalg, variation
 from ahrenvol.collar import (
+    InvalidProfile,
+    NonConvergence,
     PolynomialPerturbation,
     RadialGeometry,
     TorusJetGeometry,
-    christoffels,
     curvature_in_frame,
     frame_curvature,
     hyperbolic_profile,
@@ -41,7 +42,7 @@ from ahrenvol.variation import (
     zprime_display,
 )
 from ahrenvol.variation import _einstein_t2_on, _embed_jet, _frame_z
-from oracles import FlatTorus4, hessian_ops
+from oracles import FlatTorus4, hessian11_einsum, hessian_ops
 
 
 # -- flat-torus fixtures -------------------------------------------------------
@@ -189,14 +190,16 @@ def metric_jet(geom, rho):
 class TestCollarCovariantDerivative:
     def test_metric_parallel(self):
         geom = TorusJetGeometry(random_jet(5, 4, 0.05))
-        christ = christoffels(geom, 0.2)
+        cur = frame_curvature(geom, 0.2)
+        christ = (cur["gamma"], cur["dgamma"])
         nabla, dnabla = frame_covariant_derivative(geom, 0.2, metric_jet(geom, 0.2), christ)
         assert np.max(np.abs(nabla)) < 1e-13
         assert np.max(np.abs(dnabla)) < 1e-13
 
     def test_metric_hessian_vanishes(self):
         geom = RadialGeometry(perturbed_profile([0.05, -0.03, 0.02]))
-        H = hessian11(geom, metric_jet(geom, 0.25), 0.25)
+        cur = frame_curvature(geom, 0.25)
+        H = hessian11(geom, metric_jet(geom, 0.25), 0.25, (cur["gamma"], cur["dgamma"]))
         assert np.max(np.abs(H)) < 1e-12
 
     def test_jet_matches_fd_stencil(self):
@@ -206,14 +209,40 @@ class TestCollarCovariantDerivative:
         geom = RadialGeometry(perturbed_profile([0.03, -0.02, 0.015]))
         m = rng.uniform(-1.0, 1.0, (1, 3, 3))
         pert = CutoffPerturbation(0.5 * (m + m.transpose(0, 2, 1)))
-        jet = _embed_jet(pert, geom.npts, 0.2)
+        jet = _embed_jet(pert, 0.2)
         step = 0.00125
         stencil = 0.2 + step * np.arange(-2, 3)
-        fd = fd_jet([_embed_jet(pert, geom.npts, r)[0] for r in stencil], step)
-        H_jet = hessian11(geom, jet, 0.2)
-        H_fd = hessian11(geom, fd, 0.2)
+        fd = fd_jet([_embed_jet(pert, r)[0] for r in stencil], step)
+        cur = frame_curvature(geom, 0.2)
+        christ = (cur["gamma"], cur["dgamma"])
+        H_jet = hessian11(geom, jet, 0.2, christ)
+        H_fd = hessian11(geom, fd, 0.2, christ)
         scale = max(1.0, np.max(np.abs(H_jet)))
         assert np.max(np.abs(H_jet - H_fd)) < 1e-5 * scale
+
+    @pytest.mark.parametrize(
+        "geom",
+        [
+            RadialGeometry(perturbed_profile([0.03, -0.02, 0.015])),
+            TorusJetGeometry(random_jet(17, n_grid=4)),
+        ],
+        ids=["radial", "torus"],
+    )
+    def test_hessian_matches_eight_permutation_sum(self, geom):
+        """The double antisymmetrization of n2 = nabla nabla h equals the sum
+        of its eight index permutations (tests/oracles.py) on two slices."""
+        rng = np.random.default_rng(23)
+        m = rng.uniform(-1.0, 1.0, (geom.npts, 3, 3))
+        pert = PolynomialPerturbation({2: m + m.transpose(0, 2, 1), 3: m.transpose(0, 2, 1)})
+        rho = np.array([0.2, 0.35])
+        cur = frame_curvature(geom, rho)
+        christ = (cur["gamma"], cur["dgamma"])
+        jet = _embed_jet(pert, rho)
+        nabla = frame_covariant_derivative(geom, rho, jet, christ)
+        (n2,) = frame_covariant_derivative(geom, rho, nabla, christ)
+        want = hessian11_einsum(n2)
+        got = hessian11(geom, jet, rho, christ)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # -- linearized curvature --------------------------------------------------------
@@ -391,20 +420,27 @@ class TestFunctionalGradient:
         assert np.max(np.abs(res["T2omega"])) < 1e-8
 
     def test_one_engine_call_per_stencil_rho(self, monkeypatch):
-        """The 5-point stencil of each slice costs 5 curvature evaluations: a
-        full record at the centre, serving f, q and the measure as well, and a
-        frame-only (Ricci) evaluation at each of the 4 other stencil rhos."""
-        calls = {"curvature_in_frame": [], "frame_curvature": []}
-        for name, seen in calls.items():
+        """The 5-point stencil of each slice costs 5 curvature slices: a full
+        record at the centre, serving f, q, the connection of the Hessian and
+        the measure as well, and a frame-only (Ricci) slice at each of the 4
+        other stencil rhos.  Every slice builds its frame once, and the
+        Hessian builds none of its own."""
+        slices = {"curvature_in_frame": 0, "frame_curvature": 0, "_slice_frame": 0}
 
-            def counting(geom, rho, engine=getattr(variation, name), seen=seen):
-                seen.append(rho)
+        def counting(owner, name):
+            engine = getattr(owner, name)
+
+            def wrapper(geom, rho):
+                slices[name] += np.size(rho)
                 return engine(geom, rho)
 
-            monkeypatch.setattr(variation, name, counting)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(variation, "curvature_in_frame")
+        counting(variation, "frame_curvature")
+        counting(collar, "_slice_frame")
         functional_gradient(RadialGeometry(perturbed_profile([0.05, 0.05, 0.05])))
-        assert len(calls["curvature_in_frame"]) == 9
-        assert len(calls["frame_curvature"]) == 4 * 9
+        assert slices == {"curvature_in_frame": 9, "frame_curvature": 4 * 9, "_slice_frame": 45}
 
     @pytest.mark.parametrize(
         "geom",
@@ -462,6 +498,47 @@ class TestFunctionalGradient:
         disp = zprime_display(geom, pert, rcirc_coefficient=4.0)
         fd = fd_zprime(geom, pert)
         assert abs(disp - fd) < 1e-3 * abs(fd)
+
+
+class TestSliceBatching:
+    """The variation layer's rho-walkers give the same numbers whatever
+    batches collar.map_slices cuts the slices into."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(29)
+        for geom in (
+            RadialGeometry(perturbed_profile([0.03, -0.02, 0.015])),
+            TorusJetGeometry(random_jet(17, n_grid=4)),
+        ):
+            m = rng.uniform(-1.0, 1.0, (geom.npts, 3, 3))
+            m = m + m.transpose(0, 2, 1)
+            yield geom, CutoffPerturbation(m), PolynomialPerturbation({2: m, 3: -0.5 * m})
+
+    @staticmethod
+    def _outputs(geom, cutoff, poly):
+        grad = functional_gradient(geom, rhos=np.linspace(0.1, 0.5, 6))
+        rhos = np.array([0.2, 0.3, 0.45])
+
+        def lin_fields(rho):
+            lin = linearized_curvature(geom, poly, rho)
+            return lin["riem_p"], lin["ric_p"], lin["s_p"], lin["hessian"]
+
+        return (
+            grad["f"], grad["T2omega"], grad["E"].e_fields, grad["E"].slice_norms,
+            np.array(zprime_display(geom, cutoff, n_nodes=6)),
+            *collar.map_slices(lin_fields, rhos, geom.npts),
+        )
+
+    def test_one_point_batches_match_default(self, monkeypatch):
+        for geom, cutoff, poly in self._cases():
+            want = self._outputs(geom, cutoff, poly)
+            monkeypatch.setattr(collar, "_CHUNK_POINTS", 1)
+            got = self._outputs(geom, cutoff, poly)
+            monkeypatch.undo()
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b)) <= 1e-13 * max(1e-300, np.max(np.abs(b)))
 
 
 class TestSliceAnalysis:
@@ -525,6 +602,21 @@ class TestGradientFlow:
 
         with pytest.raises(RuntimeError, match="stalled"):
             gradient_flow_step([0.05], 1e-3, functional=kinked)
+
+    def test_probe_outside_the_profile_family_is_nonconvergence(self):
+        """On the edge of the family (bisected along -theta_0 to where A's
+        minimum on (0, 2) reaches 0), a gradient probe leaves the family: a
+        NonConvergence, not a bare ValueError."""
+        inside, outside = 0.0, 10.0
+        for _ in range(60):
+            mid = 0.5 * (inside + outside)
+            try:
+                perturbed_profile([-mid])
+                inside = mid
+            except InvalidProfile:
+                outside = mid
+        with pytest.raises(NonConvergence, match="probe left the profile family"):
+            gradient_flow_step([-inside], 1e-3)
 
     def test_descent_is_monotone(self):
         history = run_flow([0.05, 0.05, 0.05], steps=8, eta=1e-3)
