@@ -61,8 +61,9 @@ class ConfigError(ValueError):
     """Invalid or incomplete configuration (maps to exit code 2)."""
 
 
-# outer integration cutoff when the config leaves 'rho_max' null (renorm's default)
-_RHO_MAX_DEFAULT = {"radial": 2.0, "torus-collar": 1.0}
+# outer integration cutoff when the config leaves 'rho_max' null: the geometry's own
+_RHO_MAX_DEFAULT = {"radial": _collar.RadialGeometry.rho_max,
+                    "torus-collar": _collar.TorusJetGeometry.rho_max}
 # a curvature slice peaks at about 12 KiB of temporaries per boundary point
 # (6.2 MiB at n_grid 8, 49 MiB at n_grid 16), so n_grid = 32 (32768 points)
 # peaks near 390 MiB per slice.  n_grid 4 is the coarsest grid the tests
@@ -83,7 +84,7 @@ _FLOW_STEPS_MAX = 10000
 
 # every check row a subcommand emits, by subcommand in SUBCOMMANDS order:
 # name -> (anchor, default tolerance).  flow_target's tolerance is the config's
-# target fraction, and gauss-bonnet's rows are made by renorm.gauss_bonnet_audit.
+# target fraction.
 _CHECKS = {
     "contraction_commutator": ("c(g.w) == g c(w) + (n-p-q) w", 1e-10),
     "metric_contraction_adjointness": ("inner(g.w1, w2) == inner(w1, c w2)", 1e-10),
@@ -102,6 +103,10 @@ _CHECKS = {
     "hyperbolic_C2": ("C2 == -3 pi^2 / 2", 1e-6),
     "hyperbolic_L": ("L == 0", 1e-6),
     "hyperbolic_V": ("V == 4 pi^2 / 3", 1e-6),
+    "gauss_bonnet_sum_constant": (
+        "int_{rho>eps} Pff + int_{rho=eps} II == chi, all eps", 1e-6),
+    "boundary_finite_part_zero": ("FP int II == 0", 1e-5),
+    "interior_finite_part_chi": ("FP int Pff == chi", 1e-4),
     "fd_convergence_order": (
         "order(||formula - [curv(g+th)-curv(g-th)]/2t||) == 2 +/- 0.2", 0.2),
     "scaling_riem": ("R'g == R", 1e-10),
@@ -117,9 +122,7 @@ _CHECKS = {
 }
 # A 'tolerances' key must name a check row.  One config serves every subcommand
 # (scripts/run_all_audits.py), so a row of any subcommand is accepted.
-CHECK_NAMES = frozenset(_CHECKS) | {
-    "gauss_bonnet_sum_constant", "boundary_finite_part_zero", "interior_finite_part_chi",
-}
+CHECK_NAMES = frozenset(_CHECKS)
 
 
 # -- configuration ---------------------------------------------------------------
@@ -224,7 +227,7 @@ class AuditConfig:
         rho_max = None if grid["rho_max"] is None else _number(grid["rho_max"], "rho_max")
         radial = top["family"] == "radial"
         reach = _RHO_MAX_DEFAULT[top["family"]] if rho_max is None else rho_max
-        if reach <= eps_hi or (radial and reach > 2.0):
+        if reach <= eps_hi or (radial and reach > _RHO_MAX_DEFAULT["radial"]):
             raise ConfigError(
                 f"'rho_max' (here {reach:g}) must exceed 'eps_hi'"
                 + (" and be at most 2, the cap of the radial family" if radial else "")
@@ -288,7 +291,7 @@ class AuditConfig:
                 return _collar.RadialGeometry(_collar.perturbed_profile(self.theta))
             except ValueError as exc:
                 raise ConfigError(f"'theta' {list(self.theta)} gives an invalid profile: {exc}")
-        reach = self.rho_max or _RHO_MAX_DEFAULT[self.family]
+        reach = _RHO_MAX_DEFAULT[self.family] if self.rho_max is None else self.rho_max
         try:
             jet = _collar.random_jet(self.seed, self.jet_n_grid, self.jet_amplitude)
             rho_grid = np.linspace(reach / 16, reach, 16)
@@ -362,14 +365,15 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _check(name, value, config, tol_scale, passed=None, tolerance=None):
-    """Row ``name`` of :data:`_CHECKS`; ``tolerance`` replaces a default of None."""
+def _check(name, value, config, tol_scale, passed=None, tolerance=None, claim=0.0):
+    """Row ``name`` of :data:`_CHECKS`; ``tolerance`` replaces a default of None.
+    Unless ``passed`` is given, the row passes when |value - claim| < tolerance."""
     anchor, default = _CHECKS[name]
     tol = float(config.tolerances.get(name, default if tolerance is None else tolerance))
     tol *= tol_scale
     value = float(value)
     if passed is None:
-        passed = abs(value) < tol
+        passed = abs(value - claim) < tol
     return {
         "name": name,
         "anchor": anchor,
@@ -506,8 +510,8 @@ def run_collar_audit(config: AuditConfig, tol_scale: float, threads: int) -> Aud
 def run_renvol(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
     geom = config.geometry()
     eps = config.eps_grid()
-    family, quad_error = renorm.volume_family(geom, eps_grid=eps, rho_max=config.rho_max)
-    fit = renorm.finite_part((eps, np.array(list(family.values()))))
+    volumes, quad_error = renorm.volume_family(geom, eps_grid=eps, rho_max=config.rho_max)
+    fit = renorm.finite_part((eps, volumes))
     fit_dev = fit.fit_residual / max(1.0, abs(fit.finite))
     checks = [_check("volume_asymptotics_fit", fit_dev, config, tol_scale)]
     if config.is_hyperbolic:
@@ -517,7 +521,7 @@ def run_renvol(config: AuditConfig, tol_scale: float, threads: int) -> AuditRepo
             checks.append(_check(f"hyperbolic_{name}", dev, config, tol_scale))
     artifacts = {
         "eps_grid": eps,
-        "volumes": list(family.values()),
+        "volumes": volumes,
         "coefficients": {"C0": fit.c0, "C2": fit.c2, "L": fit.log_coeff, "V": fit.finite},
         "quadrature_error": quad_error,
         "fit_cond": fit.cond,
@@ -541,11 +545,16 @@ def run_gauss_bonnet(config: AuditConfig, tol_scale: float, threads: int) -> Aud
     # the interior Pfaffian family always runs out to the cap
     if config.rho_max not in (None, _RHO_MAX_DEFAULT["radial"]):
         raise ConfigError("gauss-bonnet integrates to the cap: 'rho_max' must be null or 2")
-    profile = config.geometry().profile
-    audit = renorm.gauss_bonnet_audit(
-        profile, eps_grid=config.eps_grid(), tol_scale=tol_scale, tolerances=config.tolerances
-    )
+    audit = renorm.gauss_bonnet_audit(config.geometry(), eps_grid=config.eps_grid())
+    chi = audit["chi"]
     fits = {"interior": audit["fp_interior"], "boundary": audit["fp_boundary"]}
+    sum_dev = float(np.max(np.abs(audit["total"] - chi))) / max(1.0, abs(chi))
+    checks = [
+        _check("gauss_bonnet_sum_constant", sum_dev, config, tol_scale),
+        _check("boundary_finite_part_zero", fits["boundary"].finite, config, tol_scale),
+        _check("interior_finite_part_chi", fits["interior"].finite, config, tol_scale,
+               claim=chi),
+    ]
     artifacts = {
         "eps_grid": audit["eps_grid"],
         "interior": audit["interior"],
@@ -559,7 +568,7 @@ def run_gauss_bonnet(config: AuditConfig, tol_scale: float, threads: int) -> Aud
         "kept_powers": {key: fit.kept_powers for key, fit in fits.items()},
         "log_ambiguous": {key: fit.log_ambiguous for key, fit in fits.items()},
     }
-    return AuditReport("gauss-bonnet", asdict(config), config.seed, audit["checks"], artifacts)
+    return AuditReport("gauss-bonnet", asdict(config), config.seed, checks, artifacts)
 
 
 # -- subcommand: linearize-check --------------------------------------------------------

@@ -55,7 +55,6 @@ __all__ = [
     "RadialGeometry",
     "PerturbedGeometry",
     "PolynomialPerturbation",
-    "as_geometry",
     "sample_collar_metric",
     "default_rho_grid",
     "gauss_nodes",
@@ -64,7 +63,6 @@ __all__ = [
     "frame_curvature",
     "curvature_in_frame",
     "map_slices",
-    "on_transform",
     "to_on2",
     "to_on4",
     "spectral_deriv",
@@ -239,6 +237,9 @@ class TorusJetGeometry:
     Fourier differentiation matrix, built once, applied along each grid axis.
     """
 
+    # outer end of the collar the eps-families integrate to
+    rho_max = 1.0
+
     def __init__(self, jet: BoundaryJet):
         self.jet = jet
         self.n_grid = jet.n_grid
@@ -304,6 +305,9 @@ class RadialGeometry:
     sample of measure Vol(S^3) = 2 pi^2).
     """
 
+    # the cap A(2) = 0, where the eps-families end
+    rho_max = 2.0
+
     def __init__(self, profile: RadialProfile):
         self.profile = profile
         self.npts = 1
@@ -356,6 +360,7 @@ class PerturbedGeometry:
         self.npts = base.npts
         self.weight = base.weight
         self.cbar = base.cbar
+        self.rho_max = base.rho_max
 
     def spatial(self, rho):
         g, d1, d2, d3 = self.base.spatial(rho)
@@ -495,11 +500,6 @@ def _frame_riemann(geom, gamma, radial_deriv, spatial_scale, cfun, gbar):
     return (rup.reshape(npts, 64, 4) @ gbar).reshape(npts, 4, 4, 4, 4)
 
 
-def on_transform(gbar: np.ndarray) -> np.ndarray:
-    """Pointwise frame-to-orthonormal transform q with q^T gbar q = identity."""
-    return _on_frame(gbar)[0]
-
-
 def to_on2(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.einsum("nst,nsa,ntb->nab", fld, q, q)
 
@@ -525,7 +525,7 @@ def frame_curvature(geom, rho) -> dict:
     of (rho, boundary point), so point ``k * geom.npts + p`` is boundary
     point p on slice rho[k].
 
-    Returns {'gbar', 'ginv' (gbar^-1), 'q' (see :func:`on_transform`),
+    Returns {'gbar', 'ginv' (gbar^-1), 'q' (see :func:`_on_frame`),
     'dvol' (sqrt det g_rho, the slice measure of gbar), 'gamma', 'dgamma'
     (rho d/d rho gamma, see :func:`christoffels`), 'gamma4', 'riem'
     (X-frame)}.  Ricci is ric_tv = ginv^su riem_stuv.
@@ -673,26 +673,20 @@ class CollarSample:
         object.__setattr__(self, "rho_grid", grid)
 
 
-def as_geometry(source):
-    """Geometry of a CollarSample, BoundaryJet or RadialProfile; else ``source``."""
-    if isinstance(source, CollarSample):
-        return source.geometry
-    if isinstance(source, BoundaryJet):
-        return TorusJetGeometry(source)
-    if isinstance(source, RadialProfile):
-        return RadialGeometry(source)
-    return source
-
-
 def sample_collar_metric(source, rho_grid=None) -> CollarSample:
-    """Build a CollarSample from a BoundaryJet or RadialProfile.
+    """Build a CollarSample from a BoundaryJet, a RadialProfile or a geometry.
 
     Validates positive-definiteness of g_rho at every grid sample.
     """
     if rho_grid is None:
         rho_grid = default_rho_grid()
     rho_grid = np.asarray(rho_grid, dtype=float)
-    geom = as_geometry(source)
+    if isinstance(source, BoundaryJet):
+        geom = TorusJetGeometry(source)
+    elif isinstance(source, RadialProfile):
+        geom = RadialGeometry(source)
+    else:
+        geom = source
     g = geom.spatial(rho_grid)[0]
     bad = np.nonzero(np.linalg.eigvalsh(g)[:, 0] <= 0.0)[0]
     if bad.size:

@@ -41,14 +41,13 @@ from .collar import (
     NonConvergence,
     PerturbedGeometry,
     RadialGeometry,
-    _gbar_blocks,
     _invariant_density,
     _rho_per_point,
+    _slice_frame,
     curvature_in_frame,
     frame_curvature,
     gauss_nodes,
     map_slices,
-    on_transform,
     perturbed_profile,
     rho_series_fit,
     to_on2,
@@ -62,9 +61,6 @@ __all__ = [
     "fd_jet",
     "frame_covariant_derivative",
     "hessian11",
-    "on_transform",
-    "to_on2",
-    "to_on4",
     "fh_dense",
     "linearized_curvature",
     "fd_curvature_derivative",
@@ -301,7 +297,7 @@ def _frame_ricci(cur: dict):
 
 def fd_curvature_derivative(geom, pert, rho: float, t: float) -> dict:
     """Central differences of frame curvature along g_rho + t m, ON at t=0."""
-    q = on_transform(_gbar_blocks(geom, rho)[0])
+    q = _slice_frame(geom, rho)["q"]
     sides = {}
     for sgn in (+1, -1):
         cur = frame_curvature(PerturbedGeometry(geom, pert, sgn * t), rho)
@@ -447,7 +443,7 @@ def el_slice_analysis(geom, pert, rhos=None, step: float = 0.004, k_max: int = 6
     dens0 = np.atleast_1d(np.sqrt(np.linalg.det(gamma0)))
 
     def h_on(rho):
-        return to_on2(_embed(pert.value(rho, 0)), on_transform(_gbar_blocks(geom, rho)[0]))
+        return to_on2(_embed(pert.value(rho, 0)), _slice_frame(geom, rho)["q"])
 
     h_arr = map_slices(h_on, rhos, geom.npts).reshape(rhos.size, geom.npts, 4, 4)
     phi = geom.weight * np.einsum("rnab,rnab,n->r", residual.e_fields, h_arr, dens0)

@@ -110,9 +110,8 @@ def test_criterion_02_contraction_constants():
 def test_criterion_03_hyperbolic_ball_volume():
     """Fitted (C0, C2, L, V) = (2pi^2/3, -3pi^2/2, 0, 4pi^2/3), rel 1e-6."""
     with Budget(5.0):
-        family, _ = volume_family(hyperbolic_profile())
-        eps = np.array(sorted(family))
-        fit = finite_part((eps, np.array([family[e] for e in eps])))
+        volumes, _ = volume_family(RadialGeometry(hyperbolic_profile()))
+        fit = finite_part((default_eps_grid(), volumes))
     want = (2 * PI2 / 3, -1.5 * PI2, 0.0, 4 * PI2 / 3)
     dev = max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(fit.as_tuple(), want))
     assert dev < 1e-6, (fit.as_tuple(), want)
@@ -122,6 +121,12 @@ def test_criterion_03_hyperbolic_ball_volume():
 def _seeded_thetas(n=5, amplitude=0.02, seed=20260823):
     rng = np.random.default_rng(seed)
     return [amplitude * rng.uniform(-1.0, 1.0, size=3) for _ in range(n)]
+
+
+def _gauss_bonnet_report(theta=(0.0, 0.0, 0.0)):
+    """The gauss-bonnet subcommand's report: its rows judge the audit."""
+    config = cli.AuditConfig(family="radial", seed=0, theta=tuple(map(float, theta)))
+    return cli.run_gauss_bonnet(config, 1.0, 1)
 
 
 @pytest.mark.xfail(
@@ -135,20 +140,20 @@ def test_criterion_04_gauss_bonnet_as_stated():
     announce(4, "Gauss-Bonnet finite-part claims as stated on v3 != 0 profiles",
              passed=False)
     with Budget(60.0):
-        reports = [gauss_bonnet_audit(hyperbolic_profile())]
-        reports += [gauss_bonnet_audit(perturbed_profile(t)) for t in _seeded_thetas()]
-    assert all(rep["passed"] for rep in reports), [r["checks"] for r in reports]
+        reports = [_gauss_bonnet_report()]
+        reports += [_gauss_bonnet_report(t) for t in _seeded_thetas()]
+    assert all(rep.passed for rep in reports), [r.checks for r in reports]
 
 
 def test_criterion_04_validated_parts_and_correction():
     """What does hold: exactness at every eps, the ball case, and the
     corrected finite-part identity FP int Pff = chi - (1/2pi^2) int v3."""
     with Budget(60.0):
-        ball = gauss_bonnet_audit(hyperbolic_profile())
-        assert ball["passed"], ball["checks"]
+        ball = _gauss_bonnet_report()
+        assert ball.passed, ball.checks
         sum_dev = fp_dev = 0.0
         for theta in _seeded_thetas():
-            rep = gauss_bonnet_audit(perturbed_profile(theta))
+            rep = gauss_bonnet_audit(RadialGeometry(perturbed_profile(theta)))
             sum_dev = max(sum_dev, float(np.max(np.abs(rep["total"] - 1.0))))
             v3 = float(collar.det_series(
                 sample_collar_metric(perturbed_profile(theta)))["v3"][0])
@@ -315,14 +320,14 @@ def test_criterion_10_normal_form_as_stated():
     """(1/12pi^2) * FP int (s^2 - 3|r|^2) == chi on the hyperbolic ball."""
     announce(10, "normal-form Euler-characteristic display as stated",
              passed=False)
-    action = renormalized_action(hyperbolic_profile())["action"].finite
+    action = renormalized_action(RadialGeometry(hyperbolic_profile()))["action"].finite
     assert abs(action / (12.0 * PI2) - 1.0) < 1e-6, action / (12.0 * PI2)
 
 
 def test_criterion_10_documented_discrepancies():
     """The normal form evaluates to exactly 4*chi; the least-squares Pfaffian
     coefficients over random decomposed curvatures have s^2 term 1/48."""
-    action = renormalized_action(hyperbolic_profile())["action"].finite
+    action = renormalized_action(RadialGeometry(hyperbolic_profile()))["action"].finite
     assert abs(action / (12.0 * PI2) - 4.0) < 1e-6, action / (12.0 * PI2)
 
     rng = np.random.default_rng(20260823)

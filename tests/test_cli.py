@@ -296,18 +296,38 @@ class TestRenvol:
         assert run(["renvol", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
 
 
+GAUSS_BONNET_ROWS = (
+    "gauss_bonnet_sum_constant", "boundary_finite_part_zero", "interior_finite_part_chi",
+)
+
+
 class TestGaussBonnet:
+    @pytest.mark.parametrize("name", GAUSS_BONNET_ROWS)
     @pytest.mark.parametrize("tol, code", [(1e-3, cli.EXIT_OK), (1e-12, cli.EXIT_CHECK_FAILED)])
-    def test_tolerance_override_bounds_the_deviation_from_chi(self, tmp_path, tol, code):
-        cfg = write_config(
-            tmp_path, "c.json", {**HYP, "tolerances": {"interior_finite_part_chi": tol}}
-        )
+    def test_tolerance_override_bounds_the_deviation_from_chi(self, tmp_path, tol, code, name):
+        cfg = write_config(tmp_path, "c.json", {**HYP, "tolerances": {name: tol}})
         assert run(["gauss-bonnet", "--config", cfg, "--out-dir", str(tmp_path)]) == code
         report = json.loads((tmp_path / "gauss-bonnet-report.json").read_text())
-        row = {c["name"]: c for c in report["checks"]}["interior_finite_part_chi"]
-        # the row reports FP itself; the tolerance bounds |FP - chi|
-        assert row["value"] == pytest.approx(1.0, abs=1e-4)
-        assert row["tolerance"] == tol
+        rows = {c["name"]: c for c in report["checks"]}
+        assert list(rows) == list(GAUSS_BONNET_ROWS)
+        assert rows[name]["tolerance"] == tol
+        # only the overridden row can fail on the ball
+        assert [n for n, row in rows.items() if not row["passed"]] == (
+            [name] if code == cli.EXIT_CHECK_FAILED else [])
+        # the chi row reports FP itself; the tolerance bounds |FP - chi|
+        assert rows["interior_finite_part_chi"]["value"] == pytest.approx(1.0, abs=1e-4)
+
+    def test_tol_scale_multiplies_every_row_tolerance(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "c.json", {**HYP, "tolerances": {"boundary_finite_part_zero": 1e-3}}
+        )
+        argv = ["gauss-bonnet", "--config", cfg, "--out-dir", str(tmp_path), "--tol-scale", "10"]
+        assert run(argv) == cli.EXIT_OK
+        report = json.loads((tmp_path / "gauss-bonnet-report.json").read_text())
+        tolerances = {c["name"]: c["tolerance"] for c in report["checks"]}
+        want = {name: cli._CHECKS[name][1] for name in GAUSS_BONNET_ROWS}
+        want["boundary_finite_part_zero"] = 1e-3
+        assert tolerances == {name: tol * 10.0 for name, tol in want.items()}
 
     @pytest.mark.parametrize("rho_max", [1.0, 1.5])
     def test_rho_max_short_of_the_cap_exits_usage(self, tmp_path, capsys, rho_max):

@@ -604,7 +604,7 @@ class TestHeapPolicy:
         resource = pytest.importorskip("resource")
         if getattr(ctypes.CDLL(None), "mallopt", None) is None:
             pytest.skip("the C library has no mallopt")
-        geom = collar.as_geometry(random_jet(3, n_grid))
+        geom = collar.TorusJetGeometry(random_jet(3, n_grid))
         for rho in (0.3, 0.5, 0.7):
             curvature_in_frame(geom, rho)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

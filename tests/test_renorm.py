@@ -19,10 +19,12 @@ import numpy as np
 import oracles
 import pytest
 
-from ahrenvol import collar, renorm
+from ahrenvol import cli, collar, renorm
 from ahrenvol.collar import (
     BoundaryJet,
     CollarSample,
+    PerturbedGeometry,
+    PolynomialPerturbation,
     RadialGeometry,
     TorusJetGeometry,
     hyperbolic_profile,
@@ -86,12 +88,6 @@ class TestFinitePart:
         )
         assert np.allclose(lhs, rhs, atol=1e-9)
 
-    def test_dict_input(self):
-        eps = default_eps_grid()
-        fp = finite_part({float(e): float(3.0 / e**3 + 2.0) for e in eps})
-        assert fp.c0 == pytest.approx(3.0, abs=1e-10)
-        assert fp.finite == pytest.approx(2.0, abs=1e-10)
-
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="at least 6"):
             finite_part((np.array([0.1, 0.2, 0.3, 0.4]), np.ones(4)))
@@ -137,9 +133,8 @@ class TestPaycha:
         assert v == pytest.approx(4.0 * PI2 / 3.0, abs=1e-10)
 
     def test_agrees_with_ls_fit(self):
-        fam, _ = volume_family(hyperbolic_profile())
-        eps = np.array(sorted(fam))
-        fp = finite_part((eps, np.array([fam[e] for e in eps])))
+        vols, _ = volume_family(RadialGeometry(hyperbolic_profile()))
+        fp = finite_part((default_eps_grid(), vols))
         f = lambda r: 2.0 * PI2 * (1.0 - r * r / 4.0) ** 3
         taylor = [2 * PI2, 0, -1.5 * PI2, 0, 3 * PI2 / 8, 0, -PI2 / 32, 0]
         assert fp.finite == pytest.approx(paycha_finite_part(f, taylor, 2.0), abs=1e-8)
@@ -151,30 +146,30 @@ class TestPaycha:
 
 class TestVolumeFamily:
     def test_hyperbolic_closed_form(self):
-        fam, _ = volume_family(hyperbolic_profile(), eps_grid=[0.5, 0.7])
-        for e, v in fam.items():
+        eps = [0.5, 0.7]
+        vols, _ = volume_family(RadialGeometry(hyperbolic_profile()), eps_grid=eps)
+        for e, v in zip(eps, vols):
             assert abs(v - hyperbolic_volume(e)) < 1e-10 * abs(v)
 
     def test_coarse_eps_grid_is_split_into_panels(self):
         """6 eps over 0.02..0.3 (ratio 1.72 per interval) still meets the panel bound."""
         eps = default_eps_grid(6)
-        fam, err = volume_family(hyperbolic_profile(), eps_grid=eps)
-        for e, v in fam.items():
+        vols, err = volume_family(RadialGeometry(hyperbolic_profile()), eps_grid=eps)
+        for e, v in zip(eps, vols):
             assert abs(v - hyperbolic_volume(e)) < 1e-13 * abs(v)
-        assert err < 1e-10 * max(fam.values())
+        assert err < 1e-10 * vols.max()
 
     def test_hyperbolic_fitted_asymptotics(self):
         """Acceptance: (C0, C2, L, V) = (2pi^2/3, -3pi^2/2, 0, 4pi^2/3)."""
-        fam, _ = volume_family(hyperbolic_profile())
-        eps = np.array(sorted(fam))
-        fp = finite_part((eps, np.array([fam[e] for e in eps])))
+        vols, _ = volume_family(RadialGeometry(hyperbolic_profile()))
+        fp = finite_part((default_eps_grid(), vols))
         want = (2 * PI2 / 3, -1.5 * PI2, 0.0, 4 * PI2 / 3)
         for got, ref in zip(fp.as_tuple(), want):
             assert abs(got - ref) < 1e-6 * max(1.0, abs(ref))
 
     def test_flat_torus(self):
-        fam, _ = volume_family(BoundaryJet.flat(4), rho_max=1.0)
-        for e, v in fam.items():
+        vols, _ = volume_family(TorusJetGeometry(BoundaryJet.flat(4)), rho_max=1.0)
+        for e, v in zip(default_eps_grid(), vols):
             want = (2.0 * math.pi) ** 3 * (e**-3 - 1.0) / 3.0
             assert abs(v - want) < 1e-10 * abs(want)
 
@@ -186,9 +181,8 @@ class TestVolumeFamily:
         for i in range(3):
             g3[..., i, i] = 0.1 + 0.05 * rng.standard_normal((n, n, n))
         jet = BoundaryJet(n, BoundaryJet.flat(n).gamma, np.zeros_like(g3), g3)
-        fam, _ = volume_family(jet, rho_max=0.8)
-        eps = np.array(sorted(fam))
-        fp = finite_part((eps, np.array([fam[e] for e in eps])))
+        vols, _ = volume_family(TorusJetGeometry(jet), rho_max=0.8)
+        fp = finite_part((default_eps_grid(), vols))
         v3 = 0.5 * np.einsum("...ii->...", g3)  # gamma = identity
         want = (2.0 * math.pi / n) ** 3 * float(np.sum(v3))
         assert abs(fp.log_coeff - want) < 1e-6 * max(1.0, abs(want))
@@ -204,9 +198,9 @@ ACTION_INTEGRANDS = [
 
 
 def _ball_family(eps):
-    fam, _ = volume_family(hyperbolic_profile(), eps_grid=eps)
+    vols, _ = volume_family(RadialGeometry(hyperbolic_profile()), eps_grid=eps)
     ball = lambda rho: 2.0 * PI2 * (1.0 - rho**2 / 4.0) ** 3 / rho**4
-    return np.array(list(fam.values()))[:, None], oracles.adaptive_family(ball, eps, 2.0)
+    return vols[:, None], oracles.adaptive_family(ball, eps, 2.0)
 
 
 def _action_family(geom, rho_max):
@@ -310,10 +304,10 @@ class TestBoundaryII:
         sample = CollarSample(
             geometry=RadialGeometry(hyperbolic_profile()), rho_grid=eps_grid
         )
-        fam, _ = volume_family(hyperbolic_profile(), eps_grid=eps_grid)
-        for e in (eps_grid[0], eps_grid[5], eps_grid[-1]):
-            ii = boundary_II(sample, float(e)).ii_integral
-            want = 1.0 - 3.0 / (4.0 * PI2) * fam[float(e)]
+        vols, _ = volume_family(sample.geometry, eps_grid=eps_grid)
+        for k in (0, 5, -1):
+            ii = boundary_II(sample, float(eps_grid[k])).ii_integral
+            want = 1.0 - 3.0 / (4.0 * PI2) * vols[k]
             assert abs(ii - want) < 1e-9 * max(1.0, abs(want))
         # the whole radial family goes to the engine in one batch
         for bt in renorm._boundary_family(sample.geometry, eps_grid):
@@ -347,16 +341,22 @@ class TestBoundaryII:
             boundary_II(sample, 1.7)
 
 
+def gauss_bonnet_report(theta=(0.0, 0.0, 0.0)):
+    """The gauss-bonnet report on the radial profile ``theta``: the CLI judges the audit."""
+    config = cli.AuditConfig(family="radial", seed=0, theta=tuple(map(float, theta)))
+    return cli.run_gauss_bonnet(config, 1.0, 1)
+
+
 class TestGaussBonnetAudit:
     def test_hyperbolic_ball(self):
-        rep = gauss_bonnet_audit(hyperbolic_profile())
-        assert rep["passed"]
-        assert abs(rep["fp_interior"].finite - 1.0) < 1e-6
-        assert np.max(np.abs(rep["total"] - 1.0)) < 1e-9
+        rep = gauss_bonnet_report()
+        assert rep.passed
+        assert abs(rep.artifacts["fp_interior"] - 1.0) < 1e-6
+        assert np.max(np.abs(rep.artifacts["total"] - 1.0)) < 1e-9
 
     def test_degenerate_perturbation_matches_hyperbolic(self):
-        base = gauss_bonnet_audit(hyperbolic_profile())
-        pert = gauss_bonnet_audit(perturbed_profile([0.0, 0.0, 0.0]))
+        base = gauss_bonnet_audit(RadialGeometry(hyperbolic_profile()))
+        pert = gauss_bonnet_audit(RadialGeometry(perturbed_profile([0.0, 0.0, 0.0])))
         assert np.array_equal(base["interior"], pert["interior"])
         assert np.array_equal(base["boundary"], pert["boundary"])
 
@@ -365,14 +365,14 @@ class TestGaussBonnetAudit:
         rng = np.random.default_rng(23)
         for _ in range(3):
             theta = 0.02 * rng.uniform(-1.0, 1.0, size=3)
-            rep = gauss_bonnet_audit(perturbed_profile(theta))
-            assert rep["checks"][0]["passed"], rep["checks"][0]
-            assert np.max(np.abs(rep["total"] - 1.0)) < 1e-6
+            rep = gauss_bonnet_report(theta)
+            assert rep.checks[0]["passed"], rep.checks[0]
+            assert np.max(np.abs(rep.artifacts["total"] - 1.0)) < 1e-6
 
     def test_even_perturbation_satisfies_theorem(self):
         """v3 = 0 (no rho^3 term): both finite-part claims hold as stated."""
-        rep = gauss_bonnet_audit(perturbed_profile([0.0, 0.0, 0.02]))
-        assert rep["passed"], rep["checks"]
+        rep = gauss_bonnet_report([0.0, 0.0, 0.02])
+        assert rep.passed, rep.checks
 
     @pytest.mark.xfail(
         strict=True,
@@ -380,8 +380,8 @@ class TestGaussBonnetAudit:
         " not 0, for v3 != 0 profiles (decisions ledger)",
     )
     def test_finite_parts_as_stated_with_v3(self):
-        rep = gauss_bonnet_audit(perturbed_profile([0.01, 0.0, 0.0]))
-        assert rep["passed"], rep["checks"]
+        rep = gauss_bonnet_report([0.01, 0.0, 0.0])
+        assert rep.passed, rep.checks
 
     def test_corrected_finite_part_identity(self):
         """FP int Pff = chi - (1/2pi^2) int v3 dvol_gamma; no log term."""
@@ -389,7 +389,7 @@ class TestGaussBonnetAudit:
         for _ in range(3):
             theta = 0.02 * rng.uniform(-1.0, 1.0, size=3)
             prof = perturbed_profile(theta)
-            rep = gauss_bonnet_audit(prof)
+            rep = gauss_bonnet_audit(RadialGeometry(prof))
             v3 = float(collar.det_series(collar.sample_collar_metric(prof))["v3"][0])
             shift = v3  # (1/2pi^2) * v3 * Vol(S^3) = v3
             assert abs(rep["fp_interior"].finite - (1.0 - shift)) < 2e-5
@@ -397,15 +397,23 @@ class TestGaussBonnetAudit:
             assert abs(rep["fp_interior"].log_coeff) < 1e-4
 
     def test_failure_is_reported_not_raised(self):
-        rep = gauss_bonnet_audit(perturbed_profile([0.01, 0.0, 0.0]))
-        assert not rep["passed"]
-        failing = [c for c in rep["checks"] if not c["passed"]]
+        rep = gauss_bonnet_report([0.01, 0.0, 0.0])
+        assert not rep.passed
+        failing = [c for c in rep.checks if not c["passed"]]
         assert failing and all("anchor" in c for c in failing)
+
+    def test_refuses_all_but_the_radial_geometry(self):
+        """chi = 1 is the ball's, so no other geometry is audited."""
+        ball = RadialGeometry(hyperbolic_profile())
+        for geom in (TorusJetGeometry(random_jet(3, n_grid=4)),
+                     PerturbedGeometry(ball, PolynomialPerturbation({2: np.zeros((1, 3, 3))}), 0.0)):
+            with pytest.raises(ValueError, match="RadialGeometry"):
+                gauss_bonnet_audit(geom)
 
 
 class TestRenormalizedAction:
     def test_hyperbolic_values(self):
-        act = renormalized_action(hyperbolic_profile())
+        act = renormalized_action(RadialGeometry(hyperbolic_profile()))
         assert act["action"].finite == pytest.approx(48.0 * PI2, rel=1e-8)
         assert act["s2"].finite == pytest.approx(144.0 * 4.0 * PI2 / 3.0, rel=1e-8)
         assert abs(act["z2"].finite) < 1e-10
@@ -413,7 +421,7 @@ class TestRenormalizedAction:
 
     def test_flat_torus_scaling(self):
         """Pointwise cusp constants scale by the finite part of the volume."""
-        act = renormalized_action(BoundaryJet.flat(2), rho_max=1.0)
+        act = renormalized_action(TorusJetGeometry(BoundaryJet.flat(2)), rho_max=1.0)
         scale = -((2.0 * math.pi) ** 3) / 3.0
         assert act["s2"].finite == pytest.approx(144.0 * scale, rel=1e-8)
         assert act["action"].finite == pytest.approx(36.0 * scale, rel=1e-8)
@@ -452,9 +460,22 @@ class TestRenormalizedAction:
         rng = np.random.default_rng(7)
         for _ in range(10):
             theta = 0.02 * rng.uniform(-1.0, 1.0, size=3)
-            act = renormalized_action(perturbed_profile(theta))
+            act = renormalized_action(RadialGeometry(perturbed_profile(theta)))
             assert act["rewrite_deviation"] < 1e-8
             assert act["rewrite_fp_deviation"] < 1e-5
+
+
+class TestOuterCutoff:
+    def test_perturbed_ball_runs_to_the_cap(self):
+        """A PerturbedGeometry integrates to its base's rho_max: at t = 0 the
+        ball's families run to the cap rho = 2 and give its closed forms."""
+        zero = PolynomialPerturbation({2: 0.0 * np.eye(3)[None]})
+        geom = PerturbedGeometry(RadialGeometry(hyperbolic_profile()), zero, 0.0)
+        assert geom.rho_max == RadialGeometry.rho_max == 2.0
+        vols, _ = volume_family(geom)
+        assert finite_part((default_eps_grid(), vols)).finite == pytest.approx(
+            4.0 * PI2 / 3.0, abs=1e-9)
+        assert renormalized_action(geom)["action"].finite == pytest.approx(48.0 * PI2, rel=1e-8)
 
 
 class TestTheorem7Cancellation:

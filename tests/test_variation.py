@@ -34,10 +34,7 @@ from ahrenvol.variation import (
     gradient_flow_step,
     hessian11,
     linearized_curvature,
-    on_transform,
     run_flow,
-    to_on2,
-    to_on4,
     z2_functional,
     zprime_display,
 )
