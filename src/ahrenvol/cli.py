@@ -26,20 +26,12 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import dfalg, renorm, variation
+from . import __version__, dfalg, renorm, variation
 from . import collar as _collar
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("ahrenvol")
-except Exception:  # pragma: no cover - metadata missing in odd installs
-    VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -316,7 +308,7 @@ class AuditReport:
     seed: int
     checks: list
     artifacts: dict = field(default_factory=dict)
-    version: str = VERSION
+    version: str = __version__
     elapsed_seconds: float = 0.0
     timestamp: str = ""
 
@@ -607,6 +599,8 @@ def _linearize_trial(seed: int):
 def run_linearize_check(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
     seeds = [config.seed + k for k in range(config.trials)]
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             orders = list(pool.map(_linearize_trial, seeds))
     else:

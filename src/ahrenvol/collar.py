@@ -17,11 +17,13 @@ Christoffel symbols of g come from the closed-form relation
     Gamma^u_st = rho Gammabar^u_st - delta_su delta_t4 + delta_u4 gbar_st,
 
 and curvature uses the non-coordinate-frame formula with the explicit
-bracket correction.  One eigendecomposition g_rho = V diag(w) V^T of the
-spatial metric block per point gives the frame data of an engine call: the
-inverse square root q = V diag(w^-1/2) V^T, which moves components into the
-orthonormal frame consumed by :mod:`ahrenvol.dfalg`, the inverse metric
-(Christoffels, Ricci) and the slice measure sqrt(prod w).
+bracket correction.  The closed-form Cholesky factor g_rho = L L^T of the
+spatial metric block, computed entrywise over the point axis, gives the frame
+data of an engine call: the upper-triangular q = L^-T, which moves components
+into the orthonormal frame consumed by :mod:`ahrenvol.dfalg`, the inverse
+metric q q^T (Christoffels, Ricci) and the slice measure L_00 L_11 L_22.
+Consumers may assume only q^T gbar q = I: every invariant, integral and
+verdict is the same in any orthonormal frame.
 
 rho-derivatives are always analytic (the metric families are polynomial or
 closed-form in rho).  Boundary derivatives on the torus are spectral: each
@@ -401,20 +403,38 @@ def _cbar4(geom) -> np.ndarray:
 
 
 def _on_frame(gbar: np.ndarray):
-    """q, gbar^-1 and sqrt det g_rho of a batch of frame metrics, from one eigh.
+    """q, gbar^-1 and sqrt det g_rho of a batch of frame metrics, in closed form.
 
-    With g_rho = V diag(w) V^T the block eigendecomposition gives
-    q = V diag(w^-1/2) V^T (+) 1, gbar^-1 = V diag(1/w) V^T (+) 1 and
-    dvol = sqrt(prod w).
+    With the Cholesky factor g_rho = L L^T (six entries per point, no LAPACK
+    call), q = L^-T (+) 1 is upper triangular with q^T gbar q = I,
+    gbar^-1 = q q^T and dvol = L_00 L_11 L_22.  The frame is one orthonormal
+    frame among many: callers rely on q^T gbar q = I only, never on q = q^T.
     """
-    w, v = np.linalg.eigh(gbar[:, :3, :3])
-    vt = v.swapaxes(1, 2)
+    g = gbar[:, :3, :3]
+    l00 = np.sqrt(g[:, 0, 0])
+    l10 = g[:, 1, 0] / l00
+    l20 = g[:, 2, 0] / l00
+    l11 = np.sqrt(g[:, 1, 1] - l10 * l10)
+    l21 = (g[:, 2, 1] - l20 * l10) / l11
+    l22 = np.sqrt(g[:, 2, 2] - l20 * l20 - l21 * l21)
+    # q[i, j] = (L^-1)[j, i], the transpose of the lower-triangular inverse
+    q00, q11, q22 = 1.0 / l00, 1.0 / l11, 1.0 / l22
+    q01 = -l10 * q00 * q11
+    q12 = -l21 * q11 * q22
+    q02 = -(l20 * q00 + l21 * q01) * q22
     q = np.zeros_like(gbar)
     ginv = np.zeros_like(gbar)
-    q[:, :3, :3] = (v / np.sqrt(w)[:, None, :]) @ vt
-    ginv[:, :3, :3] = (v / w[:, None, :]) @ vt
+    q[:, 0, 0], q[:, 0, 1], q[:, 0, 2] = q00, q01, q02
+    q[:, 1, 1], q[:, 1, 2], q[:, 2, 2] = q11, q12, q22
+    # gbar^-1 = q q^T, symmetric by construction
+    ginv[:, 0, 0] = q00 * q00 + q01 * q01 + q02 * q02
+    ginv[:, 0, 1] = ginv[:, 1, 0] = q01 * q11 + q02 * q12
+    ginv[:, 0, 2] = ginv[:, 2, 0] = q02 * q22
+    ginv[:, 1, 1] = q11 * q11 + q12 * q12
+    ginv[:, 1, 2] = ginv[:, 2, 1] = q12 * q22
+    ginv[:, 2, 2] = q22 * q22
     q[:, 3, 3] = ginv[:, 3, 3] = 1.0
-    return q, ginv, np.sqrt(np.prod(w, axis=1))
+    return q, ginv, l00 * l11 * l22
 
 
 def _slice_frame(geom, rho) -> dict:

@@ -321,7 +321,7 @@ def _boundary_family(geom, eps) -> list:
     def phi_integrals(rho):
         data = _collar.curvature_in_frame(geom, rho)
         q = data["q"][:, :3, :3]
-        h_on = np.einsum("nab,nbc,ncd->nad", q, data["gamma4"], q)
+        h_on = np.einsum("nba,nbc,ncd->nad", q, data["gamma4"], q)
         # slice measure of g: eps^-3 sqrt(det g_rho) per boundary point
         measure = geom.weight * data["dvol"] / np.repeat(rho, geom.npts) ** 3
         riem3 = data["riem_on"][:, :3, :3, :3, :3]
@@ -338,8 +338,8 @@ def boundary_II(sample: _collar.CollarSample, eps: float) -> BoundaryTermSample:
     """Chern boundary transgression integrals over the slice {rho = eps}.
 
     In the slice-adapted orthonormal frame the second fundamental form of
-    {rho = eps} in (M, g) is h = Q G4 Q with G4_ij = gbar_ij - (rho/2)
-    d/d rho gbar_ij and Q the inverse square root of g_rho.  Then
+    {rho = eps} in (M, g) is h = q^T G4 q with G4_ij = gbar_ij - (rho/2)
+    d/d rho gbar_ij and q the engine's frame, q^T g_rho q = I.  Then
 
         Phi0 = int 6 det(h) dvol_slice,
         Phi1 = int (1/2) sum_{sig,eta} eps(sig) eps(eta)

@@ -253,6 +253,20 @@ def fh_dense(h: np.ndarray, R: np.ndarray) -> np.ndarray:
 # -- linearized curvature ------------------------------------------------------
 
 
+def _perturbation_on(geom, pert, rho):
+    """Background curvature record, h and its Hessian (DDt+DtD) h in ON components.
+
+    ``rho`` is as in :func:`linearized_curvature`; the step that it and
+    :func:`zprime_display` share.
+    """
+    cur = curvature_in_frame(geom, rho)
+    q = cur["q"]
+    hjet = _embed_jet(pert, rho)
+    h_on = to_on2(hjet[0], q)
+    H_on = to_on4(hessian11(geom, hjet, rho, (cur["gamma"], cur["dgamma"])), q)
+    return cur, h_on, H_on
+
+
 def linearized_curvature(geom, pert, rho) -> dict:
     """Linearized curvature fields in the ON frame on collar rho-slices.
 
@@ -261,13 +275,8 @@ def linearized_curvature(geom, pert, rho) -> dict:
     Hessian/contraction displays together with the ingredients (background
     curvature record, h and its Hessian in ON components).
     """
-    cur = curvature_in_frame(geom, rho)
-    q = cur["q"]
-    inv = cur["invariants"]
-    R_on, ric_on = cur["riem_on"], inv["ric"]
-    hjet = _embed_jet(pert, rho)
-    h_on = to_on2(hjet[0], q)
-    H_on = to_on4(hessian11(geom, hjet, rho, (cur["gamma"], cur["dgamma"])), q)
+    cur, h_on, H_on = _perturbation_on(geom, pert, rho)
+    R_on, ric_on = cur["riem_on"], cur["invariants"]["ric"]
     fhr = fh_dense(h_on, R_on)
     riem_p = -0.25 * H_on + 0.25 * fhr
     c_h = np.einsum("niaib->nab", H_on)
@@ -500,18 +509,17 @@ def zprime_display(geom, pert, support=DEFAULT_SUPPORT, n_nodes: int = 64,
     over the perturbation support (the last pairing is the full tensor sum;
     z . g is the Kulkarni-Nomizu product).  Requires an analytic rho-jet on
     ``pert`` so the Hessian is stencil-free.  h, its Hessian and the background
-    record come from :func:`linearized_curvature` in :func:`map_slices` batches.
+    record come from :func:`_perturbation_on` in :func:`map_slices` batches.
     """
     nodes, wts = gauss_nodes([support], n_nodes)
 
     def density(rho):
-        lin = linearized_curvature(geom, pert, rho)
-        cur = lin["background"]
+        cur, h_on, H_on = _perturbation_on(geom, pert, rho)
         inv = cur["invariants"]
         f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"], rcirc_coefficient)
         # fold the pure-trace part of f into the display's 1/2 |z|^2 tr h term
-        val = np.einsum("nab,nab->n", f_on, lin["h_on"])
-        val -= 0.125 * np.einsum("nabcd,nabcd->n", kn_metric(inv["z"]), lin["hessian"])
+        val = np.einsum("nab,nab->n", f_on, h_on)
+        val -= 0.125 * np.einsum("nabcd,nabcd->n", kn_metric(inv["z"]), H_on)
         meas = (geom.weight * cur["dvol"]).reshape(rho.size, -1) / rho[:, None] ** 4
         return np.sum(val.reshape(rho.size, -1) * meas, axis=1)
 

@@ -11,7 +11,8 @@ must agree entry for entry.  The eps-families of ahrenvol.renorm are checked
 against adaptive quadrature, one scalar rho at a time, and their finite
 parts against Taylor subtraction.  The collar curvature engine is checked
 against its einsum form with per-axis FFT boundary derivatives, its
-orthonormal frame against one LAPACK routine per quantity (``frame_oracle``),
+orthonormal frame against one LAPACK routine per quantity (``frame_oracle``)
+and its invariants against a second frame (``symmetric_frame``),
 the collar Hessian's D / Dt conventions against the flat 4-torus calculus,
 and its double antisymmetrization against the eight-permutation sum.
 """
@@ -658,15 +659,28 @@ def pfaffian_einsum(R: np.ndarray) -> np.ndarray:
 def frame_oracle(gbar: np.ndarray):
     """q, gbar^-1 and sqrt det g_rho of frame metrics, one LAPACK route each.
 
-    q = V diag(w^-1/2) V^T from eigh contracted by einsum, gbar^-1 from
+    q = L^-T from np.linalg.cholesky and np.linalg.inv, gbar^-1 from
     np.linalg.inv and the measure from np.linalg.det: the three routes that
-    collar._on_frame replaces with one eigendecomposition.
+    collar._on_frame replaces with one closed-form Cholesky factor.
+    """
+    q = np.zeros_like(gbar)
+    q[:, :3, :3] = np.linalg.inv(np.linalg.cholesky(gbar[:, :3, :3])).swapaxes(1, 2)
+    q[:, 3, 3] = 1.0
+    return q, np.linalg.inv(gbar), np.sqrt(np.linalg.det(gbar[:, :3, :3]))
+
+
+def symmetric_frame(gbar: np.ndarray):
+    """A second orthonormal frame, with the layout of collar._on_frame.
+
+    q = V diag(w^-1/2) V^T (+) 1 from the eigendecomposition g_rho = V diag(w) V^T:
+    the symmetric inverse square root, which differs from the Cholesky frame by
+    a pointwise rotation, so every invariant must come out the same in it.
     """
     w, v = np.linalg.eigh(gbar[:, :3, :3])
     q = np.zeros_like(gbar)
     q[:, :3, :3] = np.einsum("nab,nb,ncb->nac", v, 1.0 / np.sqrt(w), v)
     q[:, 3, 3] = 1.0
-    return q, np.linalg.inv(gbar), np.sqrt(np.linalg.det(gbar[:, :3, :3]))
+    return q, np.linalg.inv(gbar), np.sqrt(np.prod(w, axis=1))
 
 
 def curvature_in_frame_einsum(geom, rho) -> dict:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ahrenvol import cli, collar, dfalg, variation
+from ahrenvol import cli, collar, dfalg, renorm, variation
 from ahrenvol.collar import (
     BoundaryJet,
     PerturbedGeometry,
@@ -484,14 +484,17 @@ def _spd_frames(rng, spectrum, n):
 
 
 class TestOrthonormalFrame:
-    """collar._on_frame (one eigh: q, gbar^-1 and dvol) against the three
-    LAPACK routes of oracles.frame_oracle."""
+    """collar._on_frame (closed-form Cholesky: q, gbar^-1 and dvol) against the
+    three LAPACK routes of oracles.frame_oracle, and the curvature invariants
+    against the symmetric frame of oracles.symmetric_frame."""
 
     @staticmethod
     def _matches_oracle(gbar):
-        for got, want in zip(collar._on_frame(gbar), oracles.frame_oracle(gbar)):
+        got_frame = collar._on_frame(gbar)
+        for got, want in zip(got_frame, oracles.frame_oracle(gbar)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.all(np.tril(got_frame[0], -1) == 0.0)  # q is upper triangular
 
     @pytest.mark.parametrize("n_grid", [4, 8])
     @pytest.mark.parametrize("rho", [0.02, 0.3, 1.0])
@@ -523,6 +526,41 @@ class TestOrthonormalFrame:
         want = residuals(*oracles.frame_oracle(gbar))
         for g, w in zip(got, want):
             assert g <= 10.0 * w
+
+    @staticmethod
+    def _frame_independent_fields(geom, rho):
+        cur = curvature_in_frame(geom, rho)
+        fields = {key: cur["invariants"][key] for key in ("s", "r2", "z2", "w2", "R2")}
+        fields["pff"] = dfalg.batch_pfaffian(cur["riem_on"])
+        boundary = renorm._boundary_family(geom, np.atleast_1d(rho))
+        fields["phi0"] = np.array([bt.phi0_integral for bt in boundary])
+        fields["phi1"] = np.array([bt.phi1_integral for bt in boundary])
+        return fields
+
+    @pytest.mark.parametrize("name", ["torus-n4", "torus-n8", "ball", "theta"])
+    def test_invariants_do_not_depend_on_the_frame(self, monkeypatch, name):
+        """batch_invariants, the Pfaffian and the boundary integrands Phi0/Phi1
+        agree between the Cholesky frame and the symmetric frame to 1e-12."""
+        geom, rho = {
+            "torus-n4": lambda: (TorusJetGeometry(random_jet(17, n_grid=4)),
+                                 np.array([0.02, 0.3, 1.0])),
+            "torus-n8": lambda: (TorusJetGeometry(random_jet(3, n_grid=8)),
+                                 np.array([0.02, 0.3, 1.0])),
+            "ball": lambda: (RadialGeometry(hyperbolic_profile()), np.linspace(0.01, 1.99, 199)),
+            "theta": lambda: (RadialGeometry(perturbed_profile([0.01, 0.0, 0.0])),
+                              np.linspace(0.01, 1.99, 199)),
+        }[name]()
+        cholesky = self._frame_independent_fields(geom, rho)
+        monkeypatch.setattr(collar, "_on_frame", oracles.symmetric_frame)
+        symmetric = self._frame_independent_fields(geom, rho)
+        for key, want in symmetric.items():
+            # the quadratic invariants are differences of O(|R|^2) terms
+            # (|z|^2 = |r|^2 - s^2/4 cancels 30-fold near the theta profile's
+            # cap), so they are measured against |R|^2
+            scale = max(1.0, np.max(np.abs(want)))
+            if key in ("r2", "z2", "w2", "R2", "pff"):
+                scale = max(scale, np.max(symmetric["R2"]))
+            assert np.max(np.abs(cholesky[key] - want)) <= 1e-12 * scale, key
 
 
 class TestSliceBatches:

@@ -324,7 +324,7 @@ class TestBoundaryII:
         for eps in (0.1, 0.25, 0.4):
             cur = collar.curvature_in_frame(geom, eps)
             q = cur["q"][:, :3, :3]
-            h = np.einsum("nab,nbc,ncd->nad", q, cur["gamma4"], q)
+            h = np.einsum("nba,nbc,ncd->nad", q, cur["gamma4"], q)
             R = cur["riem_on"]
             phi1_pt = sum(
                 sign[sig] * sign[eta] * R[:, sig[0], sig[1], eta[0], eta[1]] * h[:, sig[2], eta[2]]
