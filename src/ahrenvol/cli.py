@@ -285,9 +285,10 @@ class AuditConfig:
                 raise ConfigError(f"'theta' {list(self.theta)} gives an invalid profile: {exc}")
         reach = _RHO_MAX_DEFAULT[self.family] if self.rho_max is None else self.rho_max
         try:
-            jet = _collar.random_jet(self.seed, self.jet_n_grid, self.jet_amplitude)
-            rho_grid = np.linspace(reach / 16, reach, 16)
-            return _collar.sample_collar_metric(jet, rho_grid).geometry
+            geom = _collar.TorusJetGeometry(
+                _collar.random_jet(self.seed, self.jet_n_grid, self.jet_amplitude))
+            _collar.require_positive(geom, np.linspace(reach / 16, reach, 16))
+            return geom
         except ValueError as exc:
             raise ConfigError(f"'amplitude' {self.jet_amplitude:g} is too large: {exc}")
 
@@ -472,8 +473,7 @@ def run_algebra_suite(config: AuditConfig, tol_scale: float, threads: int) -> Au
 def run_collar_audit(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
     geom = config.geometry()
     nodes = _collar.chebyshev_rho_nodes()
-    sample = _collar.CollarSample(geometry=geom, rho_grid=nodes)
-    jet_rep = _collar.jet_identity_report(sample)
+    jet_rep = _collar.jet_identity_report(geom)
 
     def parity_fields(rho):
         inv = _collar.curvature_in_frame(geom, rho)["invariants"]

@@ -50,15 +50,14 @@ __all__ = [
     "BoundaryJet",
     "RadialProfile",
     "RhoSeries",
-    "CollarSample",
     "NonConvergence",
     "InvalidProfile",
     "TorusJetGeometry",
     "RadialGeometry",
     "PerturbedGeometry",
     "PolynomialPerturbation",
-    "sample_collar_metric",
-    "default_rho_grid",
+    "require_positive",
+    "slice_integral",
     "gauss_nodes",
     "rho_series_fit",
     "christoffel_expansion",
@@ -654,6 +653,19 @@ def map_slices(fn, rho, npts: int):
     return np.concatenate(parts)
 
 
+def slice_integral(geom, rho, field, dvol, power: int = 0):
+    """Slice integrals of ``field`` times weight * dvol * rho^-power, one per slice.
+
+    ``field`` and ``dvol`` are pointwise on the rho-slices ``rho`` (scalar or
+    1-D, rho-major as in :func:`curvature_in_frame`); ``geom.weight`` is the
+    boundary quadrature weight.  A scalar rho gives a scalar.
+    """
+    r = np.atleast_1d(np.asarray(rho, dtype=float))
+    meas = (geom.weight * dvol).reshape(r.size, -1) / r[:, None] ** power
+    out = np.sum(np.reshape(field, (r.size, -1)) * meas, axis=1)
+    return out if np.ndim(rho) else out[0]
+
+
 def _invariant_density(geom, integrands):
     """Callable: rho array -> slice integrals of integrand(record) times the g-measure.
 
@@ -663,58 +675,25 @@ def _invariant_density(geom, integrands):
 
     def density(rho):
         data = curvature_in_frame(geom, rho)
-        meas = (geom.weight * data["dvol"]).reshape(rho.size, -1) / rho[:, None] ** 4
         return np.stack(
-            [np.sum(f(data).reshape(rho.size, -1) * meas, axis=1) for f in integrands], axis=1
+            [slice_integral(geom, rho, f(data), data["dvol"], 4) for f in integrands], axis=1
         )
 
     return density
 
 
-# -- sampling and series extraction -----------------------------------------
+# -- positivity and series extraction ----------------------------------------
 
 
-def default_rho_grid(rho_max: float = 0.4, nodes: int = 10) -> np.ndarray:
-    """Geometric rho grid rho_max * 2^(-k), decreasing, for series fits."""
-    return rho_max * 0.5 ** np.arange(nodes)
-
-
-@dataclass(frozen=True)
-class CollarSample:
-    """A geometry together with a rho-grid; slice fields computed on demand."""
-
-    geometry: object
-    rho_grid: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.rho_grid, dtype=float)
-        if np.any(grid <= 0.0):
-            raise ValueError("rho grid must be positive")
-        object.__setattr__(self, "rho_grid", grid)
-
-
-def sample_collar_metric(source, rho_grid=None) -> CollarSample:
-    """Build a CollarSample from a BoundaryJet, a RadialProfile or a geometry.
-
-    Validates positive-definiteness of g_rho at every grid sample.
-    """
-    if rho_grid is None:
-        rho_grid = default_rho_grid()
-    rho_grid = np.asarray(rho_grid, dtype=float)
-    if isinstance(source, BoundaryJet):
-        geom = TorusJetGeometry(source)
-    elif isinstance(source, RadialProfile):
-        geom = RadialGeometry(source)
-    else:
-        geom = source
-    g = geom.spatial(rho_grid)[0]
-    bad = np.nonzero(np.linalg.eigvalsh(g)[:, 0] <= 0.0)[0]
+def require_positive(geom, rho) -> None:
+    """Raise ValueError unless g_rho is positive-definite at every point of the slices rho."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    bad = np.nonzero(np.linalg.eigvalsh(geom.spatial(rho)[0])[:, 0] <= 0.0)[0]
     if bad.size:
-        k, p = divmod(int(bad[0]), g.shape[0] // rho_grid.size)
+        k, p = divmod(int(bad[0]), geom.npts)
         raise ValueError(
-            f"metric not positive-definite at rho={float(rho_grid[k]):.6g}, point index {p}"
+            f"metric not positive-definite at rho={float(rho[k]):.6g}, point index {p}"
         )
-    return CollarSample(geometry=geom, rho_grid=rho_grid)
 
 
 @dataclass(frozen=True)
@@ -760,9 +739,9 @@ def rho_series_fit(rho, values, k_max: int = 4) -> RhoSeries:
     return RhoSeries(coeffs=coeffs, residual=resid, cond=cond)
 
 
-def christoffel_expansion(sample: CollarSample) -> RhoSeries:
+def christoffel_expansion(geom, rho_grid) -> RhoSeries:
     """rho-series of every frame Christoffel symbol Gamma^u_st of g, to rho^4."""
-    geom, grid = sample.geometry, sample.rho_grid
+    grid = np.asarray(rho_grid, dtype=float)
     if grid.size < 5:
         raise ValueError("need at least 5 rho samples")
     vals = map_slices(lambda r: christoffels(geom, r, _slice_frame(geom, r))[0], grid, geom.npts)
@@ -774,18 +753,15 @@ def christoffel_expansion(sample: CollarSample) -> RhoSeries:
     return series
 
 
-def det_series(sample: CollarSample) -> dict:
+def det_series(geom) -> dict:
     """v2, v3 of the volume-density expansion (det g_rho / det gamma)^(1/2).
 
     The Taylor coefficients of the determinant ratio at rho = 0 are computed
     from the geometry's analytic rho-derivatives via the Jacobi formula
-    (d/d rho log det = tr g^-1 g'), then composed with the square root; a
-    least-squares series of the sampled density over the rho grid is fitted
-    as an independent cross-check and reported.
+    (d/d rho log det = tr g^-1 g'), then composed with the square root.
     """
-    geom = sample.geometry
-    g0, g1, g2d, g3d = geom.spatial(0.0)
-    g0inv = np.linalg.inv(g0)
+    g0inv = _slice_frame(geom, 0.0)["ginv"][:, :3, :3]
+    _, g1, g2d, g3d = geom.spatial(0.0)
     m0 = g0inv @ g1
     m1 = g0inv @ g2d - m0 @ m0
     m2 = g0inv @ g3d - m0 @ (g0inv @ g2d) - m1 @ m0 - m0 @ m1
@@ -799,12 +775,7 @@ def det_series(sample: CollarSample) -> dict:
     bad = float(np.max(np.abs(v1)))
     if bad > 1e-8:
         raise ValueError(f"g^(1) != 0? collar not totally geodesic (v1={bad:.3e})")
-
-    grid = sample.rho_grid
-    gs = map_slices(lambda r: geom.spatial(r)[0], grid, geom.npts)
-    dens = np.sqrt(np.linalg.det(gs).reshape(grid.size, -1) / np.linalg.det(g0)[None, :])
-    series = rho_series_fit(grid, dens)
-    return {"v2": v2, "v3": v3, "gamma": g0, "series": series}
+    return {"v2": v2, "v3": v3}
 
 
 def gauss_nodes(segments, n_per: int):
@@ -825,7 +796,7 @@ def chebyshev_rho_nodes(rho_max: float = 0.2, nodes: int = 16) -> np.ndarray:
     return np.clip(pts, rho_max * 1e-4, None)
 
 
-def jet_identity_report(sample: CollarSample) -> dict:
+def jet_identity_report(geom) -> dict:
     """Boundary-jet identities from the ambient curvature Rbar.
 
     Checks, with Rbar in the sign convention in which the ambient hyperbolic
@@ -841,7 +812,6 @@ def jet_identity_report(sample: CollarSample) -> dict:
     derivatives on the left, the generic ambient curvature engine on the
     right).
     """
-    geom = sample.geometry
     grid = chebyshev_rho_nodes()
 
     def mixed(rho):
@@ -853,15 +823,14 @@ def jet_identity_report(sample: CollarSample) -> dict:
     d_r = rho_series_fit(grid, r44.reshape(grid.size, -1, 3, 3), k_max=6).coefficient(1)
     d_ric = rho_series_fit(grid, ric44.reshape(grid.size, -1), k_max=6).coefficient(1)
 
-    gamma = geom.spatial(0.0)[0]
     g3 = geom.spatial(0.0)[3] / 6.0
-    det = det_series(sample)
+    det = det_series(geom)
 
     lhs20, rhs20 = g3, -d_r / 3.0
     lhs21, rhs21 = det["v3"], -d_ric / 6.0
     scale20 = max(1.0, float(np.max(np.abs(lhs20))))
     scale21 = max(1.0, float(np.max(np.abs(lhs21))))
-    tr_g3 = np.einsum("nab,nab->n", np.linalg.inv(gamma), g3)
+    tr_g3 = np.einsum("nab,nab->n", _slice_frame(geom, 0.0)["ginv"][:, :3, :3], g3)
     return {
         "g3": g3,
         "v3": det["v3"],

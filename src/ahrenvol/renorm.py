@@ -48,7 +48,6 @@ from . import dfalg
 __all__ = [
     "FitRejected",
     "RegularizedIntegral",
-    "BoundaryTermSample",
     "default_eps_grid",
     "finite_part",
     "volume_family",
@@ -94,19 +93,6 @@ class RegularizedIntegral:
 
     def as_tuple(self):
         return (self.c0, self.c2, self.log_coeff, self.finite)
-
-
-@dataclass(frozen=True)
-class BoundaryTermSample:
-    """Chern boundary integrals over one slice {rho = eps}."""
-
-    eps: float
-    phi0_integral: float
-    phi1_integral: float
-
-    @property
-    def ii_integral(self) -> float:
-        return (self.phi0_integral / 12.0 - self.phi1_integral / 8.0) / math.pi**2
 
 
 def _design_columns(eps: np.ndarray, powers) -> tuple[np.ndarray, list]:
@@ -308,34 +294,19 @@ def volume_family(geom, eps_grid=None, rho_max: float | None = None):
         rho_max = geom.rho_max
 
     def density(rho):
-        vol = np.sqrt(np.linalg.det(geom.spatial(rho)[0])).reshape(rho.size, -1)
-        return geom.weight * np.sum(vol, axis=1) / rho**4
+        # sqrt det g_rho through LAPACK rather than the engine's Cholesky dvol:
+        # the eps-fit amplifies last-bit changes in the family about 1e7-fold,
+        # and the Cholesky product moves the ball's hyperbolic_V and
+        # hyperbolic_L deviations from 5.2e-12 and 8.0e-12 to 1.4e-10 and 7.3e-10
+        vol = np.sqrt(np.linalg.det(geom.spatial(rho)[0]))
+        return _collar.slice_integral(geom, rho, np.ones_like(vol), vol, 4)
 
     vols, errors = _cumulative_family(density, eps_grid, rho_max, geom.npts)
     return vols[:, 0], float(errors.max())
 
 
-def _boundary_family(geom, eps) -> list:
-    """:func:`boundary_II` on each slice of the 1-D array ``eps``, in engine batches."""
-
-    def phi_integrals(rho):
-        data = _collar.curvature_in_frame(geom, rho)
-        q = data["q"][:, :3, :3]
-        h_on = np.einsum("nba,nbc,ncd->nad", q, data["gamma4"], q)
-        # slice measure of g: eps^-3 sqrt(det g_rho) per boundary point
-        measure = geom.weight * data["dvol"] / np.repeat(rho, geom.npts) ** 3
-        riem3 = data["riem_on"][:, :3, :3, :3, :3]
-        phi1_pt = np.einsum("abc,def,nabde,ncf->n", _collar._EPS3, _collar._EPS3, riem3, h_on)
-        integral = lambda f: np.sum((f * measure).reshape(rho.size, -1), axis=1)
-        return np.stack([6.0 * integral(np.linalg.det(h_on)), 0.5 * integral(phi1_pt)], axis=1)
-
-    rows = _collar.map_slices(phi_integrals, eps, geom.npts)
-    eps = np.atleast_1d(eps)
-    return [BoundaryTermSample(float(e), float(p0), float(p1)) for e, (p0, p1) in zip(eps, rows)]
-
-
-def boundary_II(sample: _collar.CollarSample, eps: float) -> BoundaryTermSample:
-    """Chern boundary transgression integrals over the slice {rho = eps}.
+def boundary_II(geom, eps) -> dict:
+    """Chern boundary transgression integrals over the slices {rho = eps}.
 
     In the slice-adapted orthonormal frame the second fundamental form of
     {rho = eps} in (M, g) is h = q^T G4 q with G4_ij = gbar_ij - (rho/2)
@@ -346,15 +317,29 @@ def boundary_II(sample: _collar.CollarSample, eps: float) -> BoundaryTermSample:
                    R_{sig1 sig2 eta1 eta2} h_{sig3 eta3} dvol_slice,
 
     with R the orthonormal-frame curvature of g, and the boundary term in the
-    Gauss-Bonnet identity is II = (Phi0/12 - Phi1/8) / pi^2.
+    Gauss-Bonnet identity is II = (Phi0/12 - Phi1/8) / pi^2.  ``eps`` is a
+    scalar or a 1-D array in (0, geom.rho_max]; returns {'phi0', 'phi1',
+    'ii'}, arrays in ``eps`` order, the slices going to the engine in
+    :func:`~ahrenvol.collar.map_slices` batches.
     """
-    grid = sample.rho_grid
-    if not (grid.min() <= eps <= grid.max()):
-        raise ValueError(
-            f"eps={eps:.6g} outside the rho-grid hull "
-            f"[{grid.min():.6g}, {grid.max():.6g}]"
-        )
-    return _boundary_family(sample.geometry, [eps])[0]
+    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    # written so that a NaN eps is outside too
+    outside = ~((eps > 0.0) & (eps <= geom.rho_max))
+    if outside.any():
+        raise ValueError(f"eps={eps[outside][0]:.6g} outside the collar (0, {geom.rho_max:g}]")
+
+    def phi_integrals(rho):
+        data = _collar.curvature_in_frame(geom, rho)
+        q = data["q"][:, :3, :3]
+        h_on = np.einsum("nba,nbc,ncd->nad", q, data["gamma4"], q)
+        riem3 = data["riem_on"][:, :3, :3, :3, :3]
+        phi1_pt = np.einsum("abc,def,nabde,ncf->n", _collar._EPS3, _collar._EPS3, riem3, h_on)
+        # the slice measure of g is eps^-3 sqrt(det g_rho)
+        integral = lambda f: _collar.slice_integral(geom, rho, f, data["dvol"], 3)
+        return 6.0 * integral(np.linalg.det(h_on)), 0.5 * integral(phi1_pt)
+
+    phi0, phi1 = _collar.map_slices(phi_integrals, eps, geom.npts)
+    return {"phi0": phi0, "phi1": phi1, "ii": (phi0 / 12.0 - phi1 / 8.0) / math.pi**2}
 
 
 def gauss_bonnet_audit(geom, eps_grid=None) -> dict:
@@ -374,7 +359,7 @@ def gauss_bonnet_audit(geom, eps_grid=None) -> dict:
     pff = _collar._invariant_density(geom, [lambda cur: dfalg.batch_pfaffian(cur["riem_on"])])
     interior, quad_errors = _cumulative_family(pff, eps_grid, geom.rho_max, geom.npts)
     interior = interior[:, 0]
-    boundary = np.array([bt.ii_integral for bt in _boundary_family(geom, eps_grid)])
+    boundary = boundary_II(geom, eps_grid)["ii"]
     return {
         "chi": 1.0,
         "eps_grid": eps_grid,

@@ -50,6 +50,7 @@ from .collar import (
     map_slices,
     perturbed_profile,
     rho_series_fit,
+    slice_integral,
     to_on2,
     to_on4,
 )
@@ -404,8 +405,8 @@ def functional_gradient(geom, rhos=None, step: float = 0.005, k_max: int = 4) ->
                           cur["q"])
         t2_on = _einstein_t2_on(omega_on)
         e_on = f_on - 0.5 * t2_on
-        e_dens = np.sqrt(np.einsum("nab,nab->n", e_on, e_on)) * cur["dvol"]
-        norms = geom.weight * np.sum(e_dens.reshape(rho.size, -1), axis=1)
+        e_norm = np.sqrt(np.einsum("nab,nab->n", e_on, e_on))
+        norms = slice_integral(geom, rho, e_norm, cur["dvol"])
         return f_on, t2_on, e_on, np.einsum("niaia->n", omega_on), norms
 
     f_on, t2_on, e_on, c2, norms = map_slices(slices, rhos, geom.npts)
@@ -448,8 +449,7 @@ def el_slice_analysis(geom, pert, rhos=None, step: float = 0.004, k_max: int = 6
         residual = functional_gradient(geom, rhos=rhos, step=step)["E"]
     elif len(residual.rhos) != len(rhos) or np.max(np.abs(residual.rhos - rhos)) > 0:
         raise ValueError("residual was computed on a different rho grid")
-    gamma0 = geom.spatial(0.0)[0]
-    dens0 = np.atleast_1d(np.sqrt(np.linalg.det(gamma0)))
+    dens0 = _slice_frame(geom, 0.0)["dvol"]
 
     def h_on(rho):
         return to_on2(_embed(pert.value(rho, 0)), _slice_frame(geom, rho)["q"])
@@ -520,8 +520,7 @@ def zprime_display(geom, pert, support=DEFAULT_SUPPORT, n_nodes: int = 64,
         # fold the pure-trace part of f into the display's 1/2 |z|^2 tr h term
         val = np.einsum("nab,nab->n", f_on, h_on)
         val -= 0.125 * np.einsum("nabcd,nabcd->n", kn_metric(inv["z"]), H_on)
-        meas = (geom.weight * cur["dvol"]).reshape(rho.size, -1) / rho[:, None] ** 4
-        return np.sum(val.reshape(rho.size, -1) * meas, axis=1)
+        return slice_integral(geom, rho, val, cur["dvol"], 4)
 
     return float(wts @ map_slices(density, nodes, geom.npts))
 

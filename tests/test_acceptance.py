@@ -16,7 +16,6 @@ import pytest
 
 from ahrenvol import cli, collar, dfalg, renorm, variation
 from ahrenvol.collar import (
-    CollarSample,
     RadialGeometry,
     TorusJetGeometry,
     chebyshev_rho_nodes,
@@ -26,7 +25,6 @@ from ahrenvol.collar import (
     perturbed_profile,
     random_jet,
     rho_series_fit,
-    sample_collar_metric,
 )
 from ahrenvol.dfalg import (
     contract,
@@ -155,8 +153,7 @@ def test_criterion_04_validated_parts_and_correction():
         for theta in _seeded_thetas():
             rep = gauss_bonnet_audit(RadialGeometry(perturbed_profile(theta)))
             sum_dev = max(sum_dev, float(np.max(np.abs(rep["total"] - 1.0))))
-            v3 = float(collar.det_series(
-                sample_collar_metric(perturbed_profile(theta)))["v3"][0])
+            v3 = float(collar.det_series(RadialGeometry(perturbed_profile(theta)))["v3"][0])
             fp_dev = max(
                 fp_dev,
                 abs(rep["fp_interior"].finite - (1.0 - v3)),
@@ -171,18 +168,15 @@ def test_criterion_04_validated_parts_and_correction():
 
 def _phi_finite_parts(jet):
     eps = default_eps_grid()
-    sample = CollarSample(geometry=TorusJetGeometry(jet), rho_grid=eps)
-    rows = [boundary_II(sample, float(e)) for e in eps]
-    fp0 = finite_part((eps, np.array([b.phi0_integral for b in rows])))
-    fp1 = finite_part((eps, np.array([b.phi1_integral for b in rows])))
-    return fp0, fp1
+    bt = boundary_II(TorusJetGeometry(jet), eps)
+    return finite_part((eps, bt["phi0"])), finite_part((eps, bt["phi1"]))
 
 
 def _int_v3(jet):
+    """L = int v3 dvol_gamma."""
     geom = TorusJetGeometry(jet)
-    det = collar.det_series(sample_collar_metric(jet))
-    sqrt_gamma = np.sqrt(np.linalg.det(det["gamma"]))
-    return geom.weight * float(np.sum(sqrt_gamma * det["v3"]))
+    v3 = collar.det_series(geom)["v3"]
+    return collar.slice_integral(geom, 0.0, v3, collar._slice_frame(geom, 0.0)["dvol"])
 
 
 @pytest.mark.xfail(
@@ -227,7 +221,7 @@ def test_criterion_06_collar_identities():
         trace_dev = 0.0
         for seed in range(50):
             jet = random_jet(700 + seed, n_grid=8, amplitude=0.05)
-            det = collar.det_series(sample_collar_metric(jet))
+            det = collar.det_series(TorusJetGeometry(jet))
             tr_g3 = np.einsum(
                 "...ij,...ij->...", np.linalg.inv(jet.gamma), jet.g3
             ).reshape(-1)
@@ -252,8 +246,7 @@ def test_criterion_06_collar_identities():
                 np.max(np.abs(fit.coefficient(1)))) / scale)
         assert parity_dev < 1e-6, parity_dev
 
-        rep = jet_identity_report(sample_collar_metric(
-            random_jet(9, n_grid=32, amplitude=0.02)))
+        rep = jet_identity_report(TorusJetGeometry(random_jet(9, n_grid=32, amplitude=0.02)))
         jet_dev = max(rep["dev_g3_identity"], rep["dev_v3_identity"])
         assert jet_dev < 1e-6, rep
     announce(6, f"collar identities: trace {trace_dev:.2e}, parity "

@@ -22,8 +22,9 @@ from ahrenvol.collar import (
     jet_identity_report,
     perturbed_profile,
     random_jet,
+    require_positive,
     rho_series_fit,
-    sample_collar_metric,
+    slice_integral,
 )
 from ahrenvol.variation import CutoffPerturbation, z2_functional
 
@@ -76,22 +77,22 @@ class TestProfiles:
 
 class TestSampling:
     def test_flat_jet_is_product(self):
-        jet = BoundaryJet.flat(4)
-        samp = sample_collar_metric(jet, [0.1, 0.5])
-        for rho in samp.rho_grid:
-            assert np.allclose(samp.geometry.spatial(float(rho))[0], np.eye(3), atol=1e-15)
+        geom = TorusJetGeometry(BoundaryJet.flat(4))
+        require_positive(geom, [0.1, 0.5])
+        for rho in (0.1, 0.5):
+            assert np.allclose(geom.spatial(rho)[0], np.eye(3), atol=1e-15)
 
     def test_jet_substitution(self):
         """gamma = I, g2 = 0, g3 = diag(a, b, c) at rho = 0.1."""
         d = np.diag([1.0, 2.0, 3.0])
-        jet = BoundaryJet.constant(4, np.eye(3), np.zeros((3, 3)), d)
-        samp = sample_collar_metric(jet, [0.1])
-        assert np.allclose(samp.geometry.spatial(0.1)[0], np.eye(3) + 1e-3 * d, atol=1e-15)
+        geom = TorusJetGeometry(BoundaryJet.constant(4, np.eye(3), np.zeros((3, 3)), d))
+        require_positive(geom, 0.1)
+        assert np.allclose(geom.spatial(0.1)[0], np.eye(3) + 1e-3 * d, atol=1e-15)
 
     def test_positivity_error(self):
         jet = BoundaryJet.constant(4, np.eye(3), -10.0 * np.eye(3), np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="not positive-definite at rho="):
-            sample_collar_metric(jet, [0.5])
+        with pytest.raises(ValueError, match="not positive-definite at rho=0.5, point index 0"):
+            require_positive(TorusJetGeometry(jet), [0.1, 0.5])
 
     def test_gbar_normal_form(self):
         """gbar_k4 = delta_k4 identically on every constructed sample."""
@@ -138,8 +139,7 @@ class TestChristoffels:
     def test_gamma4_expansion_coefficients(self):
         """(Gamma^4_ij)^(0) = gamma, ^(1) = ^(2) = 0, ^(3) = -g3/2."""
         jet = random_jet(7, n_grid=4, amplitude=0.05)
-        samp = sample_collar_metric(jet)
-        series = christoffel_expansion(samp)
+        series = christoffel_expansion(TorusJetGeometry(jet), 0.4 * 0.5 ** np.arange(10))
         g4 = lambda k: series.coefficient(k)[:, 3, :3, :3]
         assert np.max(np.abs(g4(0) - jet.gamma.reshape(-1, 3, 3))) < 1e-10
         assert np.max(np.abs(g4(1))) < 1e-10
@@ -171,9 +171,9 @@ class TestChristoffels:
 class TestCurvature:
     def test_hyperbolic_profile_exact(self):
         """The Poincare ball has R_stuv = g_su g_tv - g_sv g_tu everywhere."""
-        samp = sample_collar_metric(hyperbolic_profile(), [0.05, 0.4, 1.2, 1.9])
-        for rho in samp.rho_grid:
-            cur = curvature_in_frame(samp.geometry, float(rho))
+        geom = RadialGeometry(hyperbolic_profile())
+        for rho in (0.05, 0.4, 1.2, 1.9):
+            cur = curvature_in_frame(geom, rho)
             assert np.max(np.abs(cur["riem_on"] - HYP)) < 1e-8
             assert cur["invariants"]["s"][0] == pytest.approx(12.0, abs=1e-10)
             assert dfalg.batch_pfaffian(cur["riem_on"])[0] == pytest.approx(
@@ -181,9 +181,9 @@ class TestCurvature:
             )
 
     def test_cusp_exact(self):
-        samp = sample_collar_metric(BoundaryJet.flat(4), [0.1, 0.8])
-        for rho in samp.rho_grid:
-            cur = curvature_in_frame(samp.geometry, float(rho))
+        geom = TorusJetGeometry(BoundaryJet.flat(4))
+        for rho in (0.1, 0.8):
+            cur = curvature_in_frame(geom, rho)
             assert np.max(np.abs(cur["riem_on"] - HYP)) < 1e-12
 
     def test_leading_coefficient_is_constant_curvature(self):
@@ -271,27 +271,31 @@ class TestDetSeries:
     def test_trace_examples(self):
         d = np.diag([1.0, 2.0, 3.0])
         jet = BoundaryJet.constant(4, np.eye(3), d, np.zeros((3, 3)))
-        out = det_series(sample_collar_metric(jet))
+        out = det_series(TorusJetGeometry(jet))
         assert np.allclose(out["v2"], 3.0, atol=1e-12)
         jet = BoundaryJet.constant(4, np.eye(3), np.zeros((3, 3)), d)
-        out = det_series(sample_collar_metric(jet))
+        out = det_series(TorusJetGeometry(jet))
         assert np.allclose(out["v3"], 3.0, atol=1e-12)
 
     def test_hyperbolic_profile_values(self):
-        out = det_series(sample_collar_metric(hyperbolic_profile()))
+        geom = RadialGeometry(hyperbolic_profile())
+        out = det_series(geom)
         assert out["v2"][0] == pytest.approx(-0.75, abs=1e-12)
         assert out["v3"][0] == pytest.approx(0.0, abs=1e-12)
-        # cross-check against the sampled least-squares series
-        assert out["series"].coefficient(2)[0] == pytest.approx(-0.75, abs=1e-3)
+        # cross-check against a least-squares series of the sampled density
+        grid = 0.4 * 0.5 ** np.arange(10)
+        g0 = geom.spatial(0.0)[0]
+        dens = np.sqrt(np.linalg.det(geom.spatial(grid)[0]).reshape(grid.size, -1)
+                       / np.linalg.det(g0)[None, :])
+        assert rho_series_fit(grid, dens).coefficient(2)[0] == pytest.approx(-0.75, abs=1e-3)
 
     def test_trace_identity_random_jets(self):
         """tr_gamma g3 = 2 v3, relative 1e-8, on random jets."""
         for seed in range(50, 56):
             jet = random_jet(seed, n_grid=4, amplitude=0.05)
-            out = det_series(sample_collar_metric(jet))
-            tr = np.einsum(
-                "nab,nab->n", np.linalg.inv(out["gamma"]), jet.g3.reshape(-1, 3, 3)
-            )
+            out = det_series(TorusJetGeometry(jet))
+            flat = lambda f: f.reshape(-1, 3, 3)
+            tr = np.einsum("nab,nab->n", np.linalg.inv(flat(jet.gamma)), flat(jet.g3))
             assert np.max(np.abs(tr - 2.0 * out["v3"])) < 1e-8 * max(
                 1e-6, float(np.max(np.abs(tr)))
             )
@@ -305,15 +309,13 @@ class TestDetSeries:
                 bump = 0.01 * np.eye(3)
                 return g + rho * bump, d1 + bump, d2, d3
 
-        geom = OddGeometry(BoundaryJet.flat(4))
-        samp = collar.CollarSample(geometry=geom, rho_grid=np.array([0.1, 0.2]))
         with pytest.raises(ValueError, match="collar not totally geodesic"):
-            det_series(samp)
+            det_series(OddGeometry(BoundaryJet.flat(4)))
 
 
 class TestJetIdentities:
     def test_hyperbolic_trivial(self):
-        rep = jet_identity_report(sample_collar_metric(hyperbolic_profile()))
+        rep = jet_identity_report(RadialGeometry(hyperbolic_profile()))
         assert np.max(np.abs(rep["g3"])) < 1e-12
         assert rep["dev_g3_identity"] < 1e-9
         assert rep["dev_v3_identity"] < 1e-9
@@ -322,16 +324,55 @@ class TestJetIdentities:
         """g3 = -1/3 d_rho Rbar_i4j4 and v3 = -1/6 d_rho ricbar_44 at rho=0."""
         for seed in (61, 62):
             jet = random_jet(seed, n_grid=8, amplitude=0.05)
-            rep = jet_identity_report(sample_collar_metric(jet))
+            rep = jet_identity_report(TorusJetGeometry(jet))
             assert rep["dev_g3_identity"] < 1e-6
             assert rep["dev_v3_identity"] < 1e-6
             assert rep["dev_trace_identity"] < 1e-8
 
     def test_radial_perturbed(self):
         prof = perturbed_profile([0.02])
-        rep = jet_identity_report(sample_collar_metric(prof))
+        rep = jet_identity_report(RadialGeometry(prof))
         assert rep["dev_g3_identity"] < 1e-8
         assert rep["dev_v3_identity"] < 1e-8
+
+
+class TestSliceIntegral:
+    """collar.slice_integral, the one slice measure: per slice, the sum of
+    field * weight * dvol * rho^-power over its boundary points."""
+
+    def test_ball_volume_density(self):
+        """2 pi^2 A^3 rho^-4 on the ball, for an array and a scalar rho."""
+        geom = RadialGeometry(hyperbolic_profile())
+        rho = np.array([0.02, 0.3, 1.1, 1.9])
+        want = 2.0 * math.pi**2 * geom.profile.a(rho) ** 3 / rho**4
+        dvol = collar._slice_frame(geom, rho)["dvol"]
+        got = slice_integral(geom, rho, np.ones_like(dvol), dvol, 4)
+        assert got.shape == rho.shape
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+        one = slice_integral(geom, 0.3, np.ones(1), collar._slice_frame(geom, 0.3)["dvol"], 4)
+        assert np.ndim(one) == 0
+        assert abs(one / want[1] - 1.0) <= 1e-14
+
+    def test_slices_are_rho_major(self):
+        """A two-slice call equals two one-slice calls bit for bit."""
+        geom = TorusJetGeometry(random_jet(3, n_grid=4))
+
+        def integral(rho):
+            frame = collar._slice_frame(geom, rho)
+            return slice_integral(geom, rho, frame["ginv"][:, 0, 1], frame["dvol"], 3)
+
+        both = integral(np.array([0.2, 0.7]))
+        assert np.array_equal(both, [integral(0.2), integral(0.7)])
+        assert both[0] != both[1]
+
+    def test_power_zero_at_the_boundary(self):
+        """The area of the boundary torus in gamma."""
+        jet = random_jet(3, n_grid=4)
+        geom = TorusJetGeometry(jet)
+        dvol = collar._slice_frame(geom, 0.0)["dvol"]
+        got = slice_integral(geom, 0.0, np.ones_like(dvol), dvol)
+        want = geom.weight * np.sum(np.sqrt(np.linalg.det(jet.gamma)))
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestPerturbedGeometry:
@@ -532,9 +573,8 @@ class TestOrthonormalFrame:
         cur = curvature_in_frame(geom, rho)
         fields = {key: cur["invariants"][key] for key in ("s", "r2", "z2", "w2", "R2")}
         fields["pff"] = dfalg.batch_pfaffian(cur["riem_on"])
-        boundary = renorm._boundary_family(geom, np.atleast_1d(rho))
-        fields["phi0"] = np.array([bt.phi0_integral for bt in boundary])
-        fields["phi1"] = np.array([bt.phi1_integral for bt in boundary])
+        boundary = renorm.boundary_II(geom, rho)
+        fields["phi0"], fields["phi1"] = boundary["phi0"], boundary["phi1"]
         return fields
 
     @pytest.mark.parametrize("name", ["torus-n4", "torus-n8", "ball", "theta"])
@@ -598,7 +638,7 @@ class TestSliceBatches:
                 lambda: cli.run_collar_audit(config, 1.0, 1), "curvature_in_frame", nodes
             ),
             "jet_identity_report": (
-                lambda: jet_identity_report(sample_collar_metric(geom)),
+                lambda: jet_identity_report(geom),
                 "curvature_bar",
                 nodes,
             ),

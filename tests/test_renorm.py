@@ -22,7 +22,6 @@ import pytest
 from ahrenvol import cli, collar, renorm
 from ahrenvol.collar import (
     BoundaryJet,
-    CollarSample,
     PerturbedGeometry,
     PolynomialPerturbation,
     RadialGeometry,
@@ -287,38 +286,31 @@ class TestBoundaryII:
         sum eps(sig) eps(eta) R_{s1 s2 e1 e2} delta_{s3 e3} = 12 pointwise,
         making Phi1 equal to Phi0 on every slice.
         """
-        sample = collar.sample_collar_metric(BoundaryJet.flat(4))
-        for eps in (0.1, 0.2, 0.4):
-            bt = boundary_II(sample, eps)
-            assert bt.phi0_integral == pytest.approx(
-                6.0 * (2 * math.pi) ** 3 / eps**3, rel=1e-12
-            )
-            assert bt.phi1_integral == pytest.approx(bt.phi0_integral, rel=1e-12)
-            assert bt.ii_integral == pytest.approx(
-                (bt.phi0_integral / 12 - bt.phi1_integral / 8) / PI2
-            )
+        eps = np.array([0.1, 0.2, 0.4])
+        bt = boundary_II(TorusJetGeometry(BoundaryJet.flat(4)), eps)
+        np.testing.assert_allclose(bt["phi0"], 6.0 * (2 * math.pi) ** 3 / eps**3, rtol=1e-12)
+        np.testing.assert_allclose(bt["phi1"], bt["phi0"], rtol=1e-12)
+        np.testing.assert_allclose(bt["ii"], (bt["phi0"] / 12 - bt["phi1"] / 8) / PI2)
 
     def test_hyperbolic_gauss_bonnet_slicewise(self):
         """int II = chi - (3/4pi^2) Vol(M_eps), both sides independent."""
         eps_grid = default_eps_grid()
-        sample = CollarSample(
-            geometry=RadialGeometry(hyperbolic_profile()), rho_grid=eps_grid
-        )
-        vols, _ = volume_family(sample.geometry, eps_grid=eps_grid)
+        geom = RadialGeometry(hyperbolic_profile())
+        vols, _ = volume_family(geom, eps_grid=eps_grid)
         for k in (0, 5, -1):
-            ii = boundary_II(sample, float(eps_grid[k])).ii_integral
+            ii = boundary_II(geom, eps_grid[k])["ii"][0]
             want = 1.0 - 3.0 / (4.0 * PI2) * vols[k]
             assert abs(ii - want) < 1e-9 * max(1.0, abs(want))
         # the whole radial family goes to the engine in one batch
-        for bt in renorm._boundary_family(sample.geometry, eps_grid):
-            single = boundary_II(sample, bt.eps)
-            assert bt.phi0_integral == pytest.approx(single.phi0_integral, rel=1e-13)
-            assert bt.phi1_integral == pytest.approx(single.phi1_integral, rel=1e-13)
+        family = boundary_II(geom, eps_grid)
+        for k, eps in enumerate(eps_grid):
+            single = boundary_II(geom, eps)
+            assert family["phi0"][k] == pytest.approx(single["phi0"][0], rel=1e-13)
+            assert family["phi1"][k] == pytest.approx(single["phi1"][0], rel=1e-13)
 
     def test_phi1_matches_permutation_sum(self):
         """Phi1 against the explicit 36-term sum over sig, eta in S3."""
         geom = TorusJetGeometry(random_jet(17, n_grid=4))
-        sample = CollarSample(geometry=geom, rho_grid=np.array([0.1, 0.4]))
         perms = list(itertools.permutations(range(3)))
         sign = {p: round(np.linalg.det(np.eye(3)[list(p)])) for p in perms}
         for eps in (0.1, 0.25, 0.4):
@@ -333,12 +325,19 @@ class TestBoundaryII:
             )
             measure = geom.weight * np.sqrt(np.linalg.det(cur["gbar"][:, :3, :3])) / eps**3
             want = 0.5 * float(np.sum(phi1_pt * measure))
-            assert boundary_II(sample, eps).phi1_integral == pytest.approx(want, rel=1e-13)
+            assert boundary_II(geom, eps)["phi1"][0] == pytest.approx(want, rel=1e-13)
 
-    def test_eps_outside_hull(self):
-        sample = collar.sample_collar_metric(BoundaryJet.flat(4))
-        with pytest.raises(ValueError, match="outside the rho-grid hull"):
-            boundary_II(sample, 1.7)
+    def test_eps_outside_the_collar(self):
+        """eps must lie in (0, rho_max]: the right end is a valid slice, and
+        past the ball's cap A(2.5) = -0.5625 would pass A^2 > 0 unnoticed."""
+        for geom, inside, outside in (
+            (RadialGeometry(hyperbolic_profile()), 1.99, 2.5),
+            (TorusJetGeometry(random_jet(17, n_grid=4)), 1.0, 1.7),
+        ):
+            assert np.all(np.isfinite(boundary_II(geom, inside)["ii"]))
+            for eps in (0.0, -0.1, outside, [0.1, outside], math.nan):
+                with pytest.raises(ValueError, match=r"outside the collar \(0, "):
+                    boundary_II(geom, eps)
 
 
 def gauss_bonnet_report(theta=(0.0, 0.0, 0.0)):
@@ -390,7 +389,7 @@ class TestGaussBonnetAudit:
             theta = 0.02 * rng.uniform(-1.0, 1.0, size=3)
             prof = perturbed_profile(theta)
             rep = gauss_bonnet_audit(RadialGeometry(prof))
-            v3 = float(collar.det_series(collar.sample_collar_metric(prof))["v3"][0])
+            v3 = float(collar.det_series(RadialGeometry(prof))["v3"][0])
             shift = v3  # (1/2pi^2) * v3 * Vol(S^3) = v3
             assert abs(rep["fp_interior"].finite - (1.0 - shift)) < 2e-5
             assert abs(rep["fp_boundary"].finite - shift) < 2e-5
@@ -484,18 +483,15 @@ class TestTheorem7Cancellation:
     @staticmethod
     def _phi_fits(jet):
         eps = default_eps_grid()
-        sample = CollarSample(geometry=TorusJetGeometry(jet), rho_grid=eps)
-        bts = [boundary_II(sample, float(e)) for e in eps]
-        fp0 = finite_part((eps, np.array([b.phi0_integral for b in bts])))
-        fp1 = finite_part((eps, np.array([b.phi1_integral for b in bts])))
-        return fp0, fp1
+        bt = boundary_II(TorusJetGeometry(jet), eps)
+        return finite_part((eps, bt["phi0"])), finite_part((eps, bt["phi1"]))
 
     @staticmethod
     def _int_v3(jet):
+        """L = int v3 dvol_gamma."""
         geom = TorusJetGeometry(jet)
-        det = collar.det_series(collar.sample_collar_metric(jet))
-        sqrt_gamma = np.sqrt(np.linalg.det(det["gamma"]))
-        return geom.weight * float(np.sum(sqrt_gamma * det["v3"]))
+        v3 = collar.det_series(geom)["v3"]
+        return collar.slice_integral(geom, 0.0, v3, collar._slice_frame(geom, 0.0)["dvol"])
 
     @pytest.mark.xfail(
         strict=True,
