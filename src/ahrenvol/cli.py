@@ -53,9 +53,9 @@ class ConfigError(ValueError):
     """Invalid or incomplete configuration (maps to exit code 2)."""
 
 
-# outer integration cutoff when the config leaves 'rho_max' null: the geometry's own
-_RHO_MAX_DEFAULT = {"radial": _collar.RadialGeometry.rho_max,
-                    "torus-collar": _collar.TorusJetGeometry.rho_max}
+# the geometry class of each family: its rho_max is the outer cutoff when the
+# config leaves 'rho_max' null, and a class that declares chi is capped there
+_FAMILIES = {"radial": _collar.RadialGeometry, "torus-collar": _collar.TorusJetGeometry}
 # a curvature slice peaks at about 12 KiB of temporaries per boundary point
 # (6.2 MiB at n_grid 8, 49 MiB at n_grid 16), so n_grid = 32 (32768 points)
 # peaks near 390 MiB per slice.  n_grid 4 is the coarsest grid the tests
@@ -201,7 +201,8 @@ class AuditConfig:
         for key in ("family", "seed"):
             if top[key] is None:
                 raise ConfigError(f"missing required key '{key}'")
-        if top["family"] not in ("radial", "torus-collar"):
+        # an equality test: a list or an object is no family, and not hashable
+        if top["family"] not in tuple(_FAMILIES):
             raise ConfigError("'family' must be 'radial' or 'torus-collar'")
         seed = _integer(top["seed"], "seed", 0)
         profile = _take(top["profile"], "profile", {"theta": (0.0, 0.0, 0.0)})
@@ -217,13 +218,12 @@ class AuditConfig:
         if eps_lo <= 0.0 or eps_hi / eps_lo < 8.0:
             raise ConfigError("'eps_lo' must be positive and 'eps_hi' / 'eps_lo' at least 8")
         rho_max = None if grid["rho_max"] is None else _number(grid["rho_max"], "rho_max")
-        radial = top["family"] == "radial"
-        reach = _RHO_MAX_DEFAULT[top["family"]] if rho_max is None else rho_max
-        if reach <= eps_hi or (radial and reach > _RHO_MAX_DEFAULT["radial"]):
-            raise ConfigError(
-                f"'rho_max' (here {reach:g}) must exceed 'eps_hi'"
-                + (" and be at most 2, the cap of the radial family" if radial else "")
-            )
+        family = _FAMILIES[top["family"]]
+        reach = family.rho_max if rho_max is None else rho_max
+        cap = "" if family.chi is None else (
+            f" and be at most {family.rho_max:g}, the cap of the {top['family']} family")
+        if reach <= eps_hi or (family.chi is not None and reach > family.rho_max):
+            raise ConfigError(f"'rho_max' (here {reach:g}) must exceed 'eps_hi'{cap}")
         flow = _take(
             top["flow"],
             "flow",
@@ -283,7 +283,7 @@ class AuditConfig:
                 return _collar.RadialGeometry(_collar.perturbed_profile(self.theta))
             except ValueError as exc:
                 raise ConfigError(f"'theta' {list(self.theta)} gives an invalid profile: {exc}")
-        reach = _RHO_MAX_DEFAULT[self.family] if self.rho_max is None else self.rho_max
+        reach = _collar.TorusJetGeometry.rho_max if self.rho_max is None else self.rho_max
         try:
             geom = _collar.TorusJetGeometry(
                 _collar.random_jet(self.seed, self.jet_n_grid, self.jet_amplitude))
@@ -527,16 +527,14 @@ def run_renvol(config: AuditConfig, tol_scale: float, threads: int) -> AuditRepo
 # -- subcommand: gauss-bonnet ----------------------------------------------------------
 
 
-def _require_radial(config: AuditConfig, subcommand: str) -> None:
-    if config.family != "radial":
-        raise ConfigError(f"{subcommand} requires 'family' to be 'radial'")
-
-
 def run_gauss_bonnet(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
-    _require_radial(config, "gauss-bonnet")
+    family = _FAMILIES[config.family]
+    if family.chi is None:  # chi closes the identity: only a capped family declares one
+        raise ConfigError("gauss-bonnet requires 'family' to be 'radial'")
     # the interior Pfaffian family always runs out to the cap
-    if config.rho_max not in (None, _RHO_MAX_DEFAULT["radial"]):
-        raise ConfigError("gauss-bonnet integrates to the cap: 'rho_max' must be null or 2")
+    if config.rho_max not in (None, family.rho_max):
+        raise ConfigError(
+            f"gauss-bonnet integrates to the cap: 'rho_max' must be null or {family.rho_max:g}")
     audit = renorm.gauss_bonnet_audit(config.geometry(), eps_grid=config.eps_grid())
     chi = audit["chi"]
     fits = {"interior": audit["fp_interior"], "boundary": audit["fp_boundary"]}
@@ -636,17 +634,18 @@ def run_linearize_check(config: AuditConfig, tol_scale: float, threads: int) -> 
 def run_el_residual(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
     geom = config.geometry()
     result = variation.functional_gradient(geom)
-    residual = result["E"]
-    finite = bool(np.all(np.isfinite(residual.slice_norms)))
-    checks = [_check("slice_norms_finite", 0.0, config, tol_scale, passed=finite)]
+    norms = result["slice_norms"]
+    max_norm = float(np.max(norms))
+    checks = [_check("slice_norms_finite", 0.0, config, tol_scale,
+                     passed=bool(np.all(np.isfinite(norms))))]
     artifacts = {
-        "rhos": residual.rhos,
-        "slice_norms": residual.slice_norms,
-        "max_norm": residual.max_norm,
-        "fit_residual": residual.fit_residual,
+        "rhos": result["rhos"],
+        "slice_norms": norms,
+        "max_norm": max_norm,
+        "fit_residual": result["fit_residual"],
     }
     if config.is_hyperbolic:
-        checks.append(_check("einstein_residual", residual.max_norm, config, tol_scale))
+        checks.append(_check("einstein_residual", max_norm, config, tol_scale))
     if config.family == "radial":
         m = np.eye(3)[None]
         pert = _collar.PolynomialPerturbation({2: 0.4 * m, 3: -0.6 * m})
@@ -669,7 +668,8 @@ def run_el_residual(config: AuditConfig, tol_scale: float, threads: int) -> Audi
 
 def run_flow_command(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
     # the flow runs on the radial profile family from theta0
-    _require_radial(config, "flow")
+    if config.family != "radial":
+        raise ConfigError("flow requires 'family' to be 'radial'")
     history = variation.run_flow(
         config.flow_theta0,
         steps=config.flow_steps,

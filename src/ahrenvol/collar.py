@@ -240,6 +240,7 @@ class TorusJetGeometry:
 
     # outer end of the collar the eps-families integrate to
     rho_max = 1.0
+    chi = None  # no cap closes the collar, so it has no Euler characteristic
 
     def __init__(self, jet: BoundaryJet):
         self.jet = jet
@@ -308,6 +309,7 @@ class RadialGeometry:
 
     # the cap A(2) = 0, where the eps-families end
     rho_max = 2.0
+    chi = 1.0  # capped there, the collar is a ball
 
     def __init__(self, profile: RadialProfile):
         self.profile = profile
@@ -362,6 +364,7 @@ class PerturbedGeometry:
         self.weight = base.weight
         self.cbar = base.cbar
         self.rho_max = base.rho_max
+        self.chi = None  # a perturbation need not keep the cap smooth
 
     def spatial(self, rho):
         g, d1, d2, d3 = self.base.spatial(rho)

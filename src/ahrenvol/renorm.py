@@ -343,15 +343,15 @@ def boundary_II(geom, eps) -> dict:
 
 
 def gauss_bonnet_audit(geom, eps_grid=None) -> dict:
-    """Interior Pfaffian and boundary II families of the radial ball, with finite parts.
+    """Interior Pfaffian and boundary II families of a capped collar, with finite parts.
 
     Gauss-Bonnet says interior(eps) + boundary(eps) = chi for every eps, the
-    interior integrated over {eps < rho < geom.rho_max}.  chi = 1 is the
-    ball's (never computed topologically), so any other geometry raises
+    interior integrated over {eps < rho < geom.rho_max}.  chi is ``geom.chi``
+    (never computed topologically); a geometry whose chi is None raises
     ValueError.  Measurements only: the CLI judges them.
     """
-    if not isinstance(geom, _collar.RadialGeometry):
-        raise ValueError("gauss_bonnet_audit needs a RadialGeometry: chi = 1 is the ball's")
+    if geom.chi is None:
+        raise ValueError("gauss_bonnet_audit needs a geometry that declares chi")
     if eps_grid is None:
         eps_grid = default_eps_grid()
     eps_grid = np.asarray(eps_grid, dtype=float)
@@ -361,7 +361,7 @@ def gauss_bonnet_audit(geom, eps_grid=None) -> dict:
     interior = interior[:, 0]
     boundary = boundary_II(geom, eps_grid)["ii"]
     return {
-        "chi": 1.0,
+        "chi": geom.chi,
         "eps_grid": eps_grid,
         "interior": interior,
         "boundary": boundary,

@@ -66,7 +66,6 @@ __all__ = [
     "linearized_curvature",
     "fd_curvature_derivative",
     "convergence_order",
-    "ELResidual",
     "functional_gradient",
     "gradient_field",
     "el_slice_analysis",
@@ -90,7 +89,7 @@ class CutoffPerturbation:
     The window is ((rho-a)(b-rho))^4 normalized to 1 at the midpoint; it and
     its first three derivatives vanish at both endpoints, so perturbed
     metrics agree with the background near the boundary and integration by
-    parts over the support has no boundary terms.
+    parts over the support has no boundary terms.  ``support`` is (a, b).
     """
 
     def __init__(self, fld: np.ndarray, a: float = DEFAULT_SUPPORT[0], b: float = DEFAULT_SUPPORT[1]):
@@ -102,7 +101,7 @@ class CutoffPerturbation:
         if not 0.0 < a < b:
             raise ValueError("support must satisfy 0 < a < b")
         self.field = fld
-        self.a, self.b = float(a), float(b)
+        self.support = (float(a), float(b))
         base = (Polynomial([-a, 1.0]) * Polynomial([b, -1.0])) ** 4
         self.polys = [base / base((a + b) / 2.0)]
         for _ in range(3):
@@ -111,7 +110,8 @@ class CutoffPerturbation:
     def window(self, rho, order: int = 0):
         """Window derivative at a scalar rho (a float) or a 1-D rho array."""
         r = np.asarray(rho, dtype=float)
-        out = np.where((r > self.a) & (r < self.b), self.polys[order](r), 0.0)
+        a, b = self.support
+        out = np.where((r > a) & (r < b), self.polys[order](r), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def value(self, rho, order: int = 0) -> np.ndarray:
@@ -122,31 +122,32 @@ class CutoffPerturbation:
 
 @dataclass(frozen=True)
 class MetricPerturbation:
-    """Boundary-fixing tangential perturbation h with h, dh/drho -> 0 at rho=0.
+    """Boundary-fixing tangential perturbation h with h, dh/drho = 0 at rho=0.
 
     Wraps any provider with ``value(rho, order)`` returning (npts, 3, 3)
-    frame components.  Validation fits a short rho-series of the field near
-    the boundary and rejects providers whose rho^0 or rho^1 coefficients do
-    not vanish, and providers that are not pointwise symmetric.
+    frame components, and forwards its ``support`` (None if it has none).
+    Validation rejects providers that are not pointwise symmetric on
+    rho in [0, 2], the widest collar, and providers whose rho^0 or rho^1
+    coefficient, h or dh/drho at rho = 0, does not vanish.
     """
 
     source: object
-    fit_rho_max: float = 0.08
-    tol: float = 1e-10
 
     def __post_init__(self):
-        rhos = np.linspace(self.fit_rho_max / 8.0, self.fit_rho_max, 8)
         # one batched call: the values are 9 floats per point, not engine records
-        samples = np.asarray(self.source.value(rhos, 0), float).reshape(rhos.size, -1, 3, 3)
-        if np.max(np.abs(samples - samples.transpose(0, 1, 3, 2))) > 1e-12:
-            raise ValueError("asymmetric perturbation")
+        samples = np.asarray(self.source.value(np.linspace(0.0, 2.0, 9), 0), float)
         scale = max(1.0, float(np.max(np.abs(samples))))
-        low = float(np.max(np.abs(rho_series_fit(rhos, samples, k_max=4).coeffs[:2])))
-        if low > self.tol * scale:
+        if np.max(np.abs(samples - np.swapaxes(samples, -1, -2))) > 1e-12 * scale:
+            raise ValueError("asymmetric perturbation")
+        low = max(float(np.max(np.abs(self.source.value(0.0, k)))) for k in (0, 1))
+        if low > 1e-12 * scale:
             raise ValueError(
-                f"perturbation is not boundary-fixing: low-order rho "
-                f"coefficients {low:.3e} exceed {self.tol:.1e} x scale"
+                f"perturbation is not boundary-fixing: h or dh/drho at rho=0 reaches {low:.3e}"
             )
+
+    @property
+    def support(self):
+        return getattr(self.source, "support", None)
 
     def value(self, rho: float, order: int = 0) -> np.ndarray:
         return self.source.value(rho, order)
@@ -360,24 +361,9 @@ def _einstein_t2_on(omega_on: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 
-@dataclass(frozen=True)
-class ELResidual:
-    """Euler-Lagrange residual E = f - 1/2 T2((DDt+DtD) z) on rho slices."""
-
-    rhos: np.ndarray
-    e_fields: np.ndarray  # (n_rho, npts, 4, 4), ON components
-    omega_c2: np.ndarray  # (n_rho, npts) double trace of omega, diagnostics
-    slice_norms: np.ndarray  # (n_rho,) integrated |E| per slice
-    series: np.ndarray  # (k_max + 1, npts, 4, 4) fitted rho-series of E
-    fit_residual: float
-
-    @property
-    def max_norm(self) -> float:
-        return float(np.max(self.slice_norms)) if len(self.slice_norms) else 0.0
-
-
-def functional_gradient(geom, rhos=None, step: float = 0.005, k_max: int = 4) -> dict:
-    """Gradient field f, T2 of the z-Hessian, and the EL residual E.
+def functional_gradient(geom, rhos=None, step: float = 0.005) -> dict:
+    """Gradient field f, T2 of the z-Hessian, and the Euler-Lagrange residual
+    E = f - 1/2 T2((DDt+DtD) z) on rho-slices.
 
     z has no closed-form rho-jet in general, so its Hessian uses the
     5-point :func:`fd_jet` stencil with the given radial ``step``: one full
@@ -386,6 +372,10 @@ def functional_gradient(geom, rhos=None, step: float = 0.005, k_max: int = 4) ->
     stencil rhos, which only z is read from.  Both go through
     :func:`map_slices`.
     All rhos must satisfy rho > 2 step.
+
+    Returns arrays: ``rhos``; ``f``, ``T2omega`` and ``E``, each
+    (n_rho, npts, 4, 4) in ON components; ``slice_norms``, the integral of |E|
+    over each slice; and ``fit_residual``, that of a degree-4 rho-series of E.
     """
     if rhos is None:
         rhos = np.linspace(0.1, 0.5, 9)
@@ -406,31 +396,24 @@ def functional_gradient(geom, rhos=None, step: float = 0.005, k_max: int = 4) ->
         t2_on = _einstein_t2_on(omega_on)
         e_on = f_on - 0.5 * t2_on
         e_norm = np.sqrt(np.einsum("nab,nab->n", e_on, e_on))
-        norms = slice_integral(geom, rho, e_norm, cur["dvol"])
-        return f_on, t2_on, e_on, np.einsum("niaia->n", omega_on), norms
+        return f_on, t2_on, e_on, slice_integral(geom, rho, e_norm, cur["dvol"])
 
-    f_on, t2_on, e_on, c2, norms = map_slices(slices, rhos, geom.npts)
+    f_on, t2_on, e_on, norms = map_slices(slices, rhos, geom.npts)
     fields = (rhos.size, -1, 4, 4)
-    e_arr = e_on.reshape(fields)
-    fit = rho_series_fit(rhos, e_arr, k_max=k_max)
-    residual = ELResidual(
-        rhos=rhos,
-        e_fields=e_arr,
-        omega_c2=c2.reshape(rhos.size, -1),
-        slice_norms=norms,
-        series=fit.coeffs,
-        fit_residual=fit.residual,
-    )
-    return {"f": f_on.reshape(fields), "T2omega": t2_on.reshape(fields), "E": residual}
+    e_on = e_on.reshape(fields)
+    return {"rhos": rhos, "f": f_on.reshape(fields), "T2omega": t2_on.reshape(fields),
+            "E": e_on, "slice_norms": norms,
+            "fit_residual": rho_series_fit(rhos, e_on, k_max=4).residual}
 
 
-def el_slice_analysis(geom, pert, rhos=None, step: float = 0.004, k_max: int = 6,
-                      tol: float = 1e-8, residual: ELResidual = None) -> dict:
+def el_slice_analysis(geom, pert) -> dict:
     """Slice diagnostics of phi(rho) = int <E, h> dvol_gamma near the boundary.
 
-    Fits the Taylor coefficients phi^(k) of the pairing integral on a
-    near-boundary rho grid, reports which vanish (by their contribution at
-    the window edge), and cross-checks the low coefficients against the
+    Computes E by :func:`functional_gradient` (stencil step 0.004) on 20
+    geometric rhos in [0.015, 0.12], fits the Taylor coefficients phi^(k),
+    k <= 6, of the pairing integral on them, reports which vanish (their
+    contribution at rho = 0.12 under 1e-8 max(1, max |phi|)), and
+    cross-checks the low coefficients against the
     slice-coefficient pairings
 
         phi^(3) = <E^(0), h^(3)> + <E^(1), h^(2)>
@@ -442,27 +425,21 @@ def el_slice_analysis(geom, pert, rhos=None, step: float = 0.004, k_max: int = 6
     Diagnostic only: the inference from a vanishing phi^(k) to separate
     vanishing of the individual E^(j) is not asserted.
     """
-    if rhos is None:
-        rhos = np.geomspace(0.015, 0.12, 20)
-    rhos = np.asarray(rhos, float)
-    if residual is None:
-        residual = functional_gradient(geom, rhos=rhos, step=step)["E"]
-    elif len(residual.rhos) != len(rhos) or np.max(np.abs(residual.rhos - rhos)) > 0:
-        raise ValueError("residual was computed on a different rho grid")
+    rhos = np.geomspace(0.015, 0.12, 20)
+    e_arr = functional_gradient(geom, rhos=rhos, step=0.004)["E"]
     dens0 = _slice_frame(geom, 0.0)["dvol"]
 
     def h_on(rho):
         return to_on2(_embed(pert.value(rho, 0)), _slice_frame(geom, rho)["q"])
 
     h_arr = map_slices(h_on, rhos, geom.npts).reshape(rhos.size, geom.npts, 4, 4)
-    phi = geom.weight * np.einsum("rnab,rnab,n->r", residual.e_fields, h_arr, dens0)
-    fit = rho_series_fit(rhos, phi[:, None], k_max=min(k_max, len(rhos) - 2))
+    phi = geom.weight * np.einsum("rnab,rnab,n->r", e_arr, h_arr, dens0)
+    fit = rho_series_fit(rhos, phi[:, None], k_max=6)
     coeffs = fit.coeffs[:, 0]
-    rho_max = float(np.max(rhos))
-    contributions = np.abs(coeffs) * rho_max ** np.arange(len(coeffs))
-    threshold = max(tol, tol * float(np.max(np.abs(phi))))
+    contributions = np.abs(coeffs) * rhos[-1] ** np.arange(len(coeffs))
+    threshold = 1e-8 * max(1.0, float(np.max(np.abs(phi))))
     vanishing = [k for k, c in enumerate(contributions) if c < threshold]
-    e_series = rho_series_fit(rhos, residual.e_fields, k_max=5).coeffs
+    e_series = rho_series_fit(rhos, e_arr, k_max=5).coeffs
     h_series = rho_series_fit(rhos, h_arr, k_max=5).coeffs
 
     def pairing(e_term, h_term):
@@ -498,20 +475,28 @@ def _z2_quadrature(geom, segments, n_per: int) -> float:
     return float(sum(wts * dens[:, 0]))
 
 
-def zprime_display(geom, pert, support=DEFAULT_SUPPORT, n_nodes: int = 64,
-                   rcirc_coefficient: float = 1.0) -> float:
+def _support(pert):
+    """The interval (a, b) outside which the perturbation vanishes."""
+    support = getattr(pert, "support", None)
+    if support is None:
+        raise ValueError("the perturbation declares no compact support to integrate over")
+    return support
+
+
+def zprime_display(geom, pert, n_nodes: int = 64, rcirc_coefficient: float = 1.0) -> float:
     """Directional derivative of int |z|^2 dvol along a supported perturbation.
 
     Integrates the display
 
         1/2 |z|^2 tr h - c <R(z), h> - <r o z, h> - 1/8 <z . g, (DDt+DtD) h>
 
-    over the perturbation support (the last pairing is the full tensor sum;
-    z . g is the Kulkarni-Nomizu product).  Requires an analytic rho-jet on
-    ``pert`` so the Hessian is stencil-free.  h, its Hessian and the background
-    record come from :func:`_perturbation_on` in :func:`map_slices` batches.
+    over ``pert.support`` as one Gauss segment (the last pairing is the full
+    tensor sum; z . g is the Kulkarni-Nomizu product).  Requires an analytic
+    rho-jet on ``pert`` so the Hessian is stencil-free.  h, its Hessian and the
+    background record come from :func:`_perturbation_on` in :func:`map_slices`
+    batches.
     """
-    nodes, wts = gauss_nodes([support], n_nodes)
+    nodes, wts = gauss_nodes([_support(pert)], n_nodes)
 
     def density(rho):
         cur, h_on, H_on = _perturbation_on(geom, pert, rho)
@@ -525,19 +510,18 @@ def zprime_display(geom, pert, support=DEFAULT_SUPPORT, n_nodes: int = 64,
     return float(wts @ map_slices(density, nodes, geom.npts))
 
 
-def fd_zprime(geom, pert, t: float = 1e-3, segments=((0.05, 0.1), (0.1, 0.3), (0.3, 0.6)),
-              n_per: int = 48) -> float:
+def fd_zprime(geom, pert) -> float:
     """Central-difference oracle for the same directional derivative.
 
     The perturbation has compact support, so the finite parts of the two
-    functionals differ by a plain integral over any window containing the
-    support; fixed Gauss segments make the difference quadrature-exact.  The
-    differences at steps t and t/2 are combined by Richardson extrapolation.
+    functionals differ by a plain integral over that support, taken as one
+    48-node Gauss segment, on which the integrand is smooth.  The differences
+    at steps t = 1e-3 and t/2 are combined by Richardson extrapolation.
     """
+    segment, t = [_support(pert)], 1e-3
 
     def z2_of(tt: float) -> float:
-        g = PerturbedGeometry(geom, pert, tt) if tt else geom
-        return _z2_quadrature(g, segments, n_per)
+        return _z2_quadrature(PerturbedGeometry(geom, pert, tt), segment, 48)
 
     fd_t = (z2_of(t) - z2_of(-t)) / (2.0 * t)
     fd_half = (z2_of(t / 2.0) - z2_of(-t / 2.0)) / t
@@ -574,17 +558,17 @@ _FLOW_FD_STEP = 1e-5
 _FLOW_MAX_HALVINGS = 20
 
 
-def gradient_flow_step(theta, eta: float, functional=z2_functional):
+def gradient_flow_step(theta, value0: float, eta: float, functional=z2_functional):
     """One backtracking descent step on the profile parameters theta.
 
-    Returns (theta_new, value_new, eta_used).  eta = 0 is a no-op.  A
+    ``value0`` is the functional at theta, which the step does not evaluate
+    again.  Returns (theta_new, value_new, eta_used).  eta = 0 is a no-op.  A
     candidate outside the profile family counts as an increase.  If the
     functional fails to be non-increasing after ``_FLOW_MAX_HALVINGS``
     halvings of eta, or a gradient probe leaves the family, the step raises
     NonConvergence.
     """
     theta = np.asarray(theta, float)
-    value0 = functional(theta)
     if eta == 0.0:
         return theta, value0, 0.0
     if eta < 0.0:
@@ -624,7 +608,7 @@ def run_flow(theta0, steps: int = 200, eta: float = 1e-3, target_fraction: float
     history = [FlowStep(0, tuple(float(t) for t in theta), value, 0.0)]
     cur_eta = float(eta)
     for k in range(1, steps + 1):
-        theta, value, used = gradient_flow_step(theta, cur_eta, functional=functional)
+        theta, value, used = gradient_flow_step(theta, value, cur_eta, functional=functional)
         history.append(FlowStep(k, tuple(float(t) for t in theta), value, used))
         cur_eta = max(min(2.0 * used, 1.0), 1e-12) if used > 0 else cur_eta
         if target_fraction is not None and value <= target_fraction * history[0].value:

@@ -126,17 +126,19 @@ class TestConfigValidation:
             ({"trials": 1001}, "trials"),
             ({"flow": {"steps": 10001}}, "steps"),
             ({"family": "torus-collar"}, "family"),
+            ({"family": []}, "family"),
+            ({"family": {}}, "family"),
         ],
         ids=["seed", "theta", "trials", "eps_n", "eps_n_6", "eps_n_7", "n_grid", "n_grid_3", "eta",
              "rho_max_below_eps_hi",
              "rho_max_past_cap", "amplitude_g_rho", "amplitude_gamma", "theta_nonpositive_profile",
              "target_fraction_negative", "target_fraction_zero", "theta0_nonpositive_profile",
              "eps_lo_nan", "n_grid_huge", "eps_n_past_max", "trials_past_max", "steps_past_max",
-             "family_not_radial"],
+             "family_not_radial", "family_list", "family_object"],
     )
     def test_malformed_value_exits_usage_and_names_key(self, tmp_path, capsys, extra, key):
         cfg = write_config(tmp_path, "c.json", {"family": "radial", "seed": 1, **extra})
-        if key == "family":  # a valid torus config, wrong only for the radial-only subcommands
+        if key == "family":  # no radial config: the radial-only subcommands refuse it
             subs = ["flow", "gauss-bonnet"]
         else:
             subs = ["linearize-check", "renvol"]

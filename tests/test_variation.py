@@ -341,9 +341,13 @@ class TestPerturbations:
         assert pert.window(0.2) == pytest.approx(1.0)
 
     def test_metric_perturbation_accepts_boundary_fixing(self):
+        """Every cutoff is boundary-fixing, however close to rho = 0 its support
+        starts, and its support is forwarded."""
         m = np.eye(3)[None]
         MetricPerturbation(PolynomialPerturbation({2: m, 3: -m}))
         MetricPerturbation(CutoffPerturbation(m))
+        for a in (0.02, 0.05, 0.079):
+            assert MetricPerturbation(CutoffPerturbation(m, a, 0.3)).support == (a, 0.3)
 
     def test_metric_perturbation_rejects_low_order(self):
         m = np.eye(3)[None]
@@ -412,7 +416,7 @@ class TestFunctionalGradient:
     def test_hyperbolic_el_residual_vanishes(self):
         """Einstein background: z = 0 so f, omega, and E all vanish."""
         res = functional_gradient(RadialGeometry(hyperbolic_profile()))
-        assert res["E"].max_norm < 1e-8
+        assert np.max(res["slice_norms"]) < 1e-8
         assert np.max(np.abs(res["f"])) < 1e-10
         assert np.max(np.abs(res["T2omega"])) < 1e-8
 
@@ -468,6 +472,26 @@ class TestFunctionalGradient:
         geom = RadialGeometry(hyperbolic_profile())
         with pytest.raises(ValueError, match="insufficient stencil width"):
             functional_gradient(geom, rhos=[0.005], step=0.005)
+
+    @pytest.mark.parametrize("support", [(0.15, 0.25), (0.05, 0.5), (0.35, 0.55), (0.02, 0.09)])
+    def test_display_and_fd_integrate_over_the_support(self, support):
+        """Both routes integrate over the perturbation's own support, whatever
+        it is, and agree to 1e-6 relative (the windows' C^3 kinks sit at the
+        ends of the one Gauss segment, not inside it)."""
+        geom = RadialGeometry(perturbed_profile([0.05, -0.03, 0.02]))
+        pert = MetricPerturbation(CutoffPerturbation(np.diag([1.0, -0.5, 0.3])[None], *support))
+        disp, fd = zprime_display(geom, pert), fd_zprime(geom, pert)
+        assert abs(disp - fd) < 1e-6 * abs(fd), (disp, fd)
+
+    def test_a_perturbation_without_support_is_refused(self):
+        geom = RadialGeometry(perturbed_profile([0.05, -0.03, 0.02]))
+        m = np.eye(3)[None]
+        pert = PolynomialPerturbation({2: m, 3: -m})
+        for route in (zprime_display, fd_zprime):
+            with pytest.raises(ValueError, match="support"):
+                route(geom, pert)
+            with pytest.raises(ValueError, match="support"):
+                route(geom, MetricPerturbation(pert))
 
     def test_directional_derivative_matches_fd(self):
         """<gradient display, h> vs central FD of the regularized functional
@@ -545,7 +569,7 @@ class TestSliceBatching:
             return lin["riem_p"], lin["ric_p"], lin["s_p"], lin["hessian"]
 
         return (
-            grad["f"], grad["T2omega"], grad["E"].e_fields, grad["E"].slice_norms,
+            grad["f"], grad["T2omega"], grad["E"], grad["slice_norms"],
             np.array(zprime_display(geom, cutoff, n_nodes=6)),
             *collar.map_slices(lin_fields, rhos, geom.npts),
         )
@@ -585,15 +609,9 @@ class TestSliceAnalysis:
 
     def test_pairing_linearity(self):
         geom = RadialGeometry(perturbed_profile([0.05, -0.03, 0.02]))
-        rhos = np.geomspace(0.015, 0.12, 20)
-        residual = functional_gradient(geom, rhos=rhos, step=0.004)["E"]
         m = np.eye(3)[None]
-        rep1 = el_slice_analysis(
-            geom, PolynomialPerturbation({2: 0.4 * m, 3: -0.6 * m}), rhos=rhos, residual=residual
-        )
-        rep2 = el_slice_analysis(
-            geom, PolynomialPerturbation({2: 0.8 * m, 3: -1.2 * m}), rhos=rhos, residual=residual
-        )
+        rep1 = el_slice_analysis(geom, PolynomialPerturbation({2: 0.4 * m, 3: -0.6 * m}))
+        rep2 = el_slice_analysis(geom, PolynomialPerturbation({2: 0.8 * m, 3: -1.2 * m}))
         assert np.allclose(rep2["coefficients"], 2.0 * rep1["coefficients"], rtol=0, atol=1e-12)
 
 
@@ -602,13 +620,30 @@ class TestSliceAnalysis:
 
 class TestGradientFlow:
     def test_zero_step_is_noop(self):
-        theta, value, used = gradient_flow_step([0.05, 0.05, 0.05], 0.0)
+        value0 = z2_functional([0.05, 0.05, 0.05])
+        theta, value, used = gradient_flow_step([0.05, 0.05, 0.05], value0, 0.0)
         assert np.array_equal(theta, [0.05, 0.05, 0.05])
         assert used == 0.0
-        assert value == pytest.approx(z2_functional([0.05, 0.05, 0.05]))
+        assert value == value0
+
+    def test_step_does_not_evaluate_at_theta(self):
+        """The step takes the value at theta from its caller: it evaluates the
+        functional twice per parameter, then once per line-search candidate."""
+        theta0 = np.array([0.05, 0.05, 0.05])
+        calls = []
+
+        def counting(theta):
+            calls.append(np.array(theta))
+            return z2_functional(theta)
+
+        _, _, used = gradient_flow_step(theta0, z2_functional(theta0), 0.5, functional=counting)
+        candidates = round(math.log2(0.5 / used)) + 1
+        assert candidates > 1
+        assert len(calls) == 2 * theta0.size + candidates
+        assert not any(np.array_equal(theta, theta0) for theta in calls)
 
     def test_hyperbolic_start_is_stationary(self):
-        theta, value, _ = gradient_flow_step([0.0, 0.0, 0.0], 1e-3)
+        theta, value, _ = gradient_flow_step([0.0, 0.0, 0.0], z2_functional([0.0, 0.0, 0.0]), 1e-3)
         assert np.max(np.abs(theta)) < 1e-8
         assert value < 1e-20
 
@@ -621,7 +656,7 @@ class TestGradientFlow:
             return t if t >= 0.05 else 1000.0 * (0.05 - t) + 0.05
 
         with pytest.raises(RuntimeError, match="stalled"):
-            gradient_flow_step([0.05], 1e-3, functional=kinked)
+            gradient_flow_step([0.05], kinked([0.05]), 1e-3, functional=kinked)
 
     def test_probe_outside_the_profile_family_is_nonconvergence(self):
         """On the edge of the family (bisected along -theta_0 to where A's
@@ -636,7 +671,7 @@ class TestGradientFlow:
             except InvalidProfile:
                 outside = mid
         with pytest.raises(NonConvergence, match="probe left the profile family"):
-            gradient_flow_step([-inside], 1e-3)
+            gradient_flow_step([-inside], z2_functional([-inside]), 1e-3)
 
     def test_descent_is_monotone(self):
         history = run_flow([0.05, 0.05, 0.05], steps=8, eta=1e-3)
