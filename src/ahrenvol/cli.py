@@ -254,6 +254,8 @@ class AuditConfig:
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown tolerance '{name}': no check row has that name")
         outputs = _take(top["outputs"], "outputs", {"directory": ".", "format": "json"})
+        if not isinstance(outputs["directory"], str):
+            raise ConfigError("'outputs.directory' must be a string")
         if outputs["format"] not in ("json", "csv"):
             raise ConfigError("'outputs.format' must be 'json' or 'csv'")
         return cls(
@@ -272,7 +274,7 @@ class AuditConfig:
             flow_eta=eta,
             flow_target_fraction=target_fraction,
             tolerances=tolerances,
-            out_dir=str(outputs["directory"]),
+            out_dir=outputs["directory"],
             out_format=str(outputs["format"]),
         )
 
@@ -482,9 +484,9 @@ def run_collar_audit(config: AuditConfig, tol_scale: float, threads: int) -> Aud
     parity_dev = 0.0
     for values in _collar.map_slices(parity_fields, nodes, geom.npts):
         arr = values.reshape(nodes.size, -1)
-        fit = _collar.rho_series_fit(nodes, arr, k_max=6)
+        (slope,) = _collar.chebyshev_rho_derivatives(arr, 0.0)
         scale = max(1.0, float(np.max(np.abs(arr))))
-        parity_dev = max(parity_dev, float(np.max(np.abs(fit.coefficient(1)))) / scale)
+        parity_dev = max(parity_dev, float(np.max(np.abs(slope))) / scale)
 
     checks = [
         _check("trace_identity", jet_rep["dev_trace_identity"], config, tol_scale),
@@ -742,10 +744,11 @@ def _load_config(args) -> AuditConfig:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 raw = json.load(handle)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
+        # a missing file, a directory, or bytes that are not UTF-8
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}")
     else:
         raw = {"family": "radial", "seed": 0}
     config = AuditConfig.from_dict(raw)
@@ -758,6 +761,11 @@ def _load_config(args) -> AuditConfig:
         overrides["out_format"] = args.format
     if overrides:
         config = AuditConfig(**{**asdict(config), **overrides})
+    # before any work, so that a directory that cannot hold the reports costs no run
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"'outputs.directory' {config.out_dir!r} cannot be created: {exc}")
     return config
 
 
@@ -789,7 +797,6 @@ def main(argv=None) -> int:
     report.elapsed_seconds = time.perf_counter() - start
     report.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
-    os.makedirs(config.out_dir, exist_ok=True)
     base = os.path.join(config.out_dir, f"{args.subcommand}-report")
     _write_atomic(base + ".json", report.to_json())
     if config.out_format == "csv":

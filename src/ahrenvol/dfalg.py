@@ -43,7 +43,6 @@ __all__ = [
     "CurvatureDecomposition",
     "metric_g",
     "unit_scalar",
-    "zero_form",
     "kn_product",
     "contract",
     "contract_k",
@@ -261,10 +260,6 @@ class DoubleForm:
             np.max(np.abs(self.coeffs - self.coeffs.T), initial=0.0) <= tol
         )
 
-    def norm(self) -> float:
-        """Tensor norm in the full-index-sum convention (see inner_full)."""
-        return math.sqrt(inner_full(self, self))
-
     def component(self, I: tuple[int, ...], J: tuple[int, ...]) -> float:
         """Component at arbitrary (possibly unordered) index tuples."""
         if len(set(I)) != len(I) or len(set(J)) != len(J):
@@ -363,10 +358,6 @@ class CurvatureDecomposition:
 
 def unit_scalar(n: int) -> DoubleForm:
     return DoubleForm(n, 0, 0, np.ones((1, 1)))
-
-
-def zero_form(n: int, p: int, q: int) -> DoubleForm:
-    return DoubleForm.zeros(n, p, q)
 
 
 def metric_g(n: int) -> DoubleForm:

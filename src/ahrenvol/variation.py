@@ -3,8 +3,9 @@
 The generalized Hessian ``DDt + DtD`` on double forms is computed on the
 collar geometries of :mod:`ahrenvol.collar`, from covariant derivatives in
 the scaled frame X_s = rho Xbar_s, assembled either from analytic rho-jets
-of the field (exact, preferred) or from a fourth-order radial
-finite-difference stencil (fallback for fields with no closed-form jet).
+of the field (exact, preferred) or, for a field the curvature engine only
+samples (the trace-free Ricci z), from the rho-derivatives of its Chebyshev
+interpolant (:func:`ahrenvol.collar.chebyshev_rho_derivatives`).
 It shares its conventions with the flat 4-torus calculus of the test
 oracles (``FlatTorus4`` in ``tests/oracles.py``), which pins the D / Dt
 normalization and exercises the adjoint identity
@@ -44,8 +45,11 @@ from .collar import (
     _invariant_density,
     _rho_per_point,
     _slice_frame,
+    chebyshev_rho_derivatives,
+    chebyshev_rho_nodes,
     curvature_in_frame,
     frame_curvature,
+    frame_ricci,
     gauss_nodes,
     map_slices,
     perturbed_profile,
@@ -59,7 +63,6 @@ from .dfalg import kn_metric
 __all__ = [
     "CutoffPerturbation",
     "MetricPerturbation",
-    "fd_jet",
     "frame_covariant_derivative",
     "hessian11",
     "fh_dense",
@@ -156,18 +159,6 @@ class MetricPerturbation:
 # -- collar covariant derivatives ---------------------------------------------
 
 
-def fd_jet(samples, step: float):
-    """Jet (f, f', f'') at the centre of a 5-point radial stencil.
-
-    ``samples`` are f at rho + step * (-2, -1, 0, 1, 2); both derivatives are
-    fourth-order accurate.  The caller keeps the stencil clear of rho = 0.
-    """
-    f_m2, f_m1, f_0, f_p1, f_p2 = samples
-    d1 = (-f_p2 + 8 * f_p1 - 8 * f_m1 + f_m2) / (12.0 * step)
-    d2 = (-f_p2 + 16 * f_p1 - 30 * f_0 + 16 * f_m1 - f_m2) / (12.0 * step**2)
-    return f_0, d1, d2
-
-
 def frame_covariant_derivative(geom, rho, jet, christ):
     """Covariant derivative of a (0, k) frame-component field on rho-slices.
 
@@ -212,7 +203,7 @@ def hessian11(geom, jet, rho, christ) -> np.ndarray:
     """(DDt + DtD) of a (1, 1) frame-component field on collar rho-slices.
 
     ``jet`` is the embedded 4x4 field and its first two rho-derivatives at
-    rho (use :func:`fd_jet` for fields with no analytic jet); ``rho`` and
+    rho (:func:`functional_gradient` interpolates one for z); ``rho`` and
     ``christ`` are as in :func:`frame_covariant_derivative`.  With the full
     second covariant derivative n2[a, b, i, j] = (nabla_a nabla_b h)_{ij} and
     s_abcd = n2_acbd + n2_cadb, (DDt + DtD)_abcd is the double
@@ -292,30 +283,20 @@ def linearized_curvature(geom, pert, rho) -> dict:
         "ric_p": ric_p,
         "s_p": s_p,
         "hessian": H_on,
-        "fh_riem": fhr,
         "h_on": h_on,
         "background": cur,
     }
 
 
-def _frame_ricci(cur: dict):
-    """Ricci ric_tv = gbar^su R_stuv and s = gbar^tv ric_tv in scaled-frame
-    components, from a :func:`frame_curvature` record."""
-    ginv = cur["ginv"]
-    ric = np.einsum("nsu,nstuv->ntv", ginv, cur["riem"])
-    return ric, np.einsum("nab,nab->n", ginv, ric)
-
-
 def fd_curvature_derivative(geom, pert, rho: float, t: float) -> dict:
     """Central differences of frame curvature along g_rho + t m, ON at t=0."""
     q = _slice_frame(geom, rho)["q"]
-    sides = {}
-    for sgn in (+1, -1):
-        cur = frame_curvature(PerturbedGeometry(geom, pert, sgn * t), rho)
-        sides[sgn] = (cur["riem"],) + _frame_ricci(cur)
-    riem_p = (sides[1][0] - sides[-1][0]) / (2.0 * t)
-    ric_p = (sides[1][1] - sides[-1][1]) / (2.0 * t)
-    s_p = (sides[1][2] - sides[-1][2]) / (2.0 * t)
+
+    def fields(tt):
+        cur = frame_curvature(PerturbedGeometry(geom, pert, tt), rho)
+        return (cur["riem"],) + frame_ricci(cur["ginv"], cur["riem"])
+
+    riem_p, ric_p, s_p = ((p - m) / (2.0 * t) for p, m in zip(fields(t), fields(-t)))
     return {"riem_p": to_on4(riem_p, q), "ric_p": to_on2(ric_p, q), "s_p": s_p}
 
 
@@ -332,7 +313,7 @@ def convergence_order(steps, deviations) -> float:
 def _frame_z(cur: dict) -> np.ndarray:
     """Trace-free Ricci z = ric - (s/4) gbar in scaled-frame components, from
     a :func:`frame_curvature` record."""
-    ric, s = _frame_ricci(cur)
+    ric, s = frame_ricci(cur["ginv"], cur["riem"])
     return ric - 0.25 * s[:, None, None] * cur["gbar"]
 
 
@@ -361,38 +342,39 @@ def _einstein_t2_on(omega_on: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 
-def functional_gradient(geom, rhos=None, step: float = 0.005) -> dict:
+# Chebyshev samples of z: torus E is 3e-7 off a 5-point stencil with 10, 3e-9 with 12
+_Z_NODES = 12
+
+
+def functional_gradient(geom, rhos=None) -> dict:
     """Gradient field f, T2 of the z-Hessian, and the Euler-Lagrange residual
     E = f - 1/2 T2((DDt+DtD) z) on rho-slices.
 
-    z has no closed-form rho-jet in general, so its Hessian uses the
-    5-point :func:`fd_jet` stencil with the given radial ``step``: one full
-    engine record at each centre rho, which also serves f, the connection and
-    the measure, and a frame-only :func:`frame_curvature` at the four other
-    stencil rhos, which only z is read from.  Both go through
-    :func:`map_slices`.
-    All rhos must satisfy rho > 2 step.
+    z has no closed-form rho-jet in general.  Its Hessian takes z from one
+    full engine record at each rho, which also serves f, the connection and
+    the measure, and dz/drho and d2z/drho2 from the Chebyshev interpolant of
+    z through frame-only :func:`frame_curvature` slices at the
+    ``_Z_NODES`` :func:`chebyshev_rho_nodes` of (0, max rho].  Both go through
+    :func:`map_slices`.  All rhos must be positive.
 
     Returns arrays: ``rhos``; ``f``, ``T2omega`` and ``E``, each
     (n_rho, npts, 4, 4) in ON components; ``slice_norms``, the integral of |E|
     over each slice; and ``fit_residual``, that of a degree-4 rho-series of E.
     """
-    if rhos is None:
-        rhos = np.linspace(0.1, 0.5, 9)
-    rhos = np.asarray(rhos, float)
-    if np.min(rhos) - 2.0 * step <= 0.0:
-        raise ValueError("insufficient stencil width")
-    off_centre = step * np.array([-2.0, -1.0, 1.0, 2.0])[:, None]
+    rhos = np.linspace(0.1, 0.5, 9) if rhos is None else np.asarray(rhos, float)
+    if np.min(rhos) <= 0.0:
+        raise ValueError("functional_gradient needs rho > 0")
+    rho_max = float(np.max(rhos))
+    z_nodes = map_slices(lambda r: _frame_z(frame_curvature(geom, r)),
+                         chebyshev_rho_nodes(rho_max, _Z_NODES), geom.npts).reshape(_Z_NODES, -1)
 
     def slices(rho):
         cur = curvature_in_frame(geom, rho)
         inv = cur["invariants"]
         f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"])
-        z_off = map_slices(lambda r: _frame_z(frame_curvature(geom, r)),
-                           (rho + off_centre).ravel(), geom.npts).reshape((4,) + f_on.shape)
-        zs = [z_off[0], z_off[1], _frame_z(cur), z_off[2], z_off[3]]
-        omega_on = to_on4(hessian11(geom, fd_jet(zs, step), rho, (cur["gamma"], cur["dgamma"])),
-                          cur["q"])
+        dz = chebyshev_rho_derivatives(z_nodes, rho, (1, 2), rho_max)
+        jet = (_frame_z(cur),) + tuple(d.reshape(f_on.shape) for d in dz)
+        omega_on = to_on4(hessian11(geom, jet, rho, (cur["gamma"], cur["dgamma"])), cur["q"])
         t2_on = _einstein_t2_on(omega_on)
         e_on = f_on - 0.5 * t2_on
         e_norm = np.sqrt(np.einsum("nab,nab->n", e_on, e_on))
@@ -409,12 +391,11 @@ def functional_gradient(geom, rhos=None, step: float = 0.005) -> dict:
 def el_slice_analysis(geom, pert) -> dict:
     """Slice diagnostics of phi(rho) = int <E, h> dvol_gamma near the boundary.
 
-    Computes E by :func:`functional_gradient` (stencil step 0.004) on 20
-    geometric rhos in [0.015, 0.12], fits the Taylor coefficients phi^(k),
-    k <= 6, of the pairing integral on them, reports which vanish (their
-    contribution at rho = 0.12 under 1e-8 max(1, max |phi|)), and
-    cross-checks the low coefficients against the
-    slice-coefficient pairings
+    Computes E by :func:`functional_gradient` on 20 geometric rhos in
+    [0.015, 0.12], fits the Taylor coefficients phi^(k), k <= 6, of the
+    pairing integral on them, reports which vanish (their contribution at
+    rho = 0.12 under 1e-8 max(1, max |phi|)), and cross-checks the low
+    coefficients against the slice-coefficient pairings
 
         phi^(3) = <E^(0), h^(3)> + <E^(1), h^(2)>
         phi^(4) = <E^(0), h^(4)> + <E^(1), h^(3)> + <E^(2), h^(2)>
@@ -426,7 +407,7 @@ def el_slice_analysis(geom, pert) -> dict:
     vanishing of the individual E^(j) is not asserted.
     """
     rhos = np.geomspace(0.015, 0.12, 20)
-    e_arr = functional_gradient(geom, rhos=rhos, step=0.004)["E"]
+    e_arr = functional_gradient(geom, rhos=rhos)["E"]
     dens0 = _slice_frame(geom, 0.0)["dvol"]
 
     def h_on(rho):

@@ -14,7 +14,10 @@ against its einsum form with per-axis FFT boundary derivatives, its
 orthonormal frame against one LAPACK routine per quantity (``frame_oracle``)
 and its invariants against a second frame (``symmetric_frame``),
 the collar Hessian's D / Dt conventions against the flat 4-torus calculus,
-and its double antisymmetrization against the eight-permutation sum.
+and its double antisymmetrization against the eight-permutation sum.  The
+Euler-Lagrange residual, whose z-jet comes from a Chebyshev interpolant, is
+checked against the same residual with a 5-point finite-difference z-jet
+(``stencil_el_residual``).
 """
 
 from __future__ import annotations
@@ -33,7 +36,10 @@ from ahrenvol.collar import (
     _cbar4,
     _gbar_blocks,
     _rho_per_point,
+    curvature_in_frame,
+    frame_curvature,
     spectral_deriv,
+    to_on4,
 )
 from ahrenvol.dfalg import _EPS4, _combo_pos, _combos, _insert_sign, _merge_sign
 
@@ -712,3 +718,33 @@ def curvature_bar_einsum(geom, rho) -> dict:
     riem = frame_curvature_einsum(geom, gamma_bar, dgamma_bar, 1.0, _cbar4(geom), gbar)
     ric = np.einsum("nsv,nsavb->nab", frame_oracle(gbar)[1], riem)
     return {"riem": riem, "ric": ric}
+
+
+def fd_jet(samples, step: float):
+    """Jet (f, f', f'') at the centre of a 5-point radial stencil.
+
+    ``samples`` are f at rho + step * (-2, -1, 0, 1, 2); both derivatives are
+    fourth-order accurate.  The caller keeps the stencil clear of rho = 0.
+    """
+    f_m2, f_m1, f_0, f_p1, f_p2 = samples
+    d1 = (-f_p2 + 8 * f_p1 - 8 * f_m1 + f_m2) / (12.0 * step)
+    d2 = (-f_p2 + 16 * f_p1 - 30 * f_0 + 16 * f_m1 - f_m2) / (12.0 * step**2)
+    return f_0, d1, d2
+
+
+def stencil_el_residual(geom, rhos, step: float = 0.005) -> np.ndarray:
+    """E = f - 1/2 T2((DDt+DtD) z) of variation.functional_gradient, (n_rho,
+    npts, 4, 4) in ON components, with the z-jet from :func:`fd_jet` over
+    frame curvature slices at rho + step * (-2, ..., 2), one rho at a time."""
+    from ahrenvol.variation import _einstein_t2_on, _frame_z, gradient_field, hessian11
+
+    out = []
+    for rho in rhos:
+        cur = curvature_in_frame(geom, rho)
+        inv = cur["invariants"]
+        f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"])
+        zs = [_frame_z(frame_curvature(geom, rho + k * step)) for k in range(-2, 3)]
+        christ = (cur["gamma"], cur["dgamma"])
+        omega_on = to_on4(hessian11(geom, fd_jet(zs, step), rho, christ), cur["q"])
+        out.append(f_on - 0.5 * _einstein_t2_on(omega_on))
+    return np.stack(out)

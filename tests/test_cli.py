@@ -100,6 +100,37 @@ class TestConfigValidation:
     def test_unknown_subcommand(self, tmp_path):
         assert run(["frobnicate"]) == cli.EXIT_USAGE
 
+    def test_config_directory_exits_usage_and_names_it(self, tmp_path, capsys):
+        assert run(["renvol", "--config", str(tmp_path), "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error" in err and str(tmp_path) in err
+
+    def test_non_utf8_config_exits_usage_and_names_it(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"family": "radial", "seed": 1, "x": "\xff\xfe"}')
+        assert run(["renvol", "--config", str(path), "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_uncreatable_out_dir_exits_usage_before_any_work(self, tmp_path, capsys,
+                                                             monkeypatch, source):
+        """An output directory under a regular file is refused before the run."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "reports")
+        ran = []
+        monkeypatch.setitem(cli._RUNNERS, "renvol", lambda *args: ran.append(args))
+        if source == "flag":
+            argv = ["--config", write_config(tmp_path, "c.json", HYP), "--out-dir", out]
+        else:
+            argv = ["--config", write_config(tmp_path, "c.json",
+                                             {**HYP, "outputs": {"directory": out}})]
+        assert run(["renvol", *argv]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'outputs.directory'" in err and out in err
+        assert ran == []
+
     @pytest.mark.parametrize(
         "extra, key",
         [
@@ -128,13 +159,14 @@ class TestConfigValidation:
             ({"family": "torus-collar"}, "family"),
             ({"family": []}, "family"),
             ({"family": {}}, "family"),
+            ({"outputs": {"directory": 5}}, "outputs.directory"),
         ],
         ids=["seed", "theta", "trials", "eps_n", "eps_n_6", "eps_n_7", "n_grid", "n_grid_3", "eta",
              "rho_max_below_eps_hi",
              "rho_max_past_cap", "amplitude_g_rho", "amplitude_gamma", "theta_nonpositive_profile",
              "target_fraction_negative", "target_fraction_zero", "theta0_nonpositive_profile",
              "eps_lo_nan", "n_grid_huge", "eps_n_past_max", "trials_past_max", "steps_past_max",
-             "family_not_radial", "family_list", "family_object"],
+             "family_not_radial", "family_list", "family_object", "out_dir_not_string"],
     )
     def test_malformed_value_exits_usage_and_names_key(self, tmp_path, capsys, extra, key):
         cfg = write_config(tmp_path, "c.json", {"family": "radial", "seed": 1, **extra})
@@ -256,6 +288,24 @@ class TestAlgebraSuite:
         header = lines[1].split(",")
         assert "anchor" in header and "seed" in header
         assert all(line.rstrip().endswith(",9") for line in lines[2:])
+
+
+class TestCollarAudit:
+    @pytest.mark.parametrize(
+        "raw",
+        [{"family": "torus-collar", "seed": 3, "jet": {"n_grid": 8}},
+         {"family": "radial", "seed": 0, "profile": {"theta": [0.05, 0.05, 0.05]}}],
+        ids=["torus", "theta"],
+    )
+    def test_invariant_parity_reads_the_interpolant_slope(self, tmp_path, raw):
+        """The rho^1 coefficient of s, |r|^2 and |R|^2 is the slope at 0 of
+        their Chebyshev interpolant, at roundoff level; the degree-6
+        least-squares fit it replaced read 4.1e-8 (torus) and 3.5e-8 (theta)."""
+        cfg = write_config(tmp_path, "c.json", raw)
+        assert run(["collar-audit", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        report = json.loads((tmp_path / "collar-audit-report.json").read_text())
+        (row,) = [c for c in report["checks"] if c["name"] == "invariant_parity"]
+        assert row["value"] < 1e-10
 
 
 class TestRenvol:

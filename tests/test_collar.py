@@ -13,6 +13,7 @@ from ahrenvol.collar import (
     PolynomialPerturbation,
     RadialGeometry,
     TorusJetGeometry,
+    chebyshev_rho_derivatives,
     chebyshev_rho_nodes,
     christoffel_expansion,
     curvature_bar,
@@ -122,10 +123,10 @@ class TestRhoSeriesFit:
         rho = np.linspace(0.05, 0.4, 9)
         vals = np.stack([np.array([[r, r**2], [2.0, r**4]]) for r in rho])
         series = rho_series_fit(rho, vals)
-        assert series.coefficient(1)[0, 0] == pytest.approx(1.0, abs=1e-10)
-        assert series.coefficient(2)[0, 1] == pytest.approx(1.0, abs=1e-10)
-        assert series.coefficient(0)[1, 0] == pytest.approx(2.0, abs=1e-10)
-        assert series.coefficient(4)[1, 1] == pytest.approx(1.0, abs=1e-8)
+        assert series.coeffs[1][0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert series.coeffs[2][0, 1] == pytest.approx(1.0, abs=1e-10)
+        assert series.coeffs[0][1, 0] == pytest.approx(2.0, abs=1e-10)
+        assert series.coeffs[4][1, 1] == pytest.approx(1.0, abs=1e-8)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="at least"):
@@ -135,12 +136,42 @@ class TestRhoSeriesFit:
             rho_series_fit(rho, np.ones(20), k_max=12)
 
 
+class TestChebyshevDerivatives:
+    def test_nodes_are_the_first_kind_points(self):
+        nodes = chebyshev_rho_nodes(0.5, 12)
+        k = np.arange(12)
+        assert np.all(np.diff(nodes) > 0.0) and 0.0 < nodes[0] and nodes[-1] < 0.5
+        assert np.allclose(1.0 - 4.0 * nodes, np.cos(math.pi * (k + 0.5) / 12), atol=1e-15)
+
+    def test_exact_on_polynomials_of_the_interpolant_degree(self):
+        """Degree n - 1 polynomials are reproduced with their derivatives;
+        field axes ride along and rho may be a scalar or an array."""
+        nodes = chebyshev_rho_nodes(0.5, 12)
+        poly = np.polynomial.Polynomial(np.random.default_rng(3).uniform(-1.0, 1.0, 12))
+        vals = np.stack([poly(nodes), 2.0 * poly(nodes)], axis=1).reshape(12, 1, 2)
+        rho = np.array([0.0, 0.13, 0.5])
+        for order, got in zip((0, 1, 2, 3), chebyshev_rho_derivatives(vals, rho, (0, 1, 2, 3), 0.5)):
+            want = poly.deriv(order)(rho) if order else poly(rho)
+            assert got.shape == (3, 1, 2)
+            # each differentiation amplifies the samples' roundoff by up to ~n^2
+            assert np.max(np.abs(got[:, 0] - np.stack([want, 2.0 * want], axis=1))) < (
+                1e-9 * np.max(np.abs(want)))
+        (slope,) = chebyshev_rho_derivatives(vals[:, 0, 0], 0.0, rho_max=0.5)
+        assert slope.shape == () and slope == pytest.approx(poly.deriv()(0.0), rel=1e-10)
+
+    def test_converges_on_an_analytic_field(self):
+        """exp(rho) on [0, 0.2]: 16 nodes give the slope at 0 to roundoff."""
+        nodes = chebyshev_rho_nodes()
+        (slope, curv) = chebyshev_rho_derivatives(np.exp(nodes), 0.0, (1, 2))
+        assert abs(slope - 1.0) < 1e-12 and abs(curv - 1.0) < 1e-9
+
+
 class TestChristoffels:
     def test_gamma4_expansion_coefficients(self):
         """(Gamma^4_ij)^(0) = gamma, ^(1) = ^(2) = 0, ^(3) = -g3/2."""
         jet = random_jet(7, n_grid=4, amplitude=0.05)
         series = christoffel_expansion(TorusJetGeometry(jet), 0.4 * 0.5 ** np.arange(10))
-        g4 = lambda k: series.coefficient(k)[:, 3, :3, :3]
+        g4 = lambda k: series.coeffs[k][:, 3, :3, :3]
         assert np.max(np.abs(g4(0) - jet.gamma.reshape(-1, 3, 3))) < 1e-10
         assert np.max(np.abs(g4(1))) < 1e-10
         assert np.max(np.abs(g4(2))) < 1e-9
@@ -195,8 +226,8 @@ class TestCurvature:
         series = rho_series_fit(grid, riems, k_max=6)
         gb = collar._gbar_blocks(geom, 0.0)[0]
         want = np.einsum("nsu,ntv->nstuv", gb, gb) - np.einsum("nsv,ntu->nstuv", gb, gb)
-        assert np.max(np.abs(series.coefficient(0) - want)) < 1e-8
-        assert np.max(np.abs(series.coefficient(1))) < 1e-7
+        assert np.max(np.abs(series.coeffs[0] - want)) < 1e-8
+        assert np.max(np.abs(series.coeffs[1])) < 1e-7
 
     def test_third_coefficient_display(self):
         """R^(3)_ijkl equals the rho^3 part of G4_ik G4_jl - G4_il G4_jk, which
@@ -252,7 +283,7 @@ class TestCurvature:
             for k, vals in fields.items():
                 arr = np.stack(vals)
                 series = rho_series_fit(grid, arr, k_max=6)
-                assert np.max(np.abs(series.coefficient(1))) < 1e-6 * np.max(np.abs(arr))
+                assert np.max(np.abs(series.coeffs[1])) < 1e-6 * np.max(np.abs(arr))
 
     def test_ambient_curvature_round_sphere(self):
         """At the cap rho -> 2 the ambient metric is smooth; spot-check the
@@ -287,7 +318,7 @@ class TestDetSeries:
         g0 = geom.spatial(0.0)[0]
         dens = np.sqrt(np.linalg.det(geom.spatial(grid)[0]).reshape(grid.size, -1)
                        / np.linalg.det(g0)[None, :])
-        assert rho_series_fit(grid, dens).coefficient(2)[0] == pytest.approx(-0.75, abs=1e-3)
+        assert rho_series_fit(grid, dens).coeffs[2][0] == pytest.approx(-0.75, abs=1e-3)
 
     def test_trace_identity_random_jets(self):
         """tr_gamma g3 = 2 v3, relative 1e-8, on random jets."""

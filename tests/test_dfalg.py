@@ -31,7 +31,6 @@ from ahrenvol.dfalg import (
     metric_g,
     pfaffian_density,
     unit_scalar,
-    zero_form,
 )
 
 import oracles

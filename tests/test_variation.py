@@ -25,7 +25,6 @@ from ahrenvol.variation import (
     convergence_order,
     el_slice_analysis,
     fd_curvature_derivative,
-    fd_jet,
     fd_zprime,
     fh_dense,
     frame_covariant_derivative,
@@ -39,7 +38,7 @@ from ahrenvol.variation import (
     zprime_display,
 )
 from ahrenvol.variation import _einstein_t2_on, _embed_jet, _frame_z
-from oracles import FlatTorus4, hessian11_einsum, hessian_ops
+from oracles import FlatTorus4, fd_jet, hessian11_einsum, hessian_ops, stencil_el_residual
 
 
 # -- flat-torus fixtures -------------------------------------------------------
@@ -421,11 +420,10 @@ class TestFunctionalGradient:
         assert np.max(np.abs(res["T2omega"])) < 1e-8
 
     def test_one_engine_call_per_stencil_rho(self, monkeypatch):
-        """The 5-point stencil of each slice costs 5 curvature slices: a full
-        record at the centre, serving f, q, the connection of the Hessian and
-        the measure as well, and a frame-only (Ricci) slice at each of the 4
-        other stencil rhos.  Every slice builds its frame once, and the
-        Hessian builds none of its own."""
+        """Each rho costs one full record, serving z, f, q, the connection of
+        the Hessian and the measure; the z-jet costs 12 frame-only (Ricci)
+        slices at the Chebyshev nodes, shared by all rhos.  Every slice builds
+        its frame once, and the Hessian builds none of its own."""
         slices = {"curvature_in_frame": 0, "frame_curvature": 0, "_slice_frame": 0}
 
         def counting(owner, name):
@@ -441,7 +439,22 @@ class TestFunctionalGradient:
         counting(variation, "frame_curvature")
         counting(collar, "_slice_frame")
         functional_gradient(RadialGeometry(perturbed_profile([0.05, 0.05, 0.05])))
-        assert slices == {"curvature_in_frame": 9, "frame_curvature": 4 * 9, "_slice_frame": 45}
+        assert slices == {"curvature_in_frame": 9, "frame_curvature": 12, "_slice_frame": 21}
+
+    @pytest.mark.parametrize(
+        "geom",
+        [
+            RadialGeometry(perturbed_profile([0.05, -0.03, 0.02])),
+            TorusJetGeometry(random_jet(17, n_grid=4)),
+        ],
+        ids=["radial", "torus"],
+    )
+    def test_interpolated_residual_matches_stencil(self, geom):
+        """E from the Chebyshev z-jet agrees with E from the 5-point
+        finite-difference z-jet (tests/oracles.py) to 1e-7 relative."""
+        res = functional_gradient(geom)
+        want = stencil_el_residual(geom, res["rhos"])
+        assert np.max(np.abs(res["E"] - want)) < 1e-7 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
         "geom",
@@ -452,7 +465,7 @@ class TestFunctionalGradient:
         ids=["radial", "torus"],
     )
     def test_frame_z_matches_inverse_metric_route(self, geom):
-        """The frame-index route of the stencil, ric_ab = gbar^su R_saub and
+        """The frame-index route of the z-jet, ric_ab = gbar^su R_saub and
         z = ric - s/4 gbar with the record's ginv, equals the record's ON z
         pulled back through q, z_frame = (gbar q) z_on (gbar q)^T, and the same
         route with np.linalg.inv."""
@@ -468,10 +481,11 @@ class TestFunctionalGradient:
                 assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
             assert np.array_equal(got, _frame_z(frame_curvature(geom, rho)))
 
-    def test_functional_gradient_stencil_guard(self):
+    def test_functional_gradient_refuses_nonpositive_rho(self):
         geom = RadialGeometry(hyperbolic_profile())
-        with pytest.raises(ValueError, match="insufficient stencil width"):
-            functional_gradient(geom, rhos=[0.005], step=0.005)
+        for rhos in ([0.0, 0.1], [-0.1, 0.2]):
+            with pytest.raises(ValueError, match="rho > 0"):
+                functional_gradient(geom, rhos=rhos)
 
     @pytest.mark.parametrize("support", [(0.15, 0.25), (0.05, 0.5), (0.35, 0.55), (0.02, 0.09)])
     def test_display_and_fd_integrate_over_the_support(self, support):
