@@ -251,9 +251,7 @@ class TorusJetGeometry:
         self.weight = (2.0 * math.pi / jet.n_grid) ** 3
         self.cbar = np.zeros((3, 3, 3))
         flat = lambda f: f.reshape(self.npts, 3, 3)
-        self._gamma = flat(jet.gamma)
-        self._g2 = flat(jet.g2)
-        self._g3 = flat(jet.g3)
+        self._series = PolynomialPerturbation({0: flat(jet.gamma), 2: flat(jet.g2), 3: flat(jet.g3)})
         self._dmat = spectral_deriv(np.eye(jet.n_grid), 0)
 
     def spatial(self, rho):
@@ -262,12 +260,7 @@ class TorusJetGeometry:
         ``rho`` is a scalar or a 1-D array; see :func:`curvature_in_frame` for
         the point layout of an array.
         """
-        r = np.reshape(rho, (-1, 1, 1, 1))
-        g = self._gamma + r**2 * self._g2 + r**3 * self._g3
-        d1 = 2.0 * r * self._g2 + 3.0 * r**2 * self._g3
-        d2 = 2.0 * self._g2 + 6.0 * r * self._g3
-        d3 = np.tile(6.0 * self._g3, (r.size, 1, 1))
-        return g.reshape(-1, 3, 3), d1.reshape(-1, 3, 3), d2.reshape(-1, 3, 3), d3
+        return tuple(self._series.value(rho, k) for k in range(4))
 
     def xderiv(self, field: np.ndarray) -> np.ndarray:
         """The three boundary x-derivatives of a pointwise field, (points, 3, ...).

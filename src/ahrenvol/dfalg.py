@@ -249,12 +249,6 @@ class DoubleForm:
         if (self.n, self.p, self.q) != (other.n, other.p, other.q):
             raise ValueError("bidegree or dimension mismatch")
 
-    def transpose(self) -> "DoubleForm":
-        """Swap the two factor groups (defined for p == q)."""
-        if self.p != self.q:
-            raise ValueError("transpose needs p == q")
-        return DoubleForm(self.n, self.p, self.q, self.coeffs.T.copy())
-
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         return self.p == self.q and bool(
             np.max(np.abs(self.coeffs - self.coeffs.T), initial=0.0) <= tol
@@ -309,10 +303,6 @@ class SymBilinear:
     @classmethod
     def identity(cls, n: int) -> "SymBilinear":
         return cls(n, np.eye(n))
-
-    @classmethod
-    def zeros(cls, n: int) -> "SymBilinear":
-        return cls(n, np.zeros((n, n)))
 
     def to_doubleform(self) -> DoubleForm:
         return DoubleForm(self.n, 1, 1, self.entries.copy())

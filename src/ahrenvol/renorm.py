@@ -79,7 +79,6 @@ class RegularizedIntegral:
     log_coeff: float
     finite: float
     fit_residual: float
-    eps_grid: np.ndarray
     extras: dict = field(default_factory=dict)
     cond: float = 0.0
     half_grid_drift: float = 0.0
@@ -194,7 +193,6 @@ def finite_part(values) -> RegularizedIntegral:
         log_coeff=float(by_key.get("log", 0.0)),
         finite=float(by_key[0]),
         fit_residual=resid,
-        eps_grid=eps,
         extras=extras,
         cond=cond_kept,
         half_grid_drift=drift,

@@ -32,6 +32,7 @@ always inserted immediately before the index block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,6 @@ from .collar import (
     gauss_nodes,
     map_slices,
     perturbed_profile,
-    rho_series_fit,
     slice_integral,
     to_on2,
     to_on4,
@@ -344,6 +344,9 @@ def _einstein_t2_on(omega_on: np.ndarray) -> np.ndarray:
 
 # Chebyshev samples of z: torus E is 3e-7 off a 5-point stencil with 10, 3e-9 with 12
 _Z_NODES = 12
+# z is sampled past the largest rho, away from the interpolant's end, where its
+# derivatives amplify sample noise most (the ball's E: 2.7e-10 at 1, 1.4e-11 at 1.25)
+_Z_REACH = 1.25
 
 
 def functional_gradient(geom, rhos=None) -> dict:
@@ -354,25 +357,28 @@ def functional_gradient(geom, rhos=None) -> dict:
     full engine record at each rho, which also serves f, the connection and
     the measure, and dz/drho and d2z/drho2 from the Chebyshev interpolant of
     z through frame-only :func:`frame_curvature` slices at the
-    ``_Z_NODES`` :func:`chebyshev_rho_nodes` of (0, max rho].  Both go through
-    :func:`map_slices`.  All rhos must be positive.
+    ``_Z_NODES`` :func:`chebyshev_rho_nodes` of (0, min(1.25 max rho,
+    geom.rho_max)].  Both go through :func:`map_slices`.  Every rho must lie
+    in (0, geom.rho_max], else ValueError; one rho will do.
 
     Returns arrays: ``rhos``; ``f``, ``T2omega`` and ``E``, each
-    (n_rho, npts, 4, 4) in ON components; ``slice_norms``, the integral of |E|
-    over each slice; and ``fit_residual``, that of a degree-4 rho-series of E.
+    (n_rho, npts, 4, 4) in ON components; and ``slice_norms``, the integral
+    of |E| over each slice.
     """
-    rhos = np.linspace(0.1, 0.5, 9) if rhos is None else np.asarray(rhos, float)
+    rhos = np.linspace(0.1, 0.5, 9) if rhos is None else np.atleast_1d(np.asarray(rhos, float))
     if np.min(rhos) <= 0.0:
         raise ValueError("functional_gradient needs rho > 0")
-    rho_max = float(np.max(rhos))
+    if np.max(rhos) > geom.rho_max:
+        raise ValueError(f"functional_gradient needs rho <= geom.rho_max = {geom.rho_max}")
+    z_max = min(_Z_REACH * float(np.max(rhos)), geom.rho_max)
     z_nodes = map_slices(lambda r: _frame_z(frame_curvature(geom, r)),
-                         chebyshev_rho_nodes(rho_max, _Z_NODES), geom.npts).reshape(_Z_NODES, -1)
+                         chebyshev_rho_nodes(z_max, _Z_NODES), geom.npts).reshape(_Z_NODES, -1)
 
     def slices(rho):
         cur = curvature_in_frame(geom, rho)
         inv = cur["invariants"]
         f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"])
-        dz = chebyshev_rho_derivatives(z_nodes, rho, (1, 2), rho_max)
+        dz = chebyshev_rho_derivatives(z_nodes, rho, (1, 2), z_max)
         jet = (_frame_z(cur),) + tuple(d.reshape(f_on.shape) for d in dz)
         omega_on = to_on4(hessian11(geom, jet, rho, (cur["gamma"], cur["dgamma"])), cur["q"])
         t2_on = _einstein_t2_on(omega_on)
@@ -382,20 +388,26 @@ def functional_gradient(geom, rhos=None) -> dict:
 
     f_on, t2_on, e_on, norms = map_slices(slices, rhos, geom.npts)
     fields = (rhos.size, -1, 4, 4)
-    e_on = e_on.reshape(fields)
     return {"rhos": rhos, "f": f_on.reshape(fields), "T2omega": t2_on.reshape(fields),
-            "E": e_on, "slice_norms": norms,
-            "fit_residual": rho_series_fit(rhos, e_on, k_max=4).residual}
+            "E": e_on.reshape(fields), "slice_norms": norms}
+
+
+# E and h are sampled at the Chebyshev nodes of (0, _EL_RHO_MAX); phi^(k) is read to k = 6
+_EL_RHO_MAX = 0.12
+_EL_NODES = 12
+_EL_ORDERS = 7
 
 
 def el_slice_analysis(geom, pert) -> dict:
     """Slice diagnostics of phi(rho) = int <E, h> dvol_gamma near the boundary.
 
-    Computes E by :func:`functional_gradient` on 20 geometric rhos in
-    [0.015, 0.12], fits the Taylor coefficients phi^(k), k <= 6, of the
-    pairing integral on them, reports which vanish (their contribution at
-    rho = 0.12 under 1e-8 max(1, max |phi|)), and cross-checks the low
-    coefficients against the slice-coefficient pairings
+    Computes E by :func:`functional_gradient` and h at the 12
+    :func:`chebyshev_rho_nodes` of (0, 0.12), and reads the Taylor
+    coefficients at rho = 0, k <= 6, of phi, E and h from one Chebyshev
+    interpolant of the three (:func:`chebyshev_rho_derivatives`, divided by
+    k!).  It reports which phi^(k) vanish (their contribution at rho = 0.12
+    under 1e-8 max(1, max |phi|)), and cross-checks the low coefficients
+    against the slice-coefficient pairings
 
         phi^(3) = <E^(0), h^(3)> + <E^(1), h^(2)>
         phi^(4) = <E^(0), h^(4)> + <E^(1), h^(3)> + <E^(2), h^(2)>
@@ -406,22 +418,27 @@ def el_slice_analysis(geom, pert) -> dict:
     Diagnostic only: the inference from a vanishing phi^(k) to separate
     vanishing of the individual E^(j) is not asserted.
     """
-    rhos = np.geomspace(0.015, 0.12, 20)
+    rhos = chebyshev_rho_nodes(_EL_RHO_MAX, _EL_NODES)
     e_arr = functional_gradient(geom, rhos=rhos)["E"]
     dens0 = _slice_frame(geom, 0.0)["dvol"]
 
     def h_on(rho):
         return to_on2(_embed(pert.value(rho, 0)), _slice_frame(geom, rho)["q"])
 
-    h_arr = map_slices(h_on, rhos, geom.npts).reshape(rhos.size, geom.npts, 4, 4)
+    h_arr = map_slices(h_on, rhos, geom.npts).reshape(e_arr.shape)
     phi = geom.weight * np.einsum("rnab,rnab,n->r", e_arr, h_arr, dens0)
-    fit = rho_series_fit(rhos, phi[:, None], k_max=6)
-    coeffs = fit.coeffs[:, 0]
-    contributions = np.abs(coeffs) * rhos[-1] ** np.arange(len(coeffs))
+    # one interpolant of phi, E and h, side by side
+    stacked = np.concatenate([phi[:, None], e_arr.reshape(_EL_NODES, -1),
+                              h_arr.reshape(_EL_NODES, -1)], axis=1)
+    orders = range(_EL_ORDERS)
+    derivs = chebyshev_rho_derivatives(stacked, 0.0, orders, _EL_RHO_MAX)
+    series = np.stack([d / math.factorial(k) for k, d in zip(orders, derivs)])
+    coeffs = series[:, 0]
+    e_series, h_series = (part.reshape((_EL_ORDERS,) + e_arr.shape[1:])
+                          for part in np.split(series[:, 1:], 2, axis=1))
+    contributions = np.abs(coeffs) * _EL_RHO_MAX ** np.arange(_EL_ORDERS)
     threshold = 1e-8 * max(1.0, float(np.max(np.abs(phi))))
     vanishing = [k for k, c in enumerate(contributions) if c < threshold]
-    e_series = rho_series_fit(rhos, e_arr, k_max=5).coeffs
-    h_series = rho_series_fit(rhos, h_arr, k_max=5).coeffs
 
     def pairing(e_term, h_term):
         return geom.weight * float(np.einsum("nab,nab,n->", e_term, h_term, dens0))
@@ -441,7 +458,6 @@ def el_slice_analysis(geom, pert) -> dict:
         "phi3_from_pairing": phi3_pairing,
         "phi4_from_pairing": phi4_pairing,
         "e_series": e_series,
-        "fit_residual": fit.residual,
         "critical": len(vanishing) == len(coeffs),
     }
 

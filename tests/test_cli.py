@@ -446,6 +446,17 @@ class TestELResidual:
         assert rows["einstein_residual"]["passed"]
         assert report["artifacts"]["max_norm"] < 1e-8
 
+    def test_ball_einstein_residual_is_at_roundoff(self, tmp_path):
+        """The z-jet's interpolant reaches past the largest rho, so the ball's
+        residual is at roundoff, and every phi^(k) stays under the critical
+        threshold."""
+        cfg = write_config(tmp_path, "c.json", HYP)
+        assert run(["el-residual", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        report = json.loads((tmp_path / "el-residual-report.json").read_text())
+        rows = {c["name"]: c for c in report["checks"]}
+        assert rows["einstein_residual"]["value"] < 1e-10
+        assert report["artifacts"]["critical"] is True
+
     def test_noncritical_profile_diagnostics(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", PERT)
         assert run(["el-residual", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK

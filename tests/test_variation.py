@@ -38,7 +38,14 @@ from ahrenvol.variation import (
     zprime_display,
 )
 from ahrenvol.variation import _einstein_t2_on, _embed_jet, _frame_z
-from oracles import FlatTorus4, fd_jet, hessian11_einsum, hessian_ops, stencil_el_residual
+from oracles import (
+    FlatTorus4,
+    fd_jet,
+    hessian11_einsum,
+    hessian_ops,
+    stencil_el_residual,
+    symmetric_frame,
+)
 
 
 # -- flat-torus fixtures -------------------------------------------------------
@@ -487,6 +494,21 @@ class TestFunctionalGradient:
             with pytest.raises(ValueError, match="rho > 0"):
                 functional_gradient(geom, rhos=rhos)
 
+    def test_functional_gradient_refuses_rho_past_the_collar(self):
+        """A rho past geom.rho_max (2, the radial cap) is refused: z's
+        interpolation interval would cross the cap and corrupt every slice."""
+        geom = RadialGeometry(perturbed_profile([0.05, 0.05, 0.05]))
+        with pytest.raises(ValueError, match="rho_max"):
+            functional_gradient(geom, rhos=[0.3, 0.5, 0.7, 0.9, 1.1, 2.5])
+
+    def test_functional_gradient_takes_one_rho(self):
+        """One rho is enough, and its E agrees with the stencil oracle."""
+        geom = RadialGeometry(perturbed_profile([0.05, -0.03, 0.02]))
+        res = functional_gradient(geom, rhos=[0.3])
+        want = stencil_el_residual(geom, [0.3])
+        assert res["E"].shape == want.shape == (1, 1, 4, 4)
+        assert np.max(np.abs(res["E"] - want)) < 1e-7 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("support", [(0.15, 0.25), (0.05, 0.5), (0.35, 0.55), (0.02, 0.09)])
     def test_display_and_fd_integrate_over_the_support(self, support):
         """Both routes integrate over the perturbation's own support, whatever
@@ -617,9 +639,22 @@ class TestSliceAnalysis:
         c4 = rep["coefficients"][4]
         assert abs(c4) > 1.0
         assert abs(rep["phi3_from_pairing"]) < 1e-3 * abs(c4)
-        assert abs(rep["phi4_from_pairing"] - c4) < 0.2 * abs(c4)
-        # E^(0) and E^(1) themselves are below fit noise
-        assert np.max(np.abs(rep["e_series"][:2])) < 1e-4
+        assert abs(rep["phi4_from_pairing"] - c4) < 1e-4 * abs(c4)
+        # E^(0) and E^(1) themselves are at roundoff
+        assert np.max(np.abs(rep["e_series"][:2])) < 1e-9
+        # E = O(rho^2) and h = O(rho^2), so exactly phi^(0) to phi^(3) vanish
+        assert rep["vanishing_orders"] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("theta", [(0.01, 0.0, 0.0), (0.05, -0.03, 0.02)])
+    def test_pairing_is_frame_independent(self, theta, monkeypatch):
+        """The order-4 pairing moves by at most 1e-7 relative when the
+        Cholesky frame is swapped for the symmetric one."""
+        geom = RadialGeometry(perturbed_profile(list(theta)))
+        pert = PolynomialPerturbation({2: 0.4 * np.eye(3)[None], 3: -0.6 * np.eye(3)[None]})
+        cholesky = el_slice_analysis(geom, pert)["phi4_from_pairing"]
+        monkeypatch.setattr(collar, "_on_frame", symmetric_frame)
+        symmetric = el_slice_analysis(geom, pert)["phi4_from_pairing"]
+        assert abs(cholesky - symmetric) <= 1e-7 * abs(symmetric)
 
     def test_pairing_linearity(self):
         geom = RadialGeometry(perturbed_profile([0.05, -0.03, 0.02]))
