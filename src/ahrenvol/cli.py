@@ -26,7 +26,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -56,6 +56,7 @@ class ConfigError(ValueError):
 # the geometry class of each family: its rho_max is the outer cutoff when the
 # config leaves 'rho_max' null, and a class that declares chi is capped there
 _FAMILIES = {"radial": _collar.RadialGeometry, "torus-collar": _collar.TorusJetGeometry}
+_FORMATS = ("json", "csv")
 # a curvature slice peaks at about 12 KiB of temporaries per boundary point
 # (6.2 MiB at n_grid 8, 49 MiB at n_grid 16), so n_grid = 32 (32768 points)
 # peaks near 390 MiB per slice.  n_grid 4 is the coarsest grid the tests
@@ -63,10 +64,6 @@ _FAMILIES = {"radial": _collar.RadialGeometry, "torus-collar": _collar.TorusJetG
 # fields that carry wave numbers up to 3
 _N_GRID_MIN = 4
 _N_GRID_MAX = 32
-# with 6 or 7 eps samples, finite_part's forward selection can pick its
-# second nuisance power by roundoff: the ball's renvol at eps_n 6 missed
-# hyperbolic_V by 2.9e-4
-_EPS_N_MIN = 8
 # upper bounds, so that no config asks for unbounded work: eps_n 64 is about
 # 68 eps-family panels (some 1000 torus slices at ~15 ms each), 1000
 # linearize-check trials about 10 s, and 10000 flow steps about 10 minutes
@@ -119,17 +116,42 @@ CHECK_NAMES = frozenset(_CHECKS)
 
 # -- configuration ---------------------------------------------------------------
 
+# every config key and the AuditConfig field it sets, by JSON object: None is
+# the top level ('config' in messages), whose other keys are the sections.  A
+# key left out takes the field's default; a key not listed here exits 2.
+_KEYS = {
+    None: {"family": "family", "seed": "seed", "trials": "trials", "tolerances": "tolerances"},
+    "profile": {"theta": "theta"},
+    "jet": {"n_grid": "jet_n_grid", "amplitude": "jet_amplitude"},
+    "grid": {"eps_n": "eps_n", "eps_lo": "eps_lo", "eps_hi": "eps_hi", "rho_max": "rho_max"},
+    "flow": {"theta0": "flow_theta0", "steps": "flow_steps", "eta": "flow_eta",
+             "target_fraction": "flow_target_fraction"},
+    "outputs": {"directory": "out_dir", "format": "out_format"},
+}
 
-def _take(d: dict, section: str, allowed: dict) -> dict:
-    """Strict key filter: unknown keys are rejected, defaults applied."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"'{section}' must be a JSON object")
-    out = dict(allowed)
-    for key, value in d.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in '{section}'")
-        out[key] = value
-    return out
+
+def _given(raw) -> dict:
+    """{field: value} for each key of :data:`_KEYS` that ``raw`` gives."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    given = {}
+    for section, keys in _KEYS.items():
+        obj = raw if section is None else raw.get(section, {})
+        name = section or "config"
+        if not isinstance(obj, dict):
+            raise ConfigError(f"'{name}' must be a JSON object")
+        for key, value in obj.items():
+            if key in keys:
+                given[keys[key]] = value
+            elif section or key not in _KEYS:
+                raise ConfigError(f"unknown key '{key}' in '{name}'")
+    return given
+
+
+def _one_of(names) -> str:
+    """The names quoted and joined: 'a', 'b' or 'c'."""
+    *rest, last = [f"'{name}'" for name in names]
+    return f"{', '.join(rest)} or {last}" if rest else last
 
 
 def _integer(value, key: str, minimum: int, maximum: int | None = None) -> int:
@@ -181,102 +203,58 @@ class AuditConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AuditConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        top = _take(
-            raw,
-            "config",
-            {
-                "family": None,
-                "seed": None,
-                "profile": {},
-                "jet": {},
-                "grid": {},
-                "trials": 3,
-                "flow": {},
-                "tolerances": {},
-                "outputs": {},
-            },
-        )
+        given = _given(raw)
         for key in ("family", "seed"):
-            if top[key] is None:
+            if given.get(key) is None:
                 raise ConfigError(f"missing required key '{key}'")
         # an equality test: a list or an object is no family, and not hashable
-        if top["family"] not in tuple(_FAMILIES):
-            raise ConfigError("'family' must be 'radial' or 'torus-collar'")
-        seed = _integer(top["seed"], "seed", 0)
-        profile = _take(top["profile"], "profile", {"theta": (0.0, 0.0, 0.0)})
-        theta = _numbers(profile["theta"], "theta")
-        jet = _take(top["jet"], "jet", {"n_grid": 8, "amplitude": 0.05})
-        grid = _take(
-            top["grid"],
-            "grid",
-            {"eps_n": 12, "eps_lo": 0.02, "eps_hi": 0.3, "rho_max": None},
-        )
-        # the eps grid renorm.finite_part needs: _EPS_N_MIN nodes over a factor >= 8
-        eps_lo, eps_hi = _number(grid["eps_lo"], "eps_lo"), _number(grid["eps_hi"], "eps_hi")
+        if given["family"] not in tuple(_FAMILIES):
+            raise ConfigError(f"'family' must be {_one_of(_FAMILIES)}")
+        v = asdict(cls(**given))  # each given key over its field's default
+        v["seed"] = _integer(v["seed"], "seed", 0)
+        v["theta"] = _numbers(v["theta"], "theta")
+        # the eps grid renorm.finite_part needs: MIN_EPS_SAMPLES nodes over a factor >= 8
+        eps_lo = v["eps_lo"] = _number(v["eps_lo"], "eps_lo")
+        eps_hi = v["eps_hi"] = _number(v["eps_hi"], "eps_hi")
         if eps_lo <= 0.0 or eps_hi / eps_lo < 8.0:
             raise ConfigError("'eps_lo' must be positive and 'eps_hi' / 'eps_lo' at least 8")
-        rho_max = None if grid["rho_max"] is None else _number(grid["rho_max"], "rho_max")
-        family = _FAMILIES[top["family"]]
-        reach = family.rho_max if rho_max is None else rho_max
+        if v["rho_max"] is not None:
+            v["rho_max"] = _number(v["rho_max"], "rho_max")
+        family = _FAMILIES[v["family"]]
+        reach = family.rho_max if v["rho_max"] is None else v["rho_max"]
         cap = "" if family.chi is None else (
-            f" and be at most {family.rho_max:g}, the cap of the {top['family']} family")
+            f" and be at most {family.rho_max:g}, the cap of the {v['family']} family")
         if reach <= eps_hi or (family.chi is not None and reach > family.rho_max):
             raise ConfigError(f"'rho_max' (here {reach:g}) must exceed 'eps_hi'{cap}")
-        flow = _take(
-            top["flow"],
-            "flow",
-            {
-                "theta0": (0.05, 0.05, 0.05),
-                "steps": 200,
-                "eta": 1e-3,
-                "target_fraction": 0.01,
-            },
-        )
-        eta = _number(flow["eta"], "eta")
-        if eta < 0.0:
+        v["flow_eta"] = _number(v["flow_eta"], "eta")
+        if v["flow_eta"] < 0.0:
             raise ConfigError("'eta' must be non-negative")
-        target_fraction = _number(flow["target_fraction"], "target_fraction")
-        if not 0.0 < target_fraction <= 1.0:
+        fraction = v["flow_target_fraction"] = _number(v["flow_target_fraction"],
+                                                       "target_fraction")
+        if not 0.0 < fraction <= 1.0:
             raise ConfigError("'target_fraction' must lie in (0, 1]")
-        theta0 = _numbers(flow["theta0"], "theta0")
+        theta0 = v["flow_theta0"] = _numbers(v["flow_theta0"], "theta0")
         try:
             _collar.perturbed_profile(theta0)
         except ValueError as exc:
             raise ConfigError(f"'theta0' {list(theta0)} gives an invalid profile: {exc}")
-        if not isinstance(top["tolerances"], dict):
+        if not isinstance(v["tolerances"], dict):
             raise ConfigError("'tolerances' must be a JSON object")
-        tolerances = dict(top["tolerances"])
-        for name, value in tolerances.items():
+        for name, value in v["tolerances"].items():
             if _number(value, name) <= 0:
                 raise ConfigError(f"tolerance '{name}' must be a positive number")
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown tolerance '{name}': no check row has that name")
-        outputs = _take(top["outputs"], "outputs", {"directory": ".", "format": "json"})
-        if not isinstance(outputs["directory"], str):
+        if not isinstance(v["out_dir"], str):
             raise ConfigError("'outputs.directory' must be a string")
-        if outputs["format"] not in ("json", "csv"):
-            raise ConfigError("'outputs.format' must be 'json' or 'csv'")
-        return cls(
-            family=top["family"],
-            seed=seed,
-            theta=theta,
-            jet_n_grid=_integer(jet["n_grid"], "n_grid", _N_GRID_MIN, _N_GRID_MAX),
-            jet_amplitude=_number(jet["amplitude"], "amplitude"),
-            eps_n=_integer(grid["eps_n"], "eps_n", _EPS_N_MIN, _EPS_N_MAX),
-            eps_lo=eps_lo,
-            eps_hi=eps_hi,
-            rho_max=rho_max,
-            trials=_integer(top["trials"], "trials", 1, _TRIALS_MAX),
-            flow_theta0=theta0,
-            flow_steps=_integer(flow["steps"], "steps", 0, _FLOW_STEPS_MAX),
-            flow_eta=eta,
-            flow_target_fraction=target_fraction,
-            tolerances=tolerances,
-            out_dir=outputs["directory"],
-            out_format=str(outputs["format"]),
-        )
+        if v["out_format"] not in _FORMATS:
+            raise ConfigError(f"'outputs.format' must be {_one_of(_FORMATS)}")
+        v["jet_n_grid"] = _integer(v["jet_n_grid"], "n_grid", _N_GRID_MIN, _N_GRID_MAX)
+        v["jet_amplitude"] = _number(v["jet_amplitude"], "amplitude")
+        v["eps_n"] = _integer(v["eps_n"], "eps_n", renorm.MIN_EPS_SAMPLES, _EPS_N_MAX)
+        v["trials"] = _integer(v["trials"], "trials", 1, _TRIALS_MAX)
+        v["flow_steps"] = _integer(v["flow_steps"], "steps", 0, _FLOW_STEPS_MAX)
+        return cls(**v)
 
     def geometry(self):
         """The collar geometry; a torus jet must be Riemannian out to rho_max."""
@@ -399,7 +377,7 @@ def _random_sym(rng, n=4):
     return dfalg.SymBilinear(n, 0.5 * (m + m.T))
 
 
-def run_algebra_suite(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
+def run_algebra_suite(config: AuditConfig, tol_scale: float) -> AuditReport:
     rng = np.random.default_rng(config.seed)
     degrees = [(3, 1, 1), (4, 1, 1), (4, 2, 1), (4, 2, 2), (5, 1, 2), (5, 2, 2)]
     dev_comm = dev_adj = dev_hodge = 0.0
@@ -472,7 +450,7 @@ def run_algebra_suite(config: AuditConfig, tol_scale: float, threads: int) -> Au
 # -- subcommand: collar-audit --------------------------------------------------------
 
 
-def run_collar_audit(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
+def run_collar_audit(config: AuditConfig, tol_scale: float) -> AuditReport:
     geom = config.geometry()
     nodes = _collar.chebyshev_rho_nodes()
     jet_rep = _collar.jet_identity_report(geom)
@@ -501,7 +479,7 @@ def run_collar_audit(config: AuditConfig, tol_scale: float, threads: int) -> Aud
 # -- subcommand: renvol ---------------------------------------------------------------
 
 
-def run_renvol(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
+def run_renvol(config: AuditConfig, tol_scale: float) -> AuditReport:
     geom = config.geometry()
     eps = config.eps_grid()
     volumes, quad_error = renorm.volume_family(geom, eps_grid=eps, rho_max=config.rho_max)
@@ -529,10 +507,11 @@ def run_renvol(config: AuditConfig, tol_scale: float, threads: int) -> AuditRepo
 # -- subcommand: gauss-bonnet ----------------------------------------------------------
 
 
-def run_gauss_bonnet(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
+def run_gauss_bonnet(config: AuditConfig, tol_scale: float) -> AuditReport:
     family = _FAMILIES[config.family]
     if family.chi is None:  # chi closes the identity: only a capped family declares one
-        raise ConfigError("gauss-bonnet requires 'family' to be 'radial'")
+        capped = [name for name, geom in _FAMILIES.items() if geom.chi is not None]
+        raise ConfigError(f"gauss-bonnet requires 'family' to be {_one_of(capped)}")
     # the interior Pfaffian family always runs out to the cap
     if config.rho_max not in (None, family.rho_max):
         raise ConfigError(
@@ -596,15 +575,8 @@ def _linearize_trial(seed: int):
     return variation.convergence_order(steps, devs)
 
 
-def run_linearize_check(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
-    seeds = [config.seed + k for k in range(config.trials)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            orders = list(pool.map(_linearize_trial, seeds))
-    else:
-        orders = [_linearize_trial(s) for s in seeds]
+def run_linearize_check(config: AuditConfig, tol_scale: float) -> AuditReport:
+    orders = [_linearize_trial(config.seed + k) for k in range(config.trials)]
 
     geom = config.geometry()
 
@@ -633,18 +605,14 @@ def run_linearize_check(config: AuditConfig, tol_scale: float, threads: int) -> 
 # -- subcommand: el-residual --------------------------------------------------------------
 
 
-def run_el_residual(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
+def run_el_residual(config: AuditConfig, tol_scale: float) -> AuditReport:
     geom = config.geometry()
     result = variation.functional_gradient(geom)
     norms = result["slice_norms"]
     max_norm = float(np.max(norms))
     checks = [_check("slice_norms_finite", 0.0, config, tol_scale,
                      passed=bool(np.all(np.isfinite(norms))))]
-    artifacts = {
-        "rhos": result["rhos"],
-        "slice_norms": norms,
-        "max_norm": max_norm,
-    }
+    artifacts = {"rhos": result["rhos"], "slice_norms": norms, "max_norm": max_norm}
     if config.is_hyperbolic:
         checks.append(_check("einstein_residual", max_norm, config, tol_scale))
     if config.family == "radial":
@@ -667,16 +635,12 @@ def run_el_residual(config: AuditConfig, tol_scale: float, threads: int) -> Audi
 # -- subcommand: flow --------------------------------------------------------------------
 
 
-def run_flow_command(config: AuditConfig, tol_scale: float, threads: int) -> AuditReport:
+def run_flow_command(config: AuditConfig, tol_scale: float) -> AuditReport:
     # the flow runs on the radial profile family from theta0
     if config.family != "radial":
         raise ConfigError("flow requires 'family' to be 'radial'")
-    history = variation.run_flow(
-        config.flow_theta0,
-        steps=config.flow_steps,
-        eta=config.flow_eta,
-        target_fraction=config.flow_target_fraction,
-    )
+    history = variation.run_flow(config.flow_theta0, steps=config.flow_steps,
+                                 eta=config.flow_eta, target_fraction=config.flow_target_fraction)
     values = [step.value for step in history]
     monotone = all(b <= a for a, b in zip(values, values[1:]))
     reached = values[-1] <= config.flow_target_fraction * max(values[0], 1e-300)
@@ -685,12 +649,8 @@ def run_flow_command(config: AuditConfig, tol_scale: float, threads: int) -> Aud
         _check("flow_target", values[-1] / max(values[0], 1e-300), config, tol_scale,
                passed=reached, tolerance=config.flow_target_fraction),
     ]
-    artifacts = {
-        "history": [
-            {"step": s.step, "theta": list(s.theta), "value": s.value, "eta": s.eta}
-            for s in history
-        ]
-    }
+    artifacts = {"history": [{"step": s.step, "theta": list(s.theta), "value": s.value,
+                              "eta": s.eta} for s in history]}
     return AuditReport("flow", asdict(config), config.seed, checks, artifacts)
 
 
@@ -730,9 +690,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out-dir", default=None, help="report output directory")
-        p.add_argument("--format", default=None, choices=("json", "csv"))
+        p.add_argument("--format", default=None, choices=_FORMATS)
         p.add_argument("--seed", type=int, default=None, help="overrides config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker-parallelism cap")
+        p.add_argument("--threads", type=int, default=1,
+                       help="no effect: every subcommand runs single-threaded")
         p.add_argument("--tol-scale", type=float, default=1.0,
                        help="multiplies every tolerance")
     return parser
@@ -751,15 +712,10 @@ def _load_config(args) -> AuditConfig:
     else:
         raw = {"family": "radial", "seed": 0}
     config = AuditConfig.from_dict(raw)
-    overrides = {}
     if args.seed is not None:
-        overrides["seed"] = _integer(args.seed, "seed", 0)
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
-    if args.format is not None:
-        overrides["out_format"] = args.format
-    if overrides:
-        config = AuditConfig(**{**asdict(config), **overrides})
+        _integer(args.seed, "seed", 0)
+    overrides = {"seed": args.seed, "out_dir": args.out_dir, "out_format": args.format}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     # before any work, so that a directory that cannot hold the reports costs no run
     try:
         os.makedirs(config.out_dir, exist_ok=True)
@@ -786,7 +742,7 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     try:
-        report = _RUNNERS[args.subcommand](config, args.tol_scale, args.threads)
+        report = _RUNNERS[args.subcommand](config, args.tol_scale)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -801,18 +757,13 @@ def main(argv=None) -> int:
     if config.out_format == "csv":
         _write_atomic(base + ".csv", report.to_csv())
     if args.subcommand == "flow":
-        _write_atomic(
-            os.path.join(config.out_dir, "flow-progress.csv"),
-            _flow_progress_csv(report),
-        )
+        _write_atomic(os.path.join(config.out_dir, "flow-progress.csv"), _flow_progress_csv(report))
 
     for row in report.checks:
         verdict = "pass" if row["passed"] else "FAIL"
         print(f"[{verdict}] {row['name']}: {row['value']:.3e} "
               f"(tol {row['tolerance']:.1e}) :: {row['anchor']}")
-    if not report.passed:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":  # pragma: no cover

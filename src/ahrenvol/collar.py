@@ -445,7 +445,7 @@ def _slice_frame(geom, rho) -> dict:
     return {"gbar": gbar, "dgbar": dgbar, "d2gbar": d2gbar, "q": q, "ginv": ginv, "dvol": dvol}
 
 
-def christoffels_bar(geom, rho, frame):
+def christoffels_bar(geom, frame):
     """Levi-Civita symbols of gbar in the frame Xbar, plus d/d rho.
 
     Returns (Gbar, dGbar) with Gbar[n, u, a, b] = Gammabar^u_ab, from the
@@ -484,7 +484,7 @@ def christoffels(geom, rho, frame):
     Gamma^u_st = rho Gammabar^u_st - delta_su delta_t4 + delta_u4 gbar_st.
     ``frame`` is as in :func:`christoffels_bar`.
     """
-    gamma_bar, dgamma_bar = christoffels_bar(geom, rho, frame)
+    gamma_bar, dgamma_bar = christoffels_bar(geom, frame)
     rho = _rho_per_point(rho, gamma_bar.shape[0])
     gamma = rho * gamma_bar
     gamma[:, range(4), range(4), 3] -= 1.0
@@ -590,7 +590,7 @@ def curvature_bar(geom, rho) -> dict:
     :func:`curvature_in_frame`.
     """
     frame = _slice_frame(geom, rho)
-    gamma_bar, dgamma_bar = christoffels_bar(geom, rho, frame)
+    gamma_bar, dgamma_bar = christoffels_bar(geom, frame)
     riem = _frame_riemann(geom, gamma_bar, dgamma_bar, 1.0, _cbar4(geom), frame["gbar"])
     return {"gbar": frame["gbar"], "riem": riem, "ric": frame_ricci(frame["ginv"], riem)[0]}
 

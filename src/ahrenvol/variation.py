@@ -416,8 +416,11 @@ def el_slice_analysis(geom, pert) -> dict:
     radial profile families E = O(rho^2), so both members of the order-3
     pairing vanish and the first observable coefficient is phi^(4).
     Diagnostic only: the inference from a vanishing phi^(k) to separate
-    vanishing of the individual E^(j) is not asserted.
+    vanishing of the individual E^(j) is not asserted.  The pairings hold
+    for a boundary-fixing h (h^(0) = h^(1) = 0), so any other ``pert``
+    raises ValueError through :class:`MetricPerturbation`.
     """
+    pert = MetricPerturbation(pert)
     rhos = chebyshev_rho_nodes(_EL_RHO_MAX, _EL_NODES)
     e_arr = functional_gradient(geom, rhos=rhos)["E"]
     dens0 = _slice_frame(geom, 0.0)["dvol"]

@@ -88,6 +88,24 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "c.json", {"family": "klein-bottle", "seed": 1})
         assert run(["renvol", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
 
+    def test_bad_family_message_names_every_family(self):
+        with pytest.raises(cli.ConfigError) as exc:
+            cli.AuditConfig.from_dict({"family": "klein-bottle", "seed": 1})
+        for name in cli._FAMILIES:
+            assert f"'{name}'" in str(exc.value)
+
+    @pytest.mark.parametrize("family", sorted(cli._FAMILIES))
+    def test_defaults_live_on_the_dataclass(self, family):
+        """A config that gives only the required keys is the dataclass's defaults."""
+        config = cli.AuditConfig.from_dict({"family": family, "seed": 0})
+        assert config == cli.AuditConfig(family=family, seed=0)
+
+    @pytest.mark.parametrize("raw, key", [({"seed": 1}, "family"),
+                                          ({"family": "radial", "seed": None}, "seed")])
+    def test_required_key_is_checked_on_the_given_keys(self, raw, key):
+        with pytest.raises(cli.ConfigError, match=f"missing required key '{key}'"):
+            cli.AuditConfig.from_dict(raw)
+
     def test_missing_file(self, tmp_path):
         code = run(["renvol", "--config", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_USAGE

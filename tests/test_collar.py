@@ -194,7 +194,7 @@ class TestChristoffels:
         geom = RadialGeometry(prof)
         rho = 0.7
         a, a1 = prof.a(rho), prof.a(rho, 1)
-        gbar = collar.christoffels_bar(geom, rho, collar._slice_frame(geom, rho))[0][0]
+        gbar = collar.christoffels_bar(geom, collar._slice_frame(geom, rho))[0][0]
         assert np.allclose(gbar[3, :3, :3], -a * a1 * np.eye(3), atol=1e-13)
         assert np.allclose(gbar[:3, 3, :3][np.arange(3), np.arange(3)], a1 / a, atol=1e-13)
 
@@ -666,7 +666,7 @@ class TestSliceBatches:
         return geom, {
             # caller: (call, engine, slices)
             "run_collar_audit": (
-                lambda: cli.run_collar_audit(config, 1.0, 1), "curvature_in_frame", nodes
+                lambda: cli.run_collar_audit(config, 1.0), "curvature_in_frame", nodes
             ),
             "jet_identity_report": (
                 lambda: jet_identity_report(geom),

@@ -88,8 +88,15 @@ class TestFinitePart:
         assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_too_few_samples(self):
-        with pytest.raises(ValueError, match="at least 6"):
+        with pytest.raises(ValueError, match="at least 8"):
             finite_part((np.array([0.1, 0.2, 0.3, 0.4]), np.ones(4)))
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_six_or_seven_samples_are_refused(self, n):
+        """On 6 samples the ball's V came out 2.6e-3 off with no error."""
+        eps = default_eps_grid(n)
+        with pytest.raises(ValueError, match="at least 8"):
+            finite_part((eps, 2.0 * eps**-3 + 7.0))
 
     def test_insufficient_span(self):
         eps = np.linspace(0.1, 0.2, 8)
@@ -102,7 +109,8 @@ class TestFinitePart:
             finite_part((eps, np.sin(50.0 * eps)))
 
     def test_ill_conditioned(self):
-        eps = np.array([0.01, 0.01 + 1e-13, 0.05, 0.05 + 1e-13, 0.1, 0.1 + 1e-13, 0.3])
+        eps = np.array([0.01, 0.01 + 1e-13, 0.05, 0.05 + 1e-13, 0.1, 0.1 + 1e-13, 0.3,
+                        0.3 + 1e-13])
         with pytest.raises(ValueError, match="ill-conditioned"):
             finite_part((eps, eps**-3))
 
@@ -343,7 +351,7 @@ class TestBoundaryII:
 def gauss_bonnet_report(theta=(0.0, 0.0, 0.0)):
     """The gauss-bonnet report on the radial profile ``theta``: the CLI judges the audit."""
     config = cli.AuditConfig(family="radial", seed=0, theta=tuple(map(float, theta)))
-    return cli.run_gauss_bonnet(config, 1.0, 1)
+    return cli.run_gauss_bonnet(config, 1.0)
 
 
 class TestGaussBonnetAudit:

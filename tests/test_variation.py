@@ -656,6 +656,15 @@ class TestSliceAnalysis:
         symmetric = el_slice_analysis(geom, pert)["phi4_from_pairing"]
         assert abs(cholesky - symmetric) <= 1e-7 * abs(symmetric)
 
+    @pytest.mark.parametrize("power", [0, 1])
+    def test_refuses_a_perturbation_that_is_not_boundary_fixing(self, power):
+        """The pairings assume h^(0) = h^(1) = 0: with a rho^0 term phi4_from_pairing
+        read 6.63 against phi^(4) = 20.37."""
+        geom = RadialGeometry(perturbed_profile([0.05, 0.05, 0.05]))
+        m = 0.4 * np.eye(3)[None]
+        with pytest.raises(ValueError, match="not boundary-fixing"):
+            el_slice_analysis(geom, PolynomialPerturbation({power: m, 2: m}))
+
     def test_pairing_linearity(self):
         geom = RadialGeometry(perturbed_profile([0.05, -0.03, 0.02]))
         m = np.eye(3)[None]
