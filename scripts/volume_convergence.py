@@ -24,7 +24,7 @@ ORACLE = {
 def main() -> None:
     geom = RadialGeometry(hyperbolic_profile())
     print(f"{'n_eps':>6} {'|dC0|':>10} {'|dC2|':>10} {'|dL|':>10} {'|dV|':>10} {'residual':>10}")
-    for n_eps in (8, 12, 16, 24):
+    for n_eps in (12, 16, 20, 24):
         eps = renorm.default_eps_grid(n_eps)
         volumes, _ = renorm.volume_family(geom, eps_grid=eps)
         fit = renorm.finite_part((eps, volumes))

@@ -62,7 +62,6 @@ __all__ = [
     "gauss_nodes",
     "rho_series_fit",
     "chebyshev_rho_derivatives",
-    "christoffel_expansion",
     "frame_curvature",
     "curvature_in_frame",
     "map_slices",
@@ -712,7 +711,8 @@ class RhoSeries:
 
 
 def rho_series_fit(rho, values, k_max: int = 4) -> RhoSeries:
-    """Fit sum_k c_k rho^k, k = 0..k_max, by least squares in scaled powers.
+    """Fit sum_k c_k rho^k, k = 0..k_max, by least squares in scaled powers (the
+    tests' reference for the Chebyshev route: no code of the package calls it).
 
     The rho^1 column is always present: its vanishing on collar quantities
     is a statement under test, never an assumption.
@@ -736,20 +736,6 @@ def rho_series_fit(rho, values, k_max: int = 4) -> RhoSeries:
     powers = scale ** np.arange(k_max + 1)
     coeffs = coeffs / powers.reshape((k_max + 1,) + (1,) * (coeffs.ndim - 1))
     return RhoSeries(coeffs=coeffs, residual=resid, cond=cond)
-
-
-def christoffel_expansion(geom, rho_grid) -> RhoSeries:
-    """rho-series of every frame Christoffel symbol Gamma^u_st of g, to rho^4."""
-    grid = np.asarray(rho_grid, dtype=float)
-    if grid.size < 5:
-        raise ValueError("need at least 5 rho samples")
-    vals = map_slices(lambda r: christoffels(geom, r, _slice_frame(geom, r))[0], grid, geom.npts)
-    vals = vals.reshape((grid.size, -1) + vals.shape[1:])
-    series = rho_series_fit(grid, vals)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if series.residual > 1e-6 * scale:
-        raise ValueError(f"expansion fit failed (residual {series.residual:.3e})")
-    return series
 
 
 def det_series(geom) -> dict:
@@ -793,6 +779,12 @@ def chebyshev_rho_nodes(rho_max: float = 0.2, nodes: int = 16) -> np.ndarray:
     return rho_max / 2.0 * (1.0 - np.cos(math.pi * (np.arange(nodes) + 0.5) / nodes))
 
 
+def _chebyshev_cardinal(n: int, rho_max: float) -> np.ndarray:
+    """Column j: node j's cardinal polynomial, as a series in t = 1 - 2 rho / rho_max."""
+    t_nodes = 1.0 - 2.0 * chebyshev_rho_nodes(rho_max, n) / rho_max
+    return np.linalg.inv(chebvander(t_nodes, n - 1))
+
+
 def chebyshev_rho_derivatives(values, rho, orders=(1,), rho_max: float = 0.2) -> tuple:
     """rho-derivatives of a field sampled at ``chebyshev_rho_nodes(rho_max, n)``.
 
@@ -803,10 +795,8 @@ def chebyshev_rho_derivatives(values, rho, orders=(1,), rho_max: float = 0.2) ->
     + the field's."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    t_nodes = 1.0 - 2.0 * chebyshev_rho_nodes(rho_max, n) / rho_max
-    # column j: node j's cardinal polynomial, so each derivative is one weighted sum
-    # of the samples (30 times faster on a torus slice than a fit of the samples)
-    cardinal = np.linalg.inv(chebvander(t_nodes, n - 1))
+    # each derivative is one weighted sum of the samples: on a torus slice 30x a fit's speed
+    cardinal = _chebyshev_cardinal(n, rho_max)
     t = 1.0 - 2.0 * np.atleast_1d(np.asarray(rho, dtype=float)) / rho_max
     shape = np.shape(rho) + values.shape[1:]
     # d/d rho = -(2 / rho_max) d/dt

@@ -19,9 +19,9 @@ The module provides
 * ``gauss_bonnet_audit``   -- the interior Pfaffian and boundary families,
 * ``renormalized_action``  -- finite parts of the curvature actions.
 
-The family entry points take a geometry of :mod:`ahrenvol.collar` and
-integrate out to its ``rho_max`` unless given another cutoff.  A family is an
-array in ``eps_grid`` order, and ``finite_part`` reads the pair (eps grid,
+The family entry points take a geometry of :mod:`ahrenvol.collar` and integrate
+out to its ``rho_max`` (only ``volume_family`` takes another cutoff).  A family is
+an array in ``eps_grid`` order, and ``finite_part`` reads the pair (eps grid,
 values).  The module measures and does not judge: the check rows built on
 these numbers, with their pass rules, live in :mod:`ahrenvol.cli`.
 
@@ -51,6 +51,7 @@ __all__ = [
     "default_eps_grid",
     "finite_part",
     "MIN_EPS_SAMPLES",
+    "MIN_EPS_SPAN",
     "volume_family",
     "boundary_II",
     "gauss_bonnet_audit",
@@ -67,7 +68,7 @@ class FitRejected(_collar.NonConvergence, ValueError):
 
 
 def default_eps_grid(n: int = 12, lo: float = 0.02, hi: float = 0.3) -> np.ndarray:
-    """Geometric eps grid, ascending: below stencil noise, above cancellation."""
+    """Geometric eps grid, ascending; the default is :data:`MIN_EPS_SAMPLES` over a factor 15."""
     return np.geomspace(lo, hi, n)
 
 
@@ -137,16 +138,18 @@ _MODEL_POWERS = (-3, -1, "log", 0)
 _NUISANCE_POWERS = (1, 2, 3, 4, 5, 6)
 _FIT_TOL = 1e-6
 _FIT_COND_LIMIT = 1e9
-# the fewest eps samples finite_part accepts: on 6, forward selection picked a nuisance
-# power by roundoff and the ball's V came out 2.6e-3 off (7: 1.2e-8, 8: 1.1e-9)
-MIN_EPS_SAMPLES = 8
+# the least eps grid finite_part accepts: two samples more than the full basis, whose
+# fit sets the selection floor; with fewer it interpolates, and selection with it
+# (on 8 samples theta = (-0.08, 0.05, 0.02) read V = 387.78, closed form 15.8559)
+MIN_EPS_SAMPLES = len(_MODEL_POWERS) + len(_NUISANCE_POWERS) + 2
+MIN_EPS_SPAN = 8.0
 
 
 def finite_part(values) -> RegularizedIntegral:
     """Fit the asymptotic model to an eps-family and return its coefficients.
 
     ``values`` is the pair (eps array, value array), at least
-    :data:`MIN_EPS_SAMPLES` samples over a factor of 8 in eps.
+    :data:`MIN_EPS_SAMPLES` samples over a factor of :data:`MIN_EPS_SPAN` in eps.
     The model terms eps^-3, eps^-1, log(1/eps) and 1 are always fitted; the
     decaying nuisance powers eps^1..eps^6 are added by forward selection
     (their coefficients in ``extras``, 0.0 for a power left out; the kept
@@ -158,8 +161,8 @@ def finite_part(values) -> RegularizedIntegral:
     eps, vals = eps[order], vals[order]
     if eps.size < MIN_EPS_SAMPLES:
         raise ValueError(f"need at least {MIN_EPS_SAMPLES} eps samples")
-    if eps.max() / eps.min() < 8.0:
-        raise ValueError("eps grid must span at least a factor of 8")
+    if eps.max() / eps.min() < MIN_EPS_SPAN:
+        raise ValueError(f"eps grid must span at least a factor of {MIN_EPS_SPAN:g}")
 
     all_powers = list(_MODEL_POWERS + _NUISANCE_POWERS)
     _, resid_full, _ = _ls_fit(eps, vals, all_powers, _FIT_COND_LIMIT)
@@ -334,7 +337,7 @@ def boundary_II(geom, eps) -> dict:
     def phi_integrals(rho):
         data = _collar.curvature_in_frame(geom, rho)
         q = data["q"][:, :3, :3]
-        h_on = np.einsum("nba,nbc,ncd->nad", q, data["gamma4"], q)
+        h_on = _collar.to_on2(data["gamma4"], q)
         riem3 = data["riem_on"][:, :3, :3, :3, :3]
         phi1_pt = np.einsum("abc,def,nabde,ncf->n", _collar._EPS3, _collar._EPS3, riem3, h_on)
         # the slice measure of g is eps^-3 sqrt(det g_rho)
@@ -375,19 +378,16 @@ def gauss_bonnet_audit(geom, eps_grid=None) -> dict:
     }
 
 
-def renormalized_action(geom, eps_grid=None, rho_max: float | None = None) -> dict:
-    """Finite parts of the curvature action families on {eps < rho < rho_max}.
+def renormalized_action(geom, eps_grid=None) -> dict:
+    """Finite parts of the curvature action families on {eps < rho < geom.rho_max}.
 
-    ``rho_max`` defaults to ``geom.rho_max``.  Returns RegularizedIntegral
-    values for int s^2, int |z|^2, int (s^2 - 3|r|^2) and int |W|^2, and
-    asserts the pointwise rewrite s^2 - 3|r|^2 = s^2/4 - 3|z|^2 at the level
-    of finite parts.
+    Returns RegularizedIntegral values for int s^2, int |z|^2, int (s^2 - 3|r|^2)
+    and int |W|^2.  The pointwise rewrite s^2 - 3|r|^2 = s^2/4 - 3|z|^2 must hold
+    for the families (else NonConvergence) and their finite parts (else FitRejected).
     """
     if eps_grid is None:
         eps_grid = default_eps_grid()
     eps_grid = np.asarray(eps_grid, dtype=float)
-    if rho_max is None:
-        rho_max = geom.rho_max
 
     density = _collar._invariant_density(
         geom,
@@ -398,7 +398,7 @@ def renormalized_action(geom, eps_grid=None, rho_max: float | None = None) -> di
             lambda cur: cur["invariants"]["s"] ** 2 - 3.0 * cur["invariants"]["r2"],
         ],
     )
-    fams, _ = _cumulative_family(density, eps_grid, rho_max, geom.npts)
+    fams, _ = _cumulative_family(density, eps_grid, geom.rho_max, geom.npts)
     fits = {
         "s2": finite_part((eps_grid, fams[:, 0])),
         "z2": finite_part((eps_grid, fams[:, 1])),
@@ -412,7 +412,7 @@ def renormalized_action(geom, eps_grid=None, rho_max: float | None = None) -> di
     combo = fams[:, 3] - (0.25 * fams[:, 0] - 3.0 * fams[:, 1])
     dev = float(np.max(np.abs(combo))) / max(1.0, float(np.max(np.abs(fams[:, 3]))))
     if dev > 1e-8:
-        raise ValueError(
+        raise _collar.NonConvergence(
             f"rewrite identity s^2-3|r|^2 == s^2/4 - 3|z|^2 violated at "
             f"family level (relative deviation {dev:.3e})"
         )
@@ -420,7 +420,7 @@ def renormalized_action(geom, eps_grid=None, rho_max: float | None = None) -> di
         fits["action"].finite - (0.25 * fits["s2"].finite - 3.0 * fits["z2"].finite)
     ) / max(1.0, abs(fits["action"].finite))
     if fp_dev > 1e-5:
-        raise ValueError(
+        raise FitRejected(
             f"rewrite identity FP(s^2-3|r|^2) == FP(s^2)/4 - 3 FP(|z|^2) "
             f"violated (relative deviation {fp_dev:.3e})"
         )

@@ -43,6 +43,7 @@ from .collar import (
     NonConvergence,
     PerturbedGeometry,
     RadialGeometry,
+    _chebyshev_cardinal,
     _invariant_density,
     _rho_per_point,
     _slice_frame,
@@ -347,6 +348,9 @@ _Z_NODES = 12
 # z is sampled past the largest rho, away from the interpolant's end, where its
 # derivatives amplify sample noise most (the ball's E: 2.7e-10 at 1, 1.4e-11 at 1.25)
 _Z_REACH = 1.25
+# the least scale of z's Chebyshev series, whose tail estimates E's discretization
+# error (README): the ball's z is roundoff, its largest coefficient 3e-16
+_Z_SCALE_FLOOR = 1e-6
 
 
 def functional_gradient(geom, rhos=None) -> dict:
@@ -363,7 +367,8 @@ def functional_gradient(geom, rhos=None) -> dict:
 
     Returns arrays: ``rhos``; ``f``, ``T2omega`` and ``E``, each
     (n_rho, npts, 4, 4) in ON components; and ``slice_norms``, the integral
-    of |E| over each slice.
+    of |E| over each slice.  ``z_tail`` is z's top two Chebyshev coefficients
+    against its largest (at least 1e-6), a float.
     """
     rhos = np.linspace(0.1, 0.5, 9) if rhos is None else np.atleast_1d(np.asarray(rhos, float))
     if np.min(rhos) <= 0.0:
@@ -387,9 +392,12 @@ def functional_gradient(geom, rhos=None) -> dict:
         return f_on, t2_on, e_on, slice_integral(geom, rho, e_norm, cur["dvol"])
 
     f_on, t2_on, e_on, norms = map_slices(slices, rhos, geom.npts)
+    # after the slices, so that the series does not add to their peak memory
+    z_series = np.abs(_chebyshev_cardinal(_Z_NODES, z_max) @ z_nodes)
+    z_tail = float(np.max(z_series[-2:])) / max(_Z_SCALE_FLOOR, float(np.max(z_series)))
     fields = (rhos.size, -1, 4, 4)
     return {"rhos": rhos, "f": f_on.reshape(fields), "T2omega": t2_on.reshape(fields),
-            "E": e_on.reshape(fields), "slice_norms": norms}
+            "E": e_on.reshape(fields), "slice_norms": norms, "z_tail": z_tail}
 
 
 # E and h are sampled at the Chebyshev nodes of (0, _EL_RHO_MAX); phi^(k) is read to k = 6

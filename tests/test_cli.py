@@ -365,6 +365,16 @@ class TestRenvol:
         )
         assert run(["renvol", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
 
+    def test_eight_samples_exit_usage_and_name_eps_n(self, tmp_path, capsys):
+        """On 8 samples this profile's fit interpolated its family and read
+        V = 387.78 (closed form 15.8559) and L = -96.5 (7.698), with exit 0."""
+        cfg = write_config(tmp_path, "c.json", {
+            "family": "radial", "seed": 0, "profile": {"theta": [-0.08, 0.05, 0.02]},
+            "grid": {"eps_n": 8},
+        })
+        assert run(["renvol", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+        assert "'eps_n' must be at least 12" in capsys.readouterr().err
+
 
 GAUSS_BONNET_ROWS = (
     "gauss_bonnet_sum_constant", "boundary_finite_part_zero", "interior_finite_part_chi",
@@ -483,6 +493,22 @@ class TestELResidual:
         assert "einstein_residual" not in rows
         assert rows["phi4_pairing"]["passed"]
         assert report["artifacts"]["critical"] is False
+        assert 0.0 < report["artifacts"]["z_tail"] < 1e-6
+
+    def test_nonfinite_slice_norm_is_counted(self, tmp_path, monkeypatch, capsys):
+        gradient = cli.variation.functional_gradient
+
+        def one_nan(geom, rhos=None):
+            result = gradient(geom, rhos)
+            if rhos is None:  # the slice norms, not el_slice_analysis's nodes
+                result["slice_norms"][3] = np.nan
+            return result
+
+        monkeypatch.setattr(cli.variation, "functional_gradient", one_nan)
+        cfg = write_config(tmp_path, "c.json", PERT)
+        assert run(["el-residual", "--config", cfg, "--out-dir", str(tmp_path)]) == (
+            cli.EXIT_CHECK_FAILED)
+        assert "[FAIL] slice_norms_finite: 1.000e+00 (tol 1.0e+00)" in capsys.readouterr().out
 
 
 class TestFlow:
@@ -512,6 +538,18 @@ class TestFlow:
         code = run(["flow", "--config", cfg, "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_NONCONVERGENCE
         assert "stalled" in capsys.readouterr().err
+
+    def test_rising_steps_are_counted(self, tmp_path, monkeypatch, capsys):
+        values = (1.0, 2.0, 0.5, 0.7, 1e-3)
+        history = [cli.variation.FlowStep(k, (0.05, 0.05, 0.05), v, 1e-3)
+                   for k, v in enumerate(values)]
+        monkeypatch.setattr(cli.variation, "run_flow", lambda *args, **kwargs: history)
+        cfg = write_config(tmp_path, "c.json", HYP)
+        code = run(["flow", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert "[FAIL] flow_monotone: 2.000e+00 (tol 1.0e+00)" in out
+        assert "[pass] flow_target" in out
 
 
 class TestSubcommandFuzz:
@@ -616,10 +654,10 @@ class TestSubcommandFuzz:
     @pytest.mark.parametrize(
         "subcommand, grid, theta",
         [
-            # the design's condition number (1.4e11) is past the fit's limit
-            ("renvol", {"eps_n": 8, "eps_lo": 1e-12, "eps_hi": 1.0}, [0.0, 0.0, 0.0]),
-            # eps up to 1.5 lies outside the asymptotic regime: residual 4.5e-4
-            ("gauss-bonnet", {"eps_n": 11, "eps_lo": 0.125, "eps_hi": 1.5}, [0.0, 2.0]),
+            # the design's condition number (1.4e17) is past the fit's limit
+            ("renvol", {"eps_n": 12, "eps_lo": 1e-12, "eps_hi": 1.0}, [0.0, 0.0, 0.0]),
+            # eps up to 1.5 lies outside the asymptotic regime: residual 1.1e-3
+            ("gauss-bonnet", {"eps_n": 12, "eps_lo": 0.125, "eps_hi": 1.5}, [0.0, 2.0]),
         ],
     )
     def test_rejected_fit_exits_nonconvergence(self, tmp_path, capsys, subcommand, grid, theta):

@@ -88,20 +88,24 @@ class TestFinitePart:
         assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_too_few_samples(self):
-        with pytest.raises(ValueError, match="at least 8"):
+        with pytest.raises(ValueError, match="at least 12"):
             finite_part((np.array([0.1, 0.2, 0.3, 0.4]), np.ones(4)))
 
-    @pytest.mark.parametrize("n", [6, 7])
-    def test_six_or_seven_samples_are_refused(self, n):
-        """On 6 samples the ball's V came out 2.6e-3 off with no error."""
+    @pytest.mark.parametrize("n", [6, 7, 8, 11])
+    def test_fewer_than_twelve_samples_are_refused(self, n):
+        """12 = 4 model + 6 nuisance columns + 2.  With fewer the fit can
+        interpolate its family with no error: on 6 samples the ball's V came
+        out 2.6e-3 off, on 8 samples theta = (-0.08, 0.05, 0.02) read
+        V = 387.78 against the closed form 15.8559 with a residual of 7.5e-14."""
+        assert renorm.MIN_EPS_SAMPLES == 12 == default_eps_grid().size
         eps = default_eps_grid(n)
-        with pytest.raises(ValueError, match="at least 8"):
+        with pytest.raises(ValueError, match="at least 12"):
             finite_part((eps, 2.0 * eps**-3 + 7.0))
 
     def test_insufficient_span(self):
-        eps = np.linspace(0.1, 0.2, 8)
+        eps = np.linspace(0.1, 0.2, 12)
         with pytest.raises(ValueError, match="factor of 8"):
-            finite_part((eps, np.ones(8)))
+            finite_part((eps, np.ones(12)))
 
     def test_model_rejection(self):
         eps = default_eps_grid()
@@ -109,8 +113,7 @@ class TestFinitePart:
             finite_part((eps, np.sin(50.0 * eps)))
 
     def test_ill_conditioned(self):
-        eps = np.array([0.01, 0.01 + 1e-13, 0.05, 0.05 + 1e-13, 0.1, 0.1 + 1e-13, 0.3,
-                        0.3 + 1e-13])
+        eps = np.repeat([0.01, 0.02, 0.05, 0.1, 0.2, 0.3], 2) + np.tile([0.0, 1e-13], 6)
         with pytest.raises(ValueError, match="ill-conditioned"):
             finite_part((eps, eps**-3))
 
@@ -428,7 +431,7 @@ class TestRenormalizedAction:
 
     def test_flat_torus_scaling(self):
         """Pointwise cusp constants scale by the finite part of the volume."""
-        act = renormalized_action(TorusJetGeometry(BoundaryJet.flat(2)), rho_max=1.0)
+        act = renormalized_action(TorusJetGeometry(BoundaryJet.flat(2)))
         scale = -((2.0 * math.pi) ** 3) / 3.0
         assert act["s2"].finite == pytest.approx(144.0 * scale, rel=1e-8)
         assert act["action"].finite == pytest.approx(36.0 * scale, rel=1e-8)
@@ -454,6 +457,25 @@ class TestRenormalizedAction:
         monkeypatch.setattr(collar, "curvature_in_frame", counting)
         renormalized_action(geom)
         assert (len(seen), sum(seen)) == (calls, slices)
+
+    @pytest.mark.parametrize(
+        "scale, power, error, message",
+        [(1e-2, 0, collar.NonConvergence, "family level"), (1e-3, 4, renorm.FitRejected, "FP")],
+    )
+    def test_broken_rewrite_identity_is_typed(self, monkeypatch, scale, power, error, message):
+        """An offset in |r|^2 breaks the rewrite: 0.01 on the ball's families
+        (relative 8.3e-4, over 1e-8), 0.001 rho^4 only in their finite parts
+        (the families move 1.8e-9, the finite parts 1.1e-4, over 1e-5)."""
+
+        def offset(geom, rho, engine=collar.curvature_in_frame):
+            cur = engine(geom, rho)
+            cur["invariants"]["r2"] = cur["invariants"]["r2"] + scale * np.asarray(rho) ** power
+            return cur
+
+        monkeypatch.setattr(collar, "curvature_in_frame", offset)
+        with pytest.raises(error, match=message) as caught:
+            renormalized_action(RadialGeometry(hyperbolic_profile()))
+        assert isinstance(caught.value, renorm.FitRejected) == (power == 4)
 
     def test_rewrite_identity_random_profiles(self):
         """s^2 - 3|r|^2 = s^2/4 - 3|z|^2 on random profiles.

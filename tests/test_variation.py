@@ -509,6 +509,21 @@ class TestFunctionalGradient:
         assert res["E"].shape == want.shape == (1, 1, 4, 4)
         assert np.max(np.abs(res["E"] - want)) < 1e-7 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 1.5])
+    def test_z_tail_tracks_the_error_of_E(self, rho):
+        """The tail of z's Chebyshev series is within 10x of E's error against
+        the stencil oracle (steps 0.002 and 0.001 agree to 1e-9): 3.4e-9, 1.1e-5
+        and 1.0e-2 against 5.1e-10, 8.7e-6 and 3.0e-2."""
+        geom = RadialGeometry(perturbed_profile([0.05, 0.05, 0.05]))
+        res = functional_gradient(geom, rhos=[rho])
+        want = stencil_el_residual(geom, [rho], 0.002)
+        error = np.max(np.abs(res["E"] - want)) / np.max(np.abs(want))
+        assert 0.1 < res["z_tail"] / error < 10.0
+
+    def test_z_tail_of_the_ball_is_roundoff(self):
+        """The ball's z is roundoff; the floored scale keeps its tail there too."""
+        assert functional_gradient(RadialGeometry(hyperbolic_profile()))["z_tail"] < 1e-9
+
     @pytest.mark.parametrize("support", [(0.15, 0.25), (0.05, 0.5), (0.35, 0.55), (0.02, 0.09)])
     def test_display_and_fd_integrate_over_the_support(self, support):
         """Both routes integrate over the perturbation's own support, whatever
