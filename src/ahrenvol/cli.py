@@ -110,6 +110,9 @@ CHECK_NAMES = frozenset(_CHECKS)
 # every config key and the AuditConfig field it sets, by JSON object: None is
 # the top level ('config' in messages), whose other keys are the sections.  A
 # key left out takes the field's default; a key not listed here exits 2.
+# 'grid.rho_max' is renvol's key: only renvol integrates to it, the other
+# subcommands use the family's cap (a torus also sizes its positivity check
+# with it, and gauss-bonnet accepts only the cap).
 _KEYS = {
     None: {"family": "family", "seed": "seed", "trials": "trials", "tolerances": "tolerances"},
     "profile": {"theta": "theta"},

@@ -774,33 +774,41 @@ def gauss_nodes(segments, n_per: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def chebyshev_rho_nodes(rho_max: float = 0.2, nodes: int = 16) -> np.ndarray:
-    """First-kind Chebyshev points on (0, rho_max), ascending."""
-    return rho_max / 2.0 * (1.0 - np.cos(math.pi * (np.arange(nodes) + 0.5) / nodes))
+def chebyshev_rho_nodes(rho_max: float = 0.2, nodes: int = 16, rho_min: float = 0.0) -> np.ndarray:
+    """First-kind Chebyshev points on (rho_min, rho_max), ascending."""
+    half = (rho_max - rho_min) / 2.0
+    return rho_min + half * (1.0 - np.cos(math.pi * (np.arange(nodes) + 0.5) / nodes))
 
 
-def _chebyshev_cardinal(n: int, rho_max: float) -> np.ndarray:
-    """Column j: node j's cardinal polynomial, as a series in t = 1 - 2 rho / rho_max."""
-    t_nodes = 1.0 - 2.0 * chebyshev_rho_nodes(rho_max, n) / rho_max
+def _chebyshev_t(rho, rho_max: float, rho_min: float):
+    """The series variable t = 1 - 2 (rho - rho_min) / (rho_max - rho_min), +1 at rho_min."""
+    return 1.0 - 2.0 * (rho - rho_min) / (rho_max - rho_min)
+
+
+def _chebyshev_cardinal(n: int, rho_max: float, rho_min: float = 0.0) -> np.ndarray:
+    """Column j: node j's cardinal polynomial, as a series in :func:`_chebyshev_t`."""
+    t_nodes = _chebyshev_t(chebyshev_rho_nodes(rho_max, n, rho_min), rho_max, rho_min)
     return np.linalg.inv(chebvander(t_nodes, n - 1))
 
 
-def chebyshev_rho_derivatives(values, rho, orders=(1,), rho_max: float = 0.2) -> tuple:
-    """rho-derivatives of a field sampled at ``chebyshev_rho_nodes(rho_max, n)``.
+def chebyshev_rho_derivatives(values, rho, orders=(1,), rho_max: float = 0.2,
+                              rho_min: float = 0.0) -> tuple:
+    """rho-derivatives of a field sampled at ``chebyshev_rho_nodes(rho_max, n, rho_min)``.
 
     The samples lie along the leading axis of ``values``; their interpolant is
-    the degree n - 1 Chebyshev series in t = 1 - 2 rho / rho_max (Trefethen,
-    Approximation Theory and Approximation Practice, chs. 3 and 11).  Returns
-    its derivative of each order in ``orders`` at ``rho``, shaped rho's shape
-    + the field's."""
+    the degree n - 1 Chebyshev series in t = 1 - 2 (rho - rho_min) / (rho_max -
+    rho_min) (Trefethen, Approximation Theory and Approximation Practice, chs.
+    3 and 11).  Returns its derivative of each order in ``orders`` (0 for the
+    interpolant itself) at ``rho``, shaped rho's shape + the field's."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     # each derivative is one weighted sum of the samples: on a torus slice 30x a fit's speed
-    cardinal = _chebyshev_cardinal(n, rho_max)
-    t = 1.0 - 2.0 * np.atleast_1d(np.asarray(rho, dtype=float)) / rho_max
+    cardinal = _chebyshev_cardinal(n, rho_max, rho_min)
+    t = _chebyshev_t(np.atleast_1d(np.asarray(rho, dtype=float)), rho_max, rho_min)
     shape = np.shape(rho) + values.shape[1:]
-    # d/d rho = -(2 / rho_max) d/dt
-    return tuple((chebval(t, chebder(cardinal, k, scl=-2.0 / rho_max)).T
+    # d/d rho = -(2 / (rho_max - rho_min)) d/dt
+    scl = -2.0 / (rho_max - rho_min)
+    return tuple((chebval(t, chebder(cardinal, k, scl=scl)).T
                   @ values.reshape(n, -1)).reshape(shape) for k in orders)
 
 

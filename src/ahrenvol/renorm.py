@@ -26,10 +26,17 @@ values).  The module measures and does not judge: the check rows built on
 these numbers, with their pass rules, live in :mod:`ahrenvol.cli`.
 
 The collar families are integrated on fixed geometric panels, each with the
-nested Gauss-Kronrod 7/15 pair: 15 density evaluations per panel, the K15
-value kept and |K15 - G7| its error estimate, which must stay under
+nested Gauss-Kronrod 7/15 pair: 15 density values per panel, the K15 value
+kept and |K15 - G7| its error estimate, which must stay under
 1e-9 max(1, |panel value|) (at most 3.4e-13 on the ball and
-theta = (0.05)^3 volume, action and Pfaffian families).
+theta = (0.05)^3 volume, action and Pfaffian families).  The volume density
+is evaluated at every panel node.  The curvature densities are not: rho^4
+times the density is analytic in rho, so the engine samples it at 32
+Chebyshev points on each of (0, eps_max] and [eps_max, rho_max], and the
+panels read it from the two interpolants (64 engine slices per family where
+the panels have 240 or more nodes).  The interpolants' coefficient tails
+must stay under 1e-12, and they join the panels' estimates in the reported
+quadrature error.
 
 Their independent oracles (adaptive quadrature, Taylor subtraction) live in
 ``tests/oracles.py``.
@@ -250,7 +257,8 @@ def _cumulative_family(density, eps_grid: np.ndarray, rho_max: float, npts: int)
 
     ``density`` maps a 1-D rho array to one row (or value) per slice; ``npts``
     is the number of boundary points per slice, which sizes the
-    :func:`~ahrenvol.collar.map_slices` batches it is called with.  The
+    :func:`~ahrenvol.collar.map_slices` batches it is called with, or None
+    for a density cheap enough to take every node in one call.  The
     panels are the eps intervals and [eps_max, rho_max], each split
     geometrically into panels no wider in ratio than ``_PANEL_RATIO``.  The
     density is evaluated once at each panel's 15 Kronrod nodes: the K15 value
@@ -270,7 +278,8 @@ def _cumulative_family(density, eps_grid: np.ndarray, rho_max: float, npts: int)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
 
     nodes = (mid[:, None] + half[:, None] * _GK15_NODES).ravel()
-    vals = _collar.map_slices(density, nodes, npts).reshape(mid.size, _GK15_NODES.size, -1)
+    vals = density(nodes) if npts is None else _collar.map_slices(density, nodes, npts)
+    vals = vals.reshape(mid.size, _GK15_NODES.size, -1)
     kronrod, gauss = np.moveaxis(_GK15_WEIGHTS @ vals, 1, 0) * half[:, None]
     err = np.abs(kronrod - gauss)
     # written so that a NaN estimate counts as a miss
@@ -284,6 +293,66 @@ def _cumulative_family(density, eps_grid: np.ndarray, rho_max: float, npts: int)
     tails = np.cumsum(kronrod[::-1], axis=0)[::-1][starts]
     errors = np.cumsum(err[::-1], axis=0)[::-1][starts]
     return tails, errors
+
+
+# first-kind Chebyshev nodes per piece of the interpolated families, and the
+# largest accepted tail (below).  At 32 nodes every action and Pfaffian
+# column's tail reads at most 8.4e-15 on the ball, theta = (0.05)^3,
+# (0.01, 0, 0) and (-0.08, 0.05, 0.02) and torus jet 3; at 24 the |z|^2 column
+# of theta = (0.05)^3 reads 2.3e-10, over the gate.  A kink in F at 0.1 reads
+# 3.8e-4, a near-pole 0.94 and a NaN sample NaN
+_CHEB_NODES = 32
+_CHEB_TAIL_TOL = 1e-12
+
+
+def _interpolated_family(density, eps_grid: np.ndarray, rho_max: float, npts: int):
+    """:func:`_cumulative_family` of ``density`` read from Chebyshev interpolants.
+
+    F = rho^4 density is analytic in rho, so it is sampled once, at
+    ``_CHEB_NODES`` first-kind Chebyshev points on each of the pieces
+    (0, eps_max] and [eps_max, rho_max], and the panels integrate F / rho^4
+    read from the two interpolants.  The split keeps the size of F near the
+    cap out of the absolute error that rho^-4 amplifies at eps_min: with one
+    interpolant on (0, rho_max] the |z|^2 family of theta = (0.05)^3 was
+    9.8e-11 off the engine's panels, split it is 2.1e-14 off.  A
+    piece's tail, the largest of its last two series coefficients over
+    max(1, largest coefficient), estimates its interpolation error per
+    column; one over 1e-12, or NaN, raises NonConvergence.  The error
+    estimates returned add to the panels' the size of those two coefficients,
+    carried through the integral of rho^-4.
+    """
+    eps_grid = np.asarray(eps_grid, dtype=float)
+    eps_max = float(eps_grid.max())
+    pieces = ((0.0, eps_max), (eps_max, rho_max))
+    nodes = np.concatenate([_collar.chebyshev_rho_nodes(hi, _CHEB_NODES, lo) for lo, hi in pieces])
+    samples = _collar.map_slices(density, nodes, npts).reshape(nodes.size, -1)
+    values = (nodes[:, None] ** 4 * samples).reshape(len(pieces), _CHEB_NODES, -1)
+
+    tail_errors = 0.0
+    for (lo, hi), f in zip(pieces, values):
+        series = np.abs(_collar._chebyshev_cardinal(_CHEB_NODES, hi, lo) @ f)
+        top = np.max(series[-2:], axis=0)
+        tail = top / np.maximum(1.0, np.max(series, axis=0))
+        # written so that a NaN tail counts as a miss
+        if not np.all(tail <= _CHEB_TAIL_TOL):
+            raise _collar.NonConvergence(
+                f"Chebyshev interpolant non-convergence on ({lo:.3g},{hi:.3g}] "
+                f"(tail {np.max(tail):.3e})"
+            )
+        # F's error on the piece, times int rho^-4 over its part of [eps_i, rho_max]
+        reach = (np.maximum(eps_grid, lo) ** -3 - hi**-3) / 3.0
+        tail_errors = tail_errors + reach[:, None] * top
+
+    def interpolated(rho):
+        # every panel node lies inside one piece: eps_max is a panel edge
+        out = np.empty((rho.size, values.shape[-1]))
+        upper = rho > eps_max
+        for (lo, hi), f, sel in zip(pieces, values, (~upper, upper)):
+            (out[sel],) = _collar.chebyshev_rho_derivatives(f, rho[sel], (0,), hi, lo)
+        return out / rho[:, None] ** 4
+
+    fams, errors = _cumulative_family(interpolated, eps_grid, rho_max, None)
+    return fams, errors + tail_errors
 
 
 def volume_family(geom, eps_grid=None, rho_max: float | None = None):
@@ -363,7 +432,7 @@ def gauss_bonnet_audit(geom, eps_grid=None) -> dict:
     eps_grid = np.asarray(eps_grid, dtype=float)
 
     pff = _collar._invariant_density(geom, [lambda cur: dfalg.batch_pfaffian(cur["riem_on"])])
-    interior, quad_errors = _cumulative_family(pff, eps_grid, geom.rho_max, geom.npts)
+    interior, quad_errors = _interpolated_family(pff, eps_grid, geom.rho_max, geom.npts)
     interior = interior[:, 0]
     boundary = boundary_II(geom, eps_grid)["ii"]
     return {
@@ -383,7 +452,10 @@ def renormalized_action(geom, eps_grid=None) -> dict:
 
     Returns RegularizedIntegral values for int s^2, int |z|^2, int (s^2 - 3|r|^2)
     and int |W|^2.  The pointwise rewrite s^2 - 3|r|^2 = s^2/4 - 3|z|^2 must hold
-    for the families (else NonConvergence) and their finite parts (else FitRejected).
+    for the families (else NonConvergence) and their finite parts (else FitRejected);
+    their relative deviations are returned as ``rewrite_deviation`` and
+    ``rewrite_fp_deviation``, and the families' largest error estimate as
+    ``quadrature_error``.
     """
     if eps_grid is None:
         eps_grid = default_eps_grid()
@@ -398,7 +470,7 @@ def renormalized_action(geom, eps_grid=None) -> dict:
             lambda cur: cur["invariants"]["s"] ** 2 - 3.0 * cur["invariants"]["r2"],
         ],
     )
-    fams, _ = _cumulative_family(density, eps_grid, geom.rho_max, geom.npts)
+    fams, quad_errors = _interpolated_family(density, eps_grid, geom.rho_max, geom.npts)
     fits = {
         "s2": finite_part((eps_grid, fams[:, 0])),
         "z2": finite_part((eps_grid, fams[:, 1])),
@@ -426,4 +498,5 @@ def renormalized_action(geom, eps_grid=None) -> dict:
         )
     fits["rewrite_deviation"] = dev
     fits["rewrite_fp_deviation"] = fp_dev
+    fits["quadrature_error"] = float(quad_errors.max())
     return fits

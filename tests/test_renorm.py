@@ -13,13 +13,14 @@ corrected identity is asserted to tight tolerance (see the decisions ledger).
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
 import oracles
 import pytest
 
-from ahrenvol import cli, collar, renorm
+from ahrenvol import cli, collar, dfalg, renorm
 from ahrenvol.collar import (
     BoundaryJet,
     PerturbedGeometry,
@@ -289,6 +290,100 @@ class TestGaussLegendreFamilies:
             renorm._cumulative_family(density, default_eps_grid(), 1.0, 1)
 
 
+class TestInterpolatedFamilies:
+    """Curvature families read from two 32-node Chebyshev interpolants of rho^4 density."""
+
+    @pytest.mark.parametrize(
+        "geom",
+        [
+            RadialGeometry(perturbed_profile([0.05] * 3)),
+            RadialGeometry(perturbed_profile([0.01, 0.0, 0.0])),
+            TorusJetGeometry(random_jet(17, n_grid=4)),
+        ],
+        ids=["theta", "theta_v3", "torus"],
+    )
+    def test_action_and_pfaffian_match_adaptive_oracle(self, geom):
+        eps = default_eps_grid()
+        integrands = ACTION_INTEGRANDS + [lambda cur: dfalg.batch_pfaffian(cur["riem_on"])]
+        density = collar._invariant_density(geom, integrands)
+        got, _ = renorm._interpolated_family(density, eps, geom.rho_max, geom.npts)
+        want = oracles.adaptive_family(density, eps, geom.rho_max)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_error_estimates_bound_an_analytic_family(self):
+        """F = 1/(1 + rho), whose rho^-4 integral is elementary; a zero column
+        reads exactly zero and does not trip the tail gate."""
+        eps = default_eps_grid()
+        density = lambda rho: np.stack([1.0 / (rho**4 * (1.0 + rho)), 0.0 * rho], axis=1)
+        fams, errors = renorm._interpolated_family(density, eps, 1.0, 1)
+        anti = lambda r: -(r**-3) / 3.0 + r**-2 / 2.0 - 1.0 / r - np.log(r) + np.log1p(r)
+        want = anti(1.0) - anti(eps)
+        assert np.all(np.abs(fams[:, 0] - want) <= errors[:, 0])
+        assert np.all(fams[:, 1] == 0.0) and np.all(errors[:, 1] == 0.0)
+
+    @pytest.mark.parametrize(
+        "density, piece",
+        [
+            (lambda rho: np.abs(rho - 0.1) / rho**4, r"\(0,0.3\]"),
+            (lambda rho: np.abs(rho - 0.5) / rho**4, r"\(0.3,1\]"),
+            (lambda rho: 1.0 / (((rho - 0.1) ** 2 + 1e-8) * rho**4), r"\(0,0.3\]"),
+            (lambda rho: np.where(rho > 0.1, np.nan, 1.0), r"\(0,0.3\]"),
+        ],
+        ids=["kink", "kink_upper", "near_pole", "nan"],
+    )
+    def test_tail_over_its_bound_raises(self, density, piece):
+        """Tails: the kink at 0.1 reads 3.8e-4, the near-pole 0.94, the NaN NaN."""
+        with pytest.raises(collar.NonConvergence, match="Chebyshev interpolant non-convergence on " + piece):
+            renorm._interpolated_family(density, default_eps_grid(), 1.0, 1)
+
+    def test_tail_is_carried_through_the_rho4_weight(self):
+        """1e-13 T_31 on (0, 0.3] is its own interpolant there, with tail 1e-13:
+        the estimates exceed the panels' by 1e-13 int_eps^0.3 rho^-4."""
+        eps = default_eps_grid()
+        top = 1e-13 * np.polynomial.Chebyshev.basis(31, domain=[0.0, 0.3])
+        density = lambda rho: np.where(rho <= 0.3, top(rho), 0.0) / rho**4
+        _, errors = renorm._interpolated_family(density, eps, 1.0, 1)
+        _, panels = renorm._cumulative_family(density, eps, 1.0, 1)
+        carried = 1e-13 * (eps**-3 - 0.3**-3) / 3.0
+        assert np.allclose(errors[:, 0] - panels[:, 0], carried, rtol=1e-6, atol=0.0)
+
+    def test_reported_quadrature_errors_are_the_interpolated_families(self):
+        geom = RadialGeometry(perturbed_profile([0.05] * 3))
+        eps = default_eps_grid()
+        for report, integrands in [
+            (renormalized_action(geom), ACTION_INTEGRANDS),
+            (gauss_bonnet_audit(geom), [lambda cur: dfalg.batch_pfaffian(cur["riem_on"])]),
+        ]:
+            density = collar._invariant_density(geom, integrands)
+            _, errors = renorm._interpolated_family(density, eps, geom.rho_max, geom.npts)
+            assert report["quadrature_error"] == np.max(errors)
+
+    def test_renvol_stays_on_direct_panels(self, monkeypatch, tmp_path):
+        """The volume family never reads an interpolant: renvol's report holds the
+        direct Kronrod panels bit for bit (its eps-fit amplifies last-bit changes
+        about 1e7-fold)."""
+
+        def refuse(*args):
+            raise AssertionError("volume_family read an interpolant")
+
+        monkeypatch.setattr(renorm, "_interpolated_family", refuse)
+        theta = [0.05] * 3
+        config = tmp_path / "theta.json"
+        config.write_text(json.dumps({"family": "radial", "seed": 0, "profile": {"theta": theta}}))
+        assert cli.main(["renvol", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "renvol-report.json").read_text())["artifacts"]
+
+        geom = RadialGeometry(perturbed_profile(theta))
+
+        def direct(rho):
+            vol = np.sqrt(np.linalg.det(geom.spatial(rho)[0]))
+            return collar.slice_integral(geom, rho, np.ones_like(vol), vol, 4)
+
+        vols, _ = renorm._cumulative_family(direct, default_eps_grid(), geom.rho_max, geom.npts)
+        assert report["volumes"] == vols[:, 0].tolist()
+        assert report["coefficients"]["V"] == finite_part((default_eps_grid(), vols[:, 0])).finite
+
+
 class TestBoundaryII:
     def test_flat_torus_phi0(self):
         """Gamma4 = identity exactly: Phi0 = 6 (2 pi)^3 eps^-3.
@@ -440,14 +535,15 @@ class TestRenormalizedAction:
     @pytest.mark.parametrize(
         "geom, calls, slices",
         [
-            (RadialGeometry(perturbed_profile([0.05] * 3)), 5, 285),
-            (TorusJetGeometry(random_jet(3)), 240, 240),
+            (RadialGeometry(perturbed_profile([0.05] * 3)), 1, 64),
+            (TorusJetGeometry(random_jet(3)), 64, 64),
         ],
         ids=["radial", "torus"],
     )
     def test_curvature_slices_per_family(self, monkeypatch, geom, calls, slices):
-        """15 Kronrod nodes per panel: 19 radial panels go 64 slices to an
-        engine call, 16 torus panels one 512-point slice to a call."""
+        """32 Chebyshev nodes on each of two pieces, whatever the panels: the
+        radial nodes go 64 slices to an engine call, the torus nodes one
+        512-point slice to a call."""
         seen = []
 
         def counting(geom, rho, engine=collar.curvature_in_frame):
