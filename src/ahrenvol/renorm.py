@@ -257,8 +257,7 @@ def _cumulative_family(density, eps_grid: np.ndarray, rho_max: float, npts: int)
 
     ``density`` maps a 1-D rho array to one row (or value) per slice; ``npts``
     is the number of boundary points per slice, which sizes the
-    :func:`~ahrenvol.collar.map_slices` batches it is called with, or None
-    for a density cheap enough to take every node in one call.  The
+    :func:`~ahrenvol.collar.map_slices` batches it is called with.  The
     panels are the eps intervals and [eps_max, rho_max], each split
     geometrically into panels no wider in ratio than ``_PANEL_RATIO``.  The
     density is evaluated once at each panel's 15 Kronrod nodes: the K15 value
@@ -278,7 +277,7 @@ def _cumulative_family(density, eps_grid: np.ndarray, rho_max: float, npts: int)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
 
     nodes = (mid[:, None] + half[:, None] * _GK15_NODES).ravel()
-    vals = density(nodes) if npts is None else _collar.map_slices(density, nodes, npts)
+    vals = _collar.map_slices(density, nodes, npts)
     vals = vals.reshape(mid.size, _GK15_NODES.size, -1)
     kronrod, gauss = np.moveaxis(_GK15_WEIGHTS @ vals, 1, 0) * half[:, None]
     err = np.abs(kronrod - gauss)
@@ -351,7 +350,7 @@ def _interpolated_family(density, eps_grid: np.ndarray, rho_max: float, npts: in
             (out[sel],) = _collar.chebyshev_rho_derivatives(f, rho[sel], (0,), hi, lo)
         return out / rho[:, None] ** 4
 
-    fams, errors = _cumulative_family(interpolated, eps_grid, rho_max, None)
+    fams, errors = _cumulative_family(interpolated, eps_grid, rho_max, 1)
     return fams, errors + tail_errors
 
 

@@ -359,9 +359,9 @@ class TestInterpolatedFamilies:
             assert report["quadrature_error"] == np.max(errors)
 
     def test_renvol_stays_on_direct_panels(self, monkeypatch, tmp_path):
-        """The volume family never reads an interpolant: renvol's report holds the
-        direct Kronrod panels bit for bit (its eps-fit amplifies last-bit changes
-        about 1e7-fold)."""
+        """The volume family never reads an interpolant (its eps-fit amplifies
+        last-bit changes about 1e7-fold): renvol runs with the helper refused and
+        reports volume_family's direct panels."""
 
         def refuse(*args):
             raise AssertionError("volume_family read an interpolant")
@@ -373,15 +373,8 @@ class TestInterpolatedFamilies:
         assert cli.main(["renvol", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "renvol-report.json").read_text())["artifacts"]
 
-        geom = RadialGeometry(perturbed_profile(theta))
-
-        def direct(rho):
-            vol = np.sqrt(np.linalg.det(geom.spatial(rho)[0]))
-            return collar.slice_integral(geom, rho, np.ones_like(vol), vol, 4)
-
-        vols, _ = renorm._cumulative_family(direct, default_eps_grid(), geom.rho_max, geom.npts)
-        assert report["volumes"] == vols[:, 0].tolist()
-        assert report["coefficients"]["V"] == finite_part((default_eps_grid(), vols[:, 0])).finite
+        vols, _ = volume_family(RadialGeometry(perturbed_profile(theta)))
+        assert report["volumes"] == vols.tolist()
 
 
 class TestBoundaryII:
