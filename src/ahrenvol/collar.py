@@ -398,21 +398,32 @@ def _cbar4(geom) -> np.ndarray:
     return c
 
 
-def _on_frame(gbar: np.ndarray):
-    """q, gbar^-1 and sqrt det g_rho of a batch of frame metrics, in closed form.
+def _cholesky3(g: np.ndarray):
+    """Entries (l00, l10, l20, l11, l21, l22) of the Cholesky factor g = L L^T
+    of a batch of symmetric 3x3 matrices, in closed form (no LAPACK call).
 
-    With the Cholesky factor g_rho = L L^T (six entries per point, no LAPACK
-    call), q = L^-T (+) 1 is upper triangular with q^T gbar q = I,
-    gbar^-1 = q q^T and dvol = L_00 L_11 L_22.  The frame is one orthonormal
-    frame among many: callers rely on q^T gbar q = I only, never on q = q^T.
+    Only the lower triangle is read.  Where g is not positive-definite, some
+    diagonal entry is 0 or NaN (its pivot, or an earlier one, is not
+    positive), and a NaN entry of g makes a diagonal entry NaN.
     """
-    g = gbar[:, :3, :3]
     l00 = np.sqrt(g[:, 0, 0])
     l10 = g[:, 1, 0] / l00
     l20 = g[:, 2, 0] / l00
     l11 = np.sqrt(g[:, 1, 1] - l10 * l10)
     l21 = (g[:, 2, 1] - l20 * l10) / l11
     l22 = np.sqrt(g[:, 2, 2] - l20 * l20 - l21 * l21)
+    return l00, l10, l20, l11, l21, l22
+
+
+def _on_frame(gbar: np.ndarray):
+    """q, gbar^-1 and sqrt det g_rho of a batch of frame metrics, in closed form.
+
+    With the Cholesky factor g_rho = L L^T (:func:`_cholesky3`), q = L^-T (+) 1
+    is upper triangular with q^T gbar q = I, gbar^-1 = q q^T and
+    dvol = L_00 L_11 L_22.  The frame is one orthonormal frame among many:
+    callers rely on q^T gbar q = I only, never on q = q^T.
+    """
+    l00, l10, l20, l11, l21, l22 = _cholesky3(gbar[:, :3, :3])
     # q[i, j] = (L^-1)[j, i], the transpose of the lower-triangular inverse
     q00, q11, q22 = 1.0 / l00, 1.0 / l11, 1.0 / l22
     q01 = -l10 * q00 * q11
@@ -577,8 +588,12 @@ def curvature_in_frame(geom, rho) -> dict:
 
 
 def frame_ricci(ginv: np.ndarray, riem: np.ndarray):
-    """Ricci ric_tv = ginv^su riem_stuv and s = ginv^tv ric_tv of frame components."""
-    ric = np.einsum("nsu,nstuv->ntv", ginv, riem)
+    """Ricci ric_tv = ginv^su riem_stuv and s = ginv^tv ric_tv of frame components.
+
+    Ricci is ginv as a 16-row vector times riem as the matrix [n, (s u), (t v)].
+    """
+    n = ginv.shape[0]
+    ric = (ginv.reshape(n, 1, 16) @ riem.transpose(0, 1, 3, 2, 4).reshape(n, 16, 16)).reshape(n, 4, 4)
     return ric, np.einsum("nab,nab->n", ginv, ric)
 
 
@@ -687,9 +702,15 @@ def _invariant_density(geom, integrands):
 
 
 def require_positive(geom, rho) -> None:
-    """Raise ValueError unless g_rho is positive-definite at every point of the slices rho."""
+    """Raise ValueError unless g_rho is positive-definite at every point of the slices rho.
+
+    The test is that every pivot of the closed-form Cholesky factor
+    (:func:`_cholesky3`) is positive; a NaN metric entry fails it.
+    """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    bad = np.nonzero(np.linalg.eigvalsh(geom.spatial(rho)[0])[:, 0] <= 0.0)[0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        l00, _, _, l11, _, l22 = _cholesky3(geom.spatial(rho)[0])
+    bad = np.nonzero(~((l00 > 0.0) & (l11 > 0.0) & (l22 > 0.0)))[0]
     if bad.size:
         k, p = divmod(int(bad[0]), geom.npts)
         raise ValueError(

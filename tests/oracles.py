@@ -14,7 +14,9 @@ against its einsum form with per-axis FFT boundary derivatives, its
 orthonormal frame against one LAPACK routine per quantity (``frame_oracle``)
 and its invariants against a second frame (``symmetric_frame``),
 the collar Hessian's D / Dt conventions against the flat 4-torus calculus,
-and its double antisymmetrization against the eight-permutation sum.  The
+its double antisymmetrization against the eight-permutation sum, and the
+variation layer's batched-matmul contractions (covariant derivative,
+gradient field, F_h) against their per-slot einsum form.  The
 Euler-Lagrange residual, whose z-jet comes from a Chebyshev interpolant, is
 checked against the same residual with a 5-point finite-difference z-jet
 (``stencil_el_residual``).
@@ -38,7 +40,11 @@ from ahrenvol.collar import (
     _rho_per_point,
     curvature_in_frame,
     frame_curvature,
+    gauss_nodes,
+    map_slices,
+    slice_integral,
     spectral_deriv,
+    to_on2,
     to_on4,
 )
 from ahrenvol.dfalg import _EPS4, _combo_pos, _combos, _insert_sign, _merge_sign
@@ -711,13 +717,101 @@ def curvature_in_frame_einsum(geom, rho) -> dict:
             "riem_on": riem_on, "invariants": inv, "pff": pfaffian_einsum(riem_on)}
 
 
+def frame_ricci_einsum(ginv: np.ndarray, riem: np.ndarray):
+    """Ricci ric_ab = ginv^sv riem_savb and s = ginv^ab ric_ab, the einsum form
+    of collar.frame_ricci."""
+    ric = np.einsum("nsv,nsavb->nab", ginv, riem)
+    return ric, np.einsum("nab,nab->n", ginv, ric)
+
+
 def curvature_bar_einsum(geom, rho) -> dict:
     """The fields of collar.curvature_bar, from the kernels above."""
     gbar, _, _ = _gbar_blocks(geom, rho)
     gamma_bar, dgamma_bar = christoffels_bar_einsum(geom, rho)
     riem = frame_curvature_einsum(geom, gamma_bar, dgamma_bar, 1.0, _cbar4(geom), gbar)
-    ric = np.einsum("nsv,nsavb->nab", frame_oracle(gbar)[1], riem)
-    return {"riem": riem, "ric": ric}
+    return {"riem": riem, "ric": frame_ricci_einsum(frame_oracle(gbar)[1], riem)[0]}
+
+
+# -- reference variation kernels -------------------------------------------------
+# The einsum form of ahrenvol.variation's contractions, the reference for its
+# batched-matmul kernels; the boundary derivative is spelled fft_xderiv.
+
+
+def frame_covariant_derivative_einsum(geom, rho, jet, christ):
+    """variation.frame_covariant_derivative with one einsum per slot and term:
+    (nabla T)_{a s...} = X_a(T_{s...}) - sum_slots Gamma^u_{a s_k} T_{..u..}."""
+    gamma, dgamma = christ
+    val, d1 = (np.asarray(j, float) for j in jet[:2])
+    k = val.ndim - 1
+    rho_pt = _rho_per_point(rho, val.shape[0])
+    r = rho_pt.reshape((-1,) + (1,) * k)
+
+    def xderiv(fld):
+        return np.stack([fft_xderiv(geom, fld, i) for i in range(3)], axis=1)
+
+    def subtract_connection(out, terms):
+        for slot in range(k):
+            corr = sum(
+                np.einsum("nuas,nu...->nas...", g, np.moveaxis(fld, 1 + slot, 1))
+                for g, fld in terms
+            )
+            out -= np.moveaxis(corr, 2, 2 + slot)
+
+    xval = xderiv(val)
+    nabla = np.zeros((val.shape[0], 4) + val.shape[1:])
+    nabla[:, :3] = r[:, None] * xval
+    nabla[:, 3] = r * d1
+    subtract_connection(nabla, [(gamma, val)])
+    if len(jet) < 3:
+        return (nabla,)
+    d2 = np.asarray(jet[2], float)
+    dnabla = np.zeros_like(nabla)
+    dnabla[:, :3] = xval + r[:, None] * xderiv(d1)
+    dnabla[:, 3] = d1 + r * d2
+    subtract_connection(dnabla, [(dgamma / rho_pt, val), (gamma, d1)])
+    return nabla, dnabla
+
+
+def fh_dense_einsum(h: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Slotwise derivation F_h on a dense (2, 2) form, one einsum per slot."""
+    return (
+        np.einsum("nae,nebcd->nabcd", h, R)
+        + np.einsum("nbe,naecd->nabcd", h, R)
+        + np.einsum("nce,nabed->nabcd", h, R)
+        + np.einsum("nde,nabce->nabcd", h, R)
+    )
+
+
+def _rcirc_einsum(z_on: np.ndarray, R_on: np.ndarray) -> np.ndarray:
+    """R(z)_xy = sum z_wi R_xiyw, symmetrized."""
+    rcirc = np.einsum("nwi,nxiyw->nxy", z_on, R_on)
+    return 0.5 * (rcirc + rcirc.transpose(0, 2, 1))
+
+
+def gradient_field_einsum(z_on: np.ndarray, R_on: np.ndarray, ric_on: np.ndarray) -> np.ndarray:
+    """f = 1/2 |z|^2 g - R(z) - r o z, the einsum form of variation.gradient_field."""
+    z2 = np.einsum("nab,nab->n", z_on, z_on)
+    comp = np.einsum("nae,neb->nab", ric_on, z_on)
+    comp = 0.5 * (comp + comp.transpose(0, 2, 1))
+    return 0.5 * z2[:, None, None] * np.eye(4) - _rcirc_einsum(z_on, R_on) - comp
+
+
+def zprime_display_stated(geom, pert, n_nodes: int = 64) -> float:
+    """variation.zprime_display with the stated coefficient 4 on the
+    curvature-action term: the display at coefficient 1 minus 3 int <R(z), h>,
+    on the same Gauss nodes of ``pert.support`` and the same measure."""
+    from ahrenvol.variation import _embed, _support, zprime_display
+
+    nodes, wts = gauss_nodes([_support(pert)], n_nodes)
+
+    def density(rho):
+        cur = curvature_in_frame(geom, rho)
+        rcirc = _rcirc_einsum(cur["invariants"]["z"], cur["riem_on"])
+        h_on = to_on2(_embed(pert.value(rho, 0)), cur["q"])
+        return slice_integral(geom, rho, np.einsum("nab,nab->n", rcirc, h_on), cur["dvol"], 4)
+
+    rz_h = float(wts @ map_slices(density, nodes, geom.npts))
+    return zprime_display(geom, pert, n_nodes) - 3.0 * rz_h
 
 
 def fd_jet(samples, step: float):

@@ -94,6 +94,32 @@ class TestSampling:
         with pytest.raises(ValueError, match="not positive-definite at rho=0.5, point index 0"):
             require_positive(TorusJetGeometry(jet), [0.1, 0.5])
 
+    @pytest.mark.parametrize("pivot", ["second", "third"])
+    def test_positivity_error_with_positive_diagonal(self, pivot):
+        """g_0.5 has unit diagonal but is indefinite, caught at the second
+        Cholesky pivot (a [[1, 2], [2, 1]] block) or the third (g_02 = g_12 =
+        0.8); g_0.1 is positive."""
+        g2 = np.zeros((3, 3))
+        if pivot == "second":
+            g2[0, 1] = g2[1, 0] = 8.0
+        else:
+            g2[0, 2] = g2[2, 0] = g2[1, 2] = g2[2, 1] = 3.2
+        geom = TorusJetGeometry(BoundaryJet.constant(4, np.eye(3), g2, np.zeros((3, 3))))
+        assert np.all(np.linalg.eigvalsh(geom.spatial(0.1)[0]) > 0.0)
+        assert np.min(np.linalg.eigvalsh(geom.spatial(0.5)[0])) < 0.0
+        with pytest.raises(ValueError, match="not positive-definite at rho=0.5, point index 0"):
+            require_positive(geom, [0.1, 0.5])
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 2)])
+    def test_nan_metric_is_not_positive(self, entry):
+        """A NaN entry of g_rho at one point, on the diagonal or off it, fails
+        the test at that point on the first slice."""
+        g3 = np.zeros((4, 4, 4, 3, 3))
+        g3[0, 1, 1][entry] = g3[0, 1, 1][entry[::-1]] = np.nan
+        geom = TorusJetGeometry(BoundaryJet(4, BoundaryJet.flat(4).gamma, np.zeros_like(g3), g3))
+        with pytest.raises(ValueError, match="not positive-definite at rho=0.1, point index 5"):
+            require_positive(geom, [0.1, 0.5])
+
     def test_gbar_normal_form(self):
         """gbar_k4 = delta_k4 identically on every constructed sample."""
         jet = random_jet(11, n_grid=4)

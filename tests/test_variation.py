@@ -10,6 +10,7 @@ from ahrenvol import collar, dfalg, variation
 from ahrenvol.collar import (
     InvalidProfile,
     NonConvergence,
+    PerturbedGeometry,
     PolynomialPerturbation,
     RadialGeometry,
     TorusJetGeometry,
@@ -41,10 +42,15 @@ from ahrenvol.variation import _einstein_t2_on, _embed_jet, _frame_z
 from oracles import (
     FlatTorus4,
     fd_jet,
+    fh_dense_einsum,
+    frame_covariant_derivative_einsum,
+    frame_ricci_einsum,
+    gradient_field_einsum,
     hessian11_einsum,
     hessian_ops,
     stencil_el_residual,
     symmetric_frame,
+    zprime_display_stated,
 )
 
 
@@ -246,6 +252,78 @@ class TestCollarCovariantDerivative:
         want = hessian11_einsum(n2)
         got = hessian11(geom, jet, rho, christ)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _sym_field(seed, npts):
+    m = np.random.default_rng(seed).uniform(-1.0, 1.0, (npts, 3, 3))
+    return m + m.transpose(0, 2, 1)
+
+
+# a radial profile, a torus jet, and a radial profile whose g_rho is not
+# conformal to the round metric, so the structure constants of S^3 meet it
+REFERENCE_GEOMETRIES = {
+    "radial": lambda: RadialGeometry(perturbed_profile([0.03, -0.02, 0.015])),
+    "torus": lambda: TorusJetGeometry(random_jet(17, n_grid=4)),
+    "radial-polynomial": lambda: PerturbedGeometry(
+        RadialGeometry(perturbed_profile([0.03, -0.02, 0.015])),
+        PolynomialPerturbation({2: _sym_field(4, 1), 3: _sym_field(5, 1)}), 0.3,
+    ),
+}
+
+
+def _close_relative(got, want, rel=1e-13):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestReferenceKernels:
+    """The batched-matmul contractions reproduce their einsum form
+    (tests/oracles.py) on two rho-slices at once."""
+
+    RHOS = np.array([0.2, 0.35])
+
+    @staticmethod
+    def _setup(name):
+        geom = REFERENCE_GEOMETRIES[name]()
+        m = _sym_field(23, geom.npts)
+        pert = PolynomialPerturbation({2: m, 3: 0.5 * m.transpose(0, 2, 1) @ m})
+        return geom, curvature_in_frame(geom, TestReferenceKernels.RHOS), pert
+
+    @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
+    def test_covariant_derivative_matches_einsum_form(self, name):
+        geom, cur, pert = self._setup(name)
+        christ = (cur["gamma"], cur["dgamma"])
+        jet = _embed_jet(pert, self.RHOS)
+        got = frame_covariant_derivative(geom, self.RHOS, jet, christ)
+        want = frame_covariant_derivative_einsum(geom, self.RHOS, jet, christ)
+        for g, w in zip(got, want, strict=True):
+            _close_relative(g, w)
+        # the second derivative runs the three-slot contraction
+        (n2,) = frame_covariant_derivative(geom, self.RHOS, got, christ)
+        (n2_want,) = frame_covariant_derivative_einsum(geom, self.RHOS, want, christ)
+        _close_relative(n2, n2_want)
+        _close_relative(hessian11(geom, jet, self.RHOS, christ), hessian11_einsum(n2_want))
+
+    @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
+    def test_frame_ricci_matches_einsum_form(self, name):
+        _, cur, _ = self._setup(name)
+        got = collar.frame_ricci(cur["ginv"], cur["riem"])
+        want = frame_ricci_einsum(cur["ginv"], cur["riem"])
+        for g, w in zip(got, want, strict=True):
+            _close_relative(g, w)
+
+    @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
+    def test_gradient_field_matches_einsum_form(self, name):
+        _, cur, _ = self._setup(name)
+        inv = cur["invariants"]
+        args = (inv["z"], cur["riem_on"], inv["ric"])
+        _close_relative(gradient_field(*args), gradient_field_einsum(*args))
+
+    @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
+    def test_fh_dense_matches_einsum_form(self, name):
+        geom, cur, pert = self._setup(name)
+        h_on = collar.to_on2(_embed_jet(pert, self.RHOS)[0], cur["q"])
+        _close_relative(fh_dense(h_on, cur["riem_on"]), fh_dense_einsum(h_on, cur["riem_on"]))
 
 
 # -- linearized curvature --------------------------------------------------------
@@ -590,7 +668,7 @@ class TestFunctionalGradient:
         geom = RadialGeometry(perturbed_profile([0.03, -0.02, 0.015]))
         m = rng.uniform(-1.0, 1.0, (1, 3, 3))
         pert = MetricPerturbation(CutoffPerturbation(0.5 * (m + m.transpose(0, 2, 1))))
-        disp = zprime_display(geom, pert, rcirc_coefficient=4.0)
+        disp = zprime_display_stated(geom, pert)
         fd = fd_zprime(geom, pert)
         assert abs(disp - fd) < 1e-3 * abs(fd)
 
