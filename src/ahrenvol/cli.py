@@ -529,6 +529,7 @@ def run_gauss_bonnet(config: AuditConfig, tol_scale: float) -> AuditReport:
         "fp_interior": audit["fp_interior"].finite,
         "fp_boundary": audit["fp_boundary"].finite,
         "quadrature_error": audit["quadrature_error"],
+        "interpolant_nodes": audit["interpolant_nodes"],
         "fit_cond": {key: fit.cond for key, fit in fits.items()},
         "half_grid_drift": {key: fit.half_grid_drift for key, fit in fits.items()},
         "kept_powers": {key: fit.kept_powers for key, fit in fits.items()},

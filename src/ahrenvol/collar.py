@@ -91,6 +91,8 @@ def _check_sym_field(name: str, arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if arr.shape[-2:] != (3, 3):
         raise ValueError(f"{name} must have trailing shape (3, 3)")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
     if np.max(np.abs(arr - np.swapaxes(arr, -1, -2)), initial=0.0) > 1e-12 * max(
         1.0, float(np.max(np.abs(arr), initial=0.0))
     ):
@@ -118,8 +120,10 @@ class BoundaryJet:
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
             object.__setattr__(self, name, arr)
-        eigs = np.linalg.eigvalsh(self.gamma)
-        if np.min(eigs) <= 0.0:
+        # every pivot of the closed-form Cholesky factor positive, as in require_positive
+        with np.errstate(invalid="ignore", divide="ignore"):
+            l00, _, _, l11, _, l22 = _cholesky3(self.gamma.reshape(-1, 3, 3))
+        if not np.all((l00 > 0.0) & (l11 > 0.0) & (l22 > 0.0)):
             raise ValueError("gamma must be positive-definite at every sample")
 
     @classmethod
@@ -806,15 +810,17 @@ def _chebyshev_t(rho, rho_max: float, rho_min: float):
     return 1.0 - 2.0 * (rho - rho_min) / (rho_max - rho_min)
 
 
-def _chebyshev_cardinal(n: int, rho_max: float, rho_min: float = 0.0) -> np.ndarray:
-    """Column j: node j's cardinal polynomial, as a series in :func:`_chebyshev_t`."""
-    t_nodes = _chebyshev_t(chebyshev_rho_nodes(rho_max, n, rho_min), rho_max, rho_min)
-    return np.linalg.inv(chebvander(t_nodes, n - 1))
+def _chebyshev_cardinal(nodes, rho_max: float, rho_min: float = 0.0) -> np.ndarray:
+    """Column j: the cardinal polynomial of ``nodes[j]`` (distinct rho in
+    [rho_min, rho_max]), as a series in :func:`_chebyshev_t`."""
+    t_nodes = _chebyshev_t(np.asarray(nodes, dtype=float), rho_max, rho_min)
+    return np.linalg.inv(chebvander(t_nodes, t_nodes.size - 1))
 
 
 def chebyshev_rho_derivatives(values, rho, orders=(1,), rho_max: float = 0.2,
-                              rho_min: float = 0.0) -> tuple:
-    """rho-derivatives of a field sampled at ``chebyshev_rho_nodes(rho_max, n, rho_min)``.
+                              rho_min: float = 0.0, nodes=None) -> tuple:
+    """rho-derivatives of a field sampled at ``nodes``, by default
+    ``chebyshev_rho_nodes(rho_max, n, rho_min)``.
 
     The samples lie along the leading axis of ``values``; their interpolant is
     the degree n - 1 Chebyshev series in t = 1 - 2 (rho - rho_min) / (rho_max -
@@ -823,8 +829,10 @@ def chebyshev_rho_derivatives(values, rho, orders=(1,), rho_max: float = 0.2,
     interpolant itself) at ``rho``, shaped rho's shape + the field's."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
+    if nodes is None:
+        nodes = chebyshev_rho_nodes(rho_max, n, rho_min)
     # each derivative is one weighted sum of the samples: on a torus slice 30x a fit's speed
-    cardinal = _chebyshev_cardinal(n, rho_max, rho_min)
+    cardinal = _chebyshev_cardinal(nodes, rho_max, rho_min)
     t = _chebyshev_t(np.atleast_1d(np.asarray(rho, dtype=float)), rho_max, rho_min)
     shape = np.shape(rho) + values.shape[1:]
     # d/d rho = -(2 / (rho_max - rho_min)) d/dt

@@ -401,7 +401,7 @@ def functional_gradient(geom, rhos=None) -> dict:
 
     f_on, t2_on, e_on, norms = map_slices(slices, rhos, geom.npts)
     # after the slices, so that the series does not add to their peak memory
-    z_series = np.abs(_chebyshev_cardinal(_Z_NODES, z_max) @ z_nodes)
+    z_series = np.abs(_chebyshev_cardinal(chebyshev_rho_nodes(z_max, _Z_NODES), z_max) @ z_nodes)
     z_tail = float(np.max(z_series[-2:])) / max(_Z_SCALE_FLOOR, float(np.max(z_series)))
     fields = (rhos.size, -1, 4, 4)
     return {"rhos": rhos, "f": f_on.reshape(fields), "T2omega": t2_on.reshape(fields),

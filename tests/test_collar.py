@@ -113,12 +113,40 @@ class TestSampling:
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 2)])
     def test_nan_metric_is_not_positive(self, entry):
         """A NaN entry of g_rho at one point, on the diagonal or off it, fails
-        the test at that point on the first slice."""
+        the test at that point on the first slice.  A jet refuses a NaN, so it
+        enters as a rho^3 perturbation of the flat torus."""
         g3 = np.zeros((4, 4, 4, 3, 3))
         g3[0, 1, 1][entry] = g3[0, 1, 1][entry[::-1]] = np.nan
-        geom = TorusJetGeometry(BoundaryJet(4, BoundaryJet.flat(4).gamma, np.zeros_like(g3), g3))
+        pert = PolynomialPerturbation({3: g3.reshape(64, 3, 3)})
+        geom = PerturbedGeometry(TorusJetGeometry(BoundaryJet.flat(4)), pert, 1.0)
         with pytest.raises(ValueError, match="not positive-definite at rho=0.1, point index 5"):
             require_positive(geom, [0.1, 0.5])
+
+    @pytest.mark.parametrize("field", ["gamma", "g2", "g3"])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+    def test_jet_refuses_a_nan(self, field, entry):
+        """A symmetric NaN pair at one grid point of any field is refused: the
+        symmetry check and eigvalsh(gamma) <= 0 both let a NaN through."""
+        fields = {name: getattr(BoundaryJet.flat(4), name) for name in ("gamma", "g2", "g3")}
+        fields[field][0, 1, 1][entry] = fields[field][0, 1, 1][entry[::-1]] = np.nan
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            BoundaryJet(4, **fields)
+
+    @pytest.mark.parametrize("pivot", ["second", "third"])
+    def test_jet_refuses_an_indefinite_gamma(self, pivot):
+        """gamma with unit diagonal, indefinite at one grid point, is caught at
+        the second Cholesky pivot ([[1, 2], [2, 1]]) or the third (gamma_02 =
+        gamma_12 = 0.8)."""
+        gamma = BoundaryJet.flat(4).gamma
+        if pivot == "second":
+            gamma[2, 3, 0][0, 1] = gamma[2, 3, 0][1, 0] = 2.0
+        else:
+            gamma[2, 3, 0][0, 2] = gamma[2, 3, 0][2, 0] = 0.8
+            gamma[2, 3, 0][1, 2] = gamma[2, 3, 0][2, 1] = 0.8
+        assert np.min(np.linalg.eigvalsh(gamma)) < 0.0
+        zero = np.zeros_like(gamma)
+        with pytest.raises(ValueError, match="gamma must be positive-definite at every sample"):
+            BoundaryJet(4, gamma, zero, zero.copy())
 
     def test_gbar_normal_form(self):
         """gbar_k4 = delta_k4 identically on every constructed sample."""

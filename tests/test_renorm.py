@@ -291,22 +291,26 @@ class TestGaussLegendreFamilies:
 
 
 class TestInterpolatedFamilies:
-    """Curvature families read from two 32-node Chebyshev interpolants of rho^4 density."""
+    """Curvature families read from two Chebyshev interpolants of rho^4 density,
+    each sampled on the nested ladder of 9, 19, 39 and 79 interior extreme
+    points until its coefficient tail passes."""
 
     @pytest.mark.parametrize(
-        "geom",
+        "geom, nodes",
         [
-            RadialGeometry(perturbed_profile([0.05] * 3)),
-            RadialGeometry(perturbed_profile([0.01, 0.0, 0.0])),
-            TorusJetGeometry(random_jet(17, n_grid=4)),
+            (RadialGeometry(perturbed_profile([0.05] * 3)), (19, 39)),
+            (RadialGeometry(perturbed_profile([0.01, 0.0, 0.0])), (19, 19)),
+            (TorusJetGeometry(random_jet(17, n_grid=4)), (19, 19)),
+            (TorusJetGeometry(random_jet(17, n_grid=4, amplitude=0.15)), (19, 39)),
         ],
-        ids=["theta", "theta_v3", "torus"],
+        ids=["theta", "theta_v3", "torus", "torus_amplitude_0.15"],
     )
-    def test_action_and_pfaffian_match_adaptive_oracle(self, geom):
+    def test_action_and_pfaffian_match_adaptive_oracle(self, geom, nodes):
         eps = default_eps_grid()
         integrands = ACTION_INTEGRANDS + [lambda cur: dfalg.batch_pfaffian(cur["riem_on"])]
         density = collar._invariant_density(geom, integrands)
-        got, _ = renorm._interpolated_family(density, eps, geom.rho_max, geom.npts)
+        got, _, settled = renorm._interpolated_family(density, eps, geom.rho_max, geom.npts)
+        assert settled == nodes
         want = oracles.adaptive_family(density, eps, geom.rho_max)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -315,11 +319,51 @@ class TestInterpolatedFamilies:
         reads exactly zero and does not trip the tail gate."""
         eps = default_eps_grid()
         density = lambda rho: np.stack([1.0 / (rho**4 * (1.0 + rho)), 0.0 * rho], axis=1)
-        fams, errors = renorm._interpolated_family(density, eps, 1.0, 1)
+        fams, errors, _ = renorm._interpolated_family(density, eps, 1.0, 1)
         anti = lambda r: -(r**-3) / 3.0 + r**-2 / 2.0 - 1.0 / r - np.log(r) + np.log1p(r)
         want = anti(1.0) - anti(eps)
         assert np.all(np.abs(fams[:, 0] - want) <= errors[:, 0])
         assert np.all(fams[:, 1] == 0.0) and np.all(errors[:, 1] == 0.0)
+
+    @staticmethod
+    def _sampled(F):
+        """The ladder on F / rho^4 over (0, 0.3] and [0.3, 1], with every rho it sampled."""
+        seen = []
+
+        def density(rho):
+            seen.append(rho)
+            return F(rho) / rho**4
+
+        fams, errors, nodes = renorm._interpolated_family(density, default_eps_grid(), 1.0, 1)
+        return fams, errors, nodes, np.concatenate(seen)
+
+    @pytest.mark.parametrize(
+        "F, nodes",
+        [(lambda rho: (1.0 + rho) ** 3, (9, 9)), (lambda rho: np.cos(10.0 * rho), (19, 39))],
+        ids=["cubic", "cos"],
+    )
+    def test_each_piece_stops_at_its_first_passing_level(self, F, nodes):
+        """A cubic passes at the first level on both pieces; cos(10 rho) passes
+        at 19 nodes on (0, 0.3] and at 39 on [0.3, 1].  Each rho is sampled
+        once, and only those of the levels a piece went through."""
+        _, _, settled, seen = self._sampled(F)
+        assert settled == nodes
+        assert seen.size == np.unique(seen).size == sum(nodes)
+        want = [lo + (hi - lo) * (1.0 - np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / 2.0
+                for (lo, hi), n in zip([(0.0, 0.3), (0.3, 1.0)], nodes)]
+        assert np.allclose(np.sort(seen), np.concatenate(want), rtol=0.0, atol=1e-15)
+
+    def test_family_resolved_only_at_the_top_level(self):
+        """F = 1/(1 + ((rho - 0.65)/0.25)^2) has poles 0.25 off [0.3, 1]: that
+        piece's tail passes only at 79 nodes, where the family meets the
+        adaptive oracle inside its error estimates."""
+        F = lambda rho: 1.0 / (1.0 + ((rho - 0.65) / 0.25) ** 2)
+        fams, errors, nodes, seen = self._sampled(F)
+        assert nodes == (19, 79) and seen.size == np.unique(seen).size == 98
+        eps = default_eps_grid()
+        want = oracles.adaptive_family(lambda rho: F(rho) / rho**4, eps, 1.0)
+        assert np.all(np.abs(fams - want) <= errors)
+        assert np.all(np.abs(fams - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize(
         "density, piece",
@@ -332,19 +376,35 @@ class TestInterpolatedFamilies:
         ids=["kink", "kink_upper", "near_pole", "nan"],
     )
     def test_tail_over_its_bound_raises(self, density, piece):
-        """Tails: the kink at 0.1 reads 3.8e-4, the near-pole 0.94, the NaN NaN."""
+        """Tails at the top level, 79 nodes: the kink at 0.1 reads 3.6e-5, at
+        0.5 1.2e-4, the near-pole 0.62; the NaN reads NaN at the first level."""
         with pytest.raises(collar.NonConvergence, match="Chebyshev interpolant non-convergence on " + piece):
             renorm._interpolated_family(density, default_eps_grid(), 1.0, 1)
 
+    def test_nan_raises_at_the_first_level(self):
+        """Every later level keeps a NaN sample, so the first level's 18
+        samples are all the ladder takes before it raises."""
+        seen = []
+
+        def density(rho):
+            seen.append(rho.size)
+            return np.where(rho > 0.1, np.nan, 1.0)
+
+        with pytest.raises(collar.NonConvergence, match=r"\(0,0.3\] \(tail nan\)"):
+            renorm._interpolated_family(density, default_eps_grid(), 1.0, 1)
+        assert seen == [18]
+
     def test_tail_is_carried_through_the_rho4_weight(self):
-        """1e-13 T_31 on (0, 0.3] is its own interpolant there, with tail 1e-13:
-        the estimates exceed the panels' by 1e-13 int_eps^0.3 rho^-4."""
+        """1e-13 T_8 on (0, 0.3] is its own 9-node interpolant there, with tail
+        1e-13, and both pieces stop at the first level: the estimates exceed
+        the panels' by 1e-13 int_eps^0.3 rho^-4."""
         eps = default_eps_grid()
-        top = 1e-13 * np.polynomial.Chebyshev.basis(31, domain=[0.0, 0.3])
+        top = 1e-13 * np.polynomial.Chebyshev.basis(8, domain=[0.0, 0.3])
         density = lambda rho: np.where(rho <= 0.3, top(rho), 0.0) / rho**4
-        _, errors = renorm._interpolated_family(density, eps, 1.0, 1)
+        _, errors, nodes = renorm._interpolated_family(density, eps, 1.0, 1)
         _, panels = renorm._cumulative_family(density, eps, 1.0, 1)
         carried = 1e-13 * (eps**-3 - 0.3**-3) / 3.0
+        assert nodes == (9, 9)
         assert np.allclose(errors[:, 0] - panels[:, 0], carried, rtol=1e-6, atol=0.0)
 
     def test_reported_quadrature_errors_are_the_interpolated_families(self):
@@ -355,8 +415,9 @@ class TestInterpolatedFamilies:
             (gauss_bonnet_audit(geom), [lambda cur: dfalg.batch_pfaffian(cur["riem_on"])]),
         ]:
             density = collar._invariant_density(geom, integrands)
-            _, errors = renorm._interpolated_family(density, eps, geom.rho_max, geom.npts)
+            _, errors, nodes = renorm._interpolated_family(density, eps, geom.rho_max, geom.npts)
             assert report["quadrature_error"] == np.max(errors)
+            assert report["interpolant_nodes"] == nodes
 
     def test_renvol_stays_on_direct_panels(self, monkeypatch, tmp_path):
         """The volume family never reads an interpolant (its eps-fit amplifies
@@ -526,17 +587,17 @@ class TestRenormalizedAction:
         assert abs(act["z2"].finite) < 1e-6
 
     @pytest.mark.parametrize(
-        "geom, calls, slices",
+        "geom, calls, slices, nodes",
         [
-            (RadialGeometry(perturbed_profile([0.05] * 3)), 1, 64),
-            (TorusJetGeometry(random_jet(3)), 64, 64),
+            (RadialGeometry(perturbed_profile([0.05] * 3)), 3, 58, (19, 39)),
+            (TorusJetGeometry(random_jet(3)), 38, 38, (19, 19)),
         ],
         ids=["radial", "torus"],
     )
-    def test_curvature_slices_per_family(self, monkeypatch, geom, calls, slices):
-        """32 Chebyshev nodes on each of two pieces, whatever the panels: the
-        radial nodes go 64 slices to an engine call, the torus nodes one
-        512-point slice to a call."""
+    def test_curvature_slices_per_family(self, monkeypatch, geom, calls, slices, nodes):
+        """The Chebyshev nodes the two pieces settle on, whatever the panels:
+        the radial nodes go one engine call per level (9 + 9, 10 + 10, then
+        20 on [0.3, 2] alone), the torus nodes one 512-point slice to a call."""
         seen = []
 
         def counting(geom, rho, engine=collar.curvature_in_frame):
@@ -544,7 +605,7 @@ class TestRenormalizedAction:
             return engine(geom, rho)
 
         monkeypatch.setattr(collar, "curvature_in_frame", counting)
-        renormalized_action(geom)
+        assert renormalized_action(geom)["interpolant_nodes"] == nodes
         assert (len(seen), sum(seen)) == (calls, slices)
 
     @pytest.mark.parametrize(
