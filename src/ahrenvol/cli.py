@@ -43,8 +43,9 @@ class ConfigError(ValueError):
     """Invalid or incomplete configuration (maps to exit code 2)."""
 
 
-# the geometry class of each family: its rho_max is the outer cutoff when the
-# config leaves 'rho_max' null, and a class that declares chi is capped there
+# the geometry class of each family: every eps-family integrates out to its
+# rho_max, which 'eps_hi' must stay below, and a class that declares chi is
+# capped there
 _FAMILIES = {"radial": _collar.RadialGeometry, "torus-collar": _collar.TorusJetGeometry}
 _FORMATS = ("json", "csv")
 # a curvature slice peaks at about 12 KiB of temporaries per boundary point
@@ -55,8 +56,11 @@ _FORMATS = ("json", "csv")
 _N_GRID_MIN = 4
 _N_GRID_MAX = 32
 # upper bounds, so that no config asks for unbounded work: eps_n 64 is about
-# 68 eps-family panels (some 1000 torus slices at ~15 ms each), 1000
-# linearize-check trials about 10 s, and 10000 flow steps about 10 minutes
+# 68 eps-family panels, which take torus jet 3's renvol from 0.1 s (eps_n 12)
+# to 0.2-0.4 s and radial renvol and gauss-bonnet to under 0.05 s on a 2-core
+# Xeon (the curvature families' Chebyshev ladder does not grow with eps_n, and
+# the volume density is one det per slice); 1000 linearize-check trials take
+# about 10 s, and 10000 flow steps about 10 minutes
 _EPS_N_MAX = 64
 _TRIALS_MAX = 1000
 _FLOW_STEPS_MAX = 10000
@@ -103,6 +107,13 @@ _CHECKS = {
 # A 'tolerances' key must name a check row.  One config serves every subcommand
 # (scripts/run_all_audits.py), so a row of any subcommand is accepted.
 CHECK_NAMES = frozenset(_CHECKS)
+# the rows whose tolerance no config sets, and why: an override would be
+# reported, and either not judged or a pass for a failing count
+_FIXED_TOLERANCES = {
+    "slice_norms_finite": "it counts non-finite slice norms and passes at 0 only",
+    "flow_monotone": "it counts the flow steps where Z rose and passes at 0 only",
+    "flow_target": "its bound is 'flow.target_fraction'",
+}
 
 
 # -- configuration ---------------------------------------------------------------
@@ -110,14 +121,11 @@ CHECK_NAMES = frozenset(_CHECKS)
 # every config key and the AuditConfig field it sets, by JSON object: None is
 # the top level ('config' in messages), whose other keys are the sections.  A
 # key left out takes the field's default; a key not listed here exits 2.
-# 'grid.rho_max' is renvol's key: only renvol integrates to it, the other
-# subcommands use the family's cap (a torus also sizes its positivity check
-# with it, and gauss-bonnet accepts only the cap).
 _KEYS = {
     None: {"family": "family", "seed": "seed", "trials": "trials", "tolerances": "tolerances"},
     "profile": {"theta": "theta"},
     "jet": {"n_grid": "jet_n_grid", "amplitude": "jet_amplitude"},
-    "grid": {"eps_n": "eps_n", "eps_lo": "eps_lo", "eps_hi": "eps_hi", "rho_max": "rho_max"},
+    "grid": {"eps_n": "eps_n", "eps_lo": "eps_lo", "eps_hi": "eps_hi"},
     "flow": {"theta0": "flow_theta0", "steps": "flow_steps", "eta": "flow_eta",
              "target_fraction": "flow_target_fraction"},
     "outputs": {"directory": "out_dir", "format": "out_format"},
@@ -185,7 +193,6 @@ class AuditConfig:
     eps_n: int = 12
     eps_lo: float = 0.02
     eps_hi: float = 0.3
-    rho_max: float | None = None
     trials: int = 3
     flow_theta0: tuple = (0.05, 0.05, 0.05)
     flow_steps: int = 200
@@ -213,14 +220,10 @@ class AuditConfig:
         if eps_lo <= 0.0 or eps_hi / eps_lo < renorm.MIN_EPS_SPAN:
             raise ConfigError("'eps_lo' must be positive and 'eps_hi' / 'eps_lo' at least "
                               f"{renorm.MIN_EPS_SPAN:g}")
-        if v["rho_max"] is not None:
-            v["rho_max"] = _number(v["rho_max"], "rho_max")
-        family = _FAMILIES[v["family"]]
-        reach = family.rho_max if v["rho_max"] is None else v["rho_max"]
-        cap = "" if family.chi is None else (
-            f" and be at most {family.rho_max:g}, the cap of the {v['family']} family")
-        if reach <= eps_hi or (family.chi is not None and reach > family.rho_max):
-            raise ConfigError(f"'rho_max' (here {reach:g}) must exceed 'eps_hi'{cap}")
+        rho_max = _FAMILIES[v["family"]].rho_max
+        if eps_hi >= rho_max:
+            raise ConfigError(f"'eps_hi' (here {eps_hi:g}) must be below {rho_max:g}, "
+                              f"the rho_max of the {v['family']} family")
         v["flow_eta"] = _number(v["flow_eta"], "eta")
         if v["flow_eta"] < 0.0:
             raise ConfigError("'eta' must be non-negative")
@@ -240,6 +243,8 @@ class AuditConfig:
                 raise ConfigError(f"tolerance '{name}' must be a positive number")
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown tolerance '{name}': no check row has that name")
+            if name in _FIXED_TOLERANCES:
+                raise ConfigError(f"tolerance '{name}' cannot be set: {_FIXED_TOLERANCES[name]}")
         if not isinstance(v["out_dir"], str):
             raise ConfigError("'outputs.directory' must be a string")
         if v["out_format"] not in _FORMATS:
@@ -252,17 +257,16 @@ class AuditConfig:
         return cls(**v)
 
     def geometry(self):
-        """The collar geometry; a torus jet must be Riemannian out to rho_max."""
+        """The collar geometry; a torus jet must be Riemannian out to its rho_max."""
         if self.family == "radial":
             try:
                 return _collar.RadialGeometry(_collar.perturbed_profile(self.theta))
             except ValueError as exc:
                 raise ConfigError(f"'theta' {list(self.theta)} gives an invalid profile: {exc}")
-        reach = _collar.TorusJetGeometry.rho_max if self.rho_max is None else self.rho_max
         try:
             geom = _collar.TorusJetGeometry(
                 _collar.random_jet(self.seed, self.jet_n_grid, self.jet_amplitude))
-            _collar.require_positive(geom, np.linspace(reach / 16, reach, 16))
+            _collar.require_positive(geom, np.linspace(geom.rho_max / 16, geom.rho_max, 16))
             return geom
         except ValueError as exc:
             raise ConfigError(f"'amplitude' {self.jet_amplitude:g} is too large: {exc}")
@@ -333,12 +337,11 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _check(name, value, config, tol_scale, passed=None, tolerance=None, claim=0.0):
+def _check(name, value, config, passed=None, tolerance=None, claim=0.0):
     """Row ``name`` of :data:`_CHECKS`; ``tolerance`` replaces a default of None.
     Unless ``passed`` is given (flow_target), the row passes when |value - claim| < tolerance."""
     anchor, default = _CHECKS[name]
     tol = float(config.tolerances.get(name, default if tolerance is None else tolerance))
-    tol *= tol_scale
     value = float(value)
     if passed is None:
         passed = abs(value - claim) < tol
@@ -372,7 +375,7 @@ def _random_sym(rng, n=4):
     return dfalg.SymBilinear(n, 0.5 * (m + m.T))
 
 
-def run_algebra_suite(config: AuditConfig, tol_scale: float) -> AuditReport:
+def run_algebra_suite(config: AuditConfig) -> AuditReport:
     rng = np.random.default_rng(config.seed)
     degrees = [(3, 1, 1), (4, 1, 1), (4, 2, 1), (4, 2, 2), (5, 1, 2), (5, 2, 2)]
     dev_comm = dev_adj = dev_hodge = 0.0
@@ -431,13 +434,13 @@ def run_algebra_suite(config: AuditConfig, tol_scale: float) -> AuditReport:
         dev_rcirc = max(dev_rcirc, abs(p1 - p2) / max(1.0, abs(p1)))
 
     checks = [
-        _check("contraction_commutator", dev_comm, config, tol_scale),
-        _check("metric_contraction_adjointness", dev_adj, config, tol_scale),
-        _check("hodge_metric_multiplication", dev_hodge, config, tol_scale),
-        _check("f_h_derivation", dev_deriv, config, tol_scale),
-        _check("f_h_self_adjoint", dev_selfadj, config, tol_scale),
-        _check("contract_fh_pairing", dev_pair, config, tol_scale),
-        _check("rcirc_self_adjoint", dev_rcirc, config, tol_scale),
+        _check("contraction_commutator", dev_comm, config),
+        _check("metric_contraction_adjointness", dev_adj, config),
+        _check("hodge_metric_multiplication", dev_hodge, config),
+        _check("f_h_derivation", dev_deriv, config),
+        _check("f_h_self_adjoint", dev_selfadj, config),
+        _check("contract_fh_pairing", dev_pair, config),
+        _check("rcirc_self_adjoint", dev_rcirc, config),
     ]
     return AuditReport("algebra-suite", asdict(config), config.seed, checks)
 
@@ -445,7 +448,7 @@ def run_algebra_suite(config: AuditConfig, tol_scale: float) -> AuditReport:
 # -- subcommand: collar-audit --------------------------------------------------------
 
 
-def run_collar_audit(config: AuditConfig, tol_scale: float) -> AuditReport:
+def run_collar_audit(config: AuditConfig) -> AuditReport:
     geom = config.geometry()
     nodes = _collar.chebyshev_rho_nodes()
     jet_rep = _collar.jet_identity_report(geom)
@@ -462,10 +465,10 @@ def run_collar_audit(config: AuditConfig, tol_scale: float) -> AuditReport:
         parity_dev = max(parity_dev, float(np.max(np.abs(slope))) / scale)
 
     checks = [
-        _check("trace_identity", jet_rep["dev_trace_identity"], config, tol_scale),
-        _check("g3_curvature_identity", jet_rep["dev_g3_identity"], config, tol_scale),
-        _check("v3_curvature_identity", jet_rep["dev_v3_identity"], config, tol_scale),
-        _check("invariant_parity", parity_dev, config, tol_scale),
+        _check("trace_identity", jet_rep["dev_trace_identity"], config),
+        _check("g3_curvature_identity", jet_rep["dev_g3_identity"], config),
+        _check("v3_curvature_identity", jet_rep["dev_v3_identity"], config),
+        _check("invariant_parity", parity_dev, config),
     ]
     artifacts = {"v3": jet_rep["v3"], "rho_nodes": nodes}
     return AuditReport("collar-audit", asdict(config), config.seed, checks, artifacts)
@@ -474,18 +477,18 @@ def run_collar_audit(config: AuditConfig, tol_scale: float) -> AuditReport:
 # -- subcommand: renvol ---------------------------------------------------------------
 
 
-def run_renvol(config: AuditConfig, tol_scale: float) -> AuditReport:
+def run_renvol(config: AuditConfig) -> AuditReport:
     geom = config.geometry()
     eps = config.eps_grid()
-    volumes, quad_error = renorm.volume_family(geom, eps_grid=eps, rho_max=config.rho_max)
+    volumes, quad_error = renorm.volume_family(geom, eps_grid=eps)
     fit = renorm.finite_part((eps, volumes))
     fit_dev = fit.fit_residual / max(1.0, abs(fit.finite))
-    checks = [_check("volume_asymptotics_fit", fit_dev, config, tol_scale)]
+    checks = [_check("volume_asymptotics_fit", fit_dev, config)]
     if config.is_hyperbolic:
         oracle = (2.0 * math.pi**2 / 3.0, -1.5 * math.pi**2, 0.0, 4.0 * math.pi**2 / 3.0)
         for got, want, name in zip(fit.as_tuple(), oracle, ("C0", "C2", "L", "V")):
             dev = abs(got - want) / max(1.0, abs(want))
-            checks.append(_check(f"hyperbolic_{name}", dev, config, tol_scale))
+            checks.append(_check(f"hyperbolic_{name}", dev, config))
     artifacts = {
         "eps_grid": eps,
         "volumes": volumes,
@@ -502,24 +505,18 @@ def run_renvol(config: AuditConfig, tol_scale: float) -> AuditReport:
 # -- subcommand: gauss-bonnet ----------------------------------------------------------
 
 
-def run_gauss_bonnet(config: AuditConfig, tol_scale: float) -> AuditReport:
-    family = _FAMILIES[config.family]
-    if family.chi is None:  # chi closes the identity: only a capped family declares one
+def run_gauss_bonnet(config: AuditConfig) -> AuditReport:
+    if _FAMILIES[config.family].chi is None:  # chi closes the identity: only a capped family declares one
         capped = [name for name, geom in _FAMILIES.items() if geom.chi is not None]
         raise ConfigError(f"gauss-bonnet requires 'family' to be {_one_of(capped)}")
-    # the interior Pfaffian family always runs out to the cap
-    if config.rho_max not in (None, family.rho_max):
-        raise ConfigError(
-            f"gauss-bonnet integrates to the cap: 'rho_max' must be null or {family.rho_max:g}")
     audit = renorm.gauss_bonnet_audit(config.geometry(), eps_grid=config.eps_grid())
     chi = audit["chi"]
     fits = {"interior": audit["fp_interior"], "boundary": audit["fp_boundary"]}
     sum_dev = float(np.max(np.abs(audit["total"] - chi))) / max(1.0, abs(chi))
     checks = [
-        _check("gauss_bonnet_sum_constant", sum_dev, config, tol_scale),
-        _check("boundary_finite_part_zero", fits["boundary"].finite, config, tol_scale),
-        _check("interior_finite_part_chi", fits["interior"].finite, config, tol_scale,
-               claim=chi),
+        _check("gauss_bonnet_sum_constant", sum_dev, config),
+        _check("boundary_finite_part_zero", fits["boundary"].finite, config),
+        _check("interior_finite_part_chi", fits["interior"].finite, config, claim=chi),
     ]
     artifacts = {
         "eps_grid": audit["eps_grid"],
@@ -571,7 +568,7 @@ def _linearize_trial(seed: int):
     return variation.convergence_order(steps, devs)
 
 
-def run_linearize_check(config: AuditConfig, tol_scale: float) -> AuditReport:
+def run_linearize_check(config: AuditConfig) -> AuditReport:
     orders = [_linearize_trial(config.seed + k) for k in range(config.trials)]
 
     geom = config.geometry()
@@ -589,10 +586,10 @@ def run_linearize_check(config: AuditConfig, tol_scale: float) -> AuditReport:
     dev_s = float(np.max(np.abs(lin["s_p"] + inv["s"]))) / scale
 
     checks = [
-        _check("fd_convergence_order", max(abs(o - 2.0) for o in orders), config, tol_scale),
-        _check("scaling_riem", dev_r, config, tol_scale),
-        _check("scaling_ric", dev_ric, config, tol_scale),
-        _check("scaling_scal", dev_s, config, tol_scale),
+        _check("fd_convergence_order", max(abs(o - 2.0) for o in orders), config),
+        _check("scaling_riem", dev_r, config),
+        _check("scaling_ric", dev_ric, config),
+        _check("scaling_scal", dev_s, config),
     ]
     artifacts = {"orders": orders}
     return AuditReport("linearize-check", asdict(config), config.seed, checks, artifacts)
@@ -601,16 +598,16 @@ def run_linearize_check(config: AuditConfig, tol_scale: float) -> AuditReport:
 # -- subcommand: el-residual --------------------------------------------------------------
 
 
-def run_el_residual(config: AuditConfig, tol_scale: float) -> AuditReport:
+def run_el_residual(config: AuditConfig) -> AuditReport:
     geom = config.geometry()
     result = variation.functional_gradient(geom)
     norms = result["slice_norms"]
     max_norm = float(np.max(norms))
-    checks = [_check("slice_norms_finite", np.sum(~np.isfinite(norms)), config, tol_scale)]
+    checks = [_check("slice_norms_finite", np.sum(~np.isfinite(norms)), config)]
     artifacts = {"rhos": result["rhos"], "slice_norms": norms, "max_norm": max_norm,
                  "z_tail": result["z_tail"]}
     if config.is_hyperbolic:
-        checks.append(_check("einstein_residual", max_norm, config, tol_scale))
+        checks.append(_check("einstein_residual", max_norm, config))
     if config.family == "radial":
         m = np.eye(3)[None]
         pert = _collar.PolynomialPerturbation({2: 0.4 * m, 3: -0.6 * m})
@@ -623,15 +620,15 @@ def run_el_residual(config: AuditConfig, tol_scale: float) -> AuditReport:
             c4 = rep["coefficients"][4]
             pairing_dev = abs(rep["phi4_from_pairing"] - c4) / max(1e-12, abs(c4))
             parity_dev = float(np.max(np.abs(rep["e_series"][:2])))
-            checks.append(_check("phi4_pairing", pairing_dev, config, tol_scale))
-            checks.append(_check("low_order_residual_parity", parity_dev, config, tol_scale))
+            checks.append(_check("phi4_pairing", pairing_dev, config))
+            checks.append(_check("low_order_residual_parity", parity_dev, config))
     return AuditReport("el-residual", asdict(config), config.seed, checks, artifacts)
 
 
 # -- subcommand: flow --------------------------------------------------------------------
 
 
-def run_flow_command(config: AuditConfig, tol_scale: float) -> AuditReport:
+def run_flow_command(config: AuditConfig) -> AuditReport:
     # the flow runs on the radial profile family from theta0
     if config.family != "radial":
         raise ConfigError("flow requires 'family' to be 'radial'")
@@ -641,8 +638,8 @@ def run_flow_command(config: AuditConfig, tol_scale: float) -> AuditReport:
     rises = sum(not b <= a for a, b in zip(values, values[1:]))  # a NaN counts as a rise
     reached = values[-1] <= config.flow_target_fraction * max(values[0], 1e-300)
     checks = [
-        _check("flow_monotone", rises, config, tol_scale),
-        _check("flow_target", values[-1] / max(values[0], 1e-300), config, tol_scale,
+        _check("flow_monotone", rises, config),
+        _check("flow_target", values[-1] / max(values[0], 1e-300), config,
                passed=reached, tolerance=config.flow_target_fraction),
     ]
     artifacts = {"history": [{"step": s.step, "theta": list(s.theta), "value": s.value,
@@ -691,8 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="overrides config seed")
         p.add_argument("--threads", type=int, default=1,
                        help="no effect: every subcommand runs single-threaded")
-        p.add_argument("--tol-scale", type=float, default=1.0,
-                       help="multiplies every tolerance")
     return parser
 
 
@@ -727,9 +722,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if not (math.isfinite(args.tol_scale) and args.tol_scale > 0) or args.threads < 1:
-        print("error: --tol-scale must be finite and positive and --threads >= 1",
-              file=sys.stderr)
+    if args.threads < 1:
+        print("error: --threads must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     try:
         config = _load_config(args)
@@ -739,7 +733,7 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     try:
-        report = _RUNNERS[args.subcommand](config, args.tol_scale)
+        report = _RUNNERS[args.subcommand](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

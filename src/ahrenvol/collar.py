@@ -799,10 +799,9 @@ def gauss_nodes(segments, n_per: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def chebyshev_rho_nodes(rho_max: float = 0.2, nodes: int = 16, rho_min: float = 0.0) -> np.ndarray:
-    """First-kind Chebyshev points on (rho_min, rho_max), ascending."""
-    half = (rho_max - rho_min) / 2.0
-    return rho_min + half * (1.0 - np.cos(math.pi * (np.arange(nodes) + 0.5) / nodes))
+def chebyshev_rho_nodes(rho_max: float = 0.2, nodes: int = 16) -> np.ndarray:
+    """First-kind Chebyshev points on (0, rho_max), ascending."""
+    return rho_max / 2.0 * (1.0 - np.cos(math.pi * (np.arange(nodes) + 0.5) / nodes))
 
 
 def _chebyshev_t(rho, rho_max: float, rho_min: float):
@@ -819,8 +818,8 @@ def _chebyshev_cardinal(nodes, rho_max: float, rho_min: float = 0.0) -> np.ndarr
 
 def chebyshev_rho_derivatives(values, rho, orders=(1,), rho_max: float = 0.2,
                               rho_min: float = 0.0, nodes=None) -> tuple:
-    """rho-derivatives of a field sampled at ``nodes``, by default
-    ``chebyshev_rho_nodes(rho_max, n, rho_min)``.
+    """rho-derivatives of a field sampled at ``nodes``, by default the n
+    :func:`chebyshev_rho_nodes` of (0, rho_max - rho_min) shifted by rho_min.
 
     The samples lie along the leading axis of ``values``; their interpolant is
     the degree n - 1 Chebyshev series in t = 1 - 2 (rho - rho_min) / (rho_max -
@@ -830,7 +829,7 @@ def chebyshev_rho_derivatives(values, rho, orders=(1,), rho_max: float = 0.2,
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     if nodes is None:
-        nodes = chebyshev_rho_nodes(rho_max, n, rho_min)
+        nodes = rho_min + chebyshev_rho_nodes(rho_max - rho_min, n)
     # each derivative is one weighted sum of the samples: on a torus slice 30x a fit's speed
     cardinal = _chebyshev_cardinal(nodes, rho_max, rho_min)
     t = _chebyshev_t(np.atleast_1d(np.asarray(rho, dtype=float)), rho_max, rho_min)

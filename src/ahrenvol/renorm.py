@@ -20,9 +20,8 @@ The module provides
 * ``renormalized_action``  -- finite parts of the curvature actions.
 
 The family entry points take a geometry of :mod:`ahrenvol.collar` and integrate
-out to its ``rho_max`` (only ``volume_family`` takes another cutoff).  A family is
-an array in ``eps_grid`` order, and ``finite_part`` reads the pair (eps grid,
-values).  The module measures and does not judge: the check rows built on
+out to its ``rho_max``.  A family is an array in ``eps_grid`` order, and
+``finite_part`` reads the pair (eps grid, values).  The module measures and does not judge: the check rows built on
 these numbers, with their pass rules, live in :mod:`ahrenvol.cli`.
 
 The collar families are integrated on fixed geometric panels, each with the
@@ -384,18 +383,15 @@ def _interpolated_family(density, eps_grid: np.ndarray, rho_max: float, npts: in
     return fams, errors + tail_errors, nodes
 
 
-def volume_family(geom, eps_grid=None, rho_max: float | None = None):
-    """Vol_g({eps < rho < rho_max}) for each eps: quadrature of rho^-4 (det g_rho)^1/2.
+def volume_family(geom, eps_grid=None):
+    """Vol_g({eps < rho < geom.rho_max}) for each eps: quadrature of rho^-4 (det g_rho)^1/2.
 
-    ``rho_max`` defaults to ``geom.rho_max``.  Returns the volumes, in
-    ``eps_grid`` order, and the largest quadrature error estimate of the
-    family.
+    Returns the volumes, in ``eps_grid`` order, and the largest quadrature
+    error estimate of the family.
     """
     if eps_grid is None:
         eps_grid = default_eps_grid()
     eps_grid = np.asarray(eps_grid, dtype=float)
-    if rho_max is None:
-        rho_max = geom.rho_max
 
     def density(rho):
         # sqrt det g_rho through LAPACK rather than the engine's Cholesky dvol:
@@ -405,7 +401,7 @@ def volume_family(geom, eps_grid=None, rho_max: float | None = None):
         vol = np.sqrt(np.linalg.det(geom.spatial(rho)[0]))
         return _collar.slice_integral(geom, rho, np.ones_like(vol), vol, 4)
 
-    vols, errors = _cumulative_family(density, eps_grid, rho_max, geom.npts)
+    vols, errors = _cumulative_family(density, eps_grid, geom.rho_max, geom.npts)
     return vols[:, 0], float(errors.max())
 
 

@@ -549,7 +549,7 @@ def fd_zprime(geom, pert) -> float:
 _FLOW_SEGMENTS = ((0.02, 0.1), (0.1, 0.4), (0.4, 1.0), (1.0, 1.7), (1.7, 1.999))
 
 
-def z2_functional(theta, segments=_FLOW_SEGMENTS, n_per: int = 32) -> float:
+def z2_functional(theta, n_per: int = 32) -> float:
     """Regularized int |z|^2 dvol over the profile family A_theta.
 
     The family keeps A(0)=1, A'(0)=0, A(2)=0, A'(2)=-1, so every member is
@@ -558,7 +558,7 @@ def z2_functional(theta, segments=_FLOW_SEGMENTS, n_per: int = 32) -> float:
     part.
     """
     geom = RadialGeometry(perturbed_profile(np.asarray(theta, float)))
-    return _z2_quadrature(geom, segments, n_per)
+    return _z2_quadrature(geom, _FLOW_SEGMENTS, n_per)
 
 
 @dataclass(frozen=True)

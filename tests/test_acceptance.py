@@ -82,7 +82,7 @@ def test_criterion_01_algebra_suite():
     """Contraction/metric/twist identities on >= 100 seeded inputs, n in 3..5."""
     with Budget(10.0):
         config = cli.AuditConfig(family="radial", seed=20260823)
-        report = cli.run_algebra_suite(config, tol_scale=1.0)
+        report = cli.run_algebra_suite(config)
     assert report.checks, "empty algebra suite"
     worst = max(abs(row["value"]) for row in report.checks)
     assert report.passed and worst < 1e-10, report.checks
@@ -124,7 +124,7 @@ def _seeded_thetas(n=5, amplitude=0.02, seed=20260823):
 def _gauss_bonnet_report(theta=(0.0, 0.0, 0.0)):
     """The gauss-bonnet subcommand's report: its rows judge the audit."""
     config = cli.AuditConfig(family="radial", seed=0, theta=tuple(map(float, theta)))
-    return cli.run_gauss_bonnet(config, 1.0)
+    return cli.run_gauss_bonnet(config)
 
 
 @pytest.mark.xfail(
@@ -260,7 +260,7 @@ def test_criterion_07_linearized_curvature():
         assert all(abs(o - 2.0) < 0.2 for o in orders), orders
 
         config = cli.AuditConfig(family="radial", seed=900, trials=1)
-        report = cli.run_linearize_check(config, tol_scale=1.0)
+        report = cli.run_linearize_check(config)
         rows = {c["name"]: c for c in report.checks}
         for name in ("scaling_riem", "scaling_ric", "scaling_scal"):
             assert rows[name]["value"] < 1e-10, rows[name]

@@ -36,7 +36,7 @@ FUZZ_BASE = {
     "seed": 1,
     "profile": {"theta": [0.05, 0.05, 0.05]},
     "jet": {"n_grid": 4, "amplitude": 0.05},
-    "grid": {"eps_n": 12, "eps_lo": 0.02, "eps_hi": 0.3, "rho_max": None},
+    "grid": {"eps_n": 12, "eps_lo": 0.02, "eps_hi": 0.3},
     "trials": 3,
     "flow": {"theta0": [0.05, 0.05, 0.05], "steps": 4, "eta": 1e-3, "target_fraction": 0.2},
     "tolerances": {"hyperbolic_V": 1e-6},
@@ -161,8 +161,6 @@ class TestConfigValidation:
             ({"jet": {"n_grid": 0}}, "n_grid"),
             ({"jet": {"n_grid": 3}}, "n_grid"),
             ({"flow": {"eta": -1.0}}, "eta"),
-            ({"grid": {"rho_max": 0.1}}, "rho_max"),
-            ({"grid": {"rho_max": 2.5}}, "rho_max"),
             ({"family": "torus-collar", "jet": {"amplitude": 0.6}}, "amplitude"),
             ({"family": "torus-collar", "jet": {"amplitude": 2.0}}, "amplitude"),
             ({"profile": {"theta": [-5, 0, 0]}}, "theta"),
@@ -180,8 +178,7 @@ class TestConfigValidation:
             ({"outputs": {"directory": 5}}, "outputs.directory"),
         ],
         ids=["seed", "theta", "trials", "eps_n", "eps_n_6", "eps_n_7", "n_grid", "n_grid_3", "eta",
-             "rho_max_below_eps_hi",
-             "rho_max_past_cap", "amplitude_g_rho", "amplitude_gamma", "theta_nonpositive_profile",
+             "amplitude_g_rho", "amplitude_gamma", "theta_nonpositive_profile",
              "target_fraction_negative", "target_fraction_zero", "theta0_nonpositive_profile",
              "eps_lo_nan", "n_grid_huge", "eps_n_past_max", "trials_past_max", "steps_past_max",
              "family_not_radial", "family_list", "family_object", "out_dir_not_string"],
@@ -224,13 +221,48 @@ class TestConfigValidation:
                    *config.tolerances.values()]
         assert all(math.isfinite(x) for x in numbers)
 
-    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
-    def test_tol_scale_must_be_finite_and_positive(self, tmp_path, capsys, scale):
-        """inf would pass every check and nan fail every one: both are usage errors."""
-        code = run(["renvol", "--out-dir", str(tmp_path), "--tol-scale", scale])
-        assert code == cli.EXIT_USAGE
-        assert "--tol-scale" in capsys.readouterr().err
+    @pytest.mark.parametrize("rho_max", [1.5, 2.0])
+    def test_rho_max_is_an_unknown_key(self, tmp_path, capsys, rho_max):
+        """Every eps-family runs out to its geometry's rho_max, so a config
+        cannot move that end, not even to the ball's cap rho = 2."""
+        cfg = write_config(tmp_path, "c.json", {**HYP, "grid": {"rho_max": rho_max}})
+        for sub in ("renvol", "gauss-bonnet"):
+            assert run([sub, "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+            assert "unknown key 'rho_max' in 'grid'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.json"]
+
+    @pytest.mark.parametrize("family, eps_hi", [
+        ("radial", 2.0), ("radial", 2.5), ("torus-collar", 1.0), ("torus-collar", 1.5)])
+    def test_eps_hi_at_or_past_the_family_rho_max_exits_usage(self, tmp_path, capsys,
+                                                              family, eps_hi):
+        raw = {"family": family, "seed": 1, "jet": {"n_grid": 4},
+               "grid": {"eps_lo": eps_hi / 10, "eps_hi": eps_hi}}
+        cfg = write_config(tmp_path, "c.json", raw)
+        assert run(["renvol", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'eps_hi'" in err and "'rho_max'" not in err
+        # just below the family's rho_max the grid is accepted
+        rho_max = cli._FAMILIES[family].rho_max
+        below = {**raw, "grid": {"eps_lo": rho_max / 10, "eps_hi": 0.99 * rho_max}}
+        assert cli.AuditConfig.from_dict(below).eps_hi == 0.99 * rho_max
+
+    def test_threads_below_one_exits_usage(self, tmp_path, capsys):
+        assert run(["renvol", "--out-dir", str(tmp_path), "--threads", "0"]) == cli.EXIT_USAGE
+        assert "--threads" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("name, value, sub", [
+        ("flow_target", 0.5, "flow"), ("flow_monotone", 3, "flow"),
+        ("slice_norms_finite", 3, "el-residual")])
+    def test_fixed_tolerance_override_exits_usage_and_names_it(self, tmp_path, capsys,
+                                                               name, value, sub):
+        """A count passes at 0 only, so an override could pass a failing
+        count, and flow_target's verdict reads 'flow.target_fraction', so an
+        override would be reported but not judged."""
+        cfg = write_config(tmp_path, "c.json", {**HYP, "tolerances": {name: value}})
+        assert run([sub, "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+        assert f"tolerance '{name}' cannot be set" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.json"]
 
     def test_misspelled_tolerance_exits_usage_and_names_it(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {**HYP, "tolerances": {"hyperbolic_v": 1e-30}})
@@ -291,13 +323,6 @@ class TestAlgebraSuite:
         assert (a_dir / "algebra-suite-report.csv").read_text() == (
             b_dir / "algebra-suite-report.csv"
         ).read_text()
-
-    def test_tol_scale_can_fail_checks(self, tmp_path):
-        code = run([
-            "algebra-suite", "--seed", "7", "--out-dir", str(tmp_path),
-            "--tol-scale", "1e-20",
-        ])
-        assert code == cli.EXIT_CHECK_FAILED
 
     def test_csv_rows_carry_anchor_and_seed(self, tmp_path):
         run(["algebra-suite", "--seed", "9", "--out-dir", str(tmp_path), "--format", "csv"])
@@ -396,32 +421,6 @@ class TestGaussBonnet:
             [name] if code == cli.EXIT_CHECK_FAILED else [])
         # the chi row reports FP itself; the tolerance bounds |FP - chi|
         assert rows["interior_finite_part_chi"]["value"] == pytest.approx(1.0, abs=1e-4)
-
-    def test_tol_scale_multiplies_every_row_tolerance(self, tmp_path):
-        cfg = write_config(
-            tmp_path, "c.json", {**HYP, "tolerances": {"boundary_finite_part_zero": 1e-3}}
-        )
-        argv = ["gauss-bonnet", "--config", cfg, "--out-dir", str(tmp_path), "--tol-scale", "10"]
-        assert run(argv) == cli.EXIT_OK
-        report = json.loads((tmp_path / "gauss-bonnet-report.json").read_text())
-        tolerances = {c["name"]: c["tolerance"] for c in report["checks"]}
-        want = {name: cli._CHECKS[name][1] for name in GAUSS_BONNET_ROWS}
-        want["boundary_finite_part_zero"] = 1e-3
-        assert tolerances == {name: tol * 10.0 for name, tol in want.items()}
-
-    @pytest.mark.parametrize("rho_max", [1.0, 1.5])
-    def test_rho_max_short_of_the_cap_exits_usage(self, tmp_path, capsys, rho_max):
-        """The interior family always runs to the cap rho = 2, so a config
-        asking for another cutoff is refused rather than echoed unused."""
-        cfg = write_config(tmp_path, "c.json", {**HYP, "grid": {"rho_max": rho_max}})
-        code = run(["gauss-bonnet", "--config", cfg, "--out-dir", str(tmp_path)])
-        assert code == cli.EXIT_USAGE
-        assert "'rho_max'" in capsys.readouterr().err
-        assert not (tmp_path / "gauss-bonnet-report.json").exists()
-
-    def test_rho_max_at_the_cap_is_accepted(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {**HYP, "grid": {"rho_max": 2.0}})
-        assert run(["gauss-bonnet", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
 
     def test_requires_radial_family(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"family": "torus-collar", "seed": 5})
@@ -577,14 +576,10 @@ class TestSubcommandFuzz:
         # factor 8 (hypothesis draws small floats near 0 far more often)
         lo=st.integers(0, 48),
         span=st.integers(0, 16),
-        rho_max=st.none() | st.floats(0.0, 2.5),
         theta=st.lists(st.floats(-2.0, 2.0), max_size=4),
     )
-    def test_exit_code_is_documented_and_reports_exist(
-        self, subcommand, eps_n, lo, span, rho_max, theta
-    ):
-        grid = {"eps_n": eps_n, "eps_lo": 10.0 ** (-lo / 4), "eps_hi": 10.0 ** ((span - lo) / 4),
-                "rho_max": rho_max}
+    def test_exit_code_is_documented_and_reports_exist(self, subcommand, eps_n, lo, span, theta):
+        grid = {"eps_n": eps_n, "eps_lo": 10.0 ** (-lo / 4), "eps_hi": 10.0 ** ((span - lo) / 4)}
         raw = {"family": "radial", "seed": 1, "profile": {"theta": theta}, "grid": grid}
         self._exits_documented(subcommand, raw)
 

@@ -533,18 +533,17 @@ class TestBatchedEngine:
 
     def test_z2_functional_matches_per_node_sum(self):
         theta = [0.03, -0.02, 0.015]
-        segments = ((0.02, 0.4), (0.4, 1.999))
         geom = RadialGeometry(perturbed_profile(theta))
         xs, ws = np.polynomial.legendre.leggauss(8)
         want = 0.0
-        for lo, hi in segments:
+        for lo, hi in variation._FLOW_SEGMENTS:
             for x, w in zip(xs, ws):
                 rho = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
                 cur = curvature_in_frame(geom, rho)
                 vol = np.sqrt(np.linalg.det(cur["gbar"]))
                 z2 = float(np.sum(cur["invariants"]["z2"] * vol)) / rho**4
                 want += 0.5 * (hi - lo) * w * geom.weight * z2
-        got = z2_functional(theta, segments=segments, n_per=8)
+        got = z2_functional(theta, n_per=8)
         assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -726,7 +725,7 @@ class TestSliceBatches:
         return geom, {
             # caller: (call, engine, slices)
             "run_collar_audit": (
-                lambda: cli.run_collar_audit(config, 1.0), "curvature_in_frame", nodes
+                lambda: cli.run_collar_audit(config), "curvature_in_frame", nodes
             ),
             "jet_identity_report": (
                 lambda: jet_identity_report(geom),

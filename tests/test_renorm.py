@@ -179,7 +179,7 @@ class TestVolumeFamily:
             assert abs(got - ref) < 1e-6 * max(1.0, abs(ref))
 
     def test_flat_torus(self):
-        vols, _ = volume_family(TorusJetGeometry(BoundaryJet.flat(4)), rho_max=1.0)
+        vols, _ = volume_family(TorusJetGeometry(BoundaryJet.flat(4)))
         for e, v in zip(default_eps_grid(), vols):
             want = (2.0 * math.pi) ** 3 * (e**-3 - 1.0) / 3.0
             assert abs(v - want) < 1e-10 * abs(want)
@@ -192,7 +192,7 @@ class TestVolumeFamily:
         for i in range(3):
             g3[..., i, i] = 0.1 + 0.05 * rng.standard_normal((n, n, n))
         jet = BoundaryJet(n, BoundaryJet.flat(n).gamma, np.zeros_like(g3), g3)
-        vols, _ = volume_family(TorusJetGeometry(jet), rho_max=0.8)
+        vols, _ = volume_family(TorusJetGeometry(jet))
         fp = finite_part((default_eps_grid(), vols))
         v3 = 0.5 * np.einsum("...ii->...", g3)  # gamma = identity
         want = (2.0 * math.pi / n) ** 3 * float(np.sum(v3))
@@ -503,7 +503,7 @@ class TestBoundaryII:
 def gauss_bonnet_report(theta=(0.0, 0.0, 0.0)):
     """The gauss-bonnet report on the radial profile ``theta``: the CLI judges the audit."""
     config = cli.AuditConfig(family="radial", seed=0, theta=tuple(map(float, theta)))
-    return cli.run_gauss_bonnet(config, 1.0)
+    return cli.run_gauss_bonnet(config)
 
 
 class TestGaussBonnetAudit:
