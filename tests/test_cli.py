@@ -161,6 +161,7 @@ class TestConfigValidation:
             ({"jet": {"n_grid": 0}}, "n_grid"),
             ({"jet": {"n_grid": 3}}, "n_grid"),
             ({"flow": {"eta": -1.0}}, "eta"),
+            ({"grid": {"rho_max": 2.5}}, "rho_max"),
             ({"family": "torus-collar", "jet": {"amplitude": 0.6}}, "amplitude"),
             ({"family": "torus-collar", "jet": {"amplitude": 2.0}}, "amplitude"),
             ({"profile": {"theta": [-5, 0, 0]}}, "theta"),
@@ -178,7 +179,7 @@ class TestConfigValidation:
             ({"outputs": {"directory": 5}}, "outputs.directory"),
         ],
         ids=["seed", "theta", "trials", "eps_n", "eps_n_6", "eps_n_7", "n_grid", "n_grid_3", "eta",
-             "amplitude_g_rho", "amplitude_gamma", "theta_nonpositive_profile",
+             "rho_max_past_cap", "amplitude_g_rho", "amplitude_gamma", "theta_nonpositive_profile",
              "target_fraction_negative", "target_fraction_zero", "theta0_nonpositive_profile",
              "eps_lo_nan", "n_grid_huge", "eps_n_past_max", "trials_past_max", "steps_past_max",
              "family_not_radial", "family_list", "family_object", "out_dir_not_string"],
@@ -221,7 +222,7 @@ class TestConfigValidation:
                    *config.tolerances.values()]
         assert all(math.isfinite(x) for x in numbers)
 
-    @pytest.mark.parametrize("rho_max", [1.5, 2.0])
+    @pytest.mark.parametrize("rho_max", [2.0])
     def test_rho_max_is_an_unknown_key(self, tmp_path, capsys, rho_max):
         """Every eps-family runs out to its geometry's rho_max, so a config
         cannot move that end, not even to the ball's cap rho = 2."""
@@ -421,6 +422,16 @@ class TestGaussBonnet:
             [name] if code == cli.EXIT_CHECK_FAILED else [])
         # the chi row reports FP itself; the tolerance bounds |FP - chi|
         assert rows["interior_finite_part_chi"]["value"] == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("rho_max", [1.0, 1.5])
+    def test_rho_max_short_of_the_cap_exits_usage(self, tmp_path, capsys, rho_max):
+        """The interior family always runs to the cap rho = 2, so a config
+        asking for another cutoff is refused rather than echoed unused."""
+        cfg = write_config(tmp_path, "c.json", {**HYP, "grid": {"rho_max": rho_max}})
+        code = run(["gauss-bonnet", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_USAGE
+        assert "unknown key 'rho_max' in 'grid'" in capsys.readouterr().err
+        assert not (tmp_path / "gauss-bonnet-report.json").exists()
 
     def test_requires_radial_family(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"family": "torus-collar", "seed": 5})
