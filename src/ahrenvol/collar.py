@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.chebyshev import chebder, chebval, chebvander
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyadd, polyder, polyval
 
 from . import dfalg
 
@@ -195,18 +195,19 @@ class RadialProfile:
     def __post_init__(self):
         if not np.array_equal(self.poly.domain, self.poly.window):
             raise InvalidProfile("profile must be a power series in rho (domain == window)")
-        object.__setattr__(self, "_derivs", tuple(self.poly.deriv(k).coef for k in range(4)))
+        object.__setattr__(self, "_derivs", tuple(polyder(self.poly.coef, k) for k in range(4)))
         checks = [
             (self.a(0.0), 1.0, "A(0) = 1"),
             (self.a(0.0, 1), 0.0, "A'(0) = 0"),
             (self.a(2.0), 0.0, "A(2) = 0"),
             (self.a(2.0, 1), -1.0, "A'(2) = -1"),
         ]
+        # each test is written so that a NaN fails it
         for got, want, label in checks:
-            if abs(got - want) > 1e-10:
+            if not abs(got - want) <= 1e-10:
                 raise InvalidProfile(f"profile violates {label} (got {got:.3e})")
         rr = np.linspace(1e-4, 2.0 - 1e-4, 2001)
-        if np.min(self.a(rr)) <= 0.0:
+        if not np.min(self.a(rr)) > 0.0:
             raise InvalidProfile("profile must be positive on (0, 2)")
 
     def a(self, rho: float | np.ndarray, order: int = 0):
@@ -222,14 +223,18 @@ def hyperbolic_profile() -> RadialProfile:
 def perturbed_profile(theta) -> RadialProfile:
     """Hyperbolic profile plus sum_k theta_k rho^(2+k) (1 - rho/2)^2.
 
-    Each bump preserves all four boundary/cap conditions, so the family is
-    valid for any parameter vector.
+    Each bump preserves all four boundary/cap conditions, so they hold for
+    any finite parameter vector.  The coefficients come from the convolutions
+    and sums of the ``Polynomial`` expression ``A + t_k * rho^(2+k) * window``,
+    in its order, without building the intermediate objects.
     """
-    poly = Polynomial([1.0, 0.0, -0.25])
-    window = Polynomial([1.0, -0.5]) ** 2
+    coef = np.array([1.0, 0.0, -0.25])
+    window = np.convolve([1.0, -0.5], [1.0, -0.5])
     for k, t in enumerate(np.atleast_1d(np.asarray(theta, dtype=float))):
-        poly = poly + float(t) * Polynomial([0.0] * (2 + k) + [1.0]) * window
-    return RadialProfile(poly)
+        power = np.zeros(3 + k)
+        power[-1] = 1.0
+        coef = polyadd(coef, np.convolve(np.convolve([float(t)], power), window))
+    return RadialProfile(Polynomial(coef))
 
 
 # -- geometry backends -------------------------------------------------------
@@ -618,8 +623,16 @@ def curvature_bar(geom, rho) -> dict:
 # boundary points per engine call: bounds the working set while one-point
 # radial slices batch.  An engine call peaks at about 12 KiB of temporaries
 # per boundary point (tracemalloc: 6.2 MiB for a 512-point torus slice, whose
-# returned record is 2.4 MiB, and 49 MiB at n_grid 16)
-_CHUNK_POINTS = 64
+# returned record is 2.4 MiB, and 49 MiB at n_grid 16), so a 256-point call
+# stays near 3 MiB (2.5 MiB for 256 radial slices).  A radial call costs
+# about 0.4 ms plus 8 us per slice (one thread, 2-core VM: 0.43 ms for 1
+# slice, 0.99 ms for 64, 2.0 ms for 256, 4.5 ms for 512), and 256 puts a
+# Z(theta) evaluation's 160 slices, and the 48-node endpoint's 240, in one
+# call each.  Over chunks of 64, 128, 256 and 512 the flow workload's
+# operation took 1, 0.71, 0.57 and 0.56 of its 64-point time, and the peak
+# RSS of three such operations went from 37.9 MiB to 39.7 MiB at 256 and at
+# 512.  A 512-point torus slice still goes alone.
+_CHUNK_POINTS = 256
 
 # glibc's allocator policy for the engine's temporaries.  Its dynamic
 # thresholds settle near 2 MiB here, below a torus slice's peak, so the freed
@@ -788,9 +801,22 @@ def det_series(geom) -> dict:
     return {"v2": v2, "v3": v3}
 
 
+@lru_cache(maxsize=None, typed=True)
+def _legendre_table(n: int):
+    """``leggauss(n)`` as read-only arrays, computed once per node count.
+
+    Typed, so that a float count such as 32.0 misses the entry for 32 and
+    raises in ``leggauss`` as an uncached call would.
+    """
+    xs, ws = np.polynomial.legendre.leggauss(n)
+    xs.flags.writeable = False
+    ws.flags.writeable = False
+    return xs, ws
+
+
 def gauss_nodes(segments, n_per: int):
     """Gauss-Legendre nodes and weights, ``n_per`` per segment, segment-major."""
-    xs, ws = np.polynomial.legendre.leggauss(n_per)
+    xs, ws = _legendre_table(n_per)
     nodes, weights = [], []
     for lo, hi in segments:
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)

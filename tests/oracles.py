@@ -9,10 +9,12 @@ operators in their per-call loop form, which recomputes every permutation
 sign; ahrenvol.dfalg applies the same signs from cached tables, so the two
 must agree entry for entry.  The eps-families of ahrenvol.renorm are checked
 against adaptive quadrature, one scalar rho at a time, and their finite
-parts against Taylor subtraction.  The collar curvature engine is checked
-against its einsum form with per-axis FFT boundary derivatives, its
-orthonormal frame against one LAPACK routine per quantity (``frame_oracle``)
-and its invariants against a second frame (``symmetric_frame``),
+parts against Taylor subtraction.  The perturbed radial profile is checked
+against its ``Polynomial``-arithmetic construction.  The collar curvature
+engine is checked against its einsum form with per-axis FFT boundary
+derivatives, its orthonormal frame against one LAPACK routine per quantity
+(``frame_oracle``) and its invariants against a second frame
+(``symmetric_frame``),
 the collar Hessian's D / Dt conventions against the flat 4-torus calculus,
 its double antisymmetrization against the eight-permutation sum, and the
 variation layer's batched-matmul contractions (covariant derivative,
@@ -28,6 +30,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy import integrate
 
 from ahrenvol import dfalg
@@ -328,6 +331,24 @@ def random_curvature_dense(rng: np.random.Generator, n: int) -> np.ndarray:
     raw = raw - raw.transpose(1, 0, 2, 3)
     raw = raw - raw.transpose(0, 1, 3, 2)
     return raw + raw.transpose(2, 3, 0, 1)
+
+
+# -- radial profiles -------------------------------------------------------------
+
+
+def perturbed_profile_polynomial(theta) -> Polynomial:
+    """The perturbed profile's polynomial built by ``Polynomial`` arithmetic.
+
+    A + sum_k theta_k rho^(2+k) (1 - rho/2)^2 with each bump formed as
+    ``float(t) * rho^(2+k) * window`` and added in turn; collar's
+    ``perturbed_profile`` sums the same convolutions as plain coefficient
+    arrays and must agree bit for bit.
+    """
+    poly = Polynomial([1.0, 0.0, -0.25])
+    window = Polynomial([1.0, -0.5]) ** 2
+    for k, t in enumerate(np.atleast_1d(np.asarray(theta, dtype=float))):
+        poly = poly + float(t) * Polynomial([0.0] * (2 + k) + [1.0]) * window
+    return poly
 
 
 # -- collar integral families ------------------------------------------------

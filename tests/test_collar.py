@@ -69,10 +69,49 @@ class TestProfiles:
         assert prof.a(2.0) == pytest.approx(0.0, abs=1e-12)
         assert prof.a(2.0, 1) == pytest.approx(-1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("size", range(6))
+    def test_perturbed_profile_matches_polynomial_arithmetic(self, size):
+        rng = np.random.default_rng(size)
+        for theta in (np.zeros(size), -0.05 * np.ones(size), rng.uniform(-0.1, 0.1, size)):
+            want = oracles.perturbed_profile_polynomial(theta)
+            prof = perturbed_profile(theta)
+            assert prof.poly.coef.tobytes() == want.coef.tobytes()
+            for k in range(4):
+                assert prof._derivs[k].tobytes() == want.deriv(k).coef.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_is_refused(self, bad):
+        """Each of A's four boundary checks and the positivity scan reads NaN
+        as a failure, so a non-finite parameter leaves the family."""
+        for theta in ([bad], [0.05, bad, 0.0]):
+            with pytest.raises(collar.InvalidProfile):
+                perturbed_profile(theta)
+        with pytest.raises(collar.InvalidProfile):
+            z2_functional([bad, 0.0, 0.0])
+
     def test_perturbed_profile_zero_amplitude(self):
         prof = perturbed_profile([0.0, 0.0])
         rr = np.linspace(0.01, 1.9, 50)
         assert np.allclose(prof.a(rr), hyperbolic_profile().a(rr), atol=1e-15)
+
+
+class TestGaussNodes:
+    @pytest.mark.parametrize("n", [8, 32, 48, 64])
+    def test_cached_table_is_leggauss(self, n):
+        xs, ws = collar._legendre_table(n)
+        want_xs, want_ws = np.polynomial.legendre.leggauss(n)
+        assert xs.tobytes() == want_xs.tobytes() and ws.tobytes() == want_ws.tobytes()
+        assert collar._legendre_table(n)[0] is xs
+        for table in (xs, ws):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+    def test_float_count_still_raises(self):
+        collar.gauss_nodes([(0.0, 1.0)], 32)
+        with pytest.raises(TypeError):
+            collar.gauss_nodes([(0.0, 1.0)], 32.0)
 
 
 class TestSampling:
@@ -696,7 +735,7 @@ class TestOrthonormalFrame:
 class TestSliceBatches:
     """The rho-walkers reach the curvature engine through collar.map_slices:
     each call holds at most max(npts, _CHUNK_POINTS) points, so a torus slice
-    goes alone and radial slices go 64 to a call."""
+    goes alone and radial slices go _CHUNK_POINTS (256) to a call."""
 
     TORUS = {"family": "torus-collar", "seed": 3, "jet": {"n_grid": 8}}
     RADIAL = {"family": "radial", "seed": 3, "profile": {"theta": [0.05] * 3}}
@@ -716,12 +755,11 @@ class TestSliceBatches:
         monkeypatch.undo()
         return calls
 
-    def _callers(self, raw):
+    def _callers(self, raw, n_per):
         config = cli.AuditConfig.from_dict(raw)
         geom = config.geometry()
         nodes = chebyshev_rho_nodes().size
-        # three segments whose 72 nodes make two radial batches, not three
-        segments, n_per = ((0.1, 0.2), (0.2, 0.4), (0.4, 0.6)), 24
+        segments = ((0.1, 0.2), (0.2, 0.4), (0.4, 0.6))
         return geom, {
             # caller: (call, engine, slices)
             "run_collar_audit": (
@@ -741,7 +779,7 @@ class TestSliceBatches:
 
     @pytest.mark.parametrize("caller", ["run_collar_audit", "jet_identity_report", "_z2_quadrature"])
     def test_torus_calls_stay_within_the_chunk(self, monkeypatch, caller):
-        geom, callers = self._callers(self.TORUS)
+        geom, callers = self._callers(self.TORUS, 24)
         run, engine, slices = callers[caller]
         calls = self._engine_points(monkeypatch, run)
         assert geom.npts == 512
@@ -751,11 +789,14 @@ class TestSliceBatches:
         assert sum(calls[engine]) == slices * geom.npts
 
     @pytest.mark.parametrize("caller", ["run_collar_audit", "jet_identity_report", "_z2_quadrature"])
-    def test_radial_calls_batch_64_slices(self, monkeypatch, caller):
-        geom, callers = self._callers(self.RADIAL)
+    def test_radial_calls_fill_the_chunk(self, monkeypatch, caller):
+        # the quadrature's 3 x 96 = 288 nodes make two radial batches
+        geom, callers = self._callers(self.RADIAL, 96)
         run, engine, slices = callers[caller]
         calls = self._engine_points(monkeypatch, run)
-        assert len(calls[engine]) == math.ceil(slices / 64)
+        assert len(calls[engine]) == math.ceil(slices / collar._CHUNK_POINTS)
+        if caller == "_z2_quadrature":
+            assert len(calls[engine]) == 2
         assert max(calls[engine]) <= collar._CHUNK_POINTS
         assert sum(calls[engine]) == slices
 

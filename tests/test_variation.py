@@ -824,6 +824,19 @@ class TestGradientFlow:
         with pytest.raises(NonConvergence, match="probe left the profile family"):
             gradient_flow_step([-inside], z2_functional([-inside]), 1e-3)
 
+    def test_non_finite_probe_is_nonconvergence(self):
+        """A probe at a NaN theta leaves the profile family at once, instead
+        of a NaN gradient feeding 21 line-search candidates into "stalled"."""
+        calls = []
+
+        def counting(theta):
+            calls.append(np.array(theta))
+            return z2_functional(theta)
+
+        with pytest.raises(NonConvergence, match="gradient probe left the profile family"):
+            gradient_flow_step([math.nan, 0.05, 0.05], 1.0, 1e-3, functional=counting)
+        assert len(calls) == 1
+
     def test_descent_is_monotone(self):
         history = run_flow([0.05, 0.05, 0.05], steps=8, eta=1e-3)
         values = [h.value for h in history]
