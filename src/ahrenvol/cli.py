@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -449,28 +450,14 @@ def run_algebra_suite(config: AuditConfig) -> AuditReport:
 
 
 def run_collar_audit(config: AuditConfig) -> AuditReport:
-    geom = config.geometry()
-    nodes = _collar.chebyshev_rho_nodes()
-    jet_rep = _collar.jet_identity_report(geom)
-
-    def parity_fields(rho):
-        inv = _collar.curvature_in_frame(geom, rho)["invariants"]
-        return inv["s"], inv["r2"], inv["R2"]
-
-    parity_dev = 0.0
-    for values in _collar.map_slices(parity_fields, nodes, geom.npts):
-        arr = values.reshape(nodes.size, -1)
-        (slope,) = _collar.chebyshev_rho_derivatives(arr, 0.0)
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        parity_dev = max(parity_dev, float(np.max(np.abs(slope))) / scale)
-
+    jet_rep = _collar.jet_identity_report(config.geometry())
     checks = [
         _check("trace_identity", jet_rep["dev_trace_identity"], config),
         _check("g3_curvature_identity", jet_rep["dev_g3_identity"], config),
         _check("v3_curvature_identity", jet_rep["dev_v3_identity"], config),
-        _check("invariant_parity", parity_dev, config),
+        _check("invariant_parity", jet_rep["dev_invariant_parity"], config),
     ]
-    artifacts = {"v3": jet_rep["v3"], "rho_nodes": nodes}
+    artifacts = {"v3": jet_rep["v3"], "rho_nodes": _collar.chebyshev_rho_nodes()}
     return AuditReport("collar-audit", asdict(config), config.seed, checks, artifacts)
 
 
@@ -674,7 +661,14 @@ _RUNNERS = {
 SUBCOMMANDS = tuple(_RUNNERS)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and returned by every later one.
+
+    Parsing leaves nothing on it, so a batch of :func:`main` calls in one
+    process shares it instead of building its 43 arguments again per call;
+    a caller must not add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="ahrenvol",
         description="Audit driver for the renormalized-volume calculus.",

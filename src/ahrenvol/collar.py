@@ -26,8 +26,11 @@ Consumers may assume only q^T gbar q = I: every invariant, integral and
 verdict is the same in any orthonormal frame.
 
 rho-derivatives of the metric are analytic (its families are polynomial or
-closed-form in rho).  Boundary derivatives on the torus are spectral: each
-geometry's ``xderiv`` returns the three x-derivatives of a pointwise field
+closed-form in rho).  Each geometry's ``spatial(rho, orders=4)`` returns the
+tuple (g_rho, d/d rho g_rho, ...) of its leading ``orders`` derivative orders,
+1 to 4, each (points, 3, 3), and computes no order past them: a caller that
+reads g_rho alone asks for one.  Boundary derivatives on the torus are
+spectral: each geometry's ``xderiv`` returns the three x-derivatives of a pointwise field
 stacked as (points, 3, ...), and the torus computes them by applying the
 grid's dense n x n Fourier differentiation matrix along each grid axis.
 """
@@ -61,9 +64,11 @@ __all__ = [
     "slice_integral",
     "gauss_nodes",
     "rho_series_fit",
+    "ChebyshevRhoBasis",
     "chebyshev_rho_derivatives",
     "frame_curvature",
     "curvature_in_frame",
+    "curvature_pair",
     "map_slices",
     "to_on2",
     "to_on4",
@@ -183,9 +188,10 @@ def random_jet(seed: int, n_grid: int = 8, amplitude: float = 0.05) -> BoundaryJ
 class RadialProfile:
     """Warping profile A(rho) on (0, 2] with g_rho = A^2 g_{S^3}.
 
-    Polynomial in rho (a power series: equal domain and window); must satisfy
-    A(0)=1, A'(0)=0 (asymptotically hyperbolic, totally geodesic) and A(2)=0,
-    A'(2)=-1 (smooth cap), and be positive on (0, 2).  The coefficients of A
+    Polynomial in rho (a power series: equal domain and window) with finite
+    coefficients; must satisfy A(0)=1, A'(0)=0 (asymptotically hyperbolic,
+    totally geodesic) and A(2)=0, A'(2)=-1 (smooth cap), and be positive on
+    (0, 2).  The coefficients of A
     and its first three derivatives are kept, so ``a`` is one ``polyval``.
     """
 
@@ -195,6 +201,9 @@ class RadialProfile:
     def __post_init__(self):
         if not np.array_equal(self.poly.domain, self.poly.window):
             raise InvalidProfile("profile must be a power series in rho (domain == window)")
+        # ahead of the checks below, where an infinite coefficient times 0 warns
+        if not np.all(np.isfinite(self.poly.coef)):
+            raise InvalidProfile("profile coefficients must be finite")
         object.__setattr__(self, "_derivs", tuple(polyder(self.poly.coef, k) for k in range(4)))
         checks = [
             (self.a(0.0), 1.0, "A(0) = 1"),
@@ -262,13 +271,13 @@ class TorusJetGeometry:
         self._series = PolynomialPerturbation({0: flat(jet.gamma), 2: flat(jet.g2), 3: flat(jet.g3)})
         self._dmat = spectral_deriv(np.eye(jet.n_grid), 0)
 
-    def spatial(self, rho):
-        """g_rho and its first three analytic rho-derivatives, (points, 3, 3).
+    def spatial(self, rho, orders: int = 4):
+        """g_rho and its analytic rho-derivatives below ``orders``, each (points, 3, 3).
 
         ``rho`` is a scalar or a 1-D array; see :func:`curvature_in_frame` for
         the point layout of an array.
         """
-        return tuple(self._series.value(rho, k) for k in range(4))
+        return tuple(self._series.value(rho, k) for k in range(orders))
 
     def xderiv(self, field: np.ndarray) -> np.ndarray:
         """The three boundary x-derivatives of a pointwise field, (points, 3, ...).
@@ -320,14 +329,17 @@ class RadialGeometry:
         self.weight = 2.0 * math.pi**2
         self.cbar = 2.0 * _EPS3  # cbar[k, i, j] = Cbar^k_ij
 
-    def spatial(self, rho):
-        a = [np.reshape(self.profile.a(rho, k), (-1, 1, 1)) for k in range(4)]
-        eye = np.eye(3)
-        g = a[0] ** 2 * eye
-        d1 = 2.0 * a[0] * a[1] * eye
-        d2 = 2.0 * (a[1] ** 2 + a[0] * a[2]) * eye
-        d3 = 2.0 * (3.0 * a[1] * a[2] + a[0] * a[3]) * eye
-        return g, d1, d2, d3
+    def spatial(self, rho, orders: int = 4):
+        """A^2 g_{S^3} and its rho-derivatives below ``orders``, each (slices, 3, 3)."""
+        a = [np.reshape(self.profile.a(rho, k), (-1, 1, 1)) for k in range(orders)]
+        # the rho-derivatives of A^2; order k reads A's derivatives up to k
+        blocks = (
+            lambda: a[0] ** 2,
+            lambda: 2.0 * a[0] * a[1],
+            lambda: 2.0 * (a[1] ** 2 + a[0] * a[2]),
+            lambda: 2.0 * (3.0 * a[1] * a[2] + a[0] * a[3]),
+        )
+        return tuple(block() * np.eye(3) for block in blocks[:orders])
 
     def xderiv(self, field: np.ndarray) -> np.ndarray:
         return np.zeros((field.shape[0], 3) + field.shape[1:])
@@ -348,11 +360,11 @@ class PolynomialPerturbation:
         out = None
         for p, f in self.fields.items():
             if order > p:
-                coef = np.zeros_like(r)
-            else:
-                coef = math.perm(p, order) * r ** (p - order)
-            term = coef * f
+                continue  # the order-th derivative of rho^p vanishes
+            term = math.perm(p, order) * r ** (p - order) * f
             out = term if out is None else out + term
+        if out is None:
+            out = np.zeros((r.shape[0],) + next(iter(self.fields.values())).shape)
         return out.reshape((-1,) + out.shape[2:])
 
 
@@ -369,15 +381,9 @@ class PerturbedGeometry:
         self.rho_max = base.rho_max
         self.chi = None  # a perturbation need not keep the cap smooth
 
-    def spatial(self, rho):
-        g, d1, d2, d3 = self.base.spatial(rho)
-        m = self.perturbation
-        return (
-            g + self.t * m.value(rho, 0),
-            d1 + self.t * m.value(rho, 1),
-            d2 + self.t * m.value(rho, 2),
-            d3 + self.t * m.value(rho, 3),
-        )
+    def spatial(self, rho, orders: int = 4):
+        base = self.base.spatial(rho, orders)
+        return tuple(b + self.t * self.perturbation.value(rho, k) for k, b in enumerate(base))
 
     def xderiv(self, field: np.ndarray) -> np.ndarray:
         return self.base.xderiv(field)
@@ -388,7 +394,7 @@ class PerturbedGeometry:
 
 def _gbar_blocks(geom, rho):
     """Full frame metric gbar_st (points, 4, 4) and analytic rho-derivatives."""
-    g, d1, d2, _ = geom.spatial(rho)
+    g, d1, d2 = geom.spatial(rho, 3)
     npts = g.shape[0]
 
     def embed(block, corner):
@@ -497,13 +503,14 @@ def _rho_per_point(rho, npts: int) -> np.ndarray:
     return np.repeat(r, npts // r.size).reshape(-1, 1, 1, 1)
 
 
-def christoffels(geom, rho, frame):
+def christoffels(geom, rho, frame, bar=None):
     """Frame Christoffels of g in X_s = rho Xbar_s, and rho d/d rho of them.
 
     Gamma^u_st = rho Gammabar^u_st - delta_su delta_t4 + delta_u4 gbar_st.
-    ``frame`` is as in :func:`christoffels_bar`.
+    ``frame`` is as in :func:`christoffels_bar`, and ``bar`` is its result
+    on the same slices, computed here when not given.
     """
-    gamma_bar, dgamma_bar = christoffels_bar(geom, frame)
+    gamma_bar, dgamma_bar = christoffels_bar(geom, frame) if bar is None else bar
     rho = _rho_per_point(rho, gamma_bar.shape[0])
     gamma = rho * gamma_bar
     gamma[:, range(4), range(4), 3] -= 1.0
@@ -566,8 +573,13 @@ def frame_curvature(geom, rho) -> dict:
     (rho d/d rho gamma, see :func:`christoffels`), 'gamma4', 'riem'
     (X-frame)}.  Ricci is ric_tv = ginv^su riem_stuv.
     """
-    frame = _slice_frame(geom, rho)
-    gamma, dgamma = christoffels(geom, rho, frame)
+    return _frame_curvature_from(geom, rho, _slice_frame(geom, rho))
+
+
+def _frame_curvature_from(geom, rho, frame, bar=None) -> dict:
+    """:func:`frame_curvature` from the slices' frame and, when given, their
+    :func:`christoffels_bar`."""
+    gamma, dgamma = christoffels(geom, rho, frame, bar)
     rho = _rho_per_point(rho, gamma.shape[0])
     # structure functions of X: [X_4, X_i] = X_i, [X_i, X_j] = rho Cbar^k_ij X_k
     cfun = _X_BRACKETS + rho * _cbar4(geom)
@@ -590,7 +602,11 @@ def curvature_in_frame(geom, rho) -> dict:
     'riem_on' (orthonormal components) and 'invariants'
     (:func:`ahrenvol.dfalg.batch_invariants` of riem_on).
     """
-    cur = frame_curvature(geom, rho)
+    return _with_invariants(frame_curvature(geom, rho))
+
+
+def _with_invariants(cur: dict) -> dict:
+    """Adds 'riem_on' and 'invariants' to a :func:`frame_curvature` record."""
     cur["riem_on"] = to_on4(cur["riem"], cur["q"])
     cur["invariants"] = dfalg.batch_invariants(cur["riem_on"])
     return cur
@@ -613,9 +629,25 @@ def curvature_bar(geom, rho) -> dict:
     :func:`curvature_in_frame`.
     """
     frame = _slice_frame(geom, rho)
-    gamma_bar, dgamma_bar = christoffels_bar(geom, frame)
-    riem = _frame_riemann(geom, gamma_bar, dgamma_bar, 1.0, _cbar4(geom), frame["gbar"])
+    return _curvature_bar_from(geom, frame, christoffels_bar(geom, frame))
+
+
+def _curvature_bar_from(geom, frame, bar) -> dict:
+    """:func:`curvature_bar` from the slices' frame and :func:`christoffels_bar`."""
+    riem = _frame_riemann(geom, *bar, 1.0, _cbar4(geom), frame["gbar"])
     return {"gbar": frame["gbar"], "riem": riem, "ric": frame_ricci(frame["ginv"], riem)[0]}
+
+
+def curvature_pair(geom, rho) -> tuple:
+    """(:func:`curvature_bar`, :func:`curvature_in_frame`) of the same rho-slices.
+
+    Both records come from one :func:`_slice_frame` and one
+    :func:`christoffels_bar` evaluation, and equal those of the two calls.
+    """
+    frame = _slice_frame(geom, rho)
+    bar = christoffels_bar(geom, frame)
+    cur = _with_invariants(_frame_curvature_from(geom, rho, frame, bar))
+    return _curvature_bar_from(geom, frame, bar), cur
 
 
 # -- batches of rho-slices ----------------------------------------------------
@@ -726,7 +758,7 @@ def require_positive(geom, rho) -> None:
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     with np.errstate(invalid="ignore", divide="ignore"):
-        l00, _, _, l11, _, l22 = _cholesky3(geom.spatial(rho)[0])
+        l00, _, _, l11, _, l22 = _cholesky3(geom.spatial(rho, 1)[0])
     bad = np.nonzero(~((l00 > 0.0) & (l11 > 0.0) & (l22 > 0.0)))[0]
     if bad.size:
         k, p = divmod(int(bad[0]), geom.npts)
@@ -830,16 +862,45 @@ def chebyshev_rho_nodes(rho_max: float = 0.2, nodes: int = 16) -> np.ndarray:
     return rho_max / 2.0 * (1.0 - np.cos(math.pi * (np.arange(nodes) + 0.5) / nodes))
 
 
-def _chebyshev_t(rho, rho_max: float, rho_min: float):
-    """The series variable t = 1 - 2 (rho - rho_min) / (rho_max - rho_min), +1 at rho_min."""
-    return 1.0 - 2.0 * (rho - rho_min) / (rho_max - rho_min)
+class ChebyshevRhoBasis:
+    """The cardinal polynomials of distinct rho ``nodes`` in [rho_min, rho_max].
 
+    Each is a series in t = 1 - 2 (rho - rho_min) / (rho_max - rho_min), +1 at
+    rho_min, so the interpolant of samples at the nodes is the degree n - 1
+    Chebyshev series (Trefethen, Approximation Theory and Approximation
+    Practice, chs. 3 and 11), and each of its derivatives at any rho is one
+    weighted sum of the samples: on a torus slice 30x a fit's speed.  Build
+    one per node set and read it as often as needed: ``cardinal`` (column j,
+    the polynomial of nodes[j]) is one matrix inverse, and the series of each
+    derivative order is formed on its first read.
+    """
 
-def _chebyshev_cardinal(nodes, rho_max: float, rho_min: float = 0.0) -> np.ndarray:
-    """Column j: the cardinal polynomial of ``nodes[j]`` (distinct rho in
-    [rho_min, rho_max]), as a series in :func:`_chebyshev_t`."""
-    t_nodes = _chebyshev_t(np.asarray(nodes, dtype=float), rho_max, rho_min)
-    return np.linalg.inv(chebvander(t_nodes, t_nodes.size - 1))
+    def __init__(self, nodes, rho_max: float, rho_min: float = 0.0):
+        self.rho_max, self.rho_min = rho_max, rho_min
+        t_nodes = self._t(np.asarray(nodes, dtype=float))
+        self.cardinal = np.linalg.inv(chebvander(t_nodes, t_nodes.size - 1))
+        self._series = {}
+
+    def _t(self, rho):
+        return 1.0 - 2.0 * (rho - self.rho_min) / (self.rho_max - self.rho_min)
+
+    def weights(self, rho, order: int) -> np.ndarray:
+        """(rho points, n): row i takes the n samples to the ``order``-th
+        rho-derivative of their interpolant at the i-th point of ``rho``."""
+        if order not in self._series:
+            # d/d rho = -(2 / (rho_max - rho_min)) d/dt
+            scl = -2.0 / (self.rho_max - self.rho_min)
+            self._series[order] = chebder(self.cardinal, order, scl=scl)
+        return chebval(self._t(np.atleast_1d(np.asarray(rho, dtype=float))), self._series[order]).T
+
+    def derivatives(self, values, rho, orders=(1,)) -> tuple:
+        """The interpolant of ``values`` (samples along the leading axis)
+        differentiated to each order in ``orders`` (0 for the interpolant
+        itself) at ``rho``, shaped rho's shape + the field's."""
+        values = np.asarray(values, dtype=float)
+        shape = np.shape(rho) + values.shape[1:]
+        flat = values.reshape(values.shape[0], -1)
+        return tuple((self.weights(rho, k) @ flat).reshape(shape) for k in orders)
 
 
 def chebyshev_rho_derivatives(values, rho, orders=(1,), rho_max: float = 0.2,
@@ -847,27 +908,17 @@ def chebyshev_rho_derivatives(values, rho, orders=(1,), rho_max: float = 0.2,
     """rho-derivatives of a field sampled at ``nodes``, by default the n
     :func:`chebyshev_rho_nodes` of (0, rho_max - rho_min) shifted by rho_min.
 
-    The samples lie along the leading axis of ``values``; their interpolant is
-    the degree n - 1 Chebyshev series in t = 1 - 2 (rho - rho_min) / (rho_max -
-    rho_min) (Trefethen, Approximation Theory and Approximation Practice, chs.
-    3 and 11).  Returns its derivative of each order in ``orders`` (0 for the
-    interpolant itself) at ``rho``, shaped rho's shape + the field's."""
+    :meth:`ChebyshevRhoBasis.derivatives` of the nodes' basis, built for this
+    one call: a caller that reads the same nodes again keeps the basis."""
     values = np.asarray(values, dtype=float)
-    n = values.shape[0]
     if nodes is None:
-        nodes = rho_min + chebyshev_rho_nodes(rho_max - rho_min, n)
-    # each derivative is one weighted sum of the samples: on a torus slice 30x a fit's speed
-    cardinal = _chebyshev_cardinal(nodes, rho_max, rho_min)
-    t = _chebyshev_t(np.atleast_1d(np.asarray(rho, dtype=float)), rho_max, rho_min)
-    shape = np.shape(rho) + values.shape[1:]
-    # d/d rho = -(2 / (rho_max - rho_min)) d/dt
-    scl = -2.0 / (rho_max - rho_min)
-    return tuple((chebval(t, chebder(cardinal, k, scl=scl)).T
-                  @ values.reshape(n, -1)).reshape(shape) for k in orders)
+        nodes = rho_min + chebyshev_rho_nodes(rho_max - rho_min, values.shape[0])
+    return ChebyshevRhoBasis(nodes, rho_max, rho_min).derivatives(values, rho, orders)
 
 
 def jet_identity_report(geom) -> dict:
-    """Boundary-jet identities from the ambient curvature Rbar.
+    """Boundary-jet identities from the ambient curvature Rbar, and the parity
+    of the curvature invariants of g.
 
     Checks, with Rbar in the sign convention in which the ambient hyperbolic
     ball has ric(d rho, d rho) < 0 (the opposite overall sign from the
@@ -876,22 +927,32 @@ def jet_identity_report(geom) -> dict:
       g3_ij  = -1/3 d/d rho Rbar_{i4j4} |_{rho=0}
       v3     = -1/6 d/d rho ricbar_44   |_{rho=0}
 
-    The rho-derivative at 0 is that of the Chebyshev interpolant of the
-    slice fields through the 16 :func:`chebyshev_rho_nodes`, so the two sides
-    of each identity come from independent routes (jet data and analytic
-    determinant derivatives on the left, the generic ambient curvature engine
-    on the right).
+    and that s, |r|^2 and |R|^2 of g have no rho^1 term ('dev_invariant_parity':
+    the largest slope at 0 over max(1, largest value), of the three).
+    Every rho-derivative at 0 is that of the Chebyshev interpolant of the
+    slice fields through the 16 :func:`chebyshev_rho_nodes`, one weight row
+    for all five fields, so the two sides of each identity come from
+    independent routes (jet data and analytic determinant derivatives on the
+    left, the generic curvature engine on the right).  Each slice's Rbar and
+    g-curvature come from one :func:`curvature_pair`.
     """
     grid = chebyshev_rho_nodes()
 
-    def mixed(rho):
-        bar = curvature_bar(geom, rho)
+    def fields(rho):
+        bar, cur = curvature_pair(geom, rho)
+        inv = cur["invariants"]
         # flip to the ambient-identity sign convention
-        return -bar["riem"][:, :3, 3, :3, 3], -bar["ric"][:, 3, 3]
+        return -bar["riem"][:, :3, 3, :3, 3], -bar["ric"][:, 3, 3], inv["s"], inv["r2"], inv["R2"]
 
-    r44, ric44 = map_slices(mixed, grid, geom.npts)
-    (d_r,) = chebyshev_rho_derivatives(r44.reshape(grid.size, -1, 3, 3), 0.0)
-    (d_ric,) = chebyshev_rho_derivatives(ric44.reshape(grid.size, -1), 0.0)
+    r44, ric44, *parity = map_slices(fields, grid, geom.npts)
+    slope = ChebyshevRhoBasis(grid, 0.2).weights(0.0, 1)
+    d_r = (slope @ r44.reshape(grid.size, -1)).reshape(-1, 3, 3)
+    d_ric = (slope @ ric44.reshape(grid.size, -1)).reshape(-1)
+    parity_dev = 0.0
+    for values in parity:
+        arr = values.reshape(grid.size, -1)
+        scale = max(1.0, float(np.max(np.abs(arr))))
+        parity_dev = max(parity_dev, float(np.max(np.abs(slope @ arr))) / scale)
 
     g3 = geom.spatial(0.0)[3] / 6.0
     v3 = det_series(geom)["v3"]
@@ -906,4 +967,5 @@ def jet_identity_report(geom) -> dict:
         "dev_g3_identity": rel_dev(g3, -d_r / 3.0),
         "dev_v3_identity": rel_dev(v3, -d_ric / 6.0),
         "dev_trace_identity": rel_dev(tr_g3, 2.0 * v3),
+        "dev_invariant_parity": parity_dev,
     }

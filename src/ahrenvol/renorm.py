@@ -160,9 +160,17 @@ def finite_part(values) -> RegularizedIntegral:
     decaying nuisance powers eps^1..eps^6 are added by forward selection
     (their coefficients in ``extras``, 0.0 for a power left out; the kept
     ones in ``kept_powers``) so that smooth o(1) tails do not contaminate
-    the finite part.
+    the finite part.  A non-finite eps raises ValueError, and a non-finite
+    value FitRejected, each naming the first such sample, before any fit.
     """
     eps, vals = (np.asarray(a, dtype=float) for a in values)
+    bad = np.flatnonzero(~np.isfinite(eps))
+    if bad.size:
+        raise ValueError(f"eps sample {bad[0]} is {eps[bad[0]]}, not finite")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        k = bad[0]
+        raise FitRejected(f"family value {k} (eps = {eps[k]:.6g}) is {vals[k]}, not finite")
     order = np.argsort(eps)
     eps, vals = eps[order], vals[order]
     if eps.size < MIN_EPS_SAMPLES:
@@ -347,13 +355,14 @@ def _interpolated_family(density, eps_grid: np.ndarray, rho_max: float, npts: in
         sampled |= new
         for k in np.flatnonzero(open_):
             (lo, hi), f = pieces[k], values[k, rung]
-            series = np.abs(_collar._chebyshev_cardinal(grid[k, rung], hi, lo) @ f)
+            basis = _collar.ChebyshevRhoBasis(grid[k, rung], hi, lo)
+            series = np.abs(basis.cardinal @ f)
             last = np.max(series[-2:], axis=0)
             tail = last / np.maximum(1.0, np.max(series, axis=0))
             # written so that a NaN tail fails the gate; every later level
             # keeps the NaN sample, so it raises at once
             if np.all(tail <= _CHEB_TAIL_TOL):
-                settled[k] = (rung, last)
+                settled[k] = (rung, last, basis)
             elif level == top or np.isnan(tail).any():
                 raise _collar.NonConvergence(
                     f"Chebyshev interpolant non-convergence on ({lo:.3g},{hi:.3g}] "
@@ -363,7 +372,7 @@ def _interpolated_family(density, eps_grid: np.ndarray, rho_max: float, npts: in
             break
 
     tail_errors = 0.0
-    for (lo, hi), (rung, last) in zip(pieces, settled):
+    for (lo, hi), (rung, last, _) in zip(pieces, settled):
         # F's error on the piece, times int rho^-4 over its part of [eps_i, rho_max]
         reach = (np.maximum(eps_grid, lo) ** -3 - hi**-3) / 3.0
         tail_errors = tail_errors + reach[:, None] * last
@@ -373,13 +382,12 @@ def _interpolated_family(density, eps_grid: np.ndarray, rho_max: float, npts: in
         out = np.empty((rho.size, values.shape[-1]))
         upper = rho > eps_max
         for k, sel in enumerate((~upper, upper)):
-            (lo, hi), rung = pieces[k], settled[k][0]
-            (out[sel],) = _collar.chebyshev_rho_derivatives(
-                values[k, rung], rho[sel], (0,), hi, lo, nodes=grid[k, rung])
+            rung, _, basis = settled[k]
+            (out[sel],) = basis.derivatives(values[k, rung], rho[sel], (0,))
         return out / rho[:, None] ** 4
 
     fams, errors = _cumulative_family(interpolated, eps_grid, rho_max, 1)
-    nodes = tuple(int(rung.sum()) for rung, _ in settled)
+    nodes = tuple(int(rung.sum()) for rung, _, _ in settled)
     return fams, errors + tail_errors, nodes
 
 
@@ -398,7 +406,7 @@ def volume_family(geom, eps_grid=None):
         # the eps-fit amplifies last-bit changes in the family about 1e7-fold,
         # and the Cholesky product moves the ball's hyperbolic_V and
         # hyperbolic_L deviations from 5.2e-12 and 8.0e-12 to 1.4e-10 and 7.3e-10
-        vol = np.sqrt(np.linalg.det(geom.spatial(rho)[0]))
+        vol = np.sqrt(np.linalg.det(geom.spatial(rho, 1)[0]))
         return _collar.slice_integral(geom, rho, np.ones_like(vol), vol, 4)
 
     vols, errors = _cumulative_family(density, eps_grid, geom.rho_max, geom.npts)

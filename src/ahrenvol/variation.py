@@ -39,11 +39,11 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .collar import (
+    ChebyshevRhoBasis,
     InvalidProfile,
     NonConvergence,
     PerturbedGeometry,
     RadialGeometry,
-    _chebyshev_cardinal,
     _invariant_density,
     _rho_per_point,
     _slice_frame,
@@ -384,14 +384,16 @@ def functional_gradient(geom, rhos=None) -> dict:
     if np.max(rhos) > geom.rho_max:
         raise ValueError(f"functional_gradient needs rho <= geom.rho_max = {geom.rho_max}")
     z_max = min(_Z_REACH * float(np.max(rhos)), geom.rho_max)
-    z_nodes = map_slices(lambda r: _frame_z(frame_curvature(geom, r)),
-                         chebyshev_rho_nodes(z_max, _Z_NODES), geom.npts).reshape(_Z_NODES, -1)
+    z_grid = chebyshev_rho_nodes(z_max, _Z_NODES)
+    z_nodes = map_slices(lambda r: _frame_z(frame_curvature(geom, r)), z_grid,
+                         geom.npts).reshape(_Z_NODES, -1)
+    z_basis = ChebyshevRhoBasis(z_grid, z_max)
 
     def slices(rho):
         cur = curvature_in_frame(geom, rho)
         inv = cur["invariants"]
         f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"])
-        dz = chebyshev_rho_derivatives(z_nodes, rho, (1, 2), z_max)
+        dz = z_basis.derivatives(z_nodes, rho, (1, 2))
         jet = (_frame_z(cur),) + tuple(d.reshape(f_on.shape) for d in dz)
         omega_on = to_on4(hessian11(geom, jet, rho, (cur["gamma"], cur["dgamma"])), cur["q"])
         t2_on = _einstein_t2_on(omega_on)
@@ -401,7 +403,7 @@ def functional_gradient(geom, rhos=None) -> dict:
 
     f_on, t2_on, e_on, norms = map_slices(slices, rhos, geom.npts)
     # after the slices, so that the series does not add to their peak memory
-    z_series = np.abs(_chebyshev_cardinal(chebyshev_rho_nodes(z_max, _Z_NODES), z_max) @ z_nodes)
+    z_series = np.abs(z_basis.cardinal @ z_nodes)
     z_tail = float(np.max(z_series[-2:])) / max(_Z_SCALE_FLOOR, float(np.max(z_series)))
     fields = (rhos.size, -1, 4, 4)
     return {"rhos": rhos, "f": f_on.reshape(fields), "T2omega": t2_on.reshape(fields),

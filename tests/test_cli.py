@@ -352,6 +352,42 @@ class TestCollarAudit:
         assert row["value"] < 1e-10
 
 
+class TestInProcessCalls:
+    """A batch of main calls in one process, as scripts/run_all_audits.py
+    makes, shares one parser and nothing else."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_stay_independent(self, tmp_path, capsys):
+        ball = write_config(tmp_path, "ball.json", HYP)
+        pert = write_config(tmp_path, "pert.json", PERT)
+        first, second, third = (tmp_path / name for name in ("first", "second", "third"))
+        assert run(["renvol", "--config", ball, "--out-dir", str(first)]) == cli.EXIT_OK
+        assert run(["collar-audit", "--config", pert, "--seed", "7", "--format", "csv",
+                    "--out-dir", str(second)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert run(["renvol", "--config", ball, "--format", "xml"]) == cli.EXIT_USAGE
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+        assert run(["renvol", "--config", ball, "--out-dir", str(third)]) == cli.EXIT_OK
+
+        audit = json.loads((second / "collar-audit-report.json").read_text())
+        assert (audit["subcommand"], audit["seed"]) == ("collar-audit", 7)
+        assert audit["config"]["theta"] == PERT["profile"]["theta"]
+        assert audit["config"]["out_format"] == "csv"
+        assert (second / "collar-audit-report.csv").exists()
+        reports = []
+        for out in (first, third):
+            assert sorted(os.listdir(out)) == ["renvol-report.json"]
+            report = json.loads((out / "renvol-report.json").read_text())
+            for key in ("elapsed_seconds", "timestamp"):
+                report.pop(key)
+            report["config"].pop("out_dir")
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert (reports[1]["seed"], reports[1]["config"]["out_format"]) == (3, "json")
+
+
 class TestRenvol:
     def test_hyperbolic_ball(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", HYP)
@@ -372,8 +408,8 @@ class TestRenvol:
         class KinkedBall(RadialGeometry):
             """The ball with g_rho scaled by 1 + |rho - 0.1|: a kink inside one panel."""
 
-            def spatial(self, rho):
-                g, *rest = super().spatial(rho)
+            def spatial(self, rho, orders=4):
+                g, *rest = super().spatial(rho, orders)
                 return (g * (1.0 + np.abs(np.reshape(rho, (-1, 1, 1)) - 0.1)), *rest)
 
         monkeypatch.setattr(

@@ -79,15 +79,16 @@ class TestProfiles:
             for k in range(4):
                 assert prof._derivs[k].tobytes() == want.deriv(k).coef.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_theta_is_refused(self, bad):
-        """Each of A's four boundary checks and the positivity scan reads NaN
-        as a failure, so a non-finite parameter leaves the family."""
+        """A non-finite parameter leaves the family, refused by the finite
+        coefficient check with no warning: ahead of it, the boundary checks'
+        polyval warned "invalid value encountered" on an infinite one."""
         for theta in ([bad], [0.05, bad, 0.0]):
-            with pytest.raises(collar.InvalidProfile):
+            with pytest.raises(collar.InvalidProfile, match="coefficients must be finite"):
                 perturbed_profile(theta)
-        with pytest.raises(collar.InvalidProfile):
+        with pytest.raises(collar.InvalidProfile, match="coefficients must be finite"):
             z2_functional([bad, 0.0, 0.0])
 
     def test_perturbed_profile_zero_amplitude(self):
@@ -250,6 +251,19 @@ class TestChebyshevDerivatives:
                 1e-9 * np.max(np.abs(want)))
         (slope,) = chebyshev_rho_derivatives(vals[:, 0, 0], 0.0, rho_max=0.5)
         assert slope.shape == () and slope == pytest.approx(poly.deriv()(0.0), rel=1e-10)
+
+    def test_basis_reads_equal_a_fresh_interpolant(self):
+        """A basis built once gives, read after read, the bits of a fresh
+        chebyshev_rho_derivatives call, by derivatives or by weights."""
+        nodes = chebyshev_rho_nodes(0.5, 12)
+        vals = np.random.default_rng(5).uniform(-1.0, 1.0, (12, 4, 3))
+        basis = collar.ChebyshevRhoBasis(nodes, 0.5)
+        for rho in (0.0, np.array([0.1, 0.3]), np.array([0.3, 0.1])):
+            want = chebyshev_rho_derivatives(vals, rho, (0, 1, 2), 0.5)
+            for got in (basis.derivatives(vals, rho, (0, 1, 2)),
+                        [(basis.weights(rho, k) @ vals.reshape(12, -1)).reshape(w.shape)
+                         for k, w in zip((0, 1, 2), want)]):
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_converges_on_an_analytic_field(self):
         """exp(rho) on [0, 0.2]: 16 nodes give the slope at 0 to roundoff."""
@@ -434,10 +448,10 @@ class TestDetSeries:
         """A nonzero first-order term is rejected with a diagnostic."""
 
         class OddGeometry(TorusJetGeometry):
-            def spatial(self, rho):
+            def spatial(self, rho, orders=4):
                 g, d1, d2, d3 = super().spatial(rho)
                 bump = 0.01 * np.eye(3)
-                return g + rho * bump, d1 + bump, d2, d3
+                return (g + rho * bump, d1 + bump, d2, d3)[:orders]
 
         with pytest.raises(ValueError, match="collar not totally geodesic"):
             det_series(OddGeometry(BoundaryJet.flat(4)))
@@ -542,6 +556,31 @@ BATCH_GEOMETRIES = {
         _radial_theta(), CutoffPerturbation(_sym_field(3, 1), 0.15, 0.25), 0.2
     ),
 }
+
+
+class TestSpatialOrders:
+    """spatial(rho, orders) is the leading ``orders`` entries of the full
+    tuple, bit for bit, and computes nothing past them."""
+
+    @pytest.mark.parametrize("name", list(BATCH_GEOMETRIES))
+    @pytest.mark.parametrize("rho", [0.2, np.array([0.12, 0.2, 0.27])], ids=["scalar", "array"])
+    def test_leading_orders_of_the_full_tuple(self, name, rho):
+        geom = BATCH_GEOMETRIES[name]()
+        full = geom.spatial(rho)
+        assert len(full) == 4
+        for orders in range(1, 5):
+            got = geom.spatial(rho, orders)
+            assert [g.tobytes() for g in got] == [f.tobytes() for f in full[:orders]]
+
+    def test_polynomial_perturbation_skips_vanishing_powers(self):
+        """A power below the order adds nothing; with every power below it
+        the value is zero, shaped (slices x points, 3, 3)."""
+        f2, f3 = _sym_field(1, 64), _sym_field(2, 64)
+        m = PolynomialPerturbation({2: f2, 3: f3})
+        rho = np.array([0.1, 0.4])
+        want = (6.0 * np.ones((2, 1, 1, 1)) * f3).reshape(-1, 3, 3)
+        assert m.value(rho, 3).tobytes() == want.tobytes()
+        assert m.value(rho, 4).shape == (128, 3, 3) and not np.any(m.value(rho, 4))
 
 
 class TestBatchedEngine:
@@ -735,7 +774,9 @@ class TestOrthonormalFrame:
 class TestSliceBatches:
     """The rho-walkers reach the curvature engine through collar.map_slices:
     each call holds at most max(npts, _CHUNK_POINTS) points, so a torus slice
-    goes alone and radial slices go _CHUNK_POINTS (256) to a call."""
+    goes alone and radial slices go _CHUNK_POINTS (256) to a call.  The jet
+    identities and the invariant parity read both curvatures of each slice
+    from one curvature_pair call."""
 
     TORUS = {"family": "torus-collar", "seed": 3, "jet": {"n_grid": 8}}
     RADIAL = {"family": "radial", "seed": 3, "profile": {"theta": [0.05] * 3}}
@@ -743,7 +784,7 @@ class TestSliceBatches:
     @staticmethod
     def _engine_points(monkeypatch, run):
         """Points handed to each engine call while ``run()`` executes."""
-        calls = {"curvature_in_frame": [], "curvature_bar": []}
+        calls = {"curvature_in_frame": [], "curvature_bar": [], "curvature_pair": []}
         for name, seen in calls.items():
 
             def counting(geom, rho, engine=getattr(collar, name), seen=seen):
@@ -763,11 +804,11 @@ class TestSliceBatches:
         return geom, {
             # caller: (call, engine, slices)
             "run_collar_audit": (
-                lambda: cli.run_collar_audit(config), "curvature_in_frame", nodes
+                lambda: cli.run_collar_audit(config), "curvature_pair", nodes
             ),
             "jet_identity_report": (
                 lambda: jet_identity_report(geom),
-                "curvature_bar",
+                "curvature_pair",
                 nodes,
             ),
             "_z2_quadrature": (
@@ -777,15 +818,36 @@ class TestSliceBatches:
             ),
         }
 
+    @pytest.mark.parametrize("raw", [TORUS, RADIAL], ids=["torus", "radial"])
+    def test_collar_audit_builds_each_node_frame_once(self, monkeypatch, raw):
+        """collar-audit's jet identities (Rbar) and parity row (g) share one
+        _slice_frame and one christoffels_bar per Chebyshev node; rho = 0,
+        read for g3 and v3, takes no Christoffels."""
+        rhos, bar_slices = [], []
+        frame, bar = collar._slice_frame, collar.christoffels_bar
+
+        def counting_frame(geom, rho):
+            rhos.append(np.atleast_1d(rho))
+            return frame(geom, rho)
+
+        def counting_bar(geom, fr):
+            bar_slices.append(fr["gbar"].shape[0] // geom.npts)
+            return bar(geom, fr)
+
+        monkeypatch.setattr(collar, "_slice_frame", counting_frame)
+        monkeypatch.setattr(collar, "christoffels_bar", counting_bar)
+        cli.run_collar_audit(cli.AuditConfig.from_dict(raw))
+        rhos = np.concatenate(rhos)
+        assert np.array_equal(rhos[rhos > 0.0], chebyshev_rho_nodes())
+        assert sum(bar_slices) == chebyshev_rho_nodes().size
+
     @pytest.mark.parametrize("caller", ["run_collar_audit", "jet_identity_report", "_z2_quadrature"])
     def test_torus_calls_stay_within_the_chunk(self, monkeypatch, caller):
         geom, callers = self._callers(self.TORUS, 24)
         run, engine, slices = callers[caller]
         calls = self._engine_points(monkeypatch, run)
         assert geom.npts == 512
-        assert max(calls["curvature_in_frame"] + calls["curvature_bar"]) <= max(
-            geom.npts, collar._CHUNK_POINTS
-        )
+        assert max(sum(calls.values(), [])) <= max(geom.npts, collar._CHUNK_POINTS)
         assert sum(calls[engine]) == slices * geom.npts
 
     @pytest.mark.parametrize("caller", ["run_collar_audit", "jet_identity_report", "_z2_quadrature"])

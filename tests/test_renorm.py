@@ -127,6 +127,27 @@ class TestFinitePart:
                                           abs=1e-8)
         assert finite_part((eps, 2.0 * eps**-3 + 7.0)).kept_powers == ()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_refused_before_any_fit(self, monkeypatch, bad):
+        """A NaN or infinite family value made a NaN finite part, with no error."""
+        eps = default_eps_grid()
+        vals = 2.0 * eps**-3 + 7.0
+        vals[4] = bad
+        monkeypatch.setattr(renorm, "_ls_fit", lambda *args: pytest.fail("fitted"))
+        with pytest.raises(renorm.FitRejected,
+                           match=rf"family value 4 \(eps = {eps[4]:.6g}\) is {bad}, not finite"):
+            finite_part((eps, vals))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_is_refused_before_any_fit(self, monkeypatch, bad):
+        """A NaN eps raised numpy's untyped LinAlgError (SVD did not converge)."""
+        eps = default_eps_grid()
+        vals = 2.0 * eps**-3 + 7.0
+        eps[5] = bad
+        monkeypatch.setattr(renorm, "_ls_fit", lambda *args: pytest.fail("fitted"))
+        with pytest.raises(ValueError, match=f"eps sample 5 is {bad}, not finite"):
+            finite_part((eps, vals))
+
     def test_log_flagging(self):
         eps = default_eps_grid()
         with_log = finite_part((eps, np.log(1.0 / eps) + 1.0))
@@ -313,6 +334,23 @@ class TestInterpolatedFamilies:
         assert settled == nodes
         want = oracles.adaptive_family(density, eps, geom.rho_max)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_panels_read_the_bases_the_gates_built(self, monkeypatch):
+        """Each piece's Chebyshev basis is built once per ladder level it
+        tried, and the panels (285 nodes, two map_slices batches) read the
+        settled one instead of inverting its nodes again."""
+        built = []
+        init = collar.ChebyshevRhoBasis.__init__
+
+        def counting(self, nodes, rho_max, rho_min=0.0):
+            built.append(len(nodes))
+            init(self, nodes, rho_max, rho_min)
+
+        monkeypatch.setattr(collar.ChebyshevRhoBasis, "__init__", counting)
+        density = lambda rho: 1.0 / (rho**4 * (1.0 + rho))
+        _, _, settled = renorm._interpolated_family(density, default_eps_grid(), 2.0, 1)
+        levels = [n for n in (9, 19, 39, 79) for top in settled if n <= top]
+        assert sorted(built) == sorted(levels)
 
     def test_error_estimates_bound_an_analytic_family(self):
         """F = 1/(1 + rho), whose rho^-4 integral is elementary; a zero column
