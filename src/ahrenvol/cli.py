@@ -358,81 +358,124 @@ def _check(name, value, config, passed=None, tolerance=None, claim=0.0):
 # -- subcommand: algebra-suite -----------------------------------------------------
 
 
-def _random_form(rng, n, p, q):
-    coeffs = rng.standard_normal((math.comb(n, p), math.comb(n, q)))
-    return dfalg.DoubleForm(n, p, q, coeffs)
+# each of the suite's three loops draws this many trials
+_SUITE_TRIALS = 100
+_SUITE_DEGREES = ((3, 1, 1), (4, 1, 1), (4, 2, 1), (4, 2, 2), (5, 1, 2), (5, 2, 2))
 
 
-def _random_curvature(rng, n=4):
-    dense = rng.standard_normal((n,) * 4)
-    dense = dense - dense.transpose(1, 0, 2, 3)
-    dense = dense - dense.transpose(0, 1, 3, 2)
-    dense = 0.5 * (dense + dense.transpose(2, 3, 0, 1))
-    return dfalg.DoubleForm.from_dense(n, 2, 2, dense)
+def _random_coeffs(rng, n, p, q):
+    return rng.standard_normal((math.comb(n, p), math.comb(n, q)))
+
+
+def _random_curvature(dense):
+    """Curvature-type forms from a stack of random (n, n, n, n) draws."""
+    dense = dense - np.swapaxes(dense, -4, -3)
+    dense = dense - np.swapaxes(dense, -2, -1)
+    dense = 0.5 * (dense + np.moveaxis(dense, (-2, -1), (-4, -3)))
+    return dfalg.DoubleForm.from_dense(dense.shape[-1], 2, 2, dense)
 
 
 def _random_sym(rng, n=4):
     m = rng.standard_normal((n, n))
-    return dfalg.SymBilinear(n, 0.5 * (m + m.T))
+    return 0.5 * (m + m.T)
+
+
+def _draw_groups(rng, draw):
+    """Call ``draw(rng)`` once per trial, in trial order, and group its draws.
+
+    ``draw`` returns (key, array, ...); the result maps each key, a tuple
+    such as (n, p, q), to its trials' arrays, each stacked in trial order.
+    """
+    groups = {}
+    for _ in range(_SUITE_TRIALS):
+        key, *arrays = draw(rng)
+        groups.setdefault(key, []).append(arrays)
+    return {key: [np.stack(column) for column in zip(*rows)] for key, rows in groups.items()}
+
+
+def _draw_bidegree(rng):
+    n, p, q = _SUITE_DEGREES[rng.integers(0, len(_SUITE_DEGREES))]
+    return (n, p, q), _random_coeffs(rng, n, p, q), _random_coeffs(rng, n, p + 1, q + 1)
+
+
+def _draw_dimension(rng):
+    n = int(rng.integers(3, 6))
+    return (n,), _random_sym(rng, n), _random_coeffs(rng, n, 1, 1), _random_coeffs(rng, n, 1, 1)
+
+
+def _draw_curvature(rng):
+    return (4,), rng.standard_normal((4,) * 4), _random_sym(rng), _random_sym(rng)
+
+
+def _worst(dev, scale):
+    """Largest dev / max(1, |scale|) over a stack of per-form values."""
+    return float(np.max(dev / np.maximum(1.0, np.abs(scale))))
+
+
+def _worst_form(lhs, rhs):
+    """Largest |lhs - rhs| of a stack, each form over its own largest |lhs| (at least 1)."""
+    def form_max(coeffs):
+        return np.max(np.abs(coeffs), axis=(-2, -1))
+    return _worst(form_max(lhs.coeffs - rhs.coeffs), form_max(lhs.coeffs))
 
 
 def run_algebra_suite(config: AuditConfig) -> AuditReport:
+    """Seeded identity checks of the double-form algebra, one stack per group.
+
+    Each of the three loops draws its inputs trial by trial, in the order a
+    per-trial loop draws them, and then evaluates every identity once per
+    group (a bidegree, or a dimension n) on the stacked forms; each form gets
+    the bits it gets alone.
+    """
     rng = np.random.default_rng(config.seed)
-    degrees = [(3, 1, 1), (4, 1, 1), (4, 2, 1), (4, 2, 2), (5, 1, 2), (5, 2, 2)]
+    bidegrees = _draw_groups(rng, _draw_bidegree)
+    dimensions = _draw_groups(rng, _draw_dimension)
+    curvatures = _draw_groups(rng, _draw_curvature)
+
     dev_comm = dev_adj = dev_hodge = 0.0
-    for _ in range(100):
-        n, p, q = degrees[rng.integers(0, len(degrees))]
+    for (n, p, q), (w_coeffs, b_coeffs) in bidegrees.items():
         g = dfalg.metric_g(n)
-        w = _random_form(rng, n, p, q)
-        lhs = dfalg.contract(dfalg.kn_product(g, w))
+        w = dfalg.DoubleForm(n, p, q, w_coeffs)
+        gw = dfalg.kn_product(g, w)
         cw = dfalg.contract(w)
-        if isinstance(cw, float):
+        if p == q == 1:
             rhs = (n - p - q) * w + cw * dfalg.kn_product(g, dfalg.unit_scalar(n))
         else:
             rhs = dfalg.kn_product(g, cw) + (n - p - q) * w
-        scale = max(1.0, float(np.max(np.abs(lhs.coeffs))))
-        dev_comm = max(dev_comm, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))) / scale)
+        dev_comm = max(dev_comm, _worst_form(dfalg.contract(gw), rhs))
 
-        b = _random_form(rng, n, p + 1, q + 1)
-        lhs2 = dfalg.inner(dfalg.kn_product(g, w), b)
-        cb = dfalg.contract(b)
-        rhs2 = cb * w.coeffs[0, 0] if isinstance(cb, float) else dfalg.inner(w, cb)
-        dev_adj = max(dev_adj, abs(lhs2 - rhs2) / max(1.0, abs(lhs2)))
+        b = dfalg.DoubleForm(n, p + 1, q + 1, b_coeffs)
+        lhs2 = dfalg.inner(gw, b)
+        dev_adj = max(dev_adj, _worst(np.abs(lhs2 - dfalg.inner(w, dfalg.contract(b))), lhs2))
 
-        lhs3 = dfalg.kn_product(g, w)
         sign = (-1.0) ** (n * (p + q))
         rhs3 = sign * dfalg.hodge_star(dfalg.contract(dfalg.hodge_star(w)))
-        scale = max(1.0, float(np.max(np.abs(lhs3.coeffs))))
-        dev_hodge = max(dev_hodge, float(np.max(np.abs(lhs3.coeffs - rhs3.coeffs))) / scale)
+        dev_hodge = max(dev_hodge, _worst_form(gw, rhs3))
 
     dev_deriv = dev_selfadj = 0.0
-    for _ in range(100):
-        n = int(rng.integers(3, 6))
-        h = _random_sym(rng, n)
-        a = _random_form(rng, n, 1, 1)
-        b = _random_form(rng, n, 1, 1)
+    for (n,), (h_entries, a_coeffs, b_coeffs) in dimensions.items():
+        h = dfalg.SymBilinear(n, h_entries)
+        a = dfalg.DoubleForm(n, 1, 1, a_coeffs)
+        b = dfalg.DoubleForm(n, 1, 1, b_coeffs)
+        fa, fb = dfalg.f_h(h, a), dfalg.f_h(h, b)
         lhs = dfalg.f_h(h, dfalg.kn_product(a, b))
-        rhs = dfalg.kn_product(dfalg.f_h(h, a), b) + dfalg.kn_product(a, dfalg.f_h(h, b))
-        scale = max(1.0, float(np.max(np.abs(lhs.coeffs))))
-        dev_deriv = max(dev_deriv, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))) / scale)
-        p1 = dfalg.inner(dfalg.f_h(h, a), b)
-        p2 = dfalg.inner(a, dfalg.f_h(h, b))
-        dev_selfadj = max(dev_selfadj, abs(p1 - p2) / max(1.0, abs(p1)))
+        rhs = dfalg.kn_product(fa, b) + dfalg.kn_product(a, fb)
+        dev_deriv = max(dev_deriv, _worst_form(lhs, rhs))
+        p1 = dfalg.inner(fa, b)
+        dev_selfadj = max(dev_selfadj, _worst(np.abs(p1 - dfalg.inner(a, fb)), p1))
 
     dev_pair = dev_rcirc = 0.0
-    for _ in range(100):
-        R = _random_curvature(rng)
-        z = _random_sym(rng)
-        h = _random_sym(rng)
-        lhs = dfalg.inner(z.to_doubleform(), dfalg.contract(dfalg.f_h(h, R)))
+    for (n,), (draws, z_entries, h_entries) in curvatures.items():
+        R = _random_curvature(draws)
+        z, h = dfalg.SymBilinear(n, z_entries), dfalg.SymBilinear(n, h_entries)
+        zd, hd = z.to_doubleform(), h.to_doubleform()
+        lhs = dfalg.inner(zd, dfalg.contract(dfalg.f_h(h, R)))
         parts = dfalg.bilinear_algebra(z, R)
-        rhs = 2.0 * float(np.sum(parts["rcirc"].entries * h.entries)) + 2.0 * float(
-            np.sum(parts["compose"].entries * h.entries)
-        )
-        dev_pair = max(dev_pair, abs(lhs - rhs) / max(1.0, abs(lhs)))
-        p1 = float(np.sum(z.entries * dfalg.bilinear_algebra(h, R)["rcirc"].entries))
-        p2 = float(np.sum(parts["rcirc"].entries * h.entries))
-        dev_rcirc = max(dev_rcirc, abs(p1 - p2) / max(1.0, abs(p1)))
+        p2 = dfalg.inner(parts["rcirc"].to_doubleform(), hd)
+        rhs = 2.0 * p2 + 2.0 * dfalg.inner(parts["compose"].to_doubleform(), hd)
+        dev_pair = max(dev_pair, _worst(np.abs(lhs - rhs), lhs))
+        p1 = dfalg.inner(zd, dfalg.bilinear_algebra(h, R)["rcirc"].to_doubleform())
+        dev_rcirc = max(dev_rcirc, _worst(np.abs(p1 - p2), p1))
 
     checks = [
         _check("contraction_commutator", dev_comm, config),
@@ -443,7 +486,15 @@ def run_algebra_suite(config: AuditConfig) -> AuditReport:
         _check("contract_fh_pairing", dev_pair, config),
         _check("rcirc_self_adjoint", dev_rcirc, config),
     ]
-    return AuditReport("algebra-suite", asdict(config), config.seed, checks)
+    # the trials of each loop, and of each stack it evaluated them as
+    work = {
+        loop: {"trials": _SUITE_TRIALS, "groups": {
+            " ".join(map("{}={}".format, "npq", key)): len(stacks[0])
+            for key, stacks in sorted(groups.items())}}
+        for loop, groups in (("contraction", bidegrees), ("derivation", dimensions),
+                             ("curvature", curvatures))
+    }
+    return AuditReport("algebra-suite", asdict(config), config.seed, checks, {"work": work})
 
 
 # -- subcommand: collar-audit --------------------------------------------------------

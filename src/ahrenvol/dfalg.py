@@ -11,9 +11,23 @@ looks up a sign and index table, built once per (n, degree) on first use
 (``functools.lru_cache``; the arrays are read-only), and applies it with array
 operations.  The Kulkarni-Nomizu product, the contraction and F_h gather the
 signed terms of every output entry and sum them in the order of the per-call
-loops the tables replace; the Hodge star and ``to_dense`` are signed gathers.
-``tests/oracles.py`` keeps those loops as the reference, and the two agree
-exactly.
+loops the tables replace; the Hodge star, ``to_dense`` and ``from_dense`` are
+signed gathers.  ``tests/oracles.py`` keeps those loops as the reference, and
+the two agree exactly.
+
+Stacks.  A ``DoubleForm`` may hold a stack of forms of one bidegree, with
+coefficients of shape (..., C(n, p), C(n, q)), and a ``SymBilinear`` a stack
+of entries of shape (..., n, n).  The checks (shape, symmetry, curvature
+type) apply to each form with that form's own tolerance.  ``kn_product``,
+``contract``, ``hodge_star``, ``inner``, ``inner_full``, ``f_h``,
+``to_dense``, ``from_dense``, ``bilinear_algebra`` and ``DoubleForm`` scalar
+multiplication (by one scalar per form) broadcast over the leading axes, and each form of a
+stack gets the bits it gets alone: every entry still sums its terms in loop
+order, and ``inner`` sums each form's products as one row.  There is one code
+path; a single form is a stack with no leading axes, and it still contracts
+to, and pairs into, a ``float``, where a stack gives an array.  The other
+operations (``component``, ``trace``, the curvature-level operations) take
+single forms.
 
 Conventions (pinned once, used everywhere):
 
@@ -96,15 +110,33 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _sum_in_order(terms: np.ndarray) -> np.ndarray:
-    """Sum over the first axis strictly left to right, as the loop forms do.
+def _sum_in_order(*parts: np.ndarray) -> np.ndarray:
+    """Sum the terms on axis -3 of each part, strictly left to right, part after part.
 
-    ``np.sum`` pairs terms up when the reduction is contiguous, which changes
-    the rounding; a running sum does not.  No terms sum to zero.
+    This is the order in which the loop forms add them.  ``np.sum`` pairs
+    terms up when the reduction is contiguous, which changes the rounding; a
+    running sum does not, and it keeps no partial sums.  No terms sum to zero.
     """
-    if len(terms) == 0:
-        return np.zeros(terms.shape[1:])
-    return np.cumsum(terms, axis=0)[-1]
+    total = None
+    for part in parts:
+        for term in np.moveaxis(part, -3, 0):
+            if total is None:
+                total = term.copy()
+            else:
+                total += term
+    if total is None:
+        return np.zeros(parts[0].shape[:-3] + parts[0].shape[-2:])
+    return total
+
+
+def _form_max(arr: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each form of a stack, shape (...,)."""
+    return np.max(np.abs(arr), axis=(-2, -1), initial=0.0)
+
+
+def _per_form(value: np.ndarray) -> np.ndarray | float:
+    """A per-form scalar: a ``float`` for a single form, else the array."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @lru_cache(maxsize=None)
@@ -204,21 +236,38 @@ def _derivation_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return _frozen(h_index, source, sign)
 
 
+@lru_cache(maxsize=None)
+def _dense_index(n: int, p: int, q: int) -> np.ndarray:
+    """Flat C-order position in (n,)*(p + q) of each increasing (I, J), shape (C(n,p), C(n,q))."""
+
+    def flat(k: int) -> np.ndarray:
+        return np.array([sum(i * n ** (k - 1 - s) for s, i in enumerate(I)) for I in _combos(n, k)],
+                        dtype=np.intp)
+
+    return _frozen(flat(p)[:, None] * n**q + flat(q)[None, :])[0]
+
+
 @dataclass(frozen=True)
 class DoubleForm:
-    """Element of D^{p,q} with compressed antisymmetric storage."""
+    """Element of D^{p,q} with compressed antisymmetric storage.
+
+    ``coeffs`` has shape (C(n,p), C(n,q)), or (..., C(n,p), C(n,q)) for a
+    stack of forms of one bidegree.
+    """
 
     n: int
     p: int
     q: int
     coeffs: np.ndarray = field(repr=False)
+    # an array of per-form scalars times a form defers to __rmul__
+    __array_ufunc__ = None
 
     def __post_init__(self):
         if not (0 <= self.p <= self.n and 0 <= self.q <= self.n):
             raise ValueError("degree exceeds dimension")
         want = (math.comb(self.n, self.p), math.comb(self.n, self.q))
         arr = np.array(self.coeffs, dtype=float)
-        if arr.shape != want:
+        if arr.shape[-2:] != want or arr.ndim < 2:
             raise ValueError(f"coefficient array must have shape {want}")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -237,8 +286,10 @@ class DoubleForm:
         self._check_match(other)
         return DoubleForm(self.n, self.p, self.q, self.coeffs - other.coeffs)
 
-    def __mul__(self, a: float) -> "DoubleForm":
-        return DoubleForm(self.n, self.p, self.q, self.coeffs * float(a))
+    def __mul__(self, a) -> "DoubleForm":
+        """Times one scalar, or one scalar per form of a stack."""
+        scale = np.asarray(a, dtype=float)[..., None, None]
+        return DoubleForm(self.n, self.p, self.q, self.coeffs * scale)
 
     __rmul__ = __mul__
 
@@ -249,13 +300,14 @@ class DoubleForm:
         if (self.n, self.p, self.q) != (other.n, other.p, other.q):
             raise ValueError("bidegree or dimension mismatch")
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_symmetric(self, tol=1e-12) -> bool:
+        """Whether every form is symmetric within ``tol`` (one value, or one per form)."""
         return self.p == self.q and bool(
-            np.max(np.abs(self.coeffs - self.coeffs.T), initial=0.0) <= tol
+            np.all(_form_max(self.coeffs - np.swapaxes(self.coeffs, -1, -2)) <= tol)
         )
 
     def component(self, I: tuple[int, ...], J: tuple[int, ...]) -> float:
-        """Component at arbitrary (possibly unordered) index tuples."""
+        """Component of a single form at arbitrary (possibly unordered) index tuples."""
         if len(set(I)) != len(I) or len(set(J)) != len(J):
             return 0.0
         sI = _merge_sign((), tuple(I))
@@ -266,37 +318,40 @@ class DoubleForm:
         return a * b * self.coeffs[_combo_pos(self.n, self.p)[Is], _combo_pos(self.n, self.q)[Js]]
 
     def to_dense(self) -> np.ndarray:
-        """Expand to a dense array of shape (n,)*p + (n,)*q."""
+        """Expand to a dense array of shape (..., ) + (n,)*p + (n,)*q."""
         pos_p, sign_p = _expand_table(self.n, self.p)
         pos_q, sign_q = _expand_table(self.n, self.q)
-        dense = np.outer(sign_p, sign_q) * self.coeffs[np.ix_(pos_p, pos_q)]
-        return dense.reshape((self.n,) * (self.p + self.q))
+        dense = np.outer(sign_p, sign_q) * self.coeffs[..., pos_p[:, None], pos_q[None, :]]
+        return dense.reshape(self.coeffs.shape[:-2] + (self.n,) * (self.p + self.q))
 
     @classmethod
     def from_dense(cls, n: int, p: int, q: int, dense: np.ndarray) -> "DoubleForm":
-        coeffs = np.zeros((math.comb(n, p), math.comb(n, q)))
-        for a, I in enumerate(_combos(n, p)):
-            for b, J in enumerate(_combos(n, q)):
-                coeffs[a, b] = dense[I + J]
-        return cls(n, p, q, coeffs)
+        """Read the increasing-index components of dense arrays of shape (...,) + (n,)*(p+q)."""
+        dense = np.asarray(dense)
+        lead = dense.ndim - (p + q)
+        if lead < 0 or dense.shape[lead:] != (n,) * (p + q):
+            raise ValueError(f"dense array must end in shape {(n,) * (p + q)}")
+        return cls(n, p, q, dense.reshape(dense.shape[:lead] + (-1,))[..., _dense_index(n, p, q)])
 
 
 @dataclass(frozen=True)
 class SymBilinear:
-    """Symmetric bilinear form in the fixed orthonormal frame."""
+    """Symmetric bilinear form in the fixed orthonormal frame.
+
+    ``entries`` has shape (n, n), or (..., n, n) for a stack of forms.
+    """
 
     n: int
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         ent = np.array(self.entries, dtype=float)
-        if ent.shape != (self.n, self.n):
+        if ent.shape[-2:] != (self.n, self.n) or ent.ndim < 2:
             raise ValueError("entries must be n x n")
-        if np.max(np.abs(ent - ent.T), initial=0.0) > 1e-12 * max(
-            1.0, float(np.max(np.abs(ent)))
-        ):
+        ent_t = np.swapaxes(ent, -1, -2)
+        if np.any(_form_max(ent - ent_t) > 1e-12 * np.maximum(1.0, _form_max(ent))):
             raise ValueError("entries must be symmetric")
-        ent = 0.5 * (ent + ent.T)
+        ent = 0.5 * (ent + ent_t)
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
 
@@ -311,7 +366,7 @@ class SymBilinear:
     def from_doubleform(cls, w: DoubleForm) -> "SymBilinear":
         if (w.p, w.q) != (1, 1):
             raise ValueError("expected bidegree (1, 1)")
-        return cls(w.n, 0.5 * (w.coeffs + w.coeffs.T))
+        return cls(w.n, 0.5 * (w.coeffs + np.swapaxes(w.coeffs, -1, -2)))
 
     def trace(self) -> float:
         return float(np.trace(self.entries))
@@ -373,15 +428,17 @@ def kn_product(a: DoubleForm, b: DoubleForm) -> DoubleForm:
         raise ValueError("degree exceeds dimension")
     left_p, right_p, sign_p = (t[:, None, :, None] for t in _wedge_table(n, a.p, b.p))
     left_q, right_q, sign_q = (t[None, :, None, :] for t in _wedge_table(n, a.q, b.q))
-    terms = sign_p * sign_q * a.coeffs[left_p, left_q] * b.coeffs[right_p, right_q]
-    out = _sum_in_order(terms.reshape((-1,) + terms.shape[2:]))
+    # terms (..., Tp, Tq, Cp, Cq): each entry's Tp * Tq terms, in loop order
+    terms = sign_p * sign_q * a.coeffs[..., left_p, left_q] * b.coeffs[..., right_p, right_q]
+    out = _sum_in_order(terms.reshape(terms.shape[:-4] + (-1,) + terms.shape[-2:]))
     return DoubleForm(n, p, q, out)
 
 
-def contract(w: DoubleForm) -> DoubleForm | float:
+def contract(w: DoubleForm) -> DoubleForm | np.ndarray | float:
     """Trace one slot from each factor against the orthonormal frame.
 
-    Maps D^{p+1,q+1} -> D^{p,q}; a (0, 0) result is returned as a float.
+    Maps D^{p+1,q+1} -> D^{p,q}; a (0, 0) result is returned as a float, or
+    as an array of one value per form for a stack.
     """
     if w.p < 1 or w.q < 1:
         raise ValueError("cannot contract degree zero")
@@ -389,9 +446,9 @@ def contract(w: DoubleForm) -> DoubleForm | float:
     index_p, sign_p = _insert_table(n, p)
     index_q, sign_q = _insert_table(n, q)
     signs = sign_p[:, :, None] * sign_q[:, None, :]
-    out = _sum_in_order(signs * w.coeffs[index_p[:, :, None], index_q[:, None, :]])
+    out = _sum_in_order(signs * w.coeffs[..., index_p[:, :, None], index_q[:, None, :]])
     if p == 0 and q == 0:
-        return float(out[0, 0])
+        return _per_form(out[..., 0, 0])
     return DoubleForm(n, p, q, out)
 
 
@@ -411,11 +468,17 @@ def hodge_star(w: DoubleForm) -> DoubleForm:
     p, q = n - w.p, n - w.q
     source_p, sign_p = _complement_table(n, w.p)
     source_q, sign_q = _complement_table(n, w.q)
-    out = np.outer(sign_p, sign_q) * w.coeffs[np.ix_(source_p, source_q)]
+    out = np.outer(sign_p, sign_q) * w.coeffs[..., source_p[:, None], source_q[None, :]]
     return DoubleForm(n, p, q, out)
 
 
-def inner(w1: DoubleForm, w2: DoubleForm) -> float:
+def _pair_rows(c1: np.ndarray, c2: np.ndarray) -> np.ndarray | float:
+    """Sum of products of each form's coefficients, as one contiguous row."""
+    prod = c1 * c2
+    return _per_form(np.sum(prod.reshape(prod.shape[:-2] + (-1,)), axis=-1))
+
+
+def inner(w1: DoubleForm, w2: DoubleForm) -> np.ndarray | float:
     """Inner product making the increasing-multi-index basis orthonormal.
 
     This is the pairing for which the adjointness ``<g w1, w2> = <w1, c w2>``
@@ -424,14 +487,14 @@ def inner(w1: DoubleForm, w2: DoubleForm) -> float:
     :func:`inner_full` for tensor-norm conventions such as |W|^2.
     """
     w1._check_match(w2)
-    return float(np.sum(w1.coeffs * w2.coeffs))
+    return _pair_rows(w1.coeffs, w2.coeffs)
 
 
-def inner_full(w1: DoubleForm, w2: DoubleForm) -> float:
+def inner_full(w1: DoubleForm, w2: DoubleForm) -> np.ndarray | float:
     """Full-index-sum pairing, sum over all (not just increasing) tuples."""
     w1._check_match(w2)
     scale = math.factorial(w1.p) * math.factorial(w1.q)
-    return scale * float(np.sum(w1.coeffs * w2.coeffs))
+    return scale * _pair_rows(w1.coeffs, w2.coeffs)
 
 
 def f_h(h: SymBilinear, w: DoubleForm) -> DoubleForm:
@@ -445,13 +508,15 @@ def f_h(h: SymBilinear, w: DoubleForm) -> DoubleForm:
     if h.n != w.n:
         raise ValueError("dimension mismatch")
     n = w.n
-    h_flat = h.entries.reshape(-1)
+    h_flat = h.entries.reshape(h.entries.shape[:-2] + (-1,))
     index_p, source_p, sign_p = _derivation_table(n, w.p)
     index_q, source_q, sign_q = _derivation_table(n, w.q)
-    # the first factor group's terms, then the second's, as the loop adds them
-    rows = (sign_p * h_flat[index_p])[:, :, None] * w.coeffs[source_p]
-    cols = (sign_q * h_flat[index_q])[:, None, :] * w.coeffs[:, source_q].transpose(1, 0, 2)
-    out = _sum_in_order(np.concatenate([rows, cols]))
+    # the first factor group's terms, then the second's, as the loop adds them:
+    # rows and cols are (..., terms, Cp, Cq)
+    rows = (sign_p * h_flat[..., index_p])[..., None] * w.coeffs[..., source_p, :]
+    cols = (sign_q * h_flat[..., index_q])[..., None, :] * np.swapaxes(
+        w.coeffs[..., :, source_q], -3, -2)
+    out = _sum_in_order(rows, cols)
     return DoubleForm(n, w.p, w.q, out)
 
 
@@ -461,7 +526,7 @@ def f_h(h: SymBilinear, w: DoubleForm) -> DoubleForm:
 def _require_curvature_type(R: DoubleForm) -> None:
     if (R.p, R.q) != (2, 2):
         raise ValueError("not curvature-type")
-    if not R.is_symmetric(tol=1e-10 * max(1.0, float(np.max(np.abs(R.coeffs))))):
+    if not R.is_symmetric(tol=1e-10 * np.maximum(1.0, _form_max(R.coeffs))):
         raise ValueError("not curvature-type")
 
 
@@ -474,13 +539,13 @@ def bilinear_algebra(z: SymBilinear, R: DoubleForm):
     _require_curvature_type(R)
     if z.n != R.n:
         raise ValueError("dimension mismatch")
-    dense = R.to_dense()  # R[s,t,u,v] = R(X_s^X_t, X_u^X_v)
+    dense = R.to_dense()  # R[..., s,t,u,v] = R(X_s^X_t, X_u^X_v)
     # rcirc_{xy} = sum_{i,w} z_{wi} R_{x i y w}
-    rcirc = np.einsum("wi,xiyw->xy", z.entries, dense)
-    rcirc = 0.5 * (rcirc + rcirc.T)
-    ric = np.einsum("iaib->ab", dense)
+    rcirc = np.einsum("...wi,...xiyw->...xy", z.entries, dense)
+    rcirc = 0.5 * (rcirc + np.swapaxes(rcirc, -1, -2))
+    ric = np.einsum("...iaib->...ab", dense)
     comp = ric @ z.entries
-    comp = 0.5 * (comp + comp.T)
+    comp = 0.5 * (comp + np.swapaxes(comp, -1, -2))
     return {
         "rcirc": SymBilinear(z.n, rcirc),
         "compose": SymBilinear(z.n, comp),

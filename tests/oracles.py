@@ -15,6 +15,7 @@ engine is checked against its einsum form with per-axis FFT boundary
 derivatives, its orthonormal frame against one LAPACK routine per quantity
 (``frame_oracle``) and its invariants against a second frame
 (``symmetric_frame``),
+the stacked algebra suite against its per-trial loop (``algebra_suite_loop``),
 the collar Hessian's D / Dt conventions against the flat 4-torus calculus,
 its double antisymmetrization against the eight-permutation sum, and the
 variation layer's batched-matmul contractions (covariant derivative,
@@ -331,6 +332,93 @@ def random_curvature_dense(rng: np.random.Generator, n: int) -> np.ndarray:
     raw = raw - raw.transpose(1, 0, 2, 3)
     raw = raw - raw.transpose(0, 1, 3, 2)
     return raw + raw.transpose(2, 3, 0, 1)
+
+
+# -- the algebra suite, one trial at a time -------------------------------------
+
+
+def _suite_form(rng, n, p, q):
+    coeffs = rng.standard_normal((math.comb(n, p), math.comb(n, q)))
+    return dfalg.DoubleForm(n, p, q, coeffs)
+
+
+def _suite_curvature(rng, n=4):
+    dense = rng.standard_normal((n,) * 4)
+    dense = dense - dense.transpose(1, 0, 2, 3)
+    dense = dense - dense.transpose(0, 1, 3, 2)
+    dense = 0.5 * (dense + dense.transpose(2, 3, 0, 1))
+    return dfalg.DoubleForm.from_dense(n, 2, 2, dense)
+
+
+def _suite_sym(rng, n=4):
+    m = rng.standard_normal((n, n))
+    return dfalg.SymBilinear(n, 0.5 * (m + m.T))
+
+
+def algebra_suite_loop(seed: int) -> list[float]:
+    """The seven algebra-suite deviations, one trial per loop pass.
+
+    ``cli.run_algebra_suite`` draws the same inputs in the same order and
+    evaluates each identity once per stacked group; the two agree exactly.
+    """
+    rng = np.random.default_rng(seed)
+    degrees = [(3, 1, 1), (4, 1, 1), (4, 2, 1), (4, 2, 2), (5, 1, 2), (5, 2, 2)]
+    dev_comm = dev_adj = dev_hodge = 0.0
+    for _ in range(100):
+        n, p, q = degrees[rng.integers(0, len(degrees))]
+        g = dfalg.metric_g(n)
+        w = _suite_form(rng, n, p, q)
+        lhs = dfalg.contract(dfalg.kn_product(g, w))
+        cw = dfalg.contract(w)
+        if isinstance(cw, float):
+            rhs = (n - p - q) * w + cw * dfalg.kn_product(g, dfalg.unit_scalar(n))
+        else:
+            rhs = dfalg.kn_product(g, cw) + (n - p - q) * w
+        scale = max(1.0, float(np.max(np.abs(lhs.coeffs))))
+        dev_comm = max(dev_comm, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))) / scale)
+
+        b = _suite_form(rng, n, p + 1, q + 1)
+        lhs2 = dfalg.inner(dfalg.kn_product(g, w), b)
+        cb = dfalg.contract(b)
+        rhs2 = cb * w.coeffs[0, 0] if isinstance(cb, float) else dfalg.inner(w, cb)
+        dev_adj = max(dev_adj, abs(lhs2 - rhs2) / max(1.0, abs(lhs2)))
+
+        lhs3 = dfalg.kn_product(g, w)
+        sign = (-1.0) ** (n * (p + q))
+        rhs3 = sign * dfalg.hodge_star(dfalg.contract(dfalg.hodge_star(w)))
+        scale = max(1.0, float(np.max(np.abs(lhs3.coeffs))))
+        dev_hodge = max(dev_hodge, float(np.max(np.abs(lhs3.coeffs - rhs3.coeffs))) / scale)
+
+    dev_deriv = dev_selfadj = 0.0
+    for _ in range(100):
+        n = int(rng.integers(3, 6))
+        h = _suite_sym(rng, n)
+        a = _suite_form(rng, n, 1, 1)
+        b = _suite_form(rng, n, 1, 1)
+        lhs = dfalg.f_h(h, dfalg.kn_product(a, b))
+        rhs = dfalg.kn_product(dfalg.f_h(h, a), b) + dfalg.kn_product(a, dfalg.f_h(h, b))
+        scale = max(1.0, float(np.max(np.abs(lhs.coeffs))))
+        dev_deriv = max(dev_deriv, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))) / scale)
+        p1 = dfalg.inner(dfalg.f_h(h, a), b)
+        p2 = dfalg.inner(a, dfalg.f_h(h, b))
+        dev_selfadj = max(dev_selfadj, abs(p1 - p2) / max(1.0, abs(p1)))
+
+    dev_pair = dev_rcirc = 0.0
+    for _ in range(100):
+        R = _suite_curvature(rng)
+        z = _suite_sym(rng)
+        h = _suite_sym(rng)
+        lhs = dfalg.inner(z.to_doubleform(), dfalg.contract(dfalg.f_h(h, R)))
+        parts = dfalg.bilinear_algebra(z, R)
+        rhs = 2.0 * float(np.sum(parts["rcirc"].entries * h.entries)) + 2.0 * float(
+            np.sum(parts["compose"].entries * h.entries)
+        )
+        dev_pair = max(dev_pair, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        p1 = float(np.sum(z.entries * dfalg.bilinear_algebra(h, R)["rcirc"].entries))
+        p2 = float(np.sum(parts["rcirc"].entries * h.entries))
+        dev_rcirc = max(dev_rcirc, abs(p1 - p2) / max(1.0, abs(p1)))
+
+    return [dev_comm, dev_adj, dev_hodge, dev_deriv, dev_selfadj, dev_pair, dev_rcirc]
 
 
 # -- radial profiles -------------------------------------------------------------

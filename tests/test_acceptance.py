@@ -325,7 +325,7 @@ def test_criterion_10_documented_discrepancies():
     rng = np.random.default_rng(20260823)
     rows, target = [], []
     for _ in range(24):
-        R = cli._random_curvature(rng)
+        R = cli._random_curvature(rng.standard_normal((4,) * 4))
         dec = decompose_curvature(R)
         rows.append([
             inner_full(dec.w, dec.w),

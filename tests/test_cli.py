@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from ahrenvol import cli
 from ahrenvol.collar import NonConvergence, RadialGeometry, hyperbolic_profile
 
+import oracles
+
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -324,6 +326,21 @@ class TestAlgebraSuite:
         assert (a_dir / "algebra-suite-report.csv").read_text() == (
             b_dir / "algebra-suite-report.csv"
         ).read_text()
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 9, 20260823])
+    def test_stacked_suite_equals_per_trial_loop(self, seed):
+        """Grouping the trials into stacks changes no bit of any row."""
+        report = cli.run_algebra_suite(cli.AuditConfig(family="radial", seed=seed))
+        assert [row["value"] for row in report.checks] == oracles.algebra_suite_loop(seed)
+
+    def test_work_counts_trials_per_loop_and_group(self):
+        work = cli.run_algebra_suite(cli.AuditConfig(family="radial", seed=3)).artifacts["work"]
+        assert sorted(work) == ["contraction", "curvature", "derivation"]
+        for loop in work.values():
+            assert loop["trials"] == 100 and sum(loop["groups"].values()) == 100
+        assert len(work["contraction"]["groups"]) == 6
+        assert sorted(work["derivation"]["groups"]) == ["n=3", "n=4", "n=5"]
+        assert work["curvature"]["groups"] == {"n=4": 100}
 
     def test_csv_rows_carry_anchor_and_seed(self, tmp_path):
         run(["algebra-suite", "--seed", "9", "--out-dir", str(tmp_path), "--format", "csv"])

@@ -182,7 +182,8 @@ def _random_sym(rng, n):
 _TABLE_CASES = [(n, p, q) for n in range(1, 5) for p in range(n + 1) for q in range(n + 1)] + [
     (5, p, q) for p, q in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
 ]
-_TABLES = ("_wedge_table", "_insert_table", "_complement_table", "_expand_table", "_derivation_table")
+_TABLES = ("_wedge_table", "_insert_table", "_complement_table", "_expand_table",
+           "_derivation_table", "_dense_index")
 
 
 def _compressed(rng, n, p, q):
@@ -233,8 +234,9 @@ class TestSignTables:
             assert np.array_equal(f_h(h, w).coeffs, oracles.f_h_loop(h, w).coeffs), (n, p, q)
 
     def test_cached_tables_are_read_only(self):
-        for name, args in zip(_TABLES, [(4, 2, 2), (4, 1), (4, 2), (4, 2), (4, 2)]):
-            for table in getattr(dfalg, name)(*args):
+        for name, args in zip(_TABLES, [(4, 2, 2), (4, 1), (4, 2), (4, 2), (4, 2), (4, 2, 1)]):
+            tables = getattr(dfalg, name)(*args)
+            for table in tables if isinstance(tables, tuple) else (tables,):
                 with pytest.raises(ValueError):
                     table.flat[0] = 1
 
@@ -248,6 +250,145 @@ class TestSignTables:
         out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "0"
+
+
+_STACK = 3
+
+
+def _stack(rng, n, p, q):
+    """A stack of _STACK forms and the same forms one by one."""
+    stack = DoubleForm(n, p, q, rng.standard_normal((_STACK, math.comb(n, p), math.comb(n, q))))
+    return stack, [DoubleForm(n, p, q, c) for c in stack.coeffs]
+
+
+def _sym_stack(rng, n):
+    stack = SymBilinear(n, np.stack([_random_sym(rng, n) for _ in range(_STACK)]))
+    return stack, [SymBilinear(n, e) for e in stack.entries]
+
+
+class TestStacks:
+    """Each form of a stack gets exactly the bits it gets alone."""
+
+    def test_kn_product(self):
+        rng = np.random.default_rng(80)
+        for n, pa, qa in _TABLE_CASES:
+            a, a1 = _stack(rng, n, pa, qa)
+            for m, pb, qb in _TABLE_CASES:
+                if m == n and pa + pb <= n and qa + qb <= n:
+                    b, b1 = _stack(rng, n, pb, qb)
+                    got = kn_product(a, b).coeffs
+                    # a stack times one form broadcasts that form over the stack
+                    with_one = kn_product(a, b1[0]).coeffs
+                    for k in range(_STACK):
+                        assert np.array_equal(got[k], kn_product(a1[k], b1[k]).coeffs)
+                        assert np.array_equal(with_one[k], kn_product(a1[k], b1[0]).coeffs)
+
+    def test_contract(self):
+        rng = np.random.default_rng(81)
+        for n, p, q in _TABLE_CASES:
+            if p and q:
+                w, w1 = _stack(rng, n, p, q)
+                got = contract(w)
+                for k in range(_STACK):
+                    one = contract(w1[k])
+                    if p == q == 1:
+                        assert isinstance(one, float) and got.shape == (_STACK,)
+                        assert got[k] == one
+                    else:
+                        assert np.array_equal(got.coeffs[k], one.coeffs), (n, p, q)
+
+    def test_hodge_star_inner_and_dense(self):
+        rng = np.random.default_rng(82)
+        for n, p, q in _TABLE_CASES:
+            w, w1 = _stack(rng, n, p, q)
+            v, v1 = _stack(rng, n, p, q)
+            star, dense = hodge_star(w).coeffs, w.to_dense()
+            back = DoubleForm.from_dense(n, p, q, dense).coeffs
+            pair, pair_full = inner(w, v), inner_full(w, v)
+            assert dense.shape == (_STACK,) + (n,) * (p + q)
+            for k in range(_STACK):
+                assert np.array_equal(star[k], hodge_star(w1[k]).coeffs)
+                assert np.array_equal(dense[k], w1[k].to_dense())
+                assert np.array_equal(back[k], DoubleForm.from_dense(n, p, q, dense[k]).coeffs)
+                assert np.array_equal(back[k], w1[k].coeffs)
+                assert pair[k] == inner(w1[k], v1[k]), (n, p, q)
+                assert pair_full[k] == inner_full(w1[k], v1[k])
+            assert isinstance(inner(w1[0], v1[0]), float)
+
+    def test_from_dense_matches_element_reads(self):
+        """The gather reads the increasing-index entries of the dense array."""
+        rng = np.random.default_rng(83)
+        for n, p, q in _TABLE_CASES:
+            dense = rng.standard_normal((n,) * (p + q))
+            want = [[dense[I + J] for J in dfalg._combos(n, q)] for I in dfalg._combos(n, p)]
+            assert np.array_equal(DoubleForm.from_dense(n, p, q, dense).coeffs, want)
+        with pytest.raises(ValueError, match="dense array must end in shape"):
+            DoubleForm.from_dense(4, 2, 1, np.zeros((4, 4)))
+
+    def test_f_h(self):
+        rng = np.random.default_rng(84)
+        for n, p, q in _TABLE_CASES:
+            w, w1 = _stack(rng, n, p, q)
+            h, h1 = _sym_stack(rng, n)
+            got, with_one = f_h(h, w).coeffs, f_h(h1[0], w).coeffs
+            for k in range(_STACK):
+                assert np.array_equal(got[k], f_h(h1[k], w1[k]).coeffs), (n, p, q)
+                assert np.array_equal(with_one[k], f_h(h1[0], w1[k]).coeffs)
+
+    def test_bilinear_algebra(self):
+        rng = np.random.default_rng(85)
+        for n in range(2, 6):
+            dense = np.stack([oracles.random_curvature_dense(rng, n) for _ in range(_STACK)])
+            R = DoubleForm.from_dense(n, 2, 2, dense)
+            z, z1 = _sym_stack(rng, n)
+            got = bilinear_algebra(z, R)
+            for k in range(_STACK):
+                one = bilinear_algebra(z1[k], DoubleForm.from_dense(n, 2, 2, dense[k]))
+                for key in ("rcirc", "compose"):
+                    assert np.array_equal(got[key].entries[k], one[key].entries), (n, key)
+
+    def test_scalar_per_form(self):
+        rng = np.random.default_rng(86)
+        w, w1 = _stack(rng, 4, 2, 1)
+        scale = rng.standard_normal(_STACK)
+        for got in ((w * scale).coeffs, (scale * w).coeffs):
+            for k in range(_STACK):
+                assert np.array_equal(got[k], (scale[k] * w1[k]).coeffs)
+
+    def test_kth_asymmetric_form_raises_as_alone(self):
+        rng = np.random.default_rng(87)
+        entries = np.stack([_random_sym(rng, 4) for _ in range(_STACK)])
+        entries[1, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="entries must be symmetric"):
+            SymBilinear(4, entries[1])
+        with pytest.raises(ValueError, match="entries must be symmetric"):
+            SymBilinear(4, entries)
+        # each form is judged against its own scale: a large form does not
+        # excuse the asymmetry of a small one
+        entries[0] *= 1e8
+        with pytest.raises(ValueError, match="entries must be symmetric"):
+            SymBilinear(4, entries)
+
+    def test_kth_non_curvature_form_raises_as_alone(self):
+        rng = np.random.default_rng(88)
+        dense = np.stack([oracles.random_curvature_dense(rng, 4) for _ in range(_STACK)])
+        coeffs = DoubleForm.from_dense(4, 2, 2, dense).coeffs.copy()
+        coeffs[2, 0, 1] += 1e-6
+        coeffs[0] *= 1e8
+        z = SymBilinear.identity(4)
+        with pytest.raises(ValueError, match="not curvature-type"):
+            bilinear_algebra(z, DoubleForm(4, 2, 2, coeffs[2]))
+        with pytest.raises(ValueError, match="not curvature-type"):
+            bilinear_algebra(z, DoubleForm(4, 2, 2, coeffs))
+        bilinear_algebra(z, DoubleForm(4, 2, 2, coeffs[:2]))
+
+    def test_shape_checks(self):
+        with pytest.raises(ValueError, match="coefficient array must have shape"):
+            DoubleForm(4, 1, 1, np.zeros((2, 4, 3)))
+        with pytest.raises(ValueError, match="coefficient array must have shape"):
+            DoubleForm(4, 0, 0, np.zeros(1))
+        with pytest.raises(ValueError, match="entries must be n x n"):
+            SymBilinear(3, np.zeros((2, 3, 4)))
 
 
 class TestAlgebraIdentities:
