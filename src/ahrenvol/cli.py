@@ -680,8 +680,12 @@ def run_flow_command(config: AuditConfig) -> AuditReport:
         _check("flow_target", values[-1] / max(values[0], 1e-300), config,
                passed=reached, tolerance=config.flow_target_fraction),
     ]
+    # a line search that accepts its c-th candidate halved eta c - 1 times
+    work = {"z_evaluations": sum(s.z_evaluations for s in history),
+            "gradient_passes": sum(s.gradient_passes for s in history),
+            "halvings": [max(s.z_evaluations - 1, 0) for s in history[1:]]}
     artifacts = {"history": [{"step": s.step, "theta": list(s.theta), "value": s.value,
-                              "eta": s.eta} for s in history]}
+                              "eta": s.eta} for s in history], "work": work}
     return AuditReport("flow", asdict(config), config.seed, checks, artifacts)
 
 

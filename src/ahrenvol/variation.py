@@ -25,6 +25,12 @@ and the curved-background formulas
 validate against central finite differences of the collar curvature engine
 with observed order 2 in the step.
 
+The gradient flow on the radial profile family descends the truncated
+Z(theta) = int |z|^2 dvol along the first variation of the functional: the
+display that :func:`zprime_display` integrates over a perturbation's support
+is integrated on Z's own nodes along each profile parameter
+(:func:`z2_value_and_gradient`), in the same pass that sums Z.
+
 Dense double-form layout: trailing axes are p first-group indices followed
 by q second-group indices; leading axes are grid axes.  A derivative axis is
 always inserted immediately before the index block.
@@ -76,6 +82,7 @@ __all__ = [
     "zprime_display",
     "fd_zprime",
     "z2_functional",
+    "z2_value_and_gradient",
     "FlowStep",
     "gradient_flow_step",
     "run_flow",
@@ -566,42 +573,126 @@ def z2_functional(theta, n_per: int = 32) -> float:
     return _z2_quadrature(geom, _FLOW_SEGMENTS, n_per)
 
 
+def z2_value_and_gradient(theta, n_per: int = 32):
+    """(Z, dZ/dtheta) of :func:`z2_functional` from one pass over Z's own nodes.
+
+    Z is summed exactly as :func:`z2_functional` sums it, so the two agree
+    bit for bit.  dZ/dtheta_k integrates the first-variation display of
+    :func:`zprime_display`,
+
+        1/2 |z|^2 tr h - <R(z), h> - <r o z, h> - 1/8 <z . g, (DDt+DtD) h>,
+
+    the pointwise derivative of |z|^2 dvol, at the same nodes along
+    m_k = dg_rho/dtheta_k = phi_k(rho) g_{S^3}, phi_k = 2 A rho^(2+k) (1 - rho/2)^2.
+    Every m_k is phi_k times the one field g_{S^3}, and the display is linear
+    in the jet (phi, phi', phi''), so the display of three unit jets at each
+    node serves every k.  f and z . g are pulled back to the X frame once per
+    node (:func:`ahrenvol.collar.to_on4` with q^T, the adjoint of the move to
+    the ON frame), where they pair with a unit jet's second covariant
+    derivative n2 directly: for a pair-symmetric form K antisymmetric in each pair,
+    <K, (DDt+DtD) h> = -8 sum K_abcd n2_acbd (see :func:`hessian11`), so no
+    Hessian is antisymmetrized and no n2 is moved to the ON frame.  phi_k and
+    its derivatives are products of A's and of the factors rho^(2+k) and
+    (1 - rho/2)^2, which keeps the bump's roundoff near the cap small.
+    """
+    theta = np.asarray(theta, float)
+    profile = perturbed_profile(theta)
+    geom = RadialGeometry(profile)
+    nodes, wts = gauss_nodes(_FLOW_SEGMENTS, n_per)
+
+    def background(rho):
+        # the record's curvature arrays go out of scope here, before the unit jets'
+        # covariant derivatives add theirs to the peak
+        cur = curvature_in_frame(geom, rho)
+        inv, q = cur["invariants"], cur["q"]
+        n = q.shape[0]
+        # to_on with q^T is the adjoint of to_on: <F_on, to_on(X, q)> = <to_on(F_on, q^T), X>
+        f_x = to_on2(gradient_field(inv["z"], cur["riem_on"], inv["ric"]), q.swapaxes(1, 2))
+        k_x = to_on4(kn_metric(inv["z"]), q.swapaxes(1, 2))
+        # k_acbd[n, (a, c, b, d)] = K[n, a, b, c, d], to pair entrywise with n2[n, a, c, b, d]
+        k_acbd = k_x.transpose(0, 1, 3, 2, 4).reshape(n, 256, 1)
+        return (inv["z2"], np.einsum("nii->n", f_x[:, :3, :3]), k_acbd,
+                (cur["gamma"], cur["dgamma"]), cur["dvol"])
+
+    def densities(rho):
+        z2, f_trace, k_acbd, christ, dvol = background(rho)
+        unit = np.zeros((dvol.shape[0], 4, 4))
+        unit[:, :3, :3] = np.eye(3)
+        zero = np.zeros_like(unit)
+        columns = [z2]
+        for j in range(3):
+            jet = tuple(unit if i == j else zero for i in range(3))
+            (n2,) = frame_covariant_derivative(
+                geom, rho, frame_covariant_derivative(geom, rho, jet, christ), christ)
+            columns.append((n2.reshape(-1, 1, 256) @ k_acbd)[:, 0, 0])
+        # <f, h> reads only the value of the jet
+        columns[1] += f_trace
+        return np.stack([slice_integral(geom, rho, c, dvol, 4) for c in columns], axis=1)
+
+    dens = map_slices(densities, nodes, geom.npts)
+    value = float(sum(wts * dens[:, 0]))
+    # the jet (phi_k, phi_k', phi_k'') at the nodes, from the factors A, rho^p and u^2
+    a = [profile.a(nodes, order) for order in range(3)]
+    u = 1.0 - 0.5 * nodes
+    jets = []
+    for k in range(theta.size):
+        p = 2 + k
+        b = (nodes**p * u**2,
+             p * nodes ** (p - 1) * u**2 - nodes**p * u,
+             p * (p - 1) * nodes ** (p - 2) * u**2 - 2 * p * nodes ** (p - 1) * u + 0.5 * nodes**p)
+        jets.append(np.stack([2.0 * a[0] * b[0],
+                              2.0 * (a[1] * b[0] + a[0] * b[1]),
+                              2.0 * (a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2])], axis=1))
+    grad = np.array([np.sum(jet * dens[:, 1:] * wts[:, None]) for jet in jets])
+    return value, grad
+
+
 @dataclass(frozen=True)
 class FlowStep:
+    """One row of a flow's history, with the work that produced it.
+
+    ``z_evaluations`` counts the functional's line-search candidates and
+    ``gradient_passes`` the :func:`z2_value_and_gradient` passes; row 0 holds
+    the pass that gave Z(theta_0).
+    """
+
     step: int
     theta: tuple
     value: float
     eta: float
+    z_evaluations: int = 0
+    gradient_passes: int = 0
 
 
-# central-difference step of the flow gradient, and the line search's budget
-_FLOW_FD_STEP = 1e-5
+# the line search's budget of step halvings
 _FLOW_MAX_HALVINGS = 20
 
 
-def gradient_flow_step(theta, value0: float, eta: float, functional=z2_functional):
+def _require_finite_eta(eta) -> None:
+    if not (math.isfinite(eta) and eta >= 0.0):
+        raise ValueError(f"step size must be finite and non-negative (got {eta})")
+
+
+def gradient_flow_step(theta, value0: float, grad, eta: float, functional=z2_functional):
     """One backtracking descent step on the profile parameters theta.
 
-    ``value0`` is the functional at theta, which the step does not evaluate
-    again.  Returns (theta_new, value_new, eta_used).  eta = 0 is a no-op.  A
-    candidate outside the profile family counts as an increase.  If the
-    functional fails to be non-increasing after ``_FLOW_MAX_HALVINGS``
-    halvings of eta, or a gradient probe leaves the family, the step raises
-    NonConvergence.
+    ``value0`` and ``grad`` are the functional and its gradient at theta,
+    which the step does not evaluate again: only the line search calls
+    ``functional``.  Returns (theta_new, value_new, eta_used).  eta = 0 is a
+    no-op; a negative, NaN or infinite eta is a ValueError.  A candidate
+    outside the profile family counts as an increase.  A non-finite theta or
+    gradient, or a functional that fails to be non-increasing after
+    ``_FLOW_MAX_HALVINGS`` halvings of eta, raises NonConvergence.
     """
+    _require_finite_eta(eta)
     theta = np.asarray(theta, float)
+    grad = np.asarray(grad, float)
+    if grad.shape != theta.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match theta {theta.shape}")
     if eta == 0.0:
         return theta, value0, 0.0
-    if eta < 0.0:
-        raise ValueError("step size must be non-negative")
-    grad = np.zeros_like(theta)
-    for k in range(len(theta)):
-        probe = np.zeros_like(theta)
-        probe[k] = _FLOW_FD_STEP
-        try:
-            grad[k] = (functional(theta + probe) - functional(theta - probe)) / (2 * _FLOW_FD_STEP)
-        except InvalidProfile as exc:
-            raise NonConvergence(f"gradient probe left the profile family: {exc}") from exc
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(grad))):
+        raise NonConvergence(f"non-finite theta {theta} or gradient {grad}")
     cur_eta = float(eta)
     for _ in range(_FLOW_MAX_HALVINGS + 1):
         cand = theta - cur_eta * grad
@@ -619,18 +710,40 @@ def run_flow(theta0, steps: int = 200, eta: float = 1e-3, target_fraction: float
              functional=z2_functional) -> list:
     """Gradient descent on theta; returns the FlowStep history.
 
-    The accepted step size is carried between iterations (doubled after each
-    success, halved inside :func:`gradient_flow_step` as needed).  With
-    ``target_fraction`` set, stops early once the functional drops below
-    that fraction of its initial value.
+    Z(theta_0) and its gradient come from one :func:`z2_value_and_gradient`
+    pass, and each later step starts with one pass at the theta that the
+    step before it accepted; none runs after the last step.  ``functional``
+    evaluates the line-search candidates, so it must compute Z (it may wrap
+    or count the calls).  The accepted step size is carried between
+    iterations (doubled after each success, halved inside
+    :func:`gradient_flow_step` as needed).  With ``target_fraction`` set,
+    stops early once the functional drops below that fraction of its initial
+    value.  A NaN or infinite eta or target_fraction is a ValueError.
     """
+    _require_finite_eta(eta)
+    if target_fraction is not None and not math.isfinite(target_fraction):
+        raise ValueError(f"target_fraction must be finite (got {target_fraction})")
+    calls = 0
+
+    def counted(cand):
+        nonlocal calls
+        calls += 1
+        return functional(cand)
+
     theta = np.asarray(theta0, float)
-    value = functional(theta)
-    history = [FlowStep(0, tuple(float(t) for t in theta), value, 0.0)]
+    value, grad = z2_value_and_gradient(theta)
+    history = [FlowStep(0, tuple(float(t) for t in theta), value, 0.0, gradient_passes=1)]
     cur_eta = float(eta)
     for k in range(1, steps + 1):
-        theta, value, used = gradient_flow_step(theta, value, cur_eta, functional=functional)
-        history.append(FlowStep(k, tuple(float(t) for t in theta), value, used))
+        passes = 0
+        if grad is None:
+            grad, passes = z2_value_and_gradient(theta)[1], 1
+        calls = 0
+        new, value, used = gradient_flow_step(theta, value, grad, cur_eta, functional=counted)
+        if not np.array_equal(new, theta):
+            grad = None
+        theta = new
+        history.append(FlowStep(k, tuple(float(t) for t in theta), value, used, calls, passes))
         cur_eta = max(min(2.0 * used, 1.0), 1e-12) if used > 0 else cur_eta
         if target_fraction is not None and value <= target_fraction * history[0].value:
             break

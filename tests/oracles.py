@@ -22,7 +22,10 @@ variation layer's batched-matmul contractions (covariant derivative,
 gradient field, F_h) against their per-slot einsum form.  The
 Euler-Lagrange residual, whose z-jet comes from a Chebyshev interpolant, is
 checked against the same residual with a 5-point finite-difference z-jet
-(``stencil_el_residual``).
+(``stencil_el_residual``).  The flow's analytic theta-gradient is checked
+against central differences of the functional (``fd_flow_gradient``) and
+against the display integrated with one Hessian per parameter
+(``display_flow_gradient``).
 """
 
 from __future__ import annotations
@@ -951,3 +954,59 @@ def stencil_el_residual(geom, rhos, step: float = 0.005) -> np.ndarray:
         omega_on = to_on4(hessian11(geom, fd_jet(zs, step), rho, christ), cur["q"])
         out.append(f_on - 0.5 * _einstein_t2_on(omega_on))
     return np.stack(out)
+
+
+# -- the flow's theta-gradient ----------------------------------------------------
+
+
+def fd_flow_gradient(theta, functional=None) -> np.ndarray:
+    """Central differences of the flow functional, step 1e-5 per parameter.
+
+    The reference for variation.z2_value_and_gradient's gradient: 2n calls
+    of ``functional`` (default ``variation.z2_functional``).
+    """
+    from ahrenvol.variation import z2_functional
+
+    functional = z2_functional if functional is None else functional
+    step = 1e-5
+    theta = np.asarray(theta, float)
+    grad = np.zeros_like(theta)
+    for k in range(len(theta)):
+        probe = np.zeros_like(theta)
+        probe[k] = step
+        grad[k] = (functional(theta + probe) - functional(theta - probe)) / (2 * step)
+    return grad
+
+
+def display_flow_gradient(theta, n_per: int = 32) -> np.ndarray:
+    """dZ/dtheta_k as the zprime_display integrand along each direction in turn.
+
+    At Z's own Gauss nodes, m_k = 2 A rho^(2+k) (1 - rho/2)^2 g_{S^3} is a
+    ``PolynomialPerturbation`` built by ``Polynomial`` arithmetic, and its
+    h, ON Hessian (hessian11 and to_on4) and background record come from
+    variation.linearized_curvature: n Hessians per node, against the three
+    unit-jet covariant derivatives of variation.z2_value_and_gradient.
+    """
+    from ahrenvol.collar import PolynomialPerturbation, perturbed_profile
+    from ahrenvol.variation import _FLOW_SEGMENTS, gradient_field, linearized_curvature
+
+    theta = np.asarray(theta, float)
+    geom = RadialGeometry(perturbed_profile(theta))
+    a_poly = perturbed_profile_polynomial(theta)
+    nodes, wts = gauss_nodes(_FLOW_SEGMENTS, n_per)
+    grad = np.zeros(theta.size)
+    for k in range(theta.size):
+        phi = 2.0 * a_poly * Polynomial([0.0] * (2 + k) + [1.0]) * Polynomial([1.0, -0.5]) ** 2
+        pert = PolynomialPerturbation({p: c * np.eye(3)[None] for p, c in enumerate(phi.coef)})
+
+        def density(rho):
+            lin = linearized_curvature(geom, pert, rho)
+            cur = lin["background"]
+            inv = cur["invariants"]
+            val = np.einsum("nab,nab->n", gradient_field(inv["z"], cur["riem_on"], inv["ric"]),
+                            lin["h_on"])
+            val -= 0.125 * np.einsum("nabcd,nabcd->n", dfalg.kn_metric(inv["z"]), lin["hessian"])
+            return slice_integral(geom, rho, val, cur["dvol"], 4)
+
+        grad[k] = wts @ map_slices(density, nodes, geom.npts)
+    return grad

@@ -592,6 +592,20 @@ class TestFlow:
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert values[-1] <= 0.01 * values[0]
 
+    def test_flow_reports_its_work(self, tmp_path):
+        """Two steps reach 0.2 Z(theta_0); the second halves eta once.  The
+        candidates are the only Z evaluations, with one gradient pass at
+        theta_0 and one at theta_1 (the central differences took 12 more)."""
+        theta0 = [0.05090830220592401, 0.0505358641812712, 0.04925194149357641]
+        cfg = write_config(tmp_path, "c.json", {
+            "family": "radial", "seed": 41,
+            "flow": {"theta0": theta0, "steps": 4, "target_fraction": 0.2},
+        })
+        assert run(["flow", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        report = json.loads((tmp_path / "flow-report.json").read_text())
+        assert report["artifacts"]["work"] == {
+            "z_evaluations": 3, "gradient_passes": 2, "halvings": [0, 1]}
+
     def test_stalled_flow_exits_nonconvergence(self, tmp_path, monkeypatch, capsys):
         def stall(*args, **kwargs):
             raise NonConvergence("stalled")

@@ -36,11 +36,14 @@ from ahrenvol.variation import (
     linearized_curvature,
     run_flow,
     z2_functional,
+    z2_value_and_gradient,
     zprime_display,
 )
 from ahrenvol.variation import _einstein_t2_on, _embed_jet, _frame_z
 from oracles import (
     FlatTorus4,
+    display_flow_gradient,
+    fd_flow_gradient,
     fd_jet,
     fh_dense_einsum,
     frame_covariant_derivative_einsum,
@@ -769,17 +772,63 @@ class TestSliceAnalysis:
 # -- gradient flow ----------------------------------------------------------------
 
 
+class TestFlowGradient:
+    """z2_value_and_gradient: Z bit for bit, and dZ/dtheta from the display."""
+
+    PROFILES = [(0.05, 0.05, 0.05), (0.03, -0.02, 0.01), (-0.08, 0.05, 0.02), (0.02,) * 6]
+
+    @pytest.mark.parametrize("theta", [(), (0.0, 0.0, 0.0)] + PROFILES)
+    def test_value_is_z2_functional_bit_for_bit(self, theta):
+        value, grad = z2_value_and_gradient(theta)
+        assert value == z2_functional(theta) and grad.shape == (len(theta),)
+
+    @pytest.mark.parametrize("theta", PROFILES)
+    def test_gradient_matches_central_differences(self, theta):
+        """The central differences of Z at step 1e-5 agree to 1.3e-9 of the
+        largest component (measured: 1.2e-10 to 1.3e-9)."""
+        grad = z2_value_and_gradient(theta)[1]
+        want = fd_flow_gradient(theta)
+        assert np.max(np.abs(grad - want)) <= 1e-8 * np.max(np.abs(want)), (grad, want)
+
+    def test_ball_is_stationary(self):
+        """At theta = 0 the gradient is exactly 0: the display reads 1.4e-13,
+        roundoff of a z that vanishes, and the differences 1.0e-8, their own
+        error."""
+        grad = z2_value_and_gradient((0.0, 0.0, 0.0))[1]
+        assert np.max(np.abs(grad)) < 1e-11, grad
+        assert np.max(np.abs(fd_flow_gradient((0.0, 0.0, 0.0)))) < 1e-6
+
+    def test_twenty_parameters(self):
+        """At theta_k = 0.01 cos k, k < 20, the gap to the differences is
+        2.8e-7 relative at step 1e-5 and falls as the step squared (2.8e-5 at
+        1e-4, 3.3e-9 at 1e-6): the differences' own truncation error."""
+        theta = 0.01 * np.cos(np.arange(20))
+        grad = z2_value_and_gradient(theta)[1]
+        want = fd_flow_gradient(theta)
+        assert np.max(np.abs(grad - want)) <= 1e-6 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("theta", PROFILES)
+    def test_gradient_is_the_display_along_each_direction(self, theta):
+        """The three unit-jet covariant derivatives give what n Hessians along
+        m_k give (tests/oracles.py): 7e-12 to 1.1e-10 relative, all of it the
+        power-basis m_k of the oracle near the cap (with the same factored m_k
+        the two agree to 3e-16)."""
+        grad = z2_value_and_gradient(theta)[1]
+        want = display_flow_gradient(theta)
+        assert np.max(np.abs(grad - want)) <= 1e-9 * np.max(np.abs(want))
+
+
 class TestGradientFlow:
     def test_zero_step_is_noop(self):
-        value0 = z2_functional([0.05, 0.05, 0.05])
-        theta, value, used = gradient_flow_step([0.05, 0.05, 0.05], value0, 0.0)
+        value0, grad = z2_value_and_gradient([0.05, 0.05, 0.05])
+        theta, value, used = gradient_flow_step([0.05, 0.05, 0.05], value0, grad, 0.0)
         assert np.array_equal(theta, [0.05, 0.05, 0.05])
         assert used == 0.0
         assert value == value0
 
     def test_step_does_not_evaluate_at_theta(self):
-        """The step takes the value at theta from its caller: it evaluates the
-        functional twice per parameter, then once per line-search candidate."""
+        """The step takes the value and the gradient at theta from its caller:
+        it evaluates the functional once per line-search candidate only."""
         theta0 = np.array([0.05, 0.05, 0.05])
         calls = []
 
@@ -787,32 +836,38 @@ class TestGradientFlow:
             calls.append(np.array(theta))
             return z2_functional(theta)
 
-        _, _, used = gradient_flow_step(theta0, z2_functional(theta0), 0.5, functional=counting)
+        value0, grad = z2_value_and_gradient(theta0)
+        _, _, used = gradient_flow_step(theta0, value0, grad, 0.5, functional=counting)
         candidates = round(math.log2(0.5 / used)) + 1
         assert candidates > 1
-        assert len(calls) == 2 * theta0.size + candidates
-        assert not any(np.array_equal(theta, theta0) for theta in calls)
+        assert len(calls) == candidates
+        assert all(np.array_equal(theta, theta0 - 0.5 ** (1 + k) * grad)
+                   for k, theta in enumerate(calls))
 
     def test_hyperbolic_start_is_stationary(self):
-        theta, value, _ = gradient_flow_step([0.0, 0.0, 0.0], z2_functional([0.0, 0.0, 0.0]), 1e-3)
+        value0, grad = z2_value_and_gradient([0.0, 0.0, 0.0])
+        theta, value, _ = gradient_flow_step([0.0, 0.0, 0.0], value0, grad, 1e-3)
         assert np.max(np.abs(theta)) < 1e-8
         assert value < 1e-20
 
     def test_stalled_after_max_halvings(self):
-        """A kinked functional whose finite-difference gradient points
-        uphill exhausts the backtracking budget."""
+        """A gradient that points uphill exhausts the backtracking budget:
+        every candidate raises the functional."""
+        calls = []
 
-        def kinked(theta):
-            t = float(np.asarray(theta)[0])
-            return t if t >= 0.05 else 1000.0 * (0.05 - t) + 0.05
+        def rising(theta):
+            calls.append(1)
+            return float(np.asarray(theta)[0])
 
-        with pytest.raises(RuntimeError, match="stalled"):
-            gradient_flow_step([0.05], kinked([0.05]), 1e-3, functional=kinked)
+        with pytest.raises(NonConvergence, match="stalled"):
+            gradient_flow_step([0.05], 0.05, [-1.0], 1e-3, functional=rising)
+        assert len(calls) == variation._FLOW_MAX_HALVINGS + 1
 
-    def test_probe_outside_the_profile_family_is_nonconvergence(self):
+    def test_step_on_the_edge_of_the_profile_family(self):
         """On the edge of the family (bisected along -theta_0 to where A's
-        minimum on (0, 2) reaches 0), a gradient probe leaves the family: a
-        NonConvergence, not a bare ValueError."""
+        minimum on (0, 2) reaches 0) the gradient comes from theta itself, so
+        nothing leaves the family before the line search; the candidates that
+        leave it count as increases, and the step still descends."""
         inside, outside = 0.0, 10.0
         for _ in range(60):
             mid = 0.5 * (inside + outside)
@@ -821,24 +876,114 @@ class TestGradientFlow:
                 inside = mid
             except InvalidProfile:
                 outside = mid
-        with pytest.raises(NonConvergence, match="probe left the profile family"):
-            gradient_flow_step([-inside], z2_functional([-inside]), 1e-3)
+        left = []
 
-    def test_non_finite_probe_is_nonconvergence(self):
-        """A probe at a NaN theta leaves the profile family at once, instead
-        of a NaN gradient feeding 21 line-search candidates into "stalled"."""
+        def counting(theta):
+            try:
+                return z2_functional(theta)
+            except InvalidProfile:
+                left.append(np.array(theta))
+                raise
+
+        value0, grad = z2_value_and_gradient([-inside])
+        _, value, _ = gradient_flow_step([-inside], value0, grad, 1e-3, functional=counting)
+        assert left and value <= value0
+
+    def test_non_finite_gradient_is_nonconvergence(self):
+        """A NaN theta or gradient is refused before any line-search
+        candidate, instead of feeding 21 NaN candidates into "stalled"."""
         calls = []
 
         def counting(theta):
             calls.append(np.array(theta))
             return z2_functional(theta)
 
-        with pytest.raises(NonConvergence, match="gradient probe left the profile family"):
-            gradient_flow_step([math.nan, 0.05, 0.05], 1.0, 1e-3, functional=counting)
-        assert len(calls) == 1
+        for theta, grad in [([math.nan, 0.05, 0.05], [1.0, 1.0, 1.0]),
+                            ([0.05, 0.05, 0.05], [math.nan, 1.0, 1.0]),
+                            ([0.05, 0.05, 0.05], [math.inf, 1.0, 1.0])]:
+            with pytest.raises(NonConvergence, match="non-finite"):
+                gradient_flow_step(theta, 1.0, grad, 1e-3, functional=counting)
+        assert calls == []
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, -1e-3])
+    def test_bad_step_size_is_refused_before_any_evaluation(self, eta):
+        calls = []
+
+        def counting(theta):
+            calls.append(np.array(theta))
+            return z2_functional(theta)
+
+        with pytest.raises(ValueError, match="step size"):
+            gradient_flow_step([0.05], 1.0, [1.0], eta, functional=counting)
+        with pytest.raises(ValueError, match="step size"):
+            run_flow([0.05], steps=2, eta=eta, functional=counting)
+        assert calls == []
+
+    @pytest.mark.parametrize("fraction", [math.nan, math.inf])
+    def test_non_finite_target_fraction_is_refused(self, fraction, monkeypatch):
+        passes = []
+        monkeypatch.setattr(variation, "z2_value_and_gradient", lambda *a: passes.append(a))
+        with pytest.raises(ValueError, match="target_fraction"):
+            run_flow([0.05], steps=2, target_fraction=fraction)
+        assert passes == []
+
+    def test_mismatched_gradient_is_refused(self):
+        with pytest.raises(ValueError, match="shape"):
+            gradient_flow_step([0.05, 0.05], 1.0, [1.0], 1e-3)
 
     def test_descent_is_monotone(self):
         history = run_flow([0.05, 0.05, 0.05], steps=8, eta=1e-3)
         values = [h.value for h in history]
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert values[-1] < 0.5 * values[0]
+
+    def test_work_per_step(self, monkeypatch):
+        """One pass at theta_0 (row 0), one at the start of every later step,
+        none after the last; the candidates are counted per step."""
+        passes, calls = [], []
+
+        def counting_pass(theta, *args):
+            passes.append(np.array(theta))
+            return z2_value_and_gradient(theta, *args)
+
+        def counting(theta):
+            calls.append(np.array(theta))
+            return z2_functional(theta)
+
+        monkeypatch.setattr(variation, "z2_value_and_gradient", counting_pass)
+        history = run_flow([0.05, 0.05, 0.05], steps=3, eta=1e-3, functional=counting)
+        assert len(history) == 4
+        assert [h.gradient_passes for h in history] == [1, 0, 1, 1]
+        assert [np.array_equal(p, h.theta) for p, h in zip(passes, history)] == [True] * 3
+        assert sum(h.z_evaluations for h in history) == len(calls)
+        assert all(h.z_evaluations == round(math.log2(2 * used / h.eta)) + 1
+                   for h, used in zip(history[2:], [h.eta for h in history[1:]]))
+        assert history[0].value == z2_functional([0.05, 0.05, 0.05])
+
+    def test_zero_step_size_keeps_the_first_gradient(self, monkeypatch):
+        passes = []
+
+        def counting_pass(theta, *args):
+            passes.append(np.array(theta))
+            return z2_value_and_gradient(theta, *args)
+
+        monkeypatch.setattr(variation, "z2_value_and_gradient", counting_pass)
+        history = run_flow([0.05, 0.05, 0.05], steps=3, eta=0.0)
+        assert len(passes) == 1 and [h.z_evaluations for h in history] == [0, 0, 0, 0]
+
+    def test_flow_matches_the_finite_difference_flow(self):
+        """Against a flow whose steps take the central-difference gradient:
+        the same step sizes, Z(theta_0) bit for bit and every later value
+        within 1e-9 relative."""
+        theta = np.array([0.05, 0.05, 0.05])
+        value = z2_functional(theta)
+        want, etas, eta = [value], [0.0], 1e-3
+        for _ in range(3):
+            theta, value, used = gradient_flow_step(theta, value, fd_flow_gradient(theta), eta)
+            want.append(value)
+            etas.append(used)
+            eta = min(2.0 * used, 1.0)
+        history = run_flow([0.05, 0.05, 0.05], steps=3, eta=1e-3)
+        assert [h.eta for h in history] == etas
+        assert history[0].value == want[0]
+        assert all(abs(h.value - w) <= 1e-9 * w for h, w in zip(history, want))
