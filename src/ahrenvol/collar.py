@@ -78,6 +78,7 @@ __all__ = [
     "random_jet",
     "hyperbolic_profile",
     "perturbed_profile",
+    "profile_basis_jet",
 ]
 
 
@@ -229,6 +230,12 @@ def hyperbolic_profile() -> RadialProfile:
     return RadialProfile(Polynomial([1.0, 0.0, -0.25]))
 
 
+# bump k of perturbed_profile is rho^(_BUMP_POWER + k) times the square of
+# the root factor c0 + c1 rho (1 - rho/2)
+_BUMP_POWER = 2
+_BUMP_ROOT = (1.0, -0.5)
+
+
 def perturbed_profile(theta) -> RadialProfile:
     """Hyperbolic profile plus sum_k theta_k rho^(2+k) (1 - rho/2)^2.
 
@@ -238,12 +245,32 @@ def perturbed_profile(theta) -> RadialProfile:
     in its order, without building the intermediate objects.
     """
     coef = np.array([1.0, 0.0, -0.25])
-    window = np.convolve([1.0, -0.5], [1.0, -0.5])
+    window = np.convolve(_BUMP_ROOT, _BUMP_ROOT)
     for k, t in enumerate(np.atleast_1d(np.asarray(theta, dtype=float))):
-        power = np.zeros(3 + k)
+        power = np.zeros(_BUMP_POWER + 1 + k)
         power[-1] = 1.0
         coef = polyadd(coef, np.convolve(np.convolve([float(t)], power), window))
     return RadialProfile(Polynomial(coef))
+
+
+def profile_basis_jet(n_params: int, rho) -> np.ndarray:
+    """dA/dtheta_k of :func:`perturbed_profile` and its first two rho-derivatives.
+
+    Returns shape (n_params, 3, len(rho)).  Each bump rho^p u^2 (u = 1 - rho/2)
+    is differentiated as a product of those factors, not as one power series,
+    which keeps the roundoff near the cap small.
+    """
+    rho = np.asarray(rho, float)
+    u = _BUMP_ROOT[0] + _BUMP_ROOT[1] * rho
+    du = _BUMP_ROOT[1]
+    jet = np.empty((n_params, 3, rho.size))
+    for k in range(n_params):
+        p = _BUMP_POWER + k
+        jet[k, 0] = rho**p * u**2
+        jet[k, 1] = p * rho ** (p - 1) * u**2 + 2.0 * du * rho**p * u
+        jet[k, 2] = (p * (p - 1) * rho ** (p - 2) * u**2 + 4.0 * p * du * rho ** (p - 1) * u
+                     + 2.0 * du**2 * rho**p)
+    return jet
 
 
 # -- geometry backends -------------------------------------------------------

@@ -61,6 +61,7 @@ from .collar import (
     gauss_nodes,
     map_slices,
     perturbed_profile,
+    profile_basis_jet,
     slice_integral,
     to_on2,
     to_on4,
@@ -556,9 +557,11 @@ def fd_zprime(geom, pert) -> float:
 # -- gradient flow on radial profile families -----------------------------------
 
 _FLOW_SEGMENTS = ((0.02, 0.1), (0.1, 0.4), (0.4, 1.0), (1.0, 1.7), (1.7, 1.999))
+# Gauss nodes per segment of Z, read by z2_functional and z2_value_and_gradient
+_FLOW_NODES = 32
 
 
-def z2_functional(theta, n_per: int = 32) -> float:
+def z2_functional(theta, n_per: int = _FLOW_NODES) -> float:
     """int |z|^2 dvol over 0.02 <= rho <= 1.999 on the profile family A_theta.
 
     The family keeps A(0)=1, A'(0)=0, A(2)=0, A'(2)=-1, so every member is
@@ -573,7 +576,7 @@ def z2_functional(theta, n_per: int = 32) -> float:
     return _z2_quadrature(geom, _FLOW_SEGMENTS, n_per)
 
 
-def z2_value_and_gradient(theta, n_per: int = 32):
+def z2_value_and_gradient(theta):
     """(Z, dZ/dtheta) of :func:`z2_functional` from one pass over Z's own nodes.
 
     Z is summed exactly as :func:`z2_functional` sums it, so the two agree
@@ -583,7 +586,7 @@ def z2_value_and_gradient(theta, n_per: int = 32):
         1/2 |z|^2 tr h - <R(z), h> - <r o z, h> - 1/8 <z . g, (DDt+DtD) h>,
 
     the pointwise derivative of |z|^2 dvol, at the same nodes along
-    m_k = dg_rho/dtheta_k = phi_k(rho) g_{S^3}, phi_k = 2 A rho^(2+k) (1 - rho/2)^2.
+    m_k = dg_rho/dtheta_k = phi_k(rho) g_{S^3}, phi_k = 2 A dA/dtheta_k.
     Every m_k is phi_k times the one field g_{S^3}, and the display is linear
     in the jet (phi, phi', phi''), so the display of three unit jets at each
     node serves every k.  f and z . g are pulled back to the X frame once per
@@ -591,14 +594,14 @@ def z2_value_and_gradient(theta, n_per: int = 32):
     the ON frame), where they pair with a unit jet's second covariant
     derivative n2 directly: for a pair-symmetric form K antisymmetric in each pair,
     <K, (DDt+DtD) h> = -8 sum K_abcd n2_acbd (see :func:`hessian11`), so no
-    Hessian is antisymmetrized and no n2 is moved to the ON frame.  phi_k and
-    its derivatives are products of A's and of the factors rho^(2+k) and
-    (1 - rho/2)^2, which keeps the bump's roundoff near the cap small.
+    Hessian is antisymmetrized and no n2 is moved to the ON frame.  The jet
+    of phi_k is the product rule on A's jet and on
+    :func:`ahrenvol.collar.profile_basis_jet`.
     """
     theta = np.asarray(theta, float)
     profile = perturbed_profile(theta)
     geom = RadialGeometry(profile)
-    nodes, wts = gauss_nodes(_FLOW_SEGMENTS, n_per)
+    nodes, wts = gauss_nodes(_FLOW_SEGMENTS, _FLOW_NODES)
 
     def background(rho):
         # the record's curvature arrays go out of scope here, before the unit jets'
@@ -631,15 +634,10 @@ def z2_value_and_gradient(theta, n_per: int = 32):
 
     dens = map_slices(densities, nodes, geom.npts)
     value = float(sum(wts * dens[:, 0]))
-    # the jet (phi_k, phi_k', phi_k'') at the nodes, from the factors A, rho^p and u^2
+    # the jet (phi_k, phi_k', phi_k'') of phi_k = 2 A b_k at the nodes, b_k = dA/dtheta_k
     a = [profile.a(nodes, order) for order in range(3)]
-    u = 1.0 - 0.5 * nodes
     jets = []
-    for k in range(theta.size):
-        p = 2 + k
-        b = (nodes**p * u**2,
-             p * nodes ** (p - 1) * u**2 - nodes**p * u,
-             p * (p - 1) * nodes ** (p - 2) * u**2 - 2 * p * nodes ** (p - 1) * u + 0.5 * nodes**p)
+    for b in profile_basis_jet(theta.size, nodes):
         jets.append(np.stack([2.0 * a[0] * b[0],
                               2.0 * (a[1] * b[0] + a[0] * b[1]),
                               2.0 * (a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2])], axis=1))
@@ -676,10 +674,12 @@ def _require_finite_eta(eta) -> None:
 def gradient_flow_step(theta, value0: float, grad, eta: float, functional=z2_functional):
     """One backtracking descent step on the profile parameters theta.
 
-    ``value0`` and ``grad`` are the functional and its gradient at theta,
-    which the step does not evaluate again: only the line search calls
-    ``functional``.  Returns (theta_new, value_new, eta_used).  eta = 0 is a
-    no-op; a negative, NaN or infinite eta is a ValueError.  A candidate
+    ``value0`` and ``grad`` are Z and its gradient at theta, which the step
+    does not evaluate again: only the line search calls ``functional``, a
+    hook to wrap or count :func:`z2_functional` that must return Z (the
+    gradient is Z's, whatever ``functional`` is).  Returns (theta_new,
+    value_new, eta_used).  eta = 0 is a no-op; a negative, NaN or infinite
+    eta is a ValueError.  A candidate
     outside the profile family counts as an increase.  A non-finite theta or
     gradient, or a functional that fails to be non-increasing after
     ``_FLOW_MAX_HALVINGS`` halvings of eta, raises NonConvergence.
@@ -712,9 +712,12 @@ def run_flow(theta0, steps: int = 200, eta: float = 1e-3, target_fraction: float
 
     Z(theta_0) and its gradient come from one :func:`z2_value_and_gradient`
     pass, and each later step starts with one pass at the theta that the
-    step before it accepted; none runs after the last step.  ``functional``
-    evaluates the line-search candidates, so it must compute Z (it may wrap
-    or count the calls).  The accepted step size is carried between
+    step before it accepted; none runs after the last step.  With steps = 0
+    or eta = 0 no step moves theta, so no gradient is taken and Z(theta_0) is
+    one call of ``functional``.  ``functional`` is a hook to wrap or count
+    :func:`z2_functional`, not a choice of what the flow descends: it
+    evaluates the line-search candidates, and the gradients are always Z's,
+    so it must return Z.  The accepted step size is carried between
     iterations (doubled after each success, halved inside
     :func:`gradient_flow_step` as needed).  With ``target_fraction`` set,
     stops early once the functional drops below that fraction of its initial
@@ -731,8 +734,13 @@ def run_flow(theta0, steps: int = 200, eta: float = 1e-3, target_fraction: float
         return functional(cand)
 
     theta = np.asarray(theta0, float)
-    value, grad = z2_value_and_gradient(theta)
-    history = [FlowStep(0, tuple(float(t) for t in theta), value, 0.0, gradient_passes=1)]
+    if steps > 0 and eta > 0.0:
+        value, grad = z2_value_and_gradient(theta)
+        history = [FlowStep(0, tuple(float(t) for t in theta), value, 0.0, gradient_passes=1)]
+    else:
+        # eta = 0 makes every step a no-op that never reads its gradient
+        value, grad = functional(theta), np.zeros_like(theta)
+        history = [FlowStep(0, tuple(float(t) for t in theta), value, 0.0, z_evaluations=1)]
     cur_eta = float(eta)
     for k in range(1, steps + 1):
         passes = 0

@@ -978,7 +978,7 @@ def fd_flow_gradient(theta, functional=None) -> np.ndarray:
     return grad
 
 
-def display_flow_gradient(theta, n_per: int = 32) -> np.ndarray:
+def display_flow_gradient(theta) -> np.ndarray:
     """dZ/dtheta_k as the zprime_display integrand along each direction in turn.
 
     At Z's own Gauss nodes, m_k = 2 A rho^(2+k) (1 - rho/2)^2 g_{S^3} is a
@@ -988,12 +988,12 @@ def display_flow_gradient(theta, n_per: int = 32) -> np.ndarray:
     unit-jet covariant derivatives of variation.z2_value_and_gradient.
     """
     from ahrenvol.collar import PolynomialPerturbation, perturbed_profile
-    from ahrenvol.variation import _FLOW_SEGMENTS, gradient_field, linearized_curvature
+    from ahrenvol.variation import _FLOW_NODES, _FLOW_SEGMENTS, gradient_field, linearized_curvature
 
     theta = np.asarray(theta, float)
     geom = RadialGeometry(perturbed_profile(theta))
     a_poly = perturbed_profile_polynomial(theta)
-    nodes, wts = gauss_nodes(_FLOW_SEGMENTS, n_per)
+    nodes, wts = gauss_nodes(_FLOW_SEGMENTS, _FLOW_NODES)
     grad = np.zeros(theta.size)
     for k in range(theta.size):
         phi = 2.0 * a_poly * Polynomial([0.0] * (2 + k) + [1.0]) * Polynomial([1.0, -0.5]) ** 2

@@ -62,6 +62,20 @@ class TestProfiles:
         for k in range(4):
             assert np.array_equal(prof.a(rr, k), prof.poly.deriv(k)(rr))
 
+    def test_basis_jet_is_the_profiles_theta_derivative(self):
+        """A is linear in theta, so dA/dtheta_k is perturbed_profile(e_k) - A_ball
+        exactly; the factored jet reads its first three derivatives."""
+        n = 6
+        rr = np.linspace(0.0, 2.0, 41)
+        jet = collar.profile_basis_jet(n, rr)
+        assert jet.shape == (n, 3, rr.size)
+        ball = hyperbolic_profile().poly
+        for k in range(n):
+            bump = perturbed_profile(np.eye(n)[k]).poly - ball
+            for order in range(3):
+                want = bump.deriv(order)(rr)
+                assert np.max(np.abs(jet[k, order] - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_perturbed_profile_keeps_conditions(self):
         prof = perturbed_profile([0.03, -0.02, 0.01])
         assert prof.a(0.0) == pytest.approx(1.0, abs=1e-13)

@@ -942,9 +942,9 @@ class TestGradientFlow:
         none after the last; the candidates are counted per step."""
         passes, calls = [], []
 
-        def counting_pass(theta, *args):
+        def counting_pass(theta):
             passes.append(np.array(theta))
-            return z2_value_and_gradient(theta, *args)
+            return z2_value_and_gradient(theta)
 
         def counting(theta):
             calls.append(np.array(theta))
@@ -960,16 +960,22 @@ class TestGradientFlow:
                    for h, used in zip(history[2:], [h.eta for h in history[1:]]))
         assert history[0].value == z2_functional([0.05, 0.05, 0.05])
 
-    def test_zero_step_size_keeps_the_first_gradient(self, monkeypatch):
-        passes = []
+    @pytest.mark.parametrize("steps, eta", [(3, 0.0), (0, 1e-3)])
+    def test_no_moving_step_costs_one_z_and_no_pass(self, steps, eta, monkeypatch):
+        """With eta = 0 or no steps, no gradient is read: Z(theta_0) is one
+        call of the functional, the same bits as the pass would give."""
+        passes, calls = [], []
 
-        def counting_pass(theta, *args):
-            passes.append(np.array(theta))
-            return z2_value_and_gradient(theta, *args)
+        def counting(theta):
+            calls.append(np.array(theta))
+            return z2_functional(theta)
 
-        monkeypatch.setattr(variation, "z2_value_and_gradient", counting_pass)
-        history = run_flow([0.05, 0.05, 0.05], steps=3, eta=0.0)
-        assert len(passes) == 1 and [h.z_evaluations for h in history] == [0, 0, 0, 0]
+        monkeypatch.setattr(variation, "z2_value_and_gradient", lambda *a: passes.append(a))
+        history = run_flow([0.05, 0.05, 0.05], steps=steps, eta=eta, functional=counting)
+        assert passes == [] and len(calls) == 1
+        assert [h.z_evaluations for h in history] == [1] + [0] * steps
+        assert [h.gradient_passes for h in history] == [0] * (steps + 1)
+        assert all(h.value == z2_functional([0.05, 0.05, 0.05]) for h in history)
 
     def test_flow_matches_the_finite_difference_flow(self):
         """Against a flow whose steps take the central-difference gradient:
