@@ -535,6 +535,9 @@ def run_renvol(config: AuditConfig) -> AuditReport:
         "fit_cond": fit.cond,
         "half_grid_drift": fit.half_grid_drift,
         "kept_powers": fit.kept_powers,
+        "selection_gaps": fit.selection_gaps,
+        "floor_ratio": fit.floor_ratio,
+        "fits": fit.fits,
         "log_ambiguous": fit.log_ambiguous,
     }
     return AuditReport("renvol", asdict(config), config.seed, checks, artifacts)
@@ -568,6 +571,9 @@ def run_gauss_bonnet(config: AuditConfig) -> AuditReport:
         "fit_cond": {key: fit.cond for key, fit in fits.items()},
         "half_grid_drift": {key: fit.half_grid_drift for key, fit in fits.items()},
         "kept_powers": {key: fit.kept_powers for key, fit in fits.items()},
+        "selection_gaps": {key: fit.selection_gaps for key, fit in fits.items()},
+        "floor_ratio": {key: fit.floor_ratio for key, fit in fits.items()},
+        "fits": {key: fit.fits for key, fit in fits.items()},
         "log_ambiguous": {key: fit.log_ambiguous for key, fit in fits.items()},
     }
     return AuditReport("gauss-bonnet", asdict(config), config.seed, checks, artifacts)

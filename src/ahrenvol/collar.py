@@ -576,9 +576,12 @@ def to_on2(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def to_on4(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
     n = q.shape[0]
-    # qq[n, (s, t), (a, b)] = q[n, s, a] q[n, t, b] moves an index pair at once
-    qq = (q[:, :, None, :, None] * q[:, None, :, None, :]).reshape(n, 16, 16)
-    return (qq.swapaxes(1, 2) @ fld.reshape(n, 16, 16) @ qq).reshape(fld.shape)
+    out = fld
+    # one slot per product: contract the last slot with q, then move the new
+    # index first, so after four products the slots are back in order
+    for _ in range(4):
+        out = (out.reshape(n, 64, 4) @ q).reshape(n, 4, 4, 4, 4).transpose(0, 4, 1, 2, 3)
+    return out
 
 
 # structure functions of X without the boundary part: [X_4, X_i] = X_i

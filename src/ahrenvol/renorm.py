@@ -92,6 +92,12 @@ class RegularizedIntegral:
     half_grid_drift: float = 0.0
     # nuisance powers kept by forward selection, in selection order
     kept_powers: tuple = ()
+    # per selection step with two or more candidates, the runner-up's residual
+    # over the best one's, minus 1; the final residual over the stopping floor;
+    # the number of bases solved
+    selection_gaps: tuple = ()
+    floor_ratio: float = 0.0
+    fits: int = 0
 
     @property
     def log_ambiguous(self) -> bool:
@@ -100,42 +106,6 @@ class RegularizedIntegral:
 
     def as_tuple(self):
         return (self.c0, self.c2, self.log_coeff, self.finite)
-
-
-def _design_columns(eps: np.ndarray, powers) -> tuple[np.ndarray, list]:
-    cols, keys = [], []
-    for p in powers:
-        if p == "log":
-            cols.append(np.log(1.0 / eps))
-        else:
-            cols.append(eps ** float(p))
-        keys.append(p)
-    return np.stack(cols, axis=1), keys
-
-
-def _ls_fit(eps: np.ndarray, vals: np.ndarray, powers_list, cond_limit):
-    """Column-scaled least squares with extended-precision refinement.
-
-    The columns span several orders of magnitude, so a single float64 solve
-    loses ~cond digits on exactly-representable models; refinement against
-    long-double residuals recovers them.
-    """
-    design, keys = _design_columns(eps, list(powers_list))
-    norms = np.linalg.norm(design, axis=0)
-    norms[norms == 0.0] = 1.0
-    scaled = design / norms
-    cond = float(np.linalg.cond(scaled))
-    if cond > cond_limit:
-        raise FitRejected(f"ill-conditioned asymptotic fit (cond={cond:.3e})")
-    sol, _, _, _ = np.linalg.lstsq(scaled, vals, rcond=None)
-    scaled_ld = scaled.astype(np.longdouble)
-    vals_ld = vals.astype(np.longdouble)
-    for _ in range(3):
-        r = np.asarray(vals_ld - scaled_ld @ sol.astype(np.longdouble), dtype=float)
-        sol = sol + np.linalg.lstsq(scaled, r, rcond=None)[0]
-    coeffs = sol / norms
-    resid = float(np.max(np.abs(design @ coeffs - vals)))
-    return dict(zip(keys, coeffs)), resid, cond
 
 
 # reported model terms, decaying nuisance terms, the accepted relative fit
@@ -149,6 +119,57 @@ _FIT_COND_LIMIT = 1e9
 # (on 8 samples theta = (-0.08, 0.05, 0.02) read V = 387.78, closed form 15.8559)
 MIN_EPS_SAMPLES = len(_MODEL_POWERS) + len(_NUISANCE_POWERS) + 2
 MIN_EPS_SPAN = 8.0
+# the design's columns: the model powers, then the nuisance powers
+_POWERS = _MODEL_POWERS + _NUISANCE_POWERS
+
+
+def _design(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of every power in ``_POWERS`` on ``eps``, and their norms."""
+    design = np.stack([np.log(1.0 / eps) if p == "log" else eps ** float(p) for p in _POWERS],
+                      axis=1)
+    norms = np.linalg.norm(design, axis=0)
+    norms[norms == 0.0] = 1.0
+    return design, norms
+
+
+def _solve_stack(design, norms, vals, bases, cond_limit):
+    """Column-scaled least squares of ``vals`` on a stack of bases, from one SVD each.
+
+    ``bases`` is a (k, n) array of column indices into ``design``: each row
+    is one basis, and every basis of a stack has n columns.  The columns
+    span several orders of magnitude, so a single float64 solve loses ~cond
+    digits on exactly-representable models; three refinement steps against
+    long-double residuals recover them (Bjorck, Numerical Methods for Least
+    Squares Problems, 1996, sec. 2.9), each applying the same factors.  A
+    singular value at or below lstsq's default cutoff eps max(m, n) sigma_max
+    is treated as zero, so a rank-deficient basis gets lstsq's minimum-norm
+    solution.  A basis whose condition number exceeds ``cond_limit`` raises
+    FitRejected.  Returns the coefficients (k, n), the largest absolute
+    residual of each basis and its condition number.
+    """
+    bases = np.asarray(bases)
+    # each basis is a Fortran-ordered (m, n) matrix, laid out alike in any stack
+    cols = design.T[bases].swapaxes(1, 2)
+    scaled = cols / norms[bases][:, None, :]
+    u, sv, vt = np.linalg.svd(scaled, full_matrices=False)
+    with np.errstate(divide="ignore"):
+        cond = sv[:, 0] / sv[:, -1]
+    over = np.flatnonzero(cond > cond_limit)
+    if over.size:
+        raise FitRejected(f"ill-conditioned asymptotic fit (cond={cond[over[0]]:.3e})")
+    kept = sv > np.finfo(float).eps * max(scaled.shape[1:]) * sv[:, :1]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=kept)
+    pinv = (vt.swapaxes(1, 2) * inv[:, None, :]) @ u.swapaxes(1, 2)
+    sol = pinv @ vals
+    scaled_ld = scaled.astype(np.longdouble)
+    vals_ld = vals.astype(np.longdouble)
+    for _ in range(3):
+        r = np.asarray(vals_ld - (scaled_ld @ sol.astype(np.longdouble)[..., None])[..., 0],
+                       dtype=float)
+        sol = sol + (pinv @ r[..., None])[..., 0]
+    coeffs = sol / norms[bases]
+    resid = np.max(np.abs((cols @ coeffs[..., None])[..., 0] - vals), axis=1)
+    return coeffs, resid, cond
 
 
 def finite_part(values) -> RegularizedIntegral:
@@ -162,6 +183,18 @@ def finite_part(values) -> RegularizedIntegral:
     ones in ``kept_powers``) so that smooth o(1) tails do not contaminate
     the finite part.  A non-finite eps raises ValueError, and a non-finite
     value FitRejected, each naming the first such sample, before any fit.
+
+    The design of all ten powers is built and column-scaled once; every
+    basis is a subset of its columns.  Each selection step solves its
+    candidates, which all have the same column count, as one stack of SVDs
+    (:func:`_solve_stack`); the full-basis, bare-model and half-grid fits
+    are stacks of one.  Singular values at or below lstsq's default cutoff
+    are dropped, so the half-grid refit, which has no condition limit, gets
+    the minimum-norm solution.  The result also reports how close the
+    selection came to going another way: ``selection_gaps`` (per step with
+    two or more candidates, the runner-up's residual over the best one's,
+    minus 1), ``floor_ratio`` (the final residual over the stopping floor)
+    and ``fits`` (the number of bases solved).
     """
     eps, vals = (np.asarray(a, dtype=float) for a in values)
     bad = np.flatnonzero(~np.isfinite(eps))
@@ -178,22 +211,36 @@ def finite_part(values) -> RegularizedIntegral:
     if eps.max() / eps.min() < MIN_EPS_SPAN:
         raise ValueError(f"eps grid must span at least a factor of {MIN_EPS_SPAN:g}")
 
-    all_powers = list(_MODEL_POWERS + _NUISANCE_POWERS)
-    _, resid_full, _ = _ls_fit(eps, vals, all_powers, _FIT_COND_LIMIT)
+    design, norms = _design(eps)
+    n_model = len(_MODEL_POWERS)
+    _, (resid_full,), _ = _solve_stack(design, norms, vals, [range(len(_POWERS))],
+                                       _FIT_COND_LIMIT)
     # forward selection of nuisance powers: start from the bare model and
     # greedily add the extra power that most reduces the residual, stopping
     # at the full-basis residual floor.  Exactly-representable families then
     # keep none of the nuisance terms, which would otherwise degrade the
-    # conditioning of the finite part by orders of magnitude.
-    floor = 10.0 * resid_full + 1e-13
-    kept = list(_MODEL_POWERS)
-    remaining = list(_NUISANCE_POWERS)
-    by_key, resid, cond_kept = _ls_fit(eps, vals, kept, _FIT_COND_LIMIT)
+    # conditioning of the finite part by orders of magnitude.  kept and
+    # remaining hold design columns
+    floor = 10.0 * float(resid_full) + 1e-13
+    kept = list(range(n_model))
+    remaining = list(range(n_model, len(_POWERS)))
+    (coeffs,), (resid,), (cond_kept,) = _solve_stack(design, norms, vals, [kept],
+                                                     _FIT_COND_LIMIT)
+    gaps, fits = [], 3
     while resid > floor and remaining:
-        trials = [_ls_fit(eps, vals, kept + [p], _FIT_COND_LIMIT) + (p,) for p in remaining]
-        by_key, resid, cond_kept, best = min(trials, key=lambda t: t[1])
-        kept.append(best)
-        remaining.remove(best)
+        trials = _solve_stack(design, norms, vals, [kept + [c] for c in remaining],
+                              _FIT_COND_LIMIT)
+        fits += len(remaining)
+        # a stable sort ranks equal residuals in candidate order, as min() did
+        ranked = np.argsort(trials[1], kind="stable")
+        best = ranked[0]
+        coeffs, resid, cond_kept = (t[best] for t in trials)
+        if ranked.size > 1:
+            runner_up = trials[1][ranked[1]]
+            gaps.append(float(runner_up / resid - 1.0) if resid
+                        else (math.inf if runner_up else 0.0))
+        kept.append(remaining.pop(best))
+    resid, cond_kept = float(resid), float(cond_kept)
 
     scale = max(1.0, float(np.max(np.abs(vals))))
     if resid > _FIT_TOL * scale:
@@ -204,21 +251,27 @@ def finite_part(values) -> RegularizedIntegral:
     # stability: refit on the lower half of the grid, record the V drift.
     # Nuisance powers are truncated so the half fit stays overdetermined.
     half = eps.size // 2
-    half_powers = kept[: max(len(_MODEL_POWERS), half - 2)]
-    half_fit, _, _ = _ls_fit(eps[:half], vals[:half], half_powers, np.inf)
-    drift = float(abs(half_fit[0] - by_key[0]))
+    half_cols = kept[: max(n_model, half - 2)]
+    (half_coeffs,), _, _ = _solve_stack(*_design(eps[:half]), vals[:half], [half_cols], np.inf)
+    # the model columns lead both bases, so V has the same position in each
+    finite_col = _POWERS.index(0)
+    drift = float(abs(half_coeffs[finite_col] - coeffs[finite_col]))
 
-    extras = {p: float(by_key.get(p, 0.0)) for p in _NUISANCE_POWERS}
+    by_key = dict.fromkeys(_POWERS, 0.0)
+    by_key.update((_POWERS[c], float(v)) for c, v in zip(kept, coeffs))
     return RegularizedIntegral(
-        c0=float(by_key.get(-3, 0.0)),
-        c2=float(by_key.get(-1, 0.0)),
-        log_coeff=float(by_key.get("log", 0.0)),
-        finite=float(by_key[0]),
+        c0=by_key[-3],
+        c2=by_key[-1],
+        log_coeff=by_key["log"],
+        finite=by_key[0],
         fit_residual=resid,
-        extras=extras,
+        extras={p: by_key[p] for p in _NUISANCE_POWERS},
         cond=cond_kept,
         half_grid_drift=drift,
-        kept_powers=tuple(kept[len(_MODEL_POWERS) :]),
+        kept_powers=tuple(_POWERS[c] for c in kept[n_model:]),
+        selection_gaps=tuple(gaps),
+        floor_ratio=resid / floor,
+        fits=fits,
     )
 
 

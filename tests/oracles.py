@@ -55,6 +55,14 @@ from ahrenvol.collar import (
     to_on4,
 )
 from ahrenvol.dfalg import _EPS4, _combo_pos, _combos, _insert_sign, _merge_sign
+from ahrenvol.renorm import (
+    _FIT_COND_LIMIT,
+    _FIT_TOL,
+    _MODEL_POWERS,
+    _NUISANCE_POWERS,
+    FitRejected,
+    RegularizedIntegral,
+)
 
 
 def perm_sign(perm) -> int:
@@ -495,6 +503,106 @@ def paycha_finite_part(func, taylor, a: float, cutoff: float = 0.05) -> float:
     )
 
 
+# -- the eps-fit, one basis at a time -------------------------------------------
+
+
+def _design_columns(eps: np.ndarray, powers) -> tuple[np.ndarray, list]:
+    cols, keys = [], []
+    for p in powers:
+        if p == "log":
+            cols.append(np.log(1.0 / eps))
+        else:
+            cols.append(eps ** float(p))
+        keys.append(p)
+    return np.stack(cols, axis=1), keys
+
+
+def ls_fit(eps: np.ndarray, vals: np.ndarray, powers_list, cond_limit):
+    """Column-scaled least squares with extended-precision refinement.
+
+    The columns span several orders of magnitude, so a single float64 solve
+    loses ~cond digits on exactly-representable models; refinement against
+    long-double residuals recovers them.
+    """
+    design, keys = _design_columns(eps, list(powers_list))
+    norms = np.linalg.norm(design, axis=0)
+    norms[norms == 0.0] = 1.0
+    scaled = design / norms
+    cond = float(np.linalg.cond(scaled))
+    if cond > cond_limit:
+        raise FitRejected(f"ill-conditioned asymptotic fit (cond={cond:.3e})")
+    sol, _, _, _ = np.linalg.lstsq(scaled, vals, rcond=None)
+    scaled_ld = scaled.astype(np.longdouble)
+    vals_ld = vals.astype(np.longdouble)
+    for _ in range(3):
+        r = np.asarray(vals_ld - scaled_ld @ sol.astype(np.longdouble), dtype=float)
+        sol = sol + np.linalg.lstsq(scaled, r, rcond=None)[0]
+    coeffs = sol / norms
+    resid = float(np.max(np.abs(design @ coeffs - vals)))
+    return dict(zip(keys, coeffs)), resid, cond
+
+
+def finite_part_loop(values):
+    """renorm.finite_part with every basis fitted on its own by ``ls_fit``.
+
+    The selection loop refits each candidate basis from scratch: one
+    ``np.linalg.cond`` and four ``lstsq`` solves per basis.  Returns the
+    RegularizedIntegral, its selection diagnostics counted the same way as
+    finite_part's, and the trace: the stopping ``floor`` and, per selection
+    step, the residual of each candidate power (``steps``).
+    """
+    eps, vals = (np.asarray(a, dtype=float) for a in values)
+    order = np.argsort(eps)
+    eps, vals = eps[order], vals[order]
+
+    all_powers = list(_MODEL_POWERS + _NUISANCE_POWERS)
+    _, resid_full, _ = ls_fit(eps, vals, all_powers, _FIT_COND_LIMIT)
+    floor = 10.0 * resid_full + 1e-13
+    kept = list(_MODEL_POWERS)
+    remaining = list(_NUISANCE_POWERS)
+    by_key, resid, cond_kept = ls_fit(eps, vals, kept, _FIT_COND_LIMIT)
+    steps = []
+    while resid > floor and remaining:
+        trials = [ls_fit(eps, vals, kept + [p], _FIT_COND_LIMIT) + (p,) for p in remaining]
+        steps.append({t[3]: t[1] for t in trials})
+        by_key, resid, cond_kept, best = min(trials, key=lambda t: t[1])
+        kept.append(best)
+        remaining.remove(best)
+
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    if resid > _FIT_TOL * scale:
+        raise FitRejected(
+            f"asymptotic model rejected (residual {resid:.3e} > {_FIT_TOL:.1e} * scale)"
+        )
+
+    half = eps.size // 2
+    half_powers = kept[: max(len(_MODEL_POWERS), half - 2)]
+    half_fit, _, _ = ls_fit(eps[:half], vals[:half], half_powers, np.inf)
+    drift = float(abs(half_fit[0] - by_key[0]))
+
+    gaps = []
+    for step in steps:
+        if len(step) > 1:
+            best, second = sorted(step.values())[:2]
+            gaps.append(second / best - 1.0 if best else (math.inf if second else 0.0))
+    extras = {p: float(by_key.get(p, 0.0)) for p in _NUISANCE_POWERS}
+    fit = RegularizedIntegral(
+        c0=float(by_key.get(-3, 0.0)),
+        c2=float(by_key.get(-1, 0.0)),
+        log_coeff=float(by_key.get("log", 0.0)),
+        finite=float(by_key[0]),
+        fit_residual=resid,
+        extras=extras,
+        cond=cond_kept,
+        half_grid_drift=drift,
+        kept_powers=tuple(kept[len(_MODEL_POWERS) :]),
+        selection_gaps=tuple(gaps),
+        floor_ratio=resid / floor,
+        fits=3 + sum(len(step) for step in steps),
+    )
+    return fit, {"floor": floor, "steps": steps}
+
+
 # -- flat-torus double-form calculus -----------------------------------------
 
 
@@ -722,6 +830,14 @@ def frame_curvature_einsum(geom, gamma, radial_deriv, spatial_scale, cfun, gbar)
         t3 = np.einsum("nxst,nwxu->nswtu", cfun, gamma)
     rup = t1 + t2 - t3
     return np.einsum("nswtu,nwv->nstuv", rup, gbar)
+
+
+def to_on4_pairs(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """collar.to_on4 as one 16 x 16 product per index pair (the Kronecker q (x) q)."""
+    n = q.shape[0]
+    # qq[n, (s, t), (a, b)] = q[n, s, a] q[n, t, b] moves an index pair at once
+    qq = (q[:, :, None, :, None] * q[:, None, :, None, :]).reshape(n, 16, 16)
+    return (qq.swapaxes(1, 2) @ fld.reshape(n, 16, 16) @ qq).reshape(fld.shape)
 
 
 def to_on4_einsum(fld: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -419,6 +419,11 @@ class TestRenvol:
         assert math.isfinite(artifacts["half_grid_drift"])
         # the family is exactly C0 eps^-3 + C2 eps^-1 + V + 2 pi^2 (-(3/16) eps + eps^3/192)
         assert artifacts["kept_powers"] == [1, 3]
+        # two clear steps (the runner-up's residual 47 and 7e4 times the best),
+        # stopping under the floor: full basis, bare model, 6 + 5 candidates, half grid
+        assert len(artifacts["selection_gaps"]) == 2 and min(artifacts["selection_gaps"]) > 10.0
+        assert 0.0 < artifacts["floor_ratio"] <= 1.0
+        assert artifacts["fits"] == 14
         assert artifacts["log_ambiguous"] is False
 
     def test_quadrature_failure_exits_nonconvergence(self, tmp_path, monkeypatch, capsys):
@@ -505,6 +510,9 @@ class TestGaussBonnet:
             assert math.isfinite(artifacts["half_grid_drift"][part])
             # both families are affine in the ball's volume family
             assert artifacts["kept_powers"][part] == [1, 3]
+            assert min(artifacts["selection_gaps"][part]) > 10.0
+            assert 0.0 < artifacts["floor_ratio"][part] <= 1.0
+            assert artifacts["fits"][part] == 14
             assert artifacts["log_ambiguous"][part] is False
 
 

@@ -682,6 +682,22 @@ class TestReferenceEngine:
         for key in ("riem", "ric"):
             _close_relative(got[key], want[key])
 
+    @pytest.mark.parametrize("npts", [1, 58, 160, 256, 512])
+    def test_to_on4_matches_pair_form(self, npts):
+        """One matmul per slot against the parent's 16 x 16 Kronecker product per
+        index pair, on the batch sizes of the radial engine and a torus slice."""
+        rng = np.random.default_rng(npts)
+        fld = rng.standard_normal((npts, 4, 4, 4, 4))
+        q = np.triu(rng.standard_normal((npts, 4, 4)))
+        got = collar.to_on4(fld, q)
+        _close_relative(got, oracles.to_on4_pairs(fld, q), rel=1e-14)
+        _close_relative(got, oracles.to_on4_einsum(fld, q), rel=1e-14)
+
+    def test_to_on4_matches_pair_form_on_the_engine(self):
+        geom = REFERENCE_GEOMETRIES["torus-n8"]()
+        cur = curvature_in_frame(geom, 0.3)
+        _close_relative(cur["riem_on"], oracles.to_on4_pairs(cur["riem"], cur["q"]), rel=1e-14)
+
     @pytest.mark.parametrize("n_grid", [3, 4, 8, 16])
     def test_xderiv_matches_per_axis_fft(self, n_grid):
         geom = TorusJetGeometry(BoundaryJet.flat(n_grid))

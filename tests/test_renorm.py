@@ -15,6 +15,7 @@ corrected identity is asserted to tight tolerance (see the decisions ledger).
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import oracles
@@ -125,7 +126,13 @@ class TestFinitePart:
         assert fp.kept_powers == (1, 4)
         assert fp.extras == pytest.approx({1: -4.0, 2: 0.0, 3: 0.0, 4: 0.3, 5: 0.0, 6: 0.0},
                                           abs=1e-8)
-        assert finite_part((eps, 2.0 * eps**-3 + 7.0)).kept_powers == ()
+        # full basis, bare model, 6 then 5 candidates, half grid; two clear steps
+        assert fp.fits == oracles.finite_part_loop((eps, vals))[0].fits == 14
+        assert len(fp.selection_gaps) == 2 and min(fp.selection_gaps) > 1.0
+        assert 0.0 <= fp.floor_ratio <= 1.0
+        exact = finite_part((eps, 2.0 * eps**-3 + 7.0))
+        assert (exact.kept_powers, exact.selection_gaps, exact.fits) == ((), (), 3)
+        assert 0.0 <= exact.floor_ratio <= 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_is_refused_before_any_fit(self, monkeypatch, bad):
@@ -133,7 +140,7 @@ class TestFinitePart:
         eps = default_eps_grid()
         vals = 2.0 * eps**-3 + 7.0
         vals[4] = bad
-        monkeypatch.setattr(renorm, "_ls_fit", lambda *args: pytest.fail("fitted"))
+        monkeypatch.setattr(renorm, "_solve_stack", lambda *args: pytest.fail("fitted"))
         with pytest.raises(renorm.FitRejected,
                            match=rf"family value 4 \(eps = {eps[4]:.6g}\) is {bad}, not finite"):
             finite_part((eps, vals))
@@ -144,7 +151,7 @@ class TestFinitePart:
         eps = default_eps_grid()
         vals = 2.0 * eps**-3 + 7.0
         eps[5] = bad
-        monkeypatch.setattr(renorm, "_ls_fit", lambda *args: pytest.fail("fitted"))
+        monkeypatch.setattr(renorm, "_solve_stack", lambda *args: pytest.fail("fitted"))
         with pytest.raises(ValueError, match=f"eps sample 5 is {bad}, not finite"):
             finite_part((eps, vals))
 
@@ -154,6 +161,139 @@ class TestFinitePart:
         without = finite_part((eps, eps**-3 + 1.0))
         assert with_log.log_ambiguous
         assert not without.log_ambiguous
+
+
+class TestStackedSolve:
+    """finite_part solves each selection step as one stack of SVDs
+    (renorm._solve_stack); tests/oracles.py::finite_part_loop refits every
+    basis on its own with np.linalg.cond and lstsq."""
+
+    @staticmethod
+    def _family():
+        eps = default_eps_grid()
+        return eps, 2.0 * eps**-3 - 5.0 / eps + 1.5 * np.log(1.0 / eps) + 7.0 + np.sin(eps)
+
+    def test_each_member_of_a_stack_equals_a_stack_of_one(self):
+        eps, vals = self._family()
+        design, norms = renorm._design(eps)
+        bases = [[0, 1, 2, 3, 4, c] for c in range(5, 10)]
+        stacked = renorm._solve_stack(design, norms, vals, bases, np.inf)
+        for k, basis in enumerate(bases):
+            alone = renorm._solve_stack(design, norms, vals, [basis], np.inf)
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[k], want[0])
+
+    def test_singular_value_below_the_cutoff_gives_the_minimum_norm_solution(self):
+        """A half-grid refit has no condition limit; a rank-deficient basis must
+        get lstsq's minimum-norm answer, not one blown up by 1/sigma."""
+        eps = default_eps_grid()
+        design, norms = renorm._design(eps)
+        # columns 4 and 5 equal: one singular value is roundoff
+        design = design[:, [0, 1, 2, 3, 4, 4]]
+        norms = norms[[0, 1, 2, 3, 4, 4]]
+        vals = design[:, :5] @ np.array([2.0, -5.0, 1.5, 7.0, 3.0])
+        (coeffs,), _, (cond,) = renorm._solve_stack(design, norms, vals, [range(6)], np.inf)
+        assert cond > 1e15
+        scaled = design / norms
+        want = np.linalg.lstsq(scaled, vals, rcond=None)[0] / norms
+        assert coeffs == pytest.approx(want, rel=1e-9)
+        assert coeffs[4] == pytest.approx(coeffs[5], rel=1e-9)
+        assert coeffs[4] + coeffs[5] == pytest.approx(3.0, rel=1e-9)
+
+    def test_ill_conditioned_member_rejects_the_step(self):
+        eps, vals = self._family()
+        design, norms = renorm._design(eps)
+        design = np.column_stack([design, design[:, 4] * (1.0 + 1e-12 * eps)])
+        norms = np.append(norms, np.linalg.norm(design[:, -1]))
+        # the second basis holds two columns 1e-12 apart
+        with pytest.raises(renorm.FitRejected, match="ill-conditioned"):
+            renorm._solve_stack(design, norms, vals, [[0, 1, 2, 3, 5, 6], [0, 1, 2, 3, 4, 10]],
+                                renorm._FIT_COND_LIMIT)
+
+    def test_exact_candidate_reads_an_infinite_gap(self):
+        """eps^1 fits the family eps with residual exactly 0: the runner-up is
+        infinitely worse, with no division warning."""
+        eps = default_eps_grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fp = finite_part((eps, eps))
+        assert fp.kept_powers == (1,)
+        assert fp.selection_gaps == (math.inf,)
+        assert fp.floor_ratio == 0.0
+        want = oracles.finite_part_loop((eps, eps))[0]
+        assert (fp.selection_gaps, fp.fits) == (want.selection_gaps, want.fits)
+
+
+# the ball and three profiles, and the families whose finite parts enter 6V
+_ORACLE_THETAS = [(0.0, 0.0, 0.0), (0.05, 0.05, 0.05), (0.03, -0.02, 0.01), (-0.08, 0.05, 0.02)]
+
+
+@pytest.fixture(scope="module")
+def recorded_fits():
+    """Every finite_part input and result of renvol's, renormalized_action's and
+    gauss_bonnet_audit's families on each profile of _ORACLE_THETAS."""
+    fits = {}
+    for theta in _ORACLE_THETAS:
+        geom = RadialGeometry(perturbed_profile(theta))
+        eps = default_eps_grid()
+        vols, _ = volume_family(geom, eps)
+        calls = [(eps, vols)]
+        real = renorm.finite_part
+
+        def record(values):
+            calls.append(tuple(np.array(v, copy=True) for v in values))
+            return real(values)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(renorm, "finite_part", record)
+            renormalized_action(geom, eps)
+            gauss_bonnet_audit(geom, eps)
+        names = ("volume", "s2", "z2", "w2", "action", "interior", "boundary")
+        assert len(calls) == len(names)
+        fits[theta] = dict(zip(names, calls))
+    return fits
+
+
+def _near_tie(trace) -> bool:
+    """True when the one-basis route's own selection was decided by roundoff:
+    a runner-up within 1e-6 of the best residual, or a continue/stop decision
+    with the residual within a factor 10 of the stopping floor."""
+    for step in trace["steps"]:
+        ranked = sorted(step.values())
+        if len(ranked) > 1 and ranked[1] / ranked[0] - 1.0 < 1e-6:
+            return True
+        if 0.1 <= ranked[0] / trace["floor"] <= 10.0:
+            return True
+    return False
+
+
+class TestAgainstOneBasisFits:
+    """The stacked route keeps the one-basis route's powers and reproduces each
+    finite part to 1e-10 of max(1, |FP|).  It may keep other powers only where
+    the one-basis route's own selection sat on a near tie (``_near_tie``), so
+    that the last bits of the residuals decide: on theta = (0.05)^3 the s^2
+    family stops at a floor ratio of 0.91 in the loop and takes eps^6 in the
+    stack, and its finite part moves 7.7e-7.  Such a flip is held to 1e-6."""
+
+    @pytest.mark.parametrize("theta", _ORACLE_THETAS)
+    @pytest.mark.parametrize("name", ["volume", "s2", "z2", "w2", "action", "interior",
+                                      "boundary"])
+    def test_finite_part_equals_the_loop(self, recorded_fits, theta, name):
+        values = recorded_fits[theta][name]
+        got = finite_part(values)
+        want, trace = oracles.finite_part_loop(values)
+        scale = max(1.0, abs(want.finite))
+        if got.kept_powers != want.kept_powers:
+            assert _near_tie(trace)
+            assert abs(got.finite - want.finite) <= 1e-6 * scale
+            return
+        assert abs(got.finite - want.finite) <= 1e-10 * scale
+        # the divergent coefficients and L to 1e-10 of the largest coefficient: on the
+        # profiles' s^2 families L is about 2e-5 next to C2 of about 480
+        size = max(1.0, *map(abs, want.as_tuple()))
+        assert np.max(np.abs(np.subtract(got.as_tuple(), want.as_tuple()))) <= 1e-10 * size
+        assert got.fits == want.fits
+        assert len(got.selection_gaps) == len(want.selection_gaps)
 
 
 class TestPaycha:
