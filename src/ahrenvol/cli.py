@@ -514,6 +514,10 @@ def run_collar_audit(config: AuditConfig) -> AuditReport:
 
 # -- subcommand: renvol ---------------------------------------------------------------
 
+# renvol's and gauss-bonnet's fit diagnostics: report key -> RegularizedIntegral field
+_FIT_DIAGNOSTICS = {"fit_cond": "cond", **{name: name for name in (
+    "half_grid_drift", "kept_powers", "selection_gaps", "floor_ratio", "fits", "log_ambiguous")}}
+
 
 def run_renvol(config: AuditConfig) -> AuditReport:
     geom = config.geometry()
@@ -532,13 +536,7 @@ def run_renvol(config: AuditConfig) -> AuditReport:
         "volumes": volumes,
         "coefficients": {"C0": fit.c0, "C2": fit.c2, "L": fit.log_coeff, "V": fit.finite},
         "quadrature_error": quad_error,
-        "fit_cond": fit.cond,
-        "half_grid_drift": fit.half_grid_drift,
-        "kept_powers": fit.kept_powers,
-        "selection_gaps": fit.selection_gaps,
-        "floor_ratio": fit.floor_ratio,
-        "fits": fit.fits,
-        "log_ambiguous": fit.log_ambiguous,
+        **{key: getattr(fit, name) for key, name in _FIT_DIAGNOSTICS.items()},
     }
     return AuditReport("renvol", asdict(config), config.seed, checks, artifacts)
 
@@ -568,13 +566,8 @@ def run_gauss_bonnet(config: AuditConfig) -> AuditReport:
         "fp_boundary": audit["fp_boundary"].finite,
         "quadrature_error": audit["quadrature_error"],
         "interpolant_nodes": audit["interpolant_nodes"],
-        "fit_cond": {key: fit.cond for key, fit in fits.items()},
-        "half_grid_drift": {key: fit.half_grid_drift for key, fit in fits.items()},
-        "kept_powers": {key: fit.kept_powers for key, fit in fits.items()},
-        "selection_gaps": {key: fit.selection_gaps for key, fit in fits.items()},
-        "floor_ratio": {key: fit.floor_ratio for key, fit in fits.items()},
-        "fits": {key: fit.fits for key, fit in fits.items()},
-        "log_ambiguous": {key: fit.log_ambiguous for key, fit in fits.items()},
+        **{key: {part: getattr(fit, name) for part, fit in fits.items()}
+           for key, name in _FIT_DIAGNOSTICS.items()},
     }
     return AuditReport("gauss-bonnet", asdict(config), config.seed, checks, artifacts)
 
@@ -599,16 +592,9 @@ def _linearize_trial(seed: int):
     )
     lin = variation.linearized_curvature(geom, pert, 0.25)
     steps = (1e-2, 5e-3, 2.5e-3)
-    devs = []
-    for t in steps:
-        fd = variation.fd_curvature_derivative(geom, pert, 0.25, t)
-        devs.append(
-            max(
-                float(np.max(np.abs(fd["riem_p"] - lin["riem_p"]))),
-                float(np.max(np.abs(fd["ric_p"] - lin["ric_p"]))),
-                float(np.max(np.abs(fd["s_p"] - lin["s_p"]))),
-            )
-        )
+    fds = [variation.fd_curvature_derivative(geom, pert, 0.25, t) for t in steps]
+    devs = [max(float(np.max(np.abs(fd[key] - lin[key]))) for key in ("riem_p", "ric_p", "s_p"))
+            for fd in fds]
     return variation.convergence_order(steps, devs)
 
 

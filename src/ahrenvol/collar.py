@@ -65,7 +65,6 @@ __all__ = [
     "gauss_nodes",
     "rho_series_fit",
     "ChebyshevRhoBasis",
-    "chebyshev_rho_derivatives",
     "frame_curvature",
     "curvature_in_frame",
     "curvature_pair",
@@ -931,19 +930,6 @@ class ChebyshevRhoBasis:
         shape = np.shape(rho) + values.shape[1:]
         flat = values.reshape(values.shape[0], -1)
         return tuple((self.weights(rho, k) @ flat).reshape(shape) for k in orders)
-
-
-def chebyshev_rho_derivatives(values, rho, orders=(1,), rho_max: float = 0.2,
-                              rho_min: float = 0.0, nodes=None) -> tuple:
-    """rho-derivatives of a field sampled at ``nodes``, by default the n
-    :func:`chebyshev_rho_nodes` of (0, rho_max - rho_min) shifted by rho_min.
-
-    :meth:`ChebyshevRhoBasis.derivatives` of the nodes' basis, built for this
-    one call: a caller that reads the same nodes again keeps the basis."""
-    values = np.asarray(values, dtype=float)
-    if nodes is None:
-        nodes = rho_min + chebyshev_rho_nodes(rho_max - rho_min, values.shape[0])
-    return ChebyshevRhoBasis(nodes, rho_max, rho_min).derivatives(values, rho, orders)
 
 
 def jet_identity_report(geom) -> dict:

@@ -20,7 +20,8 @@ The module provides
 * ``renormalized_action``  -- finite parts of the curvature actions.
 
 The family entry points take a geometry of :mod:`ahrenvol.collar` and integrate
-out to its ``rho_max``.  A family is an array in ``eps_grid`` order, and
+out to its ``rho_max``; every eps of their grid (:func:`default_eps_grid`
+unless one is given) must lie in (0, rho_max), else ValueError.  A family is an array in ``eps_grid`` order, and
 ``finite_part`` reads the pair (eps grid, values).  The module measures and does not judge: the check rows built on
 these numbers, with their pass rules, live in :mod:`ahrenvol.cli`.
 
@@ -76,6 +77,16 @@ class FitRejected(_collar.NonConvergence, ValueError):
 def default_eps_grid(n: int = 12, lo: float = 0.02, hi: float = 0.3) -> np.ndarray:
     """Geometric eps grid, ascending; the default is :data:`MIN_EPS_SAMPLES` over a factor 15."""
     return np.geomspace(lo, hi, n)
+
+
+def _family_eps_grid(geom, eps_grid) -> np.ndarray:
+    """``eps_grid`` (:func:`default_eps_grid` if None) as floats, each in
+    (0, geom.rho_max), else ValueError naming the first outside, NaN too."""
+    eps = default_eps_grid() if eps_grid is None else np.asarray(eps_grid, dtype=float)
+    outside = ~((eps > 0.0) & (eps < geom.rho_max))
+    if outside.any():
+        raise ValueError(f"eps={eps[outside][0]:.6g} outside the collar (0, {geom.rho_max:g})")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -450,9 +461,7 @@ def volume_family(geom, eps_grid=None):
     Returns the volumes, in ``eps_grid`` order, and the largest quadrature
     error estimate of the family.
     """
-    if eps_grid is None:
-        eps_grid = default_eps_grid()
-    eps_grid = np.asarray(eps_grid, dtype=float)
+    eps_grid = _family_eps_grid(geom, eps_grid)
 
     def density(rho):
         # sqrt det g_rho through LAPACK rather than the engine's Cholesky dvol:
@@ -514,9 +523,7 @@ def gauss_bonnet_audit(geom, eps_grid=None) -> dict:
     """
     if geom.chi is None:
         raise ValueError("gauss_bonnet_audit needs a geometry that declares chi")
-    if eps_grid is None:
-        eps_grid = default_eps_grid()
-    eps_grid = np.asarray(eps_grid, dtype=float)
+    eps_grid = _family_eps_grid(geom, eps_grid)
 
     pff = _collar._invariant_density(geom, [lambda cur: dfalg.batch_pfaffian(cur["riem_on"])])
     interior, quad_errors, nodes = _interpolated_family(pff, eps_grid, geom.rho_max, geom.npts)
@@ -546,9 +553,7 @@ def renormalized_action(geom, eps_grid=None) -> dict:
     ``quadrature_error``, and the node count each piece of their interpolant
     settled on as ``interpolant_nodes``.
     """
-    if eps_grid is None:
-        eps_grid = default_eps_grid()
-    eps_grid = np.asarray(eps_grid, dtype=float)
+    eps_grid = _family_eps_grid(geom, eps_grid)
 
     density = _collar._invariant_density(
         geom,

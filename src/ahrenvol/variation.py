@@ -5,7 +5,7 @@ collar geometries of :mod:`ahrenvol.collar`, from covariant derivatives in
 the scaled frame X_s = rho Xbar_s, assembled either from analytic rho-jets
 of the field (exact, preferred) or, for a field the curvature engine only
 samples (the trace-free Ricci z), from the rho-derivatives of its Chebyshev
-interpolant (:func:`ahrenvol.collar.chebyshev_rho_derivatives`).
+interpolant (:class:`ahrenvol.collar.ChebyshevRhoBasis`).
 It shares its conventions with the flat 4-torus calculus of the test
 oracles (``FlatTorus4`` in ``tests/oracles.py``), which pins the D / Dt
 normalization and exercises the adjoint identity
@@ -25,11 +25,11 @@ and the curved-background formulas
 validate against central finite differences of the collar curvature engine
 with observed order 2 in the step.
 
-The gradient flow on the radial profile family descends the truncated
-Z(theta) = int |z|^2 dvol along the first variation of the functional: the
-display that :func:`zprime_display` integrates over a perturbation's support
-is integrated on Z's own nodes along each profile parameter
-(:func:`z2_value_and_gradient`), in the same pass that sums Z.
+The first variation of int |z|^2 dvol has one implementation,
+:func:`_display_columns`: :func:`zprime_display` integrates it along a
+supported perturbation, and :func:`z2_value_and_gradient`, which drives the
+gradient flow, along each parameter of the radial profile family.  Its
+oracles, ``fd_zprime`` and ``zprime_display_on``, are in ``tests/oracles.py``.
 
 Dense double-form layout: trailing axes are p first-group indices followed
 by q second-group indices; leading axes are grid axes.  A derivative axis is
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -53,7 +54,6 @@ from .collar import (
     _invariant_density,
     _rho_per_point,
     _slice_frame,
-    chebyshev_rho_derivatives,
     chebyshev_rho_nodes,
     curvature_in_frame,
     frame_curvature,
@@ -81,7 +81,6 @@ __all__ = [
     "gradient_field",
     "el_slice_analysis",
     "zprime_display",
-    "fd_zprime",
     "z2_functional",
     "z2_value_and_gradient",
     "FlowStep",
@@ -262,20 +261,6 @@ def fh_dense(h: np.ndarray, R: np.ndarray) -> np.ndarray:
 # -- linearized curvature ------------------------------------------------------
 
 
-def _perturbation_on(geom, pert, rho):
-    """Background curvature record, h and its Hessian (DDt+DtD) h in ON components.
-
-    ``rho`` is as in :func:`linearized_curvature`; the step that it and
-    :func:`zprime_display` share.
-    """
-    cur = curvature_in_frame(geom, rho)
-    q = cur["q"]
-    hjet = _embed_jet(pert, rho)
-    h_on = to_on2(hjet[0], q)
-    H_on = to_on4(hessian11(geom, hjet, rho, (cur["gamma"], cur["dgamma"])), q)
-    return cur, h_on, H_on
-
-
 def linearized_curvature(geom, pert, rho) -> dict:
     """Linearized curvature fields in the ON frame on collar rho-slices.
 
@@ -284,7 +269,10 @@ def linearized_curvature(geom, pert, rho) -> dict:
     Hessian/contraction displays together with the ingredients (background
     curvature record, h and its Hessian in ON components).
     """
-    cur, h_on, H_on = _perturbation_on(geom, pert, rho)
+    cur = curvature_in_frame(geom, rho)
+    hjet = _embed_jet(pert, rho)
+    h_on = to_on2(hjet[0], cur["q"])
+    H_on = to_on4(hessian11(geom, hjet, rho, (cur["gamma"], cur["dgamma"])), cur["q"])
     R_on, ric_on = cur["riem_on"], cur["invariants"]["ric"]
     fhr = fh_dense(h_on, R_on)
     riem_p = -0.25 * H_on + 0.25 * fhr
@@ -379,7 +367,7 @@ def functional_gradient(geom, rhos=None) -> dict:
     z through frame-only :func:`frame_curvature` slices at the
     ``_Z_NODES`` :func:`chebyshev_rho_nodes` of (0, min(1.25 max rho,
     geom.rho_max)].  Both go through :func:`map_slices`.  Every rho must lie
-    in (0, geom.rho_max], else ValueError; one rho will do.
+    in (0, geom.rho_max], else ValueError (NaN too); one rho will do.
 
     Returns arrays: ``rhos``; ``f``, ``T2omega`` and ``E``, each
     (n_rho, npts, 4, 4) in ON components; and ``slice_norms``, the integral
@@ -387,10 +375,10 @@ def functional_gradient(geom, rhos=None) -> dict:
     against its largest (at least 1e-6), a float.
     """
     rhos = np.linspace(0.1, 0.5, 9) if rhos is None else np.atleast_1d(np.asarray(rhos, float))
-    if np.min(rhos) <= 0.0:
-        raise ValueError("functional_gradient needs rho > 0")
-    if np.max(rhos) > geom.rho_max:
-        raise ValueError(f"functional_gradient needs rho <= geom.rho_max = {geom.rho_max}")
+    bad = ~((rhos > 0.0) & (rhos <= geom.rho_max))  # written so that a NaN rho is bad too
+    if bad.any():
+        raise ValueError(f"functional_gradient needs rho > 0 and rho <= geom.rho_max = "
+                         f"{geom.rho_max} (got {rhos[bad][0]})")
     z_max = min(_Z_REACH * float(np.max(rhos)), geom.rho_max)
     z_grid = chebyshev_rho_nodes(z_max, _Z_NODES)
     z_nodes = map_slices(lambda r: _frame_z(frame_curvature(geom, r)), z_grid,
@@ -430,8 +418,8 @@ def el_slice_analysis(geom, pert) -> dict:
     Computes E by :func:`functional_gradient` and h at the 12
     :func:`chebyshev_rho_nodes` of (0, 0.12), and reads the Taylor
     coefficients at rho = 0, k <= 6, of phi, E and h from one Chebyshev
-    interpolant of the three (:func:`chebyshev_rho_derivatives`, divided by
-    k!).  It reports which phi^(k) vanish (their contribution at rho = 0.12
+    interpolant of the three (:meth:`ChebyshevRhoBasis.derivatives`, divided
+    by k!).  It reports which phi^(k) vanish (their contribution at rho = 0.12
     under 1e-8 max(1, max |phi|)), and cross-checks the low coefficients
     against the slice-coefficient pairings
 
@@ -460,7 +448,7 @@ def el_slice_analysis(geom, pert) -> dict:
     stacked = np.concatenate([phi[:, None], e_arr.reshape(_EL_NODES, -1),
                               h_arr.reshape(_EL_NODES, -1)], axis=1)
     orders = range(_EL_ORDERS)
-    derivs = chebyshev_rho_derivatives(stacked, 0.0, orders, _EL_RHO_MAX)
+    derivs = ChebyshevRhoBasis(rhos, _EL_RHO_MAX).derivatives(stacked, 0.0, orders)
     series = np.stack([d / math.factorial(k) for k, d in zip(orders, derivs)])
     coeffs = series[:, 0]
     e_series, h_series = (part.reshape((_EL_ORDERS,) + e_arr.shape[1:])
@@ -509,49 +497,58 @@ def _support(pert):
     return support
 
 
+def _display_columns(geom, jets, rho) -> np.ndarray:
+    """Slice integrals (columns) of |z|^2 dvol and of its first variation
+    along each of ``jets(rho)`` on the rho-slices ``rho``, a 1-D array.
+
+    A jet is (h, dh/drho, d2h/drho2), 4x4 embedded X-frame components on the
+    slices' points; ``jets`` is called once the curvature record is released.
+    The display, the pointwise derivative of |z|^2 dvol along h, is
+
+        1/2 |z|^2 tr h - <R(z), h> - <r o z, h> - 1/8 <z . g, (DDt+DtD) h>,
+
+    that is <f, h> (f the :func:`gradient_field`) minus 1/8 the full tensor
+    sum with the Kulkarni-Nomizu product z . g.  f and z . g are pulled back
+    to the X frame (:func:`ahrenvol.collar.to_on4` with q^T, the adjoint of
+    the move to the ON frame), where they pair with h and with its second
+    covariant derivative n2: for a pair-symmetric K antisymmetric in each
+    pair, <K, (DDt+DtD) h> = -8 sum K_abcd n2_acbd (see :func:`hessian11`), so
+    no Hessian is antisymmetrized and no n2 is moved to the ON frame.
+    """
+    cur = curvature_in_frame(geom, rho)
+    inv, q = cur["invariants"], cur["q"]
+    # to_on with q^T is the adjoint of to_on: <F_on, to_on(X, q)> = <to_on(F_on, q^T), X>
+    f_x = to_on2(gradient_field(inv["z"], cur["riem_on"], inv["ric"]), q.swapaxes(1, 2))
+    k_x = to_on4(kn_metric(inv["z"]), q.swapaxes(1, 2))
+    # k_acbd[n, (a, c, b, d)] = K[n, a, b, c, d], to pair entrywise with n2[n, a, c, b, d]
+    k_acbd = k_x.transpose(0, 1, 3, 2, 4).reshape(-1, 256, 1)
+    z2, christ, dvol = inv["z2"], (cur["gamma"], cur["dgamma"]), cur["dvol"]
+    # the record's curvature arrays go before the jets and their covariant derivatives
+    # add to the peak, and f, which pairs with the jets' values alone, goes next
+    del cur, inv, q, k_x
+    jet_list = jets(rho)
+    f_h = [np.einsum("nab,nab->n", f_x, jet[0]) for jet in jet_list]
+    del f_x
+    columns = [z2]
+    for jet, pairing in zip(jet_list, f_h):
+        (n2,) = frame_covariant_derivative(
+            geom, rho, frame_covariant_derivative(geom, rho, jet, christ), christ)
+        columns.append(pairing + (n2.reshape(-1, 1, 256) @ k_acbd)[:, 0, 0])
+    return np.stack([slice_integral(geom, rho, c, dvol, 4) for c in columns], axis=1)
+
+
 def zprime_display(geom, pert, n_nodes: int = 64) -> float:
     """Directional derivative of int |z|^2 dvol along a supported perturbation.
 
-    Integrates the display
-
-        1/2 |z|^2 tr h - c <R(z), h> - <r o z, h> - 1/8 <z . g, (DDt+DtD) h>
-
-    over ``pert.support`` as one Gauss segment (the last pairing is the full
-    tensor sum; z . g is the Kulkarni-Nomizu product).  Requires an analytic
-    rho-jet on ``pert`` so the Hessian is stencil-free.  h, its Hessian and the
-    background record come from :func:`_perturbation_on` in :func:`map_slices`
-    batches.
+    Integrates the display of :func:`_display_columns` along the
+    perturbation's rho-jet over ``pert.support`` as one Gauss segment, in
+    :func:`map_slices` batches.  Requires an analytic rho-jet on ``pert`` so
+    the Hessian is stencil-free.
     """
     nodes, wts = gauss_nodes([_support(pert)], n_nodes)
-
-    def density(rho):
-        cur, h_on, H_on = _perturbation_on(geom, pert, rho)
-        inv = cur["invariants"]
-        f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"])
-        # fold the pure-trace part of f into the display's 1/2 |z|^2 tr h term
-        val = np.einsum("nab,nab->n", f_on, h_on)
-        val -= 0.125 * np.einsum("nabcd,nabcd->n", kn_metric(inv["z"]), H_on)
-        return slice_integral(geom, rho, val, cur["dvol"], 4)
-
-    return float(wts @ map_slices(density, nodes, geom.npts))
-
-
-def fd_zprime(geom, pert) -> float:
-    """Central-difference oracle for the same directional derivative.
-
-    The perturbation has compact support, so the finite parts of the two
-    functionals differ by a plain integral over that support, taken as one
-    48-node Gauss segment, on which the integrand is smooth.  The differences
-    at steps t = 1e-3 and t/2 are combined by Richardson extrapolation.
-    """
-    segment, t = [_support(pert)], 1e-3
-
-    def z2_of(tt: float) -> float:
-        return _z2_quadrature(PerturbedGeometry(geom, pert, tt), segment, 48)
-
-    fd_t = (z2_of(t) - z2_of(-t)) / (2.0 * t)
-    fd_half = (z2_of(t / 2.0) - z2_of(-t / 2.0)) / t
-    return (4.0 * fd_half - fd_t) / 3.0
+    dens = map_slices(partial(_display_columns, geom, lambda rho: [_embed_jet(pert, rho)]),
+                      nodes, geom.npts)
+    return float(wts @ dens[:, 1])
 
 
 # -- gradient flow on radial profile families -----------------------------------
@@ -580,22 +577,12 @@ def z2_value_and_gradient(theta):
     """(Z, dZ/dtheta) of :func:`z2_functional` from one pass over Z's own nodes.
 
     Z is summed exactly as :func:`z2_functional` sums it, so the two agree
-    bit for bit.  dZ/dtheta_k integrates the first-variation display of
-    :func:`zprime_display`,
-
-        1/2 |z|^2 tr h - <R(z), h> - <r o z, h> - 1/8 <z . g, (DDt+DtD) h>,
-
-    the pointwise derivative of |z|^2 dvol, at the same nodes along
-    m_k = dg_rho/dtheta_k = phi_k(rho) g_{S^3}, phi_k = 2 A dA/dtheta_k.
-    Every m_k is phi_k times the one field g_{S^3}, and the display is linear
-    in the jet (phi, phi', phi''), so the display of three unit jets at each
-    node serves every k.  f and z . g are pulled back to the X frame once per
-    node (:func:`ahrenvol.collar.to_on4` with q^T, the adjoint of the move to
-    the ON frame), where they pair with a unit jet's second covariant
-    derivative n2 directly: for a pair-symmetric form K antisymmetric in each pair,
-    <K, (DDt+DtD) h> = -8 sum K_abcd n2_acbd (see :func:`hessian11`), so no
-    Hessian is antisymmetrized and no n2 is moved to the ON frame.  The jet
-    of phi_k is the product rule on A's jet and on
+    bit for bit.  dZ/dtheta_k integrates the display of
+    :func:`_display_columns` at the same nodes along m_k = dg_rho/dtheta_k =
+    phi_k(rho) g_{S^3}, phi_k = 2 A dA/dtheta_k.  Every m_k is phi_k times
+    the one field g_{S^3}, and the display is linear in the jet (phi, phi',
+    phi''), so the display of three unit jets at each node serves every k.
+    The jet of phi_k is the product rule on A's jet and on
     :func:`ahrenvol.collar.profile_basis_jet`.
     """
     theta = np.asarray(theta, float)
@@ -603,36 +590,13 @@ def z2_value_and_gradient(theta):
     geom = RadialGeometry(profile)
     nodes, wts = gauss_nodes(_FLOW_SEGMENTS, _FLOW_NODES)
 
-    def background(rho):
-        # the record's curvature arrays go out of scope here, before the unit jets'
-        # covariant derivatives add theirs to the peak
-        cur = curvature_in_frame(geom, rho)
-        inv, q = cur["invariants"], cur["q"]
-        n = q.shape[0]
-        # to_on with q^T is the adjoint of to_on: <F_on, to_on(X, q)> = <to_on(F_on, q^T), X>
-        f_x = to_on2(gradient_field(inv["z"], cur["riem_on"], inv["ric"]), q.swapaxes(1, 2))
-        k_x = to_on4(kn_metric(inv["z"]), q.swapaxes(1, 2))
-        # k_acbd[n, (a, c, b, d)] = K[n, a, b, c, d], to pair entrywise with n2[n, a, c, b, d]
-        k_acbd = k_x.transpose(0, 1, 3, 2, 4).reshape(n, 256, 1)
-        return (inv["z2"], np.einsum("nii->n", f_x[:, :3, :3]), k_acbd,
-                (cur["gamma"], cur["dgamma"]), cur["dvol"])
-
-    def densities(rho):
-        z2, f_trace, k_acbd, christ, dvol = background(rho)
-        unit = np.zeros((dvol.shape[0], 4, 4))
+    def unit_jets(rho):
+        unit = np.zeros((rho.size * geom.npts, 4, 4))
         unit[:, :3, :3] = np.eye(3)
         zero = np.zeros_like(unit)
-        columns = [z2]
-        for j in range(3):
-            jet = tuple(unit if i == j else zero for i in range(3))
-            (n2,) = frame_covariant_derivative(
-                geom, rho, frame_covariant_derivative(geom, rho, jet, christ), christ)
-            columns.append((n2.reshape(-1, 1, 256) @ k_acbd)[:, 0, 0])
-        # <f, h> reads only the value of the jet
-        columns[1] += f_trace
-        return np.stack([slice_integral(geom, rho, c, dvol, 4) for c in columns], axis=1)
+        return [tuple(unit if i == j else zero for i in range(3)) for j in range(3)]
 
-    dens = map_slices(densities, nodes, geom.npts)
+    dens = map_slices(partial(_display_columns, geom, unit_jets), nodes, geom.npts)
     value = float(sum(wts * dens[:, 0]))
     # the jet (phi_k, phi_k', phi_k'') of phi_k = 2 A b_k at the nodes, b_k = dA/dtheta_k
     a = [profile.a(nodes, order) for order in range(3)]

@@ -22,10 +22,12 @@ variation layer's batched-matmul contractions (covariant derivative,
 gradient field, F_h) against their per-slot einsum form.  The
 Euler-Lagrange residual, whose z-jet comes from a Chebyshev interpolant, is
 checked against the same residual with a 5-point finite-difference z-jet
-(``stencil_el_residual``).  The flow's analytic theta-gradient is checked
-against central differences of the functional (``fd_flow_gradient``) and
-against the display integrated with one Hessian per parameter
-(``display_flow_gradient``).
+(``stencil_el_residual``).  The first-variation display, which the library
+assembles in the X frame, is checked against central differences of the
+functional (``fd_zprime`` along a supported perturbation,
+``fd_flow_gradient`` along the flow's parameters) and against its ON-frame
+assembly from the antisymmetrized Hessian (``zprime_display_on``, and
+``display_flow_gradient`` with one Hessian per parameter).
 """
 
 from __future__ import annotations
@@ -1094,17 +1096,66 @@ def fd_flow_gradient(theta, functional=None) -> np.ndarray:
     return grad
 
 
+def fd_zprime(geom, pert) -> float:
+    """Central-difference oracle for the directional derivative of
+    variation.zprime_display.
+
+    The perturbation has compact support, so the finite parts of the two
+    functionals differ by a plain integral over that support, taken as one
+    48-node Gauss segment, on which the integrand is smooth.  The differences
+    at steps t = 1e-3 and t/2 are combined by Richardson extrapolation.
+    """
+    from ahrenvol.variation import _support, _z2_quadrature
+
+    segment, t = [_support(pert)], 1e-3
+
+    def z2_of(tt: float) -> float:
+        return _z2_quadrature(PerturbedGeometry(geom, pert, tt), segment, 48)
+
+    fd_t = (z2_of(t) - z2_of(-t)) / (2.0 * t)
+    fd_half = (z2_of(t / 2.0) - z2_of(-t / 2.0)) / t
+    return (4.0 * fd_half - fd_t) / 3.0
+
+
+def _display_on(geom, pert, nodes, wts) -> float:
+    """The first-variation display of variation.zprime_display integrated on
+    (nodes, wts), assembled in the ON frame: f and z . g pair with h and its
+    antisymmetrized Hessian (hessian11 and to_on4), which
+    variation.linearized_curvature returns with the background record."""
+    from ahrenvol.variation import gradient_field, linearized_curvature
+
+    def density(rho):
+        lin = linearized_curvature(geom, pert, rho)
+        cur = lin["background"]
+        inv = cur["invariants"]
+        # fold the pure-trace part of f into the display's 1/2 |z|^2 tr h term
+        val = np.einsum("nab,nab->n", gradient_field(inv["z"], cur["riem_on"], inv["ric"]),
+                        lin["h_on"])
+        val -= 0.125 * np.einsum("nabcd,nabcd->n", dfalg.kn_metric(inv["z"]), lin["hessian"])
+        return slice_integral(geom, rho, val, cur["dvol"], 4)
+
+    return float(wts @ map_slices(density, nodes, geom.npts))
+
+
+def zprime_display_on(geom, pert, n_nodes: int = 64) -> float:
+    """variation.zprime_display by the ON-frame route (:func:`_display_on`)
+    on the same Gauss nodes of ``pert.support``."""
+    from ahrenvol.variation import _support
+
+    return _display_on(geom, pert, *gauss_nodes([_support(pert)], n_nodes))
+
+
 def display_flow_gradient(theta) -> np.ndarray:
     """dZ/dtheta_k as the zprime_display integrand along each direction in turn.
 
     At Z's own Gauss nodes, m_k = 2 A rho^(2+k) (1 - rho/2)^2 g_{S^3} is a
-    ``PolynomialPerturbation`` built by ``Polynomial`` arithmetic, and its
-    h, ON Hessian (hessian11 and to_on4) and background record come from
-    variation.linearized_curvature: n Hessians per node, against the three
-    unit-jet covariant derivatives of variation.z2_value_and_gradient.
+    ``PolynomialPerturbation`` built by ``Polynomial`` arithmetic, and the
+    display along it is assembled in the ON frame (:func:`_display_on`): n
+    Hessians per node, against the three unit-jet covariant derivatives of
+    variation.z2_value_and_gradient.
     """
     from ahrenvol.collar import PolynomialPerturbation, perturbed_profile
-    from ahrenvol.variation import _FLOW_NODES, _FLOW_SEGMENTS, gradient_field, linearized_curvature
+    from ahrenvol.variation import _FLOW_NODES, _FLOW_SEGMENTS
 
     theta = np.asarray(theta, float)
     geom = RadialGeometry(perturbed_profile(theta))
@@ -1114,15 +1165,5 @@ def display_flow_gradient(theta) -> np.ndarray:
     for k in range(theta.size):
         phi = 2.0 * a_poly * Polynomial([0.0] * (2 + k) + [1.0]) * Polynomial([1.0, -0.5]) ** 2
         pert = PolynomialPerturbation({p: c * np.eye(3)[None] for p, c in enumerate(phi.coef)})
-
-        def density(rho):
-            lin = linearized_curvature(geom, pert, rho)
-            cur = lin["background"]
-            inv = cur["invariants"]
-            val = np.einsum("nab,nab->n", gradient_field(inv["z"], cur["riem_on"], inv["ric"]),
-                            lin["h_on"])
-            val -= 0.125 * np.einsum("nabcd,nabcd->n", dfalg.kn_metric(inv["z"]), lin["hessian"])
-            return slice_integral(geom, rho, val, cur["dvol"], 4)
-
-        grad[k] = wts @ map_slices(density, nodes, geom.npts)
+        grad[k] = _display_on(geom, pert, nodes, wts)
     return grad

@@ -9,11 +9,11 @@ import pytest
 from ahrenvol import cli, collar, dfalg, renorm, variation
 from ahrenvol.collar import (
     BoundaryJet,
+    ChebyshevRhoBasis,
     PerturbedGeometry,
     PolynomialPerturbation,
     RadialGeometry,
     TorusJetGeometry,
-    chebyshev_rho_derivatives,
     chebyshev_rho_nodes,
     curvature_bar,
     curvature_in_frame,
@@ -257,23 +257,24 @@ class TestChebyshevDerivatives:
         poly = np.polynomial.Polynomial(np.random.default_rng(3).uniform(-1.0, 1.0, 12))
         vals = np.stack([poly(nodes), 2.0 * poly(nodes)], axis=1).reshape(12, 1, 2)
         rho = np.array([0.0, 0.13, 0.5])
-        for order, got in zip((0, 1, 2, 3), chebyshev_rho_derivatives(vals, rho, (0, 1, 2, 3), 0.5)):
+        basis = ChebyshevRhoBasis(nodes, 0.5)
+        for order, got in zip((0, 1, 2, 3), basis.derivatives(vals, rho, (0, 1, 2, 3))):
             want = poly.deriv(order)(rho) if order else poly(rho)
             assert got.shape == (3, 1, 2)
             # each differentiation amplifies the samples' roundoff by up to ~n^2
             assert np.max(np.abs(got[:, 0] - np.stack([want, 2.0 * want], axis=1))) < (
                 1e-9 * np.max(np.abs(want)))
-        (slope,) = chebyshev_rho_derivatives(vals[:, 0, 0], 0.0, rho_max=0.5)
+        (slope,) = basis.derivatives(vals[:, 0, 0], 0.0)
         assert slope.shape == () and slope == pytest.approx(poly.deriv()(0.0), rel=1e-10)
 
     def test_basis_reads_equal_a_fresh_interpolant(self):
         """A basis built once gives, read after read, the bits of a fresh
-        chebyshev_rho_derivatives call, by derivatives or by weights."""
+        basis of the same nodes, by derivatives or by weights."""
         nodes = chebyshev_rho_nodes(0.5, 12)
         vals = np.random.default_rng(5).uniform(-1.0, 1.0, (12, 4, 3))
-        basis = collar.ChebyshevRhoBasis(nodes, 0.5)
+        basis = ChebyshevRhoBasis(nodes, 0.5)
         for rho in (0.0, np.array([0.1, 0.3]), np.array([0.3, 0.1])):
-            want = chebyshev_rho_derivatives(vals, rho, (0, 1, 2), 0.5)
+            want = ChebyshevRhoBasis(nodes, 0.5).derivatives(vals, rho, (0, 1, 2))
             for got in (basis.derivatives(vals, rho, (0, 1, 2)),
                         [(basis.weights(rho, k) @ vals.reshape(12, -1)).reshape(w.shape)
                          for k, w in zip((0, 1, 2), want)]):
@@ -282,7 +283,7 @@ class TestChebyshevDerivatives:
     def test_converges_on_an_analytic_field(self):
         """exp(rho) on [0, 0.2]: 16 nodes give the slope at 0 to roundoff."""
         nodes = chebyshev_rho_nodes()
-        (slope, curv) = chebyshev_rho_derivatives(np.exp(nodes), 0.0, (1, 2))
+        (slope, curv) = ChebyshevRhoBasis(nodes, 0.2).derivatives(np.exp(nodes), 0.0, (1, 2))
         assert abs(slope - 1.0) < 1e-12 and abs(curv - 1.0) < 1e-9
 
 

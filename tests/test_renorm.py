@@ -834,6 +834,22 @@ class TestOuterCutoff:
             4.0 * PI2 / 3.0, abs=1e-9)
         assert renormalized_action(geom)["action"].finite == pytest.approx(48.0 * PI2, rel=1e-8)
 
+    @pytest.mark.parametrize("family", [volume_family, gauss_bonnet_audit, renormalized_action])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, 0.0, -0.1, math.nan, math.inf],
+                             ids=["past-cap", "at-cap", "zero", "negative", "nan", "inf"])
+    def test_eps_grid_outside_the_collar_is_refused(self, family, bad):
+        """Every family refuses an eps outside (0, rho_max), naming the first,
+        before any numpy warning: past the cap the Gauss-Kronrod panels raised
+        NonConvergence, a negative eps a math domain error and a NaN a failed
+        integer conversion."""
+        geom = RadialGeometry(perturbed_profile([0.05, 0.05, 0.05]))
+        eps = default_eps_grid()
+        eps[[3, 7]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^eps={bad:.6g} outside the collar \(0, 2\)$"):
+                family(geom, eps)
+
 
 class TestTheorem7Cancellation:
     """eps^0 coefficients of the Phi0 / Phi1 slice families on torus jets."""
