@@ -31,7 +31,6 @@ def main() -> int:
         "profile": {"theta": list(args.theta)},
         "flow": {"theta0": [0.05, 0.05, 0.05], "steps": 200, "eta": 1e-3,
                  "target_fraction": 0.01},
-        "outputs": {"directory": args.out_dir, "format": "csv"},
     }
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as handle:
         json.dump(config, handle)
@@ -40,7 +39,8 @@ def main() -> int:
     worst = 0
     try:
         for sub in cli.SUBCOMMANDS:
-            code = cli.main([sub, "--config", cfg_path])
+            code = cli.main([sub, "--config", cfg_path, "--out-dir", args.out_dir,
+                             "--format", "csv"])
             print(f"== {sub}: exit {code}")
             worst = max(worst, code)
     finally:

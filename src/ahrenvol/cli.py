@@ -27,7 +27,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class ConfigError(ValueError):
 # rho_max, which 'eps_hi' must stay below, and a class that declares chi is
 # capped there
 _FAMILIES = {"radial": _collar.RadialGeometry, "torus-collar": _collar.TorusJetGeometry}
-_FORMATS = ("json", "csv")
 # a curvature slice peaks at about 12 KiB of temporaries per boundary point
 # (6.2 MiB at n_grid 8, 49 MiB at n_grid 16), so n_grid = 32 (32768 points)
 # peaks near 390 MiB per slice.  n_grid 4 is the coarsest grid the tests
@@ -129,7 +128,6 @@ _KEYS = {
     "grid": {"eps_n": "eps_n", "eps_lo": "eps_lo", "eps_hi": "eps_hi"},
     "flow": {"theta0": "flow_theta0", "steps": "flow_steps", "eta": "flow_eta",
              "target_fraction": "flow_target_fraction"},
-    "outputs": {"directory": "out_dir", "format": "out_format"},
 }
 
 
@@ -200,8 +198,6 @@ class AuditConfig:
     flow_eta: float = 1e-3
     flow_target_fraction: float = 0.01
     tolerances: dict = field(default_factory=dict)
-    out_dir: str = "."
-    out_format: str = "json"
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AuditConfig":
@@ -246,10 +242,6 @@ class AuditConfig:
                 raise ConfigError(f"unknown tolerance '{name}': no check row has that name")
             if name in _FIXED_TOLERANCES:
                 raise ConfigError(f"tolerance '{name}' cannot be set: {_FIXED_TOLERANCES[name]}")
-        if not isinstance(v["out_dir"], str):
-            raise ConfigError("'outputs.directory' must be a string")
-        if v["out_format"] not in _FORMATS:
-            raise ConfigError(f"'outputs.format' must be {_one_of(_FORMATS)}")
         v["jet_n_grid"] = _integer(v["jet_n_grid"], "n_grid", _N_GRID_MIN, _N_GRID_MAX)
         v["jet_amplitude"] = _number(v["jet_amplitude"], "amplitude")
         v["eps_n"] = _integer(v["eps_n"], "eps_n", renorm.MIN_EPS_SAMPLES, _EPS_N_MAX)
@@ -298,7 +290,8 @@ class AuditReport:
         return all(c["passed"] for c in self.checks)
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(asdict(self)), indent=2, sort_keys=True) + "\n"
+        # vars, not asdict: _jsonable copies as it walks, and no field holds a dataclass
+        return json.dumps(_jsonable(vars(self)), indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -516,7 +509,7 @@ def run_collar_audit(config: AuditConfig) -> AuditReport:
 
 # renvol's and gauss-bonnet's fit diagnostics: report key -> RegularizedIntegral field
 _FIT_DIAGNOSTICS = {"fit_cond": "cond", **{name: name for name in (
-    "half_grid_drift", "kept_powers", "selection_gaps", "floor_ratio", "fits", "log_ambiguous")}}
+    "kept_powers", "selection_gaps", "floor_ratio", "fits", "log_ambiguous")}}
 
 
 def run_renvol(config: AuditConfig) -> AuditReport:
@@ -713,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and returned by every later one.
 
     Parsing leaves nothing on it, so a batch of :func:`main` calls in one
-    process shares it instead of building its 43 arguments again per call;
+    process shares it instead of building its 36 arguments again per call;
     a caller must not add to it.
     """
     parser = argparse.ArgumentParser(
@@ -724,37 +717,26 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--out-dir", default=None, help="report output directory")
-        p.add_argument("--format", default=None, choices=_FORMATS)
-        p.add_argument("--seed", type=int, default=None, help="overrides config seed")
+        p.add_argument("--out-dir", default=".", help="report output directory")
+        p.add_argument("--format", default="json", choices=("json", "csv"))
         p.add_argument("--threads", type=int, default=1,
                        help="no effect: every subcommand runs single-threaded")
     return parser
 
 
-def _load_config(args) -> AuditConfig:
-    if args.config is not None:
-        try:
-            with open(args.config, encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}")
-        # a missing file, a directory, or bytes that are not UTF-8
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}")
-    else:
-        raw = {"family": "radial", "seed": 0}
-    config = AuditConfig.from_dict(raw)
-    if args.seed is not None:
-        _integer(args.seed, "seed", 0)
-    overrides = {"seed": args.seed, "out_dir": args.out_dir, "out_format": args.format}
-    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    # before any work, so that a directory that cannot hold the reports costs no run
+def _load_config(path) -> AuditConfig:
+    """The config at ``path``, or the hyperbolic ball with seed 0 if None."""
+    if path is None:
+        return AuditConfig.from_dict({"family": "radial", "seed": 0})
     try:
-        os.makedirs(config.out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"'outputs.directory' {config.out_dir!r} cannot be created: {exc}")
-    return config
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}")
+    # a missing file, a directory, or bytes that are not UTF-8
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
+    return AuditConfig.from_dict(raw)
 
 
 def main(argv=None) -> int:
@@ -767,9 +749,14 @@ def main(argv=None) -> int:
         print("error: --threads must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     try:
-        config = _load_config(args)
+        config = _load_config(args.config)
+        # before any work, so that a directory that cannot hold the reports costs no run
+        os.makedirs(args.out_dir, exist_ok=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # _load_config raises ConfigError for its own
+        print(f"error: '--out-dir' {args.out_dir!r} cannot be created: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     start = time.perf_counter()
@@ -784,12 +771,12 @@ def main(argv=None) -> int:
     report.elapsed_seconds = time.perf_counter() - start
     report.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
-    base = os.path.join(config.out_dir, f"{args.subcommand}-report")
+    base = os.path.join(args.out_dir, f"{args.subcommand}-report")
     _write_atomic(base + ".json", report.to_json())
-    if config.out_format == "csv":
+    if args.format == "csv":
         _write_atomic(base + ".csv", report.to_csv())
     if args.subcommand == "flow":
-        _write_atomic(os.path.join(config.out_dir, "flow-progress.csv"), _flow_progress_csv(report))
+        _write_atomic(os.path.join(args.out_dir, "flow-progress.csv"), _flow_progress_csv(report))
 
     for row in report.checks:
         verdict = "pass" if row["passed"] else "FAIL"

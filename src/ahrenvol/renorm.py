@@ -21,7 +21,7 @@ The module provides
 
 The family entry points take a geometry of :mod:`ahrenvol.collar` and integrate
 out to its ``rho_max``; every eps of their grid (:func:`default_eps_grid`
-unless one is given) must lie in (0, rho_max), else ValueError.  A family is an array in ``eps_grid`` order, and
+unless one is given) must lie in (0, rho_max) and ascend strictly, else ValueError.  A family is an array in ``eps_grid`` order, and
 ``finite_part`` reads the pair (eps grid, values).  The module measures and does not judge: the check rows built on
 these numbers, with their pass rules, live in :mod:`ahrenvol.cli`.
 
@@ -81,17 +81,24 @@ def default_eps_grid(n: int = 12, lo: float = 0.02, hi: float = 0.3) -> np.ndarr
 
 def _family_eps_grid(geom, eps_grid) -> np.ndarray:
     """``eps_grid`` (:func:`default_eps_grid` if None) as floats, each in
-    (0, geom.rho_max), else ValueError naming the first outside, NaN too."""
+    (0, geom.rho_max), else ValueError naming the first outside, NaN too, and
+    strictly ascending, else ValueError naming the first sample out of order."""
     eps = default_eps_grid() if eps_grid is None else np.asarray(eps_grid, dtype=float)
     outside = ~((eps > 0.0) & (eps < geom.rho_max))
     if outside.any():
         raise ValueError(f"eps={eps[outside][0]:.6g} outside the collar (0, {geom.rho_max:g})")
+    # the panels of _cumulative_family run from each eps to the next
+    unordered = np.flatnonzero(np.diff(eps) <= 0.0)
+    if unordered.size:
+        k = unordered[0] + 1
+        raise ValueError(f"eps sample {k} ({eps[k]:.6g}) is not above sample {k - 1} "
+                         f"({eps[k - 1]:.6g}): the eps grid must be strictly ascending")
     return eps
 
 
 @dataclass(frozen=True)
 class RegularizedIntegral:
-    """Fitted asymptotics C0 eps^-3 + C2 eps^-1 + L log(1/eps) + V + decaying."""
+    """Fitted C0 eps^-3 + C2 eps^-1 + L log(1/eps) + V + decaying, and the fit's diagnostics."""
 
     c0: float
     c2: float
@@ -99,8 +106,7 @@ class RegularizedIntegral:
     finite: float
     fit_residual: float
     extras: dict = field(default_factory=dict)
-    cond: float = 0.0
-    half_grid_drift: float = 0.0
+    cond: float = 0.0  # of the kept basis, column-scaled; at most 1e9
     # nuisance powers kept by forward selection, in selection order
     kept_powers: tuple = ()
     # per selection step with two or more candidates, the runner-up's residual
@@ -143,7 +149,7 @@ def _design(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return design, norms
 
 
-def _solve_stack(design, norms, vals, bases, cond_limit):
+def _solve_stack(design, norms, vals, bases):
     """Column-scaled least squares of ``vals`` on a stack of bases, from one SVD each.
 
     ``bases`` is a (k, n) array of column indices into ``design``: each row
@@ -152,11 +158,10 @@ def _solve_stack(design, norms, vals, bases, cond_limit):
     digits on exactly-representable models; three refinement steps against
     long-double residuals recover them (Bjorck, Numerical Methods for Least
     Squares Problems, 1996, sec. 2.9), each applying the same factors.  A
-    singular value at or below lstsq's default cutoff eps max(m, n) sigma_max
-    is treated as zero, so a rank-deficient basis gets lstsq's minimum-norm
-    solution.  A basis whose condition number exceeds ``cond_limit`` raises
-    FitRejected.  Returns the coefficients (k, n), the largest absolute
-    residual of each basis and its condition number.
+    basis whose condition number exceeds ``_FIT_COND_LIMIT`` raises
+    FitRejected, so every basis solved has full rank.  Returns the
+    coefficients (k, n), the largest absolute residual of each basis and
+    its condition number.
     """
     bases = np.asarray(bases)
     # each basis is a Fortran-ordered (m, n) matrix, laid out alike in any stack
@@ -165,12 +170,11 @@ def _solve_stack(design, norms, vals, bases, cond_limit):
     u, sv, vt = np.linalg.svd(scaled, full_matrices=False)
     with np.errstate(divide="ignore"):
         cond = sv[:, 0] / sv[:, -1]
-    over = np.flatnonzero(cond > cond_limit)
+    over = np.flatnonzero(cond > _FIT_COND_LIMIT)
     if over.size:
         raise FitRejected(f"ill-conditioned asymptotic fit (cond={cond[over[0]]:.3e})")
-    kept = sv > np.finfo(float).eps * max(scaled.shape[1:]) * sv[:, :1]
-    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=kept)
-    pinv = (vt.swapaxes(1, 2) * inv[:, None, :]) @ u.swapaxes(1, 2)
+    # vt times 1 / sv, not vt / sv: the two round apart and move the fits' last bits
+    pinv = (vt.swapaxes(1, 2) * (1.0 / sv)[:, None, :]) @ u.swapaxes(1, 2)
     sol = pinv @ vals
     scaled_ld = scaled.astype(np.longdouble)
     vals_ld = vals.astype(np.longdouble)
@@ -198,14 +202,13 @@ def finite_part(values) -> RegularizedIntegral:
     The design of all ten powers is built and column-scaled once; every
     basis is a subset of its columns.  Each selection step solves its
     candidates, which all have the same column count, as one stack of SVDs
-    (:func:`_solve_stack`); the full-basis, bare-model and half-grid fits
-    are stacks of one.  Singular values at or below lstsq's default cutoff
-    are dropped, so the half-grid refit, which has no condition limit, gets
-    the minimum-norm solution.  The result also reports how close the
-    selection came to going another way: ``selection_gaps`` (per step with
-    two or more candidates, the runner-up's residual over the best one's,
-    minus 1), ``floor_ratio`` (the final residual over the stopping floor)
-    and ``fits`` (the number of bases solved).
+    (:func:`_solve_stack`); the full-basis and bare-model fits are stacks of
+    one.  A basis above condition number 1e9 raises FitRejected.  The
+    result also reports how close the selection came to going another way:
+    ``selection_gaps`` (per step with two or more candidates, the runner-up's
+    residual over the best one's, minus 1), ``floor_ratio`` (the final
+    residual over the stopping floor) and ``fits`` (the number of bases
+    solved).
     """
     eps, vals = (np.asarray(a, dtype=float) for a in values)
     bad = np.flatnonzero(~np.isfinite(eps))
@@ -224,8 +227,7 @@ def finite_part(values) -> RegularizedIntegral:
 
     design, norms = _design(eps)
     n_model = len(_MODEL_POWERS)
-    _, (resid_full,), _ = _solve_stack(design, norms, vals, [range(len(_POWERS))],
-                                       _FIT_COND_LIMIT)
+    _, (resid_full,), _ = _solve_stack(design, norms, vals, [range(len(_POWERS))])
     # forward selection of nuisance powers: start from the bare model and
     # greedily add the extra power that most reduces the residual, stopping
     # at the full-basis residual floor.  Exactly-representable families then
@@ -235,12 +237,10 @@ def finite_part(values) -> RegularizedIntegral:
     floor = 10.0 * float(resid_full) + 1e-13
     kept = list(range(n_model))
     remaining = list(range(n_model, len(_POWERS)))
-    (coeffs,), (resid,), (cond_kept,) = _solve_stack(design, norms, vals, [kept],
-                                                     _FIT_COND_LIMIT)
-    gaps, fits = [], 3
+    (coeffs,), (resid,), (cond_kept,) = _solve_stack(design, norms, vals, [kept])
+    gaps, fits = [], 2
     while resid > floor and remaining:
-        trials = _solve_stack(design, norms, vals, [kept + [c] for c in remaining],
-                              _FIT_COND_LIMIT)
+        trials = _solve_stack(design, norms, vals, [kept + [c] for c in remaining])
         fits += len(remaining)
         # a stable sort ranks equal residuals in candidate order, as min() did
         ranked = np.argsort(trials[1], kind="stable")
@@ -259,15 +259,6 @@ def finite_part(values) -> RegularizedIntegral:
             f"asymptotic model rejected (residual {resid:.3e} > {_FIT_TOL:.1e} * scale)"
         )
 
-    # stability: refit on the lower half of the grid, record the V drift.
-    # Nuisance powers are truncated so the half fit stays overdetermined.
-    half = eps.size // 2
-    half_cols = kept[: max(n_model, half - 2)]
-    (half_coeffs,), _, _ = _solve_stack(*_design(eps[:half]), vals[:half], [half_cols], np.inf)
-    # the model columns lead both bases, so V has the same position in each
-    finite_col = _POWERS.index(0)
-    drift = float(abs(half_coeffs[finite_col] - coeffs[finite_col]))
-
     by_key = dict.fromkeys(_POWERS, 0.0)
     by_key.update((_POWERS[c], float(v)) for c, v in zip(kept, coeffs))
     return RegularizedIntegral(
@@ -278,7 +269,6 @@ def finite_part(values) -> RegularizedIntegral:
         fit_residual=resid,
         extras={p: by_key[p] for p in _NUISANCE_POWERS},
         cond=cond_kept,
-        half_grid_drift=drift,
         kept_powers=tuple(_POWERS[c] for c in kept[n_model:]),
         selection_gaps=tuple(gaps),
         floor_ratio=resid / floor,
@@ -336,7 +326,6 @@ def _cumulative_family(density, eps_grid: np.ndarray, rho_max: float, npts: int)
     estimate.  Returns the family, shape (eps, components), and the summed
     error estimates of its panels.
     """
-    eps_grid = np.asarray(eps_grid, dtype=float)
     bounds = np.append(eps_grid, rho_max)
     # the left panel edges of each interval; eps_i is the first of its own
     lefts = [
@@ -396,7 +385,6 @@ def _interpolated_family(density, eps_grid: np.ndarray, rho_max: float, npts: in
     the integral of rho^-4.  Returns the family, the error estimates and the
     node count each piece settled on.
     """
-    eps_grid = np.asarray(eps_grid, dtype=float)
     eps_max = float(eps_grid.max())
     pieces = ((0.0, eps_max), (eps_max, rho_max))
     top = _CHEB_LEVELS[-1]

@@ -519,7 +519,7 @@ def _design_columns(eps: np.ndarray, powers) -> tuple[np.ndarray, list]:
     return np.stack(cols, axis=1), keys
 
 
-def ls_fit(eps: np.ndarray, vals: np.ndarray, powers_list, cond_limit):
+def ls_fit(eps: np.ndarray, vals: np.ndarray, powers_list):
     """Column-scaled least squares with extended-precision refinement.
 
     The columns span several orders of magnitude, so a single float64 solve
@@ -531,7 +531,7 @@ def ls_fit(eps: np.ndarray, vals: np.ndarray, powers_list, cond_limit):
     norms[norms == 0.0] = 1.0
     scaled = design / norms
     cond = float(np.linalg.cond(scaled))
-    if cond > cond_limit:
+    if cond > _FIT_COND_LIMIT:
         raise FitRejected(f"ill-conditioned asymptotic fit (cond={cond:.3e})")
     sol, _, _, _ = np.linalg.lstsq(scaled, vals, rcond=None)
     scaled_ld = scaled.astype(np.longdouble)
@@ -558,14 +558,14 @@ def finite_part_loop(values):
     eps, vals = eps[order], vals[order]
 
     all_powers = list(_MODEL_POWERS + _NUISANCE_POWERS)
-    _, resid_full, _ = ls_fit(eps, vals, all_powers, _FIT_COND_LIMIT)
+    _, resid_full, _ = ls_fit(eps, vals, all_powers)
     floor = 10.0 * resid_full + 1e-13
     kept = list(_MODEL_POWERS)
     remaining = list(_NUISANCE_POWERS)
-    by_key, resid, cond_kept = ls_fit(eps, vals, kept, _FIT_COND_LIMIT)
+    by_key, resid, cond_kept = ls_fit(eps, vals, kept)
     steps = []
     while resid > floor and remaining:
-        trials = [ls_fit(eps, vals, kept + [p], _FIT_COND_LIMIT) + (p,) for p in remaining]
+        trials = [ls_fit(eps, vals, kept + [p]) + (p,) for p in remaining]
         steps.append({t[3]: t[1] for t in trials})
         by_key, resid, cond_kept, best = min(trials, key=lambda t: t[1])
         kept.append(best)
@@ -576,11 +576,6 @@ def finite_part_loop(values):
         raise FitRejected(
             f"asymptotic model rejected (residual {resid:.3e} > {_FIT_TOL:.1e} * scale)"
         )
-
-    half = eps.size // 2
-    half_powers = kept[: max(len(_MODEL_POWERS), half - 2)]
-    half_fit, _, _ = ls_fit(eps[:half], vals[:half], half_powers, np.inf)
-    drift = float(abs(half_fit[0] - by_key[0]))
 
     gaps = []
     for step in steps:
@@ -596,11 +591,10 @@ def finite_part_loop(values):
         fit_residual=resid,
         extras=extras,
         cond=cond_kept,
-        half_grid_drift=drift,
         kept_powers=tuple(kept[len(_MODEL_POWERS) :]),
         selection_gaps=tuple(gaps),
         floor_ratio=resid / floor,
-        fits=3 + sum(len(step) for step in steps),
+        fits=2 + sum(len(step) for step in steps),
     )
     return fit, {"floor": floor, "steps": steps}
 

@@ -42,7 +42,6 @@ FUZZ_BASE = {
     "trials": 3,
     "flow": {"theta0": [0.05, 0.05, 0.05], "steps": 4, "eta": 1e-3, "target_fraction": 0.2},
     "tolerances": {"hyperbolic_V": 1e-6},
-    "outputs": {"directory": ".", "format": "json"},
 }
 FUZZ_PATHS = [(key,) for key in FUZZ_BASE] + [
     (section, key) for section, body in FUZZ_BASE.items() if isinstance(body, dict) for key in body
@@ -135,7 +134,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_uncreatable_out_dir_exits_usage_before_any_work(self, tmp_path, capsys,
                                                              monkeypatch, source):
-        """An output directory under a regular file is refused before the run."""
+        """An output directory under a regular file is refused before the run.
+        Only the flag sets the directory: a config 'outputs' section is an
+        unknown key, refused before any work too."""
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = str(blocker / "reports")
@@ -143,13 +144,21 @@ class TestConfigValidation:
         monkeypatch.setitem(cli._RUNNERS, "renvol", lambda *args: ran.append(args))
         if source == "flag":
             argv = ["--config", write_config(tmp_path, "c.json", HYP), "--out-dir", out]
+            named = ["'--out-dir'", out]
         else:
             argv = ["--config", write_config(tmp_path, "c.json",
                                              {**HYP, "outputs": {"directory": out}})]
+            named = ["unknown key 'outputs' in 'config'"]
         assert run(["renvol", *argv]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert "'outputs.directory'" in err and out in err
+        assert all(text in err for text in named), err
         assert ran == []
+
+    def test_seed_flag_exits_usage(self, tmp_path, capsys):
+        """The seed is set by the config alone."""
+        assert run(["renvol", "--seed", "7", "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize(
         "extra, key",
@@ -178,13 +187,13 @@ class TestConfigValidation:
             ({"family": "torus-collar"}, "family"),
             ({"family": []}, "family"),
             ({"family": {}}, "family"),
-            ({"outputs": {"directory": 5}}, "outputs.directory"),
+            ({"outputs": {"directory": "."}}, "outputs"),
         ],
         ids=["seed", "theta", "trials", "eps_n", "eps_n_6", "eps_n_7", "n_grid", "n_grid_3", "eta",
              "rho_max_past_cap", "amplitude_g_rho", "amplitude_gamma", "theta_nonpositive_profile",
              "target_fraction_negative", "target_fraction_zero", "theta0_nonpositive_profile",
              "eps_lo_nan", "n_grid_huge", "eps_n_past_max", "trials_past_max", "steps_past_max",
-             "family_not_radial", "family_list", "family_object", "out_dir_not_string"],
+             "family_not_radial", "family_list", "family_object", "outputs_section"],
     )
     def test_malformed_value_exits_usage_and_names_key(self, tmp_path, capsys, extra, key):
         cfg = write_config(tmp_path, "c.json", {"family": "radial", "seed": 1, **extra})
@@ -295,9 +304,13 @@ class TestConfigValidation:
         assert run(["renvol", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
 
 
+SEED7 = {"family": "radial", "seed": 7}
+
+
 class TestAlgebraSuite:
     def test_passes_and_writes_report(self, tmp_path):
-        code = run(["algebra-suite", "--seed", "7", "--out-dir", str(tmp_path)])
+        cfg = write_config(tmp_path, "c.json", SEED7)
+        code = run(["algebra-suite", "--config", cfg, "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_OK
         report = json.loads((tmp_path / "algebra-suite-report.json").read_text())
         assert report["seed"] == 7
@@ -311,16 +324,16 @@ class TestAlgebraSuite:
 
     def test_deterministic_reports(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+        cfg = write_config(tmp_path, "c.json", SEED7)
         for out in (a_dir, b_dir):
             assert run([
-                "algebra-suite", "--seed", "7", "--out-dir", str(out), "--format", "csv"
+                "algebra-suite", "--config", cfg, "--out-dir", str(out), "--format", "csv"
             ]) == cli.EXIT_OK
         reports = []
         for out in (a_dir, b_dir):
             data = json.loads((out / "algebra-suite-report.json").read_text())
             data.pop("timestamp")
             data.pop("elapsed_seconds")
-            data["config"].pop("out_dir")  # echoed config differs only here
             reports.append(data)
         assert reports[0] == reports[1]
         assert (a_dir / "algebra-suite-report.csv").read_text() == (
@@ -343,7 +356,8 @@ class TestAlgebraSuite:
         assert work["curvature"]["groups"] == {"n=4": 100}
 
     def test_csv_rows_carry_anchor_and_seed(self, tmp_path):
-        run(["algebra-suite", "--seed", "9", "--out-dir", str(tmp_path), "--format", "csv"])
+        cfg = write_config(tmp_path, "c.json", {"family": "radial", "seed": 9})
+        run(["algebra-suite", "--config", cfg, "--out-dir", str(tmp_path), "--format", "csv"])
         lines = (tmp_path / "algebra-suite-report.csv").read_text().splitlines()
         assert lines[0].startswith("#")
         header = lines[1].split(",")
@@ -378,10 +392,10 @@ class TestInProcessCalls:
 
     def test_consecutive_calls_stay_independent(self, tmp_path, capsys):
         ball = write_config(tmp_path, "ball.json", HYP)
-        pert = write_config(tmp_path, "pert.json", PERT)
+        pert = write_config(tmp_path, "pert.json", {**PERT, "seed": 7})
         first, second, third = (tmp_path / name for name in ("first", "second", "third"))
         assert run(["renvol", "--config", ball, "--out-dir", str(first)]) == cli.EXIT_OK
-        assert run(["collar-audit", "--config", pert, "--seed", "7", "--format", "csv",
+        assert run(["collar-audit", "--config", pert, "--format", "csv",
                     "--out-dir", str(second)]) == cli.EXIT_OK
         capsys.readouterr()
         assert run(["renvol", "--config", ball, "--format", "xml"]) == cli.EXIT_USAGE
@@ -391,7 +405,6 @@ class TestInProcessCalls:
         audit = json.loads((second / "collar-audit-report.json").read_text())
         assert (audit["subcommand"], audit["seed"]) == ("collar-audit", 7)
         assert audit["config"]["theta"] == PERT["profile"]["theta"]
-        assert audit["config"]["out_format"] == "csv"
         assert (second / "collar-audit-report.csv").exists()
         reports = []
         for out in (first, third):
@@ -399,10 +412,26 @@ class TestInProcessCalls:
             report = json.loads((out / "renvol-report.json").read_text())
             for key in ("elapsed_seconds", "timestamp"):
                 report.pop(key)
-            report["config"].pop("out_dir")
             reports.append(report)
         assert reports[0] == reports[1]
-        assert (reports[1]["seed"], reports[1]["config"]["out_format"]) == (3, "json")
+        assert reports[1]["seed"] == 3
+
+    @pytest.mark.parametrize("sub", cli.SUBCOMMANDS)
+    def test_report_bytes_do_not_depend_on_the_directory(self, tmp_path, sub):
+        """One config written to two directories gives byte-identical reports
+        apart from the run's duration and time stamp: the config echo holds
+        what was computed, not where the report went."""
+        cfg = write_config(tmp_path, "c.json", {**PERT, "trials": 1, "flow": {"steps": 1}})
+        texts = []
+        for name in ("a", os.path.join("b", "c")):
+            out = tmp_path / name
+            assert run([sub, "--config", cfg, "--out-dir", str(out)]) in (
+                cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+            lines = (out / f"{sub}-report.json").read_text().splitlines(keepends=True)
+            texts.append("".join(line for line in lines if not line.startswith(
+                ('  "elapsed_seconds": ', '  "timestamp": '))))
+        assert texts[0] == texts[1]
+        assert str(tmp_path) not in texts[0]
 
 
 class TestRenvol:
@@ -416,14 +445,14 @@ class TestRenvol:
         artifacts = report["artifacts"]
         assert 0.0 < artifacts["quadrature_error"] < 1e-9 * max(artifacts["volumes"])
         assert 1.0 <= artifacts["fit_cond"] < 1e9
-        assert math.isfinite(artifacts["half_grid_drift"])
+        assert "half_grid_drift" not in artifacts
         # the family is exactly C0 eps^-3 + C2 eps^-1 + V + 2 pi^2 (-(3/16) eps + eps^3/192)
         assert artifacts["kept_powers"] == [1, 3]
         # two clear steps (the runner-up's residual 47 and 7e4 times the best),
-        # stopping under the floor: full basis, bare model, 6 + 5 candidates, half grid
+        # stopping under the floor: full basis, bare model, 6 + 5 candidates
         assert len(artifacts["selection_gaps"]) == 2 and min(artifacts["selection_gaps"]) > 10.0
         assert 0.0 < artifacts["floor_ratio"] <= 1.0
-        assert artifacts["fits"] == 14
+        assert artifacts["fits"] == 13
         assert artifacts["log_ambiguous"] is False
 
     def test_quadrature_failure_exits_nonconvergence(self, tmp_path, monkeypatch, capsys):
@@ -507,12 +536,11 @@ class TestGaussBonnet:
         assert 0.0 < artifacts["quadrature_error"] < 1e-9 * max(map(abs, artifacts["interior"]))
         for part in ("interior", "boundary"):
             assert 1.0 <= artifacts["fit_cond"][part] < 1e9
-            assert math.isfinite(artifacts["half_grid_drift"][part])
             # both families are affine in the ball's volume family
             assert artifacts["kept_powers"][part] == [1, 3]
             assert min(artifacts["selection_gaps"][part]) > 10.0
             assert 0.0 < artifacts["floor_ratio"][part] <= 1.0
-            assert artifacts["fits"][part] == 14
+            assert artifacts["fits"][part] == 13
             assert artifacts["log_ambiguous"][part] is False
 
 

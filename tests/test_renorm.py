@@ -58,12 +58,6 @@ class TestFinitePart:
         fp = finite_part((eps, vals))
         assert np.allclose(fp.as_tuple(), (2.0, -5.0, 1.5, 7.0), atol=1e-10)
 
-    def test_half_grid_refit_stability(self):
-        eps = default_eps_grid()
-        vals = 2.0 * eps**-3 - 5.0 * eps**-1 + 1.5 * np.log(1.0 / eps) + 7.0
-        fp = finite_part((eps, vals))
-        assert fp.half_grid_drift < 100.0 * fp.fit_residual + 1e-12
-
     def test_pure_power_integral(self):
         """int_eps^1 rho^-4 drho = (eps^-3 - 1)/3."""
         eps = default_eps_grid()
@@ -126,12 +120,12 @@ class TestFinitePart:
         assert fp.kept_powers == (1, 4)
         assert fp.extras == pytest.approx({1: -4.0, 2: 0.0, 3: 0.0, 4: 0.3, 5: 0.0, 6: 0.0},
                                           abs=1e-8)
-        # full basis, bare model, 6 then 5 candidates, half grid; two clear steps
-        assert fp.fits == oracles.finite_part_loop((eps, vals))[0].fits == 14
+        # full basis, bare model, 6 then 5 candidates; two clear steps
+        assert fp.fits == oracles.finite_part_loop((eps, vals))[0].fits == 13
         assert len(fp.selection_gaps) == 2 and min(fp.selection_gaps) > 1.0
         assert 0.0 <= fp.floor_ratio <= 1.0
         exact = finite_part((eps, 2.0 * eps**-3 + 7.0))
-        assert (exact.kept_powers, exact.selection_gaps, exact.fits) == ((), (), 3)
+        assert (exact.kept_powers, exact.selection_gaps, exact.fits) == ((), (), 2)
         assert 0.0 <= exact.floor_ratio <= 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -177,28 +171,27 @@ class TestStackedSolve:
         eps, vals = self._family()
         design, norms = renorm._design(eps)
         bases = [[0, 1, 2, 3, 4, c] for c in range(5, 10)]
-        stacked = renorm._solve_stack(design, norms, vals, bases, np.inf)
+        stacked = renorm._solve_stack(design, norms, vals, bases)
         for k, basis in enumerate(bases):
-            alone = renorm._solve_stack(design, norms, vals, [basis], np.inf)
+            alone = renorm._solve_stack(design, norms, vals, [basis])
             for got, want in zip(stacked, alone):
                 assert np.array_equal(got[k], want[0])
 
-    def test_singular_value_below_the_cutoff_gives_the_minimum_norm_solution(self):
-        """A half-grid refit has no condition limit; a rank-deficient basis must
-        get lstsq's minimum-norm answer, not one blown up by 1/sigma."""
+    def test_rank_deficient_basis_is_rejected(self):
+        """Every basis is held to the condition limit, so a rank-deficient one
+        raises FitRejected rather than reaching the solve, with no division
+        warning."""
         eps = default_eps_grid()
         design, norms = renorm._design(eps)
         # columns 4 and 5 equal: one singular value is roundoff
         design = design[:, [0, 1, 2, 3, 4, 4]]
         norms = norms[[0, 1, 2, 3, 4, 4]]
         vals = design[:, :5] @ np.array([2.0, -5.0, 1.5, 7.0, 3.0])
-        (coeffs,), _, (cond,) = renorm._solve_stack(design, norms, vals, [range(6)], np.inf)
-        assert cond > 1e15
-        scaled = design / norms
-        want = np.linalg.lstsq(scaled, vals, rcond=None)[0] / norms
-        assert coeffs == pytest.approx(want, rel=1e-9)
-        assert coeffs[4] == pytest.approx(coeffs[5], rel=1e-9)
-        assert coeffs[4] + coeffs[5] == pytest.approx(3.0, rel=1e-9)
+        assert np.linalg.cond(design / norms) > 1e15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(renorm.FitRejected, match="ill-conditioned"):
+                renorm._solve_stack(design, norms, vals, [range(6)])
 
     def test_ill_conditioned_member_rejects_the_step(self):
         eps, vals = self._family()
@@ -207,8 +200,7 @@ class TestStackedSolve:
         norms = np.append(norms, np.linalg.norm(design[:, -1]))
         # the second basis holds two columns 1e-12 apart
         with pytest.raises(renorm.FitRejected, match="ill-conditioned"):
-            renorm._solve_stack(design, norms, vals, [[0, 1, 2, 3, 5, 6], [0, 1, 2, 3, 4, 10]],
-                                renorm._FIT_COND_LIMIT)
+            renorm._solve_stack(design, norms, vals, [[0, 1, 2, 3, 5, 6], [0, 1, 2, 3, 4, 10]])
 
     def test_exact_candidate_reads_an_infinite_gap(self):
         """eps^1 fits the family eps with residual exactly 0: the runner-up is
@@ -848,6 +840,26 @@ class TestOuterCutoff:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^eps={bad:.6g} outside the collar \(0, 2\)$"):
+                family(geom, eps)
+
+    @pytest.mark.parametrize("family", [volume_family, gauss_bonnet_audit, renormalized_action])
+    @pytest.mark.parametrize("order, first", [
+        ([0, 1, 2, 3, 5, 4, 6, 7, 8, 9, 10, 11], 5),
+        (list(range(11, -1, -1)), 1),
+        ([0, 1, 2, 3, 4, 5, 6, 6, 7, 8, 9, 10], 7),
+    ], ids=["permuted", "reversed", "repeated"])
+    def test_eps_grid_out_of_order_is_refused(self, monkeypatch, family, order, first):
+        """The panels run from each eps to the next, so a grid that does not
+        ascend strictly is refused before any slice is computed, naming the
+        first sample out of order: the permuted default grid raised
+        NonConvergence on [0.183,0.0327], and a reversed one was accepted."""
+        geom = RadialGeometry(perturbed_profile([0.05, 0.05, 0.05]))
+        eps = default_eps_grid()[order]
+        monkeypatch.setattr(collar, "map_slices", lambda *args: pytest.fail("integrated"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^eps sample {first} \({eps[first]:.6g}\) "
+                                                 rf"is not above sample {first - 1} "):
                 family(geom, eps)
 
 
