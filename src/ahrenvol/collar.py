@@ -321,6 +321,20 @@ class TorusJetGeometry:
             out[..., axis, :] = (self._dmat @ grid.reshape(lead, n, -1)).reshape(grid.shape)
         return out.reshape((field.shape[0], 3) + field.shape[1:])
 
+    def xderiv_transpose(self, field: np.ndarray) -> np.ndarray:
+        """Transpose of :meth:`xderiv` over the point axis: sum_a D_a^T field[:, a].
+
+        ``field`` is (points, 3, ...), the shape :meth:`xderiv` returns, and
+        the result is (points, ...).
+        """
+        n = self.n_grid
+        grid = field.reshape(-1, n, n, n, 3, math.prod(field.shape[2:]))
+        out = np.zeros(grid.shape[:4] + grid.shape[5:])
+        for axis in range(3):
+            lead = grid.shape[0] * n**axis
+            out += (self._dmat.T @ grid[..., axis, :].reshape(lead, n, -1)).reshape(out.shape)
+        return out.reshape((field.shape[0],) + field.shape[2:])
+
 
 def spectral_deriv(field: np.ndarray, axis: int) -> np.ndarray:
     """Spectral derivative along ``axis`` of a field on a side-2pi periodic grid."""
@@ -370,6 +384,9 @@ class RadialGeometry:
     def xderiv(self, field: np.ndarray) -> np.ndarray:
         return np.zeros((field.shape[0], 3) + field.shape[1:])
 
+    def xderiv_transpose(self, field: np.ndarray) -> np.ndarray:
+        return np.zeros((field.shape[0],) + field.shape[2:])
+
 
 class PolynomialPerturbation:
     """Tangential metric perturbation m(x, rho) = sum_p rho^p m_p(x).
@@ -413,6 +430,9 @@ class PerturbedGeometry:
 
     def xderiv(self, field: np.ndarray) -> np.ndarray:
         return self.base.xderiv(field)
+
+    def xderiv_transpose(self, field: np.ndarray) -> np.ndarray:
+        return self.base.xderiv_transpose(field)
 
 
 # -- frame Christoffels and curvature ---------------------------------------

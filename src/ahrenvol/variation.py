@@ -28,8 +28,11 @@ with observed order 2 in the step.
 The first variation of int |z|^2 dvol has one implementation,
 :func:`_display_columns`: :func:`zprime_display` integrates it along a
 supported perturbation, and :func:`z2_value_and_gradient`, which drives the
-gradient flow, along each parameter of the radial profile family.  Its
-oracles, ``fd_zprime`` and ``zprime_display_on``, are in ``tests/oracles.py``.
+gradient flow, along each parameter of the radial profile family.  The
+display is linear in the jet, so one reverse pass through the transposed
+covariant derivatives serves every direction, and a direction costs no pass
+of its own.  Its oracles, ``fd_zprime``, ``zprime_display_on`` and the
+forward pass per jet ``display_columns_forward``, are in ``tests/oracles.py``.
 
 Dense double-form layout: trailing axes are p first-group indices followed
 by q second-group indices; leading axes are grid axes.  A derivative axis is
@@ -497,6 +500,42 @@ def _support(pert):
     return support
 
 
+def _covariant_derivative_transpose(geom, rho, bar, christ):
+    """Transpose of :func:`frame_covariant_derivative` over the point axis.
+
+    ``bar`` pairs with its output, (nabla T,) or (nabla T, d/drho nabla T);
+    the result pairs with its input jet, one order longer: the map
+    frame_covariant_derivative(jet) -> sum <bar, .> equals sum <result, jet>.
+    Each connection term is Gamma as the matrix [u, (a s)] times the cotangent
+    with slot s moved next to a, the transpose of the forward matmul.
+    """
+    gamma, dgamma = christ
+    nbar = bar[0]
+    k = nbar.ndim - 2
+    rho_pt = _rho_per_point(rho, nbar.shape[0])
+    r = rho_pt.reshape((-1,) + (1,) * k)
+
+    def add_connection(out, terms):
+        n = out.shape[0]
+        for g, fld in terms:
+            for slot in range(k):
+                corr = g.reshape(n, 4, 16) @ np.moveaxis(fld, 2 + slot, 2).reshape(n, 16, -1)
+                out -= np.moveaxis(corr.reshape(out.shape), 1, 1 + slot)
+
+    xbar = r[:, None] * nbar[:, :3]
+    d1 = r * nbar[:, 3]
+    terms = [(gamma, nbar)]
+    if len(bar) > 1:
+        dbar = bar[1]
+        xbar = xbar + dbar[:, :3]
+        terms.append((dgamma / rho_pt, dbar))
+        d1 += dbar[:, 3] + r * geom.xderiv_transpose(dbar[:, :3])
+        add_connection(d1, [(gamma, dbar)])
+    val = geom.xderiv_transpose(xbar)
+    add_connection(val, terms)
+    return (val, d1) if len(bar) < 2 else (val, d1, r * dbar[:, 3])
+
+
 def _display_columns(geom, jets, rho) -> np.ndarray:
     """Slice integrals (columns) of |z|^2 dvol and of its first variation
     along each of ``jets(rho)`` on the rho-slices ``rho``, a 1-D array.
@@ -512,29 +551,34 @@ def _display_columns(geom, jets, rho) -> np.ndarray:
     to the X frame (:func:`ahrenvol.collar.to_on4` with q^T, the adjoint of
     the move to the ON frame), where they pair with h and with its second
     covariant derivative n2: for a pair-symmetric K antisymmetric in each
-    pair, <K, (DDt+DtD) h> = -8 sum K_abcd n2_acbd (see :func:`hessian11`), so
-    no Hessian is antisymmetrized and no n2 is moved to the ON frame.
+    pair, <K, (DDt+DtD) h> = -8 sum K_abcd n2_acbd (see :func:`hessian11`).
+    The display is linear in the jet, so one reverse pass serves every jet:
+    the measure times K, seeded on n2, goes back through the transposes of
+    the two covariant derivatives (:func:`_covariant_derivative_transpose`)
+    to the representers of h, h' and h'', and each jet's column is their
+    slice sum against it.  A jet costs three pointwise products.
     """
     cur = curvature_in_frame(geom, rho)
     inv, q = cur["invariants"], cur["q"]
     # to_on with q^T is the adjoint of to_on: <F_on, to_on(X, q)> = <to_on(F_on, q^T), X>
     f_x = to_on2(gradient_field(inv["z"], cur["riem_on"], inv["ric"]), q.swapaxes(1, 2))
     k_x = to_on4(kn_metric(inv["z"]), q.swapaxes(1, 2))
-    # k_acbd[n, (a, c, b, d)] = K[n, a, b, c, d], to pair entrywise with n2[n, a, c, b, d]
-    k_acbd = k_x.transpose(0, 1, 3, 2, 4).reshape(-1, 256, 1)
     z2, christ, dvol = inv["z2"], (cur["gamma"], cur["dgamma"]), cur["dvol"]
-    # the record's curvature arrays go before the jets and their covariant derivatives
-    # add to the peak, and f, which pairs with the jets' values alone, goes next
-    del cur, inv, q, k_x
-    jet_list = jets(rho)
-    f_h = [np.einsum("nab,nab->n", f_x, jet[0]) for jet in jet_list]
-    del f_x
-    columns = [z2]
-    for jet, pairing in zip(jet_list, f_h):
-        (n2,) = frame_covariant_derivative(
-            geom, rho, frame_covariant_derivative(geom, rho, jet, christ), christ)
-        columns.append(pairing + (n2.reshape(-1, 1, 256) @ k_acbd)[:, 0, 0])
-    return np.stack([slice_integral(geom, rho, c, dvol, 4) for c in columns], axis=1)
+    # the record's curvature arrays go before the reverse pass adds to the peak
+    del cur, inv, q
+    meas = geom.weight * dvol / _rho_per_point(rho, dvol.shape[0]).reshape(-1) ** 4
+    # n2bar[n, a, c, b, d] = meas K[n, a, b, c, d], to pair entrywise with n2
+    n2_bar = meas[:, None, None, None, None] * k_x.transpose(0, 1, 3, 2, 4)
+    del k_x
+    h_bar, d1_bar, d2_bar = _covariant_derivative_transpose(
+        geom, rho, _covariant_derivative_transpose(geom, rho, (n2_bar,), christ), christ)
+    h_bar += meas[:, None, None] * f_x
+    del n2_bar, f_x
+    columns = [slice_integral(geom, rho, z2, dvol, 4)]
+    for jet in jets(rho):
+        pairing = sum(np.einsum("nab,nab->n", b, j) for b, j in zip((h_bar, d1_bar, d2_bar), jet))
+        columns.append(np.sum(pairing.reshape(np.size(rho), -1), axis=1))
+    return np.stack(columns, axis=1)
 
 
 def zprime_display(geom, pert, n_nodes: int = 64) -> float:
@@ -582,8 +626,9 @@ def z2_value_and_gradient(theta):
     phi_k(rho) g_{S^3}, phi_k = 2 A dA/dtheta_k.  Every m_k is phi_k times
     the one field g_{S^3}, and the display is linear in the jet (phi, phi',
     phi''), so the display of three unit jets at each node serves every k.
-    The jet of phi_k is the product rule on A's jet and on
-    :func:`ahrenvol.collar.profile_basis_jet`.
+    The kernel's one reverse pass gives all three columns, so the pass costs
+    the same at any number of parameters.  The jet of phi_k is the product
+    rule on A's jet and on :func:`ahrenvol.collar.profile_basis_jet`.
     """
     theta = np.asarray(theta, float)
     profile = perturbed_profile(theta)

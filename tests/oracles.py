@@ -27,7 +27,11 @@ assembles in the X frame, is checked against central differences of the
 functional (``fd_zprime`` along a supported perturbation,
 ``fd_flow_gradient`` along the flow's parameters) and against its ON-frame
 assembly from the antisymmetrized Hessian (``zprime_display_on``, and
-``display_flow_gradient`` with one Hessian per parameter).
+``display_flow_gradient`` with one Hessian per parameter); its one reverse
+pass over every jet, against the forward pass per jet that it replaced
+(``display_columns_forward``).  The flow's Z and dZ/dtheta are checked
+against the warped-product closed form of the radial curvature
+(``warped_radial``), differentiated by the complex step.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from ahrenvol.collar import (
     to_on2,
     to_on4,
 )
-from ahrenvol.dfalg import _EPS4, _combo_pos, _combos, _insert_sign, _merge_sign
+from ahrenvol.dfalg import _EPS4, _combo_pos, _combos, _insert_sign, _merge_sign, kn_metric
 from ahrenvol.renorm import (
     _FIT_COND_LIMIT,
     _FIT_TOL,
@@ -1111,6 +1115,35 @@ def fd_zprime(geom, pert) -> float:
     return (4.0 * fd_half - fd_t) / 3.0
 
 
+def display_columns_forward(geom, jets, rho) -> np.ndarray:
+    """variation._display_columns by the forward route: per jet, the two
+    covariant-derivative passes of variation.frame_covariant_derivative,
+    and n2 paired entrywise with the X-frame z . g in its (a, c, b, d)
+    arrangement.  The reference for the library's one reverse pass."""
+    from ahrenvol.variation import frame_covariant_derivative, gradient_field
+
+    cur = curvature_in_frame(geom, rho)
+    inv, q = cur["invariants"], cur["q"]
+    # to_on with q^T is the adjoint of to_on: <F_on, to_on(X, q)> = <to_on(F_on, q^T), X>
+    f_x = to_on2(gradient_field(inv["z"], cur["riem_on"], inv["ric"]), q.swapaxes(1, 2))
+    k_x = to_on4(kn_metric(inv["z"]), q.swapaxes(1, 2))
+    # k_acbd[n, (a, c, b, d)] = K[n, a, b, c, d], to pair entrywise with n2[n, a, c, b, d]
+    k_acbd = k_x.transpose(0, 1, 3, 2, 4).reshape(-1, 256, 1)
+    z2, christ, dvol = inv["z2"], (cur["gamma"], cur["dgamma"]), cur["dvol"]
+    # the record's curvature arrays go before the jets and their covariant derivatives
+    # add to the peak, and f, which pairs with the jets' values alone, goes next
+    del cur, inv, q, k_x
+    jet_list = jets(rho)
+    f_h = [np.einsum("nab,nab->n", f_x, jet[0]) for jet in jet_list]
+    del f_x
+    columns = [z2]
+    for jet, pairing in zip(jet_list, f_h):
+        (n2,) = frame_covariant_derivative(
+            geom, rho, frame_covariant_derivative(geom, rho, jet, christ), christ)
+        columns.append(pairing + (n2.reshape(-1, 1, 256) @ k_acbd)[:, 0, 0])
+    return np.stack([slice_integral(geom, rho, c, dvol, 4) for c in columns], axis=1)
+
+
 def _display_on(geom, pert, nodes, wts) -> float:
     """The first-variation display of variation.zprime_display integrated on
     (nodes, wts), assembled in the ON frame: f and z . g pair with h and its
@@ -1137,6 +1170,49 @@ def zprime_display_on(geom, pert, n_nodes: int = 64) -> float:
     from ahrenvol.variation import _support
 
     return _display_on(geom, pert, *gauss_nodes([_support(pert)], n_nodes))
+
+
+def warped_radial(a_jet, rho) -> dict:
+    """Curvature of the radial family from the warped-product closed form.
+
+    With rho = e^-t, g = rho^-2 (drho^2 + A^2 g_{S^3}) is dt^2 + f^2 g_{S^3},
+    f = A / rho, whose radial and tangential sectional curvatures are
+    a = -f_tt / f and b = (1 - f_t^2) / f^2, with f_t = A/rho - A' and
+    f_tt = A/rho - A' + rho A''.  Then s = 6 (a + b), |z|^2 = 3 (a - b)^2 and
+    dvol = f^3 dt.  ``a_jet`` is (A, A', A'') at ``rho``; numpy arithmetic
+    only, so a complex jet gives the complex step.  s carries the sign of
+    this formula, -12 on the hyperbolic ball.
+    """
+    a0, a1, a2 = a_jet
+    f = a0 / rho
+    f_t = f - a1
+    f_tt = f_t + rho * a2
+    a = -f_tt / f
+    b = (1.0 - f_t**2) / f**2
+    return {"a": a, "b": b, "s": 6.0 * (a + b), "z2": 3.0 * (a - b) ** 2, "dvol": f**3}
+
+
+def _warped_z2(a_jet, nodes, wts):
+    """2 pi^2 sum_i w_i |z|^2 f^3 / rho_i, Z's rule in drho / rho = -dt."""
+    w = warped_radial(a_jet, nodes)
+    return 2.0 * math.pi**2 * np.sum(wts * w["z2"] * w["dvol"] / nodes)
+
+
+def warped_flow_value_and_gradient(theta):
+    """(Z, dZ/dtheta) of variation.z2_functional from :func:`warped_radial` on
+    Z's own nodes; dZ/dtheta_k is the complex step (h = 1e-30) along
+    collar.profile_basis_jet, which has no subtraction to lose digits to."""
+    from ahrenvol.collar import perturbed_profile, profile_basis_jet
+    from ahrenvol.variation import _FLOW_NODES, _FLOW_SEGMENTS
+
+    theta = np.asarray(theta, float)
+    profile = perturbed_profile(theta)
+    nodes, wts = gauss_nodes(_FLOW_SEGMENTS, _FLOW_NODES)
+    a_jet = np.stack([profile.a(nodes, order) for order in range(3)])
+    step = 1e-30
+    grad = [_warped_z2(a_jet + 1j * step * b, nodes, wts).imag / step
+            for b in profile_basis_jet(theta.size, nodes)]
+    return float(_warped_z2(a_jet, nodes, wts)), np.array(grad)
 
 
 def display_flow_gradient(theta) -> np.ndarray:

@@ -712,6 +712,30 @@ class TestReferenceEngine:
             want = collar.spectral_deriv(grid, axis + 1).reshape(field.shape)
             _close_relative(got[:, axis], want)
 
+    @pytest.mark.parametrize("n_grid", [4, 8])
+    def test_xderiv_transpose_is_the_adjoint(self, n_grid):
+        """<xderiv(u), F> = <u, xderiv_transpose(F)> over two stacked slices."""
+        geom = TorusJetGeometry(random_jet(3, n_grid))
+        rng = np.random.default_rng(n_grid)
+        u = rng.standard_normal((2 * geom.npts, 4, 4, 4))
+        fld = rng.standard_normal((2 * geom.npts, 3, 4, 4, 4))
+        back = geom.xderiv_transpose(fld)
+        assert back.shape == u.shape
+        lhs, rhs = np.sum(geom.xderiv(u) * fld), np.sum(u * back)
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs), (lhs, rhs)
+
+    def test_xderiv_transpose_radial_and_perturbed(self):
+        """The radial backend's transpose is zero, and a perturbed geometry
+        forwards its base's."""
+        fld = np.random.default_rng(5).standard_normal((3, 3, 4, 4))
+        radial = RadialGeometry(hyperbolic_profile())
+        assert np.array_equal(radial.xderiv_transpose(fld), np.zeros((3, 4, 4)))
+        torus = TorusJetGeometry(random_jet(3, 4))
+        m = np.broadcast_to(np.eye(3), (torus.npts, 3, 3))
+        fld = np.random.default_rng(6).standard_normal((torus.npts, 3, 4, 4))
+        wrapped = PerturbedGeometry(torus, CutoffPerturbation(m), 0.1)
+        assert np.array_equal(wrapped.xderiv_transpose(fld), torus.xderiv_transpose(fld))
+
 
 def _spd_frames(rng, spectrum, n):
     """n frame metrics gbar whose spatial blocks have eigenvalues ``spectrum``
