@@ -412,12 +412,17 @@ class PolynomialPerturbation:
 
 
 class PerturbedGeometry:
-    """Wraps a geometry with g_rho -> g_rho + t * m(x, rho) (same frame)."""
+    """Wraps a geometry with g_rho -> g_rho + t * m(x, rho) (same frame).
 
-    def __init__(self, base, perturbation, t: float):
+    ``t`` is a scalar, or a 1-D array with one t per rho-slice: then every
+    ``spatial`` call takes a rho array of the same length, and slice k is
+    perturbed by t[k], so one engine call can evaluate several t at once.
+    """
+
+    def __init__(self, base, perturbation, t):
         self.base = base
         self.perturbation = perturbation
-        self.t = float(t)
+        self.t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
         self.npts = base.npts
         self.weight = base.weight
         self.cbar = base.cbar
@@ -426,7 +431,12 @@ class PerturbedGeometry:
 
     def spatial(self, rho, orders: int = 4):
         base = self.base.spatial(rho, orders)
-        return tuple(b + self.t * self.perturbation.value(rho, k) for k, b in enumerate(base))
+        t = self.t
+        if np.ndim(t):
+            if np.size(rho) != t.size:
+                raise ValueError(f"{t.size} values of t for {np.size(rho)} rho-slices")
+            t = np.repeat(t, self.npts).reshape(-1, 1, 1)
+        return tuple(b + t * self.perturbation.value(rho, k) for k, b in enumerate(base))
 
     def xderiv(self, field: np.ndarray) -> np.ndarray:
         return self.base.xderiv(field)
@@ -678,25 +688,41 @@ def curvature_bar(geom, rho) -> dict:
     :func:`curvature_in_frame`.
     """
     frame = _slice_frame(geom, rho)
-    return _curvature_bar_from(geom, frame, christoffels_bar(geom, frame))
-
-
-def _curvature_bar_from(geom, frame, bar) -> dict:
-    """:func:`curvature_bar` from the slices' frame and :func:`christoffels_bar`."""
-    riem = _frame_riemann(geom, *bar, 1.0, _cbar4(geom), frame["gbar"])
+    riem = _frame_riemann(geom, *christoffels_bar(geom, frame), 1.0, _cbar4(geom), frame["gbar"])
     return {"gbar": frame["gbar"], "riem": riem, "ric": frame_ricci(frame["ginv"], riem)[0]}
 
 
-def curvature_pair(geom, rho) -> tuple:
-    """(:func:`curvature_bar`, :func:`curvature_in_frame`) of the same rho-slices.
+def _radial_block_bar(geom, bar) -> np.ndarray:
+    """Rbar_{i4j4} (points, 3, 3) from the slices' :func:`christoffels_bar`.
 
-    Both records come from one :func:`_slice_frame` and one
-    :func:`christoffels_bar` evaluation, and equal those of the two calls.
+    The terms of :func:`_frame_riemann` at t = v = 4 in the frame Xbar, where
+    Xbar_4 commutes with every Xbar_i and gbar_w4 = delta_w4 (so nothing is
+    lowered):
+
+        Rbar_{i4j4} = Xbar_i Gbar^4_4j + Gbar^4_ix Gbar^x_4j
+                      - d/d rho Gbar^4_ij - Gbar^4_4x Gbar^x_ij.
+
+    Only the three components Gbar^4_4j are x-differentiated.
+    """
+    gamma, dgamma = bar
+    n = gamma.shape[0]
+    spatial = geom.xderiv(gamma[:, 3, 3, :3]) + gamma[:, 3, :3, :] @ gamma[:, :, 3, :3]
+    quad = gamma[:, 3, 3, None, :] @ gamma[:, :, :3, :3].reshape(n, 4, 9)
+    return spatial - (dgamma[:, 3, :3, :3] + quad.reshape(n, 3, 3))
+
+
+def curvature_pair(geom, rho) -> tuple:
+    """(Rbar_{i4j4}, :func:`curvature_in_frame`) of the same rho-slices.
+
+    Rbar_{i4j4}, (points, 3, 3), is the block ``curvature_bar(geom,
+    rho)["riem"][:, :3, 3, :3, 3]`` and the only part of Rbar that the jet
+    identities read; both come from one :func:`_slice_frame` and one
+    :func:`christoffels_bar` evaluation.
     """
     frame = _slice_frame(geom, rho)
     bar = christoffels_bar(geom, frame)
     cur = _with_invariants(_frame_curvature_from(geom, rho, frame, bar))
-    return _curvature_bar_from(geom, frame, bar), cur
+    return _radial_block_bar(geom, bar), cur
 
 
 # -- batches of rho-slices ----------------------------------------------------
@@ -969,16 +995,18 @@ def jet_identity_report(geom) -> dict:
     slice fields through the 16 :func:`chebyshev_rho_nodes`, one weight row
     for all five fields, so the two sides of each identity come from
     independent routes (jet data and analytic determinant derivatives on the
-    left, the generic curvature engine on the right).  Each slice's Rbar and
-    g-curvature come from one :func:`curvature_pair`.
+    left, the generic curvature engine on the right).  Each slice's Rbar_{i4j4}
+    and g-curvature come from one :func:`curvature_pair`, and ricbar_44 is
+    its trace gbar^ij Rbar_{i4j4} (the terms with i or j = 4 vanish).
     """
     grid = chebyshev_rho_nodes()
 
     def fields(rho):
-        bar, cur = curvature_pair(geom, rho)
+        r44, cur = curvature_pair(geom, rho)
         inv = cur["invariants"]
-        # flip to the ambient-identity sign convention
-        return -bar["riem"][:, :3, 3, :3, 3], -bar["ric"][:, 3, 3], inv["s"], inv["r2"], inv["R2"]
+        # ricbar_44 = gbar^ij Rbar_i4j4; flip both to the ambient-identity sign convention
+        ric44 = np.einsum("nij,nij->n", cur["ginv"][:, :3, :3], r44)
+        return -r44, -ric44, inv["s"], inv["r2"], inv["R2"]
 
     r44, ric44, *parity = map_slices(fields, grid, geom.npts)
     slope = ChebyshevRhoBasis(grid, 0.2).weights(0.0, 1)

@@ -213,18 +213,23 @@ def frame_covariant_derivative(geom, rho, jet, christ):
     return nabla, dnabla
 
 
+def _second_covariant_derivative(geom, jet, rho, christ) -> np.ndarray:
+    """n2[n, a, b, i, j] = (nabla_a nabla_b h)_{ij}: two passes of
+    :func:`frame_covariant_derivative` over the jet (h, h', h'')."""
+    nabla = frame_covariant_derivative(geom, rho, jet, christ)
+    return frame_covariant_derivative(geom, rho, nabla, christ)[0]
+
+
 def hessian11(geom, jet, rho, christ) -> np.ndarray:
     """(DDt + DtD) of a (1, 1) frame-component field on collar rho-slices.
 
     ``jet`` is the embedded 4x4 field and its first two rho-derivatives at
-    rho (:func:`functional_gradient` interpolates one for z); ``rho`` and
-    ``christ`` are as in :func:`frame_covariant_derivative`.  With the full
-    second covariant derivative n2[a, b, i, j] = (nabla_a nabla_b h)_{ij} and
-    s_abcd = n2_acbd + n2_cadb, (DDt + DtD)_abcd is the double
-    antisymmetrization -(s_abcd - s_bacd - s_abdc + s_badc).
+    rho; ``rho`` and ``christ`` are as in :func:`frame_covariant_derivative`.
+    With the full second covariant derivative n2[a, b, i, j] = (nabla_a
+    nabla_b h)_{ij} and s_abcd = n2_acbd + n2_cadb, (DDt + DtD)_abcd is the
+    double antisymmetrization -(s_abcd - s_bacd - s_abdc + s_badc).
     """
-    nabla = frame_covariant_derivative(geom, rho, jet, christ)
-    (n2,) = frame_covariant_derivative(geom, rho, nabla, christ)
+    n2 = _second_covariant_derivative(geom, jet, rho, christ)
     s = n2.transpose(0, 1, 3, 2, 4) + n2.transpose(0, 2, 4, 1, 3)
     s -= s.swapaxes(1, 2)
     return s.swapaxes(3, 4) - s
@@ -295,16 +300,30 @@ def linearized_curvature(geom, pert, rho) -> dict:
     }
 
 
-def fd_curvature_derivative(geom, pert, rho: float, t: float) -> dict:
-    """Central differences of frame curvature along g_rho + t m, ON at t=0."""
+def fd_curvature_derivative(geom, pert, rho: float, steps) -> list:
+    """Central differences of frame curvature along g_rho + t m, ON at t=0.
+
+    One record {'riem_p', 'ric_p', 's_p'} per step t in ``steps``.  The
+    perturbed slices at rho, +t and -t of every step, are one
+    :func:`ahrenvol.collar.map_slices` batch of a :class:`PerturbedGeometry`
+    with one t per slice.
+    """
+    steps = np.atleast_1d(np.asarray(steps, dtype=float))
     q = _slice_frame(geom, rho)["q"]
 
-    def fields(tt):
-        cur = frame_curvature(PerturbedGeometry(geom, pert, tt), rho)
+    def fields(ts):
+        cur = frame_curvature(PerturbedGeometry(geom, pert, ts), np.full(ts.size, rho))
         return (cur["riem"],) + frame_ricci(cur["ginv"], cur["riem"])
 
-    riem_p, ric_p, s_p = ((p - m) / (2.0 * t) for p, m in zip(fields(t), fields(-t)))
-    return {"riem_p": to_on4(riem_p, q), "ric_p": to_on2(ric_p, q), "s_p": s_p}
+    # slices (+t, -t) per step, each field regrouped as (step, sign, points, ...)
+    ts = np.stack([steps, -steps], axis=1).reshape(-1)
+    riem, ric, s = (f.reshape((steps.size, 2, -1) + f.shape[1:])
+                    for f in map_slices(fields, ts, geom.npts))
+    out = []
+    for k, t in enumerate(steps):
+        riem_p, ric_p, s_p = ((f[k, 0] - f[k, 1]) / (2.0 * t) for f in (riem, ric, s))
+        out.append({"riem_p": to_on4(riem_p, q), "ric_p": to_on2(ric_p, q), "s_p": s_p})
+    return out
 
 
 def convergence_order(steps, deviations) -> float:
@@ -342,12 +361,26 @@ def gradient_field(z_on: np.ndarray, R_on: np.ndarray, ric_on: np.ndarray) -> np
     return 0.5 * z2[:, None, None] * np.eye(4) - rcirc - comp
 
 
-def _einstein_t2_on(omega_on: np.ndarray) -> np.ndarray:
-    """T2(w) = 1/2 c^2(w) g - c(w) on dense ON (2, 2) fields."""
-    cw = np.einsum("niaib->nab", omega_on)
-    c2w = np.einsum("naa->n", cw)
-    out = 0.5 * c2w[:, None, None] * np.eye(4) - cw
-    return 0.5 * (out + out.transpose(0, 2, 1))
+def _hessian_trace(ginv: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """c_bd = gbar^ac w_abcd of w = (DDt + DtD) h, X-frame, from n2 = nabla nabla h.
+
+    With s as in :func:`hessian11`, each term of w is a permutation of n2, so
+    c is gbar^-1 contracted over one slot pair of n2 per term: over the pairs
+    (0, 1), (1, 2), (0, 3) and (2, 3) it gives T, U, V and W, and
+    c = -[(T + T^t) - (U + U^t) - (V + V^t) + (W + W^t)].  This is the Ricci
+    contraction :func:`ahrenvol.collar.frame_ricci` of :func:`hessian11`.
+    """
+    n = n2.shape[0]
+    g = ginv.reshape(n, 1, 16)
+
+    def contract(pair):
+        rest = [slot for slot in range(4) if slot not in pair]
+        m = n2.transpose(0, *(1 + slot for slot in (*pair, *rest))).reshape(n, 16, 16)
+        return (g @ m).reshape(n, 4, 4)
+
+    t, u, v, w = (contract(pair) for pair in ((0, 1), (1, 2), (0, 3), (2, 3)))
+    x = t - u - v + w
+    return -(x + x.swapaxes(1, 2))
 
 
 # Chebyshev samples of z: torus E is 3e-7 off a 5-point stencil with 10, 3e-9 with 12
@@ -364,7 +397,10 @@ def functional_gradient(geom, rhos=None) -> dict:
     """Gradient field f, T2 of the z-Hessian, and the Euler-Lagrange residual
     E = f - 1/2 T2((DDt+DtD) z) on rho-slices.
 
-    z has no closed-form rho-jet in general.  Its Hessian takes z from one
+    T2(w) = 1/2 c^2(w) g - c(w) reads w = (DDt+DtD) z only through its trace
+    c(w), so no 4-index Hessian is formed: c comes from n2 = nabla nabla z by
+    :func:`_hessian_trace` and goes to the ON frame as q^T c q.
+    z has no closed-form rho-jet in general.  n2 takes z from one
     full engine record at each rho, which also serves f, the connection and
     the measure, and dz/drho and d2z/drho2 from the Chebyshev interpolant of
     z through frame-only :func:`frame_curvature` slices at the
@@ -394,8 +430,12 @@ def functional_gradient(geom, rhos=None) -> dict:
         f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"])
         dz = z_basis.derivatives(z_nodes, rho, (1, 2))
         jet = (_frame_z(cur),) + tuple(d.reshape(f_on.shape) for d in dz)
-        omega_on = to_on4(hessian11(geom, jet, rho, (cur["gamma"], cur["dgamma"])), cur["q"])
-        t2_on = _einstein_t2_on(omega_on)
+        n2 = _second_covariant_derivative(geom, jet, rho, (cur["gamma"], cur["dgamma"]))
+        # T2(w) = 1/2 c^2(w) g - c(w), from c in the ON frame, q^T c q
+        q = cur["q"]
+        c_on = q.swapaxes(1, 2) @ _hessian_trace(cur["ginv"], n2) @ q
+        t2_on = 0.5 * np.trace(c_on, axis1=1, axis2=2)[:, None, None] * np.eye(4) - c_on
+        t2_on = 0.5 * (t2_on + t2_on.swapaxes(1, 2))
         e_on = f_on - 0.5 * t2_on
         e_norm = np.sqrt(np.einsum("nab,nab->n", e_on, e_on))
         return f_on, t2_on, e_on, slice_integral(geom, rho, e_norm, cur["dvol"])

@@ -22,8 +22,11 @@ variation layer's batched-matmul contractions (covariant derivative,
 gradient field, F_h) against their per-slot einsum form.  The
 Euler-Lagrange residual, whose z-jet comes from a Chebyshev interpolant, is
 checked against the same residual with a 5-point finite-difference z-jet
-(``stencil_el_residual``).  The first-variation display, which the library
-assembles in the X frame, is checked against central differences of the
+(``stencil_el_residual``), and its T2, which the library forms from the
+trace of the Hessian alone, against T2 of the whole Hessian moved to the ON
+frame (``el_residual_whole_hessian``, ``einstein_t2_on``).  The
+first-variation display, which the library assembles in the X frame, is
+checked against central differences of the
 functional (``fd_zprime`` along a supported perturbation,
 ``fd_flow_gradient`` along the flow's parameters) and against its ON-frame
 assembly from the antisymmetrized Hessian (``zprime_display_on``, and
@@ -45,12 +48,14 @@ from scipy import integrate
 
 from ahrenvol import dfalg
 from ahrenvol.collar import (
+    ChebyshevRhoBasis,
     NonConvergence,
     PerturbedGeometry,
     RadialGeometry,
     _cbar4,
     _gbar_blocks,
     _rho_per_point,
+    chebyshev_rho_nodes,
     curvature_in_frame,
     frame_curvature,
     gauss_nodes,
@@ -1054,22 +1059,62 @@ def fd_jet(samples, step: float):
     return f_0, d1, d2
 
 
-def stencil_el_residual(geom, rhos, step: float = 0.005) -> np.ndarray:
-    """E = f - 1/2 T2((DDt+DtD) z) of variation.functional_gradient, (n_rho,
-    npts, 4, 4) in ON components, with the z-jet from :func:`fd_jet` over
-    frame curvature slices at rho + step * (-2, ..., 2), one rho at a time."""
-    from ahrenvol.variation import _einstein_t2_on, _frame_z, gradient_field, hessian11
+def einstein_t2_on(omega_on: np.ndarray) -> np.ndarray:
+    """T2(w) = 1/2 c^2(w) g - c(w) on dense ON (2, 2) fields, c(w) traced from
+    the whole ON tensor."""
+    cw = np.einsum("niaib->nab", omega_on)
+    c2w = np.einsum("naa->n", cw)
+    out = 0.5 * c2w[:, None, None] * np.eye(4) - cw
+    return 0.5 * (out + out.transpose(0, 2, 1))
 
-    out = []
+
+def _el_residual_on(geom, rhos, z_jet) -> tuple:
+    """(T2((DDt+DtD) z), E = f - 1/2 T2) on the slices ``rhos`` one rho at a
+    time, each (n_rho, npts, 4, 4) in ON components, from the whole Hessian
+    (hessian11), moved by to_on4 and traced (:func:`einstein_t2_on`); the
+    z-jet at rho is ``z_jet(rho, z)``, z the record's trace-free Ricci."""
+    from ahrenvol.variation import _frame_z, gradient_field, hessian11
+
+    t2, e = [], []
     for rho in rhos:
         cur = curvature_in_frame(geom, rho)
         inv = cur["invariants"]
         f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"])
-        zs = [_frame_z(frame_curvature(geom, rho + k * step)) for k in range(-2, 3)]
         christ = (cur["gamma"], cur["dgamma"])
-        omega_on = to_on4(hessian11(geom, fd_jet(zs, step), rho, christ), cur["q"])
-        out.append(f_on - 0.5 * _einstein_t2_on(omega_on))
-    return np.stack(out)
+        omega_on = to_on4(hessian11(geom, z_jet(rho, _frame_z(cur)), rho, christ), cur["q"])
+        t2.append(einstein_t2_on(omega_on))
+        e.append(f_on - 0.5 * t2[-1])
+    return np.stack(t2), np.stack(e)
+
+
+def stencil_el_residual(geom, rhos, step: float = 0.005) -> np.ndarray:
+    """E = f - 1/2 T2((DDt+DtD) z) of variation.functional_gradient, (n_rho,
+    npts, 4, 4) in ON components, with the z-jet from :func:`fd_jet` over
+    frame curvature slices at rho + step * (-2, ..., 2), one rho at a time."""
+    from ahrenvol.variation import _frame_z
+
+    def z_jet(rho, z):
+        return fd_jet([_frame_z(frame_curvature(geom, rho + k * step)) for k in range(-2, 3)], step)
+
+    return _el_residual_on(geom, rhos, z_jet)[1]
+
+
+def el_residual_whole_hessian(geom, rhos) -> dict:
+    """T2omega and E of variation.functional_gradient at ``rhos`` with its own
+    Chebyshev z-jet, but T2 from the whole Hessian moved to the ON frame
+    (:func:`_el_residual_on`) instead of its trace."""
+    from ahrenvol import variation as v
+
+    z_max = min(v._Z_REACH * float(np.max(rhos)), geom.rho_max)
+    grid = chebyshev_rho_nodes(z_max, v._Z_NODES)
+    nodes = np.stack([v._frame_z(frame_curvature(geom, r)) for r in grid]).reshape(grid.size, -1)
+    basis = ChebyshevRhoBasis(grid, z_max)
+
+    def z_jet(rho, z):
+        return (z,) + tuple(d.reshape(z.shape) for d in basis.derivatives(nodes, rho, (1, 2)))
+
+    t2, e = _el_residual_on(geom, rhos, z_jet)
+    return {"T2omega": t2, "E": e}
 
 
 # -- the flow's theta-gradient ----------------------------------------------------

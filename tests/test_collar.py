@@ -494,6 +494,30 @@ class TestJetIdentities:
         assert rep["dev_g3_identity"] < 1e-8
         assert rep["dev_v3_identity"] < 1e-8
 
+    @pytest.mark.parametrize(
+        "geom",
+        [TorusJetGeometry(random_jet(3, n_grid=8)), RadialGeometry(perturbed_profile([0.05] * 3))],
+        ids=["torus", "radial"],
+    )
+    def test_node_fields_match_curvature_bar(self, monkeypatch, geom):
+        """The report's node values of Rbar_{i4j4} and of ricbar_44, its trace
+        gbar^ij Rbar_{i4j4}, match the whole Rbar and its Ricci to 1e-15 of
+        their scale (the sign flipped, as the report flips it)."""
+        seen = []
+
+        def recording(fn, rho, npts, engine=collar.map_slices):
+            seen.append(engine(fn, rho, npts))
+            return seen[-1]
+
+        monkeypatch.setattr(collar, "map_slices", recording)
+        jet_identity_report(geom)
+        r44, ric44 = seen[0][:2]
+        bar = [curvature_bar(geom, rho) for rho in chebyshev_rho_nodes()]
+        want_r = np.concatenate([b["riem"][:, :3, 3, :3, 3] for b in bar])
+        want_ric = np.concatenate([b["ric"][:, 3, 3] for b in bar])
+        assert np.max(np.abs(r44 + want_r)) <= 1e-15 * np.max(np.abs(want_r))
+        assert np.max(np.abs(ric44 + want_ric)) <= 1e-15 * np.max(np.abs(want_ric))
+
 
 class TestSliceIntegral:
     """collar.slice_integral, the one slice measure: per slice, the sum of
@@ -545,6 +569,20 @@ class TestPerturbedGeometry:
         assert np.allclose(d1, 0.1 * 0.3 * 1.0 * np.eye(3), atol=1e-15)
         assert np.allclose(d2, 0.1 * 0.3 * 2.0 * np.eye(3), atol=1e-15)
         assert np.allclose(d3, 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("base", ["radial", "torus"])
+    def test_one_t_per_slice(self, base):
+        """With one t per slice, spatial is the stack of the scalar-t slices,
+        bit for bit; a rho array of another length is refused."""
+        geom = BATCH_GEOMETRIES[base]()
+        m = PolynomialPerturbation({2: _sym_field(1, geom.npts), 3: _sym_field(2, geom.npts)})
+        rhos, ts = np.array([0.12, 0.2, 0.2]), np.array([0.1, -0.1, 0.05])
+        got = PerturbedGeometry(geom, m, ts).spatial(rhos)
+        slices = [PerturbedGeometry(geom, m, t).spatial(rho) for rho, t in zip(rhos, ts)]
+        for order, field in enumerate(got):
+            assert field.tobytes() == np.concatenate([s[order] for s in slices]).tobytes()
+        with pytest.raises(ValueError, match="3 values of t for 2 rho-slices"):
+            PerturbedGeometry(geom, m, ts).spatial(rhos[:2])
 
 
 def _sym_field(seed, npts):
@@ -682,6 +720,16 @@ class TestReferenceEngine:
         want = oracles.curvature_bar_einsum(geom, self.RHOS)
         for key in ("riem", "ric"):
             _close_relative(got[key], want[key])
+
+    @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
+    def test_curvature_pair_block_matches_curvature_bar(self, name):
+        """curvature_pair's Rbar_{i4j4} is the block of the whole Rbar, to
+        roundoff, and its g-curvature record is curvature_in_frame's."""
+        geom = REFERENCE_GEOMETRIES[name]()
+        block, cur = collar.curvature_pair(geom, self.RHOS)
+        want = curvature_bar(geom, self.RHOS)["riem"][:, :3, 3, :3, 3]
+        _close_relative(block, want, rel=1e-15)
+        _close_relative(cur["riem_on"], curvature_in_frame(geom, self.RHOS)["riem_on"], rel=1e-15)
 
     @pytest.mark.parametrize("npts", [1, 58, 160, 256, 512])
     def test_to_on4_matches_pair_form(self, npts):
@@ -831,7 +879,8 @@ class TestSliceBatches:
     each call holds at most max(npts, _CHUNK_POINTS) points, so a torus slice
     goes alone and radial slices go _CHUNK_POINTS (256) to a call.  The jet
     identities and the invariant parity read both curvatures of each slice
-    from one curvature_pair call."""
+    from one curvature_pair call, and the six perturbed slices of a
+    finite-difference trial (+t and -t of three steps) are one batch."""
 
     TORUS = {"family": "torus-collar", "seed": 3, "jet": {"n_grid": 8}}
     RADIAL = {"family": "radial", "seed": 3, "profile": {"theta": [0.05] * 3}}
@@ -839,14 +888,16 @@ class TestSliceBatches:
     @staticmethod
     def _engine_points(monkeypatch, run):
         """Points handed to each engine call while ``run()`` executes."""
-        calls = {"curvature_in_frame": [], "curvature_bar": [], "curvature_pair": []}
+        owners = {"curvature_in_frame": collar, "curvature_bar": collar,
+                  "curvature_pair": collar, "frame_curvature": variation}
+        calls = {name: [] for name in owners}
         for name, seen in calls.items():
 
-            def counting(geom, rho, engine=getattr(collar, name), seen=seen):
+            def counting(geom, rho, engine=getattr(owners[name], name), seen=seen):
                 seen.append(np.size(rho) * geom.npts)
                 return engine(geom, rho)
 
-            monkeypatch.setattr(collar, name, counting)
+            monkeypatch.setattr(owners[name], name, counting)
         run()
         monkeypatch.undo()
         return calls
@@ -856,6 +907,7 @@ class TestSliceBatches:
         geom = config.geometry()
         nodes = chebyshev_rho_nodes().size
         segments = ((0.1, 0.2), (0.2, 0.4), (0.4, 0.6))
+        pert = PolynomialPerturbation({2: _sym_field(1, geom.npts), 3: _sym_field(2, geom.npts)})
         return geom, {
             # caller: (call, engine, slices)
             "run_collar_audit": (
@@ -870,6 +922,11 @@ class TestSliceBatches:
                 lambda: variation._z2_quadrature(geom, segments, n_per),
                 "curvature_in_frame",
                 len(segments) * n_per,
+            ),
+            "fd_curvature_derivative": (
+                lambda: variation.fd_curvature_derivative(geom, pert, 0.25, (1e-2, 5e-3, 2.5e-3)),
+                "frame_curvature",
+                6,
             ),
         }
 
@@ -896,7 +953,8 @@ class TestSliceBatches:
         assert np.array_equal(rhos[rhos > 0.0], chebyshev_rho_nodes())
         assert sum(bar_slices) == chebyshev_rho_nodes().size
 
-    @pytest.mark.parametrize("caller", ["run_collar_audit", "jet_identity_report", "_z2_quadrature"])
+    @pytest.mark.parametrize("caller", ["run_collar_audit", "jet_identity_report", "_z2_quadrature",
+                                        "fd_curvature_derivative"])
     def test_torus_calls_stay_within_the_chunk(self, monkeypatch, caller):
         geom, callers = self._callers(self.TORUS, 24)
         run, engine, slices = callers[caller]
@@ -905,7 +963,8 @@ class TestSliceBatches:
         assert max(sum(calls.values(), [])) <= max(geom.npts, collar._CHUNK_POINTS)
         assert sum(calls[engine]) == slices * geom.npts
 
-    @pytest.mark.parametrize("caller", ["run_collar_audit", "jet_identity_report", "_z2_quadrature"])
+    @pytest.mark.parametrize("caller", ["run_collar_audit", "jet_identity_report", "_z2_quadrature",
+                                        "fd_curvature_derivative"])
     def test_radial_calls_fill_the_chunk(self, monkeypatch, caller):
         # the quadrature's 3 x 96 = 288 nodes make two radial batches
         geom, callers = self._callers(self.RADIAL, 96)

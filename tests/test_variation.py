@@ -40,11 +40,13 @@ from ahrenvol.variation import (
     z2_value_and_gradient,
     zprime_display,
 )
-from ahrenvol.variation import _einstein_t2_on, _embed_jet, _frame_z
+from ahrenvol.variation import _embed_jet, _frame_z, _hessian_trace, _second_covariant_derivative
 from oracles import (
     FlatTorus4,
     display_columns_forward,
     display_flow_gradient,
+    einstein_t2_on,
+    el_residual_whole_hessian,
     fd_flow_gradient,
     fd_jet,
     fd_zprime,
@@ -314,6 +316,17 @@ class TestReferenceKernels:
         _close_relative(hessian11(geom, jet, self.RHOS, christ), hessian11_einsum(n2_want))
 
     @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
+    def test_hessian_trace_matches_ricci_of_hessian(self, name):
+        """c = gbar^ac w_abcd from four contractions of n2 equals the Ricci
+        contraction of the whole Hessian."""
+        geom, cur, pert = self._setup(name)
+        christ = (cur["gamma"], cur["dgamma"])
+        jet = _embed_jet(pert, self.RHOS)
+        n2 = _second_covariant_derivative(geom, jet, self.RHOS, christ)
+        want = collar.frame_ricci(cur["ginv"], hessian11(geom, jet, self.RHOS, christ))[0]
+        _close_relative(_hessian_trace(cur["ginv"], n2), want)
+
+    @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
     def test_frame_ricci_matches_einsum_form(self, name):
         _, cur, _ = self._setup(name)
         got = collar.frame_ricci(cur["ginv"], cur["riem"])
@@ -383,8 +396,7 @@ class TestLinearizedCurvature:
             )
             lin = linearized_curvature(geom, pert, 0.25)
             devs = []
-            for t in steps:
-                fd = fd_curvature_derivative(geom, pert, 0.25, t)
+            for fd in fd_curvature_derivative(geom, pert, 0.25, steps):
                 devs.append(
                     max(
                         np.max(np.abs(fd["riem_p"] - lin["riem_p"])),
@@ -405,9 +417,28 @@ class TestLinearizedCurvature:
         base = 0.3 * geom.jet.g2.reshape(npts, 3, 3) + 0.1 * np.eye(3)
         pert = PolynomialPerturbation({2: base, 3: -0.5 * base})
         lin = linearized_curvature(geom, pert, 0.25)
-        fd = fd_curvature_derivative(geom, pert, 0.25, 2.5e-3)
+        (fd,) = fd_curvature_derivative(geom, pert, 0.25, [2.5e-3])
         scale = max(1.0, np.max(np.abs(lin["riem_p"])))
         assert np.max(np.abs(fd["riem_p"] - lin["riem_p"])) < 1e-4 * scale
+
+    @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
+    def test_fd_batch_matches_per_step(self, name):
+        """The one batch of every step's +t and -t slices gives, bit for bit,
+        the central differences of one scalar-t engine call per slice."""
+        geom = REFERENCE_GEOMETRIES[name]()
+        pert = PolynomialPerturbation({2: _sym_field(6, geom.npts), 3: 0.5 * _sym_field(7, geom.npts)})
+        steps = (1e-2, 5e-3, 2.5e-3)
+        q = collar._slice_frame(geom, 0.25)["q"]
+
+        def fields(t):
+            cur = frame_curvature(PerturbedGeometry(geom, pert, t), 0.25)
+            return (cur["riem"],) + collar.frame_ricci(cur["ginv"], cur["riem"])
+
+        for t, fd in zip(steps, fd_curvature_derivative(geom, pert, 0.25, steps), strict=True):
+            riem_p, ric_p, s_p = ((p - m) / (2.0 * t) for p, m in zip(fields(t), fields(-t)))
+            assert np.array_equal(fd["riem_p"], collar.to_on4(riem_p, q))
+            assert np.array_equal(fd["ric_p"], collar.to_on2(ric_p, q))
+            assert np.array_equal(fd["s_p"], s_p)
 
     def test_fh_dense_matches_dfalg(self):
         rng = np.random.default_rng(12)
@@ -502,7 +533,7 @@ class TestFunctionalGradient:
     def test_einstein_t2_matches_dfalg(self):
         rng = np.random.default_rng(31)
         R = random_curvature_batch(rng, 1)
-        got = _einstein_t2_on(R)[0]
+        got = einstein_t2_on(R)[0]
         want = dfalg.einstein_t2(dfalg.DoubleForm.from_dense(4, 2, 2, R[0])).entries
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -549,6 +580,22 @@ class TestFunctionalGradient:
         res = functional_gradient(geom)
         want = stencil_el_residual(geom, res["rhos"])
         assert np.max(np.abs(res["E"] - want)) < 1e-7 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "geom",
+        [
+            RadialGeometry(perturbed_profile([0.05, -0.03, 0.02])),
+            TorusJetGeometry(random_jet(17, n_grid=4)),
+        ],
+        ids=["radial", "torus"],
+    )
+    def test_t2_from_the_trace_matches_whole_hessian(self, geom):
+        """T2 and E from the Hessian's trace alone agree to 1e-13 relative
+        with T2 of the whole Hessian moved to the ON frame and traced there."""
+        res = functional_gradient(geom)
+        want = el_residual_whole_hessian(geom, res["rhos"])
+        for key in ("T2omega", "E"):
+            assert np.max(np.abs(res[key] - want[key])) <= 1e-13 * np.max(np.abs(want[key])), key
 
     @pytest.mark.parametrize(
         "geom",
