@@ -67,7 +67,6 @@ __all__ = [
     "ChebyshevRhoBasis",
     "frame_curvature",
     "curvature_in_frame",
-    "curvature_pair",
     "map_slices",
     "to_on2",
     "to_on4",
@@ -125,10 +124,7 @@ class BoundaryJet:
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
             object.__setattr__(self, name, arr)
-        # every pivot of the closed-form Cholesky factor positive, as in require_positive
-        with np.errstate(invalid="ignore", divide="ignore"):
-            l00, _, _, l11, _, l22 = _cholesky3(self.gamma.reshape(-1, 3, 3))
-        if not np.all((l00 > 0.0) & (l11 > 0.0) & (l22 > 0.0)):
+        if not np.all(_positive_pivots(self.gamma.reshape(-1, 3, 3))):
             raise ValueError("gamma must be positive-definite at every sample")
 
     @classmethod
@@ -414,15 +410,17 @@ class PolynomialPerturbation:
 class PerturbedGeometry:
     """Wraps a geometry with g_rho -> g_rho + t * m(x, rho) (same frame).
 
-    ``t`` is a scalar, or a 1-D array with one t per rho-slice: then every
-    ``spatial`` call takes a rho array of the same length, and slice k is
-    perturbed by t[k], so one engine call can evaluate several t at once.
+    ``t`` is a scalar, the t of every rho-slice, or a 1-D array with one t
+    per rho-slice: every ``spatial`` call takes that many slices, and slice k
+    is perturbed by t[k], so one engine call can evaluate several t at once.
     """
 
     def __init__(self, base, perturbation, t):
         self.base = base
         self.perturbation = perturbation
-        self.t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
+        self.t = np.asarray(t, dtype=float)
+        if self.t.ndim > 1:
+            raise ValueError(f"t must be a scalar or 1-D (got shape {self.t.shape})")
         self.npts = base.npts
         self.weight = base.weight
         self.cbar = base.cbar
@@ -431,11 +429,10 @@ class PerturbedGeometry:
 
     def spatial(self, rho, orders: int = 4):
         base = self.base.spatial(rho, orders)
-        t = self.t
-        if np.ndim(t):
-            if np.size(rho) != t.size:
-                raise ValueError(f"{t.size} values of t for {np.size(rho)} rho-slices")
-            t = np.repeat(t, self.npts).reshape(-1, 1, 1)
+        t = self.t if self.t.ndim else np.full(np.size(rho), self.t)
+        if np.size(rho) != t.size:
+            raise ValueError(f"{t.size} values of t for {np.size(rho)} rho-slices")
+        t = np.repeat(t, self.npts).reshape(-1, 1, 1)
         return tuple(b + t * self.perturbation.value(rho, k) for k, b in enumerate(base))
 
     def xderiv(self, field: np.ndarray) -> np.ndarray:
@@ -484,6 +481,14 @@ def _cholesky3(g: np.ndarray):
     l21 = (g[:, 2, 1] - l20 * l10) / l11
     l22 = np.sqrt(g[:, 2, 2] - l20 * l20 - l21 * l21)
     return l00, l10, l20, l11, l21, l22
+
+
+def _positive_pivots(g: np.ndarray) -> np.ndarray:
+    """Whether each of a batch of symmetric 3x3 ``g`` has every :func:`_cholesky3`
+    pivot positive: the one positive-definiteness test.  A NaN fails it, silently."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        l00, _, _, l11, _, l22 = _cholesky3(g)
+    return (l00 > 0.0) & (l11 > 0.0) & (l22 > 0.0)
 
 
 def _on_frame(gbar: np.ndarray):
@@ -559,15 +564,14 @@ def _rho_per_point(rho, npts: int) -> np.ndarray:
     return np.repeat(r, npts // r.size).reshape(-1, 1, 1, 1)
 
 
-def christoffels(geom, rho, frame, bar=None):
+def christoffels(rho, frame, bar):
     """Frame Christoffels of g in X_s = rho Xbar_s, and rho d/d rho of them.
 
     Gamma^u_st = rho Gammabar^u_st - delta_su delta_t4 + delta_u4 gbar_st.
-    ``frame`` is as in :func:`christoffels_bar`, and ``bar`` is its result
-    on the same slices, computed here when not given.
+    ``rho`` is per point, (points, 1, 1, 1), ``frame`` is as in
+    :func:`christoffels_bar`, and ``bar`` is its result on the same slices.
     """
-    gamma_bar, dgamma_bar = christoffels_bar(geom, frame) if bar is None else bar
-    rho = _rho_per_point(rho, gamma_bar.shape[0])
+    gamma_bar, dgamma_bar = bar
     gamma = rho * gamma_bar
     gamma[:, range(4), range(4), 3] -= 1.0
     gamma[:, 3] += frame["gbar"]
@@ -620,7 +624,7 @@ _X_BRACKETS = np.einsum("s,xt->xst", np.eye(4)[3], np.eye(4)) - np.einsum(
 
 
 def frame_curvature(geom, rho) -> dict:
-    """Curvature of g on rho-slices in the scaled frame X only.
+    """The engine's one record: curvature of g on rho-slices in the scaled frame X.
 
     ``rho`` is a scalar (one slice) or a 1-D array of slices.  Every field
     carries a leading point axis; for an array it is the rho-major flattening
@@ -628,18 +632,15 @@ def frame_curvature(geom, rho) -> dict:
     point p on slice rho[k].
 
     Returns {'gbar', 'ginv' (gbar^-1), 'q' (see :func:`_on_frame`),
-    'dvol' (sqrt det g_rho, the slice measure of gbar), 'gamma', 'dgamma'
-    (rho d/d rho gamma, see :func:`christoffels`), 'gamma4', 'riem'
+    'dvol' (sqrt det g_rho, the slice measure of gbar), 'rho' (each point's
+    rho, (points, 1, 1, 1)), 'bar' (:func:`christoffels_bar`), 'gamma',
+    'dgamma' (rho d/d rho gamma, see :func:`christoffels`), 'gamma4', 'riem'
     (X-frame)}.  Ricci is ric_tv = ginv^su riem_stuv.
     """
-    return _frame_curvature_from(geom, rho, _slice_frame(geom, rho))
-
-
-def _frame_curvature_from(geom, rho, frame, bar=None) -> dict:
-    """:func:`frame_curvature` from the slices' frame and, when given, their
-    :func:`christoffels_bar`."""
-    gamma, dgamma = christoffels(geom, rho, frame, bar)
-    rho = _rho_per_point(rho, gamma.shape[0])
+    frame = _slice_frame(geom, rho)
+    bar = christoffels_bar(geom, frame)
+    rho = _rho_per_point(rho, frame["gbar"].shape[0])
+    gamma, dgamma = christoffels(rho, frame, bar)
     # structure functions of X: [X_4, X_i] = X_i, [X_i, X_j] = rho Cbar^k_ij X_k
     cfun = _X_BRACKETS + rho * _cbar4(geom)
     return {
@@ -647,6 +648,8 @@ def _frame_curvature_from(geom, rho, frame, bar=None) -> dict:
         "ginv": frame["ginv"],
         "q": frame["q"],
         "dvol": frame["dvol"],
+        "rho": rho,
+        "bar": bar,
         "gamma": gamma,
         "dgamma": dgamma,
         "gamma4": gamma[:, 3, :3, :3],
@@ -661,11 +664,7 @@ def curvature_in_frame(geom, rho) -> dict:
     'riem_on' (orthonormal components) and 'invariants'
     (:func:`ahrenvol.dfalg.batch_invariants` of riem_on).
     """
-    return _with_invariants(frame_curvature(geom, rho))
-
-
-def _with_invariants(cur: dict) -> dict:
-    """Adds 'riem_on' and 'invariants' to a :func:`frame_curvature` record."""
+    cur = frame_curvature(geom, rho)
     cur["riem_on"] = to_on4(cur["riem"], cur["q"])
     cur["invariants"] = dfalg.batch_invariants(cur["riem_on"])
     return cur
@@ -692,8 +691,8 @@ def curvature_bar(geom, rho) -> dict:
     return {"gbar": frame["gbar"], "riem": riem, "ric": frame_ricci(frame["ginv"], riem)[0]}
 
 
-def _radial_block_bar(geom, bar) -> np.ndarray:
-    """Rbar_{i4j4} (points, 3, 3) from the slices' :func:`christoffels_bar`.
+def _radial_block_bar(geom, cur) -> np.ndarray:
+    """Rbar_{i4j4} (points, 3, 3) from a :func:`frame_curvature` record's 'bar'.
 
     The terms of :func:`_frame_riemann` at t = v = 4 in the frame Xbar, where
     Xbar_4 commutes with every Xbar_i and gbar_w4 = delta_w4 (so nothing is
@@ -704,25 +703,11 @@ def _radial_block_bar(geom, bar) -> np.ndarray:
 
     Only the three components Gbar^4_4j are x-differentiated.
     """
-    gamma, dgamma = bar
+    gamma, dgamma = cur["bar"]
     n = gamma.shape[0]
     spatial = geom.xderiv(gamma[:, 3, 3, :3]) + gamma[:, 3, :3, :] @ gamma[:, :, 3, :3]
     quad = gamma[:, 3, 3, None, :] @ gamma[:, :, :3, :3].reshape(n, 4, 9)
     return spatial - (dgamma[:, 3, :3, :3] + quad.reshape(n, 3, 3))
-
-
-def curvature_pair(geom, rho) -> tuple:
-    """(Rbar_{i4j4}, :func:`curvature_in_frame`) of the same rho-slices.
-
-    Rbar_{i4j4}, (points, 3, 3), is the block ``curvature_bar(geom,
-    rho)["riem"][:, :3, 3, :3, 3]`` and the only part of Rbar that the jet
-    identities read; both come from one :func:`_slice_frame` and one
-    :func:`christoffels_bar` evaluation.
-    """
-    frame = _slice_frame(geom, rho)
-    bar = christoffels_bar(geom, frame)
-    cur = _with_invariants(_frame_curvature_from(geom, rho, frame, bar))
-    return _radial_block_bar(geom, bar), cur
 
 
 # -- batches of rho-slices ----------------------------------------------------
@@ -828,13 +813,10 @@ def _invariant_density(geom, integrands):
 def require_positive(geom, rho) -> None:
     """Raise ValueError unless g_rho is positive-definite at every point of the slices rho.
 
-    The test is that every pivot of the closed-form Cholesky factor
-    (:func:`_cholesky3`) is positive; a NaN metric entry fails it.
+    The test is :func:`_positive_pivots`; a NaN metric entry fails it.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        l00, _, _, l11, _, l22 = _cholesky3(geom.spatial(rho, 1)[0])
-    bad = np.nonzero(~((l00 > 0.0) & (l11 > 0.0) & (l22 > 0.0)))[0]
+    bad = np.nonzero(~_positive_pivots(geom.spatial(rho, 1)[0]))[0]
     if bad.size:
         k, p = divmod(int(bad[0]), geom.npts)
         raise ValueError(
@@ -996,14 +978,14 @@ def jet_identity_report(geom) -> dict:
     for all five fields, so the two sides of each identity come from
     independent routes (jet data and analytic determinant derivatives on the
     left, the generic curvature engine on the right).  Each slice's Rbar_{i4j4}
-    and g-curvature come from one :func:`curvature_pair`, and ricbar_44 is
-    its trace gbar^ij Rbar_{i4j4} (the terms with i or j = 4 vanish).
+    and g-curvature come from one :func:`curvature_in_frame` record, and
+    ricbar_44 is the trace gbar^ij Rbar_{i4j4} (the terms with i or j = 4 vanish).
     """
     grid = chebyshev_rho_nodes()
 
     def fields(rho):
-        r44, cur = curvature_pair(geom, rho)
-        inv = cur["invariants"]
+        cur = curvature_in_frame(geom, rho)
+        r44, inv = _radial_block_bar(geom, cur), cur["invariants"]
         # ricbar_44 = gbar^ij Rbar_i4j4; flip both to the ambient-identity sign convention
         ric44 = np.einsum("nij,nij->n", cur["ginv"][:, :3, :3], r44)
         return -r44, -ric44, inv["s"], inv["r2"], inv["R2"]

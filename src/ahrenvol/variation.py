@@ -55,7 +55,6 @@ from .collar import (
     PerturbedGeometry,
     RadialGeometry,
     _invariant_density,
-    _rho_per_point,
     _slice_frame,
     chebyshev_rho_nodes,
     curvature_in_frame,
@@ -170,22 +169,21 @@ class MetricPerturbation:
 # -- collar covariant derivatives ---------------------------------------------
 
 
-def frame_covariant_derivative(geom, rho, jet, christ):
+def frame_covariant_derivative(geom, cur, jet):
     """Covariant derivative of a (0, k) frame-component field on rho-slices.
 
-    ``rho`` is a scalar or a 1-D array, with the point layout of
-    :func:`curvature_in_frame`.  ``jet`` is (T, dT/drho) or (T, dT/drho,
-    d2T/drho2); the result is the jet one order shorter, (nabla T,) or
-    (nabla T, d/drho nabla T), with the derivative axis prepended:
+    ``cur`` is the slices' :func:`frame_curvature` record, whose connection
+    'gamma', 'dgamma' and per-point 'rho' are read, and ``jet`` is (T,
+    dT/drho) or (T, dT/drho, d2T/drho2) on its points; the result is the jet
+    one order shorter, (nabla T,) or (nabla T, d/drho nabla T), with the
+    derivative axis prepended:
     (nabla T)_{a s...} = X_a(T_{s...}) - sum_slots Gamma^u_{a s_k} T_{..u..},
-    with X_i = rho Xbar_i and X_4 = rho d/drho.  ``christ`` is the pair
-    (gamma, dgamma) of the :func:`frame_curvature` record at rho.
+    with X_i = rho Xbar_i and X_4 = rho d/drho.
     """
-    gamma, dgamma = christ
+    gamma, dgamma, rho = cur["gamma"], cur["dgamma"], cur["rho"]
     val, d1 = (np.asarray(j, float) for j in jet[:2])
     k = val.ndim - 1
-    rho_pt = _rho_per_point(rho, val.shape[0])
-    r = rho_pt.reshape((-1,) + (1,) * k)
+    r = rho.reshape((-1,) + (1,) * k)
 
     def subtract_connection(out, terms):
         # per slot, Gamma as the matrix [n, (a s), u] times the field with that
@@ -209,27 +207,27 @@ def frame_covariant_derivative(geom, rho, jet, christ):
     dnabla = np.zeros_like(nabla)
     dnabla[:, :3] = xval + r[:, None] * geom.xderiv(d1)
     dnabla[:, 3] = d1 + r * d2
-    subtract_connection(dnabla, [(dgamma / rho_pt, val), (gamma, d1)])
+    subtract_connection(dnabla, [(dgamma / rho, val), (gamma, d1)])
     return nabla, dnabla
 
 
-def _second_covariant_derivative(geom, jet, rho, christ) -> np.ndarray:
+def _second_covariant_derivative(geom, cur, jet) -> np.ndarray:
     """n2[n, a, b, i, j] = (nabla_a nabla_b h)_{ij}: two passes of
     :func:`frame_covariant_derivative` over the jet (h, h', h'')."""
-    nabla = frame_covariant_derivative(geom, rho, jet, christ)
-    return frame_covariant_derivative(geom, rho, nabla, christ)[0]
+    nabla = frame_covariant_derivative(geom, cur, jet)
+    return frame_covariant_derivative(geom, cur, nabla)[0]
 
 
-def hessian11(geom, jet, rho, christ) -> np.ndarray:
+def hessian11(geom, cur, jet) -> np.ndarray:
     """(DDt + DtD) of a (1, 1) frame-component field on collar rho-slices.
 
-    ``jet`` is the embedded 4x4 field and its first two rho-derivatives at
-    rho; ``rho`` and ``christ`` are as in :func:`frame_covariant_derivative`.
+    ``jet`` is the embedded 4x4 field and its first two rho-derivatives on
+    the points of ``cur``, as in :func:`frame_covariant_derivative`.
     With the full second covariant derivative n2[a, b, i, j] = (nabla_a
     nabla_b h)_{ij} and s_abcd = n2_acbd + n2_cadb, (DDt + DtD)_abcd is the
     double antisymmetrization -(s_abcd - s_bacd - s_abdc + s_badc).
     """
-    n2 = _second_covariant_derivative(geom, jet, rho, christ)
+    n2 = _second_covariant_derivative(geom, cur, jet)
     s = n2.transpose(0, 1, 3, 2, 4) + n2.transpose(0, 2, 4, 1, 3)
     s -= s.swapaxes(1, 2)
     return s.swapaxes(3, 4) - s
@@ -280,7 +278,7 @@ def linearized_curvature(geom, pert, rho) -> dict:
     cur = curvature_in_frame(geom, rho)
     hjet = _embed_jet(pert, rho)
     h_on = to_on2(hjet[0], cur["q"])
-    H_on = to_on4(hessian11(geom, hjet, rho, (cur["gamma"], cur["dgamma"])), cur["q"])
+    H_on = to_on4(hessian11(geom, cur, hjet), cur["q"])
     R_on, ric_on = cur["riem_on"], cur["invariants"]["ric"]
     fhr = fh_dense(h_on, R_on)
     riem_p = -0.25 * H_on + 0.25 * fhr
@@ -430,7 +428,7 @@ def functional_gradient(geom, rhos=None) -> dict:
         f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"])
         dz = z_basis.derivatives(z_nodes, rho, (1, 2))
         jet = (_frame_z(cur),) + tuple(d.reshape(f_on.shape) for d in dz)
-        n2 = _second_covariant_derivative(geom, jet, rho, (cur["gamma"], cur["dgamma"]))
+        n2 = _second_covariant_derivative(geom, cur, jet)
         # T2(w) = 1/2 c^2(w) g - c(w), from c in the ON frame, q^T c q
         q = cur["q"]
         c_on = q.swapaxes(1, 2) @ _hessian_trace(cur["ginv"], n2) @ q
@@ -540,20 +538,19 @@ def _support(pert):
     return support
 
 
-def _covariant_derivative_transpose(geom, rho, bar, christ):
+def _covariant_derivative_transpose(geom, cur, bar):
     """Transpose of :func:`frame_covariant_derivative` over the point axis.
 
-    ``bar`` pairs with its output, (nabla T,) or (nabla T, d/drho nabla T);
-    the result pairs with its input jet, one order longer: the map
-    frame_covariant_derivative(jet) -> sum <bar, .> equals sum <result, jet>.
+    ``bar`` pairs with its output, (nabla T,) or (nabla T, d/drho nabla T) on
+    the points of ``cur``; the result pairs with its input jet, one order
+    longer: frame_covariant_derivative(jet) -> sum <bar, .> is sum <result, jet>.
     Each connection term is Gamma as the matrix [u, (a s)] times the cotangent
     with slot s moved next to a, the transpose of the forward matmul.
     """
-    gamma, dgamma = christ
+    gamma, dgamma, rho = cur["gamma"], cur["dgamma"], cur["rho"]
     nbar = bar[0]
     k = nbar.ndim - 2
-    rho_pt = _rho_per_point(rho, nbar.shape[0])
-    r = rho_pt.reshape((-1,) + (1,) * k)
+    r = rho.reshape((-1,) + (1,) * k)
 
     def add_connection(out, terms):
         n = out.shape[0]
@@ -568,7 +565,7 @@ def _covariant_derivative_transpose(geom, rho, bar, christ):
     if len(bar) > 1:
         dbar = bar[1]
         xbar = xbar + dbar[:, :3]
-        terms.append((dgamma / rho_pt, dbar))
+        terms.append((dgamma / rho, dbar))
         d1 += dbar[:, 3] + r * geom.xderiv_transpose(dbar[:, :3])
         add_connection(d1, [(gamma, dbar)])
     val = geom.xderiv_transpose(xbar)
@@ -603,15 +600,17 @@ def _display_columns(geom, jets, rho) -> np.ndarray:
     # to_on with q^T is the adjoint of to_on: <F_on, to_on(X, q)> = <to_on(F_on, q^T), X>
     f_x = to_on2(gradient_field(inv["z"], cur["riem_on"], inv["ric"]), q.swapaxes(1, 2))
     k_x = to_on4(kn_metric(inv["z"]), q.swapaxes(1, 2))
-    z2, christ, dvol = inv["z2"], (cur["gamma"], cur["dgamma"]), cur["dvol"]
-    # the record's curvature arrays go before the reverse pass adds to the peak
+    z2, dvol = inv["z2"], cur["dvol"]
+    # the reverse pass reads the connection and rho alone: the rest of the
+    # record goes before the pass adds to the peak
+    conn = {key: cur[key] for key in ("gamma", "dgamma", "rho")}
     del cur, inv, q
-    meas = geom.weight * dvol / _rho_per_point(rho, dvol.shape[0]).reshape(-1) ** 4
+    meas = geom.weight * dvol / conn["rho"].reshape(-1) ** 4
     # n2bar[n, a, c, b, d] = meas K[n, a, b, c, d], to pair entrywise with n2
     n2_bar = meas[:, None, None, None, None] * k_x.transpose(0, 1, 3, 2, 4)
     del k_x
     h_bar, d1_bar, d2_bar = _covariant_derivative_transpose(
-        geom, rho, _covariant_derivative_transpose(geom, rho, (n2_bar,), christ), christ)
+        geom, conn, _covariant_derivative_transpose(geom, conn, (n2_bar,)))
     h_bar += meas[:, None, None] * f_x
     del n2_bar, f_x
     columns = [slice_integral(geom, rho, z2, dvol, 4)]

@@ -1080,8 +1080,7 @@ def _el_residual_on(geom, rhos, z_jet) -> tuple:
         cur = curvature_in_frame(geom, rho)
         inv = cur["invariants"]
         f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"])
-        christ = (cur["gamma"], cur["dgamma"])
-        omega_on = to_on4(hessian11(geom, z_jet(rho, _frame_z(cur)), rho, christ), cur["q"])
+        omega_on = to_on4(hessian11(geom, cur, z_jet(rho, _frame_z(cur))), cur["q"])
         t2.append(einstein_t2_on(omega_on))
         e.append(f_on - 0.5 * t2[-1])
     return np.stack(t2), np.stack(e)
@@ -1174,17 +1173,17 @@ def display_columns_forward(geom, jets, rho) -> np.ndarray:
     k_x = to_on4(kn_metric(inv["z"]), q.swapaxes(1, 2))
     # k_acbd[n, (a, c, b, d)] = K[n, a, b, c, d], to pair entrywise with n2[n, a, c, b, d]
     k_acbd = k_x.transpose(0, 1, 3, 2, 4).reshape(-1, 256, 1)
-    z2, christ, dvol = inv["z2"], (cur["gamma"], cur["dgamma"]), cur["dvol"]
+    z2, dvol = inv["z2"], cur["dvol"]
     # the record's curvature arrays go before the jets and their covariant derivatives
     # add to the peak, and f, which pairs with the jets' values alone, goes next
+    conn = {key: cur[key] for key in ("gamma", "dgamma", "rho")}
     del cur, inv, q, k_x
     jet_list = jets(rho)
     f_h = [np.einsum("nab,nab->n", f_x, jet[0]) for jet in jet_list]
     del f_x
     columns = [z2]
     for jet, pairing in zip(jet_list, f_h):
-        (n2,) = frame_covariant_derivative(
-            geom, rho, frame_covariant_derivative(geom, rho, jet, christ), christ)
+        (n2,) = frame_covariant_derivative(geom, conn, frame_covariant_derivative(geom, conn, jet))
         columns.append(pairing + (n2.reshape(-1, 1, 256) @ k_acbd)[:, 0, 0])
     return np.stack([slice_integral(geom, rho, c, dvol, 4) for c in columns], axis=1)
 

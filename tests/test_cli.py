@@ -563,6 +563,16 @@ class TestLinearizeCheck:
         b = json.loads((tmp_path / "p" / "linearize-check-report.json").read_text())
         assert a["artifacts"]["orders"] == b["artifacts"]["orders"]
 
+    def test_torus_report_names_the_radial_trials(self, tmp_path):
+        """The finite-difference trials run on seeded radial profiles whatever
+        the family, so a torus report's fd_convergence_order anchor says so."""
+        cfg = write_config(tmp_path, "c.json",
+                           {"family": "torus-collar", "seed": 3, "jet": {"n_grid": 4}, "trials": 1})
+        run(["linearize-check", "--config", cfg, "--out-dir", str(tmp_path)])
+        report = json.loads((tmp_path / "linearize-check-report.json").read_text())
+        (anchor,) = [c["anchor"] for c in report["checks"] if c["name"] == "fd_convergence_order"]
+        assert "radial trial profiles" in anchor
+
 
 class TestELResidual:
     def test_hyperbolic_reports_zero_residual(self, tmp_path):

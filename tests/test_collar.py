@@ -176,6 +176,15 @@ class TestSampling:
         with pytest.raises(ValueError, match="not positive-definite at rho=0.1, point index 5"):
             require_positive(geom, [0.1, 0.5])
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 2)])
+    def test_pivot_test_fails_a_nan(self, entry):
+        """The one positive-definiteness rule fails a gamma or g_rho with a NaN
+        entry, passes the matrices beside it, and warns of nothing."""
+        g = np.broadcast_to(np.eye(3), (3, 3, 3)).copy()
+        g[1][entry] = g[1][entry[::-1]] = np.nan
+        with np.errstate(all="raise"):
+            assert collar._positive_pivots(g).tolist() == [True, False, True]
+
     @pytest.mark.parametrize("field", ["gamma", "g2", "g3"])
     @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
     def test_jet_refuses_a_nan(self, field, entry):
@@ -297,7 +306,7 @@ class TestChristoffels:
         jet = random_jet(7, n_grid=4, amplitude=0.05)
         geom = TorusJetGeometry(jet)
         grid = 0.4 * 0.5 ** np.arange(10)
-        gammas = [collar.christoffels(geom, r, collar._slice_frame(geom, r))[0] for r in grid]
+        gammas = [collar.frame_curvature(geom, r)["gamma"] for r in grid]
         series = rho_series_fit(grid, np.stack(gammas))
         g4 = lambda k: series.coeffs[k][:, 3, :3, :3]
         assert np.max(np.abs(g4(0) - jet.gamma.reshape(-1, 3, 3))) < 1e-10
@@ -310,7 +319,7 @@ class TestChristoffels:
         jet = random_jet(8, n_grid=4, amplitude=0.05)
         geom = TorusJetGeometry(jet)
         for rho in (0.05, 0.3):
-            gamma = collar.christoffels(geom, rho, collar._slice_frame(geom, rho))[0]
+            gamma = collar.frame_curvature(geom, rho)["gamma"]
             assert np.max(np.abs(gamma[:, 3, 3, 3])) < 1e-14  # s=t=u=4
             assert np.max(np.abs(gamma[:, 3, :3, 3])) < 1e-14  # Gamma^4_i4
             assert np.max(np.abs(gamma[:, 3, 3, :3])) < 1e-14  # Gamma^4_4i
@@ -584,6 +593,13 @@ class TestPerturbedGeometry:
         with pytest.raises(ValueError, match="3 values of t for 2 rho-slices"):
             PerturbedGeometry(geom, m, ts).spatial(rhos[:2])
 
+    def test_two_dimensional_t_is_refused(self):
+        """A 2-D t with one entry per slice is refused, not flattened."""
+        geom = BATCH_GEOMETRIES["radial"]()
+        m = PolynomialPerturbation({2: _sym_field(1, geom.npts)})
+        with pytest.raises(ValueError, match=r"t must be a scalar or 1-D \(got shape \(2, 3\)\)"):
+            PerturbedGeometry(geom, m, np.full((2, 3), 0.1))
+
 
 def _sym_field(seed, npts):
     m = np.random.default_rng(seed).uniform(-1.0, 1.0, (npts, 3, 3))
@@ -722,14 +738,31 @@ class TestReferenceEngine:
             _close_relative(got[key], want[key])
 
     @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
-    def test_curvature_pair_block_matches_curvature_bar(self, name):
-        """curvature_pair's Rbar_{i4j4} is the block of the whole Rbar, to
-        roundoff, and its g-curvature record is curvature_in_frame's."""
+    def test_radial_block_matches_curvature_bar(self, name):
+        """Rbar_{i4j4} from a curvature_in_frame record is the block of the
+        whole Rbar, to roundoff."""
         geom = REFERENCE_GEOMETRIES[name]()
-        block, cur = collar.curvature_pair(geom, self.RHOS)
+        block = collar._radial_block_bar(geom, curvature_in_frame(geom, self.RHOS))
         want = curvature_bar(geom, self.RHOS)["riem"][:, :3, 3, :3, 3]
         _close_relative(block, want, rel=1e-15)
-        _close_relative(cur["riem_on"], curvature_in_frame(geom, self.RHOS)["riem_on"], rel=1e-15)
+
+    @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
+    def test_record_holds_its_slices_rho_and_connections(self, name):
+        """The engine record's 'bar' is christoffels_bar of the slices' frame,
+        its 'rho' each point's rho, and its 'gamma' and 'dgamma' christoffels of
+        the two, bit for bit."""
+        geom = REFERENCE_GEOMETRIES[name]()
+        cur = collar.frame_curvature(geom, self.RHOS)
+        frame = collar._slice_frame(geom, self.RHOS)
+        want_bar = collar.christoffels_bar(geom, frame)
+        want_rho = collar._rho_per_point(self.RHOS, self.RHOS.size * geom.npts)
+        assert cur["rho"].shape == (self.RHOS.size * geom.npts, 1, 1, 1)
+        assert cur["rho"].tobytes() == want_rho.tobytes()
+        for got, want in zip(cur["bar"], want_bar, strict=True):
+            assert got.tobytes() == want.tobytes()
+        gamma, dgamma = collar.christoffels(want_rho, frame, want_bar)
+        assert cur["gamma"].tobytes() == gamma.tobytes()
+        assert cur["dgamma"].tobytes() == dgamma.tobytes()
 
     @pytest.mark.parametrize("npts", [1, 58, 160, 256, 512])
     def test_to_on4_matches_pair_form(self, npts):
@@ -879,7 +912,7 @@ class TestSliceBatches:
     each call holds at most max(npts, _CHUNK_POINTS) points, so a torus slice
     goes alone and radial slices go _CHUNK_POINTS (256) to a call.  The jet
     identities and the invariant parity read both curvatures of each slice
-    from one curvature_pair call, and the six perturbed slices of a
+    from one curvature_in_frame record, and the six perturbed slices of a
     finite-difference trial (+t and -t of three steps) are one batch."""
 
     TORUS = {"family": "torus-collar", "seed": 3, "jet": {"n_grid": 8}}
@@ -889,7 +922,7 @@ class TestSliceBatches:
     def _engine_points(monkeypatch, run):
         """Points handed to each engine call while ``run()`` executes."""
         owners = {"curvature_in_frame": collar, "curvature_bar": collar,
-                  "curvature_pair": collar, "frame_curvature": variation}
+                  "frame_curvature": variation}
         calls = {name: [] for name in owners}
         for name, seen in calls.items():
 
@@ -911,11 +944,11 @@ class TestSliceBatches:
         return geom, {
             # caller: (call, engine, slices)
             "run_collar_audit": (
-                lambda: cli.run_collar_audit(config), "curvature_pair", nodes
+                lambda: cli.run_collar_audit(config), "curvature_in_frame", nodes
             ),
             "jet_identity_report": (
                 lambda: jet_identity_report(geom),
-                "curvature_pair",
+                "curvature_in_frame",
                 nodes,
             ),
             "_z2_quadrature": (

@@ -211,15 +211,14 @@ class TestCollarCovariantDerivative:
     def test_metric_parallel(self):
         geom = TorusJetGeometry(random_jet(5, 4, 0.05))
         cur = frame_curvature(geom, 0.2)
-        christ = (cur["gamma"], cur["dgamma"])
-        nabla, dnabla = frame_covariant_derivative(geom, 0.2, metric_jet(geom, 0.2), christ)
+        nabla, dnabla = frame_covariant_derivative(geom, cur, metric_jet(geom, 0.2))
         assert np.max(np.abs(nabla)) < 1e-13
         assert np.max(np.abs(dnabla)) < 1e-13
 
     def test_metric_hessian_vanishes(self):
         geom = RadialGeometry(perturbed_profile([0.05, -0.03, 0.02]))
         cur = frame_curvature(geom, 0.25)
-        H = hessian11(geom, metric_jet(geom, 0.25), 0.25, (cur["gamma"], cur["dgamma"]))
+        H = hessian11(geom, cur, metric_jet(geom, 0.25))
         assert np.max(np.abs(H)) < 1e-12
 
     def test_jet_matches_fd_stencil(self):
@@ -234,9 +233,8 @@ class TestCollarCovariantDerivative:
         stencil = 0.2 + step * np.arange(-2, 3)
         fd = fd_jet([_embed_jet(pert, r)[0] for r in stencil], step)
         cur = frame_curvature(geom, 0.2)
-        christ = (cur["gamma"], cur["dgamma"])
-        H_jet = hessian11(geom, jet, 0.2, christ)
-        H_fd = hessian11(geom, fd, 0.2, christ)
+        H_jet = hessian11(geom, cur, jet)
+        H_fd = hessian11(geom, cur, fd)
         scale = max(1.0, np.max(np.abs(H_jet)))
         assert np.max(np.abs(H_jet - H_fd)) < 1e-5 * scale
 
@@ -256,12 +254,11 @@ class TestCollarCovariantDerivative:
         pert = PolynomialPerturbation({2: m + m.transpose(0, 2, 1), 3: m.transpose(0, 2, 1)})
         rho = np.array([0.2, 0.35])
         cur = frame_curvature(geom, rho)
-        christ = (cur["gamma"], cur["dgamma"])
         jet = _embed_jet(pert, rho)
-        nabla = frame_covariant_derivative(geom, rho, jet, christ)
-        (n2,) = frame_covariant_derivative(geom, rho, nabla, christ)
+        nabla = frame_covariant_derivative(geom, cur, jet)
+        (n2,) = frame_covariant_derivative(geom, cur, nabla)
         want = hessian11_einsum(n2)
-        got = hessian11(geom, jet, rho, christ)
+        got = hessian11(geom, cur, jet)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -305,25 +302,24 @@ class TestReferenceKernels:
         geom, cur, pert = self._setup(name)
         christ = (cur["gamma"], cur["dgamma"])
         jet = _embed_jet(pert, self.RHOS)
-        got = frame_covariant_derivative(geom, self.RHOS, jet, christ)
+        got = frame_covariant_derivative(geom, cur, jet)
         want = frame_covariant_derivative_einsum(geom, self.RHOS, jet, christ)
         for g, w in zip(got, want, strict=True):
             _close_relative(g, w)
         # the second derivative runs the three-slot contraction
-        (n2,) = frame_covariant_derivative(geom, self.RHOS, got, christ)
+        (n2,) = frame_covariant_derivative(geom, cur, got)
         (n2_want,) = frame_covariant_derivative_einsum(geom, self.RHOS, want, christ)
         _close_relative(n2, n2_want)
-        _close_relative(hessian11(geom, jet, self.RHOS, christ), hessian11_einsum(n2_want))
+        _close_relative(hessian11(geom, cur, jet), hessian11_einsum(n2_want))
 
     @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
     def test_hessian_trace_matches_ricci_of_hessian(self, name):
         """c = gbar^ac w_abcd from four contractions of n2 equals the Ricci
         contraction of the whole Hessian."""
         geom, cur, pert = self._setup(name)
-        christ = (cur["gamma"], cur["dgamma"])
         jet = _embed_jet(pert, self.RHOS)
-        n2 = _second_covariant_derivative(geom, jet, self.RHOS, christ)
-        want = collar.frame_ricci(cur["ginv"], hessian11(geom, jet, self.RHOS, christ))[0]
+        n2 = _second_covariant_derivative(geom, cur, jet)
+        want = collar.frame_ricci(cur["ginv"], hessian11(geom, cur, jet))[0]
         _close_relative(_hessian_trace(cur["ginv"], n2), want)
 
     @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
