@@ -586,7 +586,7 @@ def _linearize_trial(seed: int):
     )
     lin = variation.linearized_curvature(geom, pert, 0.25)
     steps = (1e-2, 5e-3, 2.5e-3)
-    fds = variation.fd_curvature_derivative(geom, pert, 0.25, steps)
+    fds = variation.fd_curvature_derivative(geom, pert, lin["background"], steps)
     devs = [max(float(np.max(np.abs(fd[key] - lin[key]))) for key in ("riem_p", "ric_p", "s_p"))
             for fd in fds]
     return variation.convergence_order(steps, devs)

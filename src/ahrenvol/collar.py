@@ -310,11 +310,14 @@ class TorusJetGeometry:
         """
         n = self.n_grid
         grid = field.reshape(-1, n, n, n, math.prod(field.shape[1:]))
-        out = np.empty(grid.shape[:4] + (3, grid.shape[4]))
+        # derivative-major, so that each product writes its own block in place
+        out = np.empty((grid.shape[0], 3) + grid.shape[1:])
         for axis in range(3):
             # the grid axes before ``axis`` batch the product, those after it ride along
-            lead = grid.shape[0] * n**axis
-            out[..., axis, :] = (self._dmat @ grid.reshape(lead, n, -1)).reshape(grid.shape)
+            shape = (grid.shape[0], n**axis, n, -1)
+            np.matmul(self._dmat, grid.reshape(shape), out=out[:, axis].reshape(shape))
+        # a view for one slice: the derivative axis strides over the blocks
+        out = out.reshape(grid.shape[0], 3, n**3, -1).swapaxes(1, 2)
         return out.reshape((field.shape[0], 3) + field.shape[1:])
 
     def xderiv_transpose(self, field: np.ndarray) -> np.ndarray:
@@ -531,6 +534,23 @@ def _slice_frame(geom, rho) -> dict:
     return {"gbar": gbar, "dgbar": dgbar, "d2gbar": d2gbar, "q": q, "ginv": ginv, "dvol": dvol}
 
 
+@lru_cache(maxsize=None)
+def _slot_order(perm: tuple) -> np.ndarray:
+    """Flat entries of a (4,) * len(perm) block in the order of its transpose
+    by ``perm``, as a read-only array computed once per permutation."""
+    order = np.arange(4 ** len(perm)).reshape((4,) * len(perm)).transpose(perm).reshape(-1)
+    order.flags.writeable = False
+    return order
+
+
+def _permute_slots(fld: np.ndarray, perm: tuple) -> np.ndarray:
+    """The trailing len(perm) slots of ``fld``, 4 entries each, transposed by
+    ``perm`` as ``np.transpose`` would, and written contiguously by one
+    ``np.take`` gather of their flat entries instead of a strided copy."""
+    lead = fld.shape[: fld.ndim - len(perm)]
+    return np.take(fld.reshape(lead + (-1,)), _slot_order(perm), axis=-1).reshape(fld.shape)
+
+
 def christoffels_bar(geom, frame):
     """Levi-Civita symbols of gbar in the frame Xbar, plus d/d rho.
 
@@ -549,9 +569,13 @@ def christoffels_bar(geom, frame):
     # minus the structure-constant terms, C^d_ab (pair_f)_dc at [n, f, c, a, b]
     xg -= np.tensordot(pair, _cbar4(geom), axes=([2], [0]))
     # lower[n, f, c, a, b] = 1/2 (X_a g_bc + X_b g_ac - X_c g_ab
-    #                             + C^d_ab g_dc - C^d_ac g_db - C^d_bc g_da)
-    lower = xg.transpose(0, 1, 4, 2, 3) + xg.transpose(0, 1, 4, 3, 2) - xg
-    lower = 0.5 * lower.reshape(npts, 2, 4, 16)
+    #                             + C^d_ab g_dc - C^d_ac g_db - C^d_bc g_da),
+    # its two permuted terms gathered from xg
+    lower = _permute_slots(xg, (2, 0, 1))
+    lower += _permute_slots(xg, (2, 1, 0))
+    lower -= xg
+    lower *= 0.5
+    lower = lower.reshape(npts, 2, 4, 16)
     gamma = ginv @ lower[:, 0]
     # d/d rho (g^-1 lower) = g^-1 (dlower - dgbar g^-1 lower)
     dgamma = ginv @ (lower[:, 1] - dgbar @ gamma)
@@ -576,9 +600,10 @@ def christoffels(rho, frame, bar):
     gamma[:, range(4), range(4), 3] -= 1.0
     gamma[:, 3] += frame["gbar"]
     # rho d/d rho Gamma = rho (Gammabar + rho dGammabar + delta_u4 dgbar)
-    dgamma = gamma_bar + rho * dgamma_bar
+    dgamma = rho * dgamma_bar
+    dgamma += gamma_bar
     dgamma[:, 3] += frame["dgbar"]
-    return gamma, rho * dgamma
+    return gamma, np.multiply(rho, dgamma, out=dgamma)
 
 
 def _frame_riemann(geom, gamma, radial_deriv, spatial_scale, cfun, gbar):
@@ -590,10 +615,10 @@ def _frame_riemann(geom, gamma, radial_deriv, spatial_scale, cfun, gbar):
     """
     npts = gamma.shape[0]
     # gt[n, a, b, w] = Gamma^w_ab; every term below is laid out (n, s, t, u, w)
-    gt = np.ascontiguousarray(gamma.transpose(0, 2, 3, 1))
+    gt = _permute_slots(gamma, (1, 2, 0))
     # rup[n, s, t, u, w] = F_s Gamma^w_tu + Gamma^w_sx Gamma^x_tu, then (s <-> t)
     rup = np.empty((npts, 4, 4, 4, 4))
-    rup[:, :3] = np.reshape(spatial_scale, (-1, 1, 1, 1, 1)) * geom.xderiv(gt)
+    np.multiply(np.reshape(spatial_scale, (-1, 1, 1, 1, 1)), geom.xderiv(gt), out=rup[:, :3])
     rup[:, 3] = radial_deriv.transpose(0, 2, 3, 1)
     rup += (gamma.reshape(npts, 1, 4, 16).swapaxes(-1, -2) @ gt).reshape(rup.shape)
     rup = rup - rup.swapaxes(1, 2)
@@ -609,12 +634,15 @@ def to_on2(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def to_on4(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
     n = q.shape[0]
+    # one slot per product: contract the last slot with q and put the new
+    # index first, so after four products the slots are back in order.  The
+    # first three products are q^T times the transposed view, which writes the
+    # new index first with no copy; the last is the untransposed product, so
+    # the result is its transposed view
     out = fld
-    # one slot per product: contract the last slot with q, then move the new
-    # index first, so after four products the slots are back in order
-    for _ in range(4):
-        out = (out.reshape(n, 64, 4) @ q).reshape(n, 4, 4, 4, 4).transpose(0, 4, 1, 2, 3)
-    return out
+    for _ in range(3):
+        out = q.swapaxes(1, 2) @ out.reshape(n, 64, 4).swapaxes(1, 2)
+    return (out.reshape(n, 64, 4) @ q).reshape(n, 4, 4, 4, 4).transpose(0, 4, 1, 2, 3)
 
 
 # structure functions of X without the boundary part: [X_4, X_i] = X_i
@@ -676,7 +704,8 @@ def frame_ricci(ginv: np.ndarray, riem: np.ndarray):
     Ricci is ginv as a 16-row vector times riem as the matrix [n, (s u), (t v)].
     """
     n = ginv.shape[0]
-    ric = (ginv.reshape(n, 1, 16) @ riem.transpose(0, 1, 3, 2, 4).reshape(n, 16, 16)).reshape(n, 4, 4)
+    mat = _permute_slots(riem, (0, 2, 1, 3)).reshape(n, 16, 16)
+    ric = (ginv.reshape(n, 1, 16) @ mat).reshape(n, 4, 4)
     return ric, np.einsum("nab,nab->n", ginv, ric)
 
 
@@ -713,17 +742,17 @@ def _radial_block_bar(geom, cur) -> np.ndarray:
 # -- batches of rho-slices ----------------------------------------------------
 
 # boundary points per engine call: bounds the working set while one-point
-# radial slices batch.  An engine call peaks at about 12 KiB of temporaries
-# per boundary point (tracemalloc: 6.2 MiB for a 512-point torus slice, whose
-# returned record is 2.4 MiB, and 49 MiB at n_grid 16), so a 256-point call
-# stays near 3 MiB (2.5 MiB for 256 radial slices).  A radial call costs
-# about 0.4 ms plus 8 us per slice (one thread, 2-core VM: 0.43 ms for 1
-# slice, 0.99 ms for 64, 2.0 ms for 256, 4.5 ms for 512), and 256 puts a
-# Z(theta) evaluation's 160 slices, and the 48-node endpoint's 240, in one
-# call each.  Over chunks of 64, 128, 256 and 512 the flow workload's
-# operation took 1, 0.71, 0.57 and 0.56 of its 64-point time, and the peak
-# RSS of three such operations went from 37.9 MiB to 39.7 MiB at 256 and at
-# 512.  A 512-point torus slice still goes alone.
+# radial slices batch.  A curvature_in_frame call peaks at about 9 KiB per
+# boundary point, its record included (tracemalloc: 4.5 MiB for a 512-point
+# torus slice and 35 MiB at n_grid 16), so a 256-point call stays near
+# 2.3 MiB (2.3 MiB for 256 radial slices).  A radial call costs about 0.2 ms
+# plus 6 us per slice (one thread, 2-core VM: 0.21 ms for 1 slice, 0.57 ms
+# for 64, 1.55 ms for 256, 3.2 ms for 512), and 256 puts a Z(theta)
+# evaluation's 160 slices, and the 48-node endpoint's 240, in one call each.
+# Over chunks of 64, 128, 256 and 512 the flow workload's operation took 1,
+# 0.71, 0.57 and 0.56 of its 64-point time, and the peak RSS of three such
+# operations went from 37.9 MiB to 39.7 MiB at 256 and at 512.  A 512-point
+# torus slice still goes alone.
 _CHUNK_POINTS = 256
 
 # glibc's allocator policy for the engine's temporaries.  Its dynamic
@@ -871,6 +900,8 @@ def det_series(geom) -> dict:
     The Taylor coefficients of the determinant ratio at rho = 0 are computed
     from the geometry's analytic rho-derivatives via the Jacobi formula
     (d/d rho log det = tr g^-1 g'), then composed with the square root.
+    Also returns 'gamma_inv', the inverse boundary metric gamma^-1 that they
+    read, (points, 3, 3), from the rho = 0 slice's frame.
     """
     g0inv = _slice_frame(geom, 0.0)["ginv"][:, :3, :3]
     _, g1, g2d, g3d = geom.spatial(0.0)
@@ -887,7 +918,7 @@ def det_series(geom) -> dict:
     bad = float(np.max(np.abs(v1)))
     if bad > 1e-8:
         raise ValueError(f"g^(1) != 0? collar not totally geodesic (v1={bad:.3e})")
-    return {"v2": v2, "v3": v3}
+    return {"v2": v2, "v3": v3, "gamma_inv": g0inv}
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -1001,8 +1032,9 @@ def jet_identity_report(geom) -> dict:
         parity_dev = max(parity_dev, float(np.max(np.abs(slope @ arr))) / scale)
 
     g3 = geom.spatial(0.0)[3] / 6.0
-    v3 = det_series(geom)["v3"]
-    tr_g3 = np.einsum("nab,nab->n", _slice_frame(geom, 0.0)["ginv"][:, :3, :3], g3)
+    det = det_series(geom)
+    v3 = det["v3"]
+    tr_g3 = np.einsum("nab,nab->n", det["gamma_inv"], g3)
 
     def rel_dev(lhs, rhs):
         return float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs))))

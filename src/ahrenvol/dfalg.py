@@ -641,7 +641,8 @@ def batch_invariants(R: np.ndarray) -> dict[str, np.ndarray]:
     z2 = np.einsum("...ab,...ab->...", z, z)
     # Weyl part: W = R - (s/24) g.g - (1/2) z.g = R - u.g with u = z/2 + (s/24) g
     u = 0.5 * z + s[..., None, None] / 24.0 * np.eye(4)
-    W = R - kn_metric(u)
+    W = kn_metric(u)
+    np.subtract(R, W, out=W)
     w2 = np.einsum("...abcd,...abcd->...", W, W)
     R2 = np.einsum("...abcd,...abcd->...", R, R)
     return {"s": s, "r2": r2, "z2": z2, "w2": w2, "R2": R2, "ric": ric, "z": z}

@@ -55,6 +55,7 @@ from .collar import (
     PerturbedGeometry,
     RadialGeometry,
     _invariant_density,
+    _permute_slots,
     _slice_frame,
     chebyshev_rho_nodes,
     curvature_in_frame,
@@ -185,28 +186,35 @@ def frame_covariant_derivative(geom, cur, jet):
     k = val.ndim - 1
     r = rho.reshape((-1,) + (1,) * k)
 
+    def slot_first(fld, slot):
+        # [n, u, (other slots)]: a view for the first and the last slot, one
+        # gather for a slot between them
+        if 0 < slot < k - 1:
+            fld = _permute_slots(fld, (slot,) + tuple(s for s in range(k) if s != slot))
+            return fld.reshape(fld.shape[0], 4, -1)
+        return np.moveaxis(fld, 1 + slot, 1).reshape(fld.shape[0], 4, -1)
+
     def subtract_connection(out, terms):
         # per slot, Gamma as the matrix [n, (a s), u] times the field with that
-        # slot moved first, [n, u, (other slots)]: one batched matmul per term
+        # slot moved first: one batched matmul per term
         n = out.shape[0]
         for slot in range(k):
-            corr = sum(
-                g.reshape(n, 4, 16).swapaxes(1, 2) @ np.moveaxis(fld, 1 + slot, 1).reshape(n, 4, -1)
-                for g, fld in terms
-            )
+            corr = sum(g.reshape(n, 4, 16).swapaxes(1, 2) @ slot_first(fld, slot) for g, fld in terms)
             out -= np.moveaxis(corr.reshape(out.shape), 2, 2 + slot)
 
     xval = geom.xderiv(val)
-    nabla = np.zeros((val.shape[0], 4) + val.shape[1:])
-    nabla[:, :3] = r[:, None] * xval
-    nabla[:, 3] = r * d1
+    nabla = np.empty((val.shape[0], 4) + val.shape[1:])
+    np.multiply(r[:, None], xval, out=nabla[:, :3])
+    np.multiply(r, d1, out=nabla[:, 3])
     subtract_connection(nabla, [(gamma, val)])
     if len(jet) < 3:
         return (nabla,)
     d2 = np.asarray(jet[2], float)
-    dnabla = np.zeros_like(nabla)
-    dnabla[:, :3] = xval + r[:, None] * geom.xderiv(d1)
-    dnabla[:, 3] = d1 + r * d2
+    dnabla = np.empty_like(nabla)
+    np.multiply(r[:, None], geom.xderiv(d1), out=dnabla[:, :3])
+    dnabla[:, :3] += xval
+    np.multiply(r, d2, out=dnabla[:, 3])
+    dnabla[:, 3] += d1
     subtract_connection(dnabla, [(dgamma / rho, val), (gamma, d1)])
     return nabla, dnabla
 
@@ -228,9 +236,12 @@ def hessian11(geom, cur, jet) -> np.ndarray:
     double antisymmetrization -(s_abcd - s_bacd - s_abdc + s_badc).
     """
     n2 = _second_covariant_derivative(geom, cur, jet)
-    s = n2.transpose(0, 1, 3, 2, 4) + n2.transpose(0, 2, 4, 1, 3)
-    s -= s.swapaxes(1, 2)
-    return s.swapaxes(3, 4) - s
+    s = _permute_slots(n2, (0, 2, 1, 3))
+    s += _permute_slots(n2, (1, 3, 0, 2))
+    s -= _permute_slots(s, (1, 0, 2, 3))
+    out = _permute_slots(s, (0, 1, 3, 2))
+    out -= s
+    return out
 
 
 def _embed(val) -> np.ndarray:
@@ -257,6 +268,8 @@ def fh_dense(h: np.ndarray, R: np.ndarray) -> np.ndarray:
     R viewed as a stack of matrices whose rows are slot k.
     """
     n = h.shape[0]
+    # one copy of a strided R (to_on4's transposed view) instead of one per slot
+    R = np.ascontiguousarray(R)
     out = (h @ R.reshape(n, 4, 64)).reshape(R.shape)
     out += (h[:, None] @ R.reshape(n, 4, 4, 16)).reshape(R.shape)
     out += (h[:, None] @ R.reshape(n, 16, 4, 4)).reshape(R.shape)
@@ -298,16 +311,22 @@ def linearized_curvature(geom, pert, rho) -> dict:
     }
 
 
-def fd_curvature_derivative(geom, pert, rho: float, steps) -> list:
+def fd_curvature_derivative(geom, pert, background: dict, steps) -> list:
     """Central differences of frame curvature along g_rho + t m, ON at t=0.
 
-    One record {'riem_p', 'ric_p', 's_p'} per step t in ``steps``.  The
-    perturbed slices at rho, +t and -t of every step, are one
+    ``background`` is the unperturbed record of one rho-slice (a
+    :func:`frame_curvature` record, such as :func:`linearized_curvature`'s
+    'background'): the differences are taken on its slice and moved to the
+    ON frame by its q.  One record {'riem_p', 'ric_p', 's_p'} per step t in
+    ``steps``.  The perturbed slices at rho, +t and -t of every step, are one
     :func:`ahrenvol.collar.map_slices` batch of a :class:`PerturbedGeometry`
     with one t per slice.
     """
+    q = background["q"]
+    if q.shape[0] != geom.npts:
+        raise ValueError(f"the background record holds {q.shape[0] // geom.npts} rho-slices, not 1")
+    rho = background["rho"].flat[0]
     steps = np.atleast_1d(np.asarray(steps, dtype=float))
-    q = _slice_frame(geom, rho)["q"]
 
     def fields(ts):
         cur = frame_curvature(PerturbedGeometry(geom, pert, ts), np.full(ts.size, rho))
@@ -370,13 +389,12 @@ def _hessian_trace(ginv: np.ndarray, n2: np.ndarray) -> np.ndarray:
     """
     n = n2.shape[0]
     g = ginv.reshape(n, 1, 16)
-
-    def contract(pair):
-        rest = [slot for slot in range(4) if slot not in pair]
-        m = n2.transpose(0, *(1 + slot for slot in (*pair, *rest))).reshape(n, 16, 16)
-        return (g @ m).reshape(n, 4, 4)
-
-    t, u, v, w = (contract(pair) for pair in ((0, 1), (1, 2), (0, 3), (2, 3)))
+    # n2 as the matrix [n, (pair), (other pair)]: n2 itself and its transposed
+    # view over (0, 1) and (2, 3), a gather over (1, 2) and (0, 3)
+    mat = n2.reshape(n, 16, 16)
+    t, u, v, w = ((g @ m).reshape(n, 4, 4) for m in (
+        mat, _permute_slots(n2, (1, 2, 0, 3)).reshape(n, 16, 16),
+        _permute_slots(n2, (0, 3, 1, 2)).reshape(n, 16, 16), mat.swapaxes(1, 2)))
     x = t - u - v + w
     return -(x + x.swapaxes(1, 2))
 

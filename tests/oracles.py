@@ -16,6 +16,9 @@ derivatives, its orthonormal frame against one LAPACK routine per quantity
 (``frame_oracle``) and its invariants against a second frame
 (``symmetric_frame``),
 the stacked algebra suite against its per-trial loop (``algebra_suite_loop``),
+the engine's gathered and transposed-view kernels against their strided-copy
+form bit for bit (``to_on4_slot_loop``, ``christoffels_bar_transposed_adds``
+and friends),
 the collar Hessian's D / Dt conventions against the flat 4-torus calculus,
 its double antisymmetrization against the eight-permutation sum, and the
 variation layer's batched-matmul contractions (covariant derivative,
@@ -847,6 +850,126 @@ def to_on4_pairs(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def to_on4_einsum(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.einsum("nstuv,nsa,ntb,nuc,nvd->nabcd", fld, q, q, q, q, optimize=True)
+
+
+# The engine's kernels in their strided-copy form: each index permutation is
+# a transposed view that numpy copies (or reads strided) before the product
+# or the add.  The engine gathers them or hands BLAS a transposed view
+# instead, keeping every operand pair, summation index and order of adds, so
+# the two must agree bit for bit (and to_on4 in its returned layout too).
+
+
+def to_on4_slot_loop(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
+    n = q.shape[0]
+    out = fld
+    # one slot per product: contract the last slot with q, then move the new
+    # index first, so after four products the slots are back in order
+    for _ in range(4):
+        out = (out.reshape(n, 64, 4) @ q).reshape(n, 4, 4, 4, 4).transpose(0, 4, 1, 2, 3)
+    return out
+
+
+def christoffels_bar_transposed_adds(geom, frame):
+    """collar.christoffels_bar with the Koszul terms as two 5-D transposed adds."""
+    gbar, dgbar, ginv = frame["gbar"], frame["dgbar"], frame["ginv"]
+    npts = gbar.shape[0]
+    pair = np.stack([gbar, dgbar], axis=1)  # (n, f, 4, 4): gbar and d/d rho gbar
+    # xg[n, f, a, b, c] = Xbar_a (pair_f)_bc, one x-derivative call for both fields
+    xg = np.empty((npts, 2, 4, 4, 4))
+    xg[:, :, :3] = geom.xderiv(pair).transpose(0, 2, 1, 3, 4)
+    xg[:, 0, 3] = dgbar
+    xg[:, 1, 3] = frame["d2gbar"]
+    # minus the structure-constant terms, C^d_ab (pair_f)_dc at [n, f, c, a, b]
+    xg -= np.tensordot(pair, _cbar4(geom), axes=([2], [0]))
+    # lower[n, f, c, a, b] = 1/2 (X_a g_bc + X_b g_ac - X_c g_ab
+    #                             + C^d_ab g_dc - C^d_ac g_db - C^d_bc g_da)
+    lower = xg.transpose(0, 1, 4, 2, 3) + xg.transpose(0, 1, 4, 3, 2) - xg
+    lower = 0.5 * lower.reshape(npts, 2, 4, 16)
+    gamma = ginv @ lower[:, 0]
+    # d/d rho (g^-1 lower) = g^-1 (dlower - dgbar g^-1 lower)
+    dgamma = ginv @ (lower[:, 1] - dgbar @ gamma)
+    return gamma.reshape(npts, 4, 4, 4), dgamma.reshape(npts, 4, 4, 4)
+
+
+def xderiv_axis_copies(geom, field: np.ndarray) -> np.ndarray:
+    """TorusJetGeometry.xderiv with each axis's product copied into a point-major result."""
+    n = geom.n_grid
+    grid = field.reshape(-1, n, n, n, math.prod(field.shape[1:]))
+    out = np.empty(grid.shape[:4] + (3, grid.shape[4]))
+    for axis in range(3):
+        # the grid axes before ``axis`` batch the product, those after it ride along
+        lead = grid.shape[0] * n**axis
+        out[..., axis, :] = (geom._dmat @ grid.reshape(lead, n, -1)).reshape(grid.shape)
+    return out.reshape((field.shape[0], 3) + field.shape[1:])
+
+
+def frame_ricci_transposed(ginv: np.ndarray, riem: np.ndarray):
+    n = ginv.shape[0]
+    ric = (ginv.reshape(n, 1, 16) @ riem.transpose(0, 1, 3, 2, 4).reshape(n, 16, 16)).reshape(n, 4, 4)
+    return ric, np.einsum("nab,nab->n", ginv, ric)
+
+
+def covariant_derivative_moveaxis(geom, cur, jet):
+    """variation.frame_covariant_derivative with every slot moved first by moveaxis."""
+    gamma, dgamma, rho = cur["gamma"], cur["dgamma"], cur["rho"]
+    val, d1 = (np.asarray(j, float) for j in jet[:2])
+    k = val.ndim - 1
+    r = rho.reshape((-1,) + (1,) * k)
+
+    def subtract_connection(out, terms):
+        n = out.shape[0]
+        for slot in range(k):
+            corr = sum(
+                g.reshape(n, 4, 16).swapaxes(1, 2) @ np.moveaxis(fld, 1 + slot, 1).reshape(n, 4, -1)
+                for g, fld in terms
+            )
+            out -= np.moveaxis(corr.reshape(out.shape), 2, 2 + slot)
+
+    xval = geom.xderiv(val)
+    nabla = np.zeros((val.shape[0], 4) + val.shape[1:])
+    nabla[:, :3] = r[:, None] * xval
+    nabla[:, 3] = r * d1
+    subtract_connection(nabla, [(gamma, val)])
+    if len(jet) < 3:
+        return (nabla,)
+    d2 = np.asarray(jet[2], float)
+    dnabla = np.zeros_like(nabla)
+    dnabla[:, :3] = xval + r[:, None] * geom.xderiv(d1)
+    dnabla[:, 3] = d1 + r * d2
+    subtract_connection(dnabla, [(dgamma / rho, val), (gamma, d1)])
+    return nabla, dnabla
+
+
+def fh_dense_reshapes(h: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """variation.fh_dense reshaping R once per slot (a copy each for a strided R)."""
+    n = h.shape[0]
+    out = (h @ R.reshape(n, 4, 64)).reshape(R.shape)
+    out += (h[:, None] @ R.reshape(n, 4, 4, 16)).reshape(R.shape)
+    out += (h[:, None] @ R.reshape(n, 16, 4, 4)).reshape(R.shape)
+    out += (R.reshape(n, 64, 4) @ h.swapaxes(1, 2)).reshape(R.shape)
+    return out
+
+
+def hessian11_transposed_adds(n2: np.ndarray) -> np.ndarray:
+    """The double antisymmetrization of variation.hessian11 from n2 = nabla nabla h."""
+    s = n2.transpose(0, 1, 3, 2, 4) + n2.transpose(0, 2, 4, 1, 3)
+    s -= s.swapaxes(1, 2)
+    return s.swapaxes(3, 4) - s
+
+
+def hessian_trace_transposed(ginv: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """variation._hessian_trace with each slot pair moved first by a transposed reshape."""
+    n = n2.shape[0]
+    g = ginv.reshape(n, 1, 16)
+
+    def contract(pair):
+        rest = [slot for slot in range(4) if slot not in pair]
+        m = n2.transpose(0, *(1 + slot for slot in (*pair, *rest))).reshape(n, 16, 16)
+        return (g @ m).reshape(n, 4, 4)
+
+    t, u, v, w = (contract(pair) for pair in ((0, 1), (1, 2), (0, 3), (2, 3)))
+    x = t - u - v + w
+    return -(x + x.swapaxes(1, 2))
 
 
 def zg_einsum(z: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahrenvol import cli
+from ahrenvol import cli, collar, variation
 from ahrenvol.collar import NonConvergence, RadialGeometry, hyperbolic_profile
 
 import oracles
@@ -562,6 +562,21 @@ class TestLinearizeCheck:
         a = json.loads((tmp_path / "s" / "linearize-check-report.json").read_text())
         b = json.loads((tmp_path / "p" / "linearize-check-report.json").read_text())
         assert a["artifacts"]["orders"] == b["artifacts"]["orders"]
+
+    def test_trial_builds_the_background_frame_once(self, monkeypatch):
+        """A trial's finite differences take q from the linearized curvature's
+        background record: one frame at rho = 0.25, then one for the batch of
+        six perturbed slices."""
+        frame, rhos = collar._slice_frame, []
+
+        def counting(geom, rho):
+            rhos.append(np.atleast_1d(rho).tolist())
+            return frame(geom, rho)
+
+        monkeypatch.setattr(collar, "_slice_frame", counting)
+        monkeypatch.setattr(variation, "_slice_frame", counting)
+        cli._linearize_trial(3)
+        assert rhos == [[0.25], [0.25] * 6]
 
     def test_torus_report_names_the_radial_trials(self, tmp_path):
         """The finite-difference trials run on seeded radial profiles whatever

@@ -672,6 +672,28 @@ class TestBatchedEngine:
         for key, field in batched["invariants"].items():
             close(field, np.concatenate([cur["invariants"][key] for cur in slices]))
 
+    @pytest.mark.parametrize("geom, rhos, size", [
+        (_radial_theta(), np.linspace(0.05, 1.9, 40), 7),
+        (_torus4(), np.array([0.12, 0.2, 0.27, 0.6]), 1),
+    ], ids=["radial", "torus-n4"])
+    def test_partition_invariant_bit_for_bit(self, geom, rhos, size):
+        """Every record array and invariant of one call over all the slices
+        has the bits of calls over ``size`` slices at a time, concatenated:
+        map_slices may cut a batch anywhere."""
+        whole = curvature_in_frame(geom, rhos)
+        parts = [curvature_in_frame(geom, rhos[k:k + size]) for k in range(0, rhos.size, size)]
+
+        def flat(cur):
+            inv = cur["invariants"]
+            return {**{k: v for k, v in cur.items() if k not in ("bar", "invariants")},
+                    "bar": cur["bar"][0], "dbar": cur["bar"][1],
+                    **{f"invariants.{k}": v for k, v in inv.items()}}
+
+        want = flat(whole)
+        assert len(want) == 19
+        for key, got in want.items():
+            assert got.tobytes() == np.concatenate([flat(p)[key] for p in parts]).tobytes(), key
+
     @pytest.mark.parametrize("name", list(BATCH_GEOMETRIES))
     def test_q_is_orthonormal_frame(self, name):
         cur = curvature_in_frame(BATCH_GEOMETRIES[name](), self.RHOS)
@@ -818,6 +840,70 @@ class TestReferenceEngine:
         assert np.array_equal(wrapped.xderiv_transpose(fld), torus.xderiv_transpose(fld))
 
 
+class TestCopyFreeKernels:
+    """The engine's kernels give their strided-copy form's bits (tests/oracles.py):
+    on radial batches and on n_grid 4 and 8 torus slices, every product and
+    add is the same, only where the permuted operands are read from differs."""
+
+    CASES = {
+        "radial": (_radial_theta, np.linspace(0.05, 1.9, 40)),
+        "radial-polynomial": (REFERENCE_GEOMETRIES["radial-polynomial"], TestBatchedEngine.RHOS),
+        "torus-n4": (REFERENCE_GEOMETRIES["torus-n4"], TestBatchedEngine.RHOS),
+        "torus-n8": (REFERENCE_GEOMETRIES["torus-n8"], 0.3),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_to_on4_is_the_slot_loop(self, name):
+        """The same bits in the same transposed layout, whose einsums (R2 and
+        the Ricci contractions) then sum in the same order."""
+        make, rho = self.CASES[name]
+        cur = curvature_in_frame(make(), rho)
+        want = oracles.to_on4_slot_loop(cur["riem"], cur["q"])
+        for got in (cur["riem_on"], collar.to_on4(cur["riem"], cur["q"])):
+            assert got.strides == want.strides
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("npts", [1, 64, 512])
+    def test_to_on4_of_a_strided_input(self, npts):
+        """A transposed view of the input gives the contiguous input's bits."""
+        rng = np.random.default_rng(npts)
+        fld = rng.standard_normal((npts, 4, 4, 4, 4))
+        q = np.triu(rng.standard_normal((npts, 4, 4)))
+        strided = np.ascontiguousarray(fld.transpose(0, 3, 1, 4, 2)).transpose(0, 2, 4, 1, 3)
+        assert not strided.flags.c_contiguous and np.array_equal(strided, fld)
+        want = oracles.to_on4_slot_loop(fld, q).tobytes()
+        assert collar.to_on4(strided, q).tobytes() == want
+        assert collar.to_on4(fld, q).tobytes() == want
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_christoffels_bar_is_the_transposed_adds(self, name):
+        make, rho = self.CASES[name]
+        geom = make()
+        frame = collar._slice_frame(geom, rho)
+        got = collar.christoffels_bar(geom, frame)
+        want = oracles.christoffels_bar_transposed_adds(geom, frame)
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_frame_ricci_is_the_transposed_reshape(self, name):
+        make, rho = self.CASES[name]
+        cur = collar.frame_curvature(make(), rho)
+        got = collar.frame_ricci(cur["ginv"], cur["riem"])
+        want = oracles.frame_ricci_transposed(cur["ginv"], cur["riem"])
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n_grid", [3, 4, 8])
+    @pytest.mark.parametrize("slices", [1, 2])
+    def test_xderiv_is_the_axis_copies(self, n_grid, slices):
+        geom = TorusJetGeometry(random_jet(3, n_grid))
+        field = np.random.default_rng(n_grid).standard_normal((slices * geom.npts, 4, 4, 4))
+        got = geom.xderiv(field)
+        assert got.shape == (slices * geom.npts, 3, 4, 4, 4)
+        assert got.tobytes() == oracles.xderiv_axis_copies(geom, field).tobytes()
+
+
 def _spd_frames(rng, spectrum, n):
     """n frame metrics gbar whose spatial blocks have eigenvalues ``spectrum``
     in random orthonormal bases."""
@@ -941,6 +1027,7 @@ class TestSliceBatches:
         nodes = chebyshev_rho_nodes().size
         segments = ((0.1, 0.2), (0.2, 0.4), (0.4, 0.6))
         pert = PolynomialPerturbation({2: _sym_field(1, geom.npts), 3: _sym_field(2, geom.npts)})
+        background = collar.frame_curvature(geom, 0.25)
         return geom, {
             # caller: (call, engine, slices)
             "run_collar_audit": (
@@ -957,7 +1044,7 @@ class TestSliceBatches:
                 len(segments) * n_per,
             ),
             "fd_curvature_derivative": (
-                lambda: variation.fd_curvature_derivative(geom, pert, 0.25, (1e-2, 5e-3, 2.5e-3)),
+                lambda: variation.fd_curvature_derivative(geom, pert, background, (1e-2, 5e-3, 2.5e-3)),
                 "frame_curvature",
                 6,
             ),
@@ -967,7 +1054,7 @@ class TestSliceBatches:
     def test_collar_audit_builds_each_node_frame_once(self, monkeypatch, raw):
         """collar-audit's jet identities (Rbar) and parity row (g) share one
         _slice_frame and one christoffels_bar per Chebyshev node; rho = 0,
-        read for g3 and v3, takes no Christoffels."""
+        read for g3 and v3, takes one frame and no Christoffels."""
         rhos, bar_slices = [], []
         frame, bar = collar._slice_frame, collar.christoffels_bar
 
@@ -984,6 +1071,7 @@ class TestSliceBatches:
         cli.run_collar_audit(cli.AuditConfig.from_dict(raw))
         rhos = np.concatenate(rhos)
         assert np.array_equal(rhos[rhos > 0.0], chebyshev_rho_nodes())
+        assert np.count_nonzero(rhos == 0.0) == 1
         assert sum(bar_slices) == chebyshev_rho_nodes().size
 
     @pytest.mark.parametrize("caller", ["run_collar_audit", "jet_identity_report", "_z2_quadrature",

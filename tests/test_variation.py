@@ -43,6 +43,7 @@ from ahrenvol.variation import (
 from ahrenvol.variation import _embed_jet, _frame_z, _hessian_trace, _second_covariant_derivative
 from oracles import (
     FlatTorus4,
+    covariant_derivative_moveaxis,
     display_columns_forward,
     display_flow_gradient,
     einstein_t2_on,
@@ -51,11 +52,14 @@ from oracles import (
     fd_jet,
     fd_zprime,
     fh_dense_einsum,
+    fh_dense_reshapes,
     frame_covariant_derivative_einsum,
     frame_ricci_einsum,
     gradient_field_einsum,
     hessian11_einsum,
+    hessian11_transposed_adds,
     hessian_ops,
+    hessian_trace_transposed,
     stencil_el_residual,
     symmetric_frame,
     warped_flow_value_and_gradient,
@@ -343,6 +347,24 @@ class TestReferenceKernels:
         h_on = collar.to_on2(_embed_jet(pert, self.RHOS)[0], cur["q"])
         _close_relative(fh_dense(h_on, cur["riem_on"]), fh_dense_einsum(h_on, cur["riem_on"]))
 
+    @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
+    def test_kernels_keep_their_strided_copy_bits(self, name):
+        """The gathered slots and transposed views give, bit for bit, the
+        kernels that copied every permuted operand (tests/oracles.py)."""
+        geom, cur, pert = self._setup(name)
+        jet = _embed_jet(pert, self.RHOS)
+        first = frame_covariant_derivative(geom, cur, jet)
+        for got, want in zip(first, covariant_derivative_moveaxis(geom, cur, jet), strict=True):
+            assert got.tobytes() == want.tobytes()
+        (n2,) = frame_covariant_derivative(geom, cur, first)
+        assert n2.tobytes() == covariant_derivative_moveaxis(geom, cur, first)[0].tobytes()
+        assert hessian11(geom, cur, jet).tobytes() == hessian11_transposed_adds(n2).tobytes()
+        got = _hessian_trace(cur["ginv"], n2)
+        assert got.tobytes() == hessian_trace_transposed(cur["ginv"], n2).tobytes()
+        h_on = collar.to_on2(jet[0], cur["q"])
+        got = fh_dense(h_on, cur["riem_on"])
+        assert got.tobytes() == fh_dense_reshapes(h_on, cur["riem_on"]).tobytes()
+
 
 # -- linearized curvature --------------------------------------------------------
 
@@ -392,7 +414,7 @@ class TestLinearizedCurvature:
             )
             lin = linearized_curvature(geom, pert, 0.25)
             devs = []
-            for fd in fd_curvature_derivative(geom, pert, 0.25, steps):
+            for fd in fd_curvature_derivative(geom, pert, lin["background"], steps):
                 devs.append(
                     max(
                         np.max(np.abs(fd["riem_p"] - lin["riem_p"])),
@@ -413,9 +435,15 @@ class TestLinearizedCurvature:
         base = 0.3 * geom.jet.g2.reshape(npts, 3, 3) + 0.1 * np.eye(3)
         pert = PolynomialPerturbation({2: base, 3: -0.5 * base})
         lin = linearized_curvature(geom, pert, 0.25)
-        (fd,) = fd_curvature_derivative(geom, pert, 0.25, [2.5e-3])
+        (fd,) = fd_curvature_derivative(geom, pert, lin["background"], [2.5e-3])
         scale = max(1.0, np.max(np.abs(lin["riem_p"])))
         assert np.max(np.abs(fd["riem_p"] - lin["riem_p"])) < 1e-4 * scale
+
+    def test_fd_needs_a_one_slice_background(self):
+        geom = REFERENCE_GEOMETRIES["radial"]()
+        pert = PolynomialPerturbation({2: _sym_field(6, 1)})
+        with pytest.raises(ValueError, match="holds 2 rho-slices, not 1"):
+            fd_curvature_derivative(geom, pert, frame_curvature(geom, [0.2, 0.3]), [1e-3])
 
     @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
     def test_fd_batch_matches_per_step(self, name):
@@ -430,7 +458,9 @@ class TestLinearizedCurvature:
             cur = frame_curvature(PerturbedGeometry(geom, pert, t), 0.25)
             return (cur["riem"],) + collar.frame_ricci(cur["ginv"], cur["riem"])
 
-        for t, fd in zip(steps, fd_curvature_derivative(geom, pert, 0.25, steps), strict=True):
+        background = frame_curvature(geom, 0.25)
+        for t, fd in zip(steps, fd_curvature_derivative(geom, pert, background, steps),
+                         strict=True):
             riem_p, ric_p, s_p = ((p - m) / (2.0 * t) for p, m in zip(fields(t), fields(-t)))
             assert np.array_equal(fd["riem_p"], collar.to_on4(riem_p, q))
             assert np.array_equal(fd["ric_p"], collar.to_on2(ric_p, q))
