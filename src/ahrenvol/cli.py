@@ -48,11 +48,12 @@ class ConfigError(ValueError):
 # rho_max, which 'eps_hi' must stay below, and a class that declares chi is
 # capped there
 _FAMILIES = {"radial": _collar.RadialGeometry, "torus-collar": _collar.TorusJetGeometry}
-# a curvature slice peaks at about 12 KiB of temporaries per boundary point
-# (6.2 MiB at n_grid 8, 49 MiB at n_grid 16), so n_grid = 32 (32768 points)
-# peaks near 390 MiB per slice.  n_grid 4 is the coarsest grid the tests
-# use; below it the spectral derivative resolves at most wave number 1 of jet
-# fields that carry wave numbers up to 3
+# a curvature slice peaks at about 9 KiB per boundary point and an
+# el-residual slice at about 11 KiB (README, Working set: 35 and 43 MiB at
+# n_grid 16), so at n_grid 32 (32768 points) they peak near 282 and 342 MiB.
+# n_grid 4 is the coarsest grid the tests use; below it the spectral
+# derivative resolves at most wave number 1 of jet fields that carry wave
+# numbers up to 3
 _N_GRID_MIN = 4
 _N_GRID_MAX = 32
 # upper bounds, so that no config asks for unbounded work: eps_n 64 is about
@@ -607,7 +608,9 @@ def run_linearize_check(config: AuditConfig) -> AuditReport:
     cur = lin["background"]
     inv = cur["invariants"]
     scale = max(1.0, float(np.max(np.abs(cur["riem_on"]))))
-    dev_r = float(np.max(np.abs(lin["riem_p"] - cur["riem_on"]))) / scale
+    # |R'g - R| in R'g's own array: no full-size temporary
+    dev = np.subtract(lin["riem_p"], cur["riem_on"], out=lin["riem_p"])
+    dev_r = float(np.max(np.abs(dev, out=dev))) / scale
     dev_ric = float(np.max(np.abs(lin["ric_p"]))) / scale
     dev_s = float(np.max(np.abs(lin["s_p"] + inv["s"]))) / scale
 

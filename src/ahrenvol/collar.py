@@ -743,9 +743,9 @@ def _radial_block_bar(geom, cur) -> np.ndarray:
 
 # boundary points per engine call: bounds the working set while one-point
 # radial slices batch.  A curvature_in_frame call peaks at about 9 KiB per
-# boundary point, its record included (tracemalloc: 4.5 MiB for a 512-point
-# torus slice and 35 MiB at n_grid 16), so a 256-point call stays near
-# 2.3 MiB (2.3 MiB for 256 radial slices).  A radial call costs about 0.2 ms
+# boundary point, its record included (README, Working set: 4.5 MiB for a
+# 512-point torus slice and 35 MiB at n_grid 16), so a 256-point call stays
+# near 2.3 MiB (2.3 MiB for 256 radial slices).  A radial call costs about 0.2 ms
 # plus 6 us per slice (one thread, 2-core VM: 0.21 ms for 1 slice, 0.57 ms
 # for 64, 1.55 ms for 256, 3.2 ms for 512), and 256 puts a Z(theta)
 # evaluation's 160 slices, and the 48-node endpoint's 240, in one call each.
@@ -797,9 +797,11 @@ def map_slices(fn, rho, npts: int):
     rho array to an array, or a tuple of arrays, whose leading axis runs over
     the slices or over their points (rho-major); the batches' results are
     concatenated along it.  ``npts`` is the number of boundary points per
-    slice.
+    slice.  An empty ``rho`` is a ValueError.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    if rho.size == 0:
+        raise ValueError("map_slices needs at least one rho-slice: the rho array is empty")
     calls = -(-rho.size // max(1, _CHUNK_POINTS // npts))
     parts = [fn(chunk) for chunk in np.array_split(rho, calls)]
     if isinstance(parts[0], tuple):

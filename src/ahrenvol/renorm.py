@@ -478,7 +478,7 @@ def boundary_II(geom, eps) -> dict:
     Gauss-Bonnet identity is II = (Phi0/12 - Phi1/8) / pi^2.  ``eps`` is a
     scalar or a 1-D array in (0, geom.rho_max]; returns {'phi0', 'phi1',
     'ii'}, arrays in ``eps`` order, the slices going to the engine in
-    :func:`~ahrenvol.collar.map_slices` batches.
+    :func:`~ahrenvol.collar.map_slices` batches (which refuse an empty one).
     """
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
     # written so that a NaN eps is outside too

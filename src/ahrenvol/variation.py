@@ -196,25 +196,37 @@ def frame_covariant_derivative(geom, cur, jet):
 
     def subtract_connection(out, terms):
         # per slot, Gamma as the matrix [n, (a s), u] times the field with that
-        # slot moved first: one batched matmul per term
+        # slot moved first: one batched matmul per term, summed in place
         n = out.shape[0]
+
+        def term(g, fld, slot):
+            return g.reshape(n, 4, 16).swapaxes(1, 2) @ slot_first(fld, slot)
+
         for slot in range(k):
-            corr = sum(g.reshape(n, 4, 16).swapaxes(1, 2) @ slot_first(fld, slot) for g, fld in terms)
+            corr = term(*terms[0], slot)
+            # the sum starts at 0, as 0 + t1 + t2 did: a -0.0 of t1 becomes +0.0
+            corr += 0.0
+            for g, fld in terms[1:]:
+                corr += term(g, fld, slot)
             out -= np.moveaxis(corr.reshape(out.shape), 2, 2 + slot)
+            del corr  # before the next slot's term is formed
 
     xval = geom.xderiv(val)
     nabla = np.empty((val.shape[0], 4) + val.shape[1:])
     np.multiply(r[:, None], xval, out=nabla[:, :3])
     np.multiply(r, d1, out=nabla[:, 3])
+    if len(jet) > 2:
+        d2 = np.asarray(jet[2], float)
+        dnabla = np.empty_like(nabla)
+        np.multiply(r[:, None], geom.xderiv(d1), out=dnabla[:, :3])
+        dnabla[:, :3] += xval
+        np.multiply(r, d2, out=dnabla[:, 3])
+        dnabla[:, 3] += d1
+    # the x-derivatives go before the connection terms add to the peak
+    del xval
     subtract_connection(nabla, [(gamma, val)])
     if len(jet) < 3:
         return (nabla,)
-    d2 = np.asarray(jet[2], float)
-    dnabla = np.empty_like(nabla)
-    np.multiply(r[:, None], geom.xderiv(d1), out=dnabla[:, :3])
-    dnabla[:, :3] += xval
-    np.multiply(r, d2, out=dnabla[:, 3])
-    dnabla[:, 3] += d1
     subtract_connection(dnabla, [(dgamma / rho, val), (gamma, d1)])
     return nabla, dnabla
 
@@ -237,7 +249,9 @@ def hessian11(geom, cur, jet) -> np.ndarray:
     """
     n2 = _second_covariant_derivative(geom, cur, jet)
     s = _permute_slots(n2, (0, 2, 1, 3))
-    s += _permute_slots(n2, (1, 3, 0, 2))
+    # n2_cadb added through a transposed view: no second gathered copy of n2
+    s += n2.transpose(0, 2, 4, 1, 3)
+    del n2
     s -= _permute_slots(s, (1, 0, 2, 3))
     out = _permute_slots(s, (0, 1, 3, 2))
     out -= s
@@ -285,18 +299,34 @@ def linearized_curvature(geom, pert, rho) -> dict:
 
     ``rho`` is a scalar or a 1-D array, with the point layout of
     :func:`curvature_in_frame`.  Returns R'h, r'h, s'h from the
-    Hessian/contraction displays together with the ingredients (background
-    curvature record, h and its Hessian in ON components).
+    Hessian/contraction displays together with the ingredients: h and its
+    Hessian in ON components, and 'background', the part of the background
+    :func:`curvature_in_frame` record that they read or that describes the
+    slices ('q', 'ginv', 'dvol', 'rho', 'riem_on' and 'invariants').
     """
     cur = curvature_in_frame(geom, rho)
+    # the Hessian reads the connection and rho alone: the rest of the record
+    # goes before it adds to the peak
+    conn = {key: cur[key] for key in ("gamma", "dgamma", "rho")}
+    background = {key: cur[key] for key in ("q", "ginv", "dvol", "rho", "riem_on", "invariants")}
+    del cur
+    q = background["q"]
     hjet = _embed_jet(pert, rho)
-    h_on = to_on2(hjet[0], cur["q"])
-    H_on = to_on4(hessian11(geom, cur, hjet), cur["q"])
-    R_on, ric_on = cur["riem_on"], cur["invariants"]["ric"]
+    h_on = to_on2(hjet[0], q)
+    hess = hessian11(geom, conn, hjet)
+    del conn, hjet
+    H_on = to_on4(hess, q)
+    del hess
+    # R_on contiguous in place of to_on4's transposed view, which fh_dense
+    # would copy: the same entries, and no second copy of R at its peak
+    R_on = background["riem_on"] = np.ascontiguousarray(background["riem_on"])
+    ric_on = background["invariants"]["ric"]
     fhr = fh_dense(h_on, R_on)
-    riem_p = -0.25 * H_on + 0.25 * fhr
     c_h = np.einsum("niaib->nab", H_on)
     c_fhr = np.einsum("niaib->nab", fhr)
+    # riem_p = -1/4 H + 1/4 F_h R, formed in F_h R's array
+    riem_p = np.multiply(0.25, fhr, out=fhr)
+    riem_p -= 0.25 * H_on
     comp = ric_on @ h_on
     comp = 0.5 * (comp + comp.transpose(0, 2, 1))
     ric_p = -0.25 * c_h - 0.25 * c_fhr + comp
@@ -307,7 +337,7 @@ def linearized_curvature(geom, pert, rho) -> dict:
         "s_p": s_p,
         "hessian": H_on,
         "h_on": h_on,
-        "background": cur,
+        "background": background,
     }
 
 
@@ -315,12 +345,13 @@ def fd_curvature_derivative(geom, pert, background: dict, steps) -> list:
     """Central differences of frame curvature along g_rho + t m, ON at t=0.
 
     ``background`` is the unperturbed record of one rho-slice (a
-    :func:`frame_curvature` record, such as :func:`linearized_curvature`'s
-    'background'): the differences are taken on its slice and moved to the
-    ON frame by its q.  One record {'riem_p', 'ric_p', 's_p'} per step t in
-    ``steps``.  The perturbed slices at rho, +t and -t of every step, are one
-    :func:`ahrenvol.collar.map_slices` batch of a :class:`PerturbedGeometry`
-    with one t per slice.
+    :func:`frame_curvature` record or :func:`linearized_curvature`'s
+    'background'; its 'q' and 'rho' are read): the differences are taken on
+    its slice and moved to the ON frame by its q.  One record {'riem_p',
+    'ric_p', 's_p'} per step t in ``steps``.  The perturbed slices at rho, +t
+    and -t of every step, are one :func:`ahrenvol.collar.map_slices` batch of
+    a :class:`PerturbedGeometry` with one t per slice; no step is a
+    ValueError from it.
     """
     q = background["q"]
     if q.shape[0] != geom.npts:
@@ -389,13 +420,17 @@ def _hessian_trace(ginv: np.ndarray, n2: np.ndarray) -> np.ndarray:
     """
     n = n2.shape[0]
     g = ginv.reshape(n, 1, 16)
+
+    def contract(mat):
+        return (g @ mat).reshape(n, 4, 4)
+
     # n2 as the matrix [n, (pair), (other pair)]: n2 itself and its transposed
-    # view over (0, 1) and (2, 3), a gather over (1, 2) and (0, 3)
+    # view over (0, 1) and (2, 3), a gather over (1, 2) and (0, 3), one at a time
     mat = n2.reshape(n, 16, 16)
-    t, u, v, w = ((g @ m).reshape(n, 4, 4) for m in (
-        mat, _permute_slots(n2, (1, 2, 0, 3)).reshape(n, 16, 16),
-        _permute_slots(n2, (0, 3, 1, 2)).reshape(n, 16, 16), mat.swapaxes(1, 2)))
-    x = t - u - v + w
+    x = contract(mat)
+    x -= contract(_permute_slots(n2, (1, 2, 0, 3)).reshape(n, 16, 16))
+    x -= contract(_permute_slots(n2, (0, 3, 1, 2)).reshape(n, 16, 16))
+    x += contract(mat.swapaxes(1, 2))
     return -(x + x.swapaxes(1, 2))
 
 
@@ -418,10 +453,14 @@ def functional_gradient(geom, rhos=None) -> dict:
     :func:`_hessian_trace` and goes to the ON frame as q^T c q.
     z has no closed-form rho-jet in general.  n2 takes z from one
     full engine record at each rho, which also serves f, the connection and
-    the measure, and dz/drho and d2z/drho2 from the Chebyshev interpolant of
+    the measure: once f and z are read, the slice keeps only the record's
+    'gamma', 'dgamma', 'rho', 'q', 'ginv' and 'dvol', so that n2 is formed
+    on a working set near the record's own peak (README, Working set).
+    dz/drho and d2z/drho2 come from the Chebyshev interpolant of
     z through frame-only :func:`frame_curvature` slices at the
     ``_Z_NODES`` :func:`chebyshev_rho_nodes` of (0, min(1.25 max rho,
-    geom.rho_max)].  Both go through :func:`map_slices`.  Every rho must lie
+    geom.rho_max)].  The records and the frame-only slices both go through
+    :func:`map_slices`.  Every rho must lie
     in (0, geom.rho_max], else ValueError (NaN too); one rho will do.
 
     Returns arrays: ``rhos``; ``f``, ``T2omega`` and ``E``, each
@@ -446,6 +485,10 @@ def functional_gradient(geom, rhos=None) -> dict:
         f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"])
         dz = z_basis.derivatives(z_nodes, rho, (1, 2))
         jet = (_frame_z(cur),) + tuple(d.reshape(f_on.shape) for d in dz)
+        # n2 and c read the connection, rho, q, ginv and dvol alone: the rest
+        # of the record goes before n2 adds to the peak
+        cur = {key: cur[key] for key in ("gamma", "dgamma", "rho", "q", "ginv", "dvol")}
+        del inv
         n2 = _second_covariant_derivative(geom, cur, jet)
         # T2(w) = 1/2 c^2(w) g - c(w), from c in the ON frame, q^T c q
         q = cur["q"]

@@ -19,6 +19,9 @@ the stacked algebra suite against its per-trial loop (``algebra_suite_loop``),
 the engine's gathered and transposed-view kernels against their strided-copy
 form bit for bit (``to_on4_slot_loop``, ``christoffels_bar_transposed_adds``
 and friends),
+the variation layer's per-slice kernels, which drop what they no longer
+read, against their form that held the whole working set, bit for bit
+(``functional_gradient_whole_record``, ``linearized_curvature_whole_record``),
 the collar Hessian's D / Dt conventions against the flat 4-torus calculus,
 its double antisymmetrization against the eight-permutation sum, and the
 variation layer's batched-matmul contractions (covariant derivative,
@@ -970,6 +973,149 @@ def hessian_trace_transposed(ginv: np.ndarray, n2: np.ndarray) -> np.ndarray:
     t, u, v, w = (contract(pair) for pair in ((0, 1), (1, 2), (0, 3), (2, 3)))
     x = t - u - v + w
     return -(x + x.swapaxes(1, 2))
+
+
+# The variation layer's per-slice kernels as they were when each held its
+# whole working set: the engine record to the end of the slice, the field's
+# x-derivative and every slot's summed connection term to the end of a
+# covariant derivative, n2 to the end of the Hessian and all four traces of n2
+# at once.  The library drops each before the next temporary is formed and
+# keeps every operand pair and order of adds, so the two agree bit for bit.
+
+
+def covariant_derivative_summed(geom, cur, jet):
+    """variation.frame_covariant_derivative summing each slot's connection
+    terms with sum(), which copies the first term into 0 + t1."""
+    from ahrenvol.collar import _permute_slots
+
+    gamma, dgamma, rho = cur["gamma"], cur["dgamma"], cur["rho"]
+    val, d1 = (np.asarray(j, float) for j in jet[:2])
+    k = val.ndim - 1
+    r = rho.reshape((-1,) + (1,) * k)
+
+    def slot_first(fld, slot):
+        # [n, u, (other slots)]: a view for the first and the last slot, one
+        # gather for a slot between them
+        if 0 < slot < k - 1:
+            fld = _permute_slots(fld, (slot,) + tuple(s for s in range(k) if s != slot))
+            return fld.reshape(fld.shape[0], 4, -1)
+        return np.moveaxis(fld, 1 + slot, 1).reshape(fld.shape[0], 4, -1)
+
+    def subtract_connection(out, terms):
+        # per slot, Gamma as the matrix [n, (a s), u] times the field with that
+        # slot moved first: one batched matmul per term
+        n = out.shape[0]
+        for slot in range(k):
+            corr = sum(g.reshape(n, 4, 16).swapaxes(1, 2) @ slot_first(fld, slot) for g, fld in terms)
+            out -= np.moveaxis(corr.reshape(out.shape), 2, 2 + slot)
+
+    xval = geom.xderiv(val)
+    nabla = np.empty((val.shape[0], 4) + val.shape[1:])
+    np.multiply(r[:, None], xval, out=nabla[:, :3])
+    np.multiply(r, d1, out=nabla[:, 3])
+    subtract_connection(nabla, [(gamma, val)])
+    if len(jet) < 3:
+        return (nabla,)
+    d2 = np.asarray(jet[2], float)
+    dnabla = np.empty_like(nabla)
+    np.multiply(r[:, None], geom.xderiv(d1), out=dnabla[:, :3])
+    dnabla[:, :3] += xval
+    np.multiply(r, d2, out=dnabla[:, 3])
+    dnabla[:, 3] += d1
+    subtract_connection(dnabla, [(dgamma / rho, val), (gamma, d1)])
+    return nabla, dnabla
+
+
+def _second_covariant_derivative_summed(geom, cur, jet) -> np.ndarray:
+    nabla = covariant_derivative_summed(geom, cur, jet)
+    return covariant_derivative_summed(geom, cur, nabla)[0]
+
+
+def hessian11_holding_n2(geom, cur, jet) -> np.ndarray:
+    """variation.hessian11 holding n2 and gathering both of its terms of s."""
+    from ahrenvol.collar import _permute_slots
+
+    n2 = _second_covariant_derivative_summed(geom, cur, jet)
+    s = _permute_slots(n2, (0, 2, 1, 3))
+    s += _permute_slots(n2, (1, 3, 0, 2))
+    s -= _permute_slots(s, (1, 0, 2, 3))
+    out = _permute_slots(s, (0, 1, 3, 2))
+    out -= s
+    return out
+
+
+def hessian_trace_at_once(ginv: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """variation._hessian_trace forming the four traces T, U, V, W together."""
+    from ahrenvol.collar import _permute_slots
+
+    n = n2.shape[0]
+    g = ginv.reshape(n, 1, 16)
+    # n2 as the matrix [n, (pair), (other pair)]: n2 itself and its transposed
+    # view over (0, 1) and (2, 3), a gather over (1, 2) and (0, 3)
+    mat = n2.reshape(n, 16, 16)
+    t, u, v, w = ((g @ m).reshape(n, 4, 4) for m in (
+        mat, _permute_slots(n2, (1, 2, 0, 3)).reshape(n, 16, 16),
+        _permute_slots(n2, (0, 3, 1, 2)).reshape(n, 16, 16), mat.swapaxes(1, 2)))
+    x = t - u - v + w
+    return -(x + x.swapaxes(1, 2))
+
+
+def functional_gradient_whole_record(geom, rhos=None) -> dict:
+    """variation.functional_gradient holding each slice's whole engine record."""
+    from ahrenvol.variation import (_Z_NODES, _Z_REACH, _Z_SCALE_FLOOR, _frame_z,
+                                    gradient_field)
+
+    rhos = np.linspace(0.1, 0.5, 9) if rhos is None else np.atleast_1d(np.asarray(rhos, float))
+    z_max = min(_Z_REACH * float(np.max(rhos)), geom.rho_max)
+    z_grid = chebyshev_rho_nodes(z_max, _Z_NODES)
+    z_nodes = map_slices(lambda r: _frame_z(frame_curvature(geom, r)), z_grid,
+                         geom.npts).reshape(_Z_NODES, -1)
+    z_basis = ChebyshevRhoBasis(z_grid, z_max)
+
+    def slices(rho):
+        cur = curvature_in_frame(geom, rho)
+        inv = cur["invariants"]
+        f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"])
+        dz = z_basis.derivatives(z_nodes, rho, (1, 2))
+        jet = (_frame_z(cur),) + tuple(d.reshape(f_on.shape) for d in dz)
+        n2 = _second_covariant_derivative_summed(geom, cur, jet)
+        # T2(w) = 1/2 c^2(w) g - c(w), from c in the ON frame, q^T c q
+        q = cur["q"]
+        c_on = q.swapaxes(1, 2) @ hessian_trace_at_once(cur["ginv"], n2) @ q
+        t2_on = 0.5 * np.trace(c_on, axis1=1, axis2=2)[:, None, None] * np.eye(4) - c_on
+        t2_on = 0.5 * (t2_on + t2_on.swapaxes(1, 2))
+        e_on = f_on - 0.5 * t2_on
+        e_norm = np.sqrt(np.einsum("nab,nab->n", e_on, e_on))
+        return f_on, t2_on, e_on, slice_integral(geom, rho, e_norm, cur["dvol"])
+
+    f_on, t2_on, e_on, norms = map_slices(slices, rhos, geom.npts)
+    z_series = np.abs(z_basis.cardinal @ z_nodes)
+    z_tail = float(np.max(z_series[-2:])) / max(_Z_SCALE_FLOOR, float(np.max(z_series)))
+    fields = (rhos.size, -1, 4, 4)
+    return {"rhos": rhos, "f": f_on.reshape(fields), "T2omega": t2_on.reshape(fields),
+            "E": e_on.reshape(fields), "slice_norms": norms, "z_tail": z_tail}
+
+
+def linearized_curvature_whole_record(geom, pert, rho) -> dict:
+    """variation.linearized_curvature holding the whole engine record and
+    forming R'h out of place."""
+    from ahrenvol.variation import _embed_jet, fh_dense
+
+    cur = curvature_in_frame(geom, rho)
+    hjet = _embed_jet(pert, rho)
+    h_on = to_on2(hjet[0], cur["q"])
+    H_on = to_on4(hessian11_holding_n2(geom, cur, hjet), cur["q"])
+    R_on, ric_on = cur["riem_on"], cur["invariants"]["ric"]
+    fhr = fh_dense(h_on, R_on)
+    riem_p = -0.25 * H_on + 0.25 * fhr
+    c_h = np.einsum("niaib->nab", H_on)
+    c_fhr = np.einsum("niaib->nab", fhr)
+    comp = ric_on @ h_on
+    comp = 0.5 * (comp + comp.transpose(0, 2, 1))
+    ric_p = -0.25 * c_h - 0.25 * c_fhr + comp
+    s_p = -0.25 * np.einsum("naa->n", c_h) - np.einsum("nab,nab->n", ric_on, h_on)
+    return {"riem_p": riem_p, "ric_p": ric_p, "s_p": s_p, "hessian": H_on, "h_on": h_on,
+            "background": cur}
 
 
 def zg_einsum(z: np.ndarray) -> np.ndarray:

@@ -1097,6 +1097,12 @@ class TestSliceBatches:
         assert max(calls[engine]) <= collar._CHUNK_POINTS
         assert sum(calls[engine]) == slices
 
+    def test_an_empty_rho_array_is_refused(self):
+        """No slices is a usage fault, not numpy's 'number sections must be
+        larger than 0.' from np.array_split."""
+        with pytest.raises(ValueError, match="the rho array is empty"):
+            collar.map_slices(lambda rho: rho, [], 1)
+
 
 class TestHeapPolicy:
     """Importing collar sets glibc's heap thresholds so that the engine's

@@ -669,6 +669,10 @@ class TestBoundaryII:
                 with pytest.raises(ValueError, match=r"outside the collar \(0, "):
                     boundary_II(geom, eps)
 
+    def test_no_eps(self):
+        with pytest.raises(ValueError, match="the rho array is empty"):
+            boundary_II(RadialGeometry(hyperbolic_profile()), [])
+
 
 def gauss_bonnet_report(theta=(0.0, 0.0, 0.0)):
     """The gauss-bonnet report on the radial profile ``theta``: the CLI judges the audit."""

@@ -2,6 +2,7 @@
 functional gradient, slice diagnostics, and the profile gradient flow."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -55,11 +56,13 @@ from oracles import (
     fh_dense_reshapes,
     frame_covariant_derivative_einsum,
     frame_ricci_einsum,
+    functional_gradient_whole_record,
     gradient_field_einsum,
     hessian11_einsum,
     hessian11_transposed_adds,
     hessian_ops,
     hessian_trace_transposed,
+    linearized_curvature_whole_record,
     stencil_el_residual,
     symmetric_frame,
     warped_flow_value_and_gradient,
@@ -366,6 +369,70 @@ class TestReferenceKernels:
         assert got.tobytes() == fh_dense_reshapes(h_on, cur["riem_on"]).tobytes()
 
 
+# the benchmark's torus and theta configs: torus jet 3 at n_grid 8 and theta = (0.05)^3
+BENCH_GEOMETRIES = {
+    "torus": lambda: TorusJetGeometry(random_jet(3, 8, 0.05)),
+    "theta": lambda: RadialGeometry(perturbed_profile([0.05] * 3)),
+}
+
+
+class TestWorkingSet:
+    """The per-slice consumers of the engine record drop what they no longer
+    read before they form their 4-index temporaries.  Their numbers keep the
+    bits of the kernels that held the whole working set (tests/oracles.py),
+    and their traced peak stays near one engine record's."""
+
+    @pytest.mark.parametrize("name", list(BENCH_GEOMETRIES))
+    def test_functional_gradient_keeps_its_bits(self, name):
+        geom = BENCH_GEOMETRIES[name]()
+        got, want = functional_gradient(geom), functional_gradient_whole_record(geom)
+        for key in ("f", "T2omega", "E", "slice_norms"):
+            assert got[key].tobytes() == want[key].tobytes(), key
+        assert np.float64(got["z_tail"]).tobytes() == np.float64(want["z_tail"]).tobytes()
+
+    @pytest.mark.parametrize("name", list(BENCH_GEOMETRIES))
+    def test_linearized_curvature_keeps_its_bits(self, name):
+        geom = BENCH_GEOMETRIES[name]()
+        m = _sym_field(31, geom.npts)
+        pert = PolynomialPerturbation({2: m, 3: -0.5 * m.transpose(0, 2, 1) @ m})
+        rho = np.array([0.2, 0.35])
+        got, want = linearized_curvature(geom, pert, rho), linearized_curvature_whole_record(geom, pert, rho)
+        for key in ("riem_p", "ric_p", "s_p", "hessian", "h_on"):
+            assert got[key].tobytes() == want[key].tobytes(), key
+
+    @staticmethod
+    def _traced_peak(run) -> int:
+        """Bytes that ``run()`` adds to the traced peak, after one warm-up call."""
+        run()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    @pytest.mark.parametrize("operation", ["functional_gradient", "linearized_curvature"])
+    def test_a_slice_peaks_near_its_engine_record(self, operation):
+        """One torus slice's traced peak over one curvature_in_frame call's:
+        1.20 for the gradient (its z samples add 0.17) and 1.08 for the
+        linearized curvature at n_grid 8, against 1.98 and 1.82 when each
+        held its whole working set."""
+        geom = BENCH_GEOMETRIES["torus"]()
+        m = _sym_field(31, geom.npts)
+        runs = {
+            "functional_gradient": lambda: functional_gradient(geom, rhos=[0.3]),
+            "linearized_curvature": lambda: linearized_curvature(
+                geom, PolynomialPerturbation({2: m, 3: -0.5 * m}), 0.3),
+        }
+        record = self._traced_peak(lambda: curvature_in_frame(geom, 0.3))
+        assert self._traced_peak(runs[operation]) / record < 1.4
+
+
 # -- linearized curvature --------------------------------------------------------
 
 
@@ -444,6 +511,12 @@ class TestLinearizedCurvature:
         pert = PolynomialPerturbation({2: _sym_field(6, 1)})
         with pytest.raises(ValueError, match="holds 2 rho-slices, not 1"):
             fd_curvature_derivative(geom, pert, frame_curvature(geom, [0.2, 0.3]), [1e-3])
+
+    def test_fd_needs_a_step(self):
+        geom = REFERENCE_GEOMETRIES["radial"]()
+        pert = PolynomialPerturbation({2: _sym_field(6, 1)})
+        with pytest.raises(ValueError, match="the rho array is empty"):
+            fd_curvature_derivative(geom, pert, frame_curvature(geom, 0.25), [])
 
     @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
     def test_fd_batch_matches_per_step(self, name):
