@@ -73,7 +73,6 @@ from .dfalg import kn_metric
 
 __all__ = [
     "CutoffPerturbation",
-    "MetricPerturbation",
     "frame_covariant_derivative",
     "hessian11",
     "fh_dense",
@@ -134,37 +133,28 @@ class CutoffPerturbation:
         return (w * self.field).reshape(-1, 3, 3)
 
 
-@dataclass(frozen=True)
-class MetricPerturbation:
-    """Boundary-fixing tangential perturbation h with h, dh/drho = 0 at rho=0.
+def _require_boundary_fixing(pert) -> None:
+    """Refuse a perturbation whose h = pert.value(rho, order), (npts, 3, 3) frame
+    components, is not symmetric at 9 samples of rho in [0, 2], the widest
+    collar, or is not boundary-fixing: h or dh/drho at rho = 0 does not vanish."""
+    # one batched call: the values are 9 floats per point, not engine records
+    samples = np.asarray(pert.value(np.linspace(0.0, 2.0, 9), 0), float)
+    scale = max(1.0, float(np.max(np.abs(samples))))
+    if np.max(np.abs(samples - np.swapaxes(samples, -1, -2))) > 1e-12 * scale:
+        raise ValueError("asymmetric perturbation")
+    low = max(float(np.max(np.abs(pert.value(0.0, k)))) for k in (0, 1))
+    if low > 1e-12 * scale:
+        raise ValueError("perturbation is not boundary-fixing: h or dh/drho at rho=0 "
+                         f"reaches {low:.3e}")
 
-    Wraps any provider with ``value(rho, order)`` returning (npts, 3, 3)
-    frame components, and forwards its ``support`` (None if it has none).
-    Validation rejects providers that are not pointwise symmetric on
-    rho in [0, 2], the widest collar, and providers whose rho^0 or rho^1
-    coefficient, h or dh/drho at rho = 0, does not vanish.
-    """
 
-    source: object
-
-    def __post_init__(self):
-        # one batched call: the values are 9 floats per point, not engine records
-        samples = np.asarray(self.source.value(np.linspace(0.0, 2.0, 9), 0), float)
-        scale = max(1.0, float(np.max(np.abs(samples))))
-        if np.max(np.abs(samples - np.swapaxes(samples, -1, -2))) > 1e-12 * scale:
-            raise ValueError("asymmetric perturbation")
-        low = max(float(np.max(np.abs(self.source.value(0.0, k)))) for k in (0, 1))
-        if low > 1e-12 * scale:
-            raise ValueError(
-                f"perturbation is not boundary-fixing: h or dh/drho at rho=0 reaches {low:.3e}"
-            )
-
-    @property
-    def support(self):
-        return getattr(self.source, "support", None)
-
-    def value(self, rho: float, order: int = 0) -> np.ndarray:
-        return self.source.value(rho, order)
+def _require_rhos_in_collar(geom, rhos, caller: str) -> None:
+    """Refuse a rho outside (0, geom.rho_max], a NaN rho too."""
+    rhos = np.atleast_1d(np.asarray(rhos, float))
+    bad = ~((rhos > 0.0) & (rhos <= geom.rho_max))  # written so that a NaN rho is bad too
+    if bad.any():
+        raise ValueError(f"{caller} needs rho > 0 and rho <= geom.rho_max = "
+                         f"{geom.rho_max} (got {rhos[bad][0]})")
 
 
 # -- collar covariant derivatives ---------------------------------------------
@@ -302,8 +292,10 @@ def linearized_curvature(geom, pert, rho) -> dict:
     Hessian/contraction displays together with the ingredients: h and its
     Hessian in ON components, and 'background', the part of the background
     :func:`curvature_in_frame` record that they read or that describes the
-    slices ('q', 'ginv', 'dvol', 'rho', 'riem_on' and 'invariants').
+    slices ('q', 'ginv', 'dvol', 'rho', 'riem_on' and 'invariants').  Every
+    rho must lie in (0, geom.rho_max], else ValueError (NaN too).
     """
+    _require_rhos_in_collar(geom, rho, "linearized_curvature")
     cur = curvature_in_frame(geom, rho)
     # the Hessian reads the connection and rho alone: the rest of the record
     # goes before it adds to the peak
@@ -445,8 +437,8 @@ _Z_SCALE_FLOOR = 1e-6
 
 
 def functional_gradient(geom, rhos=None) -> dict:
-    """Gradient field f, T2 of the z-Hessian, and the Euler-Lagrange residual
-    E = f - 1/2 T2((DDt+DtD) z) on rho-slices.
+    """The Euler-Lagrange residual E = f - 1/2 T2((DDt+DtD) z) on rho-slices,
+    from the gradient field f (:func:`gradient_field`) and T2 of the z-Hessian.
 
     T2(w) = 1/2 c^2(w) g - c(w) reads w = (DDt+DtD) z only through its trace
     c(w), so no 4-index Hessian is formed: c comes from n2 = nabla nabla z by
@@ -463,16 +455,13 @@ def functional_gradient(geom, rhos=None) -> dict:
     :func:`map_slices`.  Every rho must lie
     in (0, geom.rho_max], else ValueError (NaN too); one rho will do.
 
-    Returns arrays: ``rhos``; ``f``, ``T2omega`` and ``E``, each
-    (n_rho, npts, 4, 4) in ON components; and ``slice_norms``, the integral
-    of |E| over each slice.  ``z_tail`` is z's top two Chebyshev coefficients
-    against its largest (at least 1e-6), a float.
+    Returns arrays: ``rhos``; ``E``, (n_rho, npts, 4, 4) in ON components;
+    and ``slice_norms``, the integral of |E| over each slice.  ``z_tail`` is
+    z's top two Chebyshev coefficients against its largest (at least 1e-6),
+    a float.
     """
     rhos = np.linspace(0.1, 0.5, 9) if rhos is None else np.atleast_1d(np.asarray(rhos, float))
-    bad = ~((rhos > 0.0) & (rhos <= geom.rho_max))  # written so that a NaN rho is bad too
-    if bad.any():
-        raise ValueError(f"functional_gradient needs rho > 0 and rho <= geom.rho_max = "
-                         f"{geom.rho_max} (got {rhos[bad][0]})")
+    _require_rhos_in_collar(geom, rhos, "functional_gradient")
     z_max = min(_Z_REACH * float(np.max(rhos)), geom.rho_max)
     z_grid = chebyshev_rho_nodes(z_max, _Z_NODES)
     z_nodes = map_slices(lambda r: _frame_z(frame_curvature(geom, r)), z_grid,
@@ -497,15 +486,14 @@ def functional_gradient(geom, rhos=None) -> dict:
         t2_on = 0.5 * (t2_on + t2_on.swapaxes(1, 2))
         e_on = f_on - 0.5 * t2_on
         e_norm = np.sqrt(np.einsum("nab,nab->n", e_on, e_on))
-        return f_on, t2_on, e_on, slice_integral(geom, rho, e_norm, cur["dvol"])
+        return e_on, slice_integral(geom, rho, e_norm, cur["dvol"])
 
-    f_on, t2_on, e_on, norms = map_slices(slices, rhos, geom.npts)
+    e_on, norms = map_slices(slices, rhos, geom.npts)
     # after the slices, so that the series does not add to their peak memory
     z_series = np.abs(z_basis.cardinal @ z_nodes)
     z_tail = float(np.max(z_series[-2:])) / max(_Z_SCALE_FLOOR, float(np.max(z_series)))
-    fields = (rhos.size, -1, 4, 4)
-    return {"rhos": rhos, "f": f_on.reshape(fields), "T2omega": t2_on.reshape(fields),
-            "E": e_on.reshape(fields), "slice_norms": norms, "z_tail": z_tail}
+    return {"rhos": rhos, "E": e_on.reshape(rhos.size, -1, 4, 4), "slice_norms": norms,
+            "z_tail": z_tail}
 
 
 # E and h are sampled at the Chebyshev nodes of (0, _EL_RHO_MAX); phi^(k) is read to k = 6
@@ -533,10 +521,10 @@ def el_slice_analysis(geom, pert) -> dict:
     pairing vanish and the first observable coefficient is phi^(4).
     Diagnostic only: the inference from a vanishing phi^(k) to separate
     vanishing of the individual E^(j) is not asserted.  The pairings hold
-    for a boundary-fixing h (h^(0) = h^(1) = 0), so any other ``pert``
-    raises ValueError through :class:`MetricPerturbation`.
+    for a boundary-fixing h (h^(0) = h^(1) = 0), so any other ``pert`` raises
+    ValueError, as an asymmetric one does, before any slice is computed.
     """
-    pert = MetricPerturbation(pert)
+    _require_boundary_fixing(pert)
     rhos = chebyshev_rho_nodes(_EL_RHO_MAX, _EL_NODES)
     e_arr = functional_gradient(geom, rhos=rhos)["E"]
     dens0 = _slice_frame(geom, 0.0)["dvol"]
@@ -686,10 +674,13 @@ def zprime_display(geom, pert, n_nodes: int = 64) -> float:
 
     Integrates the display of :func:`_display_columns` along the
     perturbation's rho-jet over ``pert.support`` as one Gauss segment, in
-    :func:`map_slices` batches.  Requires an analytic rho-jet on ``pert`` so
-    the Hessian is stencil-free.
+    :func:`map_slices` batches; a support that ends past geom.rho_max is a
+    ValueError.  Requires an analytic rho-jet on ``pert`` (a stencil-free Hessian).
     """
-    nodes, wts = gauss_nodes([_support(pert)], n_nodes)
+    support = _support(pert)
+    if not support[1] <= geom.rho_max:
+        raise ValueError(f"the support {support} ends past geom.rho_max = {geom.rho_max}")
+    nodes, wts = gauss_nodes([support], n_nodes)
     dens = map_slices(partial(_display_columns, geom, lambda rho: [_embed_jet(pert, rho)]),
                       nodes, geom.npts)
     return float(wts @ dens[:, 1])
@@ -709,7 +700,7 @@ def z2_functional(theta, n_per: int = _FLOW_NODES) -> float:
     an AH metric on the ball with a totally geodesic boundary.  The
     integral is a Gauss rule on ``_FLOW_SEGMENTS``, ``n_per`` nodes each,
     which stop at rho = 0.02: the dropped head, int_0^0.02, is 0.8 to 13 %
-    of the whole integral on the profiles measured (ROADMAP item 14), so
+    of the whole integral on the profiles measured (ROADMAP item 15), so
     the flow minimizes this truncated functional.  The tail past 1.999 is
     at most 1.5e-5.
     """

@@ -28,9 +28,9 @@ variation layer's batched-matmul contractions (covariant derivative,
 gradient field, F_h) against their per-slot einsum form.  The
 Euler-Lagrange residual, whose z-jet comes from a Chebyshev interpolant, is
 checked against the same residual with a 5-point finite-difference z-jet
-(``stencil_el_residual``), and its T2, which the library forms from the
-trace of the Hessian alone, against T2 of the whole Hessian moved to the ON
-frame (``el_residual_whole_hessian``, ``einstein_t2_on``).  The
+(``stencil_el_residual``), and against the same residual with T2 taken from
+the whole Hessian moved to the ON frame, where the library forms it from the
+Hessian's trace alone (``el_residual_whole_hessian``, ``einstein_t2_on``).  The
 first-variation display, which the library assembles in the X frame, is
 checked against central differences of the
 functional (``fd_zprime`` along a supported perturbation,
@@ -1337,22 +1337,21 @@ def einstein_t2_on(omega_on: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 
-def _el_residual_on(geom, rhos, z_jet) -> tuple:
-    """(T2((DDt+DtD) z), E = f - 1/2 T2) on the slices ``rhos`` one rho at a
-    time, each (n_rho, npts, 4, 4) in ON components, from the whole Hessian
+def _el_residual_on(geom, rhos, z_jet) -> np.ndarray:
+    """E = f - 1/2 T2((DDt+DtD) z) on the slices ``rhos`` one rho at a time,
+    (n_rho, npts, 4, 4) in ON components, with T2 from the whole Hessian
     (hessian11), moved by to_on4 and traced (:func:`einstein_t2_on`); the
     z-jet at rho is ``z_jet(rho, z)``, z the record's trace-free Ricci."""
     from ahrenvol.variation import _frame_z, gradient_field, hessian11
 
-    t2, e = [], []
+    e = []
     for rho in rhos:
         cur = curvature_in_frame(geom, rho)
         inv = cur["invariants"]
         f_on = gradient_field(inv["z"], cur["riem_on"], inv["ric"])
         omega_on = to_on4(hessian11(geom, cur, z_jet(rho, _frame_z(cur))), cur["q"])
-        t2.append(einstein_t2_on(omega_on))
-        e.append(f_on - 0.5 * t2[-1])
-    return np.stack(t2), np.stack(e)
+        e.append(f_on - 0.5 * einstein_t2_on(omega_on))
+    return np.stack(e)
 
 
 def stencil_el_residual(geom, rhos, step: float = 0.005) -> np.ndarray:
@@ -1364,12 +1363,12 @@ def stencil_el_residual(geom, rhos, step: float = 0.005) -> np.ndarray:
     def z_jet(rho, z):
         return fd_jet([_frame_z(frame_curvature(geom, rho + k * step)) for k in range(-2, 3)], step)
 
-    return _el_residual_on(geom, rhos, z_jet)[1]
+    return _el_residual_on(geom, rhos, z_jet)
 
 
-def el_residual_whole_hessian(geom, rhos) -> dict:
-    """T2omega and E of variation.functional_gradient at ``rhos`` with its own
-    Chebyshev z-jet, but T2 from the whole Hessian moved to the ON frame
+def el_residual_whole_hessian(geom, rhos) -> np.ndarray:
+    """E of variation.functional_gradient at ``rhos`` with its own Chebyshev
+    z-jet, but T2 from the whole Hessian moved to the ON frame
     (:func:`_el_residual_on`) instead of its trace."""
     from ahrenvol import variation as v
 
@@ -1381,8 +1380,7 @@ def el_residual_whole_hessian(geom, rhos) -> dict:
     def z_jet(rho, z):
         return (z,) + tuple(d.reshape(z.shape) for d in basis.derivatives(nodes, rho, (1, 2)))
 
-    t2, e = _el_residual_on(geom, rhos, z_jet)
-    return {"T2omega": t2, "E": e}
+    return _el_residual_on(geom, rhos, z_jet)
 
 
 # -- the flow's theta-gradient ----------------------------------------------------

@@ -25,7 +25,6 @@ from ahrenvol.collar import (
 )
 from ahrenvol.variation import (
     CutoffPerturbation,
-    MetricPerturbation,
     convergence_order,
     el_slice_analysis,
     fd_curvature_derivative,
@@ -41,7 +40,8 @@ from ahrenvol.variation import (
     z2_value_and_gradient,
     zprime_display,
 )
-from ahrenvol.variation import _embed_jet, _frame_z, _hessian_trace, _second_covariant_derivative
+from ahrenvol.variation import (_embed_jet, _frame_z, _hessian_trace, _require_boundary_fixing,
+                                _second_covariant_derivative)
 from oracles import (
     FlatTorus4,
     covariant_derivative_moveaxis,
@@ -386,7 +386,8 @@ class TestWorkingSet:
     def test_functional_gradient_keeps_its_bits(self, name):
         geom = BENCH_GEOMETRIES[name]()
         got, want = functional_gradient(geom), functional_gradient_whole_record(geom)
-        for key in ("f", "T2omega", "E", "slice_norms"):
+        assert sorted(got) == ["E", "rhos", "slice_norms", "z_tail"]
+        for key in ("E", "slice_norms"):
             assert got[key].tobytes() == want[key].tobytes(), key
         assert np.float64(got["z_tail"]).tobytes() == np.float64(want["z_tail"]).tobytes()
 
@@ -431,6 +432,15 @@ class TestWorkingSet:
         }
         record = self._traced_peak(lambda: curvature_in_frame(geom, 0.3))
         assert self._traced_peak(runs[operation]) / record < 1.4
+
+    def test_nine_gradient_slices_peak_near_one_engine_record(self):
+        """The default nine-slice functional_gradient keeps E alone of each
+        slice, so its traced peak over one curvature_in_frame call's reads
+        1.32 on the torus at n_grid 8, against 1.54 when f and T2 were kept
+        for every slice too."""
+        geom = BENCH_GEOMETRIES["torus"]()
+        record = self._traced_peak(lambda: curvature_in_frame(geom, 0.3))
+        assert self._traced_peak(lambda: functional_gradient(geom)) / record < 1.45
 
 
 # -- linearized curvature --------------------------------------------------------
@@ -506,6 +516,20 @@ class TestLinearizedCurvature:
         scale = max(1.0, np.max(np.abs(lin["riem_p"])))
         assert np.max(np.abs(fd["riem_p"] - lin["riem_p"])) < 1e-4 * scale
 
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 2.5, math.nan])
+    def test_refuses_a_rho_outside_the_collar(self, bad):
+        """A rho outside (0, rho_max] is refused as functional_gradient refuses
+        it, with no numpy warning ahead of the ValueError: rho = 2.5 read
+        max |R'h| = 2038, -0.1 read 0.0101, and 0 warned of a division."""
+        geom = RadialGeometry(perturbed_profile([0.05, 0.05, 0.05]))
+        pert = PolynomialPerturbation({2: np.eye(3)[None]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^linearized_curvature needs rho > 0 .*\(got {bad}\)$"):
+                linearized_curvature(geom, pert, bad)
+        with pytest.raises(ValueError, match=r"\(got 2\.5\)$"):
+            linearized_curvature(geom, pert, [0.3, 2.5])
+
     def test_fd_needs_a_one_slice_background(self):
         geom = REFERENCE_GEOMETRIES["radial"]()
         pert = PolynomialPerturbation({2: _sym_field(6, 1)})
@@ -565,24 +589,24 @@ class TestPerturbations:
 
     def test_metric_perturbation_accepts_boundary_fixing(self):
         """Every cutoff is boundary-fixing, however close to rho = 0 its support
-        starts, and its support is forwarded."""
+        starts."""
         m = np.eye(3)[None]
-        MetricPerturbation(PolynomialPerturbation({2: m, 3: -m}))
-        MetricPerturbation(CutoffPerturbation(m))
+        _require_boundary_fixing(PolynomialPerturbation({2: m, 3: -m}))
+        _require_boundary_fixing(CutoffPerturbation(m))
         for a in (0.02, 0.05, 0.079):
-            assert MetricPerturbation(CutoffPerturbation(m, a, 0.3)).support == (a, 0.3)
+            _require_boundary_fixing(CutoffPerturbation(m, a, 0.3))
 
     def test_metric_perturbation_rejects_low_order(self):
         m = np.eye(3)[None]
         for fields in ({0: m}, {1: m}, {1: 1e-6 * m, 2: m}):
             with pytest.raises(ValueError, match="boundary-fixing"):
-                MetricPerturbation(PolynomialPerturbation(fields))
+                _require_boundary_fixing(PolynomialPerturbation(fields))
 
     def test_metric_perturbation_rejects_asymmetric(self):
         m = np.zeros((1, 3, 3))
         m[0, 0, 1] = 1.0
         with pytest.raises(ValueError, match="asymmetric"):
-            MetricPerturbation(PolynomialPerturbation({2: m}))
+            _require_boundary_fixing(PolynomialPerturbation({2: m}))
 
 
 # -- functional gradient and EL residual -----------------------------------------
@@ -637,11 +661,10 @@ class TestFunctionalGradient:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_hyperbolic_el_residual_vanishes(self):
-        """Einstein background: z = 0 so f, omega, and E all vanish."""
+        """Einstein background: z = 0 so E and its slice norms vanish."""
         res = functional_gradient(RadialGeometry(hyperbolic_profile()))
         assert np.max(res["slice_norms"]) < 1e-8
-        assert np.max(np.abs(res["f"])) < 1e-10
-        assert np.max(np.abs(res["T2omega"])) < 1e-8
+        assert np.max(np.abs(res["E"])) < 1e-8
 
     def test_one_engine_call_per_stencil_rho(self, monkeypatch):
         """Each rho costs one full record, serving z, f, q, the connection of
@@ -689,12 +712,11 @@ class TestFunctionalGradient:
         ids=["radial", "torus"],
     )
     def test_t2_from_the_trace_matches_whole_hessian(self, geom):
-        """T2 and E from the Hessian's trace alone agree to 1e-13 relative
-        with T2 of the whole Hessian moved to the ON frame and traced there."""
+        """E from the Hessian's trace alone agrees to 1e-13 relative with E
+        from T2 of the whole Hessian moved to the ON frame and traced there."""
         res = functional_gradient(geom)
         want = el_residual_whole_hessian(geom, res["rhos"])
-        for key in ("T2omega", "E"):
-            assert np.max(np.abs(res[key] - want[key])) <= 1e-13 * np.max(np.abs(want[key])), key
+        assert np.max(np.abs(res["E"] - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
         "geom",
@@ -774,7 +796,7 @@ class TestFunctionalGradient:
         it is, and agree to 1e-6 relative (the windows' C^3 kinks sit at the
         ends of the one Gauss segment, not inside it)."""
         geom = RadialGeometry(perturbed_profile([0.05, -0.03, 0.02]))
-        pert = MetricPerturbation(CutoffPerturbation(np.diag([1.0, -0.5, 0.3])[None], *support))
+        pert = CutoffPerturbation(np.diag([1.0, -0.5, 0.3])[None], *support)
         disp, fd = zprime_display(geom, pert), fd_zprime(geom, pert)
         assert abs(disp - fd) < 1e-6 * abs(fd), (disp, fd)
 
@@ -785,8 +807,16 @@ class TestFunctionalGradient:
         for route in (zprime_display, fd_zprime):
             with pytest.raises(ValueError, match="support"):
                 route(geom, pert)
-            with pytest.raises(ValueError, match="support"):
-                route(geom, MetricPerturbation(pert))
+
+    def test_a_support_past_the_collar_is_refused(self):
+        """A support that ends past geom.rho_max (2, the radial cap) is refused,
+        with no numpy warning ahead of the ValueError: it read -1455.28 from
+        slices past the cap."""
+        geom = RadialGeometry(perturbed_profile([0.05, 0.05, 0.05]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"support \(1\.5, 2\.5\) ends past"):
+                zprime_display(geom, CutoffPerturbation(np.eye(3)[None], 1.5, 2.5))
 
     def test_directional_derivative_matches_fd(self):
         """<gradient display, h> vs central FD of the regularized functional
@@ -795,7 +825,7 @@ class TestFunctionalGradient:
         geom = RadialGeometry(perturbed_profile([0.03, -0.02, 0.015]))
         for _ in range(3):
             m = rng.uniform(-1.0, 1.0, (1, 3, 3))
-            pert = MetricPerturbation(CutoffPerturbation(0.5 * (m + m.transpose(0, 2, 1))))
+            pert = CutoffPerturbation(0.5 * (m + m.transpose(0, 2, 1)))
             disp = zprime_display(geom, pert)
             fd = fd_zprime(geom, pert)
             assert abs(disp - fd) < 1e-3 * abs(fd), (disp, fd)
@@ -865,7 +895,7 @@ class TestFunctionalGradient:
         rng = np.random.default_rng(21)
         geom = RadialGeometry(perturbed_profile([0.03, -0.02, 0.015]))
         m = rng.uniform(-1.0, 1.0, (1, 3, 3))
-        pert = MetricPerturbation(CutoffPerturbation(0.5 * (m + m.transpose(0, 2, 1))))
+        pert = CutoffPerturbation(0.5 * (m + m.transpose(0, 2, 1)))
         disp = zprime_display_stated(geom, pert)
         fd = fd_zprime(geom, pert)
         assert abs(disp - fd) < 1e-3 * abs(fd)
@@ -896,7 +926,7 @@ class TestSliceBatching:
             return lin["riem_p"], lin["ric_p"], lin["s_p"], lin["hessian"]
 
         return (
-            grad["f"], grad["T2omega"], grad["E"], grad["slice_norms"],
+            grad["E"], grad["slice_norms"],
             np.array(zprime_display(geom, cutoff, n_nodes=6)),
             *collar.map_slices(lin_fields, rhos, geom.npts),
         )
