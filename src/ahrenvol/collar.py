@@ -747,12 +747,12 @@ def _radial_block_bar(geom, cur) -> np.ndarray:
 # 512-point torus slice and 35 MiB at n_grid 16), so a 256-point call stays
 # near 2.3 MiB (2.3 MiB for 256 radial slices).  A radial call costs about 0.2 ms
 # plus 6 us per slice (one thread, 2-core VM: 0.21 ms for 1 slice, 0.57 ms
-# for 64, 1.55 ms for 256, 3.2 ms for 512), and 256 puts a Z(theta)
-# evaluation's 160 slices, and the 48-node endpoint's 240, in one call each.
-# Over chunks of 64, 128, 256 and 512 the flow workload's operation took 1,
-# 0.71, 0.57 and 0.56 of its 64-point time, and the peak RSS of three such
-# operations went from 37.9 MiB to 39.7 MiB at 256 and at 512.  A 512-point
-# torus slice still goes alone.
+# for 64, 1.55 ms for 256, 3.2 ms for 512), and 256 puts a flow gradient
+# pass's 160 slices in one call (Z takes none: it is a closed form).  When Z
+# took 160 and its 48-node end point 240, the flow operation took 1, 0.71,
+# 0.57 and 0.56 of its 64-point time over chunks of 64 to 512, and the peak
+# RSS of three operations rose from 37.9 to 39.7 MiB at 256 and at 512.  A
+# 512-point torus slice still goes alone.
 _CHUNK_POINTS = 256
 
 # glibc's allocator policy for the engine's temporaries.  Its dynamic

@@ -33,6 +33,9 @@ display is linear in the jet, so one reverse pass through the transposed
 covariant derivatives serves every direction, and a direction costs no pass
 of its own.  Its oracles, ``fd_zprime``, ``zprime_display_on`` and the
 forward pass per jet ``display_columns_forward``, are in ``tests/oracles.py``.
+The flow's Z (:func:`z2_functional`) comes from the warped-product closed
+form of the radial curvature, with no engine call; the engine's Gauss sum of
+|z|^2, ``tests/oracles.py::_z2_quadrature``, is its independent route.
 
 Dense double-form layout: trailing axes are p first-group indices followed
 by q second-group indices; leading axes are grid axes.  A derivative axis is
@@ -54,7 +57,6 @@ from .collar import (
     NonConvergence,
     PerturbedGeometry,
     RadialGeometry,
-    _invariant_density,
     _permute_slots,
     _slice_frame,
     chebyshev_rho_nodes,
@@ -572,13 +574,6 @@ def el_slice_analysis(geom, pert) -> dict:
 # -- directional derivative of the regularized functional ----------------------
 
 
-def _z2_quadrature(geom, segments, n_per: int) -> float:
-    """Gauss quadrature of the int |z|^2 dvol slice integrals over ``segments``."""
-    nodes, wts = gauss_nodes(segments, n_per)
-    dens = map_slices(_invariant_density(geom, [lambda cur: cur["invariants"]["z2"]]), nodes, geom.npts)
-    return float(sum(wts * dens[:, 0]))
-
-
 def _support(pert):
     """The interval (a, b) outside which the perturbation vanishes."""
     support = getattr(pert, "support", None)
@@ -623,8 +618,8 @@ def _covariant_derivative_transpose(geom, cur, bar):
 
 
 def _display_columns(geom, jets, rho) -> np.ndarray:
-    """Slice integrals (columns) of |z|^2 dvol and of its first variation
-    along each of ``jets(rho)`` on the rho-slices ``rho``, a 1-D array.
+    """Slice integrals (columns) of the first variation of |z|^2 dvol along
+    each of ``jets(rho)`` on the rho-slices ``rho``, a 1-D array.
 
     A jet is (h, dh/drho, d2h/drho2), 4x4 embedded X-frame components on the
     slices' points; ``jets`` is called once the curvature record is released.
@@ -649,7 +644,7 @@ def _display_columns(geom, jets, rho) -> np.ndarray:
     # to_on with q^T is the adjoint of to_on: <F_on, to_on(X, q)> = <to_on(F_on, q^T), X>
     f_x = to_on2(gradient_field(inv["z"], cur["riem_on"], inv["ric"]), q.swapaxes(1, 2))
     k_x = to_on4(kn_metric(inv["z"]), q.swapaxes(1, 2))
-    z2, dvol = inv["z2"], cur["dvol"]
+    dvol = cur["dvol"]
     # the reverse pass reads the connection and rho alone: the rest of the
     # record goes before the pass adds to the peak
     conn = {key: cur[key] for key in ("gamma", "dgamma", "rho")}
@@ -662,7 +657,7 @@ def _display_columns(geom, jets, rho) -> np.ndarray:
         geom, conn, _covariant_derivative_transpose(geom, conn, (n2_bar,)))
     h_bar += meas[:, None, None] * f_x
     del n2_bar, f_x
-    columns = [slice_integral(geom, rho, z2, dvol, 4)]
+    columns = []
     for jet in jets(rho):
         pairing = sum(np.einsum("nab,nab->n", b, j) for b, j in zip((h_bar, d1_bar, d2_bar), jet))
         columns.append(np.sum(pairing.reshape(np.size(rho), -1), axis=1))
@@ -683,7 +678,7 @@ def zprime_display(geom, pert, n_nodes: int = 64) -> float:
     nodes, wts = gauss_nodes([support], n_nodes)
     dens = map_slices(partial(_display_columns, geom, lambda rho: [_embed_jet(pert, rho)]),
                       nodes, geom.npts)
-    return float(wts @ dens[:, 1])
+    return float(wts @ dens[:, 0])
 
 
 # -- gradient flow on radial profile families -----------------------------------
@@ -702,17 +697,36 @@ def z2_functional(theta, n_per: int = _FLOW_NODES) -> float:
     which stop at rho = 0.02: the dropped head, int_0^0.02, is 0.8 to 13 %
     of the whole integral on the profiles measured (ROADMAP item 15), so
     the flow minimizes this truncated functional.  The tail past 1.999 is
-    at most 1.5e-5.
+    at most 2.0e-5 of Z on the profiles measured (1.45e-5 on (0.05)^3, 2.6e-4
+    at 8 coefficients 0.01 cos k).  |z|^2 comes from :func:`_z2_closed_form`.
     """
-    geom = RadialGeometry(perturbed_profile(np.asarray(theta, float)))
-    return _z2_quadrature(geom, _FLOW_SEGMENTS, n_per)
+    return _z2_closed_form(perturbed_profile(np.asarray(theta, float)), n_per)
+
+
+def _z2_closed_form(profile, n_per: int) -> float:
+    """Z's Gauss rule from the warped-product closed form of the radial curvature.
+
+    With rho = e^-t, g = rho^-2 (drho^2 + A^2 g_{S^3}) is dt^2 + f^2 g_{S^3},
+    f = A / rho, whose radial and tangential sectional curvatures are
+    a = -f_tt / f and b = (1 - f_t^2) / f^2, with f_t = f - A' and
+    f_tt = f_t + rho A'' (O'Neill, Semi-Riemannian Geometry, 1983, ch. 7).
+    So |z|^2 = 3 (a - b)^2 and dvol = f^3 dt over S^3's 2 pi^2, and Z sums
+    2 pi^2 w_i 3 (a - b)^2 f^3 / rho_i (drho / rho = -dt).
+    """
+    nodes, wts = gauss_nodes(_FLOW_SEGMENTS, n_per)
+    a0, a1, a2 = (profile.a(nodes, order) for order in range(3))
+    f = a0 / nodes
+    f_t = f - a1
+    a = -(f_t + nodes * a2) / f
+    b = (1.0 - f_t**2) / f**2
+    return float(2.0 * math.pi**2 * np.sum(wts * 3.0 * (a - b) ** 2 * f**3 / nodes))
 
 
 def z2_value_and_gradient(theta):
-    """(Z, dZ/dtheta) of :func:`z2_functional` from one pass over Z's own nodes.
+    """(Z, dZ/dtheta) of :func:`z2_functional`, dZ/dtheta from one pass over its nodes.
 
-    Z is summed exactly as :func:`z2_functional` sums it, so the two agree
-    bit for bit.  dZ/dtheta_k integrates the display of
+    Z comes from :func:`_z2_closed_form`, as :func:`z2_functional`'s does, so
+    the two agree bit for bit.  dZ/dtheta_k integrates the display of
     :func:`_display_columns` at the same nodes along m_k = dg_rho/dtheta_k =
     phi_k(rho) g_{S^3}, phi_k = 2 A dA/dtheta_k.  Every m_k is phi_k times
     the one field g_{S^3}, and the display is linear in the jet (phi, phi',
@@ -733,7 +747,6 @@ def z2_value_and_gradient(theta):
         return [tuple(unit if i == j else zero for i in range(3)) for j in range(3)]
 
     dens = map_slices(partial(_display_columns, geom, unit_jets), nodes, geom.npts)
-    value = float(sum(wts * dens[:, 0]))
     # the jet (phi_k, phi_k', phi_k'') of phi_k = 2 A b_k at the nodes, b_k = dA/dtheta_k
     a = [profile.a(nodes, order) for order in range(3)]
     jets = []
@@ -741,8 +754,8 @@ def z2_value_and_gradient(theta):
         jets.append(np.stack([2.0 * a[0] * b[0],
                               2.0 * (a[1] * b[0] + a[0] * b[1]),
                               2.0 * (a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2])], axis=1))
-    grad = np.array([np.sum(jet * dens[:, 1:] * wts[:, None]) for jet in jets])
-    return value, grad
+    grad = np.array([np.sum(jet * dens * wts[:, None]) for jet in jets])
+    return _z2_closed_form(profile, _FLOW_NODES), grad
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,12 @@ functional (``fd_zprime`` along a supported perturbation,
 assembly from the antisymmetrized Hessian (``zprime_display_on``, and
 ``display_flow_gradient`` with one Hessian per parameter); its one reverse
 pass over every jet, against the forward pass per jet that it replaced
-(``display_columns_forward``).  The flow's Z and dZ/dtheta are checked
-against the warped-product closed form of the radial curvature
-(``warped_radial``), differentiated by the complex step.
+(``display_columns_forward``).  The flow's dZ/dtheta is checked against
+the warped-product closed form of the radial curvature (``warped_radial``),
+differentiated by the complex step; the flow's Z, which the library takes
+from that closed form, against the engine's Gauss sum of |z|^2
+(``_z2_quadrature``); and the engine's |z|^2, s and Pfaffian density on the
+radial family against ``warped_radial`` pointwise.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from ahrenvol.collar import (
     RadialGeometry,
     _cbar4,
     _gbar_blocks,
+    _invariant_density,
     _rho_per_point,
     chebyshev_rho_nodes,
     curvature_in_frame,
@@ -1405,6 +1409,16 @@ def fd_flow_gradient(theta, functional=None) -> np.ndarray:
     return grad
 
 
+def _z2_quadrature(geom, segments, n_per: int) -> float:
+    """Gauss quadrature of the int |z|^2 dvol slice integrals over ``segments``,
+    |z|^2 from the curvature engine: variation.z2_functional's independent
+    route on the radial family, whose Z comes from the warped-product closed
+    form, and the functional that fd_zprime differentiates on any collar."""
+    nodes, wts = gauss_nodes(segments, n_per)
+    dens = map_slices(_invariant_density(geom, [lambda cur: cur["invariants"]["z2"]]), nodes, geom.npts)
+    return float(sum(wts * dens[:, 0]))
+
+
 def fd_zprime(geom, pert) -> float:
     """Central-difference oracle for the directional derivative of
     variation.zprime_display.
@@ -1414,7 +1428,7 @@ def fd_zprime(geom, pert) -> float:
     48-node Gauss segment, on which the integrand is smooth.  The differences
     at steps t = 1e-3 and t/2 are combined by Richardson extrapolation.
     """
-    from ahrenvol.variation import _support, _z2_quadrature
+    from ahrenvol.variation import _support
 
     segment, t = [_support(pert)], 1e-3
 
@@ -1440,7 +1454,7 @@ def display_columns_forward(geom, jets, rho) -> np.ndarray:
     k_x = to_on4(kn_metric(inv["z"]), q.swapaxes(1, 2))
     # k_acbd[n, (a, c, b, d)] = K[n, a, b, c, d], to pair entrywise with n2[n, a, c, b, d]
     k_acbd = k_x.transpose(0, 1, 3, 2, 4).reshape(-1, 256, 1)
-    z2, dvol = inv["z2"], cur["dvol"]
+    dvol = cur["dvol"]
     # the record's curvature arrays go before the jets and their covariant derivatives
     # add to the peak, and f, which pairs with the jets' values alone, goes next
     conn = {key: cur[key] for key in ("gamma", "dgamma", "rho")}
@@ -1448,7 +1462,7 @@ def display_columns_forward(geom, jets, rho) -> np.ndarray:
     jet_list = jets(rho)
     f_h = [np.einsum("nab,nab->n", f_x, jet[0]) for jet in jet_list]
     del f_x
-    columns = [z2]
+    columns = []
     for jet, pairing in zip(jet_list, f_h):
         (n2,) = frame_covariant_derivative(geom, conn, frame_covariant_derivative(geom, conn, jet))
         columns.append(pairing + (n2.reshape(-1, 1, 256) @ k_acbd)[:, 0, 0])
@@ -1490,9 +1504,10 @@ def warped_radial(a_jet, rho) -> dict:
     f = A / rho, whose radial and tangential sectional curvatures are
     a = -f_tt / f and b = (1 - f_t^2) / f^2, with f_t = A/rho - A' and
     f_tt = A/rho - A' + rho A''.  Then s = 6 (a + b), |z|^2 = 3 (a - b)^2 and
-    dvol = f^3 dt.  ``a_jet`` is (A, A', A'') at ``rho``; numpy arithmetic
-    only, so a complex jet gives the complex step.  s carries the sign of
-    this formula, -12 on the hyperbolic ball.
+    dvol = f^3 dt, and since W = 0 the Pfaffian density is
+    8 pi^2 Pff = s^2/24 - 1/2 |z|^2.  ``a_jet`` is (A, A', A'') at ``rho``;
+    numpy arithmetic only, so a complex jet gives the complex step.  s carries
+    the sign of this formula, -12 on the hyperbolic ball; Pff is even in it.
     """
     a0, a1, a2 = a_jet
     f = a0 / rho
@@ -1500,7 +1515,9 @@ def warped_radial(a_jet, rho) -> dict:
     f_tt = f_t + rho * a2
     a = -f_tt / f
     b = (1.0 - f_t**2) / f**2
-    return {"a": a, "b": b, "s": 6.0 * (a + b), "z2": 3.0 * (a - b) ** 2, "dvol": f**3}
+    s, z2 = 6.0 * (a + b), 3.0 * (a - b) ** 2
+    pff = (s**2 / 24.0 - 0.5 * z2) / (8.0 * math.pi**2)
+    return {"a": a, "b": b, "s": s, "z2": z2, "pff": pff, "dvol": f**3}
 
 
 def _warped_z2(a_jet, nodes, wts):

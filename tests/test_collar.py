@@ -701,6 +701,9 @@ class TestBatchedEngine:
         assert np.max(np.abs(qtgq - np.eye(4))) <= 1e-13
 
     def test_z2_functional_matches_per_node_sum(self):
+        """The engine's Gauss sum of Z (oracles._z2_quadrature, batched by
+        map_slices), the independent route of z2_functional's closed form,
+        against one engine call per node."""
         theta = [0.03, -0.02, 0.015]
         geom = RadialGeometry(perturbed_profile(theta))
         xs, ws = np.polynomial.legendre.leggauss(8)
@@ -712,7 +715,7 @@ class TestBatchedEngine:
                 vol = np.sqrt(np.linalg.det(cur["gbar"]))
                 z2 = float(np.sum(cur["invariants"]["z2"] * vol)) / rho**4
                 want += 0.5 * (hi - lo) * w * geom.weight * z2
-        got = z2_functional(theta, n_per=8)
+        got = oracles._z2_quadrature(geom, variation._FLOW_SEGMENTS, 8)
         assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -1039,7 +1042,7 @@ class TestSliceBatches:
                 nodes,
             ),
             "_z2_quadrature": (
-                lambda: variation._z2_quadrature(geom, segments, n_per),
+                lambda: oracles._z2_quadrature(geom, segments, n_per),
                 "curvature_in_frame",
                 len(segments) * n_per,
             ),

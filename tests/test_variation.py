@@ -70,6 +70,7 @@ from oracles import (
     zprime_display_on,
     zprime_display_stated,
 )
+from oracles import _z2_quadrature
 
 
 # -- flat-torus fixtures -------------------------------------------------------
@@ -845,11 +846,10 @@ class TestFunctionalGradient:
         """The one reverse pass of _display_columns gives every jet's column as
         the two forward covariant derivatives per jet do
         (oracles.display_columns_forward): five jets at once, random and unit,
-        each display column to 1e-13 of the largest display entry (every jet
-        is of order 1), and the Z column bit for bit.  A column's own largest
-        entry is no scale: the h''-only unit column reads 0.056 at rho = 0.15 on
-        the radial family, a sum of terms of order 10, and the two routes part
-        there by 6e-14."""
+        each column to 1e-13 of the largest entry (every jet is of order 1).
+        A column's own largest entry is no scale: the h''-only unit column
+        reads 0.056 at rho = 0.15 on the radial family, a sum of terms of
+        order 10, and the two routes part there by 6e-14."""
         geom = self._display_geometry(case)
         rho = np.array([0.15, 0.3, 0.45])
         rng = np.random.default_rng(31)
@@ -862,10 +862,8 @@ class TestFunctionalGradient:
         jets += [(unit, 0.0 * unit, 0.0 * unit), (0.0 * unit, 0.0 * unit, unit)]
         got = variation._display_columns(geom, lambda r: jets, rho)
         want = display_columns_forward(geom, lambda r: jets, rho)
-        assert got.shape == want.shape == (rho.size, 1 + len(jets))
-        assert np.array_equal(got[:, 0], want[:, 0])
-        scale = np.max(np.abs(want[:, 1:]))
-        assert np.max(np.abs(got[:, 1:] - want[:, 1:])) <= 1e-13 * scale
+        assert got.shape == want.shape == (rho.size, len(jets))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("case", ["radial", "torus", "constant-torus"])
     def test_display_reads_the_linearized_curvature_ingredients(self, case):
@@ -1065,14 +1063,30 @@ class TestWarpedRadial:
         closed = warped_radial([ball.a(0.5, order) for order in range(3)], 0.5)["s"]
         assert abs(engine - 12.0) < 1e-12 and abs(closed + 12.0) < 1e-12
 
+    @pytest.mark.parametrize("theta", PROFILES[:3])
+    def test_engine_pfaffian(self, theta):
+        """dfalg.batch_pfaffian of the engine's riem_on against the closed
+        form's 8 pi^2 Pff = s^2/24 - 1/2 |z|^2 (W = 0) at Z's nodes, to 5e-12
+        of its largest value (measured: 1.0e-12)."""
+        profile = perturbed_profile(theta)
+        nodes = collar.gauss_nodes(variation._FLOW_SEGMENTS, variation._FLOW_NODES)[0]
+        want = warped_radial([profile.a(nodes, order) for order in range(3)], nodes)["pff"]
+        got = dfalg.batch_pfaffian(curvature_in_frame(RadialGeometry(profile), nodes)["riem_on"])
+        _close_relative(got, want, rel=5e-12)
+
     @pytest.mark.parametrize("theta", PROFILES)
     def test_z_and_its_gradient(self, theta):
-        """Z = 2 pi^2 sum_i w_i 3 (a - b)^2 f^3 / rho_i matches z2_functional, and
-        the complex step of that integrand matches z2_value_and_gradient's
-        gradient, both to 1e-12 relative (measured: 2.8e-13 and 4.6e-14)."""
-        want_z, want_grad = warped_flow_value_and_gradient(theta)
-        value, grad = z2_value_and_gradient(theta)
+        """z2_functional, which sums the closed form 2 pi^2 sum_i w_i 3 (a - b)^2
+        f^3 / rho_i, matches the engine's Gauss sum of |z|^2 on the same nodes
+        (oracles._z2_quadrature), and the complex step of that integrand
+        matches z2_value_and_gradient's gradient, both to 1e-12 relative
+        (measured: 2.8e-13 and 4.6e-14)."""
+        geom = RadialGeometry(perturbed_profile(theta))
+        want_z = _z2_quadrature(geom, variation._FLOW_SEGMENTS, variation._FLOW_NODES)
+        value = z2_functional(theta)
         assert abs(value - want_z) <= 1e-12 * want_z
+        want_grad = warped_flow_value_and_gradient(theta)[1]
+        grad = z2_value_and_gradient(theta)[1]
         assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad)), (grad, want_grad)
 
 
@@ -1194,6 +1208,26 @@ class TestGradientFlow:
         values = [h.value for h in history]
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert values[-1] < 0.5 * values[0]
+
+    def test_z_makes_no_engine_call_and_a_pass_makes_one(self, monkeypatch):
+        """z2_functional reads A's jet alone, at the flow's nodes and at the
+        48-node end point, and each gradient pass of run_flow is one
+        curvature_in_frame call over Z's 160 nodes."""
+        engine, calls = collar.curvature_in_frame, []
+
+        def counting(geom, rho):
+            calls.append(np.size(rho))
+            return engine(geom, rho)
+
+        monkeypatch.setattr(collar, "curvature_in_frame", counting)
+        monkeypatch.setattr(variation, "curvature_in_frame", counting)
+        z2_functional([0.05, 0.05, 0.05])
+        z2_functional([0.05, 0.05, 0.05], n_per=48)
+        assert calls == []
+        history = run_flow([0.05, 0.05, 0.05], steps=3, eta=1e-3)
+        passes = sum(h.gradient_passes for h in history)
+        assert passes == 3 and sum(h.z_evaluations for h in history) > 0
+        assert calls == [len(variation._FLOW_SEGMENTS) * variation._FLOW_NODES] * passes
 
     def test_work_per_step(self, monkeypatch):
         """One pass at theta_0 (row 0), one at the start of every later step,
