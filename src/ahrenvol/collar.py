@@ -6,12 +6,15 @@ The ambient data is a compactified metric in collar normal form
 
 on (0, rho_max] x boundary, with g_rho either a jet expansion
 ``gamma + rho^2 g2 + rho^3 g3`` over a periodic flat 3-torus, or
-``A(rho)^2 g_{S^3}`` for a radial profile A on the round 3-sphere.
+``A(rho)^2 g_{S^3}`` on the round 3-sphere for a radial profile A, a
+polynomial in rho held as its coefficient vector.
 
 All tensor components are taken in the scaled frame ``X_s = rho Xbar_s``
 (Xbar_4 = d/d rho, Xbar_i the backend boundary frame), in which
 ``g(X_s, X_t) = gbar_st`` and the frame brackets are
-``[X_4, X_i] = X_i`` plus ``rho`` times the boundary structure constants.
+``[X_4, X_i] = X_i`` plus ``rho`` times the boundary structure constants,
+which each geometry holds as the (4, 4, 4) table ``cbar[k, i, j] = Cbar^k_ij``
+(zero where an index is 4: Xbar_4 commutes with every Xbar_i).
 Christoffel symbols of g come from the closed-form relation
 
     Gamma^u_st = rho Gammabar^u_st - delta_su delta_t4 + delta_u4 gbar_st,
@@ -44,7 +47,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from numpy.polynomial.chebyshev import chebder, chebval, chebvander
 from numpy.polynomial.polynomial import polyadd, polyder, polyval
 
@@ -129,9 +131,7 @@ class BoundaryJet:
 
     @classmethod
     def flat(cls, n_grid: int = 4) -> "BoundaryJet":
-        eye = np.broadcast_to(np.eye(3), (n_grid,) * 3 + (3, 3)).copy()
-        zero = np.zeros((n_grid,) * 3 + (3, 3))
-        return cls(n_grid, eye, zero, zero.copy())
+        return cls.constant(n_grid, np.eye(3), 0.0, 0.0)
 
     @classmethod
     def constant(cls, n_grid: int, gamma: np.ndarray, g2: np.ndarray, g3: np.ndarray) -> "BoundaryJet":
@@ -180,27 +180,33 @@ def random_jet(seed: int, n_grid: int = 8, amplitude: float = 0.05) -> BoundaryJ
     return BoundaryJet(n_grid, gamma, g2, g3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated == of an array field is ambiguous
 class RadialProfile:
-    """Warping profile A(rho) on (0, 2] with g_rho = A^2 g_{S^3}.
+    """Warping profile A(rho) = sum_k coef[k] rho^k on (0, 2] with g_rho = A^2 g_{S^3}.
 
-    Polynomial in rho (a power series: equal domain and window) with finite
-    coefficients; must satisfy A(0)=1, A'(0)=0 (asymptotically hyperbolic,
-    totally geodesic) and A(2)=0, A'(2)=-1 (smooth cap), and be positive on
-    (0, 2).  The coefficients of A
-    and its first three derivatives are kept, so ``a`` is one ``polyval``.
+    ``coef`` is a 1-D vector of finite real numbers, kept as a float array.
+    A must satisfy A(0)=1, A'(0)=0 (asymptotically hyperbolic, totally
+    geodesic) and A(2)=0, A'(2)=-1 (smooth cap), and be positive on (0, 2).
+    The coefficients of A and its first three derivatives are kept, so ``a``
+    is one ``polyval``.
     """
 
-    poly: Polynomial
-    _derivs: tuple = field(init=False, repr=False, compare=False)
+    coef: np.ndarray
+    _derivs: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not np.array_equal(self.poly.domain, self.poly.window):
-            raise InvalidProfile("profile must be a power series in rho (domain == window)")
+        try:
+            coef = np.asarray(self.coef)
+            real = coef.ndim == 1 and coef.size > 0 and coef.dtype.kind in "iuf"
+        except ValueError:  # a ragged nesting
+            real = False
+        if not real:
+            raise InvalidProfile("profile must be a 1-D vector of real coefficients in rho")
         # ahead of the checks below, where an infinite coefficient times 0 warns
-        if not np.all(np.isfinite(self.poly.coef)):
+        if not np.all(np.isfinite(coef)):
             raise InvalidProfile("profile coefficients must be finite")
-        object.__setattr__(self, "_derivs", tuple(polyder(self.poly.coef, k) for k in range(4)))
+        object.__setattr__(self, "coef", coef.astype(float))
+        object.__setattr__(self, "_derivs", tuple(polyder(self.coef, k) for k in range(4)))
         checks = [
             (self.a(0.0), 1.0, "A(0) = 1"),
             (self.a(0.0, 1), 0.0, "A'(0) = 0"),
@@ -222,7 +228,7 @@ class RadialProfile:
 
 def hyperbolic_profile() -> RadialProfile:
     """A = 1 - rho^2/4, the Poincare ball in collar normal form."""
-    return RadialProfile(Polynomial([1.0, 0.0, -0.25]))
+    return perturbed_profile(())
 
 
 # bump k of perturbed_profile is rho^(_BUMP_POWER + k) times the square of
@@ -235,9 +241,9 @@ def perturbed_profile(theta) -> RadialProfile:
     """Hyperbolic profile plus sum_k theta_k rho^(2+k) (1 - rho/2)^2.
 
     Each bump preserves all four boundary/cap conditions, so they hold for
-    any finite parameter vector.  The coefficients come from the convolutions
-    and sums of the ``Polynomial`` expression ``A + t_k * rho^(2+k) * window``,
-    in its order, without building the intermediate objects.
+    any finite parameter vector.  The coefficients of A are summed bump by
+    bump, each bump the convolution ``t_k * rho^(2+k) * window``; no
+    parameters give the ball's 1 - rho^2/4.
     """
     coef = np.array([1.0, 0.0, -0.25])
     window = np.convolve(_BUMP_ROOT, _BUMP_ROOT)
@@ -245,7 +251,7 @@ def perturbed_profile(theta) -> RadialProfile:
         power = np.zeros(_BUMP_POWER + 1 + k)
         power[-1] = 1.0
         coef = polyadd(coef, np.convolve(np.convolve([float(t)], power), window))
-    return RadialProfile(Polynomial(coef))
+    return RadialProfile(coef)
 
 
 def profile_basis_jet(n_params: int, rho) -> np.ndarray:
@@ -288,7 +294,7 @@ class TorusJetGeometry:
         self.n_grid = jet.n_grid
         self.npts = jet.n_grid**3
         self.weight = (2.0 * math.pi / jet.n_grid) ** 3
-        self.cbar = np.zeros((3, 3, 3))
+        self.cbar = np.zeros((4, 4, 4))
         flat = lambda f: f.reshape(self.npts, 3, 3)
         self._series = PolynomialPerturbation({0: flat(jet.gamma), 2: flat(jet.g2), 3: flat(jet.g3)})
         self._dmat = spectral_deriv(np.eye(jet.n_grid), 0)
@@ -366,7 +372,8 @@ class RadialGeometry:
         self.profile = profile
         self.npts = 1
         self.weight = 2.0 * math.pi**2
-        self.cbar = 2.0 * _EPS3  # cbar[k, i, j] = Cbar^k_ij
+        # cbar[k, i, j] = Cbar^k_ij, zero where an index is 4
+        self.cbar = np.pad(2.0 * _EPS3, (0, 1))
 
     def spatial(self, rho, orders: int = 4):
         """A^2 g_{S^3} and its rho-derivatives below ``orders``, each (slices, 3, 3)."""
@@ -460,13 +467,6 @@ def _gbar_blocks(geom, rho):
         return out
 
     return embed(g, 1.0), embed(d1, 0.0), embed(d2, 0.0)
-
-
-def _cbar4(geom) -> np.ndarray:
-    """Boundary structure constants embedded in 4 indices (Xbar_4 commutes)."""
-    c = np.zeros((4, 4, 4))
-    c[:3, :3, :3] = geom.cbar
-    return c
 
 
 def _cholesky3(g: np.ndarray):
@@ -567,7 +567,7 @@ def christoffels_bar(geom, frame):
     xg[:, 0, 3] = dgbar
     xg[:, 1, 3] = frame["d2gbar"]
     # minus the structure-constant terms, C^d_ab (pair_f)_dc at [n, f, c, a, b]
-    xg -= np.tensordot(pair, _cbar4(geom), axes=([2], [0]))
+    xg -= np.tensordot(pair, geom.cbar, axes=([2], [0]))
     # lower[n, f, c, a, b] = 1/2 (X_a g_bc + X_b g_ac - X_c g_ab
     #                             + C^d_ab g_dc - C^d_ac g_db - C^d_bc g_da),
     # its two permuted terms gathered from xg
@@ -629,7 +629,7 @@ def _frame_riemann(geom, gamma, radial_deriv, spatial_scale, cfun, gbar):
 
 
 def to_on2(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.einsum("nst,nsa,ntb->nab", fld, q, q)
+    return q.swapaxes(1, 2) @ fld @ q
 
 
 def to_on4(fld: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -662,7 +662,7 @@ def frame_curvature(geom, rho) -> dict:
     Returns {'gbar', 'ginv' (gbar^-1), 'q' (see :func:`_on_frame`),
     'dvol' (sqrt det g_rho, the slice measure of gbar), 'rho' (each point's
     rho, (points, 1, 1, 1)), 'bar' (:func:`christoffels_bar`), 'gamma',
-    'dgamma' (rho d/d rho gamma, see :func:`christoffels`), 'gamma4', 'riem'
+    'dgamma' (rho d/d rho gamma, see :func:`christoffels`), 'riem'
     (X-frame)}.  Ricci is ric_tv = ginv^su riem_stuv.
     """
     frame = _slice_frame(geom, rho)
@@ -670,7 +670,7 @@ def frame_curvature(geom, rho) -> dict:
     rho = _rho_per_point(rho, frame["gbar"].shape[0])
     gamma, dgamma = christoffels(rho, frame, bar)
     # structure functions of X: [X_4, X_i] = X_i, [X_i, X_j] = rho Cbar^k_ij X_k
-    cfun = _X_BRACKETS + rho * _cbar4(geom)
+    cfun = _X_BRACKETS + rho * geom.cbar
     return {
         "gbar": frame["gbar"],
         "ginv": frame["ginv"],
@@ -680,7 +680,6 @@ def frame_curvature(geom, rho) -> dict:
         "bar": bar,
         "gamma": gamma,
         "dgamma": dgamma,
-        "gamma4": gamma[:, 3, :3, :3],
         "riem": _frame_riemann(geom, gamma, dgamma, rho, cfun, frame["gbar"]),
     }
 
@@ -716,7 +715,7 @@ def curvature_bar(geom, rho) -> dict:
     :func:`curvature_in_frame`.
     """
     frame = _slice_frame(geom, rho)
-    riem = _frame_riemann(geom, *christoffels_bar(geom, frame), 1.0, _cbar4(geom), frame["gbar"])
+    riem = _frame_riemann(geom, *christoffels_bar(geom, frame), 1.0, geom.cbar, frame["gbar"])
     return {"gbar": frame["gbar"], "riem": riem, "ric": frame_ricci(frame["ginv"], riem)[0]}
 
 

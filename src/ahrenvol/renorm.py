@@ -489,7 +489,7 @@ def boundary_II(geom, eps) -> dict:
     def phi_integrals(rho):
         data = _collar.curvature_in_frame(geom, rho)
         q = data["q"][:, :3, :3]
-        h_on = _collar.to_on2(data["gamma4"], q)
+        h_on = _collar.to_on2(data["gamma"][:, 3, :3, :3], q)
         riem3 = data["riem_on"][:, :3, :3, :3, :3]
         phi1_pt = np.einsum("abc,def,nabde,ncf->n", _collar._EPS3, _collar._EPS3, riem3, h_on)
         # the slice measure of g is eps^-3 sqrt(det g_rho)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyder, polymul, polypow, polyval
 
 from .collar import (
     ChebyshevRhoBasis,
@@ -117,16 +117,15 @@ class CutoffPerturbation:
             raise ValueError("support must satisfy 0 < a < b")
         self.field = fld
         self.support = (float(a), float(b))
-        base = (Polynomial([-a, 1.0]) * Polynomial([b, -1.0])) ** 4
-        self.polys = [base / base((a + b) / 2.0)]
-        for _ in range(3):
-            self.polys.append(self.polys[-1].deriv())
+        base = polypow(polymul([-a, 1.0], [b, -1.0]), 4)
+        base = base / polyval((a + b) / 2.0, base)
+        self._derivs = [polyder(base, k) for k in range(4)]
 
     def window(self, rho, order: int = 0):
         """Window derivative at a scalar rho (a float) or a 1-D rho array."""
         r = np.asarray(rho, dtype=float)
         a, b = self.support
-        out = np.where((r > a) & (r < b), self.polys[order](r), 0.0)
+        out = np.where((r > a) & (r < b), polyval(r, self._derivs[order]), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def value(self, rho, order: int = 0) -> np.ndarray:
@@ -482,8 +481,7 @@ def functional_gradient(geom, rhos=None) -> dict:
         del inv
         n2 = _second_covariant_derivative(geom, cur, jet)
         # T2(w) = 1/2 c^2(w) g - c(w), from c in the ON frame, q^T c q
-        q = cur["q"]
-        c_on = q.swapaxes(1, 2) @ _hessian_trace(cur["ginv"], n2) @ q
+        c_on = to_on2(_hessian_trace(cur["ginv"], n2), cur["q"])
         t2_on = 0.5 * np.trace(c_on, axis1=1, axis2=2)[:, None, None] * np.eye(4) - c_on
         t2_on = 0.5 * (t2_on + t2_on.swapaxes(1, 2))
         e_on = f_on - 0.5 * t2_on

@@ -42,8 +42,12 @@ pass over every jet, against the forward pass per jet that it replaced
 the warped-product closed form of the radial curvature (``warped_radial``),
 differentiated by the complex step; the flow's Z, which the library takes
 from that closed form, against the engine's Gauss sum of |z|^2
-(``_z2_quadrature``); and the engine's |z|^2, s and Pfaffian density on the
-radial family against ``warped_radial`` pointwise.
+(``_z2_quadrature``); the engine's |z|^2, s and Pfaffian density on the
+radial family against ``warped_radial`` pointwise; the radial volume
+coefficients v2 and v3 against the jet of A^3 (``warped_volume_coefficients``);
+and the radial action families and their finite parts against the closed-form
+integrands (``warped_action_integrands``) and their Taylor coefficients by
+power-series arithmetic (``warped_action_taylor``).
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ from ahrenvol.collar import (
     NonConvergence,
     PerturbedGeometry,
     RadialGeometry,
-    _cbar4,
     _gbar_blocks,
     _invariant_density,
     _rho_per_point,
@@ -765,7 +768,7 @@ def christoffels_bar_einsum(geom, rho):
     Koszul formula with structure-function terms.
     """
     gbar, dgbar, d2gbar = _gbar_blocks(geom, rho)
-    c4 = _cbar4(geom)
+    c4 = geom.cbar
 
     def koszul(gb, xg):
         # xg[n, a, b, c] = Xbar_a (gbar_bc); target index order (c, a, b)
@@ -887,7 +890,7 @@ def christoffels_bar_transposed_adds(geom, frame):
     xg[:, 0, 3] = dgbar
     xg[:, 1, 3] = frame["d2gbar"]
     # minus the structure-constant terms, C^d_ab (pair_f)_dc at [n, f, c, a, b]
-    xg -= np.tensordot(pair, _cbar4(geom), axes=([2], [0]))
+    xg -= np.tensordot(pair, geom.cbar, axes=([2], [0]))
     # lower[n, f, c, a, b] = 1/2 (X_a g_bc + X_b g_ac - X_c g_ab
     #                             + C^d_ab g_dc - C^d_ac g_db - C^d_bc g_da)
     lower = xg.transpose(0, 1, 4, 2, 3) + xg.transpose(0, 1, 4, 3, 2) - xg
@@ -1213,7 +1216,7 @@ def curvature_in_frame_einsum(geom, rho) -> dict:
     rho = _rho_per_point(rho, gbar.shape[0])
     eye = np.eye(4)
     cfun = np.einsum("s,xt->xst", eye[3], eye) - np.einsum("t,xs->xst", eye[3], eye)
-    cfun = cfun + rho * _cbar4(geom)
+    cfun = cfun + rho * geom.cbar
     riem = frame_curvature_einsum(geom, gamma, dgamma, rho, cfun, gbar)
     q, ginv, dvol = frame_oracle(gbar)
     riem_on = to_on4_einsum(riem, q)
@@ -1234,7 +1237,7 @@ def curvature_bar_einsum(geom, rho) -> dict:
     """The fields of collar.curvature_bar, from the kernels above."""
     gbar, _, _ = _gbar_blocks(geom, rho)
     gamma_bar, dgamma_bar = christoffels_bar_einsum(geom, rho)
-    riem = frame_curvature_einsum(geom, gamma_bar, dgamma_bar, 1.0, _cbar4(geom), gbar)
+    riem = frame_curvature_einsum(geom, gamma_bar, dgamma_bar, 1.0, geom.cbar, gbar)
     return {"riem": riem, "ric": frame_ricci_einsum(frame_oracle(gbar)[1], riem)[0]}
 
 
@@ -1518,6 +1521,56 @@ def warped_radial(a_jet, rho) -> dict:
     s, z2 = 6.0 * (a + b), 3.0 * (a - b) ** 2
     pff = (s**2 / 24.0 - 0.5 * z2) / (8.0 * math.pi**2)
     return {"a": a, "b": b, "s": s, "z2": z2, "pff": pff, "dvol": f**3}
+
+
+def warped_volume_coefficients(profile) -> tuple:
+    """(v2, v3) of the radial family from its profile's jet at rho = 0.
+
+    g_rho = A^2 g_{S^3}, so the volume density ratio (det g_rho / det
+    gamma)^(1/2) is A^3, and with A(0) = 1 and A'(0) = 0 it reads
+    1 + 3/2 A''(0) rho^2 + A'''(0)/2 rho^3 + O(rho^4).
+    """
+    return 1.5 * profile.a(0.0, 2), 0.5 * profile.a(0.0, 3)
+
+
+def _series_quotient(num, den, n: int) -> np.ndarray:
+    """The first n Taylor coefficients of num / den at 0, den[0] != 0."""
+    num = np.pad(np.asarray(num, float), (0, n))[:n]
+    den = np.pad(np.asarray(den, float), (0, n))[:n]
+    out = np.zeros(n)
+    for k in range(n):
+        out[k] = (num[k] - den[1 : k + 1] @ out[:k][::-1]) / den[0]
+    return out
+
+
+def warped_action_taylor(profile, n: int = 10) -> dict:
+    """Taylor coefficients at rho = 0 of F = 2 pi^2 A^3 inv for the action
+    integrands inv = s^2, |z|^2, |W|^2 and s^2/4 - 3|z|^2 (keys 's2', 'z2',
+    'w2', 'action'): the radial action family is int_eps^2 rho^-4 F drho.
+
+    By power-series arithmetic on :func:`warped_radial`'s closed form: with
+    N_a = -(A - rho A' + rho^2 A'') A and N_b = rho^2 - (A - rho A')^2,
+    a = N_a / A^2 and b = N_b / A^2, so A^3 (a +- b)^2 = (N_a +- N_b)^2 / A.
+    """
+    P = np.polynomial.polynomial
+    coef = profile.coef
+    rho2 = [0.0, 0.0, 1.0]
+    edge = P.polysub(coef, P.polymul([0.0, 1.0], P.polyder(coef)))
+    num_a = -P.polymul(P.polyadd(edge, P.polymul(rho2, P.polyder(coef, 2))), coef)
+    num_b = P.polysub(rho2, P.polymul(edge, edge))
+    s2, z2 = (2.0 * math.pi**2 * c * _series_quotient(P.polymul(p, p), coef, n)
+              for c, p in ((36.0, P.polyadd(num_a, num_b)), (3.0, P.polysub(num_a, num_b))))
+    return {"s2": s2, "z2": z2, "w2": np.zeros(n), "action": 0.25 * s2 - 3.0 * z2}
+
+
+def warped_action_integrands(profile, rho) -> dict:
+    """F = 2 pi^2 A^3 inv at rho for the keys of :func:`warped_action_taylor`,
+    from :func:`warped_radial`."""
+    w = warped_radial([profile.a(rho, k) for k in range(3)], rho)
+    weight = 2.0 * math.pi**2 * profile.a(rho) ** 3
+    s2 = w["s"] ** 2
+    return {"s2": weight * s2, "z2": weight * w["z2"], "w2": 0.0 * weight,
+            "action": weight * (0.25 * s2 - 3.0 * w["z2"])}
 
 
 def _warped_z2(a_jet, nodes, wts):

@@ -382,6 +382,20 @@ class TestCollarAudit:
         (row,) = [c for c in report["checks"] if c["name"] == "invariant_parity"]
         assert row["value"] < 1e-10
 
+    @pytest.mark.parametrize("theta, v3", [([0.01, 0.0, 0.0], -0.03), ([0.05, 0.05, 0.05], 0.0)])
+    def test_v3_artifact_is_the_warped_closed_form(self, tmp_path, theta, v3):
+        """The report's v3 is A'''(0)/2 (oracles.warped_volume_coefficients):
+        -0.03 on theta = (0.01, 0, 0), where int v3 dvol_gamma = -0.592, and
+        exactly 0 on (0.05)^3, whose A has no rho^3 term."""
+        raw = {"family": "radial", "seed": 0, "profile": {"theta": theta}}
+        cfg = write_config(tmp_path, "c.json", raw)
+        assert run(["collar-audit", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        (got,) = json.loads((tmp_path / "collar-audit-report.json").read_text())["artifacts"]["v3"]
+        want = oracles.warped_volume_coefficients(collar.perturbed_profile(theta))[1]
+        assert want == pytest.approx(v3, abs=1e-16) and abs(got - want) <= 1e-14
+        if v3 == 0.0:
+            assert got == 0.0
+
 
 class TestInProcessCalls:
     """A batch of main calls in one process, as scripts/run_all_audits.py
@@ -454,6 +468,18 @@ class TestRenvol:
         assert 0.0 < artifacts["floor_ratio"] <= 1.0
         assert artifacts["fits"] == 13
         assert artifacts["log_ambiguous"] is False
+
+    @pytest.mark.parametrize("theta, tol", [([0.01, 0.0, 0.0], 1e-7), ([0.05, 0.05, 0.05], 3e-6)])
+    def test_log_coefficient_is_the_warped_v3(self, tmp_path, theta, tol):
+        """The fitted L against 2 pi^2 v3, v3 = A'''(0)/2 from the closed form,
+        relative to max(1, |2 pi^2 v3|): measured 1.6e-8 and 7.4e-7 (the exact
+        L is 0 on (0.05)^3)."""
+        raw = {"family": "radial", "seed": 0, "profile": {"theta": theta}}
+        cfg = write_config(tmp_path, "c.json", raw)
+        assert run(["renvol", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        got = json.loads((tmp_path / "renvol-report.json").read_text())["artifacts"]["coefficients"]["L"]
+        want = 2.0 * math.pi**2 * oracles.warped_volume_coefficients(collar.perturbed_profile(theta))[1]
+        assert abs(got - want) <= tol * max(1.0, abs(want)), (got, want)
 
     def test_quadrature_failure_exits_nonconvergence(self, tmp_path, monkeypatch, capsys):
         class KinkedBall(RadialGeometry):

@@ -45,22 +45,35 @@ class TestProfiles:
         assert np.allclose(d3[0], 0.0, atol=1e-14)
 
     def test_profile_validation(self):
-        from numpy.polynomial import Polynomial
-
         with pytest.raises(ValueError, match="A'\\(0\\) = 0"):
-            collar.RadialProfile(Polynomial([1.0, 0.1, -0.25 - 0.1 * 0.0]))
+            collar.RadialProfile([1.0, 0.1, -0.25 - 0.1 * 0.0])
         with pytest.raises(ValueError, match="A\\(0\\) = 1"):
-            collar.RadialProfile(Polynomial([1.1, 0.0, -0.25]))
-        # the ball's A with rho mapped from [0, 2]: the right function, but its
-        # coefficients are not those of a power series in rho
-        with pytest.raises(ValueError, match="power series"):
-            collar.RadialProfile(hyperbolic_profile().poly.convert(domain=[0.0, 2.0]))
+            collar.RadialProfile([1.1, 0.0, -0.25])
+
+    @pytest.mark.filterwarnings("error")
+    def test_coefficient_vector(self):
+        """A list, a tuple or an int array is coerced to the float coefficient
+        vector; anything that is not a 1-D real vector is refused."""
+        for coef in ([1, 0, -0.25], (1.0, 0.0, -0.25), np.array([4, 0, -1]) / 4):
+            prof = collar.RadialProfile(coef)
+            assert prof.coef.dtype == float and prof.coef.tolist() == [1.0, 0.0, -0.25]
+        for bad in ([], [[1.0, 0.0, -0.25]], 1.0, [1.0, 0.0, -0.25j], ["1", "0", "-0.25"],
+                    [[1.0], [0.0, -0.25]], np.polynomial.Polynomial([1.0, 0.0, -0.25])):
+            with pytest.raises(collar.InvalidProfile, match="1-D vector of real"):
+                collar.RadialProfile(bad)
+        with pytest.raises(collar.InvalidProfile, match="coefficients must be finite"):
+            collar.RadialProfile([1.0, 0.0, -0.25, math.nan])
+
+    def test_profiles_are_compared_by_identity(self):
+        prof = hyperbolic_profile()
+        assert prof == prof and prof != hyperbolic_profile() and hash(prof) == hash(prof)
 
     def test_kept_derivatives_match_polynomial(self):
         prof = perturbed_profile([0.03, -0.02, 0.01])
         rr = np.random.default_rng(4).uniform(0.0, 2.0, 500)
+        poly = np.polynomial.Polynomial(prof.coef)
         for k in range(4):
-            assert np.array_equal(prof.a(rr, k), prof.poly.deriv(k)(rr))
+            assert np.array_equal(prof.a(rr, k), poly.deriv(k)(rr))
 
     def test_basis_jet_is_the_profiles_theta_derivative(self):
         """A is linear in theta, so dA/dtheta_k is perturbed_profile(e_k) - A_ball
@@ -69,9 +82,9 @@ class TestProfiles:
         rr = np.linspace(0.0, 2.0, 41)
         jet = collar.profile_basis_jet(n, rr)
         assert jet.shape == (n, 3, rr.size)
-        ball = hyperbolic_profile().poly
+        ball = np.polynomial.Polynomial(hyperbolic_profile().coef)
         for k in range(n):
-            bump = perturbed_profile(np.eye(n)[k]).poly - ball
+            bump = np.polynomial.Polynomial(perturbed_profile(np.eye(n)[k]).coef) - ball
             for order in range(3):
                 want = bump.deriv(order)(rr)
                 assert np.max(np.abs(jet[k, order] - want)) <= 1e-13 * np.max(np.abs(want))
@@ -89,7 +102,7 @@ class TestProfiles:
         for theta in (np.zeros(size), -0.05 * np.ones(size), rng.uniform(-0.1, 0.1, size)):
             want = oracles.perturbed_profile_polynomial(theta)
             prof = perturbed_profile(theta)
-            assert prof.poly.coef.tobytes() == want.coef.tobytes()
+            assert prof.coef.tobytes() == want.coef.tobytes()
             for k in range(4):
                 assert prof._derivs[k].tobytes() == want.deriv(k).coef.tobytes()
 
@@ -435,7 +448,22 @@ class TestCurvature:
         assert np.allclose(r_mixed, -0.5 * np.eye(3), atol=1e-5)
 
 
+# radial test profiles: the ball, four three-parameter profiles and two longer ones
+WARPED_THETAS = [(), (0.05, 0.05, 0.05), (0.01, 0.0, 0.0), (0.03, -0.02, 0.01),
+                 (-0.08, 0.05, 0.02)] + [0.01 * np.cos(np.arange(n)) for n in (8, 20)]
+
+
 class TestDetSeries:
+    @pytest.mark.parametrize("theta", WARPED_THETAS)
+    def test_radial_values_are_the_warped_closed_form(self, theta):
+        """v2 = 3/2 A''(0) and v3 = A'''(0)/2, the rho^2 and rho^3 terms of the
+        volume density ratio A^3 (oracles.warped_volume_coefficients), to
+        1e-14 (measured: at most 5.6e-17)."""
+        profile = perturbed_profile(theta)
+        out = det_series(RadialGeometry(profile))
+        v2, v3 = oracles.warped_volume_coefficients(profile)
+        assert abs(out["v2"][0] - v2) <= 1e-14 and abs(out["v3"][0] - v3) <= 1e-14
+
     def test_trace_examples(self):
         d = np.diag([1.0, 2.0, 3.0])
         jet = BoundaryJet.constant(4, np.eye(3), d, np.zeros((3, 3)))
@@ -479,6 +507,33 @@ class TestDetSeries:
 
         with pytest.raises(ValueError, match="collar not totally geodesic"):
             det_series(OddGeometry(BoundaryJet.flat(4)))
+
+
+class TestChernGaussBonnetIntegrand:
+    """In dimension four 8 pi^2 Pff = |W|^2/4 - |z|^2/2 + s^2/24 pointwise:
+    dfalg.batch_pfaffian of a curvature_in_frame record's riem_on against its
+    invariants at rho = 0.1, 0.5 and 0.9, relative to the largest term."""
+
+    @staticmethod
+    def _gap(geom) -> float:
+        cur = curvature_in_frame(geom, np.array([0.1, 0.5, 0.9]))
+        inv = cur["invariants"]
+        terms = (0.25 * inv["w2"], -0.5 * inv["z2"], inv["s"] ** 2 / 24.0)
+        pff = 8.0 * math.pi**2 * dfalg.batch_pfaffian(cur["riem_on"])
+        return float(np.max(np.abs(pff - sum(terms)))) / max(float(np.max(np.abs(t))) for t in terms)
+
+    @pytest.mark.parametrize("theta", WARPED_THETAS[:6])
+    def test_radial_profiles(self, theta):
+        """Measured: at most 4.4e-16."""
+        assert self._gap(RadialGeometry(perturbed_profile(theta))) <= 1e-14
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 8: xderiv of the Christoffels, which are not band-limited,"
+        " breaks the pair symmetry of the torus curvature (off by 1.4e-3 at n_grid 8)",
+    )
+    def test_torus_jet(self):
+        assert self._gap(TorusJetGeometry(random_jet(3, n_grid=8))) <= 1e-14
 
 
 class TestJetIdentities:
@@ -690,7 +745,7 @@ class TestBatchedEngine:
                     **{f"invariants.{k}": v for k, v in inv.items()}}
 
         want = flat(whole)
-        assert len(want) == 19
+        assert len(want) == 18
         for key, got in want.items():
             assert got.tobytes() == np.concatenate([flat(p)[key] for p in parts]).tobytes(), key
 
