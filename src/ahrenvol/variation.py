@@ -25,17 +25,17 @@ and the curved-background formulas
 validate against central finite differences of the collar curvature engine
 with observed order 2 in the step.
 
-The first variation of int |z|^2 dvol has one implementation,
-:func:`_display_columns`: :func:`zprime_display` integrates it along a
-supported perturbation, and :func:`z2_value_and_gradient`, which drives the
-gradient flow, along each parameter of the radial profile family.  The
-display is linear in the jet, so one reverse pass through the transposed
-covariant derivatives serves every direction, and a direction costs no pass
-of its own.  Its oracles, ``fd_zprime``, ``zprime_display_on`` and the
-forward pass per jet ``display_columns_forward``, are in ``tests/oracles.py``.
-The flow's Z (:func:`z2_functional`) comes from the warped-product closed
-form of the radial curvature, with no engine call; the engine's Gauss sum of
-|z|^2, ``tests/oracles.py::_z2_quadrature``, is its independent route.
+The first variation of int |z|^2 dvol along a supported perturbation,
+:func:`zprime_display`, integrates the paper's display, which
+:func:`_display_density` assembles from the perturbation's second covariant
+derivative; its oracles, ``fd_zprime`` and ``zprime_display_on``, are in
+``tests/oracles.py``.  The gradient flow on the radial profile family runs
+no curvature engine: its Z (:func:`z2_functional`) and dZ/dtheta
+(:func:`z2_value_and_gradient`) come from the warped-product closed form of
+the radial curvature and its forward derivative.  The engine's Gauss sum of
+|z|^2 (``_z2_quadrature``) and the display along each parameter
+(``display_flow_gradient``), both in ``tests/oracles.py``, are their
+independent routes.
 
 Dense double-form layout: trailing axes are p first-group indices followed
 by q second-group indices; leading axes are grid axes.  A derivative axis is
@@ -56,7 +56,6 @@ from .collar import (
     InvalidProfile,
     NonConvergence,
     PerturbedGeometry,
-    RadialGeometry,
     _permute_slots,
     _slice_frame,
     chebyshev_rho_nodes,
@@ -111,6 +110,10 @@ class CutoffPerturbation:
         fld = np.asarray(fld, dtype=float)
         if fld.ndim != 3 or fld.shape[1:] != (3, 3):
             raise ValueError("expected (npts, 3, 3) field")
+        bad = np.argwhere(~np.isfinite(fld))
+        if bad.size:
+            entry = tuple(int(i) for i in bad[0])
+            raise ValueError(f"non-finite field: entry {entry} is {fld[entry]}")
         if np.max(np.abs(fld - fld.transpose(0, 2, 1))) > 1e-12:
             raise ValueError("asymmetric field")
         if not 0.0 < a < b:
@@ -580,47 +583,10 @@ def _support(pert):
     return support
 
 
-def _covariant_derivative_transpose(geom, cur, bar):
-    """Transpose of :func:`frame_covariant_derivative` over the point axis.
+def _display_density(geom, pert, rho) -> np.ndarray:
+    """Slice integrals of the first variation of |z|^2 dvol along ``pert`` on
+    the rho-slices ``rho``, a 1-D array.
 
-    ``bar`` pairs with its output, (nabla T,) or (nabla T, d/drho nabla T) on
-    the points of ``cur``; the result pairs with its input jet, one order
-    longer: frame_covariant_derivative(jet) -> sum <bar, .> is sum <result, jet>.
-    Each connection term is Gamma as the matrix [u, (a s)] times the cotangent
-    with slot s moved next to a, the transpose of the forward matmul.
-    """
-    gamma, dgamma, rho = cur["gamma"], cur["dgamma"], cur["rho"]
-    nbar = bar[0]
-    k = nbar.ndim - 2
-    r = rho.reshape((-1,) + (1,) * k)
-
-    def add_connection(out, terms):
-        n = out.shape[0]
-        for g, fld in terms:
-            for slot in range(k):
-                corr = g.reshape(n, 4, 16) @ np.moveaxis(fld, 2 + slot, 2).reshape(n, 16, -1)
-                out -= np.moveaxis(corr.reshape(out.shape), 1, 1 + slot)
-
-    xbar = r[:, None] * nbar[:, :3]
-    d1 = r * nbar[:, 3]
-    terms = [(gamma, nbar)]
-    if len(bar) > 1:
-        dbar = bar[1]
-        xbar = xbar + dbar[:, :3]
-        terms.append((dgamma / rho, dbar))
-        d1 += dbar[:, 3] + r * geom.xderiv_transpose(dbar[:, :3])
-        add_connection(d1, [(gamma, dbar)])
-    val = geom.xderiv_transpose(xbar)
-    add_connection(val, terms)
-    return (val, d1) if len(bar) < 2 else (val, d1, r * dbar[:, 3])
-
-
-def _display_columns(geom, jets, rho) -> np.ndarray:
-    """Slice integrals (columns) of the first variation of |z|^2 dvol along
-    each of ``jets(rho)`` on the rho-slices ``rho``, a 1-D array.
-
-    A jet is (h, dh/drho, d2h/drho2), 4x4 embedded X-frame components on the
-    slices' points; ``jets`` is called once the curvature record is released.
     The display, the pointwise derivative of |z|^2 dvol along h, is
 
         1/2 |z|^2 tr h - <R(z), h> - <r o z, h> - 1/8 <z . g, (DDt+DtD) h>,
@@ -629,13 +595,9 @@ def _display_columns(geom, jets, rho) -> np.ndarray:
     sum with the Kulkarni-Nomizu product z . g.  f and z . g are pulled back
     to the X frame (:func:`ahrenvol.collar.to_on4` with q^T, the adjoint of
     the move to the ON frame), where they pair with h and with its second
-    covariant derivative n2: for a pair-symmetric K antisymmetric in each
-    pair, <K, (DDt+DtD) h> = -8 sum K_abcd n2_acbd (see :func:`hessian11`).
-    The display is linear in the jet, so one reverse pass serves every jet:
-    the measure times K, seeded on n2, goes back through the transposes of
-    the two covariant derivatives (:func:`_covariant_derivative_transpose`)
-    to the representers of h, h' and h'', and each jet's column is their
-    slice sum against it.  A jet costs three pointwise products.
+    covariant derivative n2 (:func:`_second_covariant_derivative` of h's
+    rho-jet): for a pair-symmetric K antisymmetric in each pair,
+    <K, (DDt+DtD) h> = -8 sum K_abcd n2_acbd (see :func:`hessian11`).
     """
     cur = curvature_in_frame(geom, rho)
     inv, q = cur["invariants"], cur["q"]
@@ -643,29 +605,22 @@ def _display_columns(geom, jets, rho) -> np.ndarray:
     f_x = to_on2(gradient_field(inv["z"], cur["riem_on"], inv["ric"]), q.swapaxes(1, 2))
     k_x = to_on4(kn_metric(inv["z"]), q.swapaxes(1, 2))
     dvol = cur["dvol"]
-    # the reverse pass reads the connection and rho alone: the rest of the
-    # record goes before the pass adds to the peak
+    # n2 reads the connection and rho alone: the rest of the record goes
+    # before n2 adds to the peak
     conn = {key: cur[key] for key in ("gamma", "dgamma", "rho")}
     del cur, inv, q
-    meas = geom.weight * dvol / conn["rho"].reshape(-1) ** 4
-    # n2bar[n, a, c, b, d] = meas K[n, a, b, c, d], to pair entrywise with n2
-    n2_bar = meas[:, None, None, None, None] * k_x.transpose(0, 1, 3, 2, 4)
-    del k_x
-    h_bar, d1_bar, d2_bar = _covariant_derivative_transpose(
-        geom, conn, _covariant_derivative_transpose(geom, conn, (n2_bar,)))
-    h_bar += meas[:, None, None] * f_x
-    del n2_bar, f_x
-    columns = []
-    for jet in jets(rho):
-        pairing = sum(np.einsum("nab,nab->n", b, j) for b, j in zip((h_bar, d1_bar, d2_bar), jet))
-        columns.append(np.sum(pairing.reshape(np.size(rho), -1), axis=1))
-    return np.stack(columns, axis=1)
+    jet = _embed_jet(pert, rho)
+    val = np.einsum("nab,nab->n", f_x, jet[0])
+    del f_x
+    n2 = _second_covariant_derivative(geom, conn, jet)
+    val += np.einsum("nabcd,nacbd->n", k_x, n2)
+    return slice_integral(geom, rho, val, dvol, 4)
 
 
 def zprime_display(geom, pert, n_nodes: int = 64) -> float:
     """Directional derivative of int |z|^2 dvol along a supported perturbation.
 
-    Integrates the display of :func:`_display_columns` along the
+    Integrates the display of :func:`_display_density` along the
     perturbation's rho-jet over ``pert.support`` as one Gauss segment, in
     :func:`map_slices` batches; a support that ends past geom.rho_max is a
     ValueError.  Requires an analytic rho-jet on ``pert`` (a stencil-free Hessian).
@@ -674,9 +629,7 @@ def zprime_display(geom, pert, n_nodes: int = 64) -> float:
     if not support[1] <= geom.rho_max:
         raise ValueError(f"the support {support} ends past geom.rho_max = {geom.rho_max}")
     nodes, wts = gauss_nodes([support], n_nodes)
-    dens = map_slices(partial(_display_columns, geom, lambda rho: [_embed_jet(pert, rho)]),
-                      nodes, geom.npts)
-    return float(wts @ dens[:, 0])
+    return float(wts @ map_slices(partial(_display_density, geom, pert), nodes, geom.npts))
 
 
 # -- gradient flow on radial profile families -----------------------------------
@@ -698,62 +651,48 @@ def z2_functional(theta, n_per: int = _FLOW_NODES) -> float:
     at most 2.0e-5 of Z on the profiles measured (1.45e-5 on (0.05)^3, 2.6e-4
     at 8 coefficients 0.01 cos k).  |z|^2 comes from :func:`_z2_closed_form`.
     """
-    return _z2_closed_form(perturbed_profile(np.asarray(theta, float)), n_per)
+    return _z2_closed_form(theta, n_per, 0)[0]
 
 
-def _z2_closed_form(profile, n_per: int) -> float:
-    """Z's Gauss rule from the warped-product closed form of the radial curvature.
+def _z2_closed_form(theta, n_per: int, n_grad: int):
+    """(Z, the first ``n_grad`` components of dZ/dtheta) from the warped-product
+    closed form of the radial curvature, on Z's Gauss rule.
 
     With rho = e^-t, g = rho^-2 (drho^2 + A^2 g_{S^3}) is dt^2 + f^2 g_{S^3},
     f = A / rho, whose radial and tangential sectional curvatures are
     a = -f_tt / f and b = (1 - f_t^2) / f^2, with f_t = f - A' and
     f_tt = f_t + rho A'' (O'Neill, Semi-Riemannian Geometry, 1983, ch. 7).
     So |z|^2 = 3 (a - b)^2 and dvol = f^3 dt over S^3's 2 pi^2, and Z sums
-    2 pi^2 w_i 3 (a - b)^2 f^3 / rho_i (drho / rho = -dt).
+    2 pi^2 w_i 3 (a - b)^2 f^3 / rho_i (drho / rho = -dt).  dZ/dtheta_k
+    differentiates that sum forward along dA/dtheta_k = u_k and its
+    rho-derivatives (:func:`ahrenvol.collar.profile_basis_jet`):
+    df = u_k / rho, df_t = df - u_k', da = -(df_t + rho u_k'' + a df) / f,
+    db = -2 (f_t df_t + b f df) / f^2, and the sum's terms go to
+    6 (a - b)(da - db) f^3 + 9 (a - b)^2 f^2 df.
     """
     nodes, wts = gauss_nodes(_FLOW_SEGMENTS, n_per)
+    profile = perturbed_profile(np.asarray(theta, float))
     a0, a1, a2 = (profile.a(nodes, order) for order in range(3))
     f = a0 / nodes
     f_t = f - a1
     a = -(f_t + nodes * a2) / f
     b = (1.0 - f_t**2) / f**2
-    return float(2.0 * math.pi**2 * np.sum(wts * 3.0 * (a - b) ** 2 * f**3 / nodes))
+    value = float(2.0 * math.pi**2 * np.sum(wts * 3.0 * (a - b) ** 2 * f**3 / nodes))
+    u0, u1, u2 = profile_basis_jet(n_grad, nodes).swapaxes(0, 1)
+    df = u0 / nodes
+    df_t = df - u1
+    da = -(df_t + nodes * u2 + a * df) / f
+    db = -2.0 * (f_t * df_t + b * f * df) / f**2
+    dz = 6.0 * (a - b) * (da - db) * f**3 + 9.0 * (a - b) ** 2 * f**2 * df
+    return value, 2.0 * math.pi**2 * (dz @ (wts / nodes))
 
 
 def z2_value_and_gradient(theta):
-    """(Z, dZ/dtheta) of :func:`z2_functional`, dZ/dtheta from one pass over its nodes.
-
-    Z comes from :func:`_z2_closed_form`, as :func:`z2_functional`'s does, so
-    the two agree bit for bit.  dZ/dtheta_k integrates the display of
-    :func:`_display_columns` at the same nodes along m_k = dg_rho/dtheta_k =
-    phi_k(rho) g_{S^3}, phi_k = 2 A dA/dtheta_k.  Every m_k is phi_k times
-    the one field g_{S^3}, and the display is linear in the jet (phi, phi',
-    phi''), so the display of three unit jets at each node serves every k.
-    The kernel's one reverse pass gives all three columns, so the pass costs
-    the same at any number of parameters.  The jet of phi_k is the product
-    rule on A's jet and on :func:`ahrenvol.collar.profile_basis_jet`.
-    """
+    """(Z, dZ/dtheta) of :func:`z2_functional`, both from one
+    :func:`_z2_closed_form` pass over its nodes, so Z is z2_functional's bit
+    for bit.  No curvature engine runs."""
     theta = np.asarray(theta, float)
-    profile = perturbed_profile(theta)
-    geom = RadialGeometry(profile)
-    nodes, wts = gauss_nodes(_FLOW_SEGMENTS, _FLOW_NODES)
-
-    def unit_jets(rho):
-        unit = np.zeros((rho.size * geom.npts, 4, 4))
-        unit[:, :3, :3] = np.eye(3)
-        zero = np.zeros_like(unit)
-        return [tuple(unit if i == j else zero for i in range(3)) for j in range(3)]
-
-    dens = map_slices(partial(_display_columns, geom, unit_jets), nodes, geom.npts)
-    # the jet (phi_k, phi_k', phi_k'') of phi_k = 2 A b_k at the nodes, b_k = dA/dtheta_k
-    a = [profile.a(nodes, order) for order in range(3)]
-    jets = []
-    for b in profile_basis_jet(theta.size, nodes):
-        jets.append(np.stack([2.0 * a[0] * b[0],
-                              2.0 * (a[1] * b[0] + a[0] * b[1]),
-                              2.0 * (a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2])], axis=1))
-    grad = np.array([np.sum(jet * dens * wts[:, None]) for jet in jets])
-    return _z2_closed_form(profile, _FLOW_NODES), grad
+    return _z2_closed_form(theta, _FLOW_NODES, theta.size)
 
 
 @dataclass(frozen=True)
@@ -782,15 +721,14 @@ def _require_finite_eta(eta) -> None:
         raise ValueError(f"step size must be finite and non-negative (got {eta})")
 
 
-def gradient_flow_step(theta, value0: float, grad, eta: float, functional=z2_functional):
+def gradient_flow_step(theta, value0: float, grad, eta: float):
     """One backtracking descent step on the profile parameters theta.
 
     ``value0`` and ``grad`` are Z and its gradient at theta, which the step
-    does not evaluate again: only the line search calls ``functional``, a
-    hook to wrap or count :func:`z2_functional` that must return Z (the
-    gradient is Z's, whatever ``functional`` is).  Returns (theta_new,
-    value_new, eta_used).  eta = 0 is a no-op; a negative, NaN or infinite
-    eta is a ValueError.  A candidate
+    does not evaluate again: only the line search calls :func:`z2_functional`,
+    once per candidate, and each rejected candidate halves eta.  Returns
+    (theta_new, value_new, eta_used).  eta = 0 is a no-op; a negative, NaN or
+    infinite eta is a ValueError.  A candidate
     outside the profile family counts as an increase.  A non-finite theta or
     gradient, or a functional that fails to be non-increasing after
     ``_FLOW_MAX_HALVINGS`` halvings of eta, raises NonConvergence.
@@ -808,7 +746,7 @@ def gradient_flow_step(theta, value0: float, grad, eta: float, functional=z2_fun
     for _ in range(_FLOW_MAX_HALVINGS + 1):
         cand = theta - cur_eta * grad
         try:
-            value = functional(cand)
+            value = z2_functional(cand)
         except InvalidProfile:
             value = np.inf
         if value <= value0:
@@ -817,18 +755,14 @@ def gradient_flow_step(theta, value0: float, grad, eta: float, functional=z2_fun
     raise NonConvergence("stalled")
 
 
-def run_flow(theta0, steps: int = 200, eta: float = 1e-3, target_fraction: float = None,
-             functional=z2_functional) -> list:
+def run_flow(theta0, steps: int = 200, eta: float = 1e-3, target_fraction: float = None) -> list:
     """Gradient descent on theta; returns the FlowStep history.
 
     Z(theta_0) and its gradient come from one :func:`z2_value_and_gradient`
     pass, and each later step starts with one pass at the theta that the
     step before it accepted; none runs after the last step.  With steps = 0
     or eta = 0 no step moves theta, so no gradient is taken and Z(theta_0) is
-    one call of ``functional``.  ``functional`` is a hook to wrap or count
-    :func:`z2_functional`, not a choice of what the flow descends: it
-    evaluates the line-search candidates, and the gradients are always Z's,
-    so it must return Z.  The accepted step size is carried between
+    one :func:`z2_functional` call.  The accepted step size is carried between
     iterations (doubled after each success, halved inside
     :func:`gradient_flow_step` as needed).  With ``target_fraction`` set,
     stops early once the functional drops below that fraction of its initial
@@ -837,28 +771,22 @@ def run_flow(theta0, steps: int = 200, eta: float = 1e-3, target_fraction: float
     _require_finite_eta(eta)
     if target_fraction is not None and not math.isfinite(target_fraction):
         raise ValueError(f"target_fraction must be finite (got {target_fraction})")
-    calls = 0
-
-    def counted(cand):
-        nonlocal calls
-        calls += 1
-        return functional(cand)
-
     theta = np.asarray(theta0, float)
     if steps > 0 and eta > 0.0:
         value, grad = z2_value_and_gradient(theta)
         history = [FlowStep(0, tuple(float(t) for t in theta), value, 0.0, gradient_passes=1)]
     else:
         # eta = 0 makes every step a no-op that never reads its gradient
-        value, grad = functional(theta), np.zeros_like(theta)
+        value, grad = z2_functional(theta), np.zeros_like(theta)
         history = [FlowStep(0, tuple(float(t) for t in theta), value, 0.0, z_evaluations=1)]
     cur_eta = float(eta)
     for k in range(1, steps + 1):
         passes = 0
         if grad is None:
             grad, passes = z2_value_and_gradient(theta)[1], 1
-        calls = 0
-        new, value, used = gradient_flow_step(theta, value, grad, cur_eta, functional=counted)
+        new, value, used = gradient_flow_step(theta, value, grad, cur_eta)
+        # the line search halves eta exactly, so the accepted eta counts its candidates
+        calls = round(math.log2(cur_eta / used)) + 1 if used > 0 else 0
         if not np.array_equal(new, theta):
             grad = None
         theta = new

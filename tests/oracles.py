@@ -32,17 +32,16 @@ checked against the same residual with a 5-point finite-difference z-jet
 the whole Hessian moved to the ON frame, where the library forms it from the
 Hessian's trace alone (``el_residual_whole_hessian``, ``einstein_t2_on``).  The
 first-variation display, which the library assembles in the X frame, is
-checked against central differences of the
-functional (``fd_zprime`` along a supported perturbation,
-``fd_flow_gradient`` along the flow's parameters) and against its ON-frame
-assembly from the antisymmetrized Hessian (``zprime_display_on``, and
-``display_flow_gradient`` with one Hessian per parameter); its one reverse
-pass over every jet, against the forward pass per jet that it replaced
-(``display_columns_forward``).  The flow's dZ/dtheta is checked against
-the warped-product closed form of the radial curvature (``warped_radial``),
-differentiated by the complex step; the flow's Z, which the library takes
-from that closed form, against the engine's Gauss sum of |z|^2
-(``_z2_quadrature``); the engine's |z|^2, s and Pfaffian density on the
+checked against central differences of the functional along a supported
+perturbation (``fd_zprime``) and against its ON-frame assembly from the
+antisymmetrized Hessian (``zprime_display_on``).  The flow's Z and
+dZ/dtheta, which the library takes from the warped-product closed form of
+the radial curvature and its forward derivative, are checked against the
+engine's Gauss sum of |z|^2 (``_z2_quadrature``), against that display along
+each parameter (``display_flow_gradient``, one Hessian per parameter),
+against central differences (``fd_flow_gradient``) and against the same
+closed form (``warped_radial``) differentiated by the complex step; the
+engine's |z|^2, s and Pfaffian density on the
 radial family against ``warped_radial`` pointwise; the radial volume
 coefficients v2 and v3 against the jet of A^3 (``warped_volume_coefficients``);
 and the radial action families and their finite parts against the closed-form
@@ -78,7 +77,7 @@ from ahrenvol.collar import (
     to_on2,
     to_on4,
 )
-from ahrenvol.dfalg import _EPS4, _combo_pos, _combos, _insert_sign, _merge_sign, kn_metric
+from ahrenvol.dfalg import _EPS4, _combo_pos, _combos, _insert_sign, _merge_sign
 from ahrenvol.renorm import (
     _FIT_COND_LIMIT,
     _FIT_TOL,
@@ -1393,22 +1392,21 @@ def el_residual_whole_hessian(geom, rhos) -> np.ndarray:
 # -- the flow's theta-gradient ----------------------------------------------------
 
 
-def fd_flow_gradient(theta, functional=None) -> np.ndarray:
+def fd_flow_gradient(theta) -> np.ndarray:
     """Central differences of the flow functional, step 1e-5 per parameter.
 
     The reference for variation.z2_value_and_gradient's gradient: 2n calls
-    of ``functional`` (default ``variation.z2_functional``).
+    of ``variation.z2_functional``.
     """
     from ahrenvol.variation import z2_functional
 
-    functional = z2_functional if functional is None else functional
     step = 1e-5
     theta = np.asarray(theta, float)
     grad = np.zeros_like(theta)
     for k in range(len(theta)):
         probe = np.zeros_like(theta)
         probe[k] = step
-        grad[k] = (functional(theta + probe) - functional(theta - probe)) / (2 * step)
+        grad[k] = (z2_functional(theta + probe) - z2_functional(theta - probe)) / (2 * step)
     return grad
 
 
@@ -1441,35 +1439,6 @@ def fd_zprime(geom, pert) -> float:
     fd_t = (z2_of(t) - z2_of(-t)) / (2.0 * t)
     fd_half = (z2_of(t / 2.0) - z2_of(-t / 2.0)) / t
     return (4.0 * fd_half - fd_t) / 3.0
-
-
-def display_columns_forward(geom, jets, rho) -> np.ndarray:
-    """variation._display_columns by the forward route: per jet, the two
-    covariant-derivative passes of variation.frame_covariant_derivative,
-    and n2 paired entrywise with the X-frame z . g in its (a, c, b, d)
-    arrangement.  The reference for the library's one reverse pass."""
-    from ahrenvol.variation import frame_covariant_derivative, gradient_field
-
-    cur = curvature_in_frame(geom, rho)
-    inv, q = cur["invariants"], cur["q"]
-    # to_on with q^T is the adjoint of to_on: <F_on, to_on(X, q)> = <to_on(F_on, q^T), X>
-    f_x = to_on2(gradient_field(inv["z"], cur["riem_on"], inv["ric"]), q.swapaxes(1, 2))
-    k_x = to_on4(kn_metric(inv["z"]), q.swapaxes(1, 2))
-    # k_acbd[n, (a, c, b, d)] = K[n, a, b, c, d], to pair entrywise with n2[n, a, c, b, d]
-    k_acbd = k_x.transpose(0, 1, 3, 2, 4).reshape(-1, 256, 1)
-    dvol = cur["dvol"]
-    # the record's curvature arrays go before the jets and their covariant derivatives
-    # add to the peak, and f, which pairs with the jets' values alone, goes next
-    conn = {key: cur[key] for key in ("gamma", "dgamma", "rho")}
-    del cur, inv, q, k_x
-    jet_list = jets(rho)
-    f_h = [np.einsum("nab,nab->n", f_x, jet[0]) for jet in jet_list]
-    del f_x
-    columns = []
-    for jet, pairing in zip(jet_list, f_h):
-        (n2,) = frame_covariant_derivative(geom, conn, frame_covariant_derivative(geom, conn, jet))
-        columns.append(pairing + (n2.reshape(-1, 1, 256) @ k_acbd)[:, 0, 0])
-    return np.stack([slice_integral(geom, rho, c, dvol, 4) for c in columns], axis=1)
 
 
 def _display_on(geom, pert, nodes, wts) -> float:
@@ -1602,7 +1571,7 @@ def display_flow_gradient(theta) -> np.ndarray:
     At Z's own Gauss nodes, m_k = 2 A rho^(2+k) (1 - rho/2)^2 g_{S^3} is a
     ``PolynomialPerturbation`` built by ``Polynomial`` arithmetic, and the
     display along it is assembled in the ON frame (:func:`_display_on`): n
-    Hessians per node, against the three unit-jet covariant derivatives of
+    Hessians per node, against the closed form's forward derivative in
     variation.z2_value_and_gradient.
     """
     from ahrenvol.collar import PolynomialPerturbation, perturbed_profile

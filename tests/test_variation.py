@@ -45,7 +45,6 @@ from ahrenvol.variation import (_embed_jet, _frame_z, _hessian_trace, _require_b
 from oracles import (
     FlatTorus4,
     covariant_derivative_moveaxis,
-    display_columns_forward,
     display_flow_gradient,
     einstein_t2_on,
     el_residual_whole_hessian,
@@ -609,6 +608,18 @@ class TestPerturbations:
         with pytest.raises(ValueError, match="asymmetric"):
             _require_boundary_fixing(PolynomialPerturbation({2: m}))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_cutoff_perturbation_refuses_a_non_finite_field(self, bad):
+        """A NaN entry passed the asymmetry check and made zprime_display NaN,
+        and an infinite symmetric one warned in fld - fld.T: both are refused
+        by name, with no numpy warning ahead of the ValueError."""
+        m = np.eye(3)[None].repeat(2, axis=0)
+        m[1, 0, 2] = m[1, 2, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"non-finite field: entry \(1, 0, 2\) is {bad}"):
+                CutoffPerturbation(m)
+
 
 # -- functional gradient and EL residual -----------------------------------------
 
@@ -842,30 +853,6 @@ class TestFunctionalGradient:
         return TorusJetGeometry(BoundaryJet.constant(4, np.eye(3), g2, g3))
 
     @pytest.mark.parametrize("case", ["radial", "torus", "constant-torus"])
-    def test_reverse_pass_matches_the_forward_pass_per_jet(self, case):
-        """The one reverse pass of _display_columns gives every jet's column as
-        the two forward covariant derivatives per jet do
-        (oracles.display_columns_forward): five jets at once, random and unit,
-        each column to 1e-13 of the largest entry (every jet is of order 1).
-        A column's own largest entry is no scale: the h''-only unit column
-        reads 0.056 at rho = 0.15 on the radial family, a sum of terms of
-        order 10, and the two routes part there by 6e-14."""
-        geom = self._display_geometry(case)
-        rho = np.array([0.15, 0.3, 0.45])
-        rng = np.random.default_rng(31)
-        jets = []
-        for _ in range(3):
-            parts = rng.uniform(-1.0, 1.0, (3, rho.size * geom.npts, 4, 4))
-            jets.append(tuple(parts + parts.swapaxes(-1, -2)))
-        unit = np.zeros((rho.size * geom.npts, 4, 4))
-        unit[:, :3, :3] = np.eye(3)
-        jets += [(unit, 0.0 * unit, 0.0 * unit), (0.0 * unit, 0.0 * unit, unit)]
-        got = variation._display_columns(geom, lambda r: jets, rho)
-        want = display_columns_forward(geom, lambda r: jets, rho)
-        assert got.shape == want.shape == (rho.size, len(jets))
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("case", ["radial", "torus", "constant-torus"])
     def test_display_reads_the_linearized_curvature_ingredients(self, case):
         """zprime_display, assembled in the X frame, against the display
         integrated from linearized_curvature's h, Hessian and background record
@@ -996,7 +983,8 @@ class TestSliceAnalysis:
 
 
 class TestFlowGradient:
-    """z2_value_and_gradient: Z bit for bit, and dZ/dtheta from the display."""
+    """z2_value_and_gradient: Z bit for bit, and dZ/dtheta, the closed form's
+    forward derivative, against central differences and the display."""
 
     PROFILES = [(0.05, 0.05, 0.05), (0.03, -0.02, 0.01), (-0.08, 0.05, 0.02), (0.02,) * 6]
 
@@ -1014,9 +1002,9 @@ class TestFlowGradient:
         assert np.max(np.abs(grad - want)) <= 1e-8 * np.max(np.abs(want)), (grad, want)
 
     def test_ball_is_stationary(self):
-        """At theta = 0 the gradient is exactly 0: the display reads 1.4e-13,
-        roundoff of a z that vanishes, and the differences 1.0e-8, their own
-        error."""
+        """At theta = 0 the gradient is exactly 0: the closed form's reads
+        7.9e-14, roundoff of an a - b that vanishes, and the differences
+        1.0e-8, their own error."""
         grad = z2_value_and_gradient((0.0, 0.0, 0.0))[1]
         assert np.max(np.abs(grad)) < 1e-11, grad
         assert np.max(np.abs(fd_flow_gradient((0.0, 0.0, 0.0)))) < 1e-6
@@ -1032,10 +1020,10 @@ class TestFlowGradient:
 
     @pytest.mark.parametrize("theta", PROFILES)
     def test_gradient_is_the_display_along_each_direction(self, theta):
-        """The three unit-jet covariant derivatives give what n Hessians along
-        m_k give (tests/oracles.py): 7e-12 to 1.1e-10 relative, all of it the
-        power-basis m_k of the oracle near the cap (with the same factored m_k
-        the two agree to 3e-16)."""
+        """The closed form's forward derivative gives what the paper's display
+        gives with n Hessians along m_k (oracles.display_flow_gradient): 6.8e-12
+        to 1.1e-10 relative, all of it the power-basis m_k of the oracle near
+        the cap."""
         grad = z2_value_and_gradient(theta)[1]
         want = display_flow_gradient(theta)
         assert np.max(np.abs(grad - want)) <= 1e-9 * np.max(np.abs(want))
@@ -1079,8 +1067,8 @@ class TestWarpedRadial:
         """z2_functional, which sums the closed form 2 pi^2 sum_i w_i 3 (a - b)^2
         f^3 / rho_i, matches the engine's Gauss sum of |z|^2 on the same nodes
         (oracles._z2_quadrature), and the complex step of that integrand
-        matches z2_value_and_gradient's gradient, both to 1e-12 relative
-        (measured: 2.8e-13 and 4.6e-14)."""
+        matches z2_value_and_gradient's forward derivative, both to 1e-12
+        relative (measured: 2.8e-13 and 1.8e-14)."""
         geom = RadialGeometry(perturbed_profile(theta))
         want_z = _z2_quadrature(geom, variation._FLOW_SEGMENTS, variation._FLOW_NODES)
         value = z2_functional(theta)
@@ -1098,7 +1086,7 @@ class TestGradientFlow:
         assert used == 0.0
         assert value == value0
 
-    def test_step_does_not_evaluate_at_theta(self):
+    def test_step_does_not_evaluate_at_theta(self, monkeypatch):
         """The step takes the value and the gradient at theta from its caller:
         it evaluates the functional once per line-search candidate only."""
         theta0 = np.array([0.05, 0.05, 0.05])
@@ -1109,7 +1097,8 @@ class TestGradientFlow:
             return z2_functional(theta)
 
         value0, grad = z2_value_and_gradient(theta0)
-        _, _, used = gradient_flow_step(theta0, value0, grad, 0.5, functional=counting)
+        monkeypatch.setattr(variation, "z2_functional", counting)
+        _, _, used = gradient_flow_step(theta0, value0, grad, 0.5)
         candidates = round(math.log2(0.5 / used)) + 1
         assert candidates > 1
         assert len(calls) == candidates
@@ -1122,7 +1111,7 @@ class TestGradientFlow:
         assert np.max(np.abs(theta)) < 1e-8
         assert value < 1e-20
 
-    def test_stalled_after_max_halvings(self):
+    def test_stalled_after_max_halvings(self, monkeypatch):
         """A gradient that points uphill exhausts the backtracking budget:
         every candidate raises the functional."""
         calls = []
@@ -1131,11 +1120,12 @@ class TestGradientFlow:
             calls.append(1)
             return float(np.asarray(theta)[0])
 
+        monkeypatch.setattr(variation, "z2_functional", rising)
         with pytest.raises(NonConvergence, match="stalled"):
-            gradient_flow_step([0.05], 0.05, [-1.0], 1e-3, functional=rising)
+            gradient_flow_step([0.05], 0.05, [-1.0], 1e-3)
         assert len(calls) == variation._FLOW_MAX_HALVINGS + 1
 
-    def test_step_on_the_edge_of_the_profile_family(self):
+    def test_step_on_the_edge_of_the_profile_family(self, monkeypatch):
         """On the edge of the family (bisected along -theta_0 to where A's
         minimum on (0, 2) reaches 0) the gradient comes from theta itself, so
         nothing leaves the family before the line search; the candidates that
@@ -1158,10 +1148,11 @@ class TestGradientFlow:
                 raise
 
         value0, grad = z2_value_and_gradient([-inside])
-        _, value, _ = gradient_flow_step([-inside], value0, grad, 1e-3, functional=counting)
+        monkeypatch.setattr(variation, "z2_functional", counting)
+        _, value, _ = gradient_flow_step([-inside], value0, grad, 1e-3)
         assert left and value <= value0
 
-    def test_non_finite_gradient_is_nonconvergence(self):
+    def test_non_finite_gradient_is_nonconvergence(self, monkeypatch):
         """A NaN theta or gradient is refused before any line-search
         candidate, instead of feeding 21 NaN candidates into "stalled"."""
         calls = []
@@ -1170,25 +1161,27 @@ class TestGradientFlow:
             calls.append(np.array(theta))
             return z2_functional(theta)
 
+        monkeypatch.setattr(variation, "z2_functional", counting)
         for theta, grad in [([math.nan, 0.05, 0.05], [1.0, 1.0, 1.0]),
                             ([0.05, 0.05, 0.05], [math.nan, 1.0, 1.0]),
                             ([0.05, 0.05, 0.05], [math.inf, 1.0, 1.0])]:
             with pytest.raises(NonConvergence, match="non-finite"):
-                gradient_flow_step(theta, 1.0, grad, 1e-3, functional=counting)
+                gradient_flow_step(theta, 1.0, grad, 1e-3)
         assert calls == []
 
     @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, -1e-3])
-    def test_bad_step_size_is_refused_before_any_evaluation(self, eta):
+    def test_bad_step_size_is_refused_before_any_evaluation(self, eta, monkeypatch):
         calls = []
 
         def counting(theta):
             calls.append(np.array(theta))
             return z2_functional(theta)
 
+        monkeypatch.setattr(variation, "z2_functional", counting)
         with pytest.raises(ValueError, match="step size"):
-            gradient_flow_step([0.05], 1.0, [1.0], eta, functional=counting)
+            gradient_flow_step([0.05], 1.0, [1.0], eta)
         with pytest.raises(ValueError, match="step size"):
-            run_flow([0.05], steps=2, eta=eta, functional=counting)
+            run_flow([0.05], steps=2, eta=eta)
         assert calls == []
 
     @pytest.mark.parametrize("fraction", [math.nan, math.inf])
@@ -1209,25 +1202,24 @@ class TestGradientFlow:
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert values[-1] < 0.5 * values[0]
 
-    def test_z_makes_no_engine_call_and_a_pass_makes_one(self, monkeypatch):
-        """z2_functional reads A's jet alone, at the flow's nodes and at the
-        48-node end point, and each gradient pass of run_flow is one
-        curvature_in_frame call over Z's 160 nodes."""
-        engine, calls = collar.curvature_in_frame, []
-
-        def counting(geom, rho):
-            calls.append(np.size(rho))
-            return engine(geom, rho)
-
-        monkeypatch.setattr(collar, "curvature_in_frame", counting)
-        monkeypatch.setattr(variation, "curvature_in_frame", counting)
-        z2_functional([0.05, 0.05, 0.05])
-        z2_functional([0.05, 0.05, 0.05], n_per=48)
-        assert calls == []
+    def test_flow_makes_no_engine_call(self, monkeypatch):
+        """Z, its gradient and a whole flow read A's jet alone: with both
+        curvature engines stubbed to raise, z2_functional (at the flow's nodes
+        and at the 48-node end point), z2_value_and_gradient and run_flow
+        give the same bits as with the engines in place."""
         history = run_flow([0.05, 0.05, 0.05], steps=3, eta=1e-3)
-        passes = sum(h.gradient_passes for h in history)
-        assert passes == 3 and sum(h.z_evaluations for h in history) > 0
-        assert calls == [len(variation._FLOW_SEGMENTS) * variation._FLOW_NODES] * passes
+
+        def engine(*args):
+            raise AssertionError("the flow called the curvature engine")
+
+        for name in ("curvature_in_frame", "frame_curvature"):
+            monkeypatch.setattr(collar, name, engine)
+            monkeypatch.setattr(variation, name, engine)
+        z2_functional([0.05, 0.05, 0.05], n_per=48)
+        value, grad = z2_value_and_gradient([0.05, 0.05, 0.05])
+        assert value == history[0].value and np.all(np.isfinite(grad))
+        again = run_flow([0.05, 0.05, 0.05], steps=3, eta=1e-3)
+        assert again == history and sum(h.gradient_passes for h in again) == 3
 
     def test_work_per_step(self, monkeypatch):
         """One pass at theta_0 (row 0), one at the start of every later step,
@@ -1243,7 +1235,8 @@ class TestGradientFlow:
             return z2_functional(theta)
 
         monkeypatch.setattr(variation, "z2_value_and_gradient", counting_pass)
-        history = run_flow([0.05, 0.05, 0.05], steps=3, eta=1e-3, functional=counting)
+        monkeypatch.setattr(variation, "z2_functional", counting)
+        history = run_flow([0.05, 0.05, 0.05], steps=3, eta=1e-3)
         assert len(history) == 4
         assert [h.gradient_passes for h in history] == [1, 0, 1, 1]
         assert [np.array_equal(p, h.theta) for p, h in zip(passes, history)] == [True] * 3
@@ -1263,7 +1256,8 @@ class TestGradientFlow:
             return z2_functional(theta)
 
         monkeypatch.setattr(variation, "z2_value_and_gradient", lambda *a: passes.append(a))
-        history = run_flow([0.05, 0.05, 0.05], steps=steps, eta=eta, functional=counting)
+        monkeypatch.setattr(variation, "z2_functional", counting)
+        history = run_flow([0.05, 0.05, 0.05], steps=steps, eta=eta)
         assert passes == [] and len(calls) == 1
         assert [h.z_evaluations for h in history] == [1] + [0] * steps
         assert [h.gradient_passes for h in history] == [0] * (steps + 1)
